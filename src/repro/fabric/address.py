@@ -1,9 +1,11 @@
-"""Global far-memory address space and data placement.
+"""Global far-memory address space and initial data layouts.
 
 A far memory pool comprises one or more memory nodes (section 7.1 of the
-paper). The global byte-addressable address space is mapped onto node-local
-offsets by a :class:`Placement`. Two placements are provided, mirroring
-the paper's discussion of interleaving:
+paper). The global byte-addressable address space is *virtual*: the
+per-fabric :class:`~repro.fabric.extent.ExtentTable` is the only address
+map, and a :class:`Placement` merely describes the layout that table starts
+from — a pool geometry plus one seed formula. Two layouts are provided,
+mirroring the paper's discussion of interleaving:
 
 * :class:`RangePlacement` — each node owns one contiguous address range
   ("data structure-aware" placement is achieved by allocating within a
@@ -12,14 +14,17 @@ the paper's discussion of interleaving:
   nodes at a fixed granularity, "similar to interleaving in traditional
   local memories", maximising aggregate bandwidth at the cost of breaking
   locality for pointer-linked data.
+
+Both are the same formula: stripe ``s`` of ``granularity`` bytes starts on
+node ``s % node_count`` at local stripe ``s // node_count``; a range layout
+is the stripe that spans a whole node.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 
-from .errors import AddressError
 from .wire import WORD
 
 PAGE_SIZE = 4096
@@ -34,26 +39,30 @@ class Location:
     offset: int
 
 
-class Placement(ABC):
-    """Initial-layout policy for the virtual far address space.
+class Placement:
+    """Initial-layout descriptor for the virtual far address space.
 
-    Historically the placement *was* the address map; it is now the
-    formula the per-fabric :class:`~repro.fabric.extent.ExtentTable`
-    seeds its identity mapping from, and translation goes through the
-    table so extents can move at runtime.
+    Carries the pool geometry and the seed formula the extent table
+    materialises once at construction; it translates nothing itself, so
+    extents can move at runtime without the layout knowing.
     """
 
     supports_node_hints = False
     """Whether allocation-time node hints are meaningful under this layout
     (contiguous per-node ranges yes; fine-grained striping no)."""
 
-    def __init__(self, node_count: int, node_size: int) -> None:
+    def __init__(self, node_count: int, node_size: int, granularity: int) -> None:
         if node_count <= 0:
             raise ValueError("node_count must be positive")
         if node_size <= 0 or node_size % PAGE_SIZE != 0:
             raise ValueError("node_size must be a positive multiple of the page size")
+        if granularity <= 0 or granularity % WORD != 0:
+            raise ValueError("granularity must be a positive multiple of the word size")
+        if node_size % granularity != 0:
+            raise ValueError("node_size must be a multiple of the granularity")
         self._node_count = node_count
         self._node_size = node_size
+        self._granularity = granularity
 
     @property
     def node_count(self) -> int:
@@ -66,47 +75,28 @@ class Placement(ABC):
         return self._node_size
 
     @property
+    def granularity(self) -> int:
+        """Stripe width in bytes (the node size, for a range layout)."""
+        return self._granularity
+
+    @property
     def total_size(self) -> int:
         """Total bytes of far memory across all nodes."""
         return self._node_count * self._node_size
 
-    def check(self, address: int, length: int) -> None:
-        """Validate that ``[address, address + length)`` is inside the pool."""
-        if length < 0:
-            raise AddressError(address, length, "negative length")
-        if address < 0 or address + length > self.total_size:
-            raise AddressError(address, length, "outside the far memory pool")
+    def seed(self, extent_size: int) -> tuple[array, array]:
+        """The initial ``extent -> node`` and ``extent -> slot`` columns.
 
-    @abstractmethod
-    def locate(self, address: int) -> Location:
-        """Return the (node, offset) holding global ``address``."""
-
-    @abstractmethod
-    def globalize(self, node: int, offset: int) -> int:
-        """Inverse of :meth:`locate`."""
-
-    @abstractmethod
-    def contiguous_extent(self, address: int) -> int:
-        """Bytes from ``address`` onward that live on the same node.
-
-        Transfers longer than this must be split into per-node segments.
+        ``extent_size`` must divide the granularity, so every extent lies
+        inside one stripe and slots count extents within a node.
         """
-
-    def split(self, address: int, length: int) -> list[tuple[Location, int]]:
-        """Split a global range into per-node contiguous segments.
-
-        Returns ``[(location, segment_length), ...]`` in address order.
-        """
-        self.check(address, length)
-        segments: list[tuple[Location, int]] = []
-        cursor = address
-        remaining = length
-        while remaining > 0:
-            extent = min(self.contiguous_extent(cursor), remaining)
-            segments.append((self.locate(cursor), extent))
-            cursor += extent
-            remaining -= extent
-        return segments
+        per_stripe = self._granularity // extent_size
+        nodes = self._node_count
+        extents = range(self.total_size // extent_size)
+        return (
+            array("i", [e // per_stripe % nodes for e in extents]),
+            array("i", [e // per_stripe // nodes * per_stripe + e % per_stripe for e in extents]),
+        )
 
 
 class RangePlacement(Placement):
@@ -114,20 +104,8 @@ class RangePlacement(Placement):
 
     supports_node_hints = True
 
-    def locate(self, address: int) -> Location:
-        self.check(address, 1)
-        return Location(node=address // self._node_size, offset=address % self._node_size)
-
-    def globalize(self, node: int, offset: int) -> int:
-        if not 0 <= node < self._node_count:
-            raise AddressError(offset, 0, f"no such node {node}")
-        if not 0 <= offset < self._node_size:
-            raise AddressError(offset, 0, "offset outside node")
-        return node * self._node_size + offset
-
-    def contiguous_extent(self, address: int) -> int:
-        self.check(address, 1)
-        return self._node_size - (address % self._node_size)
+    def __init__(self, node_count: int, node_size: int) -> None:
+        super().__init__(node_count, node_size, granularity=node_size)
 
 
 class InterleavedPlacement(Placement):
@@ -138,37 +116,7 @@ class InterleavedPlacement(Placement):
     """
 
     def __init__(self, node_count: int, node_size: int, granularity: int = PAGE_SIZE) -> None:
-        super().__init__(node_count, node_size)
-        if granularity <= 0 or granularity % WORD != 0:
-            raise ValueError("granularity must be a positive multiple of the word size")
-        if node_size % granularity != 0:
-            raise ValueError("node_size must be a multiple of the granularity")
-        self._granularity = granularity
-
-    @property
-    def granularity(self) -> int:
-        """Stripe width in bytes."""
-        return self._granularity
-
-    def locate(self, address: int) -> Location:
-        self.check(address, 1)
-        stripe, within = divmod(address, self._granularity)
-        node = stripe % self._node_count
-        local_stripe = stripe // self._node_count
-        return Location(node=node, offset=local_stripe * self._granularity + within)
-
-    def globalize(self, node: int, offset: int) -> int:
-        if not 0 <= node < self._node_count:
-            raise AddressError(offset, 0, f"no such node {node}")
-        if not 0 <= offset < self._node_size:
-            raise AddressError(offset, 0, "offset outside node")
-        local_stripe, within = divmod(offset, self._granularity)
-        stripe = local_stripe * self._node_count + node
-        return stripe * self._granularity + within
-
-    def contiguous_extent(self, address: int) -> int:
-        self.check(address, 1)
-        return self._granularity - (address % self._granularity)
+        super().__init__(node_count, node_size, granularity)
 
 
 def make_placement(

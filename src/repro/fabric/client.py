@@ -494,13 +494,19 @@ class Client:
         self._check_alive()
         fabric = self.fabric
         policy = self.retry_policy
+        unguarded = policy is None and self.breaker_policy is None
+        if unguarded and self._tracer is None and fabric.fault_injector is None:
+            return op(*args)  # nobody needs the home node: the op translates for itself
+        # One translation of the op's address, shared by the tracer, the
+        # breaker and every attempt's fault check.
+        node = fabric.node_of(address)
         kind = getattr(op, "__name__", None)
-        if policy is None and self.breaker_policy is None:
-            if self._tracer is not None:
-                self._trace_node = fabric.node_of(address)
-                self._trace_addr = address
+        if self._tracer is not None:
+            self._trace_node = node
+            self._trace_addr = address
+        if unguarded:
             try:
-                fabric.fault_check(address, kind)
+                fabric.fault_check(node, address, kind)
                 return op(*args)
             except FarTimeoutError as err:
                 if self._tracer is not None and err.torn:
@@ -508,10 +514,6 @@ class Client:
                         self, op=kind, node=err.node, addr=address, attempt=1
                     )
                 raise
-        node = fabric.node_of(address)
-        if self._tracer is not None:
-            self._trace_node = node
-            self._trace_addr = address
         breaker = self._breaker_for(node)
         if breaker is not None and not breaker.allow(self.clock.now_ns):
             self.metrics.breaker_rejections += 1
@@ -543,7 +545,7 @@ class Client:
                         backoff_ns=backoff,
                     )
             try:
-                fabric.fault_check(address, kind)
+                fabric.fault_check(node, address, kind)
                 result = op(*args)
             except FarTimeoutError as err:
                 self.metrics.timeouts += 1

@@ -3,12 +3,15 @@
 Global addresses are *virtual*. The fabric translates them extent-by-extent
 to ``(node, offset)`` at its boundary, the way a NIC-side page table would
 (section 7.1 discusses placement; Storm-style designs show the dataplane
-must survive reconfiguration). :class:`~repro.fabric.address.RangePlacement`
-and :class:`~repro.fabric.address.InterleavedPlacement` are reduced to
-*initial-layout policies*: they define the identity mapping the table
-starts from, and the table records only the extents that have diverged
-from it. A table with no remapped extents therefore translates — and
-splits, and charges — exactly like the bare placement did.
+must survive reconfiguration). The table is the **only** address map: at
+construction it materialises one flat ``extent -> (node, slot)`` store and
+its inverse from the seed formula of its initial layout
+(:class:`~repro.fabric.address.RangePlacement` or
+:class:`~repro.fabric.address.InterleavedPlacement`), growing the address
+space appends to it and a committed migration overwrites one entry. Every
+lookup is one walk over that store with one bounds check, whether or not
+anything has moved, so a range's segment count never depends on unrelated
+extents.
 
 Translation is free. The table is consulted on the memory side of the
 interconnect (the NIC's address-translation unit), so no extra round trip
@@ -29,17 +32,27 @@ Writes that land on an extent mid-migration follow one of two policies:
 from __future__ import annotations
 
 import enum
-from bisect import insort
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .address import InterleavedPlacement, Location, Placement
+from .address import Location, Placement
 from .errors import AddressError, AllocationError, StaleEpochError
 from .wire import WORD
 
 DEFAULT_EXTENT_SIZE = 256 << 10
 """Preferred extent granularity (bytes); shrunk to divide the node size."""
+
+FREE = -1
+"""Inverse-store entry of a physical slot no extent maps to."""
+
+STAGING = -2
+"""Inverse-store entry of a slot claimed by an uncommitted migration."""
+
+Segments = list[tuple[Location, int]]
+"""What :meth:`ExtentTable.split` returns: ``[(location, length), ...]`` in
+address order."""
 
 
 class MigrationWritePolicy(enum.Enum):
@@ -64,56 +77,43 @@ class ExtentMigrationState:
     fences: int = 0
 
 
-@dataclass
-class ExtentInfo:
-    """One row of a topology dump (see :meth:`ExtentTable.dump`)."""
-
-    extent: int
-    base: int
-    node: int
-    slot: int
-    epoch: int
-    heat: int
-    state: str
-    replica_groups: list = field(default_factory=list)
-    remapped: bool = False
-
-
 class ExtentTable:
     """Per-fabric virtual→physical mapping at extent granularity.
 
-    The table starts as the identity mapping defined by ``layout`` and
-    stores only deviations (``_remapped``), so the common all-clean case
-    delegates straight to the layout formulas and is bit-identical to the
-    pre-virtualisation fabric, including segment counts.
+    One forward store (the ``_node`` / ``_slot`` columns, indexed by
+    extent) and one inverse store (``_owner[node][slot]``: the extent
+    living there, :data:`FREE` or :data:`STAGING`) hold the whole map.
+    ``layout`` seeds them and is never consulted again.
     """
 
     def __init__(self, layout: Placement, extent_size: Optional[int] = None) -> None:
         if extent_size is None:
-            if isinstance(layout, InterleavedPlacement):
+            # A striped layout moves whole stripes; a range layout (one
+            # stripe per node) is cut into 256 KiB-ish extents.
+            if layout.granularity < layout.node_size:
                 extent_size = layout.granularity
             else:
                 extent_size = gcd(layout.node_size, DEFAULT_EXTENT_SIZE)
         if extent_size <= 0 or extent_size % WORD != 0:
             raise ValueError("extent_size must be a positive multiple of the word size")
-        if layout.node_size % extent_size != 0:
-            raise ValueError("node_size must be a multiple of the extent size")
-        if isinstance(layout, InterleavedPlacement) and layout.granularity % extent_size != 0:
-            raise ValueError("extent_size must divide the interleave granularity")
+        if layout.granularity % extent_size != 0:
+            raise ValueError(
+                "extent_size must divide the layout granularity (the node size, for a range layout)"
+            )
         self._layout = layout
         self._es = extent_size
-        self._seed_size = layout.total_size
         self._virtual_size = layout.total_size
-        self._node_sizes = [layout.node_size] * layout.node_count
-        # Deviations from the identity layout. All empty on a fresh table.
-        self._remapped: dict[int, tuple[int, int]] = {}  # extent -> (node, slot)
-        self._slot_override: dict[tuple[int, int], Optional[int]] = {}
-        self._appended: list[tuple[int, int, int]] = []  # (start_extent, count, node)
-        self._free_slots: dict[int, list[int]] = {}
+        self._node, self._slot = layout.seed(extent_size)
+        self._owner = [
+            array("i", [FREE]) * (layout.node_size // extent_size)
+            for _ in range(layout.node_count)
+        ]
+        for extent, (node, slot) in enumerate(zip(self._node, self._slot)):
+            self._owner[node][slot] = extent
         self._drained: set[int] = set()
         # Live-migration state and telemetry.
         self._migrating: dict[int, ExtentMigrationState] = {}
-        self._epochs: dict[int, int] = {}
+        self._epochs: dict[int, int] = {}  # only extents a migration has moved
         self._heat: dict[int, int] = {}
         self._forward_sources: dict[int, dict[int, int]] = {}
         self._replica_groups: dict[int, set] = {}  # extent -> group ids
@@ -127,7 +127,7 @@ class ExtentTable:
 
     @property
     def layout(self) -> Placement:
-        """The initial-layout policy this table started from."""
+        """The initial-layout descriptor this table was seeded from."""
         return self._layout
 
     @property
@@ -141,14 +141,14 @@ class ExtentTable:
 
     @property
     def extent_count(self) -> int:
-        return self._virtual_size // self._es
+        return len(self._node)
 
     @property
     def node_count(self) -> int:
-        return len(self._node_sizes)
+        return len(self._owner)
 
     def node_size_of(self, node: int) -> int:
-        return self._node_sizes[node]
+        return len(self._owner[node]) * self._es
 
     def extent_of(self, address: int) -> int:
         return address // self._es
@@ -167,25 +167,13 @@ class ExtentTable:
     # Translation (virtual -> physical)
     # ------------------------------------------------------------------
 
-    def _mapping(self, extent: int) -> tuple[int, int]:
-        """Current (node, slot) of ``extent``."""
-        mapped = self._remapped.get(extent)
-        if mapped is not None:
-            return mapped
-        base = extent * self._es
-        if base < self._seed_size:
-            location = self._layout.locate(base)
-            return location.node, location.offset // self._es
-        for start, count, node in self._appended:
-            if start <= extent < start + count:
-                return node, extent - start
-        raise AddressError(base, self._es, "extent outside the virtual address space")
-
     def locate(self, address: int) -> Location:
         """Resolve a virtual address to its current (node, offset)."""
-        self.check(address, 1)
-        node, slot = self._mapping(address // self._es)
-        return Location(node=node, offset=slot * self._es + address % self._es)
+        if not 0 <= address < self._virtual_size:
+            raise AddressError(address, 1, "outside the far memory pool")
+        es = self._es
+        extent = address // es
+        return Location(self._node[extent], self._slot[extent] * es + address % es)
 
     def node_of(self, address: int) -> int:
         return self.locate(address).node
@@ -193,26 +181,16 @@ class ExtentTable:
     def try_globalize(self, node: int, offset: int) -> Optional[int]:
         """Virtual address of physical ``(node, offset)``, or ``None``.
 
-        ``None`` means the slot is currently unmapped — a freed source
-        slot, or a migration staging slot whose remap has not committed.
-        Memory-side write hooks use this to skip notifications for
-        staging traffic (exactly one notification per logical write).
+        ``None`` means the slot is currently unmapped — a free slot, or a
+        migration staging slot whose remap has not committed. Memory-side
+        write hooks use this to skip notifications for staging traffic
+        (exactly one notification per logical write).
         """
-        slot, within = divmod(offset, self._es)
-        key = (node, slot)
-        if key in self._slot_override:
-            extent = self._slot_override[key]
-            if extent is None:
-                return None
-            return extent * self._es + within
-        if node < self._layout.node_count:
-            return self._layout.globalize(node, offset)
-        for start, count, seg_node in self._appended:
-            if seg_node == node and offset < count * self._es:
-                return start * self._es + offset
-        if 0 <= node < self.node_count and 0 <= offset < self._node_sizes[node]:
-            return None  # physically valid, no virtual mapping (free slot)
-        raise AddressError(offset, 0, f"no such node/offset {node}/{offset}")
+        es = self._es
+        if not (0 <= node < len(self._owner) and 0 <= offset < len(self._owner[node]) * es):
+            raise AddressError(offset, 0, f"no such node/offset {node}/{offset}")
+        extent = self._owner[node][offset // es]
+        return None if extent < 0 else extent * es + offset % es
 
     def globalize(self, node: int, offset: int) -> int:
         address = self.try_globalize(node, offset)
@@ -220,60 +198,59 @@ class ExtentTable:
             raise AddressError(offset, 0, f"unmapped slot on node {node}")
         return address
 
-    def split(self, address: int, length: int) -> list[tuple[Location, int]]:
+    def split(self, address: int, length: int) -> Segments:
         """Split a virtual range into physically contiguous segments.
 
-        A clean table (no remaps) over the seed region delegates to the
-        layout formula, so segment counts — and therefore network
-        traversals — are bit-identical to the static-placement fabric.
-        Once extents have moved, adjacent extents that land physically
-        contiguous on one node are coalesced (the NIC issues one DMA for
-        a physically contiguous range).
+        Adjacent extents that are physically contiguous on one node are
+        coalesced (the NIC issues one DMA for a physically contiguous
+        range), so the segment count — and therefore the network
+        traversals charged — depends only on where this range lives.
         """
-        if not self._remapped and address + length <= self._seed_size:
-            return self._layout.split(address, length)
-        self.check(address, length)
-        segments: list[tuple[Location, int]] = []
-        cursor = address
+        if length < 0:
+            raise AddressError(address, length, "negative length")
         end = address + length
+        if address < 0 or end > self._virtual_size:
+            raise AddressError(address, length, "outside the far memory pool")
         es = self._es
+        nodes, slots = self._node, self._slot
+        segments: Segments = []
+        cursor = address
         while cursor < end:
-            location = self.locate(cursor)
-            take = min(es - (cursor % es), end - cursor)
-            if segments:
-                prev_loc, prev_len = segments[-1]
-                if prev_loc.node == location.node and prev_loc.offset + prev_len == location.offset:
-                    segments[-1] = (prev_loc, prev_len + take)
-                    cursor += take
-                    continue
-            segments.append((location, take))
-            cursor += take
+            extent = cursor // es
+            node, slot = nodes[extent], slots[extent]
+            location = Location(node, slot * es + cursor % es)
+            stop = (extent + 1) * es
+            while stop < end and nodes[extent + 1] == node and slots[extent + 1] == slot + 1:
+                extent += 1
+                slot += 1
+                stop += es
+            if stop > end:
+                stop = end
+            segments.append((location, stop - cursor))
+            cursor = stop
         return segments
 
     def same_node_span(self, address: int, limit: Optional[int] = None) -> int:
         """Bytes from ``address`` onward whose extents share one node.
 
-        On a clean table this is the layout's ``contiguous_extent`` (the
-        allocator's legacy notion); after migration it walks the table.
         ``limit`` allows early exit once enough span is proven.
         """
-        self.check(address, 1)
-        if not self._remapped and address < self._seed_size:
-            return self._layout.contiguous_extent(address)
+        if not 0 <= address < self._virtual_size:
+            raise AddressError(address, 1, "outside the far memory pool")
         es = self._es
-        node, _ = self._mapping(address // es)
-        span = es - (address % es)
-        extent = address // es + 1
-        while (limit is None or span < limit) and extent < self.extent_count:
-            if self._mapping(extent)[0] != node:
-                break
+        nodes = self._node
+        extent = address // es
+        node = nodes[extent]
+        span = es - address % es
+        extent += 1
+        while (limit is None or span < limit) and extent < len(nodes) and nodes[extent] == node:
             span += es
             extent += 1
         return span
 
     def extents_on_node(self, node: int) -> list[int]:
         """Extents currently mapped to ``node``, ascending."""
-        return [e for e in range(self.extent_count) if self._mapping(e)[0] == node]
+        return [extent for extent, home in enumerate(self._node) if home == node]
 
     def node_extent_runs(self, node: int) -> list[tuple[int, int]]:
         """Virtually contiguous runs ``(start_address, length)`` on ``node``."""
@@ -308,7 +285,7 @@ class ExtentTable:
     def heat_by_node(self) -> dict[int, int]:
         totals = {node: 0 for node in range(self.node_count)}
         for extent, heat in self._heat.items():
-            totals[self._mapping(extent)[0]] += heat
+            totals[self._node[extent]] += heat
         return totals
 
     def note_forward(self, address: int, source_node: int) -> None:
@@ -353,12 +330,11 @@ class ExtentTable:
         """Nodes holding other replicas of any group ``extent`` belongs
         to. A migration target inside this set would collapse the fault
         domain separation repair relies on."""
-        own_node = self._mapping(extent)[0]
         nodes: set[int] = set()
         for group_id in self._replica_groups.get(extent, ()):
             for sibling in self._group_extents.get(group_id, ()):
-                nodes.add(self._mapping(sibling)[0])
-        nodes.discard(own_node)
+                nodes.add(self._node[sibling])
+        nodes.discard(self._node[extent])
         return nodes
 
     # ------------------------------------------------------------------
@@ -366,22 +342,20 @@ class ExtentTable:
     # ------------------------------------------------------------------
 
     def free_slot_count(self, node: int) -> int:
-        return len(self._free_slots.get(node, ()))
+        return self._owner[node].count(FREE)
 
     def alloc_slot(self, node: int) -> int:
         """Claim the lowest free physical slot on ``node`` for staging."""
         if node in self._drained:
             raise AllocationError(f"node {node} is drained")
-        slots = self._free_slots.get(node)
-        if not slots:
+        if not 0 <= node < len(self._owner) or FREE not in self._owner[node]:
             raise AllocationError(f"no free extent slot on node {node}")
-        slot = slots.pop(0)
-        self._slot_override[(node, slot)] = None  # staging: unmapped until commit
+        slot = self._owner[node].index(FREE)
+        self._owner[node][slot] = STAGING  # unmapped until commit
         return slot
 
     def free_slot(self, node: int, slot: int) -> None:
-        self._slot_override[(node, slot)] = None
-        insort(self._free_slots.setdefault(node, []), slot)
+        self._owner[node][slot] = FREE
 
     def add_node(self, size: Optional[int] = None, *, grow_virtual: bool = False) -> tuple[int, int]:
         """Register a new memory node; returns ``(node_id, grown_bytes)``.
@@ -395,16 +369,17 @@ class ExtentTable:
         size = self._layout.node_size if size is None else size
         if size <= 0 or size % self._es != 0:
             raise ValueError("node size must be a positive multiple of the extent size")
-        node = self.node_count
-        self._node_sizes.append(size)
+        node = len(self._owner)
         slots = size // self._es
-        if grow_virtual:
-            start = self._virtual_size // self._es
-            self._appended.append((start, slots, node))
-            self._virtual_size += size
-            return node, size
-        self._free_slots[node] = list(range(slots))
-        return node, 0
+        if not grow_virtual:
+            self._owner.append(array("i", [FREE]) * slots)
+            return node, 0
+        first = len(self._node)
+        self._owner.append(array("i", range(first, first + slots)))
+        self._node.extend([node] * slots)
+        self._slot.extend(range(slots))
+        self._virtual_size += size
+        return node, size
 
     def mark_drained(self, node: int) -> None:
         self._drained.add(node)
@@ -433,7 +408,7 @@ class ExtentTable:
             raise AddressError(extent * self._es, self._es, "no such extent")
         if extent in self._migrating:
             raise AllocationError(f"extent {extent} is already migrating")
-        src_node, src_slot = self._mapping(extent)
+        src_node, src_slot = self._node[extent], self._slot[extent]
         if dst_node == src_node:
             raise AllocationError(f"extent {extent} already lives on node {dst_node}")
         dst_slot = self.alloc_slot(dst_node)
@@ -467,8 +442,8 @@ class ExtentTable:
                 f"extent {extent} copy incomplete ({state.cursor}/{self._es} bytes)"
             )
         del self._migrating[extent]
-        self._remapped[extent] = (state.dst_node, state.dst_slot)
-        self._slot_override[(state.dst_node, state.dst_slot)] = extent
+        self._node[extent], self._slot[extent] = state.dst_node, state.dst_slot
+        self._owner[state.dst_node][state.dst_slot] = extent
         self.free_slot(state.src_node, state.src_slot)
         self._epochs[extent] = self.epoch_of(extent) + 1
         self._heat.pop(extent, None)
@@ -524,42 +499,43 @@ class ExtentTable:
     # ------------------------------------------------------------------
 
     def dump(self) -> dict:
-        """Full topology snapshot (``python -m repro topology``)."""
-        extents = []
-        for extent in range(self.extent_count):
-            node, slot = self._mapping(extent)
-            extents.append(
-                ExtentInfo(
-                    extent=extent,
-                    base=extent * self._es,
-                    node=node,
-                    slot=slot,
-                    epoch=self.epoch_of(extent),
-                    heat=self._heat.get(extent, 0),
-                    state="migrating" if extent in self._migrating else "active",
-                    replica_groups=sorted(
-                        str(g) for g in self._replica_groups.get(extent, ())
-                    ),
-                    remapped=extent in self._remapped,
-                ).__dict__
-            )
-        nodes = []
-        for node in range(self.node_count):
-            nodes.append(
-                {
-                    "node": node,
-                    "size": self._node_sizes[node],
-                    "extents": sum(1 for row in extents if row["node"] == node),
-                    "free_slots": self.free_slot_count(node),
-                    "drained": node in self._drained,
-                    "heat": self.heat_by_node().get(node, 0),
-                }
-            )
+        """Full topology snapshot (``python -m repro topology``).
+
+        ``remapped`` counts extents that diverged from the seed layout:
+        an extent's epoch advances exactly when a migration of it
+        commits, so those are the extents with a recorded epoch.
+        """
+        extents = [
+            {
+                "extent": extent,
+                "base": extent * self._es,
+                "node": self._node[extent],
+                "slot": self._slot[extent],
+                "epoch": self.epoch_of(extent),
+                "heat": self._heat.get(extent, 0),
+                "state": "migrating" if extent in self._migrating else "active",
+                "replica_groups": sorted(str(g) for g in self._replica_groups.get(extent, ())),
+                "remapped": extent in self._epochs,
+            }
+            for extent in range(self.extent_count)
+        ]
+        heat = self.heat_by_node()
+        nodes = [
+            {
+                "node": node,
+                "size": self.node_size_of(node),
+                "extents": self._node.count(node),
+                "free_slots": self.free_slot_count(node),
+                "drained": node in self._drained,
+                "heat": heat[node],
+            }
+            for node in range(self.node_count)
+        ]
         return {
             "extent_size": self._es,
             "virtual_size": self._virtual_size,
             "extent_count": self.extent_count,
-            "remapped": len(self._remapped),
+            "remapped": len(self._epochs),
             "migrating": self.migrating_extents,
             "forwards_total": self.forwards_total,
             "fences_total": self.fences_total,
@@ -570,6 +546,6 @@ class ExtentTable:
     def __repr__(self) -> str:
         return (
             f"ExtentTable(extents={self.extent_count}, extent_size={self._es}, "
-            f"nodes={self.node_count}, remapped={len(self._remapped)}, "
+            f"nodes={self.node_count}, remapped={len(self._epochs)}, "
             f"migrating={len(self._migrating)})"
         )

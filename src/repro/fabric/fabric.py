@@ -1,13 +1,18 @@
 """The far-memory fabric: routing, base one-sided operations, indirection.
 
 The fabric ties together the memory nodes (:mod:`repro.fabric.memory_node`),
-a placement (:mod:`repro.fabric.address`), and the extended Fig. 1
-primitives (:mod:`repro.fabric.primitives`). It is the "memory side" of
+the extent table that maps virtual addresses onto them
+(:mod:`repro.fabric.extent`), and the extended Fig. 1 primitives
+(:mod:`repro.fabric.primitives`). It is the "memory side" of
 the simulator: everything here executes without any application processor,
 exactly the constraint the paper imposes on far memory (section 2).
 
+Every operation translates its range exactly once — one ``locate`` for a
+word, one ``split`` for a range — and the result drives routing, heat
+telemetry and the data movement.
+
 Cross-node indirection (section 7.1) is governed by
-:class:`IndirectionPolicy`:
+:class:`~repro.fabric.primitives.IndirectionPolicy`:
 
 * ``FORWARD`` — the home node forwards the dereferenced request to the
   node holding the target; the client still sees one round trip, the
@@ -20,24 +25,15 @@ Cross-node indirection (section 7.1) is governed by
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from .address import Location, Placement, RangePlacement
-from .errors import RemoteIndirectionError
-from .extent import ExtentTable
+from .errors import FarTimeoutError, NodeUnavailableError
+from .extent import ExtentTable, Segments
 from .latency import CostModel
 from .memory_node import MemoryNode
-from .primitives import FarPrimitivesMixin
+from .primitives import FabricResult, FarPrimitivesMixin, IndirectionPolicy
 from .wire import WORD, align_down
-
-
-class IndirectionPolicy(enum.Enum):
-    """How a memory node handles a dereferenced pointer on another node."""
-
-    FORWARD = "forward"
-    ERROR = "error"
 
 
 class Notifier(Protocol):
@@ -45,25 +41,6 @@ class Notifier(Protocol):
 
     def on_write(self, address: int, length: int, new_bytes: bytes) -> None:
         """Called after every mutation of far memory, with global addresses."""
-
-
-@dataclass
-class FabricResult:
-    """Outcome of one memory-side operation, with routing facts attached.
-
-    Attributes:
-        value: operation result (``bytes`` for loads, ``int`` for atomics,
-            ``None`` for stores).
-        pointer: for indirect operations, the pointer value that was
-            dereferenced (clients use it, e.g., for queue slack checks).
-        forward_hops: memory-to-memory forwards taken (FORWARD policy).
-        segments: per-node segments touched by the data transfer.
-    """
-
-    value: Optional[object] = None
-    pointer: Optional[int] = None
-    forward_hops: int = 0
-    segments: int = 1
 
 
 class Fabric(FarPrimitivesMixin):
@@ -91,7 +68,7 @@ class Fabric(FarPrimitivesMixin):
         ]
         self._notifier: Optional[Notifier] = None
         self._failed_nodes: set[int] = set()
-        self._fault_injector = None
+        self.fault_injector = None  # the attached faults.FaultInjector, if any
         for node in self.nodes:
             node.set_write_hook(self._on_node_write)
 
@@ -117,10 +94,6 @@ class Fabric(FarPrimitivesMixin):
     def check(self, address: int, length: int) -> None:
         """Validate a virtual range against the current address space."""
         self.extents.check(address, length)
-
-    def split(self, address: int, length: int) -> list[tuple[Location, int]]:
-        """Split a virtual range into physically contiguous segments."""
-        return self.extents.split(address, length)
 
     def add_node(self, node_size: Optional[int] = None, *, grow_virtual: bool = False) -> int:
         """Elastically add a memory node; returns its id.
@@ -171,20 +144,16 @@ class Fabric(FarPrimitivesMixin):
 
     # -- transient faults (repro.fabric.faults) -------------------------
 
-    @property
-    def fault_injector(self):
-        """The attached :class:`~repro.fabric.faults.FaultInjector`, or None."""
-        return self._fault_injector
-
     def set_fault_injector(self, injector) -> None:
         """Attach (or detach, with ``None``) a transient-fault injector."""
-        self._fault_injector = injector
+        self.fault_injector = injector
 
-    def fault_check(self, address: int, kind: Optional[str] = None) -> None:
+    def fault_check(self, node: int, address: int, kind: Optional[str] = None) -> None:
         """Consult the fault injector at one operation boundary.
 
-        Clients call this once per one-sided op, *before* the fabric
-        executes anything, so an injected timeout has no memory-side
+        Clients call this once per one-sided op (``node`` is the node
+        ``address`` currently lives on), *before* the fabric executes
+        anything, so an injected timeout has no memory-side
         effects and the op is always safe to retry (request-drop
         semantics — crucial for the non-idempotent ``faai``/``saai``/CAS
         family). Raises :class:`~repro.fabric.errors.FarTimeoutError`
@@ -197,10 +166,10 @@ class Fabric(FarPrimitivesMixin):
         silently, before the op body runs — so the op observes (or
         overwrites) the corruption exactly as real hardware would.
         """
-        injector = self._fault_injector
+        injector = self.fault_injector
         if injector is None:
             return
-        injector.before_access(self.node_of(address), address, kind)
+        injector.before_access(node, address, kind)
         flips = injector.take_corruption()
         if flips:
             total = self.extents.virtual_size
@@ -215,16 +184,14 @@ class Fabric(FarPrimitivesMixin):
     def consume_fault_latency(self) -> float:
         """Latency multiplier for the op just completed (1.0 when no
         injector is attached or no spike fired)."""
-        if self._fault_injector is None:
+        if self.fault_injector is None:
             return 1.0
-        return self._fault_injector.consume_latency_multiplier()
+        return self.fault_injector.consume_latency_multiplier()
 
-    def _node_for(self, location: Location, address: int) -> MemoryNode:
-        from .errors import NodeUnavailableError
-
-        if location.node in self._failed_nodes:
-            raise NodeUnavailableError(location.node, address)
-        return self.nodes[location.node]
+    def _node_for(self, node: int, address: int) -> MemoryNode:
+        if node in self._failed_nodes:
+            raise NodeUnavailableError(node, address)
+        return self.nodes[node]
 
     def locate(self, address: int) -> Location:
         """Resolve a virtual address to its *current* (node, offset).
@@ -246,11 +213,14 @@ class Fabric(FarPrimitivesMixin):
 
     def read(self, address: int, length: int) -> FabricResult:
         """One-sided read of a virtual range (split across nodes if needed)."""
+        return self._read(address, self.extents.split(address, length))
+
+    def _read(self, address: int, segments: Segments) -> FabricResult:
+        """Read the range at ``address`` that ``segments`` is the split of."""
         pieces: list[bytes] = []
-        segments = self.extents.split(address, length)
         cursor = address
         for location, seg_len in segments:
-            node = self._node_for(location, cursor)
+            node = self._node_for(location.node, cursor)
             self.extents.touch(cursor)
             pieces.append(node.read(location.offset, seg_len))
             cursor += seg_len
@@ -266,29 +236,31 @@ class Fabric(FarPrimitivesMixin):
         ``wgather`` funnel through here per buffer, so a torn replicated
         write tears its first target and never reaches the rest.
         """
-        if self._fault_injector is not None:
-            fraction = self._fault_injector.take_torn_fraction()
-            if fraction is not None:
-                from .errors import FarTimeoutError
+        return self._write(address, data)
 
+    def _write(
+        self, address: int, data: bytes, segments: Optional[Segments] = None
+    ) -> FabricResult:
+        """:meth:`write`, reusing the caller's split of exactly this range."""
+        if self.fault_injector is not None:
+            fraction = self.fault_injector.take_torn_fraction()
+            if fraction is not None:
                 prefix = align_down(int(len(data) * fraction), WORD)
                 if prefix > 0:
-                    self._write_segments(address, bytes(data[:prefix]))
+                    self._write(address, bytes(data[:prefix]))
                 raise FarTimeoutError(
                     self.node_of(address), address,
                     reason=f"torn write ({prefix}/{len(data)} bytes applied)",
                     torn=True,
                 )
-        return self._write_segments(address, data)
-
-    def _write_segments(self, address: int, data: bytes) -> FabricResult:
         # Police in-flight migrations first: a FENCE raises before any
         # byte moves, so a fenced write is all-or-nothing.
         mirrors = self.extents.write_intercept(address, len(data))
-        segments = self.extents.split(address, len(data))
+        if segments is None:
+            segments = self.extents.split(address, len(data))
         cursor = 0
         for location, seg_len in segments:
-            node = self._node_for(location, address + cursor)
+            node = self._node_for(location.node, address + cursor)
             self.extents.touch(address + cursor)
             node.write(location.offset, data[cursor : cursor + seg_len])
             cursor += seg_len
@@ -298,8 +270,6 @@ class Fabric(FarPrimitivesMixin):
     def _apply_mirrors(self, data: bytes, mirrors) -> int:
         """FORWARD-policy dual writes: mirror the already-copied portion
         of a migrating extent to its new home (one forward hop each)."""
-        from .errors import NodeUnavailableError
-
         hops = 0
         for data_off, length, dst_node, dst_offset in mirrors:
             if dst_node in self._failed_nodes:
@@ -307,15 +277,6 @@ class Fabric(FarPrimitivesMixin):
             self.nodes[dst_node].write(dst_offset, bytes(data[data_off : data_off + length]))
             hops += 1
         return hops
-
-    def _mirror_word(self, address: int, mirrors) -> None:
-        """Mirror the post-op value of an atomic's target word (the word
-        re-read from the source is the linearised result)."""
-        if not mirrors:
-            return
-        location = self.extents.locate(address)
-        word = self.nodes[location.node].read(location.offset, WORD)
-        self._apply_mirrors(word, [(0, WORD, m[2], m[3]) for m in mirrors])
 
     def write_phys(self, node: int, offset: int, data: bytes) -> FabricResult:
         """Raw write to a *physical* node-local range (migration staging).
@@ -326,81 +287,51 @@ class Fabric(FarPrimitivesMixin):
         use. Deliberately bypasses fault injection (transient-fault rules
         key on virtual addresses); callers charge it like any far write.
         """
-        from .errors import NodeUnavailableError
-
         if node in self._failed_nodes:
             raise NodeUnavailableError(node, offset)
         self.nodes[node].write(offset, bytes(data))
         return FabricResult(segments=1)
 
+    def _read_word_at(self, address: int, location: Location) -> int:
+        """Read the aligned word at ``address``, already translated."""
+        self.extents.touch(address)
+        return self._node_for(location.node, address).read_word(location.offset)
+
+    def _atomic_at(self, address: int, location: Location, op, *args):
+        """Apply the word-sized :class:`MemoryNode` mutation ``op`` at
+        ``address``, already translated, under migration policing."""
+        mirrors = self.extents.write_intercept(address, WORD)
+        self.extents.touch(address)
+        node = self._node_for(location.node, address)
+        result = op(node, location.offset, *args)
+        if mirrors:
+            # Mirror the post-op value of the word (re-read from the
+            # source, it is the linearised result).
+            word = node.read(location.offset, WORD)
+            self._apply_mirrors(word, [(0, WORD, m[2], m[3]) for m in mirrors])
+        return result
+
     def read_word(self, address: int) -> int:
         """Read one aligned word (always within a single node)."""
-        location = self.extents.locate(address)
-        self.extents.touch(address)
-        return self._node_for(location, address).read_word(location.offset)
+        return self._read_word_at(address, self.extents.locate(address))
 
     def write_word(self, address: int, value: int) -> None:
         """Write one aligned word."""
-        mirrors = self.extents.write_intercept(address, WORD)
-        location = self.extents.locate(address)
-        self.extents.touch(address)
-        self._node_for(location, address).write_word(location.offset, value)
-        self._mirror_word(address, mirrors)
+        self._atomic_at(address, self.extents.locate(address), MemoryNode.write_word, value)
 
     def compare_and_swap(self, address: int, expected: int, new: int) -> tuple[int, bool]:
         """Fabric-level atomic CAS on a word (section 2)."""
-        mirrors = self.extents.write_intercept(address, WORD)
-        location = self.extents.locate(address)
-        self.extents.touch(address)
-        result = self._node_for(location, address).compare_and_swap(
-            location.offset, expected, new
+        return self._atomic_at(
+            address, self.extents.locate(address), MemoryNode.compare_and_swap, expected, new
         )
-        self._mirror_word(address, mirrors)
-        return result
 
     def fetch_add(self, address: int, delta: int) -> int:
         """Fabric-level atomic fetch-and-add on a word; returns old value."""
-        mirrors = self.extents.write_intercept(address, WORD)
-        location = self.extents.locate(address)
-        self.extents.touch(address)
-        old = self._node_for(location, address).fetch_add(location.offset, delta)
-        self._mirror_word(address, mirrors)
-        return old
+        return self._atomic_at(address, self.extents.locate(address), MemoryNode.fetch_add, delta)
 
     def swap(self, address: int, value: int) -> int:
         """Fabric-level atomic exchange on a word; returns old value."""
-        mirrors = self.extents.write_intercept(address, WORD)
-        location = self.extents.locate(address)
-        self.extents.touch(address)
-        old = self._node_for(location, address).swap(location.offset, value)
-        self._mirror_word(address, mirrors)
-        return old
-
-    # ------------------------------------------------------------------
-    # Indirection plumbing shared by the Fig. 1 primitives
-    # ------------------------------------------------------------------
-
-    def _indirection_hops(self, home_node: int, target: int, length: int) -> int:
-        """Forward hops needed to touch ``[target, target+length)`` from
-        ``home_node``, or raise under the ERROR policy."""
-        length = max(length, WORD)
-        segments = self.extents.split(target, length)
-        remote = sum(1 for location, _ in segments if location.node != home_node)
-        if remote == 0:
-            return 0
-        if self.indirection_policy is IndirectionPolicy.ERROR:
-            first_remote = next(
-                location.node for location, _ in segments if location.node != home_node
-            )
-            raise RemoteIndirectionError(target, home_node, first_remote)
-        # Locality telemetry for the rebalancer: each forwarded segment
-        # names home_node as a "forward source" of the target's extent.
-        cursor = target
-        for location, seg_len in segments:
-            if location.node != home_node:
-                self.extents.note_forward(cursor, home_node)
-            cursor += seg_len
-        return remote
+        return self._atomic_at(address, self.extents.locate(address), MemoryNode.swap, value)
 
     def __repr__(self) -> str:
         return (

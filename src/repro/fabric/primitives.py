@@ -30,26 +30,56 @@ wgather   gather local buffers into one far range
 
 All pointer words hold **global** far-memory addresses. When a
 dereferenced target lives on a different memory node than the pointer,
-the fabric's :class:`~repro.fabric.fabric.IndirectionPolicy` decides
-between forwarding (extra traversals, same round trip) and erroring
-(section 7.1). Under the error policy the raised
+the fabric's :class:`IndirectionPolicy` decides between forwarding (extra
+traversals, same round trip) and erroring (section 7.1). Under the error
+policy the raised
 :class:`~repro.fabric.errors.RemoteIndirectionError` carries a
 :class:`PendingIndirection` describing exactly what the client must do to
 complete the operation — note that for ``faai``/``saai`` the pointer bump
 has *already committed* at the home node by then, matching hardware that
 cannot roll back its local half.
+
+Every indirect primitive translates exactly twice: one ``locate`` of the
+pointer word (its home node *and* its value), one ``split`` of the target
+(forward hops, segment count *and* the data movement).
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import AddressError, RemoteIndirectionError
+from .extent import Segments
+from .memory_node import MemoryNode
 from .wire import WORD
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .fabric import FabricResult
+
+class IndirectionPolicy(enum.Enum):
+    """How a memory node handles a dereferenced pointer on another node."""
+
+    FORWARD = "forward"
+    ERROR = "error"
+
+
+@dataclass
+class FabricResult:
+    """Outcome of one memory-side operation, with routing facts attached.
+
+    Attributes:
+        value: operation result (``bytes`` for loads, ``int`` for atomics,
+            ``None`` for stores).
+        pointer: for indirect operations, the pointer value that was
+            dereferenced (clients use it, e.g., for queue slack checks).
+        forward_hops: memory-to-memory forwards taken (FORWARD policy).
+        segments: per-node segments touched by the data transfer.
+    """
+
+    value: Optional[object] = None
+    pointer: Optional[int] = None
+    forward_hops: int = 0
+    segments: int = 1
 
 
 @dataclass(frozen=True)
@@ -57,7 +87,7 @@ class PendingIndirection:
     """What remains to be done after a ``RemoteIndirectionError``.
 
     Attributes:
-        kind: ``"read"``, ``"write"`` or ``"add"``.
+        kind: ``"read"``, ``"write"``, ``"add"`` or ``"swap"``.
         target: global address the client must access directly.
         length: bytes to read (``kind == "read"``).
         payload: bytes to write (``kind == "write"``).
@@ -82,145 +112,124 @@ FarIovec = Sequence[tuple[int, int]]
 class FarPrimitivesMixin:
     """Memory-side implementation of the Fig. 1 primitives.
 
-    Mixed into :class:`repro.fabric.fabric.Fabric`; relies on its base
-    routing operations (``read``/``write``/``read_word``/``fetch_add``/
-    ``_indirection_hops``/``placement``) and its ``FabricResult`` type.
+    Mixed into :class:`repro.fabric.fabric.Fabric`; relies on its extent
+    table, its ``indirection_policy`` and its already-translated data path
+    (``_read`` / ``_write`` / ``_read_word_at`` / ``_atomic_at``).
     """
 
-    # The mixin uses these attributes/methods from Fabric:
-    placement: object
-    # read/write/read_word/write_word/fetch_add defined by Fabric.
+    def _deref(self, ad: int, bump: Optional[int] = None) -> tuple[int, int]:
+        """Translate the pointer word at ``ad`` once: ``(home node, value)``.
 
-    def _result(self, **kwargs) -> "FabricResult":
-        from .fabric import FabricResult
+        With ``bump`` the word is atomically fetch-added first — the
+        ``*ptr++`` half of ``faai``/``saai`` — and the old value returned.
+        """
+        location = self.extents.locate(ad)
+        if bump is None:
+            return location.node, self._read_word_at(ad, location)
+        return location.node, self._atomic_at(ad, location, MemoryNode.fetch_add, bump)
 
-        return FabricResult(**kwargs)
+    def _target(self, home: int, pending: PendingIndirection, length: int) -> tuple[Segments, int]:
+        """Translate an indirect target once: ``(segments, forward hops)``.
 
-    def _deref_or_pend(
-        self, home_node: int, pointer: int, pending: PendingIndirection
-    ) -> int:
-        """Count forward hops for an indirect target, or raise with the
-        pending completion attached (ERROR policy)."""
-        span = pending.length if pending.kind == "read" else (
-            len(pending.payload) if pending.payload is not None else WORD
-        )
-        try:
-            return self._indirection_hops(home_node, pending.target, max(span, 1))
-        except RemoteIndirectionError as err:
-            err.pending = pending  # type: ignore[attr-defined]
-            raise
+        The segments drive the data movement; each one off ``home`` is a
+        forward hop, or under the ERROR policy the refusal, raised before
+        any data moves with ``pending`` attached for the client to finish.
+        Hops are judged on at least the target word, so a sub-word
+        transfer is re-split to its own length.
+        """
+        target = pending.target
+        segments = self.extents.split(target, max(length, WORD))
+        remote = [location.node for location, _ in segments if location.node != home]
+        if remote:
+            if self.indirection_policy is IndirectionPolicy.ERROR:
+                err = RemoteIndirectionError(target, home, remote[0])
+                err.pending = pending  # type: ignore[attr-defined]
+                raise err
+            # Locality telemetry for the rebalancer: each forwarded segment
+            # names ``home`` as a "forward source" of the target's extent.
+            cursor = target
+            for location, seg_len in segments:
+                if location.node != home:
+                    self.extents.note_forward(cursor, home)
+                cursor += seg_len
+        if length < WORD:
+            segments = self.extents.split(target, length)
+        return segments, len(remote)
 
-    def _segments_of(self, address: int, length: int) -> int:
-        # self.split is Fabric.split: extent-table translation, so the
-        # count stays right while (and after) extents migrate.
-        return max(1, len(self.split(address, max(length, 1))))
+    def _indirect_read(self, home: int, pointer: int, target: int, length: int) -> FabricResult:
+        pending = PendingIndirection("read", target, length=length, pointer=pointer)
+        segments, hops = self._target(home, pending, length)
+        result = self._read(target, segments)
+        result.pointer, result.forward_hops = pointer, hops
+        return result
+
+    def _indirect_write(self, home: int, pointer: int, target: int, value: bytes) -> FabricResult:
+        value = bytes(value)
+        pending = PendingIndirection("write", target, payload=value, pointer=pointer)
+        segments, hops = self._target(home, pending, len(value))
+        result = self._write(target, value, segments)
+        result.pointer, result.forward_hops = pointer, hops
+        return result
+
+    def _indirect_add(self, home: int, pointer: int, target: int, delta: int) -> FabricResult:
+        pending = PendingIndirection("add", target, delta=delta, pointer=pointer)
+        segments, hops = self._target(home, pending, WORD)
+        old = self._atomic_at(target, segments[0][0], MemoryNode.fetch_add, delta)
+        return FabricResult(value=old, pointer=pointer, forward_hops=hops)
 
     # ------------------------------------------------------------------
     # Indirect loads / stores (section 4.1)
     # ------------------------------------------------------------------
 
-    def load0(self, ad: int, length: int) -> "FabricResult":
+    def load0(self, ad: int, length: int) -> FabricResult:
         """``tmp = *ad; return *tmp`` — dereference then read ``length`` bytes."""
-        home = self.node_of(ad)
-        pointer = self.read_word(ad)
-        pend = PendingIndirection("read", pointer, length=length, pointer=pointer)
-        hops = self._deref_or_pend(home, pointer, pend)
-        data = self.read(pointer, length).value
-        return self._result(
-            value=data,
-            pointer=pointer,
-            forward_hops=hops,
-            segments=self._segments_of(pointer, length),
-        )
+        home, pointer = self._deref(ad)
+        return self._indirect_read(home, pointer, pointer, length)
 
-    def store0(self, ad: int, value: bytes) -> "FabricResult":
+    def store0(self, ad: int, value: bytes) -> FabricResult:
         """``tmp = *ad; *tmp = v`` — dereference then write ``value``."""
-        home = self.node_of(ad)
-        pointer = self.read_word(ad)
-        pend = PendingIndirection("write", pointer, payload=bytes(value), pointer=pointer)
-        hops = self._deref_or_pend(home, pointer, pend)
-        self.write(pointer, bytes(value))
-        return self._result(
-            pointer=pointer,
-            forward_hops=hops,
-            segments=self._segments_of(pointer, len(value)),
-        )
+        home, pointer = self._deref(ad)
+        return self._indirect_write(home, pointer, pointer, value)
 
-    def load1(self, ad: int, index: int, length: int) -> "FabricResult":
+    def load1(self, ad: int, index: int, length: int) -> FabricResult:
         """``tmp = *(ad + i); return *tmp`` — indexed pointer, then read."""
         return self.load0(ad + index, length)
 
-    def store1(self, ad: int, index: int, value: bytes) -> "FabricResult":
+    def store1(self, ad: int, index: int, value: bytes) -> FabricResult:
         """``tmp = *(ad + i); *tmp = v`` — indexed pointer, then write."""
         return self.store0(ad + index, value)
 
-    def load2(self, ad: int, index: int, length: int) -> "FabricResult":
+    def load2(self, ad: int, index: int, length: int) -> FabricResult:
         """``tmp = *ad + i; return *tmp`` — dereference, offset, then read."""
-        home = self.node_of(ad)
-        pointer = self.read_word(ad)
-        target = pointer + index
-        pend = PendingIndirection("read", target, length=length, pointer=pointer)
-        hops = self._deref_or_pend(home, target, pend)
-        data = self.read(target, length).value
-        return self._result(
-            value=data,
-            pointer=pointer,
-            forward_hops=hops,
-            segments=self._segments_of(target, length),
-        )
+        home, pointer = self._deref(ad)
+        return self._indirect_read(home, pointer, pointer + index, length)
 
-    def store2(self, ad: int, index: int, value: bytes) -> "FabricResult":
+    def store2(self, ad: int, index: int, value: bytes) -> FabricResult:
         """``tmp = *ad + i; *tmp = v`` — dereference, offset, then write."""
-        home = self.node_of(ad)
-        pointer = self.read_word(ad)
-        target = pointer + index
-        pend = PendingIndirection("write", target, payload=bytes(value), pointer=pointer)
-        hops = self._deref_or_pend(home, target, pend)
-        self.write(target, bytes(value))
-        return self._result(
-            pointer=pointer,
-            forward_hops=hops,
-            segments=self._segments_of(target, len(value)),
-        )
+        home, pointer = self._deref(ad)
+        return self._indirect_write(home, pointer, pointer + index, value)
 
     # ------------------------------------------------------------------
     # Pointer-bump atomics: the ``*ptr++`` idiom (section 4.1)
     # ------------------------------------------------------------------
 
-    def faai(self, ad: int, delta: int, length: int) -> "FabricResult":
+    def faai(self, ad: int, delta: int, length: int) -> FabricResult:
         """Fetch-and-add-indirect: bump ``*ad`` by ``delta`` atomically,
         return the ``length`` bytes pointed to by the *old* value.
 
         Under the ERROR policy the pointer bump has already committed when
         the error is raised; the pending completion is the data read.
         """
-        home = self.node_of(ad)
-        old = self.fetch_add(ad, delta)
-        pend = PendingIndirection("read", old, length=length, pointer=old)
-        hops = self._deref_or_pend(home, old, pend)
-        data = self.read(old, length).value
-        return self._result(
-            value=data,
-            pointer=old,
-            forward_hops=hops,
-            segments=self._segments_of(old, length),
-        )
+        home, old = self._deref(ad, bump=delta)
+        return self._indirect_read(home, old, old, length)
 
-    def saai(self, ad: int, delta: int, value: bytes) -> "FabricResult":
+    def saai(self, ad: int, delta: int, value: bytes) -> FabricResult:
         """Store-and-add-indirect: bump ``*ad`` by ``delta`` atomically,
         store ``value`` at the *old* pointer value."""
-        home = self.node_of(ad)
-        old = self.fetch_add(ad, delta)
-        pend = PendingIndirection("write", old, payload=bytes(value), pointer=old)
-        hops = self._deref_or_pend(home, old, pend)
-        self.write(old, bytes(value))
-        return self._result(
-            pointer=old,
-            forward_hops=hops,
-            segments=self._segments_of(old, len(value)),
-        )
+        home, old = self._deref(ad, bump=delta)
+        return self._indirect_write(home, old, old, value)
 
-    def fsaai(self, ad: int, delta: int, value: bytes) -> "FabricResult":
+    def fsaai(self, ad: int, delta: int, value: bytes) -> FabricResult:
         """Fetch-*store*-and-add-indirect: bump ``*ad`` by ``delta``
         atomically, then atomically exchange the ``len(value)`` bytes at
         the *old* pointer for ``value``, returning what was there.
@@ -233,71 +242,58 @@ class FarPrimitivesMixin:
         and resetting it to the EMPTY sentinel in one atomic step removes
         the deferred-clear hazard entirely.
         """
-        home = self.node_of(ad)
-        old = self.fetch_add(ad, delta)
-        pend = PendingIndirection(
-            "swap", old, length=len(value), payload=bytes(value), pointer=old
-        )
-        hops = self._deref_or_pend(home, old, pend)
-        data = self.read(old, len(value)).value
-        self.write(old, bytes(value))
-        return self._result(
-            value=data,
-            pointer=old,
-            forward_hops=hops,
-            segments=self._segments_of(old, len(value)),
-        )
+        home, old = self._deref(ad, bump=delta)
+        value = bytes(value)
+        pending = PendingIndirection("swap", old, length=len(value), payload=value, pointer=old)
+        segments, hops = self._target(home, pending, len(value))
+        result = self._read(old, segments)
+        self._write(old, value, segments)
+        result.pointer, result.forward_hops = old, hops
+        return result
 
     # ------------------------------------------------------------------
     # Indirect adds (section 4.1: "add v to a value pointed to by a location")
     # ------------------------------------------------------------------
 
-    def add0(self, ad: int, delta: int) -> "FabricResult":
+    def add0(self, ad: int, delta: int) -> FabricResult:
         """``**ad += v`` — atomic add at the word ``*ad`` points to."""
-        home = self.node_of(ad)
-        pointer = self.read_word(ad)
-        pend = PendingIndirection("add", pointer, delta=delta, pointer=pointer)
-        hops = self._deref_or_pend(home, pointer, pend)
-        old = self.fetch_add(pointer, delta)
-        return self._result(value=old, pointer=pointer, forward_hops=hops)
+        home, pointer = self._deref(ad)
+        return self._indirect_add(home, pointer, pointer, delta)
 
-    def add1(self, ad: int, delta: int, index: int) -> "FabricResult":
+    def add1(self, ad: int, delta: int, index: int) -> FabricResult:
         """``**(ad + i) += v`` — indexed pointer, then atomic add."""
         return self.add0(ad + index, delta)
 
-    def add2(self, ad: int, delta: int, index: int) -> "FabricResult":
+    def add2(self, ad: int, delta: int, index: int) -> FabricResult:
         """``*(*ad + i) += v`` — dereference, offset, then atomic add.
 
         This is the monitoring producer's histogram increment (section 6):
         one far access bumps ``histogram_base[index]``.
         """
-        home = self.node_of(ad)
-        pointer = self.read_word(ad)
-        target = pointer + index
-        pend = PendingIndirection("add", target, delta=delta, pointer=pointer)
-        hops = self._deref_or_pend(home, target, pend)
-        old = self.fetch_add(target, delta)
-        return self._result(value=old, pointer=pointer, forward_hops=hops)
+        home, pointer = self._deref(ad)
+        return self._indirect_add(home, pointer, pointer + index, delta)
 
     # ------------------------------------------------------------------
     # Scatter / gather (section 4.2)
     # ------------------------------------------------------------------
 
-    def rscatter(self, ad: int, lengths: Sequence[int]) -> "FabricResult":
+    def rscatter(self, ad: int, lengths: Sequence[int]) -> FabricResult:
         """Read the far range at ``ad``, scattering into local buffers of
         the given ``lengths``. One far access regardless of buffer count."""
         total = sum(lengths)
         if any(n < 0 for n in lengths):
             raise AddressError(ad, total, "negative buffer length")
-        data = self.read(ad, total).value
+        result = self.read(ad, total)
+        data = result.value
         buffers: list[bytes] = []
         cursor = 0
         for n in lengths:
             buffers.append(data[cursor : cursor + n])
             cursor += n
-        return self._result(value=buffers, segments=self._segments_of(ad, total))
+        result.value = buffers
+        return result
 
-    def rgather(self, iovec: FarIovec) -> "FabricResult":
+    def rgather(self, iovec: FarIovec) -> FabricResult:
         """Read a far iovec, gathering into one local contiguous buffer.
 
         The client adapter issues the per-buffer reads concurrently
@@ -306,11 +302,12 @@ class FarPrimitivesMixin:
         pieces: list[bytes] = []
         segments = 0
         for address, length in iovec:
-            pieces.append(self.read(address, length).value)
-            segments += self._segments_of(address, length)
-        return self._result(value=b"".join(pieces), segments=max(1, segments))
+            result = self.read(address, length)
+            pieces.append(result.value)
+            segments += result.segments
+        return FabricResult(value=b"".join(pieces), segments=max(1, segments))
 
-    def wscatter(self, iovec: FarIovec, data: bytes) -> "FabricResult":
+    def wscatter(self, iovec: FarIovec, data: bytes) -> FabricResult:
         """Scatter one local buffer across a far iovec (one far access)."""
         total = sum(length for _, length in iovec)
         if total != len(data):
@@ -322,13 +319,11 @@ class FarPrimitivesMixin:
         cursor = 0
         segments = 0
         for address, length in iovec:
-            self.write(address, data[cursor : cursor + length])
-            segments += self._segments_of(address, length)
+            segments += self.write(address, data[cursor : cursor + length]).segments
             cursor += length
-        return self._result(segments=max(1, segments))
+        return FabricResult(segments=max(1, segments))
 
-    def wgather(self, ad: int, buffers: Sequence[bytes]) -> "FabricResult":
+    def wgather(self, ad: int, buffers: Sequence[bytes]) -> FabricResult:
         """Gather local buffers into one contiguous far range at ``ad``."""
-        data = b"".join(bytes(b) for b in buffers)
-        self.write(ad, data)
-        return self._result(segments=self._segments_of(ad, len(data)))
+        result = self.write(ad, b"".join(bytes(b) for b in buffers))
+        return FabricResult(segments=result.segments)

@@ -8,8 +8,10 @@ from repro.fabric import (
     MigrationWritePolicy,
     make_placement,
 )
-from repro.fabric.errors import AddressError, AllocationError, StaleEpochError
+from repro.fabric.errors import AllocationError, StaleEpochError
 from repro.fabric.extent import ExtentTable
+
+from . import layout_oracle as oracle
 
 NODE_SIZE = 8 << 20
 ES = DEFAULT_EXTENT_SIZE
@@ -41,15 +43,17 @@ class TestGeometry:
 
 
 class TestCleanTableEquivalence:
-    """A table with no remaps translates exactly like the bare layout."""
+    """A table with no remaps translates exactly like the closed-form
+    layout formulas it was seeded from (``layout_oracle``)."""
 
     @pytest.mark.parametrize("interleaved", [False, True])
     def test_locate_matches_layout(self, interleaved):
         layout = make_placement(4, NODE_SIZE, interleaved=interleaved)
         table = ExtentTable(layout)
         for address in (0, 7, 4096, NODE_SIZE - 1, NODE_SIZE, 3 * NODE_SIZE + 9):
-            assert table.locate(address) == layout.locate(address)
-            assert table.node_of(address) == layout.locate(address).node
+            location = table.locate(address)
+            assert (location.node, location.offset) == oracle.locate(layout, address)
+            assert table.node_of(address) == oracle.locate(layout, address)[0]
 
     @pytest.mark.parametrize("interleaved", [False, True])
     def test_split_matches_layout_bit_for_bit(self, interleaved):
@@ -62,19 +66,76 @@ class TestCleanTableEquivalence:
             (0, 3 * 4096),
             (NODE_SIZE + 5, 2 * 4096),
         ):
-            assert table.split(address, length) == layout.split(address, length)
+            assert oracle.as_pairs(table.split(address, length)) == oracle.split(
+                layout, address, length
+            )
 
     def test_same_node_span_matches_contiguous_extent(self):
         layout = make_placement(2, NODE_SIZE)
         table = ExtentTable(layout)
         for address in (0, 1024, NODE_SIZE - 64, NODE_SIZE):
-            assert table.same_node_span(address) == layout.contiguous_extent(address)
+            assert table.same_node_span(address) == oracle.contiguous_extent(layout, address)
 
     def test_globalize_round_trips(self):
-        table = ExtentTable(make_placement(2, NODE_SIZE))
+        layout = make_placement(2, NODE_SIZE)
+        table = ExtentTable(layout)
         for address in (0, ES, NODE_SIZE + 17):
             location = table.locate(address)
             assert table.globalize(location.node, location.offset) == address
+            assert oracle.globalize(layout, location.node, location.offset) == address
+
+
+class TestSegmentCountsAreLocal:
+    """A range's segments depend only on where that range lives."""
+
+    def test_split_invariant_under_unrelated_noop_remap(self):
+        # Regression: a clean table used to answer from the layout formula
+        # (one segment per stripe) and any table with a remap from the
+        # coalescing walk, so an unrelated commit changed this count 4 -> 1.
+        table = ExtentTable(make_placement(1, 1 << 20, interleaved=True, granularity=4096))
+        spare, _ = table.add_node()
+        before = table.split(100, 3 * 4096)
+        far_extent = table.extent_count - 1
+        for dst in (spare, 0):  # away and straight back: a no-op remap
+            table.begin_migration(far_extent, dst)
+            table.advance_migration(far_extent, table.extent_size)
+            table.commit_migration(far_extent)
+        assert table.dump()["remapped"] == 1
+        assert table.split(100, 3 * 4096) == before
+        # One node, physically contiguous stripes: the NIC issues one DMA.
+        assert [(loc.node, loc.offset, n) for loc, n in before] == [(0, 100, 3 * 4096)]
+
+    def test_same_node_coalesces_only_when_slots_are_adjacent(self):
+        table = ExtentTable(make_placement(1, NODE_SIZE))
+        spare, _ = table.add_node()
+        es = table.extent_size
+
+        def move(extent):
+            table.begin_migration(extent, spare)
+            table.advance_migration(extent, es)
+            table.commit_migration(extent)
+
+        move(5)  # spare slot 0
+        move(3)  # spare slot 1
+        move(4)  # spare slot 2: adjacent to 3, not to 5
+        segments = table.split(3 * es, 3 * es)
+        assert [(loc.node, loc.offset, n) for loc, n in segments] == [
+            (spare, es, 2 * es),
+            (spare, 0, es),
+        ]
+        assert table.same_node_span(3 * es) == 3 * es  # one node, two DMAs
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_multi_node_counts_unchanged_by_unrelated_remap(self, interleaved):
+        table = ExtentTable(make_placement(4, NODE_SIZE, interleaved=interleaved))
+        spare, _ = table.add_node()
+        probes = [(0, 64), (NODE_SIZE - 100, 200), (0, 3 * 4096), (NODE_SIZE + 5, 2 * 4096)]
+        before = [table.split(a, n) for a, n in probes]
+        far_extent = table.extent_count - 1
+        table.begin_migration(far_extent, spare)
+        table.advance_migration(far_extent, table.extent_size)
+        table.commit_migration(far_extent)
+        assert [table.split(a, n) for a, n in probes] == before
 
 
 class TestElasticMembership:
