@@ -20,7 +20,7 @@ It is an interprocedural abstract interpreter over the AST of
            | T (top)              an unbounded far-access loop
 
 Leaves are the metered :class:`~repro.fabric.client.Client` operations
-(every synchronous shim, ``submit()``, ``charge_far_access()``,
+(every synchronous far op, ``submit()``, ``charge_far_access()``,
 ``write_framed()``, ``read_verified()`` — each is exactly one far
 access, mirroring ``Client._account_far``).  Raw ``fabric.*`` calls are
 deliberately **free**: they bypass client metering, which is fmlint
@@ -95,14 +95,6 @@ CERT_FORMAT = "fmcost-cert-v1"
 
 #: Verdicts that fail ``repro cost --check``.
 FAILING_VERDICTS = frozenset({"regression", "over_ceiling", "missing_budget"})
-
-#: Client methods that cost far accesses beyond the sync-shim set.
-#: ``submit`` is one posted op; ``charge_far_access`` is the explicit
-#: accounting hook; ``write_framed``/``read_verified`` are one framed op
-#: each (``read_verified`` pays +1 per verify-miss fallback address).
-_INTRINSIC_EXTRA = frozenset(
-    {"submit", "charge_far_access", "write_framed", "read_verified"}
-)
 
 _COST_DIRECTIVE_RE = re.compile(r"#\s*fmcost:\s*cost=(\d+)")
 _RETRY_DIRECTIVE_RE = re.compile(r"#\s*fmcost:\s*retry\b")

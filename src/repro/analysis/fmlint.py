@@ -72,70 +72,18 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-#: Synchronous far-op method names on the metered Client (each is one
-#: ``submit(...).result()`` shim — a one-deep pipeline window).
-FAR_SYNC_OPS = frozenset(
-    {
-        "read",
-        "write",
-        "read_u64",
-        "write_u64",
-        "cas",
-        "faa",
-        "swap",
-        "load0",
-        "store0",
-        "load1",
-        "store1",
-        "load2",
-        "store2",
-        "faai",
-        "saai",
-        "fsaai",
-        "add0",
-        "add1",
-        "add2",
-        "rscatter",
-        "rgather",
-        "wscatter",
-        "wgather",
-        "load0_u64",
-        "load2_u64",
-        "store0_u64",
-        "store2_u64",
-    }
-)
+from ..fabric.ops import FAR_OPS, WORD_OPS
 
-#: Data-plane methods on the raw Fabric. Calling these anywhere outside
-#: ``repro/fabric/`` moves bytes without charging any client's metrics —
-#: the exact accounting leak FM003 exists to catch.
-FABRIC_DATA_OPS = frozenset(
-    {
-        "read",
-        "write",
-        "read_word",
-        "write_word",
-        "compare_and_swap",
-        "fetch_add",
-        "swap",
-        "load0",
-        "store0",
-        "load1",
-        "store1",
-        "load2",
-        "store2",
-        "faai",
-        "saai",
-        "fsaai",
-        "add0",
-        "add1",
-        "add2",
-        "rscatter",
-        "rgather",
-        "wscatter",
-        "wgather",
-    }
-)
+#: Synchronous far-op method names on the metered Client: every row of
+#: the op table (:mod:`repro.fabric.ops`) plus the word conveniences. Each
+#: posts a one-deep pipeline window; fmcost prices each at one far access.
+FAR_SYNC_OPS = frozenset(FAR_OPS) | frozenset(WORD_OPS)
+
+#: Data-plane methods on the raw Fabric (what the table's rows issue).
+#: Calling these anywhere outside ``repro/fabric/`` moves bytes without
+#: charging any client's metrics — the exact accounting leak FM003
+#: exists to catch.
+FABRIC_DATA_OPS = frozenset(row.fabric for row in FAR_OPS.values())
 
 #: random-module attributes that are fine: seeded/self-contained RNG
 #: constructors and state plumbing, not the hidden global generator.
@@ -163,7 +111,7 @@ REGISTERED_FAR_STRUCTURES = frozenset(
     }
 )
 
-#: Every client-receiver method that costs far accesses: the sync shims
+#: Every client-receiver method that costs far accesses: the sync ops
 #: plus submit() (one posted op), the explicit accounting hook, and the
 #: framed/verified I/O helpers.
 _FAR_COST_OPS = FAR_SYNC_OPS | frozenset(

@@ -50,42 +50,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..fabric.ops import FAR_OPS
+
 WORD = 8
 
 #: Ops that synchronize (atomic read-modify-write at the memory node).
-ATOMIC_OPS = frozenset(
-    {"cas", "faa", "swap", "faai", "saai", "fsaai", "add0", "add1", "add2"}
-)
+ATOMIC_OPS = frozenset(op.name for op in FAR_OPS.values() if op.atomic)
 
 #: Plain ops that read their addressed words.
-READ_OPS = frozenset(
-    {
-        "read",
-        "read_u64",
-        "rgather",
-        "rscatter",
-        "load0",
-        "load1",
-        "load2",
-        "load0_u64",
-        "load2_u64",
-    }
-)
+READ_OPS = frozenset(op.name for op in FAR_OPS.values() if op.reads and not op.atomic)
 
 #: Plain ops that write their addressed words.
-WRITE_OPS = frozenset(
-    {
-        "write",
-        "write_u64",
-        "wscatter",
-        "wgather",
-        "store0",
-        "store1",
-        "store2",
-        "store0_u64",
-        "store2_u64",
-    }
-)
+WRITE_OPS = frozenset(op.name for op in FAR_OPS.values() if op.writes and not op.atomic)
 
 
 class VectorClock(dict):

@@ -16,10 +16,13 @@ with the synchronous API as a thin veneer:
   latencies) + (n - 1) * issue_ns`` — overlap hides latency, not work).
 * **Completion** (:attr:`cq`): a completion queue with ``poll()`` /
   ``wait_all()``; ``FarFuture.result()`` completes through it.
-* **Synchronous shims**: every classic method (:meth:`read`,
-  :meth:`write`, :meth:`cas`, the Fig. 1 primitives, scatter/gather) is
-  ``submit(...).result()`` — a one-deep window, charging exactly what the
-  pre-pipeline client charged.
+* **Synchronous calls**: every classic method (:meth:`read`,
+  :meth:`write`, :meth:`cas`, the Fig. 1 primitives, scatter/gather)
+  posts one window entry and rings the doorbell itself — a one-deep
+  window, charging exactly what the pre-pipeline client charged, with no
+  future built (a :class:`~repro.fabric.pipeline.FarFuture` is what
+  :meth:`submit` returns). Each op is defined once, under its public
+  name; the table in :mod:`repro.fabric.ops` registers it.
 * **Batch windows** (:meth:`batch`): a scope that holds the window open
   regardless of depth, so every operation inside overlaps — the
   doorbell-batching façade, reimplemented on the pipeline.
@@ -47,9 +50,10 @@ drains it.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .errors import (
     CircuitOpenError,
@@ -60,8 +64,10 @@ from .errors import (
     RemoteIndirectionError,
 )
 from .fabric import Fabric, FabricResult
+from .integrity import frame_block, frame_size, try_unframe
 from .latency import SimClock
 from .metrics import Metrics
+from .ops import FAR_OPS
 from .pipeline import CompletionQueue, FarFuture
 from .primitives import FarIovec, PendingIndirection
 from .retry import BreakerPolicy, CircuitBreaker, RetryPolicy
@@ -126,14 +132,17 @@ class Client:
         self.qp_depth = qp_depth
         self.cq = CompletionQueue(self)
         self._inbox: deque = deque()
-        # The open overlap window: latency contributions awaiting the
-        # doorbell, and the futures whose charges they are.
-        self._window_charges: list[float] = []
-        self._window_futures: list[FarFuture] = []
+        # The open overlap window: one (op, charge_ns, span_id, future)
+        # entry per posting awaiting the doorbell. ``future`` is None for
+        # a synchronous call; ``op`` is None for a bare latency charge
+        # made inside a batch scope.
+        self._window: list[tuple] = []
         self._batch_depth = 0
-        # The future whose operation is currently executing; all latency
-        # charged while it is set folds into that future's contribution.
-        self._issue_ctx: Optional[FarFuture] = None
+        # The operation currently executing and the latency charged to it
+        # so far; all latency charged while _op is set folds into that
+        # operation's window contribution.
+        self._op: Optional[str] = None
+        self._charge = 0.0
         # Observability (repro.obs). The tracer is a pure observer: every
         # hook below is bookkeeping only, so metrics and timestamps are
         # bit-identical with tracing on or off. _trace_node/_trace_addr/
@@ -173,17 +182,13 @@ class Client:
         (:mod:`repro.recovery`)."""
         self.alive = False
         self._inbox.clear()
-        self._window_charges = []
-        doomed, self._window_futures = self._window_futures, []
+        doomed, self._window = self._window, []
         error = ClientDeadError(f"{self.name} has crashed")
-        for future in doomed:
-            future._fail(error)
-            future._complete(self.clock.now_ns)
+        for _, _, _, future in doomed:
+            if future is not None:
+                future._error = error
+                future.completed_at_ns = self.clock.now_ns
         self.cq._clear()
-
-    def _check_alive(self) -> None:
-        if not self.alive:
-            raise ClientDeadError(f"{self.name} has crashed")
 
     # ------------------------------------------------------------------
     # Observability (repro.obs)
@@ -241,10 +246,10 @@ class Client:
         inside a batch scope becomes its own window entry; otherwise the
         clock advances immediately.
         """
-        if self._issue_ctx is not None:
-            self._issue_ctx.charge_ns += ns
+        if self._op is not None:
+            self._charge += ns
         elif self._batch_depth > 0:
-            self._window_charges.append(ns)
+            self._window.append((None, ns, None, None))
         else:
             self.clock.advance(ns)
 
@@ -276,7 +281,7 @@ class Client:
         if self._tracer is not None:
             self._tracer.on_far_access(
                 self,
-                op=self._issue_ctx.op if self._issue_ctx is not None else None,
+                op=self._op,
                 charge_ns=charge,
                 node=self._trace_node,
                 addr=self._trace_addr,
@@ -311,9 +316,7 @@ class Client:
     # Submission / completion pipeline
     # ------------------------------------------------------------------
 
-    def submit(
-        self, op: str, *args: Any, signaled: bool = True, **kwargs: Any
-    ) -> FarFuture:
+    def submit(self, op: str, *args: Any, signaled: bool = True) -> FarFuture:
         """Post one far operation to the submission queue.
 
         ``op`` names any one-sided method (``"read"``, ``"write"``,
@@ -327,104 +330,119 @@ class Client:
 
         ``signaled=False`` posts an *unsignaled* work request (RDMA
         idiom): the future never lands in the completion queue, so a
-        caller that holds the future and reaps it directly — the
-        synchronous shims, the data structures' pipelined bulk paths —
-        leaves no CQ entries behind.
+        caller that holds the future and reaps it directly — the data
+        structures' pipelined bulk paths — leaves no CQ entries behind.
 
         Errors (timeout after retries, open breaker, address faults)
         are captured in the future and raised at ``result()`` time, as a
         completion-queue error entry would be.
         """
-        return self._submit(op, args, kwargs, tracked=signaled)
-
-    def _submit(
-        self, op: str, args: tuple, kwargs: dict, *, tracked: bool
-    ) -> FarFuture:
-        impl = getattr(self, "_op_" + op, None)
+        impl = _DISPATCH.get(op)
         if impl is None:
             raise ValueError(f"unknown far operation {op!r}")
-        future = FarFuture(self, op)
-        if self._issue_ctx is not None:
+        future = FarFuture(self, op, signaled)
+        self._post(op, future, impl, *args)
+        return future
+
+    def _post(
+        self, op: str, future: Optional[FarFuture], impl: Callable, *args: Any, **kwargs: Any
+    ) -> Any:
+        """Execute one operation eagerly and park its latency in the open
+        window as one ``(op, charge_ns, span_id, future)`` entry.
+
+        A synchronous call (``future`` is None) returns the value or
+        raises, and rings the doorbell itself unless a batch scope holds
+        the window; a submission captures value or error in ``future``
+        and leaves the window open until :attr:`qp_depth` fills it. This
+        is the one place an op is posted, so liveness is checked here.
+        """
+        if self._op is not None:
             # Nested issue (e.g. ERROR-policy completion re-entering
             # read/write): fold into the enclosing operation — its charge
-            # and accounting belong to the outer future.
+            # and accounting belong to the outer entry.
+            if future is None:
+                return impl(self, *args, **kwargs)
+            future.completed_at_ns = self.clock.now_ns
             try:
-                future._resolve(impl(*args, **kwargs))
+                future._value = impl(self, *args, **kwargs)
             except Exception as err:
-                future._fail(err)
-            future._complete(self.clock.now_ns)
-            return future
-        self._check_alive()
+                future._error = err
+            return None
+        if not self.alive:
+            raise ClientDeadError(f"{self.name} has crashed")
         self.metrics.pipeline_ops += 1
-        if self._tracer is not None:
-            span = self._tracer.current_span(self)
-            future.span_id = span.span_id if span is not None else None
-        self._issue_ctx = future
+        span = self._tracer.current_span(self) if self._tracer is not None else None
+        span_id = span.span_id if span is not None else None
+        self._op = op
+        self._charge = 0.0
         try:
-            future._resolve(impl(*args, **kwargs))
+            value = impl(self, *args, **kwargs)
+            if future is not None:
+                future._value = value
+            return value
         except Exception as err:
-            future._fail(err)
+            if future is None:
+                raise
+            future._error = err
         finally:
-            self._issue_ctx = None
-        if tracked:
-            future._tracked = True
-        self._window_charges.append(future.charge_ns)
-        self._window_futures.append(future)
-        if self._batch_depth == 0 and len(self._window_futures) >= self.qp_depth:
-            self.metrics.pipeline_stalls += 1
-            if self._tracer is not None:
-                self._tracer.on_stall(self)
-            self._flush_window(reason="stall")
-        return future
+            # Failed or not, the op occupied its slot: its (possibly 0.0)
+            # charge is posted and the doorbell rings before a
+            # synchronous caller sees the error.
+            self._op = None
+            if future is not None:
+                future.charge_ns, future.span_id = self._charge, span_id
+            window = self._window
+            window.append((op, self._charge, span_id, future))
+            if self._batch_depth == 0:
+                if len(window) >= self.qp_depth:
+                    self.metrics.pipeline_stalls += 1
+                    if self._tracer is not None:
+                        self._tracer.on_stall(self)
+                    self._flush_window(reason="stall")
+                elif future is None:
+                    self._flush_window(reason="reap")
 
     def _flush_window(self, reason: str = "drain") -> None:
         """Ring the doorbell: charge the open window and complete its
         futures. The window costs ``max(contributions) + (n - 1) *
         issue_ns`` — overlap hides latency; the metrics counted every
-        operation individually at issue time. ``reason`` is observability
-        only (why the doorbell rang: stall/batch/fence/reap/drain)."""
-        charges, self._window_charges = self._window_charges, []
-        futures, self._window_futures = self._window_futures, []
-        if charges:
-            start_ns = self.clock.now_ns
+        operation individually at issue time — which for the one-deep
+        window of a synchronous call is that call's own charge.
+        ``reason`` is observability only (why the doorbell rang:
+        stall/batch/fence/reap/drain)."""
+        window = self._window
+        if not window:
+            return
+        self._window = []
+        start_ns = self.clock.now_ns
+        if len(window) == 1:
+            charged = serial = window[0][1]  # window_ns([c]) == sum([c]) == c
+        else:
+            charges = [entry[1] for entry in window]
             charged = self.cost_model.window_ns(charges)
-            self.clock.advance(charged)
-            m = self.metrics
-            m.pipeline_flushes += 1
-            m.pipeline_charged_ns += int(charged)
             serial = sum(charges)
-            if serial > charged:
-                m.overlap_saved_ns += int(serial - charged)
-            if self._tracer is not None:
-                self._tracer.on_window(
-                    self,
-                    start_ns=start_ns,
-                    charged_ns=charged,
-                    serial_ns=serial,
-                    saved_ns=max(0.0, serial - charged),
-                    reason=reason,
-                    ops=[(f.op, f.charge_ns, f.span_id) for f in futures],
-                    n_charges=len(charges),
-                )
-        now = self.clock.now_ns
-        for future in futures:
-            future._complete(now)
-            if future._tracked and not future._reaped:
-                self.cq._deliver(future)
-
-    def _complete_future(self, future: FarFuture) -> None:
-        """Drive ``future`` to completion (``FarFuture.result()``)."""
-        if future.done():
-            return
-        if self._batch_depth > 0:
-            # A batch scope defers the charge to scope exit; the value is
-            # already known (eager execution) and returned uncharged.
-            return
-        if future in self._window_futures:
-            self._flush_window(reason="reap")
-
-    def _window_outstanding(self) -> int:
-        return len(self._window_futures)
+        now = self.clock.advance(charged)
+        m = self.metrics
+        m.pipeline_flushes += 1
+        m.pipeline_charged_ns += int(charged)
+        if serial > charged:
+            m.overlap_saved_ns += int(serial - charged)
+        if self._tracer is not None:
+            self._tracer.on_window(
+                self,
+                start_ns=start_ns,
+                charged_ns=charged,
+                serial_ns=serial,
+                saved_ns=max(0.0, serial - charged),
+                reason=reason,
+                ops=[entry[:3] for entry in window if entry[0] is not None],
+                n_charges=len(window),
+            )
+        for _, _, _, future in window:
+            if future is not None:
+                future.completed_at_ns = now
+                if future._tracked and not future._reaped:
+                    self.cq._deliver(future)
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -491,7 +509,6 @@ class Client:
         it, which is deterministic and matches a NIC consulting its
         completion timestamps.
         """
-        self._check_alive()
         fabric = self.fabric
         policy = self.retry_policy
         unguarded = policy is None and self.breaker_policy is None
@@ -538,11 +555,7 @@ class Client:
                 self._advance(backoff)
                 if self._tracer is not None:
                     self._tracer.on_backoff(
-                        self,
-                        op=self._issue_ctx.op if self._issue_ctx is not None else None,
-                        node=node,
-                        attempt=attempt,
-                        backoff_ns=backoff,
+                        self, op=self._op, node=node, attempt=attempt, backoff_ns=backoff
                     )
             try:
                 fabric.fault_check(node, address, kind)
@@ -550,12 +563,7 @@ class Client:
             except FarTimeoutError as err:
                 self.metrics.timeouts += 1
                 if self._tracer is not None:
-                    self._tracer.on_timeout(
-                        self,
-                        op=self._issue_ctx.op if self._issue_ctx is not None else None,
-                        node=node,
-                        attempt=attempt,
-                    )
+                    self._tracer.on_timeout(self, op=self._op, node=node, attempt=attempt)
                     if err.torn:
                         # A torn write is a timeout with teeth: a prefix
                         # landed. A later successful retry rewrites the
@@ -590,27 +598,42 @@ class Client:
         raise last
 
     # ------------------------------------------------------------------
-    # Base one-sided operations. The public methods are thin
-    # ``submit(...).result()`` shims over the ``_op_*`` implementations —
-    # a synchronous call is a one-deep pipeline window, charging exactly
-    # what it always has.
+    # Base one-sided operations. Every op is defined once, under its
+    # public name: the body below is what ``submit`` dispatches to, and
+    # the registration loop after the class (driven by the table in
+    # repro.fabric.ops) rebinds the name to its synchronous entry. A body
+    # always runs inside ``_post``, so the latency it charges lands in
+    # its own window entry.
     # ------------------------------------------------------------------
 
     def read(self, address: int, length: int) -> bytes:
         """One-sided read: one far access."""
-        return self._submit("read", (address, length), {}, tracked=False).result()
+        result = self._issue(address, self.fabric.read, address, length)
+        self._account_far(nbytes_read=length, segments=result.segments)
+        return result.value
 
     def write(self, address: int, data: bytes) -> None:
         """One-sided write: one far access."""
-        return self._submit("write", (address, data), {}, tracked=False).result()
+        result = self._issue(address, self.fabric.write, address, bytes(data))
+        # forward_hops is nonzero only while the target extent is mid-
+        # migration under the FORWARD policy: the already-copied prefix is
+        # mirrored to the new home, one §7.1-style hop per mirrored range.
+        self._account_far(
+            nbytes_written=len(data),
+            segments=result.segments,
+            forward_hops=result.forward_hops,
+        )
 
     def read_u64(self, address: int) -> int:
         """Read one 64-bit word (one far access)."""
-        return self._submit("read_u64", (address,), {}, tracked=False).result()
+        value = self._issue(address, self.fabric.read_word, address)
+        self._account_far(nbytes_read=WORD)
+        return value
 
     def write_u64(self, address: int, value: int) -> None:
         """Write one 64-bit word (one far access)."""
-        return self._submit("write_u64", (address, value), {}, tracked=False).result()
+        self._issue(address, self.fabric.write_word, address, value)
+        self._account_far(nbytes_written=WORD)
 
     def write_phys(self, node: int, offset: int, data: bytes) -> None:
         """Raw physical write to a migration staging slot: one far access.
@@ -620,21 +643,35 @@ class Client:
         write, but addressed ``(node, offset)`` — the NIC-to-NIC DMA leg
         of a live copy.
         """
-        return self._submit("write_phys", (node, offset, data), {}, tracked=False).result()
+        # Physically addressed, so it skips _issue's virtual-address
+        # machinery (fault rules, breakers, and retries key on virtual
+        # addresses; the staging slot has none yet). Node failure still
+        # surfaces as NodeUnavailableError from the fabric.
+        if self._tracer is not None:
+            self._trace_node = node
+            self._trace_addr = None
+        result = self.fabric.write_phys(node, offset, bytes(data))
+        self._account_far(nbytes_written=len(data), segments=result.segments)
 
     def cas(self, address: int, expected: int, new: int) -> tuple[int, bool]:
         """Atomic compare-and-swap (one far access)."""
-        return self._submit(
-            "cas", (address, expected, new), {}, tracked=False
-        ).result()
+        old, ok = self._issue(
+            address, self.fabric.compare_and_swap, address, expected, new
+        )
+        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
+        return old, ok
 
     def faa(self, address: int, delta: int) -> int:
         """Atomic fetch-and-add (one far access); returns the old value."""
-        return self._submit("faa", (address, delta), {}, tracked=False).result()
+        old = self._issue(address, self.fabric.fetch_add, address, delta)
+        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
+        return old
 
     def swap(self, address: int, value: int) -> int:
         """Atomic exchange (one far access); returns the old value."""
-        return self._submit("swap", (address, value), {}, tracked=False).result()
+        old = self._issue(address, self.fabric.swap, address, value)
+        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
+        return old
 
     # ------------------------------------------------------------------
     # Verified I/O (repro.fabric.integrity): end-to-end checksums over
@@ -644,8 +681,6 @@ class Client:
     def write_framed(self, address: int, payload: bytes, *, version: int = 0) -> None:
         """Write ``payload`` wrapped in a crc+version frame (one far
         access; the frame occupies ``frame_size(len(payload))`` bytes)."""
-        from .integrity import frame_block
-
         self.write(address, frame_block(payload, version))
 
     def read_verified(
@@ -662,8 +697,6 @@ class Client:
         ``metrics.verified_reads``), so detection overhead stays explicit
         in the ledger.
         """
-        from .integrity import frame_size, try_unframe
-
         length = frame_size(payload_len)
         last: Optional[FarCorruptionError] = None
         for attempt_addr in (address, *fallback):
@@ -681,59 +714,6 @@ class Client:
             last = FarCorruptionError(node, attempt_addr, payload_len)
         assert last is not None
         raise last
-
-    def _op_read(self, address: int, length: int) -> bytes:
-        result = self._issue(address, self.fabric.read, address, length)
-        self._account_far(nbytes_read=length, segments=result.segments)
-        return result.value
-
-    def _op_write(self, address: int, data: bytes) -> None:
-        result = self._issue(address, self.fabric.write, address, bytes(data))
-        # forward_hops is nonzero only while the target extent is mid-
-        # migration under the FORWARD policy: the already-copied prefix is
-        # mirrored to the new home, one §7.1-style hop per mirrored range.
-        self._account_far(
-            nbytes_written=len(data),
-            segments=result.segments,
-            forward_hops=result.forward_hops,
-        )
-
-    def _op_write_phys(self, node: int, offset: int, data: bytes) -> None:
-        # Physically addressed, so it skips _issue's virtual-address
-        # machinery (fault rules, breakers, and retries key on virtual
-        # addresses; the staging slot has none yet). Node failure still
-        # surfaces as NodeUnavailableError from the fabric.
-        if self._tracer is not None:
-            self._trace_node = node
-            self._trace_addr = None
-        result = self.fabric.write_phys(node, offset, bytes(data))
-        self._account_far(nbytes_written=len(data), segments=result.segments)
-
-    def _op_read_u64(self, address: int) -> int:
-        value = self._issue(address, self.fabric.read_word, address)
-        self._account_far(nbytes_read=WORD)
-        return value
-
-    def _op_write_u64(self, address: int, value: int) -> None:
-        self._issue(address, self.fabric.write_word, address, value)
-        self._account_far(nbytes_written=WORD)
-
-    def _op_cas(self, address: int, expected: int, new: int) -> tuple[int, bool]:
-        old, ok = self._issue(
-            address, self.fabric.compare_and_swap, address, expected, new
-        )
-        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
-        return old, ok
-
-    def _op_faa(self, address: int, delta: int) -> int:
-        old = self._issue(address, self.fabric.fetch_add, address, delta)
-        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
-        return old
-
-    def _op_swap(self, address: int, value: int) -> int:
-        old = self._issue(address, self.fabric.swap, address, value)
-        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
-        return old
 
     # ------------------------------------------------------------------
     # Fig. 1 primitives, with ERROR-policy completion
@@ -764,7 +744,6 @@ class Client:
     def _indirect(
         self, op, *args, nbytes_read: int = 0, nbytes_written: int = 0
     ) -> FabricResult:
-        self._check_alive()
         try:
             # args[0] is always the pointer address ``ad`` — the home node
             # of the indirection, which is where a retry-worthy fault lands.
@@ -791,91 +770,52 @@ class Client:
 
     def load0(self, ad: int, length: int) -> FabricResult:
         """Indirect load: read ``length`` bytes at ``*ad``."""
-        return self._submit("load0", (ad, length), {}, tracked=False).result()
+        return self._indirect(self.fabric.load0, ad, length, nbytes_read=length)
 
     def store0(self, ad: int, value: bytes) -> FabricResult:
         """Indirect store: write ``value`` at ``*ad``."""
-        return self._submit("store0", (ad, value), {}, tracked=False).result()
+        return self._indirect(self.fabric.store0, ad, value, nbytes_written=len(value))
 
     def load1(self, ad: int, index: int, length: int) -> FabricResult:
         """Indexed indirect load: read at ``*(ad + index)``."""
-        return self._submit("load1", (ad, index, length), {}, tracked=False).result()
+        return self._indirect(self.fabric.load1, ad, index, length, nbytes_read=length)
 
     def store1(self, ad: int, index: int, value: bytes) -> FabricResult:
         """Indexed indirect store: write at ``*(ad + index)``."""
-        return self._submit("store1", (ad, index, value), {}, tracked=False).result()
-
-    def load2(self, ad: int, index: int, length: int) -> FabricResult:
-        """Offset indirect load: read at ``*ad + index``."""
-        return self._submit("load2", (ad, index, length), {}, tracked=False).result()
-
-    def store2(self, ad: int, index: int, value: bytes) -> FabricResult:
-        """Offset indirect store: write at ``*ad + index``."""
-        return self._submit("store2", (ad, index, value), {}, tracked=False).result()
-
-    def faai(self, ad: int, delta: int, length: int) -> FabricResult:
-        """Fetch-and-add-indirect (queue dequeue fast path, section 5.3)."""
-        return self._submit("faai", (ad, delta, length), {}, tracked=False).result()
-
-    def saai(self, ad: int, delta: int, value: bytes) -> FabricResult:
-        """Store-and-add-indirect (queue enqueue fast path, section 5.3)."""
-        return self._submit("saai", (ad, delta, value), {}, tracked=False).result()
-
-    def fsaai(self, ad: int, delta: int, value: bytes) -> FabricResult:
-        """Fetch-store-and-add-indirect (the DESIGN.md extension): bump
-        ``*ad``, atomically swap ``value`` into the old target, and return
-        what was there — the fully-safe one-access dequeue."""
-        return self._submit("fsaai", (ad, delta, value), {}, tracked=False).result()
-
-    def add0(self, ad: int, delta: int) -> FabricResult:
-        """``**ad += delta`` in one far access."""
-        return self._submit("add0", (ad, delta), {}, tracked=False).result()
-
-    def add1(self, ad: int, delta: int, index: int) -> FabricResult:
-        """``**(ad + index) += delta`` in one far access."""
-        return self._submit("add1", (ad, delta, index), {}, tracked=False).result()
-
-    def add2(self, ad: int, delta: int, index: int) -> FabricResult:
-        """``*(*ad + index) += delta`` in one far access (histogram bump)."""
-        return self._submit("add2", (ad, delta, index), {}, tracked=False).result()
-
-    def _op_load0(self, ad: int, length: int) -> FabricResult:
-        return self._indirect(self.fabric.load0, ad, length, nbytes_read=length)
-
-    def _op_store0(self, ad: int, value: bytes) -> FabricResult:
-        return self._indirect(self.fabric.store0, ad, value, nbytes_written=len(value))
-
-    def _op_load1(self, ad: int, index: int, length: int) -> FabricResult:
-        return self._indirect(self.fabric.load1, ad, index, length, nbytes_read=length)
-
-    def _op_store1(self, ad: int, index: int, value: bytes) -> FabricResult:
         return self._indirect(
             self.fabric.store1, ad, index, value, nbytes_written=len(value)
         )
 
-    def _op_load2(self, ad: int, index: int, length: int) -> FabricResult:
+    def load2(self, ad: int, index: int, length: int) -> FabricResult:
+        """Offset indirect load: read at ``*ad + index``."""
         return self._indirect(self.fabric.load2, ad, index, length, nbytes_read=length)
 
-    def _op_store2(self, ad: int, index: int, value: bytes) -> FabricResult:
+    def store2(self, ad: int, index: int, value: bytes) -> FabricResult:
+        """Offset indirect store: write at ``*ad + index``."""
         return self._indirect(
             self.fabric.store2, ad, index, value, nbytes_written=len(value)
         )
 
-    def _op_faai(self, ad: int, delta: int, length: int) -> FabricResult:
+    def faai(self, ad: int, delta: int, length: int) -> FabricResult:
+        """Fetch-and-add-indirect (queue dequeue fast path, section 5.3)."""
         result = self._indirect(
             self.fabric.faai, ad, delta, length, nbytes_read=length + WORD
         )
         self.metrics.atomic_ops += 1
         return result
 
-    def _op_saai(self, ad: int, delta: int, value: bytes) -> FabricResult:
+    def saai(self, ad: int, delta: int, value: bytes) -> FabricResult:
+        """Store-and-add-indirect (queue enqueue fast path, section 5.3)."""
         result = self._indirect(
             self.fabric.saai, ad, delta, value, nbytes_written=len(value) + WORD
         )
         self.metrics.atomic_ops += 1
         return result
 
-    def _op_fsaai(self, ad: int, delta: int, value: bytes) -> FabricResult:
+    def fsaai(self, ad: int, delta: int, value: bytes) -> FabricResult:
+        """Fetch-store-and-add-indirect (the DESIGN.md extension): bump
+        ``*ad``, atomically swap ``value`` into the old target, and return
+        what was there — the fully-safe one-access dequeue."""
         result = self._indirect(
             self.fabric.fsaai,
             ad,
@@ -887,17 +827,20 @@ class Client:
         self.metrics.atomic_ops += 1
         return result
 
-    def _op_add0(self, ad: int, delta: int) -> FabricResult:
+    def add0(self, ad: int, delta: int) -> FabricResult:
+        """``**ad += delta`` in one far access."""
         result = self._indirect(self.fabric.add0, ad, delta, nbytes_written=WORD)
         self.metrics.atomic_ops += 1
         return result
 
-    def _op_add1(self, ad: int, delta: int, index: int) -> FabricResult:
+    def add1(self, ad: int, delta: int, index: int) -> FabricResult:
+        """``**(ad + index) += delta`` in one far access."""
         result = self._indirect(self.fabric.add1, ad, delta, index, nbytes_written=WORD)
         self.metrics.atomic_ops += 1
         return result
 
-    def _op_add2(self, ad: int, delta: int, index: int) -> FabricResult:
+    def add2(self, ad: int, delta: int, index: int) -> FabricResult:
+        """``*(*ad + index) += delta`` in one far access (histogram bump)."""
         result = self._indirect(self.fabric.add2, ad, delta, index, nbytes_written=WORD)
         self.metrics.atomic_ops += 1
         return result
@@ -908,26 +851,12 @@ class Client:
 
     def rscatter(self, ad: int, lengths: Sequence[int]) -> list[bytes]:
         """Read a far range into local buffers: one far access."""
-        return self._submit("rscatter", (ad, lengths), {}, tracked=False).result()
-
-    def rgather(self, iovec: FarIovec) -> bytes:
-        """Read a far iovec into one local buffer: one far access."""
-        return self._submit("rgather", (iovec,), {}, tracked=False).result()
-
-    def wscatter(self, iovec: FarIovec, data: bytes) -> None:
-        """Scatter a local buffer across a far iovec: one far access."""
-        return self._submit("wscatter", (iovec, data), {}, tracked=False).result()
-
-    def wgather(self, ad: int, buffers: Sequence[bytes]) -> None:
-        """Gather local buffers into one far range: one far access."""
-        return self._submit("wgather", (ad, buffers), {}, tracked=False).result()
-
-    def _op_rscatter(self, ad: int, lengths: Sequence[int]) -> list[bytes]:
         result = self._issue(ad, self.fabric.rscatter, ad, lengths)
         self._account_far(nbytes_read=sum(lengths), segments=result.segments)
         return result.value
 
-    def _op_rgather(self, iovec: FarIovec) -> bytes:
+    def rgather(self, iovec: FarIovec) -> bytes:
+        """Read a far iovec into one local buffer: one far access."""
         anchor = iovec[0][0] if iovec else 0
         result = self._issue(anchor, self.fabric.rgather, iovec)
         self._account_far(
@@ -935,12 +864,14 @@ class Client:
         )
         return result.value
 
-    def _op_wscatter(self, iovec: FarIovec, data: bytes) -> None:
+    def wscatter(self, iovec: FarIovec, data: bytes) -> None:
+        """Scatter a local buffer across a far iovec: one far access."""
         anchor = iovec[0][0] if iovec else 0
         result = self._issue(anchor, self.fabric.wscatter, iovec, bytes(data))
         self._account_far(nbytes_written=len(data), segments=result.segments)
 
-    def _op_wgather(self, ad: int, buffers: Sequence[bytes]) -> None:
+    def wgather(self, ad: int, buffers: Sequence[bytes]) -> None:
+        """Gather local buffers into one far range: one far access."""
         result = self._issue(ad, self.fabric.wgather, ad, buffers)
         self._account_far(
             nbytes_written=sum(len(b) for b in buffers), segments=result.segments
@@ -996,3 +927,22 @@ class Client:
 
     def __repr__(self) -> str:
         return f"Client({self.name!r}, t={self.clock.now_ns:.0f}ns)"
+
+
+def _sync_entry(op: str, impl: Callable) -> Callable:
+    """The synchronous form of one far op: post it as one window entry and
+    ring the doorbell (``Client._post`` with no future)."""
+
+    @functools.wraps(impl)
+    def entry(self: Client, *args: Any, **kwargs: Any) -> Any:
+        return self._post(op, None, impl, *args, **kwargs)
+
+    return entry
+
+
+#: ``submit()``'s dispatch: op name -> the definition in the class body.
+#: The table drives registration, so a row without a definition is a
+#: ``KeyError`` at import and there is no second list to keep in sync.
+_DISPATCH: dict[str, Callable] = {name: vars(Client)[name] for name in FAR_OPS}
+for _name, _impl in _DISPATCH.items():
+    setattr(Client, _name, _sync_entry(_name, _impl))

@@ -31,8 +31,11 @@ simulated time when it flushes — the doorbell-batching model the old
   ``result()`` does is *complete* the future — flush the window it sits
   in, so its latency is charged — unless an enclosing ``Client.batch``
   scope is deferring the charge to scope exit.
+* A synchronous call is one window entry, not a future: it posts its
+  charge and rings the doorbell itself (``Client._post``). Only
+  ``submit`` builds a :class:`FarFuture`.
 * ``Metrics.far_accesses`` is identical whether call sites use the
-  synchronous shims, explicit ``submit``, or any ``qp_depth``: overlap
+  synchronous methods, explicit ``submit``, or any ``qp_depth``: overlap
   hides latency, never work. Every structural-cost claim stays
   bit-identical by construction.
 * A retried operation (:mod:`repro.fabric.retry`) folds its timeout and
@@ -48,19 +51,14 @@ from typing import TYPE_CHECKING, Any, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .client import Client
 
-_PENDING = "pending"
-_DONE = "done"
-_FAILED = "failed"
-
-
 class FarFuture:
     """One submitted far-memory operation.
 
     The future is created by :meth:`Client.submit` with its value (or
     exception) already recorded — the simulator executes eagerly — and
-    its latency charge accumulated in ``charge_ns``. It *completes* when
+    its latency charge recorded in ``charge_ns``. It *completes* when
     the window it was issued into flushes: only then has the client's
-    simulated clock paid for it.
+    simulated clock paid for it, and ``completed_at_ns`` says when.
     """
 
     __slots__ = (
@@ -69,14 +67,13 @@ class FarFuture:
         "charge_ns",
         "completed_at_ns",
         "span_id",
-        "_state",
         "_value",
         "_error",
         "_reaped",
         "_tracked",
     )
 
-    def __init__(self, client: "Client", op: str) -> None:
+    def __init__(self, client: "Client", op: str, signaled: bool) -> None:
         self.client = client
         self.op = op
         self.charge_ns: float = 0.0
@@ -84,30 +81,14 @@ class FarFuture:
         # Tracing only: the span this submission was issued under (None
         # when no tracer is attached). Never read by the pipeline itself.
         self.span_id: Optional[int] = None
-        self._state = _PENDING
         self._value: Any = None
         self._error: Optional[BaseException] = None
         self._reaped = False
-        self._tracked = False
-
-    # -- driver-side hooks (Client only) --------------------------------
-
-    def _resolve(self, value: Any) -> None:
-        self._value = value
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-
-    def _complete(self, now_ns: float) -> None:
-        """The window holding this future flushed at ``now_ns``."""
-        self.completed_at_ns = now_ns
-        self._state = _FAILED if self._error is not None else _DONE
-
-    # -- caller API ------------------------------------------------------
+        self._tracked = signaled
 
     def done(self) -> bool:
         """Has the latency for this operation been charged yet?"""
-        return self._state is not _PENDING
+        return self.completed_at_ns is not None
 
     def result(self) -> Any:
         """Complete the future and return its value (or raise its error).
@@ -118,8 +99,6 @@ class FarFuture:
         scope the flush is deferred to scope exit and the (eagerly
         computed) value is returned immediately.
         """
-        if not self.done():
-            self.client._complete_future(self)
         self._reap()
         if self._error is not None:
             raise self._error
@@ -128,29 +107,38 @@ class FarFuture:
     def exception(self) -> Optional[BaseException]:
         """The exception this operation failed with, if any (completes
         the future, like :meth:`result`, but does not raise)."""
-        if not self.done():
-            self.client._complete_future(self)
         self._reap()
         return self._error
 
     def _reap(self) -> None:
+        client = self.client
+        # A pending future is by construction in the client's open window
+        # (crash() and flushes complete everything they remove), so
+        # completing it is ringing that doorbell — unless a batch scope
+        # holds the window, which defers the charge to scope exit.
+        if self.completed_at_ns is None and client._batch_depth == 0:
+            client._flush_window(reason="reap")
         # Direct result()/exception() consumes the completion, so a
         # signaled future reaped in hand does not linger in the CQ.
         if not self._reaped:
             self._reaped = True
-            if self._tracked and self.done():
-                self.client.cq._discard(self)
+            if self._tracked and self.completed_at_ns is not None:
+                client.cq._discard(self)
 
     def __repr__(self) -> str:
-        return f"FarFuture({self.op!r}, state={self._state}, charge={self.charge_ns:.0f}ns)"
+        if self.completed_at_ns is None:
+            state = "pending"
+        else:
+            state = "failed" if self._error is not None else "done"
+        return f"FarFuture({self.op!r}, state={state}, charge={self.charge_ns:.0f}ns)"
 
 
 class CompletionQueue:
     """Reaping side of the pipeline: completed-but-unreaped futures.
 
     Futures submitted via :meth:`Client.submit` land here when their
-    window flushes; the synchronous shims reap their own future inline
-    and never appear. Draining costs near-memory time only (one local
+    window flushes; synchronous calls build no future and never
+    appear. Draining costs near-memory time only (one local
     access per reaped completion) — polling a CQ is a cache hit, which is
     the entire point of completion queues.
     """
@@ -176,8 +164,9 @@ class CompletionQueue:
     # -- caller API ------------------------------------------------------
 
     def outstanding(self) -> int:
-        """Submissions issued but not yet completed (current window size)."""
-        return self._client._window_outstanding()
+        """Submissions issued but not yet completed (current window size;
+        bare latency charges parked by a batch scope are not operations)."""
+        return sum(1 for entry in self._client._window if entry[0] is not None)
 
     def ready(self) -> int:
         """Completions waiting to be reaped."""

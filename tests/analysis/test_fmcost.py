@@ -116,6 +116,23 @@ class TestInference:
         assert records["pair"]["inferred"]["fast"] == "2"
         assert records["pair"]["inferred"]["worst"] == "2"
 
+    def test_write_phys_costs_one_access(self, tmp_path):
+        # Regression: the intrinsic-cost table is fmlint.FAR_SYNC_OPS, whose
+        # hand-kept copy omitted write_phys and so priced it at 0.
+        records = _analyze(
+            tmp_path,
+            """
+            class Toy:
+                @far_budget(1, ceiling=1)
+                def stage(self, client: Client, chunk: bytes) -> None:
+                    client.write_phys(self.node, self.offset, chunk)
+            """,
+            [TOY],
+        )
+        assert records["stage"]["verdict"] == "ok"
+        assert records["stage"]["inferred"]["fast"] == "1"
+        assert records["stage"]["inferred"]["worst"] == "1"
+
     def test_branches_min_versus_join(self, tmp_path):
         records = _analyze(
             tmp_path,

@@ -73,6 +73,20 @@ class TestFM001:
             == []
         )
 
+    def test_flags_write_phys_like_any_other_table_row(self):
+        # Regression: write_phys was in none of the hand-kept op sets, so
+        # this loop passed while the same loop over client.write was
+        # flagged. The set is now derived from repro.fabric.ops.
+        findings = _lint(
+            """
+            def stage(client, node, chunks):
+                for offset, chunk in chunks:
+                    client.write_phys(node, offset, chunk)
+            """
+        )
+        assert [f.code for f in findings] == ["FM001"]
+        assert "write_phys" in findings[0].message
+
 
 # ---------------------------------------------------------------------------
 # FM002 — leaked-far-future
@@ -153,6 +167,19 @@ class TestFM003:
             )
             == ["FM003"]
         )
+
+    def test_flags_raw_fabric_write_phys(self):
+        # Regression: the physically-addressed write bypasses metering
+        # like every other data-plane method, but the hand-kept set
+        # missed it.
+        findings = _lint(
+            """
+            def stage(fabric, node, offset, chunk):
+                fabric.write_phys(node, offset, chunk)
+            """
+        )
+        assert [f.code for f in findings] == ["FM003"]
+        assert "write_phys" in findings[0].message
 
     def test_client_op_is_clean(self):
         assert _codes("client.write_u64(0, 7)\n") == []

@@ -5,7 +5,9 @@ example end to end through the CLI."""
 import json
 
 from repro.__main__ import main
+from repro.analysis import races
 from repro.analysis.races import WORD, detect_races, detect_races_in_file
+from repro.fabric.ops import FAR_OPS, WORD_OPS
 
 
 def _access(client, op, addr, *, target=None, atomic=False, ts=0.0):
@@ -38,6 +40,29 @@ LOCK = 0x200
 DATA = 0x208
 HEAD = 0x300
 SLOT = 0x308
+
+
+class TestOpVocabulary:
+    def test_every_table_row_is_classified_exactly_once(self):
+        # A far_access event's ``op`` field is a table row name; a row in
+        # no set would be invisible to the detector.
+        sets = (races.ATOMIC_OPS, races.READ_OPS, races.WRITE_OPS)
+        for name in FAR_OPS:
+            assert sum(name in ops for ops in sets) == 1, name
+        assert set().union(*sets) == set(FAR_OPS)
+
+    def test_only_names_a_trace_event_can_carry(self):
+        # The word conveniences trace as the op they issue (load0, ...);
+        # write_phys traces with no address and is skipped before lookup.
+        assert not set(WORD_OPS) & set().union(races.READ_OPS, races.WRITE_OPS)
+        assert "write_phys" in races.WRITE_OPS
+        report = detect_races(
+            [
+                _access("c0", "write_phys", None),
+                _access("c1", "write_phys", None),
+            ]
+        )
+        assert report.races == [] and report.accesses_seen == 0
 
 
 class TestRacyTraces:

@@ -1,13 +1,27 @@
 """Unit tests for the submission/completion pipeline: ``Client.submit``,
 :class:`FarFuture`, the :class:`CompletionQueue`, QP-depth bounds, fence
-ordering, nested batches, and retry interaction with overlap windows."""
+ordering, nested batches, and retry interaction with overlap windows —
+plus the table-driven checks that every row of ``repro.fabric.ops`` has one
+definition whose synchronous, submitted and batched forms agree."""
+
+import ast
+import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import Cluster
-from repro.fabric import FaultPlan
+from repro.alloc import on_node
+from repro.analysis import fmlint
+from repro.fabric import Client, Fabric, FaultPlan, IndirectionPolicy, faults
+from repro.fabric import client as client_module
 from repro.fabric.errors import AddressError, ClientDeadError
+from repro.fabric.ops import FAR_OPS, WORD_OPS
 from repro.fabric.wire import WORD
+from repro.obs import Tracer
 
 NODE_SIZE = 8 << 20
 
@@ -314,3 +328,250 @@ class TestCrash:
         c.crash()
         with pytest.raises(ClientDeadError):
             c.submit("read_u64", 0)
+
+
+# ---------------------------------------------------------------------------
+# The op table (repro.fabric.ops): one definition per far op
+# ---------------------------------------------------------------------------
+
+PAYLOAD = b"p" * 24
+
+# Row name -> argument builder over the scenario's memory map (see
+# _scenario). A new row in FAR_OPS fails here until it has arguments, so
+# every row is exercised by the equivalence test below.
+ARGS = {
+    "read": lambda m: (m["a"], 64),
+    "write": lambda m: (m["a"], PAYLOAD),
+    "read_u64": lambda m: (m["a"],),
+    "write_u64": lambda m: (m["a"], 7),
+    "write_phys": lambda m: (*m["phys"], PAYLOAD),
+    "cas": lambda m: (m["a"], 5, 6),
+    "faa": lambda m: (m["a"], 3),
+    "swap": lambda m: (m["a"], 9),
+    "load0": lambda m: (m["p"], 24),
+    "store0": lambda m: (m["p"], PAYLOAD),
+    "load1": lambda m: (m["p"] - WORD, WORD, 24),
+    "store1": lambda m: (m["p"] - WORD, WORD, PAYLOAD),
+    "load2": lambda m: (m["p"], WORD, 24),
+    "store2": lambda m: (m["p"], WORD, PAYLOAD),
+    "faai": lambda m: (m["p"], WORD, 24),
+    "saai": lambda m: (m["p"], WORD, PAYLOAD),
+    "fsaai": lambda m: (m["p"], WORD, PAYLOAD),
+    "add0": lambda m: (m["p"], 2),
+    "add1": lambda m: (m["p"] - WORD, 2, WORD),
+    "add2": lambda m: (m["p"], 2, WORD),
+    "rscatter": lambda m: (m["a"], [8, 16]),
+    "rgather": lambda m: ([(m["a"], 8), (m["b"], 16)],),
+    "wscatter": lambda m: ([(m["a"], 8), (m["b"], 16)], PAYLOAD),
+    "wgather": lambda m: (m["a"], [b"x" * 8, b"y" * 16]),
+}
+
+POLICIES = [IndirectionPolicy.FORWARD, IndirectionPolicy.ERROR]
+
+
+def _scenario(policy):
+    """A fresh two-node cluster, a client, and a memory map: plain buffers
+    ``a``/``b`` and a pointer cell ``p`` on node 0 (``p - WORD`` is valid
+    too, for the indexed forms) pointing at ``t`` on node 1 — so under the
+    ERROR policy every indirect op is refused and completed by the client."""
+    Client.reset_ids()
+    cluster = Cluster(node_count=2, node_size=NODE_SIZE, indirection_policy=policy)
+    alloc = cluster.allocator
+    memory = {
+        "a": alloc.alloc(64, on_node(0)),
+        "b": alloc.alloc(64, on_node(0)),
+        "p": alloc.alloc_words(2, on_node(0)) + WORD,
+        "t": alloc.alloc(64, on_node(1)),
+    }
+    location = cluster.fabric.locate(memory["b"])
+    memory["phys"] = (location.node, location.offset)
+    client = cluster.client()
+    client.write_u64(memory["a"], 5)
+    client.write_u64(memory["p"], memory["t"])
+    return cluster, client, memory
+
+
+def _far_accesses(name, policy):
+    if policy is IndirectionPolicy.ERROR and FAR_OPS[name].indirect:
+        # The refused attempt, then the direct completion (fsaai's is a
+        # read plus a write).
+        return 3 if name == "fsaai" else 2
+    return 1
+
+
+def _observe(client, before, value):
+    return value, client.metrics.delta(before).as_dict(), client.clock.now_ns
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.name)
+@pytest.mark.parametrize("name", list(FAR_OPS))
+def test_sync_submit_and_batched_forms_agree(name, policy):
+    """sync call == submit(name, ...).result() == sync call inside batch():
+    same value, same metrics, same clock once the scope has closed."""
+    _, client, memory = _scenario(policy)
+    before, start_ns = client.metrics.snapshot(), client.clock.now_ns
+    sync = _observe(client, before, getattr(client, name)(*ARGS[name](memory)))
+
+    _, client, memory = _scenario(policy)
+    before = client.metrics.snapshot()
+    future = client.submit(name, *ARGS[name](memory))
+    assert not future.done() and client.clock.now_ns == start_ns
+    submitted = _observe(client, before, future.result())
+
+    _, client, memory = _scenario(policy)
+    before = client.metrics.snapshot()
+    with client.batch():
+        value = getattr(client, name)(*ARGS[name](memory))
+        assert client.clock.now_ns == start_ns  # returned uncharged
+    batched = _observe(client, before, value)
+
+    assert sync == submitted == batched
+    _, delta, now_ns = sync
+    assert delta["far_accesses"] == _far_accesses(name, policy)
+    # Nested completion ops fold into the enclosing op: still one posting,
+    # one doorbell.
+    assert delta["pipeline_ops"] == delta["pipeline_flushes"] == 1
+    assert delta["pipeline_stalls"] == 0
+    assert now_ns > start_ns
+
+
+class TestOpTable:
+    def test_table_drives_dispatch(self):
+        assert set(client_module._DISPATCH) == set(FAR_OPS) == set(ARGS)
+
+    def test_each_op_is_defined_once_under_its_public_name(self):
+        tree = ast.parse(inspect.getsource(client_module))
+        (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Client"]
+        defs = [n.name for n in ast.walk(cls) if isinstance(n, ast.FunctionDef)]
+        for name in FAR_OPS:
+            assert defs.count(name) == 1, name
+        assert not [name for name in defs if name.startswith("_op_")]
+
+    @pytest.mark.parametrize("name", list(FAR_OPS))
+    def test_sync_entry_is_a_plain_documented_function(self, name):
+        entry = vars(Client)[name]
+        impl = client_module._DISPATCH[name]
+        assert inspect.isfunction(entry) and entry is not impl
+        assert entry.__name__ == name and entry.__doc__ == impl.__doc__
+        assert inspect.signature(entry) == inspect.signature(impl)
+        assert callable(getattr(Fabric, FAR_OPS[name].fabric))
+
+    def test_keyword_arguments_still_reach_a_sync_op(self):
+        _, client, memory = _scenario(IndirectionPolicy.FORWARD)
+        assert client.read_u64(address=memory["a"]) == 5
+
+    def test_word_conveniences_issue_table_ops(self):
+        assert set(WORD_OPS.values()) <= set(FAR_OPS)
+        assert all(inspect.isfunction(vars(Client)[name]) for name in WORD_OPS)
+
+    def test_rule_policy_sets_are_subsets_of_the_table(self):
+        atomic = {op.name for op in FAR_OPS.values() if op.atomic}
+        reads = {op.name for op in FAR_OPS.values() if op.reads}
+        assert fmlint._TXN_VERSION_ATOMICS <= atomic
+        assert fmlint._UNVERIFIED_READ_OPS <= reads
+        assert faults.TORN_KINDS <= {op.fabric for op in FAR_OPS.values() if op.writes}
+
+    @pytest.mark.parametrize("module", ["repro.analysis.fmlint", "repro.fabric"])
+    def test_either_side_imports_first_in_a_fresh_interpreter(self, module):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+
+
+class TestSyncCallsAreWindowEntries:
+    """The traps: a synchronous call obeys every window rule a submission
+    does, without being a future."""
+
+    def test_failed_sync_op_still_posts_and_flushes(self, cluster, client):
+        with pytest.raises(AddressError):
+            client.read_u64(1 << 60)
+        assert client.metrics.pipeline_ops == 1
+        assert client.metrics.pipeline_flushes == 1  # the 0.0 charge was posted
+        assert client.clock.now_ns == 0
+        assert client.cq.outstanding() == 0
+
+    def test_depth_one_stalls_on_every_sync_op(self, cluster):
+        c = cluster.client(qp_depth=1)
+        tracer = Tracer()
+        tracer.attach(c)
+        a = cluster.allocator.alloc_words(4)
+        for i in range(4):
+            c.read_u64(a + i * WORD)
+        assert c.metrics.pipeline_stalls == 4
+        windows = tracer.events_by_kind("window")
+        assert [e.data["reason"] for e in windows] == ["stall"] * 4
+        assert c.clock.now_ns == pytest.approx(4 * c.cost_model.far_ns)
+
+    def test_sync_op_filling_the_window_stalls_rather_than_reaps(self, cluster):
+        c = cluster.client(qp_depth=4)
+        tracer = Tracer()
+        tracer.attach(c)
+        a = cluster.allocator.alloc_words(4)
+        futures = [c.submit("read_u64", a + i * WORD) for i in range(3)]
+        c.read_u64(a + 3 * WORD)  # the 4th entry: the QP is full
+        assert c.metrics.pipeline_stalls == 1
+        assert c.metrics.pipeline_flushes == 1
+        assert all(f.done() for f in futures)
+        (window,) = tracer.events_by_kind("window")
+        assert window.data["reason"] == "stall" and window.data["n"] == 4
+
+    def test_sync_op_behind_submissions_flushes_them_together(self, cluster, client):
+        a = cluster.allocator.alloc_words(3)
+        model = client.cost_model
+        futures = [client.submit("write_u64", a + i * WORD, i) for i in range(2)]
+        assert client.read_u64(a + 2 * WORD) == 0
+        assert client.metrics.pipeline_flushes == 1
+        assert client.metrics.pipeline_stalls == 0
+        assert client.clock.now_ns == pytest.approx(model.far_ns + 2 * model.issue_ns)
+        assert {f.completed_at_ns for f in futures} == {client.clock.now_ns}
+        assert client.cq.ready() == 2  # the submissions were signaled; the sync op is not
+
+    def test_window_event_lists_sync_ops_and_counts_bare_charges(self, cluster, client):
+        tracer = Tracer()
+        tracer.attach(client)
+        a = cluster.allocator.alloc_words(2)
+        with client.batch():
+            client.read_u64(a)
+            client._advance(40.0)  # a bare charge: an entry, not an operation
+            assert client.cq.outstanding() == 1
+            client.submit("write_u64", a + WORD, 1, signaled=False)
+        (window,) = tracer.events_by_kind("window")
+        assert window.data["n"] == 3
+        assert [op["op"] for op in window.data["ops"]] == ["read_u64", "write_u64"]
+        assert window.data["serial_ns"] == 2 * client.cost_model.far_ns + 40.0
+
+    def test_nested_submission_folds_into_the_enclosing_op(self, cluster, client, monkeypatch):
+        """A submission made while an op executes (here from a fabric hook)
+        is part of that op: no posting of its own, complete on return, its
+        error captured, its charge on the enclosing entry."""
+        a = cluster.allocator.alloc_words(2)
+        nested = []
+        write_word = client.fabric.write_word
+
+        def hooked(address, value):
+            nested.append(client.submit("read_u64", a + WORD))
+            nested.append(client.submit("read_u64", 1 << 60))
+            return write_word(address, value)
+
+        monkeypatch.setattr(client.fabric, "write_word", hooked)
+        client.write_u64(a, 1)
+        ok, failed = nested
+        assert ok.done() and failed.done() and client.cq.ready() == 0
+        assert ok.result() == 0
+        assert isinstance(failed.exception(), AddressError)
+        assert client.metrics.pipeline_ops == client.metrics.pipeline_flushes == 1
+        assert client.metrics.far_accesses == 2
+        assert client.clock.now_ns == pytest.approx(2 * client.cost_model.far_ns)
+
+    def test_crash_drops_bare_charges_with_the_window(self, cluster):
+        c = cluster.client()
+        a = cluster.allocator.alloc_words(1)
+        with c.batch():
+            c._advance(40.0)
+            future = c.submit("read_u64", a)
+            c.crash()
+        assert isinstance(future.exception(), ClientDeadError)
+        assert c.clock.now_ns == 0 and c.metrics.pipeline_flushes == 0
