@@ -7,8 +7,9 @@
   script (``examples/<name>.py`` or any path) under a tracer and export
   the JSONL event stream plus a Chrome trace-event JSON (open it in
   ``chrome://tracing`` or https://ui.perfetto.dev).
-* ``python -m repro validate <trace.json>`` — check an exported Chrome
-  trace against the minimal schema (B/E balance, monotone timestamps).
+* ``python -m repro validate <trace.json|trace.jsonl>`` — check an
+  exported Chrome trace against the minimal schema (B/E balance, monotone
+  timestamps), or a JSONL event stream against the event table.
 * ``python -m repro lint [paths...]`` — run the far-memory static linter
   (:mod:`repro.analysis.fmlint`) over source trees; nonzero on findings.
 * ``python -m repro sanitize <example>`` — run an example with the
@@ -55,6 +56,7 @@ from repro.obs import (
     set_default_sink,
     set_default_tracer,
     validate_chrome_trace,
+    validate_jsonl,
     write_chrome_trace,
     write_jsonl,
     write_prometheus,
@@ -562,7 +564,11 @@ def _topology(
 
 
 def _validate(path: str) -> int:
-    problems = validate_chrome_trace(load_chrome_trace(path))
+    if path.endswith(".jsonl"):
+        with open(path, "r", encoding="utf-8") as fh:
+            problems = validate_jsonl(fh)
+    else:
+        problems = validate_chrome_trace(load_chrome_trace(path))
     if problems:
         print(f"{path}: INVALID ({len(problems)} problems)")
         for problem in problems[:20]:
@@ -588,9 +594,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out", default="traces", help="output directory (default: traces/)"
     )
     validate_parser = sub.add_parser(
-        "validate", help="schema-check an exported Chrome trace JSON"
+        "validate", help="schema-check an exported Chrome trace JSON or event JSONL"
     )
-    validate_parser.add_argument("trace_json", help="path to a .trace.json file")
+    validate_parser.add_argument(
+        "trace_json", help="path to a .trace.json or .trace.jsonl file"
+    )
     lint_parser = sub.add_parser(
         "lint", help="far-memory static linter (nonzero exit on findings)"
     )

@@ -231,9 +231,11 @@ def far_budget(
         @functools.wraps(fn)
         def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
             sanitizer = _ACTIVE
+            if sanitizer is None:
+                return fn(self, *args, **kwargs)
             client = args[0] if args else None
             metrics = getattr(client, "metrics", None)
-            if sanitizer is None or metrics is None:
+            if metrics is None:
                 return fn(self, *args, **kwargs)
             if not sanitizer._enter(client):
                 # A nested budgeted op: the outermost frame owns the
@@ -242,12 +244,12 @@ def far_budget(
                     return fn(self, *args, **kwargs)
                 finally:
                     sanitizer._exit(client)
-            before = metrics.snapshot()
+            before = metrics.far_accesses
             try:
                 result = fn(self, *args, **kwargs)
             finally:
                 sanitizer._exit(client)
-            delta = metrics.delta(before).far_accesses
+            delta = metrics.far_accesses - before
             effective = budget
             if budget.per_item and len(args) > 1:
                 try:

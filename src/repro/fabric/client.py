@@ -144,7 +144,7 @@ class Client:
         self._op: Optional[str] = None
         self._charge = 0.0
         # Observability (repro.obs). The tracer is a pure observer: every
-        # hook below is bookkeeping only, so metrics and timestamps are
+        # emission below is bookkeeping only, so metrics and timestamps are
         # bit-identical with tracing on or off. _trace_node/_trace_addr/
         # _trace_target carry the memory node, issue address, and resolved
         # indirection target from _issue to _account_far (tracing only;
@@ -397,7 +397,7 @@ class Client:
                 if len(window) >= self.qp_depth:
                     self.metrics.pipeline_stalls += 1
                     if self._tracer is not None:
-                        self._tracer.on_stall(self)
+                        self._tracer.emit(self, "stall", qp_depth=self.qp_depth)
                     self._flush_window(reason="stall")
                 elif future is None:
                     self._flush_window(reason="reap")
@@ -527,15 +527,15 @@ class Client:
                 return op(*args)
             except FarTimeoutError as err:
                 if self._tracer is not None and err.torn:
-                    self._tracer.on_torn_write(
-                        self, op=kind, node=err.node, addr=address, attempt=1
+                    self._tracer.emit(
+                        self, "torn_write", op=kind, node=err.node, addr=address, attempt=1
                     )
                 raise
         breaker = self._breaker_for(node)
         if breaker is not None and not breaker.allow(self.clock.now_ns):
             self.metrics.breaker_rejections += 1
             if self._tracer is not None:
-                self._tracer.on_breaker_reject(self, node=node)
+                self._tracer.emit(self, "breaker_reject", node=node)
             raise CircuitOpenError(node, address)
         attempts = policy.max_attempts if policy is not None else 1
         token = (self.client_id << 48) ^ address
@@ -554,8 +554,8 @@ class Client:
                 self.metrics.backoff_ns += int(backoff)
                 self._advance(backoff)
                 if self._tracer is not None:
-                    self._tracer.on_backoff(
-                        self, op=self._op, node=node, attempt=attempt, backoff_ns=backoff
+                    self._tracer.emit(
+                        self, "backoff", op=self._op, node=node, attempt=attempt, backoff_ns=backoff
                     )
             try:
                 fabric.fault_check(node, address, kind)
@@ -563,13 +563,13 @@ class Client:
             except FarTimeoutError as err:
                 self.metrics.timeouts += 1
                 if self._tracer is not None:
-                    self._tracer.on_timeout(self, op=self._op, node=node, attempt=attempt)
+                    self._tracer.emit(self, "timeout", op=self._op, node=node, attempt=attempt)
                     if err.torn:
                         # A torn write is a timeout with teeth: a prefix
                         # landed. A later successful retry rewrites the
                         # full buffer, healing the tear.
-                        self._tracer.on_torn_write(
-                            self, op=kind, node=node, addr=address, attempt=attempt
+                        self._tracer.emit(
+                            self, "torn_write", op=kind, node=node, addr=address, attempt=attempt
                         )
                 last = err
             except NodeUnavailableError as err:
@@ -588,7 +588,7 @@ class Client:
                 if breaker.record_failure(self.clock.now_ns):
                     self.metrics.breaker_trips += 1
                     if self._tracer is not None:
-                        self._tracer.on_breaker_trip(self, node=node)
+                        self._tracer.emit(self, "breaker_trip", node=node)
                 if not breaker.allow(self.clock.now_ns):
                     break  # breaker opened mid-op: stop hammering the node
             if policy is not None and policy.budget_ns is not None:
@@ -708,8 +708,12 @@ class Client:
             self.metrics.verify_misses += 1
             node = self.fabric.node_of(attempt_addr)
             if self._tracer is not None:
-                self._tracer.on_corruption_detected(
-                    self, node=node, addr=attempt_addr, payload_len=payload_len
+                self._tracer.emit(
+                    self,
+                    "corruption_detected",
+                    node=node,
+                    addr=attempt_addr,
+                    payload_len=payload_len,
                 )
             last = FarCorruptionError(node, attempt_addr, payload_len)
         assert last is not None

@@ -33,6 +33,10 @@ completed far access, already in ``far_accesses``), ``verify_misses``
 access, the re-read of the next replica), and ``fence_rejects``
 (replicated writes refused by a repair-epoch fence before touching any
 replica).
+
+The counters are named once, as the dataclass fields: every ledger
+(``snapshot`` / ``delta`` / ``merge`` / ``as_dict``) and the telemetry
+registry's per-client gauges derive their list from them.
 """
 
 from __future__ import annotations
@@ -79,47 +83,10 @@ class Metrics:
     txn_rollbacks: int = 0
     custom: Counter = field(default_factory=Counter)
 
-    _INT_FIELDS = (
-        "far_accesses",
-        "round_trips",
-        "network_traversals",
-        "near_accesses",
-        "bytes_read",
-        "bytes_written",
-        "atomic_ops",
-        "indirection_forwards",
-        "indirection_errors",
-        "notifications_received",
-        "notification_bytes",
-        "loss_warnings",
-        "rpcs",
-        "rpc_bytes",
-        "retries",
-        "timeouts",
-        "verified_reads",
-        "verify_misses",
-        "fence_rejects",
-        "breaker_trips",
-        "breaker_rejections",
-        "backoff_ns",
-        "pipeline_ops",
-        "pipeline_flushes",
-        "pipeline_stalls",
-        "pipeline_charged_ns",
-        "overlap_saved_ns",
-        "txn_commits",
-        "txn_aborts",
-        "txn_conflicts",
-        "txn_rollforwards",
-        "txn_rollbacks",
-    )
-
     @classmethod
     def counter_names(cls) -> tuple[str, ...]:
-        """Every first-class counter name, in declaration order. The
-        telemetry registry samples exactly this set per client; its own
-        field list is asserted against this at import time so a new
-        counter cannot be added without the live plane picking it up."""
+        """Every first-class counter name, in declaration order (the
+        dataclass fields above are the one list)."""
         return cls._INT_FIELDS
 
     def avg_pipeline_depth(self) -> float:
@@ -145,21 +112,29 @@ class Metrics:
 
     def snapshot(self) -> "Metrics":
         """A frozen-in-time copy, for before/after deltas in benchmarks."""
-        copy = Metrics(**{name: getattr(self, name) for name in self._INT_FIELDS})
+        copy = Metrics.__new__(Metrics)
+        copy.__dict__.update(self.__dict__)
         copy.custom = Counter(self.custom)
         return copy
 
     def delta(self, since: "Metrics") -> "Metrics":
         """Counters accumulated since ``since`` (an earlier snapshot)."""
-        diff = Metrics(
-            **{
-                name: getattr(self, name) - getattr(since, name)
-                for name in self._INT_FIELDS
-            }
-        )
-        diff.custom = Counter(self.custom)
-        diff.custom.subtract(since.custom)
-        diff.custom = Counter({k: v for k, v in diff.custom.items() if v})
+        diff = Metrics.__new__(Metrics)
+        new, mine, old = diff.__dict__, self.__dict__, since.__dict__
+        for name in self._INT_FIELDS:
+            new[name] = mine[name] - old[name]
+        # Counter semantics for the free-form counters: zero entries are
+        # dropped; a key only ``since`` holds (the source was reset) shows
+        # negative.
+        custom = new["custom"] = Counter()
+        before = since.custom
+        for key, value in self.custom.items():
+            change = value - before[key]
+            if change:
+                custom[key] = change
+        for key, value in before.items():
+            if value and key not in self.custom:
+                custom[key] = -value
         return diff
 
     def merge(self, other: "Metrics") -> None:
@@ -186,12 +161,9 @@ class Metrics:
         return "Metrics(" + ", ".join(parts) + ")"
 
 
-# _INT_FIELDS drives snapshot/delta/merge/reset/as_dict; drifting from the
-# dataclass fields would silently drop counters from every ledger. Checked
-# here at import time so a new field cannot be added without it.
-assert set(Metrics._INT_FIELDS) == {
-    f.name for f in fields(Metrics) if f.name != "custom"
-}, "Metrics._INT_FIELDS is out of sync with the dataclass fields"
+# _INT_FIELDS drives snapshot/delta/merge/reset/as_dict; derived from the
+# dataclass fields, so no counter can be missing from a ledger.
+Metrics._INT_FIELDS = tuple(f.name for f in fields(Metrics) if f.name != "custom")
 
 
 def aggregate(metrics: list[Metrics]) -> Metrics:
@@ -201,5 +173,3 @@ def aggregate(metrics: list[Metrics]) -> Metrics:
         total.merge(m)
     return total
 
-
-_ = fields  # re-exported for introspection convenience in tests

@@ -193,8 +193,8 @@ class ReplicatedRegion:
             self.stats.fence_rejects += 1
             client.metrics.fence_rejects += 1
             if client.tracer is not None:
-                client.tracer.on_fence_reject(
-                    client, region=self.region_id, held=self.epoch, current=current
+                client.tracer.emit(
+                    client, "fence_reject", region=self.region_id, held=self.epoch, current=current
                 )
             raise StaleEpochError(self.region_id, self.epoch, current)
 

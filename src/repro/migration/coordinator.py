@@ -122,8 +122,9 @@ class ExtentMigration:
         stats.bytes_copied += nbytes
         stats.copy_far_accesses += 2 * len(spans)
         if self.client.tracer is not None:
-            self.client.tracer.on_extent_migrate(
+            self.client.tracer.emit(
                 self.client,
+                "extent_migrate",
                 extent=self.extent,
                 src_node=self.state.src_node,
                 dst_node=self.state.dst_node,
@@ -142,8 +143,9 @@ class ExtentMigration:
         stats.forwards += state.forwards
         stats.fences += state.fences
         if self.client.tracer is not None:
-            self.client.tracer.on_remap(
+            self.client.tracer.emit(
                 self.client,
+                "remap",
                 extent=self.extent,
                 src_node=state.src_node,
                 dst_node=state.dst_node,
@@ -290,8 +292,9 @@ class MigrationCoordinator:
                 report.moves.append((extent, state.dst_node))
             table.mark_drained(node)
             if client.tracer is not None:
-                client.tracer.on_drain(
+                client.tracer.emit(
                     client,
+                    "drain",
                     node=node,
                     extents_moved=report.extents_moved,
                     bytes_copied=report.bytes_copied,

@@ -120,13 +120,19 @@ class DeliveryEngine:
         # subscriber's tracer, when the subscriber is a traced client.
         tracer = getattr(sub.subscriber, "tracer", None)
         if tracer is not None:
-            tracer.on_notification(
+            # Optional keys are left out when they carry nothing.
+            extra: dict = {}
+            if coalesced > 1:
+                extra["coalesced"] = coalesced
+            if loss_warning:
+                extra["loss_warning"] = True
+            tracer.emit(
                 sub.subscriber,
+                "notify",
                 outcome=outcome,
                 sub_id=sub.sub_id,
-                coalesced=coalesced,
-                loss_warning=loss_warning,
                 watch_addr=sub.address,
+                **extra,
             )
 
     def offer(self, sub: Subscription, notification: Notification) -> bool:

@@ -28,6 +28,7 @@ from .dashboard import (
     render_structures,
     render_top,
 )
+from .events import EVENT_KINDS, EVENTS
 from .export import (
     assert_valid_chrome_trace,
     chrome_trace,
@@ -36,6 +37,7 @@ from .export import (
     prometheus_text,
     telemetry_records,
     validate_chrome_trace,
+    validate_jsonl,
     write_chrome_trace,
     write_jsonl,
     write_prometheus,
@@ -52,16 +54,6 @@ from .telemetry import (
     TelemetryRegistry,
 )
 from .trace import (
-    BACKOFF,
-    BREAKER_REJECT,
-    BREAKER_TRIP,
-    EVENT_KINDS,
-    FAR_ACCESS,
-    NOTIFY,
-    SLO_ALERT,
-    STALL,
-    TIMEOUT,
-    WINDOW,
     Span,
     TraceEvent,
     Tracer,
@@ -70,18 +62,10 @@ from .trace import (
 )
 
 __all__ = [
-    "BACKOFF",
-    "BREAKER_REJECT",
-    "BREAKER_TRIP",
     "CLIENT_COUNTER_FIELDS",
+    "EVENTS",
     "EVENT_KINDS",
-    "FAR_ACCESS",
     "FLEET",
-    "NOTIFY",
-    "SLO_ALERT",
-    "STALL",
-    "TIMEOUT",
-    "WINDOW",
     "CounterSeries",
     "GaugeSeries",
     "HistogramRing",
@@ -110,6 +94,7 @@ __all__ = [
     "set_default_tracer",
     "telemetry_records",
     "validate_chrome_trace",
+    "validate_jsonl",
     "write_chrome_trace",
     "write_jsonl",
     "write_prometheus",

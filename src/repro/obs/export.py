@@ -17,13 +17,16 @@ process; lanes are named via metadata events.
 :func:`validate_chrome_trace` is the minimal schema check CI runs on
 exported traces: every ``B`` has a matching ``E`` (LIFO per lane),
 timestamps are monotone per lane, durations are non-negative.
+:func:`validate_jsonl` is its JSONL counterpart: every event record
+matches its row of the event table (:mod:`repro.obs.events`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Optional, Union
+from typing import IO, Any, Iterable, Optional, Union
 
+from .events import ENVELOPE, check_payload
 from .trace import Span, Tracer
 
 # Lane layout per client: tid = client_id * LANE_STRIDE + offset.
@@ -300,6 +303,23 @@ def assert_valid_chrome_trace(document: Any) -> None:
 def load_chrome_trace(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def validate_jsonl(lines: Iterable[str]) -> list[str]:
+    """Check the lines of a ``.trace.jsonl`` export against the event
+    table: every event record is a declared kind carrying its row's keys
+    in the row's order (:func:`repro.obs.events.check_payload`). Returns a
+    list of problems (empty = valid)."""
+    errors: list[str] = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if record.get("type") == "event":
+            problem = check_payload(record.get("kind"), record, ENVELOPE)
+            if problem:
+                errors.append(f"line {number}: {problem}")
+    return errors
 
 
 # ----------------------------------------------------------------------

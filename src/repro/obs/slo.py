@@ -19,10 +19,9 @@ stream produces the same alerts on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Optional
 
-from . import trace as trace_mod
 from .telemetry import FLEET, Scope, TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,7 +125,8 @@ def default_objectives() -> tuple[SLObjective, ...]:
 
 @dataclass
 class SLOAlert:
-    """One burn-rate alert (fired when both windows exceeded threshold)."""
+    """One burn-rate alert (fired when both windows exceeded threshold).
+    The fields are the ``slo_alert`` event's payload, in order."""
 
     objective: str
     window: int  # the just-closed window that tripped it
@@ -134,16 +134,6 @@ class SLOAlert:
     short_burn: float
     long_burn: float
     client: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "objective": self.objective,
-            "window": self.window,
-            "ts_ns": self.ts_ns,
-            "short_burn": self.short_burn,
-            "long_burn": self.long_burn,
-            "client": self.client,
-        }
 
 
 @dataclass
@@ -224,9 +214,7 @@ class SLOMonitor:
                 state.fired_count += 1
                 fired.append(alert)
                 if client is not None and client._tracer is not None:
-                    client._tracer.emit_external(
-                        client, trace_mod.SLO_ALERT, alert.to_dict()
-                    )
+                    client._tracer.emit(client, "slo_alert", **asdict(alert))
             state.firing = firing
         return fired
 

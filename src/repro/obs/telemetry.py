@@ -15,10 +15,12 @@ by the scopes that matter when something is burning:
 * ``("client", name)`` — one client.
 
 A :class:`TelemetryRegistry` is a Tracer *sink*: it consumes events from
-the tracer's single emission point, so every existing hook —
-``on_far_access``, ``on_window``, ``on_timeout``, ``on_backoff``, the
-breaker/integrity/repair/migration hooks — feeds it without any
-per-callsite changes. Like the tracer itself it never touches a client's
+the tracer's single emission point, so every emitter feeds it without any
+per-callsite changes. A kind whose roll-up is one count needs no code
+here — the registry reads the series name from the ``counter`` column of
+the event table (:mod:`repro.obs.events`); only the kinds with a real
+roll-up (latency rings, byte amounts, progress gauges, other scopes) have
+a handler. Like the tracer itself it never touches a client's
 metrics or clock: attach/detach changes no structural count and no
 simulated timestamp (asserted by the observer-effect tests and by
 experiment A9).
@@ -35,8 +37,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from ..fabric.metrics import Metrics
-from .histogram import LatencyHistogram
 from . import trace as trace_mod
+from .events import EVENTS
+from .histogram import LatencyHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fabric.client import Client
@@ -48,76 +51,39 @@ FLEET = ("fleet",)
 
 Scope = tuple  # ("fleet",) | ("node", int) | ("extent", int) | ...
 
-# The per-client counters the registry samples into gauges. This is a
-# literal copy of Metrics._INT_FIELDS on purpose: if a counter is added
-# to Metrics without the telemetry plane learning about it, the assert
-# below fails at import time (and tests/fabric/test_metrics.py fails
-# with a readable diff).
-CLIENT_COUNTER_FIELDS = (
-    "far_accesses",
-    "round_trips",
-    "network_traversals",
-    "near_accesses",
-    "bytes_read",
-    "bytes_written",
-    "atomic_ops",
-    "indirection_forwards",
-    "indirection_errors",
-    "notifications_received",
-    "notification_bytes",
-    "loss_warnings",
-    "rpcs",
-    "rpc_bytes",
-    "retries",
-    "timeouts",
-    "verified_reads",
-    "verify_misses",
-    "fence_rejects",
-    "breaker_trips",
-    "breaker_rejections",
-    "backoff_ns",
-    "pipeline_ops",
-    "pipeline_flushes",
-    "pipeline_stalls",
-    "pipeline_charged_ns",
-    "overlap_saved_ns",
-    "txn_commits",
-    "txn_aborts",
-    "txn_conflicts",
-    "txn_rollforwards",
-    "txn_rollbacks",
-)
+# The per-client counters the registry samples into gauges: every
+# first-class Metrics counter, so a new one reaches the live plane by
+# being declared.
+CLIENT_COUNTER_FIELDS = Metrics.counter_names()
 
-assert set(CLIENT_COUNTER_FIELDS) == set(Metrics.counter_names()), (
-    "telemetry.CLIENT_COUNTER_FIELDS is out of sync with "
-    "Metrics._INT_FIELDS — add the new counter to both"
-)
+
+def _evict(windows: dict, cap: int) -> None:
+    """Drop the windows older than the newest ``cap``. Series call this
+    lazily (past ``2 * cap`` retained) to keep their ring bounded without
+    paying a trim per increment. Clients run on independent clocks, so
+    out-of-order window indices are normal; only genuinely old windows
+    drop, and the newest never does."""
+    floor = max(windows) - cap + 1
+    for w in [w for w in windows if w < floor]:
+        del windows[w]
 
 
 class CounterSeries:
     """A monotone counter with a per-window ring: exact cumulative total
     plus the amount landed in each recent window."""
 
-    __slots__ = ("total", "_windows", "_cap", "_max_window")
+    __slots__ = ("total", "_windows", "_cap")
 
     def __init__(self, ring_windows: int = DEFAULT_RING_WINDOWS) -> None:
         self.total: float = 0
         self._windows: dict[int, float] = {}
         self._cap = ring_windows
-        self._max_window: Optional[int] = None
 
     def inc(self, window: int, amount: float = 1) -> None:
         self.total += amount
         self._windows[window] = self._windows.get(window, 0) + amount
-        if self._max_window is None or window > self._max_window:
-            self._max_window = window
-        # Lazy eviction: keep the ring bounded without paying a trim per
-        # increment. Clients run on independent clocks, so out-of-order
-        # window indices are normal; only genuinely old windows drop.
         if len(self._windows) > 2 * self._cap:
-            floor = self._max_window - self._cap + 1
-            for w in [w for w in self._windows if w < floor]:
-                del self._windows[w]
+            _evict(self._windows, self._cap)
 
     def window_value(self, window: int) -> float:
         return self._windows.get(window, 0)
@@ -136,26 +102,21 @@ class CounterSeries:
 class GaugeSeries:
     """A sampled value: current reading plus the last reading per window."""
 
-    __slots__ = ("value", "ts_ns", "_windows", "_cap", "_max_window")
+    __slots__ = ("value", "ts_ns", "_windows", "_cap")
 
     def __init__(self, ring_windows: int = DEFAULT_RING_WINDOWS) -> None:
         self.value: float = 0
         self.ts_ns: float = 0.0
         self._windows: dict[int, float] = {}
         self._cap = ring_windows
-        self._max_window: Optional[int] = None
 
     def set(self, window: int, ts_ns: float, value: float) -> None:
         if ts_ns >= self.ts_ns:
             self.value = value
             self.ts_ns = ts_ns
         self._windows[window] = value
-        if self._max_window is None or window > self._max_window:
-            self._max_window = window
         if len(self._windows) > 2 * self._cap:
-            floor = self._max_window - self._cap + 1
-            for w in [w for w in self._windows if w < floor]:
-                del self._windows[w]
+            _evict(self._windows, self._cap)
 
     def windows(self) -> list[tuple[int, float]]:
         return sorted(self._windows.items())
@@ -170,13 +131,12 @@ class HistogramRing:
     histogram as long as nothing has been evicted (asserted by the
     hypothesis property tests)."""
 
-    __slots__ = ("total", "_windows", "_cap", "_max_window")
+    __slots__ = ("total", "_windows", "_cap")
 
     def __init__(self, ring_windows: int = DEFAULT_RING_WINDOWS) -> None:
         self.total = LatencyHistogram()
         self._windows: dict[int, LatencyHistogram] = {}
         self._cap = ring_windows
-        self._max_window: Optional[int] = None
 
     def record(self, window: int, value_ns: float) -> None:
         self.total.record(value_ns)
@@ -184,12 +144,8 @@ class HistogramRing:
         if hist is None:
             hist = self._windows[window] = LatencyHistogram()
         hist.record(value_ns)
-        if self._max_window is None or window > self._max_window:
-            self._max_window = window
         if len(self._windows) > 2 * self._cap:
-            floor = self._max_window - self._cap + 1
-            for w in [w for w in self._windows if w < floor]:
-                del self._windows[w]
+            _evict(self._windows, self._cap)
 
     def window_hist(self, window: int) -> LatencyHistogram:
         return self._windows.get(window, LatencyHistogram())
@@ -436,6 +392,8 @@ class TelemetryRegistry:
         handler = self._HANDLERS.get(event.kind)
         if handler is not None:
             handler(self, event.client, window, data, structure)
+        else:
+            self._count(event.kind, event.client, window, data, structure)
         self._advance(client, ts, window)
 
     def _advance(self, client: "Client", ts: float, window: int) -> None:
@@ -518,37 +476,18 @@ class TelemetryRegistry:
                     window, op.get("charge_ns", 0.0)
                 )
 
-    def _on_stall(self, who, window, data, structure) -> None:
-        self._inc_all(self._base_scopes(who, None, structure), "stalls", window)
-
-    def _on_timeout(self, who, window, data, structure) -> None:
+    def _count(self, kind, who, window, data, structure) -> None:
+        """The roll-up of every kind without a handler: one count, named
+        by the kind's ``counter`` column in the event table."""
+        name = EVENTS[kind].counter
+        if name is None:
+            return
         scopes = self._base_scopes(who, data.get("node"), structure)
-        self._inc_all(scopes, "timeouts", window)
-
-    def _on_backoff(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, data.get("node"), structure)
-        self._inc_all(scopes, "backoffs", window)
-        self._inc_all(scopes, "backoff_ns", window, data.get("backoff_ns", 0.0))
-
-    def _on_breaker_trip(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, data.get("node"), structure)
-        self._inc_all(scopes, "breaker_trips", window)
-
-    def _on_breaker_reject(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, data.get("node"), structure)
-        self._inc_all(scopes, "breaker_rejects", window)
-
-    def _on_corruption(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, data.get("node"), structure)
-        self._inc_all(scopes, "verify_misses", window)
-
-    def _on_torn_write(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, data.get("node"), structure)
-        self._inc_all(scopes, "torn_writes", window)
-
-    def _on_fence_reject(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, None, structure)
-        self._inc_all(scopes, "fence_rejects", window)
+        self._inc_all(scopes, name, window)
+        if kind == "backoff":
+            self._inc_all(scopes, "backoff_ns", window, data.get("backoff_ns", 0.0))
+        elif kind == "notify" and data.get("loss_warning"):
+            self._inc_all(scopes, "loss_warnings", window)
 
     def _on_repair_copy(self, who, window, data, structure) -> None:
         dead = data["dead_node"]
@@ -591,32 +530,19 @@ class TelemetryRegistry:
         self.gauge(("node", node), "drained").set(window, self._last_ts_ns, 1)
         self._drained.add(node)
 
-    def _on_notify(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, None, structure)
-        self._inc_all(scopes, "notifications", window)
-        if data.get("loss_warning"):
-            self._inc_all(scopes, "loss_warnings", window)
-
     def _on_slo_alert(self, who, window, data, structure) -> None:
         self._inc_all([FLEET, ("client", who)], "slo_alerts", window)
 
+    # Only the kinds whose roll-up is not one count at the base scopes;
+    # every other kind is rolled up by :meth:`_count`.
     _HANDLERS = {
-        trace_mod.FAR_ACCESS: _on_far_access,
-        trace_mod.WINDOW: _on_window,
-        trace_mod.STALL: _on_stall,
-        trace_mod.TIMEOUT: _on_timeout,
-        trace_mod.BACKOFF: _on_backoff,
-        trace_mod.BREAKER_TRIP: _on_breaker_trip,
-        trace_mod.BREAKER_REJECT: _on_breaker_reject,
-        trace_mod.CORRUPTION_DETECTED: _on_corruption,
-        trace_mod.TORN_WRITE: _on_torn_write,
-        trace_mod.FENCE_REJECT: _on_fence_reject,
-        trace_mod.REPAIR_COPY: _on_repair_copy,
-        trace_mod.EXTENT_MIGRATE: _on_extent_migrate,
-        trace_mod.REMAP: _on_remap,
-        trace_mod.DRAIN: _on_drain,
-        trace_mod.NOTIFY: _on_notify,
-        trace_mod.SLO_ALERT: _on_slo_alert,
+        "far_access": _on_far_access,
+        "window": _on_window,
+        "repair_copy": _on_repair_copy,
+        "extent_migrate": _on_extent_migrate,
+        "remap": _on_remap,
+        "drain": _on_drain,
+        "slo_alert": _on_slo_alert,
     }
 
     # ------------------------------------------------------------------

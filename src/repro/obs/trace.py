@@ -11,10 +11,13 @@ notification deliveries, as a parent/child span tree).
 
 Design rules — these are what keep tracing free of observer effects:
 
-* A :class:`Tracer` never touches a client's metrics or clock. Every hook
+* A :class:`Tracer` never touches a client's metrics or clock. Emission
   is bookkeeping only, so every structural count (``far_accesses``,
   ``round_trips``, ``network_traversals``) and every simulated timestamp
   is bit-identical with tracing on or off.
+* The event vocabulary is one table (:mod:`repro.obs.events`) and there is
+  one emission path, :meth:`Tracer.emit`; only the two kinds the tracer
+  itself aggregates keep a method (``on_far_access``, ``on_window``).
 * Every far access emits exactly one ``far_access`` event, attributed to
   the innermost open span (or the client's implicit root span). Summing
   per-span far-access attributions therefore reproduces the client's
@@ -39,55 +42,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
+from .events import EVENTS
 from .histogram import HistogramSet, LatencyHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fabric.client import Client
-
-# Event kinds emitted by the fabric / notify hooks.
-FAR_ACCESS = "far_access"
-WINDOW = "window"
-STALL = "stall"
-TIMEOUT = "timeout"
-BACKOFF = "backoff"
-BREAKER_TRIP = "breaker_trip"
-BREAKER_REJECT = "breaker_reject"
-NOTIFY = "notify"
-CORRUPTION_DETECTED = "corruption_detected"
-TORN_WRITE = "torn_write"
-REPAIR_COPY = "repair_copy"
-FENCE_REJECT = "fence_reject"
-EXTENT_MIGRATE = "extent_migrate"
-REMAP = "remap"
-DRAIN = "drain"
-SLO_ALERT = "slo_alert"
-TXN_BEGIN = "txn_begin"
-TXN_VALIDATE = "txn_validate"
-TXN_COMMIT = "txn_commit"
-TXN_ABORT = "txn_abort"
-
-EVENT_KINDS = (
-    FAR_ACCESS,
-    WINDOW,
-    STALL,
-    TIMEOUT,
-    BACKOFF,
-    BREAKER_TRIP,
-    BREAKER_REJECT,
-    NOTIFY,
-    CORRUPTION_DETECTED,
-    TORN_WRITE,
-    REPAIR_COPY,
-    FENCE_REJECT,
-    EXTENT_MIGRATE,
-    REMAP,
-    DRAIN,
-    SLO_ALERT,
-    TXN_BEGIN,
-    TXN_VALIDATE,
-    TXN_COMMIT,
-    TXN_ABORT,
-)
 
 # Installed by :func:`set_default_sink`: every Tracer constructed while a
 # default sink is set registers it at construction, so scripts that build
@@ -232,7 +191,7 @@ class Tracer:
         self._next_span_id = 1
         # Live consumers of the typed event stream (e.g. a
         # TelemetryRegistry). Sinks see every event from the single
-        # emission point, so new hook call sites never need sink wiring.
+        # emission point, so new emitting call sites never need sink wiring.
         self._sinks: list[Any] = []
         if _default_sink_provider is not None:
             sink = _default_sink_provider()
@@ -357,9 +316,6 @@ class Tracer:
         finally:
             self._close_span(client, span)
 
-    def _current(self, client: "Client") -> Span:
-        return self._stacks[client.client_id][-1]
-
     def current_span(self, client: "Client") -> Optional[Span]:
         """The innermost open span for ``client`` (its root if no
         explicit span is open; None if not attached)."""
@@ -367,31 +323,29 @@ class Tracer:
         return stack[-1] if stack else None
 
     # ------------------------------------------------------------------
-    # Fabric hooks (called by Client / DeliveryEngine; bookkeeping only)
+    # Emission (called by Client and the subsystems; bookkeeping only)
     # ------------------------------------------------------------------
 
-    def _emit(
-        self, client: "Client", kind: str, data: dict[str, Any]
-    ) -> TraceEvent:
-        span = self._current(client)
-        event = TraceEvent(kind, client.clock.now_ns, client.name, span.span_id, data)
+    def emit(self, client: "Client", kind: str, /, **payload: Any) -> TraceEvent:
+        """The one emission path: append a ``kind`` event carrying
+        ``payload`` (the keys of the kind's :data:`~repro.obs.events.EVENTS`
+        row, in the row's order), attributed to ``client``'s innermost
+        open span, and hand it to every sink. ``kind`` must be a declared
+        event kind; the client must be attached."""
+        if kind not in EVENTS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if client._tracer is not self:
+            raise RuntimeError(f"{client.name} is not attached to this tracer")
+        span = self._stacks[client.client_id][-1]
+        event = TraceEvent(kind, client.clock.now_ns, client.name, span.span_id, payload)
         span.event_count += 1
         self.events.append(event)
         for sink in self._sinks:
             sink.on_trace_event(client, event, span)
         return event
 
-    def emit_external(
-        self, client: "Client", kind: str, data: dict[str, Any]
-    ) -> TraceEvent:
-        """Append a typed event on behalf of an external observer (the
-        SLO monitor emits its burn-rate alerts through this). ``kind``
-        must be a declared event kind; the client must be attached."""
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        if client._tracer is not self:
-            raise RuntimeError(f"{client.name} is not attached to this tracer")
-        return self._emit(client, kind, dict(data))
+    # The two kinds the tracer itself aggregates (span attribution, op /
+    # node / window histograms) — and the only hot ones — keep a method.
 
     def on_far_access(
         self,
@@ -408,15 +362,10 @@ class Tracer:
         addr: Optional[int] = None,
         target: Optional[int] = None,
     ) -> None:
-        span = self._current(client)
-        span.far_accesses += 1
         data: dict[str, Any] = {"op": op or "external", "charge_ns": charge_ns}
         if node is not None:
             data["node"] = node
         if addr is not None:
-            # The far address the operation named, and (for indirect ops)
-            # the resolved data word it landed on — what the offline race
-            # detector (repro.analysis.races) builds happens-before from.
             data["addr"] = addr
         if target is not None:
             data["target"] = target
@@ -430,7 +379,8 @@ class Tracer:
             data["segments"] = segments
         if atomic:
             data["atomic"] = True
-        self._emit(client, FAR_ACCESS, data)
+        self._stacks[client.client_id][-1].far_accesses += 1
+        self.emit(client, "far_access", **data)
         self.op_hist.record(op or "external", charge_ns)
         self.node_hist.record(
             f"node{node}" if node is not None else "node?", charge_ns
@@ -448,234 +398,21 @@ class Tracer:
         ops: list[tuple[str, float, Optional[int]]],
         n_charges: int,
     ) -> None:
-        self._emit(
+        self.emit(
             client,
-            WINDOW,
-            {
-                "start_ns": start_ns,
-                "charged_ns": charged_ns,
-                "serial_ns": serial_ns,
-                "saved_ns": saved_ns,
-                "reason": reason,
-                "n": n_charges,
-                "ops": [
-                    {"op": op, "charge_ns": charge, "span_id": span_id}
-                    for op, charge, span_id in ops
-                ],
-            },
+            "window",
+            start_ns=start_ns,
+            charged_ns=charged_ns,
+            serial_ns=serial_ns,
+            saved_ns=saved_ns,
+            reason=reason,
+            n=n_charges,
+            ops=[
+                {"op": op, "charge_ns": charge, "span_id": span_id}
+                for op, charge, span_id in ops
+            ],
         )
         self.window_hist.record(charged_ns)
-
-    def on_stall(self, client: "Client") -> None:
-        self._emit(client, STALL, {"qp_depth": client.qp_depth})
-
-    def on_timeout(
-        self, client: "Client", *, op: Optional[str], node: int, attempt: int
-    ) -> None:
-        self._emit(
-            client, TIMEOUT, {"op": op or "external", "node": node, "attempt": attempt}
-        )
-
-    def on_backoff(
-        self,
-        client: "Client",
-        *,
-        op: Optional[str],
-        node: int,
-        attempt: int,
-        backoff_ns: float,
-    ) -> None:
-        self._emit(
-            client,
-            BACKOFF,
-            {
-                "op": op or "external",
-                "node": node,
-                "attempt": attempt,
-                "backoff_ns": backoff_ns,
-            },
-        )
-
-    def on_breaker_trip(self, client: "Client", *, node: int) -> None:
-        self._emit(client, BREAKER_TRIP, {"node": node})
-
-    def on_breaker_reject(self, client: "Client", *, node: int) -> None:
-        self._emit(client, BREAKER_REJECT, {"node": node})
-
-    def on_corruption_detected(
-        self, client: "Client", *, node: int, addr: int, payload_len: int
-    ) -> None:
-        """A verified read caught a frame that failed its checksum —
-        corruption (or a torn write) was *detected*, never returned."""
-        self._emit(
-            client,
-            CORRUPTION_DETECTED,
-            {"node": node, "addr": addr, "payload_len": payload_len},
-        )
-
-    def on_torn_write(
-        self, client: "Client", *, op: Optional[str], node: int, addr: int, attempt: int
-    ) -> None:
-        """A write timed out after applying only a prefix: the far bytes
-        are neither old nor new until the retry (or a verified read)
-        heals them."""
-        self._emit(
-            client,
-            TORN_WRITE,
-            {"op": op or "external", "node": node, "addr": addr, "attempt": attempt},
-        )
-
-    def on_repair_copy(
-        self,
-        client: "Client",
-        *,
-        region: Optional[int],
-        dead_node: int,
-        spare_node: int,
-        blocks: int,
-        nbytes: int,
-        done: int,
-        total: int,
-    ) -> None:
-        """One chunk of a replica rebuild streamed dead→spare. ``done`` /
-        ``total`` make repair progress reconstructable from the event
-        stream alone (the ``python -m repro trace`` summary renders it)."""
-        self._emit(
-            client,
-            REPAIR_COPY,
-            {
-                "region": region,
-                "dead_node": dead_node,
-                "spare_node": spare_node,
-                "blocks": blocks,
-                "nbytes": nbytes,
-                "done": done,
-                "total": total,
-            },
-        )
-
-    def on_fence_reject(
-        self, client: "Client", *, region: Optional[int], held: int, current: int
-    ) -> None:
-        """A stale replica-map holder was fenced before writing anything."""
-        self._emit(
-            client, FENCE_REJECT, {"region": region, "held": held, "current": current}
-        )
-
-    def on_extent_migrate(
-        self,
-        client: "Client",
-        *,
-        extent: int,
-        src_node: int,
-        dst_node: int,
-        nbytes: int,
-        done: int,
-        total: int,
-    ) -> None:
-        """One copy round of a live extent migration (src → staging slot
-        on dst). ``done``/``total`` are bytes of the extent copied so
-        far, so migration progress is reconstructable from the stream."""
-        self._emit(
-            client,
-            EXTENT_MIGRATE,
-            {
-                "extent": extent,
-                "src_node": src_node,
-                "dst_node": dst_node,
-                "nbytes": nbytes,
-                "done": done,
-                "total": total,
-            },
-        )
-
-    def on_remap(
-        self, client: "Client", *, extent: int, src_node: int, dst_node: int, epoch: int
-    ) -> None:
-        """A migration committed: the extent's virtual range now
-        translates to ``dst_node`` and its epoch advanced."""
-        self._emit(
-            client,
-            REMAP,
-            {"extent": extent, "src_node": src_node, "dst_node": dst_node, "epoch": epoch},
-        )
-
-    def on_drain(
-        self, client: "Client", *, node: int, extents_moved: int, bytes_copied: int
-    ) -> None:
-        """A node was fully drained and removed from placement rotation."""
-        self._emit(
-            client,
-            DRAIN,
-            {"node": node, "extents_moved": extents_moved, "bytes_copied": bytes_copied},
-        )
-
-    def on_txn_begin(self, client: "Client", *, txn_id: int, attempt: int) -> None:
-        """An optimistic transaction opened (repro.txn; DESIGN.md §15)."""
-        self._emit(client, TXN_BEGIN, {"txn_id": txn_id, "attempt": attempt})
-
-    def on_txn_validate(
-        self,
-        client: "Client",
-        *,
-        txn_id: int,
-        read_slots: int,
-        write_slots: int,
-        ok: bool,
-    ) -> None:
-        """Commit-time read-set validation finished (one batched window)."""
-        self._emit(
-            client,
-            TXN_VALIDATE,
-            {
-                "txn_id": txn_id,
-                "read_slots": read_slots,
-                "write_slots": write_slots,
-                "ok": ok,
-            },
-        )
-
-    def on_txn_commit(
-        self, client: "Client", *, txn_id: int, cells: int, kv_pairs: int, runs: int
-    ) -> None:
-        """A transaction committed (write-back done, locks advanced)."""
-        self._emit(
-            client,
-            TXN_COMMIT,
-            {"txn_id": txn_id, "cells": cells, "kv_pairs": kv_pairs, "runs": runs},
-        )
-
-    def on_txn_abort(
-        self, client: "Client", *, txn_id: int, reason: str, attempt: int
-    ) -> None:
-        """A transaction aborted (conflict, fault, fence, or user)."""
-        self._emit(
-            client,
-            TXN_ABORT,
-            {"txn_id": txn_id, "reason": reason, "attempt": attempt},
-        )
-
-    def on_notification(
-        self,
-        client: "Client",
-        *,
-        outcome: str,
-        sub_id: int,
-        coalesced: int,
-        loss_warning: bool,
-        watch_addr: Optional[int] = None,
-    ) -> None:
-        data: dict[str, Any] = {"outcome": outcome, "sub_id": sub_id}
-        if watch_addr is not None:
-            # The watched word: a delivered notification means its last
-            # write is visible to this client (a happens-before edge the
-            # offline race detector consumes).
-            data["watch_addr"] = watch_addr
-        if coalesced > 1:
-            data["coalesced"] = coalesced
-        if loss_warning:
-            data["loss_warning"] = True
-        self._emit(client, NOTIFY, data)
 
     # ------------------------------------------------------------------
     # Queries
@@ -763,9 +500,9 @@ class Tracer:
                     f"breaker: {client.name} node{node} state={state} "
                     f"trips={breaker.trips} rejections={breaker.rejections}"
                 )
-        detected = counts.get(CORRUPTION_DETECTED, 0)  # fleet-wide rollup
-        torn = counts.get(TORN_WRITE, 0)
-        fenced = counts.get(FENCE_REJECT, 0)
+        detected = counts.get("corruption_detected", 0)  # fleet-wide rollup
+        torn = counts.get("torn_write", 0)
+        fenced = counts.get("fence_reject", 0)
         if detected or torn or fenced:
             lines.append(
                 f"integrity: corruption_detected={detected} "
@@ -774,7 +511,7 @@ class Tracer:
         # Repair progress, one line per rebuilt replica (region, dead→spare).
         progress: dict[tuple, tuple[int, int, int]] = {}
         for event in self.events:
-            if event.kind != REPAIR_COPY:
+            if event.kind != "repair_copy":
                 continue
             d = event.data
             key = (d["region"], d["dead_node"], d["spare_node"])
@@ -788,22 +525,22 @@ class Tracer:
                 f"{done}/{total} blocks ({nbytes} bytes)"
             )
         # Transaction digest: commit/abort balance across the fleet.
-        txn_commits = counts.get(TXN_COMMIT, 0)
-        txn_aborts = counts.get(TXN_ABORT, 0)
+        txn_commits = counts.get("txn_commit", 0)
+        txn_aborts = counts.get("txn_abort", 0)
         if txn_commits or txn_aborts:
             lines.append(f"txn: commits={txn_commits} aborts={txn_aborts}")
         # Migration digest: committed remaps + copy volume, then one line
         # per drained node.
-        remaps = counts.get(REMAP, 0)
-        if remaps or counts.get(EXTENT_MIGRATE, 0):
+        remaps = counts.get("remap", 0)
+        if remaps or counts.get("extent_migrate", 0):
             copied = sum(
-                e.data["nbytes"] for e in self.events if e.kind == EXTENT_MIGRATE
+                e.data["nbytes"] for e in self.events if e.kind == "extent_migrate"
             )
             lines.append(
                 f"migration: extents_remapped={remaps} bytes_copied={copied}"
             )
         for event in self.events:
-            if event.kind != DRAIN:
+            if event.kind != "drain":
                 continue
             d = event.data
             lines.append(
@@ -827,17 +564,17 @@ class Tracer:
         drained: set[int] = set()
         for event in self.events:
             d = event.data
-            if event.kind == TIMEOUT:
+            if event.kind == "timeout":
                 row(d["node"])["timeouts"] += 1
-            elif event.kind == CORRUPTION_DETECTED:
+            elif event.kind == "corruption_detected":
                 row(d["node"])["corrupt"] += 1
-            elif event.kind == TORN_WRITE:
+            elif event.kind == "torn_write":
                 row(d["node"])["torn"] += 1
-            elif event.kind == BREAKER_REJECT:
+            elif event.kind == "breaker_reject":
                 row(d["node"])["rejects"] += 1
-            elif event.kind == REPAIR_COPY:
+            elif event.kind == "repair_copy":
                 dead.add(d["dead_node"])
-            elif event.kind == DRAIN:
+            elif event.kind == "drain":
                 drained.add(d["node"])
         hists = {
             int(label[4:]): self.node_hist.get(label)

@@ -276,8 +276,9 @@ class RepairCoordinator:
             report.blocks_copied += count
             report.bytes_copied += nbytes
             if client.tracer is not None:
-                client.tracer.on_repair_copy(
+                client.tracer.emit(
                     client,
+                    "repair_copy",
                     region=region.region_id,
                     dead_node=dead_node,
                     spare_node=spare_node,
@@ -306,8 +307,9 @@ class RepairCoordinator:
         def on_chunk(done: int, length: int) -> None:
             report.bytes_copied += length
             if client.tracer is not None:
-                client.tracer.on_repair_copy(
+                client.tracer.emit(
                     client,
+                    "repair_copy",
                     region=region.region_id,
                     dead_node=dead_node,
                     spare_node=spare_node,

@@ -317,7 +317,7 @@ class TxnSpace:
         )
         tracer = client._tracer
         if tracer is not None:
-            tracer.on_txn_begin(client, txn_id=txn.txn_id, attempt=attempt)
+            tracer.emit(client, "txn_begin", txn_id=txn.txn_id, attempt=attempt)
         return txn
 
     @far_budget(1, ceiling=1)
@@ -401,8 +401,8 @@ class TxnSpace:
         client.metrics.txn_aborts += 1
         tracer = client._tracer
         if tracer is not None:
-            tracer.on_txn_abort(
-                client, txn_id=txn.txn_id, reason=reason, attempt=txn.attempt
+            tracer.emit(
+                client, "txn_abort", txn_id=txn.txn_id, reason=reason, attempt=txn.attempt
             )
 
     # ------------------------------------------------------------------
@@ -476,10 +476,10 @@ class TxnSpace:
     def _finish_commit(self, client: "Client", txn: Transaction, *, runs: int) -> None:
         txn.state = "committed"
         client.metrics.txn_commits += 1
-        tracer = client._tracer
-        if tracer is not None:
-            tracer.on_txn_commit(
+        if client._tracer is not None:
+            client._tracer.emit(
                 client,
+                "txn_commit",
                 txn_id=txn.txn_id,
                 cells=len(txn.cell_writes),
                 kv_pairs=len(txn.kv_puts),
@@ -575,10 +575,10 @@ class TxnSpace:
             if word != txn.snapshots[slot] and stale_slot is None:
                 stale_slot = slot
         ok = fault is None and stale_slot is None
-        tracer = client._tracer
-        if tracer is not None:
-            tracer.on_txn_validate(
+        if client._tracer is not None:
+            client._tracer.emit(
                 client,
+                "txn_validate",
                 txn_id=txn.txn_id,
                 read_slots=len(read_only),
                 write_slots=len(write_slots),

@@ -1,0 +1,88 @@
+"""Observer cost as a tier-1 invariant (the observer accounts for itself).
+
+Attaching a ``Tracer`` (and a ``TelemetryRegistry``) must stay cheap in the
+*real* world too. These tests count Python-level function entries
+(``sys.setprofile`` ``call`` events — C builtins are excluded) of an empty
+span and of one traced far op and pin them as upper bounds, in the style of
+``tests/fabric/test_sync_not_pipeline.py``; the empty span is also pinned on
+its total call count with builtins included (``cProfile``, the way the
+frozen wall-clock benchmark counts), which is the pin a per-counter
+``getattr`` loop in ``Metrics.snapshot`` / ``delta`` would trip (it costs
+about 100 calls per span).
+
+The pins are bounds, not equalities: CPython 3.12 inlines comprehensions, so
+3.10/3.11 set the number.
+"""
+
+import cProfile
+import pstats
+import sys
+from functools import partial
+
+from repro import Cluster
+from repro.obs import TelemetryRegistry, Tracer
+
+# Python-level entries.
+EMPTY_SPAN = 21
+TRACED_READ = 43
+OBSERVED_READ = 100
+# Every call of an empty span, C builtins included.
+EMPTY_SPAN_ALL_CALLS = 50
+
+
+def _traced_client():
+    cluster = Cluster(node_count=1, node_size=8 << 20)
+    client = cluster.client("worker")
+    tracer = Tracer().attach(client)
+    return client, tracer, cluster.allocator.alloc(64)
+
+
+def _python_calls(call):
+    """Python-level function entries made by ``call`` (its own frame, the
+    first one entered, excluded)."""
+    entries = 0
+
+    def profiler(frame, event, arg):
+        nonlocal entries
+        if event == "call":
+            entries += 1
+
+    call()  # warm: first use creates per-node breakers and telemetry series
+    sys.setprofile(profiler)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entries - 1
+
+
+def _empty_span(client):
+    with client.trace("label"):
+        pass
+
+
+def test_empty_span_python_entries():
+    client, _, _ = _traced_client()
+    assert _python_calls(partial(_empty_span, client)) <= EMPTY_SPAN
+
+
+def test_empty_span_total_calls():
+    client, _, _ = _traced_client()
+    _empty_span(client)
+    profile = cProfile.Profile()
+    profile.enable()
+    _empty_span(client)
+    profile.disable()
+    total = sum(row[1] for row in pstats.Stats(profile).stats.values())
+    assert total - 2 <= EMPTY_SPAN_ALL_CALLS  # less _empty_span and disable()
+
+
+def test_traced_read_python_entries():
+    client, _, addr = _traced_client()
+    assert _python_calls(lambda: client.read_u64(addr)) <= TRACED_READ
+
+
+def test_observed_read_python_entries():
+    client, tracer, addr = _traced_client()
+    TelemetryRegistry().observe(tracer)
+    assert _python_calls(lambda: client.read_u64(addr)) <= OBSERVED_READ

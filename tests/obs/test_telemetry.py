@@ -170,6 +170,26 @@ class TestRegistryAccounting:
             registry.counter_total(FLEET, "backoffs") == client.metrics.retries
         )
 
+    def test_transactions_counted(self):
+        """txn_commit / txn_abort roll up like every other count."""
+        cluster = Cluster(node_count=2, node_size=NODE_SIZE)
+        client = cluster.client("teller")
+        registry = TelemetryRegistry(window_ns=1_000).watch(client)
+        space = cluster.txn_space(client)
+        cell = cluster.allocator.alloc(64)
+        space.init_cell(client, cell, bytes(8))
+        with client.trace("bank.transfer"):
+            txn = space.begin(client)
+            space.write(client, txn, cell, b"x" * 8)
+            space.commit(client, txn)
+        space.abort(client, space.begin(client), reason="user")
+        assert client.metrics.txn_commits == client.metrics.txn_aborts == 1
+        for name in ("txn_commits", "txn_aborts"):
+            assert registry.counter_total(FLEET, name) == 1
+            assert registry.counter_total(("client", "teller"), name) == 1
+        assert registry.counter_total(("structure", "bank"), "txn_commits") == 1
+        assert registry.counter_total(("structure", "bank"), "txn_aborts") == 0
+
     def test_zero_observer_effect(self):
         """Attaching the registry changes no count and no clock tick."""
 

@@ -35,9 +35,10 @@ def test_trace_subcommand_exports_and_validates(tmp_path, capsys):
     document = json.loads(chrome_path.read_text())
     assert document["traceEvents"]
 
-    # The validate subcommand accepts its own export.
-    assert main(["validate", str(chrome_path)]) == 0
-    assert "OK" in capsys.readouterr().out
+    # The validate subcommand accepts its own exports, both formats.
+    for path in (chrome_path, jsonl_path):
+        assert main(["validate", str(path)]) == 0
+        assert "OK" in capsys.readouterr().out
 
 
 def test_validate_rejects_tampered_trace(tmp_path, capsys):
@@ -53,6 +54,22 @@ def test_validate_rejects_tampered_trace(tmp_path, capsys):
     )
     assert main(["validate", str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_validate_rejects_jsonl_off_the_event_table(tmp_path, capsys):
+    envelope = {"type": "event", "kind": "timeout", "ts_ns": 0.0, "client": "c", "span_id": 1}
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text(
+        json.dumps({"type": "meta", "schema": "repro-trace-v1", "spans": 0, "events": 2})
+        + "\n"
+        + json.dumps({**envelope, "op": "read", "node": 0, "attempt": 1})
+        + "\n"
+        + json.dumps({**envelope, "op": "read", "nodes": 0, "attempt": 1})
+        + "\n"
+    )
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID (1 problems)" in out and "line 3: timeout: undeclared key" in out
 
 
 def test_trace_unknown_target_is_an_error():
