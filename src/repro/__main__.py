@@ -295,13 +295,19 @@ def _lint(paths: Sequence[str], list_rules: bool) -> int:
     return 0
 
 
-def _sanitize(target: str, strict: bool) -> int:
+def _run_sanitized(target: str, strict: bool):
+    """Run an example under a fresh sanitizer; ``(script path, sanitizer)``."""
     from repro.analysis.budget import BudgetSanitizer
 
     path = _resolve_target(target)
     sanitizer = BudgetSanitizer(strict=strict)
     with sanitizer:
         runpy.run_path(path, run_name="__main__")
+    return path, sanitizer
+
+
+def _sanitize(target: str, strict: bool) -> int:
+    path, sanitizer = _run_sanitized(target, strict)
     print(f"\n-- far-access budgets over {path} --")
     print(sanitizer.report())
     return 1 if sanitizer.violations else 0
@@ -330,6 +336,15 @@ def _cost_certificate(
         list(paths) or _default_cost_paths(), structures=structures
     )
     return fmcost.build_certificate(model)
+
+
+def _baseline_diffs(cert: dict, baseline_path: str) -> Optional[list[str]]:
+    """How ``cert`` diverges from the committed baseline; None without one."""
+    from repro.analysis import fmcost
+
+    if not os.path.isfile(baseline_path):
+        return None
+    return fmcost.diff_certificates(fmcost.load_certificate(baseline_path), cert)
 
 
 def _cost(
@@ -372,13 +387,11 @@ def _cost(
         print(f"updated baseline {baseline_path}")
         return status
     if check:
-        if not os.path.isfile(baseline_path):
+        diffs = _baseline_diffs(cert, baseline_path)
+        if diffs is None:
             print(f"fmcost: missing baseline {baseline_path} "
                   "(run: python -m repro cost --update-baseline)")
             return 1
-        diffs = fmcost.diff_certificates(
-            fmcost.load_certificate(baseline_path), cert
-        )
         if diffs:
             print(
                 f"fmcost: certificate diverges from {baseline_path} "
@@ -407,7 +420,6 @@ def _check(
     import json
 
     from repro.analysis import fmcost
-    from repro.analysis.budget import BudgetSanitizer
     from repro.analysis.fmlint import lint_paths
 
     lint_targets = list(paths) or ["src", "examples"]
@@ -419,11 +431,8 @@ def _check(
     cert = _cost_certificate([])
     cost_failures = fmcost.certificate_failures(cert)
     baseline_path = baseline or _default_baseline_path()
-    if os.path.isfile(baseline_path):
-        cost_diffs = fmcost.diff_certificates(
-            fmcost.load_certificate(baseline_path), cert
-        )
-    else:
+    cost_diffs = _baseline_diffs(cert, baseline_path)
+    if cost_diffs is None:
         cost_diffs = [f"missing baseline {baseline_path}"]
     for problem in cost_failures + cost_diffs:
         print(f"cost: {problem}")
@@ -434,10 +443,7 @@ def _check(
 
     sanitize_results = []
     for target in sanitize_targets:
-        path = _resolve_target(target)
-        sanitizer = BudgetSanitizer(strict=False)
-        with sanitizer:
-            runpy.run_path(path, run_name="__main__")
+        _path, sanitizer = _run_sanitized(target, strict=False)
         violations = list(sanitizer.violations)
         sanitize_results.append(
             {"target": target, "violations": violations}

@@ -200,10 +200,6 @@ class BudgetSanitizer:
 _ACTIVE: Optional[BudgetSanitizer] = None
 
 
-def active_sanitizer() -> Optional[BudgetSanitizer]:
-    return _ACTIVE
-
-
 def far_budget(
     fast: Optional[int],
     *,

@@ -25,8 +25,9 @@ Leaves are the metered :class:`~repro.fabric.client.Client` operations
 access, mirroring ``Client._account_far``).  Raw ``fabric.*`` calls are
 deliberately **free**: they bypass client metering, which is fmlint
 FM003's job to flag, not fmcost's to price.  Per-function summaries are
-propagated bottom-up through the call graph — a fixpoint handles
-recursion (widened to T).  Receivers resolve through annotations and
+solved on demand, callee first, from the operations the certificate
+reports — a worklist fixpoint handles recursion (a summary still moving
+after 12 of its own changes is widened to T).  Receivers resolve through annotations and
 constructor flow; an untyped receiver falls back to the repo-wide
 method-name index only when exactly one class defines the name
 (ambiguous names are assumed near-only and surfaced as diagnostics —
@@ -75,7 +76,8 @@ the baseline, so cost regressions become visible diffs.
 Soundness caveats (see DESIGN.md §14): costs attach to *client* ops, so
 metering bypasses (FM003) are invisible here; dynamic dispatch through
 ``getattr`` or an ambiguously-named untyped receiver is assumed
-near-only (use ``# fmcost: cost=N`` where that is wrong) — the
+near-only (use ``# fmcost: cost=N`` where that is wrong); a statement
+kind the walk does not model is T unless it contains no call — the
 hypothesis bridge test (``tests/analysis/test_cost_soundness.py``)
 checks the static bound against sanitizer-observed deltas end to end.
 """
@@ -87,9 +89,16 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .fmlint import FAR_SYNC_OPS, REGISTERED_FAR_STRUCTURES
+from .fmlint import (
+    FAR_COST_OPS,
+    REGISTERED_FAR_STRUCTURES,
+    attr_name,
+    decorator_name,
+    is_client_receiver,
+    python_files,
+)
 
 CERT_FORMAT = "fmcost-cert-v1"
 
@@ -101,10 +110,9 @@ _RETRY_DIRECTIVE_RE = re.compile(r"#\s*fmcost:\s*retry\b")
 
 _CONSTRUCTOR_NAMES = frozenset({"create", "create_framed", "open"})
 
-# Widening: a summary still growing after this many fixpoint passes is in
-# a recursive cycle with far-access growth — its worst bound is T.
+# Widening: a summary that has changed this many times is in a recursive
+# cycle with far-access growth — its worst bound is T.
 _WIDEN_PASSES = 12
-_MAX_PASSES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +296,9 @@ def _module_name(path: str) -> str:
     return rel.replace("/", ".")
 
 
-def _decorator_terminal(dec: ast.AST) -> Optional[str]:
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    if isinstance(target, ast.Name):
-        return target.id
-    return None
-
-
 def _budget_from_decorators(node) -> tuple[Optional[BudgetDecl], bool]:
     for dec in node.decorator_list:
-        if _decorator_terminal(dec) != "far_budget":
+        if decorator_name(dec) != "far_budget":
             continue
         if not isinstance(dec, ast.Call):
             return None, True
@@ -384,8 +383,7 @@ class Index:
                     stmt, module, path, node.name, directives
                 )
                 info.methods[stmt.name] = fn
-                if stmt.name == "__init__" or True:
-                    self._harvest_self_anns(stmt, fn, info)
+                self._harvest_self_anns(stmt, fn, info)
         self.classes.setdefault(node.name, []).append(info)
 
     @staticmethod
@@ -418,9 +416,7 @@ class Index:
         self, node, module: str, path: str, cls: Optional[str], directives
     ) -> FuncInfo:
         qual = f"{module}:{cls}.{node.name}" if cls else f"{module}:{node.name}"
-        decorators = {
-            _decorator_terminal(d) for d in node.decorator_list
-        }
+        decorators = {decorator_name(d) for d in node.decorator_list}
         budget, has_decorator = _budget_from_decorators(node)
         params = [a.arg for a in node.args.args]
         anns = {
@@ -494,8 +490,17 @@ class CostModel:
         self.structures = frozenset(
             structures if structures is not None else REGISTERED_FAR_STRUCTURES
         )
+        # Every key demanded so far, ``_BOTTOM`` until (and unless) its
+        # evaluation says otherwise -- an always-raising helper evaluates
+        # *to* ``_BOTTOM`` and must still count as solved.
         self.summaries: dict[tuple, Summary] = {}
-        self._demanded: set[tuple] = set()
+        # callee key -> caller keys, and the worklist of keys whose callee
+        # changed. Dicts, not sets: evaluation order (so the widened set
+        # and the diagnostics order) must not depend on PYTHONHASHSEED.
+        self._callers: dict[tuple, dict[tuple, None]] = {}
+        self._dirty: dict[tuple, None] = {}
+        self._stack: list[tuple] = []  # keys being evaluated, innermost last
+        self._changes: dict[tuple, int] = {}
         self._widened: set[tuple] = set()
         self.diagnostics: list[str] = []
         self._diag_seen: set[str] = set()
@@ -503,16 +508,8 @@ class CostModel:
     # -- loading ---------------------------------------------------------
 
     def load_paths(self, paths: Iterable[str]) -> "CostModel":
-        for root in paths:
-            if os.path.isfile(root):
-                self._load_file(root)
-                continue
-            for dirpath, dirnames, filenames in os.walk(root):
-                dirnames.sort()
-                dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        self._load_file(os.path.join(dirpath, filename))
+        for path in python_files(paths):
+            self._load_file(path)
         return self
 
     def _load_file(self, path: str) -> None:
@@ -531,30 +528,25 @@ class CostModel:
 
     # -- fixpoint --------------------------------------------------------
 
+    def _certified_ops(self) -> Iterator[FuncInfo]:
+        """Every operation the certificate reports, in record order."""
+        for name in sorted(self.structures):
+            cls = self.index.class_info(name)
+            for method_name in sorted(cls.methods if cls is not None else ()):
+                fn = cls.methods[method_name]
+                # Constructors and views are provisioning, not per-op, cost.
+                if not (
+                    fn.name.startswith("_")
+                    or fn.is_classmethod
+                    or fn.is_staticmethod
+                    or fn.is_property
+                ):
+                    yield fn
+
     def solve(self) -> None:
-        for info in self.index.functions.values():
-            self._demanded.add((info.qualname, self._default_ctx(info)))
-        passes = 0
-        while passes < _MAX_PASSES:
-            passes += 1
-            changed: set[tuple] = set()
-            for key in sorted(self._demanded):
-                new = self._evaluate(key)
-                if new != self.summaries.get(key, _BOTTOM):
-                    self.summaries[key] = new
-                    changed.add(key)
-            if not changed:
-                break
-            if passes >= _WIDEN_PASSES:
-                # Growth beyond the widening horizon means a recursive
-                # far-access cycle: its worst-case is unbounded.
-                for key in changed:
-                    current = self.summaries[key]
-                    self._widened.add(key)
-                    self.summaries[key] = Summary(
-                        fast=current.fast,
-                        worst=Cost(unbounded=True, retry=current.worst.retry),
-                    )
+        """Solve what :meth:`records` reads -- and only what that reaches."""
+        for fn in self._certified_ops():
+            self.summary_for(fn, self._default_ctx(fn))
 
     def _default_ctx(self, info: FuncInfo) -> frozenset:
         if info.budget is not None and info.budget.per_item:
@@ -565,46 +557,67 @@ class CostModel:
         return frozenset()
 
     def summary_for(self, info: FuncInfo, ctx: frozenset) -> Summary:
-        key = (info.qualname, ctx)
-        if key not in self._demanded:
-            self._demanded.add(key)
-        if key in self._widened:
-            return self.summaries[key]
-        return self.summaries.get(key, _BOTTOM)
+        """The summary of ``info`` under ``ctx``, solved on demand.
 
-    def _evaluate(self, key: tuple) -> Summary:
+        Called from inside an evaluation it records the caller -> callee
+        edge and evaluates a callee nobody has demanded yet on the spot
+        (a key already being evaluated -- recursion -- answers with what
+        it has so far); called from outside it also runs the worklist to
+        the fixpoint, so the answer is final.
+        """
+        key = (info.qualname, ctx)
+        if self._stack:
+            self._callers.setdefault(key, {})[self._stack[-1]] = None
+        if key not in self.summaries:
+            self._evaluate(key)
+        if not self._stack:
+            while self._dirty:
+                dirty = next(iter(self._dirty))
+                del self._dirty[dirty]
+                self._evaluate(dirty)
+        return self.summaries[key]
+
+    def _evaluate(self, key: tuple) -> None:
+        """(Re-)evaluate ``key``; if its summary moved, queue its callers."""
+        old = self.summaries.setdefault(key, _BOTTOM)
+        if key in self._widened:
+            return
         qualname, ctx = key
-        info = self.index.functions.get(qualname)
-        if info is None:
-            return _BOTTOM
+        info = self.index.functions[qualname]
         if info.cost_override is not None:
             cost = info.cost_override
-            return Summary(fast=(cost, 0), worst=Cost(const=cost))
-        if key in self._widened:
-            return self.summaries[key]
-        evaluator = _FnEval(self, info, ctx)
-        return evaluator.run()
+            new = Summary(fast=(cost, 0), worst=Cost(const=cost))
+        else:
+            self._stack.append(key)
+            try:
+                new = _FnEval(self, info, ctx).run()
+            finally:
+                self._stack.pop()
+        if new == old:
+            return
+        self._changes[key] = self._changes.get(key, 0) + 1
+        if self._changes[key] >= _WIDEN_PASSES:
+            # Still growing after this many of its own changes means a
+            # recursive far-access cycle: its worst-case is unbounded.
+            self._widened.add(key)
+            new = Summary(
+                fast=new.fast,
+                worst=Cost(unbounded=True, retry=new.worst.retry),
+            )
+        self.summaries[key] = new
+        for caller in self._callers.get(key, ()):
+            # A caller still on the stack is the one that demanded this
+            # key just now: it reads the new summary as the return value.
+            if caller not in self._stack:
+                self._dirty[caller] = None
 
     # -- verdicts --------------------------------------------------------
 
     def records(self) -> list[dict]:
-        out = []
-        for name in sorted(self.structures):
-            cls = self.index.class_info(name)
-            if cls is None:
-                continue
-            for method_name in sorted(cls.methods):
-                record = self._record_for(cls, cls.methods[method_name])
-                if record is not None:
-                    out.append(record)
-        return out
+        records = (self._record_for(fn) for fn in self._certified_ops())
+        return [record for record in records if record is not None]
 
-    def _record_for(self, cls: ClassInfo, fn: FuncInfo) -> Optional[dict]:
-        if fn.name.startswith("_"):
-            return None
-        if fn.is_classmethod or fn.is_staticmethod or fn.is_property:
-            # Constructors and views: provisioning cost, not per-op cost.
-            return None
+    def _record_for(self, fn: FuncInfo) -> Optional[dict]:
         summary = self.summary_for(fn, self._default_ctx(fn))
         declared = fn.budget
         if declared is None and not fn.has_budget_decorator:
@@ -622,7 +635,7 @@ class CostModel:
         else:
             verdict, detail = self._verdict(declared, summary)
         record = {
-            "structure": cls.name,
+            "structure": fn.cls,
             "op": fn.name,
             "module": fn.module,
             "line": fn.node.lineno,
@@ -727,13 +740,46 @@ class CostModel:
 
 
 @dataclass
-class _MinOut:
-    """Minimum-cost outcomes of a statement block."""
+class _Out:
+    """What one statement or block costs: the cheapest non-raising cost
+    of each way out of it (``None`` = that exit is unreachable), and the
+    additive worst over everything in it."""
 
     fall: MinCost = (0, 0)
     ret: MinCost = None
     brk: MinCost = None
     cont: MinCost = None
+    worst: Cost = ZERO
+
+    def after(self, fast: MinCost, worst: Cost) -> "_Out":
+        """This outcome with ``(fast, worst)`` paid on the way to every exit."""
+        return _Out(
+            _madd(fast, self.fall),
+            _madd(fast, self.ret),
+            _madd(fast, self.brk),
+            _madd(fast, self.cont),
+            worst.add(self.worst),
+        )
+
+    def then(self, nxt: "_Out") -> "_Out":
+        """``self`` followed, where it falls through, by ``nxt``."""
+        return _Out(
+            _madd(self.fall, nxt.fall),
+            _mbest(self.ret, _madd(self.fall, nxt.ret)),
+            _mbest(self.brk, _madd(self.fall, nxt.brk)),
+            _mbest(self.cont, _madd(self.fall, nxt.cont)),
+            self.worst.add(nxt.worst),
+        )
+
+    def either(self, other: "_Out") -> "_Out":
+        """One of two alternative branches."""
+        return _Out(
+            _mbest(self.fall, other.fall),
+            _mbest(self.ret, other.ret),
+            _mbest(self.brk, other.brk),
+            _mbest(self.cont, other.cont),
+            self.worst.join(other.worst),
+        )
 
 
 _LITERAL_NODES = (
@@ -750,6 +796,21 @@ _LITERAL_NODES = (
     ast.UnaryOp,
     ast.Lambda,
 )
+
+#: Statements that cost nothing by construction, those costed as the sum
+#: of their expressions, and ``try`` with its 3.11+ ``except*`` twin.
+_COSTLESS_STMTS = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.ClassDef,
+    ast.Pass,
+    ast.Global,
+    ast.Nonlocal,
+    ast.Import,
+    ast.ImportFrom,
+)
+_SIMPLE_STMTS = (ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Assert, ast.Delete)
+_TRY_STMTS = (ast.Try, getattr(ast, "TryStar", ast.Try))
 
 #: Resolution results: a set of index class names, _CLIENT for the
 #: metered client, _OPAQUE for "known, but nothing we price" (stdlib
@@ -916,7 +977,7 @@ class _FnEval:
             base = self._type_of_expr(node.value)
             if base is _CLIENT or base is None or base is _OPAQUE:
                 return None
-            for cls_name in base:
+            for cls_name in sorted(base):
                 cls = self.model.index.class_info(cls_name)
                 if cls is not None and node.attr in cls.attr_anns:
                     return self._resolve_ann(cls.attr_anns[node.attr])
@@ -971,11 +1032,8 @@ class _FnEval:
     # -- entry point -----------------------------------------------------
 
     def run(self) -> Summary:
-        body = self.info.node.body
-        worst = self._worst_block(body)
-        out = self._min_block(body)
-        fast = _mbest(out.ret, out.fall)
-        return Summary(fast=fast, worst=worst)
+        out = self._block(self.info.node.body)
+        return Summary(fast=_mbest(out.ret, out.fall), worst=out.worst)
 
     # -- expression costs ------------------------------------------------
 
@@ -1032,44 +1090,23 @@ class _FnEval:
 
     # -- call resolution -------------------------------------------------
 
-    def _terminal_name(self, node: ast.AST) -> Optional[str]:
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Name):
-            return node.id
-        return None
-
-    def _is_clientish(self, node: ast.AST) -> bool:
-        if self._type_of_expr(node) is _CLIENT:
-            return True
-        terminal = self._terminal_name(node)
-        return terminal is not None and "client" in terminal.lower()
-
     def _resolve_callee(self, func: ast.Attribute):
         """FuncInfo, list of candidate FuncInfos, _CLIENT, or None."""
         receiver = func.value
-        if self._is_clientish(receiver):
-            return _CLIENT
-        if self._terminal_name(receiver) == "fabric":
-            return _OPAQUE
         tset = self._type_of_expr(receiver)
-        if tset is _CLIENT:
+        if tset is _CLIENT or is_client_receiver(receiver):
             return _CLIENT
-        if tset is _OPAQUE:
+        if attr_name(receiver) == "fabric" or tset is _OPAQUE:
             return _OPAQUE
         if tset:
             found = []
-            for cls_name in tset:
+            for cls_name in sorted(tset):  # not hash order: it is demand order
                 hit = self.model.index.lookup_method(cls_name, func.attr)
                 if hit is not None:
                     found.append(hit)
             if found:
                 return found if len(found) > 1 else found[0]
-            if all(
-                cls_name in self.model.index.classes for cls_name in tset
-            ):
-                return _OPAQUE  # resolved class, method not priced
-            return _OPAQUE
+            return _OPAQUE  # resolved class, method not priced
         # Unresolved receiver: accept a *unique* global name match (the
         # helper-object case -- one class in the repo defines the method).
         # An ambiguous name is assumed near-only and reported instead of
@@ -1088,19 +1125,19 @@ class _FnEval:
         return _OPAQUE
 
     def _intrinsic_cost(self, call: ast.Call, name: str) -> tuple:
-        if name in FAR_SYNC_OPS or name in ("submit", "charge_far_access", "write_framed"):
-            return (1, 0), Cost(const=1)
+        if name not in FAR_COST_OPS:
+            return (0, 0), ZERO
+        fallback = None
         if name == "read_verified":
             fallback = next(
                 (kw.value for kw in call.keywords if kw.arg == "fallback"),
                 None,
             )
-            if fallback is None:
-                return (1, 0), Cost(const=1)
-            if isinstance(fallback, (ast.Tuple, ast.List)):
-                return (1, 0), Cost(const=1 + len(fallback.elts))
-            return (1, 0), TOP
-        return (0, 0), ZERO
+        if fallback is None:
+            return (1, 0), Cost(const=1)
+        if isinstance(fallback, (ast.Tuple, ast.List)):
+            return (1, 0), Cost(const=1 + len(fallback.elts))
+        return (1, 0), TOP
 
     def _map_bulk_args(self, call: ast.Call, callee: FuncInfo) -> frozenset:
         params = callee.params
@@ -1200,189 +1237,108 @@ class _FnEval:
                     return max(0, bounds[1].value - bounds[0].value)
         return None
 
-    # -- worst-case walk -------------------------------------------------
+    # -- the statement walk ----------------------------------------------
 
-    def _worst_block(self, stmts: list) -> Cost:
-        total = ZERO
+    def _block(self, stmts: list) -> _Out:
+        out = _Out()
         for stmt in stmts:
-            total = total.add(self._worst_stmt(stmt))
-        return total
+            # Once nothing falls through the fast exits stop moving, but
+            # statements after a ``return`` still bound from above.
+            out = out.then(self._stmt(stmt))
+        return out
 
-    def _worst_stmt(self, stmt: ast.stmt) -> Cost:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return ZERO
-        if isinstance(stmt, ast.If):
-            _, test = self._expr_cost(stmt.test)
-            return test.add(
-                self._worst_block(stmt.body).join(
-                    self._worst_block(stmt.orelse)
-                )
-            )
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            _, iter_cost = self._expr_cost(stmt.iter)
-            body = self._worst_block(stmt.body)
-            retry = self.directives is not None and self.directives.is_retry(
-                stmt
-            )
-            if retry:
-                looped = Cost(
-                    body.const, body.per_item, body.unbounded, True
-                )
-            elif self._is_bulk(stmt.iter):
-                looped = body.times_n()
-            else:
-                trip = self._constant_trip_count(stmt.iter)
-                if trip is not None:
-                    looped = body.times_const(trip)
-                else:
-                    looped = body.times_unbounded()
-            return iter_cost.add(looped).add(self._worst_block(stmt.orelse))
-        if isinstance(stmt, ast.While):
-            _, test = self._expr_cost(stmt.test)
-            body = self._worst_block(stmt.body).add(test)
-            retry = self.directives is not None and self.directives.is_retry(
-                stmt
-            )
-            if retry:
-                looped = Cost(body.const, body.per_item, body.unbounded, True)
-            else:
-                looped = body.times_unbounded()
-            return looped.add(self._worst_block(stmt.orelse))
-        if isinstance(stmt, ast.Try):
-            handlers = ZERO
-            for handler in stmt.handlers:
-                handlers = handlers.join(self._worst_block(handler.body))
-            return (
-                self._worst_block(stmt.body)
-                .add(handlers)
-                .add(self._worst_block(stmt.orelse))
-                .add(self._worst_block(stmt.finalbody))
-            )
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            total = ZERO
-            for item in stmt.items:
-                _, w = self._expr_cost(item.context_expr)
-                total = total.add(w)
-            return total.add(self._worst_block(stmt.body))
+    def _stmt(self, stmt: ast.stmt) -> _Out:
+        if isinstance(stmt, _COSTLESS_STMTS):
+            return _Out()
         if isinstance(stmt, ast.Return):
-            _, w = self._expr_cost(stmt.value)
-            return w
+            fast, worst = self._expr_cost(stmt.value)
+            return _Out(fall=None, ret=fast, worst=worst)
         if isinstance(stmt, ast.Raise):
             # Raising paths are never recorded by the sanitizer; their
             # cleanup cost still bounds from above via addition.
-            _, w = self._expr_cost(stmt.exc)
-            return w
-        if isinstance(stmt, (ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Assert, ast.Delete)):
-            total = ZERO
-            for child in ast.iter_child_nodes(stmt):
-                _, w = self._expr_cost(child)
-                total = total.add(w)
-            return total
-        return ZERO
-
-    # -- fast-path (min) walk --------------------------------------------
-
-    def _min_block(self, stmts: list) -> _MinOut:
-        out = _MinOut()
-        for stmt in stmts:
-            if out.fall is None:
-                break
-            s = self._min_stmt(stmt)
-            out.ret = _mbest(out.ret, _madd(out.fall, s.ret))
-            out.brk = _mbest(out.brk, _madd(out.fall, s.brk))
-            out.cont = _mbest(out.cont, _madd(out.fall, s.cont))
-            out.fall = _madd(out.fall, s.fall)
-        return out
-
-    def _min_stmt(self, stmt: ast.stmt) -> _MinOut:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return _MinOut()
-        if isinstance(stmt, ast.Return):
-            f, _ = self._expr_cost(stmt.value)
-            return _MinOut(fall=None, ret=f)
-        if isinstance(stmt, ast.Raise):
-            return _MinOut(fall=None)
+            _, worst = self._expr_cost(stmt.exc)
+            return _Out(fall=None, worst=worst)
         if isinstance(stmt, ast.Break):
-            return _MinOut(fall=None, brk=(0, 0))
+            return _Out(fall=None, brk=(0, 0))
         if isinstance(stmt, ast.Continue):
-            return _MinOut(fall=None, cont=(0, 0))
+            return _Out(fall=None, cont=(0, 0))
         if isinstance(stmt, ast.If):
-            tf, _ = self._expr_cost(stmt.test)
-            body = self._min_block(stmt.body)
-            orelse = self._min_block(stmt.orelse)
-            return _MinOut(
-                fall=_madd(tf, _mbest(body.fall, orelse.fall)),
-                ret=_madd(tf, _mbest(body.ret, orelse.ret)),
-                brk=_madd(tf, _mbest(body.brk, orelse.brk)),
-                cont=_madd(tf, _mbest(body.cont, orelse.cont)),
-            )
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            return self._min_loop(
-                stmt, iter_node=stmt.iter, test_cost=(0, 0)
-            )
-        if isinstance(stmt, ast.While):
-            tf, _ = self._expr_cost(stmt.test)
-            always = (
-                isinstance(stmt.test, ast.Constant) and bool(stmt.test.value)
-            )
-            return self._min_loop(
-                stmt, iter_node=None, test_cost=tf, must_enter=always
-            )
-        if isinstance(stmt, ast.Try):
+            test = self._expr_cost(stmt.test)
+            return self._block(stmt.body).either(self._block(stmt.orelse)).after(*test)
+        if isinstance(stmt, ast.Match):
+            # An if/elif chain whose tests are the guards; only a bare
+            # ``case _`` (or capture) rules out falling through unmatched.
+            subject, out = self._expr_cost(stmt.subject), _Out()
+            for case in reversed(stmt.cases):
+                body = self._block(case.body)
+                if (
+                    case.guard is None
+                    and isinstance(case.pattern, ast.MatchAs)
+                    and case.pattern.pattern is None
+                ):
+                    out = body
+                else:
+                    out = body.either(out).after(*self._expr_cost(case.guard))
+            return out.after(*subject)
+        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+            return self._loop(stmt)
+        if isinstance(stmt, _TRY_STMTS):
             # Fast paths do not raise: the try body and else run, the
-            # handlers do not, the finally always does.
-            body = self._min_block(stmt.body)
-            orelse = self._min_block(stmt.orelse)
-            final = self._min_block(stmt.finalbody)
-            merged = _MinOut(
-                fall=_madd(body.fall, orelse.fall),
-                ret=_mbest(body.ret, _madd(body.fall, orelse.ret)),
-                brk=_mbest(body.brk, _madd(body.fall, orelse.brk)),
-                cont=_mbest(body.cont, _madd(body.fall, orelse.cont)),
-            )
-            return _MinOut(
-                fall=_madd(merged.fall, final.fall),
-                ret=_madd(merged.ret, final.fall),
-                brk=_madd(merged.brk, final.fall),
-                cont=_madd(merged.cont, final.fall),
-            )
+            # handlers do not (they only join into the worst), the
+            # finally always does -- on the way to every exit.
+            body = self._block(stmt.body)
+            handlers = ZERO
+            for handler in stmt.handlers:
+                handlers = handlers.join(self._block(handler.body).worst)
+            out = body.then(self._block(stmt.orelse))
+            final = self._block(stmt.finalbody)
+            return out.after(final.fall, handlers.add(final.worst))
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            enter = (0, 0)
+            enter = _Out()
             for item in stmt.items:
-                f, _ = self._expr_cost(item.context_expr)
-                enter = _madd(enter, f)
-            body = self._min_block(stmt.body)
-            return _MinOut(
-                fall=_madd(enter, body.fall),
-                ret=_madd(enter, body.ret),
-                brk=_madd(enter, body.brk),
-                cont=_madd(enter, body.cont),
-            )
-        if isinstance(stmt, (ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Assert, ast.Delete)):
-            total = (0, 0)
+                enter = enter.after(*self._expr_cost(item.context_expr))
+            return enter.then(self._block(stmt.body))
+        if isinstance(stmt, _SIMPLE_STMTS):
+            out = _Out()
             for child in ast.iter_child_nodes(stmt):
-                f, _ = self._expr_cost(child)
-                total = _madd(total, f)
-            return _MinOut(fall=total)
-        return _MinOut()
+                out = out.after(*self._expr_cost(child))
+            return out
+        # A statement kind this walk does not model must not certify a
+        # far access as free: anything that could hide one is T.
+        if any(isinstance(node, ast.Call) for node in ast.walk(stmt)):
+            return _Out(worst=TOP)
+        return _Out()
 
-    def _min_loop(
-        self,
-        stmt,
-        iter_node: Optional[ast.AST],
-        test_cost: MinCost,
-        must_enter: bool = False,
-    ) -> _MinOut:
-        iter_cost = (0, 0)
-        mandatory = False
-        if iter_node is not None:
-            iter_cost, _ = self._expr_cost(iter_node)
-            mandatory = self._is_mandatory(iter_node)
-        body = self._min_block(stmt.body)
+    def _loop(self, stmt) -> _Out:
+        is_while = isinstance(stmt, ast.While)
+        enter, head = self._expr_cost(stmt.test if is_while else stmt.iter)
+        body = self._block(stmt.body)
+        orelse = self._block(stmt.orelse)
+        retry = self.directives is not None and self.directives.is_retry(stmt)
+        bulk = mandatory = always = False
+        trip = None
+        if is_while:
+            # The test is paid once on entry by the fast path, and once
+            # more with every iteration by the worst.
+            outside, looped = ZERO, body.worst.add(head)
+            always = isinstance(stmt.test, ast.Constant) and bool(stmt.test.value)
+        else:
+            outside, looped = head, body.worst
+            bulk = self._is_bulk(stmt.iter)
+            mandatory = self._is_mandatory(stmt.iter)
+            trip = self._constant_trip_count(stmt.iter)
+        if retry:
+            looped = Cost(looped.const, looped.per_item, looped.unbounded, True)
+        elif bulk:
+            looped = looped.times_n()
+        elif trip is not None:
+            looped = looped.times_const(trip)
+        else:
+            looped = looped.times_unbounded()
+
+        # ``passes``: the cheapest way to run the loop to completion, which
+        # is what reaching the else clause (or falling out of it) costs.
         per_iter = _mbest(body.fall, body.cont)
-        orelse = self._min_block(stmt.orelse)
-        enter = _madd(iter_cost, test_cost)
-
         if mandatory:
             # A loop over the bulk argument (or an exact length-preserving
             # derivation of it) is charged one full pass of n iterations
@@ -1390,36 +1346,23 @@ class _FnEval:
             # regressions visible on the fast path. Derived accumulators
             # are *not* force-charged: they partition the items, and
             # chaining mandatory passes over each stage would overcount.
-            full = (
-                None
-                if per_iter is None
-                else (0, per_iter[0] + per_iter[1])
-            )
-            completions = _mbest(
-                _madd(full, orelse.fall), _madd(body.brk, (0, 0))
-            )
-            return _MinOut(
-                fall=_madd(enter, completions),
-                ret=_madd(enter, _mbest(body.ret, _madd(full, orelse.ret))),
-                brk=_madd(enter, orelse.brk),
-                cont=_madd(enter, orelse.cont),
-            )
-        if must_enter:
+            passes = None if per_iter is None else (0, per_iter[0] + per_iter[1])
+        elif always:
             # while True: the body runs at least once; the loop is left
             # only by break (skipping the else) or return.
-            return _MinOut(
-                fall=_madd(enter, body.brk),
-                ret=_madd(enter, body.ret),
-            )
-        # A skippable loop: zero iterations (then the else clause), a
-        # break out of the first iteration, or a return from the body.
-        completions = _mbest(_madd((0, 0), orelse.fall), body.brk)
-        return _MinOut(
-            fall=_madd(enter, completions),
-            ret=_madd(enter, _mbest(body.ret, orelse.ret)),
-            brk=_madd(enter, orelse.brk),
-            cont=_madd(enter, orelse.cont),
-        )
+            passes = None
+        else:
+            # A skippable loop: zero iterations (then the else clause), a
+            # break out of the first iteration, or a return from the body.
+            passes = (0, 0)
+        done = orelse.after(passes, ZERO)
+        return _Out(
+            fall=_mbest(done.fall, body.brk),
+            ret=_mbest(body.ret, done.ret),
+            brk=done.brk,
+            cont=done.cont,
+            worst=looped.add(orelse.worst),
+        ).after(enter, outside)
 
 
 # ---------------------------------------------------------------------------

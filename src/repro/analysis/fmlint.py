@@ -70,7 +70,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..fabric.ops import FAR_OPS, WORD_OPS
 
@@ -113,8 +113,9 @@ REGISTERED_FAR_STRUCTURES = frozenset(
 
 #: Every client-receiver method that costs far accesses: the sync ops
 #: plus submit() (one posted op), the explicit accounting hook, and the
-#: framed/verified I/O helpers.
-_FAR_COST_OPS = FAR_SYNC_OPS | frozenset(
+#: framed/verified I/O helpers. FM008 looks for these; fmcost prices each
+#: at one far access (and read_verified()'s fallbacks on top).
+FAR_COST_OPS = FAR_SYNC_OPS | frozenset(
     {"submit", "charge_far_access", "write_framed", "read_verified"}
 )
 
@@ -226,13 +227,28 @@ _PLACEMENT_QUERY_OPS = frozenset({"node_of", "locate"})
 _UNVERIFIED_READ_OPS = frozenset({"read", "read_u64", "rscatter", "rgather"})
 
 
-def _attr_name(node: ast.AST) -> Optional[str]:
+def attr_name(node: ast.AST) -> Optional[str]:
     """Terminal attribute/name identifier of an expression, if simple."""
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def decorator_name(dec: ast.AST) -> Optional[str]:
+    return attr_name(dec.func if isinstance(dec, ast.Call) else dec)
+
+
+def is_client_receiver(receiver: ast.AST) -> bool:
+    """True when a call's receiver looks like a metered Client.
+
+    Generic op names (``write``, ``read``, ``swap``) appear on file
+    handles, memory nodes, and buffers too; requiring "client" in the
+    receiver's terminal identifier keeps FM001 about far memory.
+    """
+    name = attr_name(receiver)
+    return name is not None and "client" in name.lower()
 
 
 class _Checker(ast.NodeVisitor):
@@ -283,7 +299,7 @@ class _Checker(ast.NodeVisitor):
     def visit_With(self, node: ast.With) -> None:
         batched = any(
             isinstance(item.context_expr, ast.Call)
-            and _attr_name(item.context_expr.func) == "batch"
+            and attr_name(item.context_expr.func) == "batch"
             for item in node.items
         )
         if batched:
@@ -336,7 +352,7 @@ class _Checker(ast.NodeVisitor):
     def _is_submit_call(node: ast.AST) -> bool:
         return (
             isinstance(node, ast.Call)
-            and _attr_name(node.func) == "submit"
+            and attr_name(node.func) == "submit"
         )
 
     @staticmethod
@@ -373,7 +389,7 @@ class _Checker(ast.NodeVisitor):
     def visit_Expr(self, node: ast.Expr) -> None:
         call = node.value
         if isinstance(call, ast.Call):
-            name = _attr_name(call.func)
+            name = attr_name(call.func)
             if name == "submit" and isinstance(call.func, ast.Attribute):
                 # A discarded submission: unsignaled futures can never be
                 # reaped; signaled ones only via an explicit CQ drain.
@@ -398,7 +414,7 @@ class _Checker(ast.NodeVisitor):
             elif (
                 name in FAR_SYNC_OPS
                 and isinstance(call.func, ast.Attribute)
-                and self._is_client_receiver(call.func)
+                and is_client_receiver(call.func.value)
                 and self._for_depth > 0
                 and self._batch_depth == 0
                 and not self._loop_exits_after(node)
@@ -415,18 +431,7 @@ class _Checker(ast.NodeVisitor):
 
     @staticmethod
     def _is_fabric_receiver(func: ast.Attribute) -> bool:
-        return _attr_name(func.value) == "fabric"
-
-    @staticmethod
-    def _is_client_receiver(func: ast.Attribute) -> bool:
-        """True when the receiver looks like a metered Client.
-
-        Generic op names (``write``, ``read``, ``swap``) appear on file
-        handles, memory nodes, and buffers too; requiring "client" in the
-        receiver's terminal identifier keeps FM001 about far memory.
-        """
-        receiver = _attr_name(func.value)
-        return receiver is not None and "client" in receiver.lower()
+        return attr_name(func.value) == "fabric"
 
     def _loop_exits_after(self, stmt: ast.stmt) -> bool:
         """True when a break/return/raise follows ``stmt`` at its level.
@@ -487,7 +492,7 @@ class _Checker(ast.NodeVisitor):
             # storage, but nothing checked the frame.
             if (
                 name in _UNVERIFIED_READ_OPS
-                and self._is_client_receiver(node.func)
+                and is_client_receiver(node.func.value)
                 and node.args
                 and self._mentions_replica(node.args[0])
             ):
@@ -505,7 +510,7 @@ class _Checker(ast.NodeVisitor):
             # its optimistic-validation invariant silently.
             if (
                 name in _TXN_VERSION_ATOMICS
-                and self._is_client_receiver(node.func)
+                and is_client_receiver(node.func.value)
                 and node.args
                 and self._mentions_version_word(node.args[0])
             ):
@@ -518,7 +523,7 @@ class _Checker(ast.NodeVisitor):
                 )
             elif (
                 name == "submit"
-                and self._is_client_receiver(node.func)
+                and is_client_receiver(node.func.value)
                 and len(node.args) >= 2
                 and isinstance(node.args[0], ast.Constant)
                 and node.args[0].value in _TXN_VERSION_ATOMICS
@@ -575,7 +580,7 @@ class _Checker(ast.NodeVisitor):
             return False
         if isinstance(type_node, ast.Tuple):
             return any(_Checker._names_timeout(e) for e in type_node.elts)
-        return _attr_name(type_node) == "FarTimeoutError"
+        return attr_name(type_node) == "FarTimeoutError"
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if self._names_timeout(node.type):
@@ -656,24 +661,19 @@ class _Checker(ast.NodeVisitor):
             )
             return
         # datetime.now()/utcnow()/today() wall-clock reads.
-        if func.attr in ("now", "utcnow", "today") and _attr_name(base) in (
+        if func.attr in ("now", "utcnow", "today") and attr_name(base) in (
             "datetime",
             "date",
         ):
             self._emit(
                 node,
                 "FM005",
-                f"{_attr_name(base)}.{func.attr}() reads the wall clock; "
+                f"{attr_name(base)}.{func.attr}() reads the wall clock; "
                 "derive timestamps from the simulated clock or pass them in",
             )
 
 
 # -- FM008: missing far budgets on registered structures -------------------
-
-
-def _decorator_name(dec: ast.AST) -> Optional[str]:
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    return _attr_name(target)
 
 
 def _issues_far_ops(fn: ast.AST) -> bool:
@@ -682,8 +682,8 @@ def _issues_far_ops(fn: ast.AST) -> bool:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _FAR_COST_OPS
-            and _Checker._is_client_receiver(node.func)
+            and node.func.attr in FAR_COST_OPS
+            and is_client_receiver(node.func.value)
         ):
             return True
     return False
@@ -724,7 +724,7 @@ def _missing_budget_findings(tree: ast.AST, path: str) -> list[Finding]:
         for name, fn in methods.items():
             if name.startswith("_"):
                 continue
-            decorators = {_decorator_name(d) for d in fn.decorator_list}
+            decorators = {decorator_name(d) for d in fn.decorator_list}
             if "far_budget" in decorators:
                 continue
             if decorators & {
@@ -909,19 +909,25 @@ def lint_file(path: str) -> list[Finding]:
     return [f for f in lint_source(source, path) if f.code not in exempt]
 
 
-def lint_paths(paths: Iterable[str]) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    findings: list[Finding] = []
+def python_files(paths: Iterable[str]) -> Iterator[str]:
+    """Every ``.py`` file under ``paths`` (files or directories), sorted."""
     for root in paths:
         if os.path.isfile(root):
-            findings.extend(lint_file(root))
+            yield root
             continue
         for dirpath, dirnames, filenames in os.walk(root):
             dirnames.sort()
             dirnames[:] = [d for d in dirnames if d != "__pycache__"]
             for filename in sorted(filenames):
                 if filename.endswith(".py"):
-                    findings.extend(lint_file(os.path.join(dirpath, filename)))
+                    yield os.path.join(dirpath, filename)
+
+
+def lint_paths(paths: Iterable[str]) -> list[Finding]:
+    """Lint every ``.py`` file under ``paths`` (files or directories)."""
+    findings: list[Finding] = []
+    for path in python_files(paths):
+        findings.extend(lint_file(path))
     return findings
 
 

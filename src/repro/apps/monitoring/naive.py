@@ -131,8 +131,3 @@ class NaiveConsumer:
                     self.alarms.append(alarm)
                     raised.append(alarm)
         return raised
-
-    def reset_window(self) -> None:
-        """Forget alarm state (the naive design's window boundary)."""
-        self._events.clear()
-        self._raised.clear()

@@ -144,15 +144,6 @@ class FarVector:
     # Notification subscriptions
     # ------------------------------------------------------------------
 
-    def element_address(self, client: Client, index: int) -> int:
-        """Far address of an element (costs one far access for the base).
-
-        Callers that subscribe to many elements should read :meth:`base`
-        once and compute ``base + index * 8`` themselves.
-        """
-        self._check_index(index)
-        return self.base(client) + index * WORD
-
     def subscribe_base(
         self, manager: NotificationManager, client: Client, *, with_data: bool = True
     ) -> Subscription:

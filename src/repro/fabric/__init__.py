@@ -34,7 +34,6 @@ from .errors import (
     FarCorruptionError,
     FarTimeoutError,
     NodeUnavailableError,
-    ProtectionError,
     QueueEmpty,
     QueueFull,
     RemoteIndirectionError,
@@ -96,7 +95,6 @@ __all__ = [
     "FarTimeoutError",
     "NodeUnavailableError",
     "FabricError",
-    "ProtectionError",
     "QueueEmpty",
     "QueueFull",
     "RemoteIndirectionError",

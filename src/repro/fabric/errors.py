@@ -47,10 +47,6 @@ class RemoteIndirectionError(FabricError):
         self.target_node = target_node
 
 
-class ProtectionError(FabricError):
-    """Access touched an unallocated / freed region (allocator-enforced)."""
-
-
 class NodeUnavailableError(FabricError):
     """The memory node holding the target address has failed.
 

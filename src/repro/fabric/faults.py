@@ -347,15 +347,6 @@ class FaultInjector:
         self.rules.extend(plan.rules)
         return self
 
-    def add_rule(self, rule: FaultRule) -> "FaultInjector":
-        self.rules.append(rule)
-        return self
-
-    def clear_rules(self) -> None:
-        """Drop all rules and close any open flaky windows."""
-        self.rules.clear()
-        self._flaky_until.clear()
-
     def reset(self) -> None:
         """Back to the initial seeded state (same seed → same sequence)."""
         self.rng = random.Random(self.seed)
@@ -466,13 +457,6 @@ class FaultInjector:
         with ``torn=True``."""
         fraction, self._pending_torn = self._pending_torn, None
         return fraction
-
-    def flaky_nodes(self) -> list[int]:
-        """Nodes currently inside a flaky window."""
-        return [
-            node for node, until in self._flaky_until.items()
-            if self.op_index < until
-        ]
 
     def __repr__(self) -> str:
         return (

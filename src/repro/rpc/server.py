@@ -45,12 +45,6 @@ class RpcServerStats:
             return 0.0
         return self.busy_ns / self.last_done_ns
 
-    def mean_wait_ns(self) -> float:
-        """Average queueing delay per request."""
-        if self.rpcs == 0:
-            return 0.0
-        return self.total_wait_ns / self.rpcs
-
 
 class RpcServer:
     """A memory-side processor servicing RPCs serially.

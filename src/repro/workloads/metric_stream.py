@@ -57,11 +57,3 @@ class MetricStream:
         tail = rng.integers(self.tail_start, self.bins, size=count)
         base[spikes] = tail[spikes]
         return base
-
-    def expected_tail_fraction(self) -> float:
-        """Approximate fraction of samples landing in the alarm tail."""
-        # The Gaussian body contributes essentially nothing beyond the
-        # tail start when it is several stds above the mean.
-        sigma_distance = (self.tail_start - self.mean) / max(self.std, 1e-9)
-        body_tail = 0.5 * float(np.exp(-0.5 * sigma_distance**2)) if sigma_distance < 6 else 0.0
-        return self.spike_probability + body_tail

@@ -2,7 +2,7 @@
 
 Every method here violates the cost discipline in a distinct way; the
 certificate built over this file (see ``test_fmcost.py``) must reject
-all three. Not imported by the library — it exists only to prove that
+all of them. Not imported by the library — it exists only to prove that
 the static gate actually fails when budgets lie.
 """
 
@@ -34,3 +34,20 @@ class OverBudgetRegister:
     def unpriced_touch(self, client: Client) -> int:
         """Public far op with no ``@far_budget`` declaration at all."""
         return client.read_u64(self.addr)
+
+
+class MatchRegister:
+    """Far accesses inside a statement kind the walk once did not model
+    (and therefore certified as free)."""
+
+    def __init__(self, addr: int) -> None:
+        self.addr = addr
+
+    @far_budget(0, ceiling=0)
+    def select(self, client: Client, high: bool) -> int:
+        """Declares no far access; every ``match`` arm issues one."""
+        match high:
+            case True:
+                return client.read_u64(self.addr + 8)
+            case _:
+                return client.read_u64(self.addr)
