@@ -16,7 +16,6 @@ from repro.fabric.wire import WORD
 from repro.notify import (
     BrokerNetwork,
     DeliveryPolicy,
-    NotificationManager,
     subscribe_coarsened,
 )
 

@@ -171,15 +171,21 @@ class FarAllocator:
     ) -> int | None:
         """Scan one free range for an aligned sub-range on ``node``.
 
-        Node-owned virtual ranges come from the extent table (on a clean
-        range layout: one run per node, the legacy contiguous range), so
-        hints keep working after extents migrate.
+        Walks the range itself, one same-node span of the extent table at
+        a time (on a clean range layout: one span per node, the legacy
+        contiguous range), so hints keep working after extents migrate
+        and the cost is the range's spans, not the whole table.
         """
+        extents = self.fabric.extents
         end = start + free_size
-        for run_start, run_len in self.fabric.extents.node_extent_runs(node):
-            base = align_up(max(start, run_start), alignment)
-            if base + size <= min(end, run_start + run_len):
-                return base
+        cursor = start
+        while cursor < end:
+            span_end = cursor + extents.same_node_span(cursor, limit=end - cursor)
+            if extents.node_of(cursor) == node:
+                base = align_up(cursor, alignment)
+                if base + size <= min(end, span_end):
+                    return base
+            cursor = span_end
         return None
 
     def _first_fit_avoiding(

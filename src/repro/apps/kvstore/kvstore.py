@@ -29,16 +29,18 @@ from typing import Optional
 from ...alloc.epoch import EpochReclaimer
 from ...analysis.budget import far_budget
 from ...cluster import Cluster
-from ...core.blob import FarBlobStore
+from ...core.blob import BLOB, FarBlobStore, pack_blob
 from ...core.counter import FarCounter
 from ...core.ht_tree import HTTree
 from ...core.registry import FarRegistry, RegistryError, name_hash
 from ...fabric.client import Client
 from ...fabric.errors import FabricError
 from ...fabric.profile import Profiler
-from ...fabric.wire import WORD, decode_u64, encode_u64
+from ...fabric.wire import Layout
 
 KIND_KVSTORE = 100
+DESCRIPTOR = Layout("tree_header bucket_count max_chain ops_counter")
+"""The registry payload a store is published under (and attached from)."""
 
 
 class KeyCollisionError(FabricError):
@@ -73,14 +75,8 @@ class FarKVStore:
         index = cluster.ht_tree(bucket_count=bucket_count, reclaimer=reclaimer)
         blobs = FarBlobStore.create(cluster.allocator, index, reclaimer=reclaimer)
         ops = FarCounter.create(cluster.allocator)
-        payload = b"".join(
-            encode_u64(word)
-            for word in (
-                index.header,
-                index.bucket_count,
-                index.max_chain,
-                ops.address,
-            )
+        payload = DESCRIPTOR.pack(
+            index.header, index.bucket_count, index.max_chain, ops.address
         )
         registry.register(client, name, KIND_KVSTORE, payload)
         return cls(index=index, blobs=blobs, ops_counter=ops)
@@ -102,13 +98,13 @@ class FarKVStore:
         kind, payload = found
         if kind != KIND_KVSTORE:
             raise RegistryError(f"{name!r} is not a KV store (kind {kind})")
-        words = [decode_u64(payload[i * 8 : (i + 1) * 8]) for i in range(4)]
+        header, bucket_count, max_chain, ops_counter = DESCRIPTOR.unpack(payload)
         index = HTTree(
             cluster.allocator,
             cluster.notifications,
-            words[0],
-            bucket_count=words[1],
-            max_chain=words[2],
+            header,
+            bucket_count=bucket_count,
+            max_chain=max_chain,
             cache_mode="version",
             table_hint_spread=True,
             reclaimer=reclaimer,
@@ -117,7 +113,7 @@ class FarKVStore:
         return cls(
             index=index,
             blobs=blobs,
-            ops_counter=FarCounter.attach(words[3]),
+            ops_counter=FarCounter.attach(ops_counter),
         )
 
     # ------------------------------------------------------------------
@@ -127,13 +123,13 @@ class FarKVStore:
     @staticmethod
     def _pack(key: str, value: bytes) -> bytes:
         key_bytes = key.encode("utf-8")
-        return encode_u64(len(key_bytes)) + key_bytes + value
+        return pack_blob(key_bytes) + value
 
     @staticmethod
     def _unpack(raw: bytes) -> tuple[str, bytes]:
-        key_len = decode_u64(raw[:WORD])
-        key = raw[WORD : WORD + key_len].decode("utf-8")
-        return key, raw[WORD + key_len :]
+        (key_len,) = BLOB.unpack_from(raw)
+        value_at = BLOB.size + key_len
+        return raw[BLOB.size : value_at].decode("utf-8"), raw[value_at:]
 
     @far_budget(None, claim="C4")
     def put(self, client: Client, key: str, value: bytes) -> None:
@@ -286,12 +282,8 @@ class FarKVStore:
             self.txn_get(client, space, txn, key)
             key_hash = name_hash(key)
             data = self._pack(key, value)
-            region = self.blobs.allocator.alloc(WORD + max(len(data), 1))
-            pending.append(
-                client.submit(
-                    "write", region, encode_u64(len(data)) + data, signaled=False
-                )
-            )
+            region = self.blobs.allocator.alloc(BLOB.size + max(len(data), 1))
+            pending.append(client.submit("write", region, pack_blob(data), signaled=False))
             txn.buffer_kv(
                 store=self,
                 key=key,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ...fabric.client import Client
-from ...fabric.wire import WORD, decode_u64
+from ...fabric.wire import WORD, decode_u64, unpack_words
 from ...notify.manager import NotificationManager
 from ...notify.subscription import Subscription
 from .windows import WindowedHistogramRing
@@ -130,10 +130,7 @@ class AlarmConsumer:
         alarms: list[Alarm] = []
         for level in self.levels:
             span = (level.high_bin - level.low_bin) * WORD
-            total = sum(
-                decode_u64(raw[cursor + i * WORD : cursor + (i + 1) * WORD])
-                for i in range(span // WORD)
-            )
+            total = sum(unpack_words(raw[cursor : cursor + span]))
             cursor += span
             if total:
                 alarm = self._bump(level, total)
@@ -210,16 +207,7 @@ class AlarmConsumer:
             )
             for storage in self.ring.previous_storages(lookback)
         ]
-        totals = []
-        for future in futures:
-            raw = future.result()
-            totals.append(
-                sum(
-                    decode_u64(raw[i * WORD : (i + 1) * WORD])
-                    for i in range(len(raw) // WORD)
-                )
-            )
-        return totals
+        return [sum(unpack_words(future.result())) for future in futures]
 
     def stop(self) -> None:
         """Drop every subscription."""

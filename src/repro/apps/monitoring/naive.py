@@ -22,9 +22,10 @@ from typing import Optional
 from ...alloc import FarAllocator, PlacementHint
 from ...fabric.client import Client
 from ...fabric.errors import AddressError
-from ...fabric.wire import WORD, encode_u64
+from ...fabric.wire import WORD, Layout, pack_words
 from .consumer import DEFAULT_LEVELS, Alarm, AlarmLevel
 
+HEADER = Layout("count")  # then log[capacity], one sample word each
 
 @dataclass
 class NaiveMonitor:
@@ -45,9 +46,9 @@ class NaiveMonitor:
         """Allocate a log able to hold ``capacity`` samples."""
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        base = allocator.alloc((capacity + 1) * WORD, hint)
+        base = allocator.alloc(HEADER.size + capacity * WORD, hint)
         allocator.fabric.write_word(base, 0)  # fmlint: disable=FM003 (pre-attach provisioning)
-        return cls(count_addr=base, log_base=base + WORD, capacity=capacity)
+        return cls(count_addr=base, log_base=base + HEADER.size, capacity=capacity)
 
 
 @dataclass
@@ -67,7 +68,7 @@ class NaiveProducer:
                 (self.monitor.log_base + self.produced * WORD, WORD),
                 (self.monitor.count_addr, WORD),
             ],
-            encode_u64(sample_bin) + encode_u64(self.produced + 1),
+            pack_words((sample_bin, self.produced + 1)),
         )
         self.produced += 1
 

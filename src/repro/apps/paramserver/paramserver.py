@@ -32,9 +32,11 @@ from ...cluster import Cluster
 from ...core.queue import FarQueue
 from ...core.refreshable_vector import RefreshableVector
 from ...fabric.client import Client
-from ...fabric.wire import WORD, decode_u64, encode_u64
+from ...fabric.wire import WORD, Layout, decode_u64
 from .encoding import float_to_word, word_to_float, words_to_floats
 
+GRADIENT = Layout("count")  # then ``count`` ENTRY records
+ENTRY = Layout("index value")  # ``value`` is the float's bit pattern
 
 @dataclass(frozen=True)
 class SparseExample:
@@ -72,7 +74,7 @@ def make_sparse_dataset(
 class GradientChannel:
     """Far-memory gradient shipping: blob regions + a pointer queue.
 
-    Blob layout: ``count | (index, float-bits) * count``.
+    Blob layout: ``GRADIENT | ENTRY * count``.
     """
 
     allocator: FarAllocator
@@ -97,8 +99,8 @@ class GradientChannel:
             raise ValueError(
                 f"gradient has {len(gradient)} entries, channel max is {self.max_entries}"
             )
-        blob = encode_u64(len(gradient)) + b"".join(
-            encode_u64(index) + encode_u64(float_to_word(value))
+        blob = GRADIENT.pack(len(gradient)) + b"".join(
+            ENTRY.pack(index, float_to_word(value))
             for index, value in sorted(gradient.items())
         )
         region = self.allocator.alloc(max(len(blob), WORD))
@@ -112,14 +114,9 @@ class GradientChannel:
         if region is None:
             return None
         count = decode_u64(client.read(region, WORD))
-        raw = client.read(region + WORD, count * 2 * WORD)
-        gradient: dict[int, float] = {}
-        for i in range(count):
-            index = decode_u64(raw[i * 2 * WORD : i * 2 * WORD + WORD])
-            word = decode_u64(raw[i * 2 * WORD + WORD : (i + 1) * 2 * WORD])
-            gradient[index] = word_to_float(word)
+        raw = client.read(region + GRADIENT.size, count * ENTRY.size)
         self.allocator.free(region)
-        return gradient
+        return {index: word_to_float(word) for index, word in ENTRY.iter_unpack(raw)}
 
     def receive_many(
         self, client: Client, max_items: Optional[int] = None
@@ -140,22 +137,16 @@ class GradientChannel:
             body_futures.append(
                 (
                     region,
-                    count,
                     client.submit(
-                        "read", region + WORD, count * 2 * WORD, signaled=False
+                        "read", region + GRADIENT.size, count * ENTRY.size, signaled=False
                     ),
                 )
             )
         gradients: "list[dict[int, float]]" = []
-        for region, count, future in body_futures:
-            raw = future.result()
-            gradient: dict[int, float] = {}
-            for i in range(count):
-                index = decode_u64(raw[i * 2 * WORD : i * 2 * WORD + WORD])
-                word = decode_u64(raw[i * 2 * WORD + WORD : (i + 1) * 2 * WORD])
-                gradient[index] = word_to_float(word)
+        for region, future in body_futures:
+            entries = ENTRY.iter_unpack(future.result())
             self.allocator.free(region)
-            gradients.append(gradient)
+            gradients.append({index: word_to_float(word) for index, word in entries})
         return gradients
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..fabric.client import Client
 from ..fabric.wire import WORD, decode_u64
-from .onesided_hash import ITEM_BYTES, OneSidedHashMap
+from .onesided_hash import NODE, OneSidedHashMap
 
 CACHE_ENTRY_BYTES = 24
 """Approximate client-memory cost of one cached (key -> address) entry."""
@@ -56,10 +56,10 @@ class AddressCachingHashMap:
         cache = self._cache(client)
         addr = cache.get(key)
         if addr is not None:
-            raw = client.read(addr, ITEM_BYTES)
-            if decode_u64(raw[0:8]) == key:
+            stored_key, value, _ = NODE.unpack(client.read(addr, NODE.size))
+            if stored_key == key:
                 self.stats.cache_hits += 1
-                return decode_u64(raw[8:16])
+                return value
             # Record moved or deleted under us: drop and re-walk.
             self.stats.invalidations += 1
             del cache[key]
@@ -68,7 +68,7 @@ class AddressCachingHashMap:
         if found is None:
             return None
         cache[key] = found
-        return decode_u64(client.read(found + WORD, WORD))
+        return decode_u64(client.read(found + NODE.offset["value"], WORD))
 
     def put(self, client: Client, key: int, value: int) -> None:
         """Insert/update through a cached address when possible (one far
@@ -76,9 +76,9 @@ class AddressCachingHashMap:
         cache = self._cache(client)
         addr = cache.get(key)
         if addr is not None:
-            raw = client.read(addr, ITEM_BYTES)
-            if decode_u64(raw[0:8]) == key:
-                client.write_u64(addr + WORD, value)
+            stored_key, _, _ = NODE.unpack(client.read(addr, NODE.size))
+            if stored_key == key:
+                client.write_u64(addr + NODE.offset["value"], value)
                 self.table.stats.updates += 1
                 return
             self.stats.invalidations += 1

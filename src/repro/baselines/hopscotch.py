@@ -27,10 +27,11 @@ from ..alloc import FarAllocator, PlacementHint
 from ..core.ht_tree import hash_u64
 from ..fabric.client import Client
 from ..fabric.errors import FabricError
-from ..fabric.wire import U64_MASK, WORD, decode_u64, encode_u64
+from ..fabric.wire import U64_MASK, WORD, Layout, decode_u64
 
-SLOT_BYTES = 2 * WORD
+SLOT = Layout("key value")
 EMPTY_KEY = U64_MASK
+EMPTY_SLOT = SLOT.pack(EMPTY_KEY, 0)
 """Reserved key marking a free slot."""
 
 
@@ -83,38 +84,31 @@ class HopscotchHashMap:
         """Allocate an empty table (every slot marked free)."""
         if slot_count <= 0 or neighborhood <= 0 or neighborhood > slot_count:
             raise ValueError("invalid slot_count / neighborhood")
-        base = allocator.alloc(slot_count * SLOT_BYTES, hint)
-        empty = encode_u64(EMPTY_KEY) + encode_u64(0)
+        base = allocator.alloc(slot_count * SLOT.size, hint)
         # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(base, empty * slot_count)
+        allocator.fabric.write(base, EMPTY_SLOT * slot_count)
         return cls(allocator, base, slot_count, neighborhood)
 
     def _home(self, key: int) -> int:
         return hash_u64(key) % self.slot_count
 
     def _slot_address(self, index: int) -> int:
-        return self.base + (index % self.slot_count) * SLOT_BYTES
+        return self.base + (index % self.slot_count) * SLOT.size
 
     def _read_neighborhood(self, client: Client, home: int) -> list[tuple[int, int]]:
         """One wide far read of H slots (wrapping handled with a gather)."""
         h = self.neighborhood
         if home + h <= self.slot_count:
-            raw = client.read(self._slot_address(home), h * SLOT_BYTES)
+            raw = client.read(self._slot_address(home), h * SLOT.size)
         else:
             first = self.slot_count - home
             raw = client.rgather(
                 [
-                    (self._slot_address(home), first * SLOT_BYTES),
-                    (self.base, (h - first) * SLOT_BYTES),
+                    (self._slot_address(home), first * SLOT.size),
+                    (self.base, (h - first) * SLOT.size),
                 ]
             )
-        return [
-            (
-                decode_u64(raw[i * SLOT_BYTES : i * SLOT_BYTES + WORD]),
-                decode_u64(raw[i * SLOT_BYTES + WORD : (i + 1) * SLOT_BYTES]),
-            )
-            for i in range(h)
-        ]
+        return list(SLOT.iter_unpack(raw))
 
     def get(self, client: Client, key: int) -> Optional[int]:
         """Look up ``key``: exactly one far access (the wide neighborhood
@@ -138,7 +132,7 @@ class HopscotchHashMap:
         slots = self._read_neighborhood(client, home)
         for offset, (k, _) in enumerate(slots):
             if k == key:
-                client.write_u64(self._slot_address(home + offset) + WORD, value)
+                client.write_u64(self._slot_address(home + offset) + SLOT.offset["value"], value)
                 self.stats.updates += 1
                 return
         try:
@@ -151,23 +145,16 @@ class HopscotchHashMap:
             self._resize(client)
             self.put(client, key, value)
             return
-        client.write(
-            self._slot_address(free), encode_u64(key) + encode_u64(value)
-        )
+        client.write(self._slot_address(free), SLOT.pack(key, value))
         self.stats.inserts += 1
         self._item_count += 1
 
     def _resize(self, client: Client) -> None:
         """Double the table: one bulk read of every slot, a fresh
         allocation, and one bulk write — disruptive by design."""
-        old_bytes = self.slot_count * SLOT_BYTES
+        old_bytes = self.slot_count * SLOT.size
         raw = client.read(self.base, old_bytes)
-        live: list[tuple[int, int]] = []
-        for i in range(self.slot_count):
-            k = decode_u64(raw[i * SLOT_BYTES : i * SLOT_BYTES + WORD])
-            if k != EMPTY_KEY:
-                v = decode_u64(raw[i * SLOT_BYTES + WORD : (i + 1) * SLOT_BYTES])
-                live.append((k, v))
+        live = [(k, v) for k, v in SLOT.iter_unpack(raw) if k != EMPTY_KEY]
         old_count = self.slot_count
         new_count = old_count * 2
         while True:
@@ -176,14 +163,11 @@ class HopscotchHashMap:
             if image is not None:
                 break
             new_count *= 2  # a cluster still exceeded the neighborhood
-        new_base = self.allocator.alloc(new_count * SLOT_BYTES)
-        client.write(
-            new_base,
-            b"".join(encode_u64(k) + encode_u64(v) for k, v in image),
-        )
+        new_base = self.allocator.alloc(new_count * SLOT.size)
+        client.write(new_base, b"".join(SLOT.pack(k, v) for k, v in image))
         self.base = new_base
         self.stats.resizes += 1
-        self.stats.resize_bytes_moved += old_bytes + new_count * SLOT_BYTES
+        self.stats.resize_bytes_moved += old_bytes + new_count * SLOT.size
 
     def _rebuild_image(
         self, live: list[tuple[int, int]], new_count: int
@@ -231,8 +215,8 @@ class HopscotchHashMap:
             # earliest movable one is preferred (classic hopscotch).
             for back in range(self.neighborhood - 1, 0, -1):
                 candidate = (free - back) % self.slot_count
-                raw = client.read(self._slot_address(candidate), SLOT_BYTES)
-                k = decode_u64(raw[:WORD])
+                raw = client.read(self._slot_address(candidate), SLOT.size)
+                k, _ = SLOT.unpack(raw)
                 if k == EMPTY_KEY:
                     continue
                 cand_home = self._home(k)
@@ -240,10 +224,7 @@ class HopscotchHashMap:
                 # inside the candidate's own neighborhood.
                 if self._distance(cand_home, free) < self.neighborhood:
                     client.write(self._slot_address(free), raw)
-                    client.write(
-                        self._slot_address(candidate),
-                        encode_u64(EMPTY_KEY) + encode_u64(0),
-                    )
+                    client.write(self._slot_address(candidate), EMPTY_SLOT)
                     self.stats.displacements += 1
                     free = candidate
                     moved = True
@@ -260,10 +241,7 @@ class HopscotchHashMap:
         slots = self._read_neighborhood(client, home)
         for offset, (k, _) in enumerate(slots):
             if k == key:
-                client.write(
-                    self._slot_address(home + offset),
-                    encode_u64(EMPTY_KEY) + encode_u64(0),
-                )
+                client.write(self._slot_address(home + offset), EMPTY_SLOT)
                 self.stats.deletes += 1
                 self._item_count -= 1
                 return True

@@ -16,9 +16,9 @@ from typing import Iterator, Optional
 
 from ..alloc import FarAllocator, PlacementHint
 from ..fabric.client import Client
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, Layout
 
-RECORD_BYTES = 3 * WORD
+RECORD = Layout("key value next")
 
 
 @dataclass
@@ -53,9 +53,9 @@ class FarLinkedList:
 
     def push_front(self, client: Client, key: int, value: int) -> None:
         """Prepend a record: record write + head CAS (two far accesses)."""
-        record = self.allocator.alloc(RECORD_BYTES, PlacementHint(near=self.head))
+        record = self.allocator.alloc(RECORD.size, PlacementHint(near=self.head))
         old_head = client.read_u64(self.head)
-        client.write(record, encode_u64(key) + encode_u64(value) + encode_u64(old_head))
+        client.write(record, RECORD.pack(key, value, old_head))
         client.fence()
         while True:
             observed, ok = client.cas(self.head, old_head, record)
@@ -63,7 +63,7 @@ class FarLinkedList:
                 break
             self.stats.cas_retries += 1
             old_head = observed
-            client.write_u64(record + 2 * WORD, old_head)
+            client.write_u64(record + RECORD.offset["next"], old_head)
         self.stats.pushes += 1
         self._item_count += 1
 
@@ -72,12 +72,11 @@ class FarLinkedList:
         self.stats.lookups += 1
         addr = client.read_u64(self.head)
         while addr != 0:
-            raw = client.read(addr, RECORD_BYTES)
+            stored_key, value, addr = RECORD.unpack(client.read(addr, RECORD.size))
             self.stats.hops += 1
-            if decode_u64(raw[0:8]) == key:
+            if stored_key == key:
                 self.stats.hits += 1
-                return decode_u64(raw[8:16])
-            addr = decode_u64(raw[16:24])
+                return value
         self.stats.misses += 1
         return None
 
@@ -85,9 +84,8 @@ class FarLinkedList:
         """Iterate (key, value) pairs, one far read per record."""
         addr = client.read_u64(self.head)
         while addr != 0:
-            raw = client.read(addr, RECORD_BYTES)
-            yield decode_u64(raw[0:8]), decode_u64(raw[8:16])
-            addr = decode_u64(raw[16:24])
+            key, value, addr = RECORD.unpack(client.read(addr, RECORD.size))
+            yield key, value
 
     def __len__(self) -> int:
         return self._item_count

@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..alloc import FarAllocator, PlacementHint
 from ..fabric.client import Client
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, pack_words, unpack_words
 
 
 @dataclass
@@ -115,15 +115,10 @@ class OneSidedBTree:
         keys = node.keys + [0] * (self.max_keys - count)
         values = node.values + [0] * (self.max_keys - count)
         kids = node.children + [0] * (self.max_keys + 1 - len(node.children))
-        return b"".join(
-            encode_u64(w) for w in [header, *keys, *values, *kids]
-        )
+        return pack_words([header, *keys, *values, *kids])
 
     def _decode(self, raw: bytes) -> _BNode:
-        words = [
-            decode_u64(raw[i * WORD : (i + 1) * WORD])
-            for i in range(len(raw) // WORD)
-        ]
+        words = list(unpack_words(raw))
         header = words[0]
         count = header & 0xFFFFFFFF
         is_leaf = bool(header >> 32)

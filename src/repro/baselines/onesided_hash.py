@@ -27,9 +27,9 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..core.ht_tree import hash_u64
 from ..fabric.client import Client
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, Layout
 
-ITEM_BYTES = 3 * WORD
+NODE = Layout("key value next")
 
 
 @dataclass
@@ -75,17 +75,13 @@ class OneSidedHashMap:
     def _bucket_address(self, key: int) -> int:
         return self.base + (hash_u64(key) % self.bucket_count) * WORD
 
-    @staticmethod
-    def _parse(raw: bytes) -> tuple[int, int, int]:
-        return decode_u64(raw[0:8]), decode_u64(raw[8:16]), decode_u64(raw[16:24])
-
     def get(self, client: Client, key: int) -> Optional[int]:
         """Look up ``key``: bucket read + one read per chain record, so a
         minimum of two far accesses on a hit."""
         self.stats.lookups += 1
         addr = client.read_u64(self._bucket_address(key))  # far access 1
         while addr != 0:
-            k, v, nxt = self._parse(client.read(addr, ITEM_BYTES))  # +1 each
+            k, v, nxt = NODE.unpack(client.read(addr, NODE.size))  # +1 each
             if k == key:
                 self.stats.hits += 1
                 return v
@@ -99,7 +95,7 @@ class OneSidedHashMap:
         DrTM+H-style address-caching wrapper)."""
         addr = client.read_u64(self._bucket_address(key))
         while addr != 0:
-            k, _, nxt = self._parse(client.read(addr, ITEM_BYTES))
+            k, _, nxt = NODE.unpack(client.read(addr, NODE.size))
             if k == key:
                 return addr
             self.stats.chain_hops += 1
@@ -113,18 +109,16 @@ class OneSidedHashMap:
         head = client.read_u64(bucket)
         addr = head
         while addr != 0:
-            k, _, nxt = self._parse(client.read(addr, ITEM_BYTES))
+            k, _, nxt = NODE.unpack(client.read(addr, NODE.size))
             if k == key:
-                client.write_u64(addr + WORD, value)
+                client.write_u64(addr + NODE.offset["value"], value)
                 self.stats.updates += 1
                 return
             self.stats.chain_hops += 1
             addr = nxt
-        record = self.allocator.alloc(ITEM_BYTES, PlacementHint(near=self.base))
+        record = self.allocator.alloc(NODE.size, PlacementHint(near=self.base))
         next_ptr = head
-        client.write(
-            record, encode_u64(key) + encode_u64(value) + encode_u64(next_ptr)
-        )
+        client.write(record, NODE.pack(key, value, next_ptr))
         client.fence()
         while True:
             old, ok = client.cas(bucket, next_ptr, record)
@@ -132,7 +126,7 @@ class OneSidedHashMap:
                 break
             self.stats.cas_retries += 1
             next_ptr = old
-            client.write_u64(record + 2 * WORD, next_ptr)
+            client.write_u64(record + NODE.offset["next"], next_ptr)
         self.stats.inserts += 1
         self._item_count += 1
 
@@ -144,7 +138,7 @@ class OneSidedHashMap:
         head = client.read_u64(bucket)
         if head == 0:
             return False
-        k, _, nxt = self._parse(client.read(head, ITEM_BYTES))
+        k, _, nxt = NODE.unpack(client.read(head, NODE.size))
         if k == key:
             _, ok = client.cas(bucket, head, nxt)
             if not ok:
@@ -158,9 +152,9 @@ class OneSidedHashMap:
         addr = nxt
         while addr != 0:
             self.stats.chain_hops += 1
-            k, _, nxt = self._parse(client.read(addr, ITEM_BYTES))
+            k, _, nxt = NODE.unpack(client.read(addr, NODE.size))
             if k == key:
-                client.write_u64(prev + 2 * WORD, nxt)
+                client.write_u64(prev + NODE.offset["next"], nxt)
                 self._tombstone(client, addr)
                 self.stats.deletes += 1
                 self._item_count -= 1

@@ -23,9 +23,10 @@ from typing import Optional
 
 from ..alloc import FarAllocator, PlacementHint
 from ..fabric.client import Client
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, Layout, pack_words, unpack_words
 
 MAX_LEVEL = 24
+NODE = Layout("key value level")  # then tower[level], one next pointer per level
 
 
 @dataclass
@@ -75,20 +76,13 @@ class FarSkipList:
     def _read_node(self, client: Client, address: int) -> tuple[int, int, int, list[int]]:
         """Read a node's fixed header, then its tower (one far access via
         a two-part gather, since the tower length is in the header)."""
-        raw = client.read(address, 3 * WORD)
+        key, value, level = NODE.unpack(client.read(address, NODE.size))
         self.stats.node_reads += 1
-        key = decode_u64(raw[0:8])
-        value = decode_u64(raw[8:16])
-        level = decode_u64(raw[16:24])
-        raw_tower = client.read(address + 3 * WORD, level * WORD)
-        nexts = [
-            decode_u64(raw_tower[i * WORD : (i + 1) * WORD]) for i in range(level)
-        ]
-        return key, value, level, nexts
+        raw_tower = client.read(address + NODE.size, level * WORD)
+        return key, value, level, list(unpack_words(raw_tower))
 
     def _head_tower(self, client: Client) -> list[int]:
-        raw = client.read(self.head, MAX_LEVEL * WORD)
-        return [decode_u64(raw[i * WORD : (i + 1) * WORD]) for i in range(MAX_LEVEL)]
+        return list(unpack_words(client.read(self.head, MAX_LEVEL * WORD)))
 
     def get(self, client: Client, key: int) -> Optional[int]:
         """Look up ``key``: O(log n) far reads (each node visit is two
@@ -130,7 +124,7 @@ class FarSkipList:
         if current_nexts[0] != 0:
             k, _, lvl, _ = self._read_node(client, current_nexts[0])
             if k == key:
-                client.write_u64(current_nexts[0] + WORD, value)
+                client.write_u64(current_nexts[0] + NODE.offset["value"], value)
                 self.stats.updates += 1
                 return
 
@@ -141,7 +135,7 @@ class FarSkipList:
             self._level = new_level
 
         node = self.allocator.alloc(
-            (3 + new_level) * WORD, PlacementHint(near=self.head)
+            NODE.size + new_level * WORD, PlacementHint(near=self.head)
         )
         # Link the new node: read each predecessor's pointer, point the new
         # node at it, then swing the predecessor (bottom level last would
@@ -152,23 +146,17 @@ class FarSkipList:
             slot = (
                 self.head + level * WORD
                 if pred == 0
-                else pred + 3 * WORD + level * WORD
+                else pred + NODE.size + level * WORD
             )
             new_nexts.append(client.read_u64(slot))
-        client.write(
-            node,
-            encode_u64(key)
-            + encode_u64(value)
-            + encode_u64(new_level)
-            + b"".join(encode_u64(n) for n in new_nexts),
-        )
+        client.write(node, NODE.pack(key, value, new_level) + pack_words(new_nexts))
         client.fence()
         for level in range(new_level):
             pred = update_addrs[level]
             slot = (
                 self.head + level * WORD
                 if pred == 0
-                else pred + 3 * WORD + level * WORD
+                else pred + NODE.size + level * WORD
             )
             # fmlint: disable=FM001 (bottom-up link order is load-bearing)
             client.write_u64(slot, node)

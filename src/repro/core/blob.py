@@ -23,8 +23,16 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..alloc.epoch import EpochReclaimer
 from ..fabric.client import Client
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, Layout
 from .ht_tree import HTTree
+
+BLOB = Layout("length")  # then ``length`` payload bytes
+
+
+def pack_blob(data: bytes) -> bytes:
+    """``data`` behind its length word: the one far-blob format, shared by
+    the blob store, the registry's payloads and the KV store's records."""
+    return BLOB.pack(len(data)) + data
 
 
 @dataclass
@@ -81,8 +89,8 @@ class FarBlobStore:
     ) -> None:
         """Store ``data`` under ``key``, replacing any previous blob."""
         old_region = self.index.get(client, key)
-        region = self.allocator.alloc(WORD + max(len(data), 1), hint)
-        client.write(region, encode_u64(len(data)) + data)
+        region = self.allocator.alloc(BLOB.size + max(len(data), 1), hint)
+        client.write(region, pack_blob(data))
         client.fence()  # the blob must be durable before it is reachable
         self.index.put(client, key, region)
         if old_region is not None:
@@ -96,16 +104,16 @@ class FarBlobStore:
         if region is None:
             return None
         self.stats.gets += 1
-        first = client.read(region, WORD + self.inline_hint)
-        length = decode_u64(first[:WORD])
+        first = client.read(region, BLOB.size + self.inline_hint)
+        (length,) = BLOB.unpack_from(first)
         if length <= self.inline_hint:
-            return first[WORD : WORD + length]
+            return first[BLOB.size : BLOB.size + length]
         # Large blob: one more read for the tail the hint missed.
         self.stats.overflow_reads += 1
         rest = client.read(
-            region + WORD + self.inline_hint, length - self.inline_hint
+            region + BLOB.size + self.inline_hint, length - self.inline_hint
         )
-        return first[WORD:] + rest
+        return first[BLOB.size :] + rest
 
     def multiget(
         self, client: Client, keys: "list[int]"
@@ -125,7 +133,7 @@ class FarBlobStore:
                     i,
                     region,
                     client.submit(
-                        "read", region, WORD + self.inline_hint, signaled=False
+                        "read", region, BLOB.size + self.inline_hint, signaled=False
                     ),
                 )
             )
@@ -133,9 +141,9 @@ class FarBlobStore:
         overflow = []
         for i, region, future in firsts:
             first = future.result()
-            length = decode_u64(first[:WORD])
+            (length,) = BLOB.unpack_from(first)
             if length <= self.inline_hint:
-                out[i] = first[WORD : WORD + length]
+                out[i] = first[BLOB.size : BLOB.size + length]
             else:
                 self.stats.overflow_reads += 1
                 overflow.append(
@@ -144,14 +152,14 @@ class FarBlobStore:
                         first,
                         client.submit(
                             "read",
-                            region + WORD + self.inline_hint,
+                            region + BLOB.size + self.inline_hint,
                             length - self.inline_hint,
                             signaled=False,
                         ),
                     )
                 )
         for i, first, future in overflow:
-            out[i] = first[WORD:] + future.result()
+            out[i] = first[BLOB.size :] + future.result()
         return out
 
     def multiput(
@@ -168,11 +176,9 @@ class FarBlobStore:
         writes = []
         pairs: "list[tuple[int, int]]" = []
         for key, data in items:
-            region = self.allocator.alloc(WORD + max(len(data), 1), hint)
+            region = self.allocator.alloc(BLOB.size + max(len(data), 1), hint)
             writes.append(
-                client.submit(
-                    "write", region, encode_u64(len(data)) + data, signaled=False
-                )
+                client.submit("write", region, pack_blob(data), signaled=False)
             )
             pairs.append((key, region))
         if pairs:

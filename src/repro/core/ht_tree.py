@@ -73,14 +73,21 @@ from ..alloc.epoch import EpochReclaimer
 from ..analysis.budget import far_budget
 from ..fabric.client import Client
 from ..fabric.errors import StaleCacheError
-from ..fabric.wire import U64_MASK, WORD, decode_u64, encode_u64
+from ..fabric.wire import (
+    U64_MASK,
+    WORD,
+    Layout,
+    decode_u64,  # noqa: F401  (benchmarks/wallclock/tests/test_spans.py pins this binding)
+    pack_words,
+    unpack_words,
+)
 from ..notify.manager import NotificationManager
 from ..notify.subscription import Subscription
 
-ITEM_BYTES = 4 * WORD
-LEAF_BYTES = 4 * WORD
-HEADER_WORDS = 3
-TABLE_HEADER_BYTES = 2 * WORD
+HEADER = Layout("version leaf_count leaves")
+LEAF = Layout("upper table version buckets")
+TABLE = Layout("version split_lock")  # then buckets[bucket_count], one word each
+ITEM = Layout("version key value next")
 MOVED = U64_MASK
 """Tombstone version: this table's contents moved in a split."""
 
@@ -105,7 +112,7 @@ class _Leaf:
     def bucket_address(self, key: int) -> int:
         """Far address of the bucket word for ``key``."""
         index = hash_u64(key) % self.buckets
-        return self.table + TABLE_HEADER_BYTES + index * WORD
+        return self.table + TABLE.size + index * WORD
 
 
 @dataclass
@@ -117,22 +124,8 @@ class _Item:
     value: int
     next: int
 
-    @classmethod
-    def parse(cls, raw: bytes) -> "_Item":
-        return cls(
-            version=decode_u64(raw[0:8]),
-            key=decode_u64(raw[8:16]),
-            value=decode_u64(raw[16:24]),
-            next=decode_u64(raw[24:32]),
-        )
-
     def encode(self) -> bytes:
-        return (
-            encode_u64(self.version)
-            + encode_u64(self.key)
-            + encode_u64(self.value)
-            + encode_u64(self.next)
-        )
+        return ITEM.pack(self.version, self.key, self.value, self.next)
 
 
 @dataclass
@@ -153,7 +146,7 @@ class _TreeCache:
 
     def size_bytes(self) -> int:
         """Client cache footprint — the section 5.2 scaling argument."""
-        return len(self.leaves) * LEAF_BYTES
+        return len(self.leaves) * LEAF.size
 
 
 @dataclass
@@ -230,7 +223,7 @@ class HTTree:
         buckets."""
         if bucket_count <= 0 or initial_leaves <= 0 or max_chain < 1:
             raise ValueError("bucket_count, initial_leaves, max_chain must be positive")
-        header = allocator.alloc(HEADER_WORDS * WORD, hint)
+        header = allocator.alloc(HEADER.size, hint)
         tree = cls(
             allocator,
             manager,
@@ -256,7 +249,7 @@ class HTTree:
         return spread() if self.table_hint_spread else None
 
     def _create_table(self, version: int) -> int:
-        size = TABLE_HEADER_BYTES + self.bucket_count * WORD
+        size = TABLE.size + self.bucket_count * WORD
         table = self.allocator.alloc(size, self._table_hint())
         fabric = self.allocator.fabric
         fabric.write(table, b"\x00" * size)  # fmlint: disable=FM003 (caller charges the access)
@@ -266,18 +259,18 @@ class HTTree:
     def _publish_tree(self, version: int, leaves: list[_Leaf]) -> None:
         """Serialize the leaves array and flip the header (setup-side or
         splitter-side; callers charge the far accesses)."""
-        blob = b"".join(
-            encode_u64(leaf.upper)
-            + encode_u64(leaf.table)
-            + encode_u64(leaf.version)
-            + encode_u64(leaf.buckets)
-            for leaf in leaves
-        )
+        blob = self._encode_leaves(leaves)
         region = self.allocator.alloc(max(len(blob), WORD))
         fabric = self.allocator.fabric
         fabric.write(region, blob)  # fmlint: disable=FM003 (caller charges the access)
-        header_blob = encode_u64(version) + encode_u64(len(leaves)) + encode_u64(region)
+        header_blob = HEADER.pack(version, len(leaves), region)
         fabric.write(self.header, header_blob)  # fmlint: disable=FM003 (caller charges the access)
+
+    @staticmethod
+    def _encode_leaves(leaves: list[_Leaf]) -> bytes:
+        return b"".join(
+            LEAF.pack(leaf.upper, leaf.table, leaf.version, leaf.buckets) for leaf in leaves
+        )
 
     # ------------------------------------------------------------------
     # Client tree cache
@@ -308,22 +301,9 @@ class HTTree:
 
     def _load_cache(self, client: Client, cache: _TreeCache) -> None:
         """Refresh the whole cached tree: two far accesses (header, leaves)."""
-        raw_header = client.read(self.header, HEADER_WORDS * WORD)
-        version = decode_u64(raw_header[0:8])
-        count = decode_u64(raw_header[8:16])
-        region = decode_u64(raw_header[16:24])
-        raw = client.read(region, count * LEAF_BYTES)
-        leaves = []
-        for i in range(count):
-            off = i * LEAF_BYTES
-            leaves.append(
-                _Leaf(
-                    upper=decode_u64(raw[off : off + 8]),
-                    table=decode_u64(raw[off + 8 : off + 16]),
-                    version=decode_u64(raw[off + 16 : off + 24]),
-                    buckets=decode_u64(raw[off + 24 : off + 32]),
-                )
-            )
+        version, count, region = HEADER.unpack(client.read(self.header, HEADER.size))
+        raw = client.read(region, count * LEAF.size)
+        leaves = [_Leaf(*words) for words in LEAF.iter_unpack(raw)]
         cache.version = version
         cache.region = region
         cache.leaves = leaves
@@ -368,8 +348,8 @@ class HTTree:
         cache = self._cache(client)
         leaf = cache.find_leaf(key)
         client.touch_local(max(1, len(cache.uppers).bit_length()))
-        raw = client.load0(leaf.bucket_address(key), ITEM_BYTES).value
-        item = _Item.parse(raw)
+        raw = client.load0(leaf.bucket_address(key), ITEM.size).value
+        item = _Item(*ITEM.unpack(raw))
         if item.version == 0:
             self.stats.misses += 1
             return None
@@ -384,7 +364,7 @@ class HTTree:
                 self.stats.misses += 1
                 return None
             self.stats.chain_hops += 1
-            item = _Item.parse(client.read(item.next, ITEM_BYTES))
+            item = _Item(*ITEM.unpack(client.read(item.next, ITEM.size)))
 
     @far_budget(1, per_item=True, claim="C4")
     def multiget(
@@ -426,7 +406,7 @@ class HTTree:
                         client.submit(
                             "load0",
                             leaf.bucket_address(keys[pos]),
-                            ITEM_BYTES,
+                            ITEM.size,
                             signaled=False,
                         ),
                     )
@@ -434,7 +414,7 @@ class HTTree:
             stale: list[int] = []
             chase: list[tuple[int, _Item]] = []
             for pos, leaf, future in probes:
-                item = _Item.parse(future.result().value)
+                item = _Item(*ITEM.unpack(future.result().value))
                 if item.version == 0:
                     self.stats.misses += 1
                     values[pos] = None
@@ -457,11 +437,11 @@ class HTTree:
                             (
                                 pos,
                                 client.submit(
-                                    "read", item.next, ITEM_BYTES, signaled=False
+                                    "read", item.next, ITEM.size, signaled=False
                                 ),
                             )
                         )
-                chase = [(pos, _Item.parse(f.result())) for pos, f in hops]
+                chase = [(pos, _Item(*ITEM.unpack(f.result()))) for pos, f in hops]
             if not stale:
                 return [values[i] for i in range(len(keys))]
             self._stale_refresh(client)
@@ -493,9 +473,9 @@ class HTTree:
 
         # Access 1: version check — read the bucket's head item (and the
         # bucket pointer itself, carried in the load0 response).
-        result = client.load0(bucket_addr, ITEM_BYTES)
+        result = client.load0(bucket_addr, ITEM.size)
         head_ptr = result.pointer
-        item = _Item.parse(result.value)
+        item = _Item(*ITEM.unpack(result.value))
 
         if item.version == MOVED or (item.version not in (0, leaf.version)):
             self._stale_refresh(client)
@@ -509,17 +489,17 @@ class HTTree:
             chain_len += 1
             if probe.key == key:
                 # Access 2: in-place value update.
-                client.write_u64(addr + 2 * WORD, value)
+                client.write_u64(addr + ITEM.offset["value"], value)
                 self.stats.updates += 1
                 return
             if probe.next == 0:
                 break
             self.stats.chain_hops += 1
             addr = probe.next
-            probe = _Item.parse(client.read(addr, ITEM_BYTES))
+            probe = _Item(*ITEM.unpack(client.read(addr, ITEM.size)))
 
         # New key: write the record, then CAS it in as the new chain head.
-        record = self.allocator.alloc(ITEM_BYTES, PlacementHint(near=leaf.table))
+        record = self.allocator.alloc(ITEM.size, PlacementHint(near=leaf.table))
         new_item = _Item(version=leaf.version, key=key, value=value, next=head_ptr)
         client.write(record, new_item.encode())  # access 2
         client.fence()  # the record must be visible before the CAS lands
@@ -530,7 +510,7 @@ class HTTree:
             # A concurrent insert won: re-link behind the new head.
             self.stats.cas_retries += 1
             new_item.next = old
-            client.write_u64(record + 3 * WORD, new_item.next)
+            client.write_u64(record + ITEM.offset["next"], new_item.next)
         self.stats.inserts += 1
         self._item_count += 1
 
@@ -575,7 +555,7 @@ class HTTree:
                         pos,
                         leaf,
                         client.submit(
-                            "load0", leaf.bucket_address(key), ITEM_BYTES,
+                            "load0", leaf.bucket_address(key), ITEM.size,
                             signaled=False,
                         ),
                     )
@@ -585,7 +565,7 @@ class HTTree:
             active: list[list] = []
             for pos, leaf, future in probes:
                 result = future.result()
-                item = _Item.parse(result.value)
+                item = _Item(*ITEM.unpack(result.value))
                 if item.version == MOVED or (item.version not in (0, leaf.version)):
                     stale.append(pos)
                     continue
@@ -613,18 +593,18 @@ class HTTree:
                                 head,
                                 probe.next,
                                 client.submit(
-                                    "read", probe.next, ITEM_BYTES, signaled=False
+                                    "read", probe.next, ITEM.size, signaled=False
                                 ),
                                 chain_len,
                             )
                         )
                 active = [
-                    [pos, leaf, head, addr, _Item.parse(f.result()), chain_len]
+                    [pos, leaf, head, addr, _Item(*ITEM.unpack(f.result())), chain_len]
                     for pos, leaf, head, addr, f, chain_len in hops
                 ]
             update_futures = [
                 client.submit(
-                    "write_u64", addr + 2 * WORD, pairs[pos][1], signaled=False
+                    "write_u64", addr + ITEM.offset["value"], pairs[pos][1], signaled=False
                 )
                 for pos, addr in updates
             ]
@@ -637,7 +617,7 @@ class HTTree:
             write_futures = []
             for pos, leaf, head, chain_len in inserts:
                 record = self.allocator.alloc(
-                    ITEM_BYTES, PlacementHint(near=leaf.table)
+                    ITEM.size, PlacementHint(near=leaf.table)
                 )
                 new_item = _Item(
                     version=leaf.version,
@@ -690,7 +670,7 @@ class HTTree:
                     entry[3].next = old
                     relinks.append(
                         client.submit(
-                            "write_u64", entry[2] + 3 * WORD, old, signaled=False
+                            "write_u64", entry[2] + ITEM.offset["next"], old, signaled=False
                         )
                     )
                     retry.append(entry)
@@ -728,9 +708,9 @@ class HTTree:
         client.touch_local(max(1, len(cache.uppers).bit_length()))
         bucket_addr = leaf.bucket_address(key)
 
-        result = client.load0(bucket_addr, ITEM_BYTES)
+        result = client.load0(bucket_addr, ITEM.size)
         head_ptr = result.pointer
-        item = _Item.parse(result.value)
+        item = _Item(*ITEM.unpack(result.value))
         if item.version == 0:
             return False
         if item.version == MOVED or item.version != leaf.version:
@@ -751,9 +731,9 @@ class HTTree:
         addr = item.next
         while addr != 0:
             self.stats.chain_hops += 1
-            probe = _Item.parse(client.read(addr, ITEM_BYTES))
+            probe = _Item(*ITEM.unpack(client.read(addr, ITEM.size)))
             if probe.key == key:
-                client.write_u64(prev_addr + 3 * WORD, probe.next)
+                client.write_u64(prev_addr + ITEM.offset["next"], probe.next)
                 self._retire(addr)
                 self.stats.deletes += 1
                 self._item_count -= 1
@@ -823,7 +803,7 @@ class HTTree:
 
     def _split(self, client: Client, leaf: _Leaf) -> None:
         # Serialize splitters with the table's split lock.
-        _, ok = client.cas(leaf.table + WORD, 0, client.client_id + 1)
+        _, ok = client.cas(leaf.table + TABLE.offset["split_lock"], 0, client.client_id + 1)
         if not ok:
             return  # someone else is splitting this table
 
@@ -836,13 +816,13 @@ class HTTree:
         )
         if current is None:
             # The table was already split out of the tree.
-            client.write_u64(leaf.table + WORD, 0)
+            client.write_u64(leaf.table + TABLE.offset["split_lock"], 0)
             return
         leaf = current
 
         items, old_records = self._read_all_items(client, leaf)
         if not items:
-            client.write_u64(leaf.table + WORD, 0)
+            client.write_u64(leaf.table + TABLE.offset["split_lock"], 0)
             return
 
         keys = sorted(item.key for item in items)
@@ -850,7 +830,7 @@ class HTTree:
         lower_upper = max(median - 1, 0)
         if lower_upper >= leaf.upper or median == 0:
             # Degenerate key distribution: cannot split this range further.
-            client.write_u64(leaf.table + WORD, 0)
+            client.write_u64(leaf.table + TABLE.offset["split_lock"], 0)
             return
 
         # The cache was refreshed under the split lock, so its version is
@@ -876,33 +856,21 @@ class HTTree:
                 _Leaf(leaf.upper, high_table, new_version, self.bucket_count)
             )
         new_leaves.sort(key=lambda entry: entry.upper)
-        blob = b"".join(
-            encode_u64(entry.upper)
-            + encode_u64(entry.table)
-            + encode_u64(entry.version)
-            + encode_u64(entry.buckets)
-            for entry in new_leaves
-        )
+        blob = self._encode_leaves(new_leaves)
         region = self.allocator.alloc(len(blob))
         client.write(region, blob)
         client.fence()
-        client.write(
-            self.header,
-            encode_u64(new_version) + encode_u64(len(new_leaves)) + encode_u64(region),
-        )
+        client.write(self.header, HEADER.pack(new_version, len(new_leaves), region))
 
         # Tombstone the old table: every bucket points at a MOVED record,
         # so stale caches detect the split in their single bucket access.
-        tombstone = self.allocator.alloc(ITEM_BYTES)
+        tombstone = self.allocator.alloc(ITEM.size)
         client.write(tombstone, _Item(MOVED, 0, 0, 0).encode())
-        client.write(
-            leaf.table + TABLE_HEADER_BYTES,
-            encode_u64(tombstone) * self.bucket_count,
-        )
+        client.write(leaf.table + TABLE.size, pack_words([tombstone] * self.bucket_count))
         client.write_u64(leaf.table, MOVED)
 
         # Release the (old, now-tombstoned) table's split lock for hygiene.
-        client.write_u64(leaf.table + WORD, 0)
+        client.write_u64(leaf.table + TABLE.offset["split_lock"], 0)
 
         # Retire everything the new tree superseded: the old table, its
         # item records, the previous leaves array, and (eventually) the
@@ -924,19 +892,15 @@ class HTTree:
         """Bulk-read a table's contents: one read for the bucket array,
         then one gather per chain level. Returns the decoded items and the
         far addresses of their (to-be-retired) records."""
-        raw = client.read(leaf.table + TABLE_HEADER_BYTES, leaf.buckets * WORD)
-        pointers = [
-            decode_u64(raw[i * WORD : (i + 1) * WORD])
-            for i in range(leaf.buckets)
-        ]
+        raw = client.read(leaf.table + TABLE.size, leaf.buckets * WORD)
         items: list[_Item] = []
         addresses: list[int] = []
-        level = [p for p in pointers if p != 0]
+        level = [p for p in unpack_words(raw) if p != 0]
         while level:
-            gathered = client.rgather([(p, ITEM_BYTES) for p in level])
+            gathered = client.rgather([(p, ITEM.size) for p in level])
             next_level = []
-            for i, address in enumerate(level):
-                item = _Item.parse(gathered[i * ITEM_BYTES : (i + 1) * ITEM_BYTES])
+            for address, words in zip(level, ITEM.iter_unpack(gathered)):
+                item = _Item(*words)
                 items.append(item)
                 addresses.append(address)
                 if item.next != 0:
@@ -955,7 +919,7 @@ class HTTree:
         if not items:
             return table
         near_table = PlacementHint(near=table)
-        records = [self.allocator.alloc(ITEM_BYTES, near_table) for _ in items]
+        records = [self.allocator.alloc(ITEM.size, near_table) for _ in items]
         buckets = [0] * self.bucket_count
         blobs: list[bytes] = []
         for addr, item in zip(records, items):
@@ -963,10 +927,8 @@ class HTTree:
             linked = _Item(version, item.key, item.value, buckets[index])
             buckets[index] = addr
             blobs.append(linked.encode())
-        client.wscatter([(addr, ITEM_BYTES) for addr in records], b"".join(blobs))
-        client.write(
-            table + TABLE_HEADER_BYTES, b"".join(encode_u64(b) for b in buckets)
-        )
+        client.wscatter([(addr, ITEM.size) for addr in records], b"".join(blobs))
+        client.write(table + TABLE.size, pack_words(buckets))
         return table
 
     # ------------------------------------------------------------------
@@ -991,7 +953,8 @@ class HTTree:
     def leaf_count(self) -> int:
         """Current number of leaves (hash tables) in the published tree."""
         fabric = self.allocator.fabric
-        return fabric.read_word(self.header + WORD)  # fmlint: disable=FM003 (debug introspection)
+        # fmlint: disable=FM003 (debug introspection)
+        return fabric.read_word(self.header + HEADER.offset["leaf_count"])
 
     def __repr__(self) -> str:
         return (

@@ -72,8 +72,9 @@ from ..alloc import FarAllocator, PlacementHint
 from ..analysis.budget import far_budget
 from ..fabric.client import Client
 from ..fabric.errors import FabricError, QueueEmpty, QueueFull
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, Layout, decode_u64, encode_u64, pack_words
 
+HEADER = Layout("head tail")  # then array[capacity] and slack[slack_slots], one word each
 EMPTY = (1 << 64) - 1
 """Slot sentinel: no item present. Applications cannot enqueue this value."""
 
@@ -143,9 +144,9 @@ class FarQueue:
         self.clear_batch = clear_batch
         self.use_fsaai = use_fsaai
         self.slack_slots = slack_slots if slack_slots is not None else max_clients + 1
-        self.head_addr = base
-        self.tail_addr = base + WORD
-        self.array_base = base + 2 * WORD
+        self.head_addr = base + HEADER.offset["head"]
+        self.tail_addr = base + HEADER.offset["tail"]
+        self.array_base = base + HEADER.size
         self.span = capacity * WORD
         self.slack_base = self.array_base + self.span
         self.slack_end = self.slack_base + self.slack_slots * WORD
@@ -173,8 +174,7 @@ class FarQueue:
     ) -> "FarQueue":
         """Allocate and initialise a queue (all slots EMPTY)."""
         slack = slack_slots if slack_slots is not None else max_clients + 1
-        total_words = 2 + capacity + slack
-        base = allocator.alloc(total_words * WORD, hint)
+        base = allocator.alloc(HEADER.size + (capacity + slack) * WORD, hint)
         queue = cls(
             allocator,
             base,
@@ -300,7 +300,7 @@ class FarQueue:
         wrapped = self._wrapped(old_tail)
         client.wscatter(
             [(wrapped, WORD), (old_tail, WORD)],
-            encode_u64(value) + encode_u64(EMPTY),
+            pack_words((value, EMPTY)),
         )
         state.last_tail = wrapped + WORD
         self._repair_pointer(client, self.tail_addr)
@@ -360,7 +360,7 @@ class FarQueue:
                 wrapped = self._wrapped(old_tail)
                 client.wscatter(
                     [(wrapped, WORD), (old_tail, WORD)],
-                    encode_u64(value) + encode_u64(EMPTY),
+                    pack_words((value, EMPTY)),
                 )
                 state.last_tail = wrapped + WORD
                 self._repair_pointer(client, self.tail_addr)
@@ -368,11 +368,10 @@ class FarQueue:
     def _refresh_head(self, client: Client, state: _ClientState) -> None:
         """Read both pointers in one gather (one far access)."""
         raw = client.rgather([(self.head_addr, WORD), (self.tail_addr, WORD)])
-        state.cached_head = decode_u64(raw[:WORD])
         # Take the fresh tail too: an old local tail estimate that the head
         # has since overtaken would wrap the modular occupancy estimate
         # into a spurious near-full reading.
-        state.last_tail = decode_u64(raw[WORD:])
+        state.cached_head, state.last_tail = HEADER.unpack(raw)
         self.stats.head_refreshes += 1
 
     # ------------------------------------------------------------------
@@ -594,8 +593,7 @@ class FarQueue:
         immediately after the read.
         """
         raw = client.rgather([(self.head_addr, WORD), (self.tail_addr, WORD)])
-        head = decode_u64(raw[:WORD])
-        tail = decode_u64(raw[WORD:])
+        head, tail = HEADER.unpack(raw)
         distance = (self._logical(tail) - self._logical(head)) % self.capacity
         if distance >= self.capacity - self.max_clients:
             return 0  # dequeuer overshoot: the queue is empty

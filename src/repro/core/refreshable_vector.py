@@ -46,7 +46,7 @@ from ..analysis.budget import far_budget
 from ..fabric.address import PAGE_SIZE
 from ..fabric.client import Client
 from ..fabric.errors import AddressError
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, encode_u64, pack_words, unpack_words
 from ..notify.manager import NotificationManager
 from ..notify.subscription import NotifyKind, Subscription
 
@@ -187,7 +187,7 @@ class RefreshableVector:
                     (self._element_address(index), WORD),
                     (self._version_address(slot), WORD),
                 ],
-                encode_u64(value) + encode_u64(int(self._writer_versions[slot])),
+                pack_words((value, int(self._writer_versions[slot]))),
             )
 
     @far_budget(2, ceiling=2, claim="C2")
@@ -329,8 +329,8 @@ class RefreshableVector:
                     [(self._version_address(int(s)), WORD) for s in slots]
                 )
                 self._pull(client, state, slots, report)
-            for j, s in enumerate(slots):
-                state.versions[int(s)] = decode_u64(raw[j * WORD : (j + 1) * WORD])
+            for s, version in zip(slots, unpack_words(raw)):
+                state.versions[int(s)] = version
             if report.notifications_consumed >= self.busy_notifications:
                 # Updates sped back up: notifications are now the expensive
                 # path; return to client-initiated version checks.
@@ -349,8 +349,8 @@ class RefreshableVector:
         if self.element_versions:
             iovec = [(self._element_address(int(s)), WORD) for s in slots]
             raw = client.rgather(iovec)
-            for j, s in enumerate(slots):
-                state.data[int(s)] = decode_u64(raw[j * WORD : (j + 1) * WORD])
+            for s, value in zip(slots, unpack_words(raw)):
+                state.data[int(s)] = value
             report.elements_refreshed = len(slots)
             report.groups_refreshed = len(slots)
             return

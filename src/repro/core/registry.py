@@ -32,22 +32,21 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..fabric.client import Client
 from ..fabric.errors import FabricError
-from ..fabric.wire import U64_MASK, WORD, decode_u64, encode_u64
-from ..notify.manager import NotificationManager
+from ..fabric.wire import U64_MASK, WORD, Layout, pack_words
+from .blob import BLOB, pack_blob
 from .counter import FarCounter
-from .ht_tree import HTTree
 from .queue import FarQueue
-from .vector import FarVector
 
-ENTRY_WORDS = 3
+HEADER = Layout("capacity")  # then entries[capacity]
+ENTRY = Layout("name_hash kind blob")
+COUNTER_PAYLOAD = Layout("address")
+QUEUE_PAYLOAD = Layout("base capacity max_clients clear_batch slack_slots use_fsaai")
 FREE = 0
 TOMBSTONE = 1
 
 KIND_RAW = 1
 KIND_COUNTER = 2
-KIND_VECTOR = 3
 KIND_QUEUE = 4
-KIND_HTTREE = 5
 
 
 class RegistryError(FabricError):
@@ -94,7 +93,7 @@ class FarRegistry:
         """Allocate an empty registry."""
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        size = WORD + capacity * ENTRY_WORDS * WORD
+        size = HEADER.size + capacity * ENTRY.size
         base = allocator.alloc(size, hint)
         fabric = allocator.fabric
         fabric.write(base, b"\x00" * size)  # fmlint: disable=FM003 (pre-attach provisioning)
@@ -108,7 +107,7 @@ class FarRegistry:
         return cls(base=base, capacity=capacity, allocator=allocator)
 
     def _entry_addr(self, slot: int) -> int:
-        return self.base + WORD + (slot % self.capacity) * ENTRY_WORDS * WORD
+        return self.base + HEADER.size + (slot % self.capacity) * ENTRY.size
 
     # ------------------------------------------------------------------
     # Raw interface
@@ -122,8 +121,8 @@ class FarRegistry:
         """
         if kind <= 0:
             raise RegistryError("kind must be positive")
-        blob = self.allocator.alloc(WORD + max(len(payload), 1))
-        client.write(blob, encode_u64(len(payload)) + payload)
+        blob = self.allocator.alloc(BLOB.size + max(len(payload), 1))
+        client.write(blob, pack_blob(payload))
         client.fence()
         h = name_hash(name)
         while True:
@@ -152,8 +151,8 @@ class FarRegistry:
             if not ok:
                 continue  # lost the slot to a concurrent registrant; rescan
             client.wscatter(
-                [(entry + WORD, WORD), (entry + 2 * WORD, WORD)],
-                encode_u64(kind) + encode_u64(blob),
+                [(entry + ENTRY.offset["kind"], WORD), (entry + ENTRY.offset["blob"], WORD)],
+                pack_words((kind, blob)),
             )
             self.stats.registrations += 1
             return
@@ -168,18 +167,15 @@ class FarRegistry:
         for i in range(self.capacity):
             self.stats.probes += 1
             entry = self._entry_addr(h + i)
-            raw = client.read(entry, ENTRY_WORDS * WORD)
-            current = decode_u64(raw[:WORD])
+            current, kind, blob = ENTRY.unpack(client.read(entry, ENTRY.size))
             if current == FREE:
                 return None
             if current != h:
                 continue  # tombstone or another name: keep probing
-            kind = decode_u64(raw[WORD : 2 * WORD])
-            blob = decode_u64(raw[2 * WORD :])
             if kind == 0:
                 return None  # registration in flight
             length = client.read_u64(blob)
-            payload = client.read(blob + WORD, length) if length else b""
+            payload = client.read(blob + BLOB.size, length) if length else b""
             return kind, payload
         return None
 
@@ -194,7 +190,7 @@ class FarRegistry:
             if current != h:
                 continue
             # Hide the descriptor first, then tombstone the hash.
-            client.write_u64(entry + WORD, 0)
+            client.write_u64(entry + ENTRY.offset["kind"], 0)
             client.fence()
             client.write_u64(entry, TOMBSTONE)
             self.stats.unregistrations += 1
@@ -218,45 +214,24 @@ class FarRegistry:
 
     def register_counter(self, client: Client, name: str, counter: FarCounter) -> None:
         """Publish a far counter."""
-        self.register(client, name, KIND_COUNTER, encode_u64(counter.address))
+        self.register(client, name, KIND_COUNTER, COUNTER_PAYLOAD.pack(counter.address))
 
     def lookup_counter(self, client: Client, name: str) -> Optional[FarCounter]:
         """Attach to a published counter."""
         payload = self._expect(client, name, KIND_COUNTER)
         if payload is None:
             return None
-        return FarCounter(address=decode_u64(payload[:WORD]))
-
-    def register_vector(self, client: Client, name: str, vector: FarVector) -> None:
-        """Publish a far vector."""
-        self.register(
-            client,
-            name,
-            KIND_VECTOR,
-            encode_u64(vector.descriptor) + encode_u64(vector.length),
-        )
-
-    def lookup_vector(self, client: Client, name: str) -> Optional[FarVector]:
-        """Attach to a published vector."""
-        payload = self._expect(client, name, KIND_VECTOR)
-        if payload is None:
-            return None
-        return FarVector(
-            descriptor=decode_u64(payload[:WORD]), length=decode_u64(payload[WORD:16])
-        )
+        return FarCounter(*COUNTER_PAYLOAD.unpack(payload))
 
     def register_queue(self, client: Client, name: str, queue: FarQueue) -> None:
         """Publish a far queue (layout parameters travel in the blob)."""
-        payload = b"".join(
-            encode_u64(value)
-            for value in (
-                queue.head_addr,
-                queue.capacity,
-                queue.max_clients,
-                queue.clear_batch,
-                queue.slack_slots,
-                1 if queue.use_fsaai else 0,
-            )
+        payload = QUEUE_PAYLOAD.pack(
+            queue.head_addr,  # the queue's base: head is its first word
+            queue.capacity,
+            queue.max_clients,
+            queue.clear_batch,
+            queue.slack_slots,
+            1 if queue.use_fsaai else 0,
         )
         self.register(client, name, KIND_QUEUE, payload)
 
@@ -265,44 +240,15 @@ class FarRegistry:
         payload = self._expect(client, name, KIND_QUEUE)
         if payload is None:
             return None
-        words = [decode_u64(payload[i * 8 : (i + 1) * 8]) for i in range(6)]
+        base, capacity, max_clients, clear_batch, slack_slots, use_fsaai = (
+            QUEUE_PAYLOAD.unpack(payload)
+        )
         return FarQueue(
             self.allocator,
-            words[0],
-            words[1],
-            words[2],
-            clear_batch=words[3],
-            slack_slots=words[4],
-            use_fsaai=bool(words[5]),
-        )
-
-    def register_tree(self, client: Client, name: str, tree: HTTree) -> None:
-        """Publish an HT-tree."""
-        payload = b"".join(
-            encode_u64(value)
-            for value in (tree.header, tree.bucket_count, tree.max_chain)
-        )
-        self.register(client, name, KIND_HTTREE, payload)
-
-    def lookup_tree(
-        self,
-        client: Client,
-        name: str,
-        manager: NotificationManager,
-        *,
-        cache_mode: str = "version",
-    ) -> Optional[HTTree]:
-        """Attach to a published HT-tree (cache mode is a local choice)."""
-        payload = self._expect(client, name, KIND_HTTREE)
-        if payload is None:
-            return None
-        words = [decode_u64(payload[i * 8 : (i + 1) * 8]) for i in range(3)]
-        return HTTree(
-            self.allocator,
-            manager,
-            words[0],
-            bucket_count=words[1],
-            max_chain=words[2],
-            cache_mode=cache_mode,
-            table_hint_spread=True,
+            base,
+            capacity,
+            max_clients,
+            clear_batch=clear_batch,
+            slack_slots=slack_slots,
+            use_fsaai=bool(use_fsaai),
         )

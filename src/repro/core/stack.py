@@ -25,9 +25,9 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..alloc.epoch import EpochReclaimer
 from ..fabric.client import Client
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, Layout, decode_u64
 
-NODE_BYTES = 2 * WORD
+NODE = Layout("value next")
 
 
 @dataclass
@@ -71,9 +71,9 @@ class FarStack:
 
     def push(self, client: Client, value: int) -> None:
         """Push: node write + top CAS (two far accesses uncontended)."""
-        node = self.allocator.alloc(NODE_BYTES, PlacementHint(near=self.top))
+        node = self.allocator.alloc(NODE.size, PlacementHint(near=self.top))
         observed = client.read_u64(self.top)
-        client.write(node, encode_u64(value) + encode_u64(observed))
+        client.write(node, NODE.pack(value, observed))
         client.fence()
         while True:
             old, ok = client.cas(self.top, observed, node)
@@ -81,7 +81,7 @@ class FarStack:
                 break
             self.stats.cas_retries += 1
             observed = old
-            client.write_u64(node + WORD, observed)
+            client.write_u64(node + NODE.offset["next"], observed)
         self.stats.pushes += 1
         self._size += 1
 
@@ -89,13 +89,12 @@ class FarStack:
         """Pop: ``load0`` of the top node + top CAS (two far accesses
         uncontended). Returns None when empty (one far access)."""
         while True:
-            result = client.load0(self.top, NODE_BYTES)
+            result = client.load0(self.top, NODE.size)
             node = result.pointer
             if node == 0:
                 self.stats.empty_pops += 1
                 return None
-            value = decode_u64(result.value[:WORD])
-            next_node = decode_u64(result.value[WORD : 2 * WORD])
+            value, next_node = NODE.unpack(result.value)
             _, ok = client.cas(self.top, node, next_node)
             if ok:
                 if self.reclaimer is not None:

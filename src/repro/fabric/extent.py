@@ -252,18 +252,6 @@ class ExtentTable:
         """Extents currently mapped to ``node``, ascending."""
         return [extent for extent, home in enumerate(self._node) if home == node]
 
-    def node_extent_runs(self, node: int) -> list[tuple[int, int]]:
-        """Virtually contiguous runs ``(start_address, length)`` on ``node``."""
-        runs: list[tuple[int, int]] = []
-        es = self._es
-        for extent in self.extents_on_node(node):
-            base = extent * es
-            if runs and runs[-1][0] + runs[-1][1] == base:
-                runs[-1] = (runs[-1][0], runs[-1][1] + es)
-            else:
-                runs.append((base, es))
-        return runs
-
     # ------------------------------------------------------------------
     # Heat and forward-source telemetry (drives the rebalancer)
     # ------------------------------------------------------------------
@@ -357,7 +345,9 @@ class ExtentTable:
     def free_slot(self, node: int, slot: int) -> None:
         self._owner[node][slot] = FREE
 
-    def add_node(self, size: Optional[int] = None, *, grow_virtual: bool = False) -> tuple[int, int]:
+    def add_node(
+        self, size: Optional[int] = None, *, grow_virtual: bool = False
+    ) -> tuple[int, int]:
         """Register a new memory node; returns ``(node_id, grown_bytes)``.
 
         By default the node is pure physical headroom — every slot free,
@@ -402,7 +392,10 @@ class ExtentTable:
         return sorted(self._migrating)
 
     def begin_migration(
-        self, extent: int, dst_node: int, policy: MigrationWritePolicy = MigrationWritePolicy.FORWARD
+        self,
+        extent: int,
+        dst_node: int,
+        policy: MigrationWritePolicy = MigrationWritePolicy.FORWARD,
     ) -> ExtentMigrationState:
         if not 0 <= extent < self.extent_count:
             raise AddressError(extent * self._es, self._es, "no such extent")

@@ -37,10 +37,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FarCorruptionError
-from .wire import WORD, crc32_u64, decode_u64, encode_u64
+from .wire import Layout, crc32_u64, encode_u64
 
-FRAME_OVERHEAD = 2 * WORD
+FRAME = Layout("crc version")  # then the payload
+FRAME_OVERHEAD = FRAME.size
 """Bytes of framing (crc word + version word) prepended to each payload."""
+_COVERED = FRAME.offset["version"]  # the crc covers every byte after itself
 
 
 def frame_size(payload_len: int) -> int:
@@ -52,8 +54,10 @@ def frame_size(payload_len: int) -> int:
 
 def frame_block(payload: bytes, version: int) -> bytes:
     """Wrap ``payload`` in a crc+version frame, ready for one far write."""
-    body = encode_u64(version) + bytes(payload)
-    return encode_u64(crc32_u64(body)) + body
+    frame = bytearray(FRAME.pack(0, version))
+    frame += payload
+    frame[:_COVERED] = encode_u64(crc32_u64(memoryview(frame)[_COVERED:]))
+    return bytes(frame)
 
 
 def try_unframe(frame: bytes) -> Optional[tuple[int, bytes]]:
@@ -66,11 +70,10 @@ def try_unframe(frame: bytes) -> Optional[tuple[int, bytes]]:
     """
     if len(frame) <= FRAME_OVERHEAD:
         return None
-    stored = decode_u64(frame[:WORD])
-    body = frame[WORD:]
-    if crc32_u64(body) != stored:
+    stored, version = FRAME.unpack_from(frame)
+    if crc32_u64(frame[_COVERED:]) != stored:
         return None
-    return decode_u64(body[:WORD]), bytes(body[WORD:])
+    return version, bytes(frame[FRAME.size :])
 
 
 def unframe_block(frame: bytes, *, node: int = -1, address: int = 0) -> tuple[int, bytes]:

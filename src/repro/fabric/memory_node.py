@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import AddressError, AlignmentError
-from .wire import WORD, decode_u64, encode_u64, wrap_add
+from .wire import U64, U64_MASK, WORD, wrap_add
 
 WriteHook = Callable[[int, int, int, bytes], None]
 """Callback ``(node_id, offset, length, new_bytes)`` fired after a mutation."""
@@ -100,12 +100,12 @@ class MemoryNode:
         self._check_word(offset)
         self.stats.reads += 1
         self.stats.bytes_read += WORD
-        return decode_u64(bytes(self._data[offset : offset + WORD]))
+        return U64.unpack_from(self._data, offset)[0]
 
     def write_word(self, offset: int, value: int) -> None:
         """Write one aligned 64-bit word."""
         self._check_word(offset)
-        self._data[offset : offset + WORD] = encode_u64(value)
+        U64.pack_into(self._data, offset, value & U64_MASK)
         self.stats.writes += 1
         self.stats.bytes_written += WORD
         self._fire(offset, WORD)
@@ -129,10 +129,10 @@ class MemoryNode:
     # ------------------------------------------------------------------
 
     def _peek_word(self, offset: int) -> int:
-        return decode_u64(bytes(self._data[offset : offset + WORD]))
+        return U64.unpack_from(self._data, offset)[0]
 
     def _poke_word(self, offset: int, value: int) -> None:
-        self._data[offset : offset + WORD] = encode_u64(value)
+        U64.pack_into(self._data, offset, value & U64_MASK)
 
     def compare_and_swap(self, offset: int, expected: int, new: int) -> tuple[int, bool]:
         """Atomic CAS; returns ``(old_value, swapped)``."""

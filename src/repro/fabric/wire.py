@@ -9,7 +9,9 @@ memory are unsigned 64-bit; signed arithmetic (e.g. a negative delta to
 
 from __future__ import annotations
 
+import struct
 import zlib
+from typing import Sequence
 
 WORD = 8
 """Size in bytes of a fabric word (64 bits)."""
@@ -28,6 +30,57 @@ def decode_u64(data: bytes) -> int:
     if len(data) != WORD:
         raise ValueError(f"expected {WORD} bytes, got {len(data)}")
     return int.from_bytes(data, "little")
+
+
+class Layout:
+    """One far record format: named 64-bit little-endian words, in order.
+
+    Far memory has no processor, so the client interprets raw far bytes
+    and a record's layout is part of its structure's protocol. Declaring
+    it once — ``ITEM = Layout("version key value next")`` — yields the
+    record's ``size`` in bytes, its field ``offset`` table and its codec.
+    ``unpack`` / ``unpack_from`` / ``iter_unpack`` / ``pack_into`` are the
+    precompiled ``struct.Struct``'s own bound C methods (no Python frame
+    per call): ``unpack`` demands exactly ``size`` bytes, like
+    :func:`decode_u64`, but a wrong-sized buffer raises ``struct.error``;
+    ``pack_into`` does not wrap, so callers mask values they do not own.
+    """
+
+    def __init__(self, fields: str) -> None:
+        self.fields = tuple(fields.split())
+        codec = struct.Struct(f"<{len(self.fields)}Q")
+        self.size = codec.size
+        self.offset = {name: index * WORD for index, name in enumerate(self.fields)}
+        self.unpack = codec.unpack
+        self.unpack_from = codec.unpack_from
+        self.iter_unpack = codec.iter_unpack
+        self.pack_into = codec.pack_into
+        self._pack = codec.pack
+
+    def pack(self, *values: int) -> bytes:
+        """Encode one record, each value wrapped to u64 like :func:`encode_u64`."""
+        try:
+            return self._pack(*values)
+        except struct.error:  # out of u64 range: wrap, as the hardware would
+            return self._pack(*(value & U64_MASK for value in values))
+
+
+U64 = Layout("word")
+"""A bare word read or written in place inside a larger buffer."""
+
+
+def pack_words(values: Sequence[int]) -> bytes:
+    """Encode a homogeneous word array (bucket pointers, versions, towers),
+    wrapping like :meth:`Layout.pack`."""
+    try:
+        return struct.pack(f"<{len(values)}Q", *values)
+    except struct.error:
+        return struct.pack(f"<{len(values)}Q", *(value & U64_MASK for value in values))
+
+
+def unpack_words(raw: bytes) -> tuple[int, ...]:
+    """Decode a word array; ``raw`` must be a whole number of words."""
+    return struct.unpack(f"<{len(raw) // WORD}Q", raw)
 
 
 def to_signed(value: int) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from ..fabric.client import Client
-from ..fabric.errors import AllocationError, NodeUnavailableError
+from ..fabric.errors import AllocationError, FabricError, NodeUnavailableError
 from ..fabric.extent import ExtentMigrationState, MigrationWritePolicy
 from ..fabric.fabric import Fabric
 from ..fabric.wire import WORD
@@ -163,10 +163,17 @@ class ExtentMigration:
     ) -> ExtentMigrationState:
         """Copy to completion and commit. ``interleave()`` runs between
         rounds — the hook the soak/bench use to keep writers writing
-        *during* the copy."""
-        while not self.step():
-            if interleave is not None:
-                interleave()
+        *during* the copy. A fabric error out of a round (a copy window
+        that exhausted its retry budget) aborts the move before it
+        propagates: staging slot released, mirror window closed, source
+        untouched — so the caller can simply migrate the extent again."""
+        try:
+            while not self.step():
+                if interleave is not None:
+                    interleave()
+        except FabricError:
+            self.abort()
+            raise
         return self.finish()
 
 
@@ -276,6 +283,11 @@ class MigrationCoordinator:
         Workloads keep running throughout: ``interleave()`` fires between
         copy rounds, and writers follow the policy (forwarded or fenced,
         never lost).
+
+        Resumable by re-calling: a :class:`FabricError` out of a copy
+        round leaves no extent mid-migration (see
+        :meth:`ExtentMigration.run`), the extents already moved stay
+        moved, and the next call recomputes what is still on ``node``.
         """
         table = self.fabric.extents
         if not self.fabric.node_available(node):

@@ -21,9 +21,12 @@ from typing import Optional
 
 from ..fabric.address import page_of
 from ..fabric.fabric import Fabric
-from ..fabric.wire import WORD, decode_u64
+from ..fabric.wire import U64, WORD, Layout
 from .delivery import DeliveryEngine, DeliveryPolicy
 from .subscription import Notification, NotificationSink, NotifyKind, Subscription
+
+DESCRIPTOR = Layout("address length value")
+"""What a subscriber sends to register: charged as one far write, never stored."""
 
 
 @dataclass
@@ -94,7 +97,7 @@ class NotificationManager:
         self._by_page.setdefault(page_of(address), []).append(sub)
         charge = getattr(subscriber, "charge_far_access", None)
         if charge is not None:
-            charge(nbytes_written=WORD * 3)  # the subscription descriptor
+            charge(nbytes_written=DESCRIPTOR.size)
         return sub
 
     def notify0(
@@ -198,7 +201,7 @@ class NotificationManager:
         """Value of the watched word after the write, read memory-side."""
         offset = watch_address - write_address
         if 0 <= offset and offset + WORD <= len(new_bytes):
-            return decode_u64(new_bytes[offset : offset + WORD])
+            return U64.unpack_from(new_bytes, offset)[0]
         return self.fabric.read_word(watch_address)  # fmlint: disable=FM003 (memory-node-side read)
 
     def _next_seq(self) -> int:

@@ -30,8 +30,9 @@ from ..alloc import FarAllocator, PlacementHint
 from ..core.mutex import MutexError
 from ..fabric.client import Client
 from ..fabric.errors import FarTimeoutError
-from ..fabric.wire import WORD, decode_u64
+from ..fabric.wire import WORD, Layout
 
+LOCK = Layout("owner expiry epoch")  # a shared epoch counter lives elsewhere: two words
 UNLOCKED = 0
 
 
@@ -91,13 +92,13 @@ class LeasedFarMutex:
         """
         if ttl_epochs < 1:
             raise ValueError("ttl_epochs must be >= 1")
-        words = 2 if epoch_addr is not None else 3
-        address = allocator.alloc(words * WORD, hint)
+        size = LOCK.offset["epoch"] if epoch_addr is not None else LOCK.size
+        address = allocator.alloc(size, hint)
         fabric = allocator.fabric
         # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write(address, b"\x00" * words * WORD)
+        fabric.write(address, b"\x00" * size)
         if epoch_addr is None:
-            epoch_addr = address + 2 * WORD
+            epoch_addr = address + LOCK.offset["epoch"]
         return cls(address=address, epoch_addr=epoch_addr, ttl_epochs=ttl_epochs)
 
     @staticmethod
@@ -115,10 +116,11 @@ class LeasedFarMutex:
 
     def _snapshot(self, client: Client) -> tuple[int, int, int]:
         """(owner, lease_expiry, epoch) in one gather (one far access)."""
+        expiry_addr = self.address + LOCK.offset["expiry"]
         raw = client.rgather(
-            [(self.address, WORD), (self.address + WORD, WORD), (self.epoch_addr, WORD)]
+            [(self.address, WORD), (expiry_addr, WORD), (self.epoch_addr, WORD)]
         )
-        return decode_u64(raw[:8]), decode_u64(raw[8:16]), decode_u64(raw[16:24])
+        return LOCK.unpack(raw)
 
     def try_acquire(self, client: Client) -> bool:
         """One acquisition attempt: gather, CAS, lease write (3 far
@@ -156,7 +158,7 @@ class LeasedFarMutex:
                 self.stats.contended += 1
                 return False
             cas_committed = True
-            client.write_u64(self.address + WORD, epoch + self.ttl_epochs)
+            client.write_u64(self.address + LOCK.offset["expiry"], epoch + self.ttl_epochs)
         except FarTimeoutError:
             self.stats.timeouts += 1
             if cas_committed:
@@ -176,7 +178,7 @@ class LeasedFarMutex:
         if owner != self._token(client):
             raise MutexError(f"{client.name} renewed a lease it does not hold")
         epoch = client.read_u64(self.epoch_addr)
-        client.write_u64(self.address + WORD, epoch + self.ttl_epochs)
+        client.write_u64(self.address + LOCK.offset["expiry"], epoch + self.ttl_epochs)
         self.stats.renewals += 1
 
     def release(self, client: Client) -> None:

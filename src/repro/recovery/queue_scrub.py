@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.queue import EMPTY, FarQueue
+from ..core.queue import EMPTY, HEADER, FarQueue
 from ..fabric.client import Client
 from ..fabric.errors import FarTimeoutError, QueueFull
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import WORD, encode_u64, pack_words, unpack_words
 
 
 @dataclass
@@ -126,8 +126,7 @@ class QueueScrubber:
         raw = client.rgather(
             [(queue.head_addr, WORD), (queue.tail_addr, WORD)]
         )
-        head = decode_u64(raw[:WORD])
-        tail = decode_u64(raw[WORD:])
+        head, tail = HEADER.unpack(raw)
         for pointer_addr, value in ((queue.head_addr, head), (queue.tail_addr, tail)):
             if value >= queue.slack_base:
                 queue._repair_pointer(client, pointer_addr)
@@ -136,14 +135,11 @@ class QueueScrubber:
             raw = client.rgather(
                 [(queue.head_addr, WORD), (queue.tail_addr, WORD)]
             )
-            head = decode_u64(raw[:WORD])
-            tail = decode_u64(raw[WORD:])
+            head, tail = HEADER.unpack(raw)
 
         # (2) Items abandoned in slack slots mid-migration.
-        slack_bytes = queue.slack_slots * WORD
-        slack = client.read(queue.slack_base, slack_bytes)
-        for i in range(queue.slack_slots):
-            value = decode_u64(slack[i * WORD : (i + 1) * WORD])
+        slack = client.read(queue.slack_base, queue.slack_slots * WORD)
+        for i, value in enumerate(unpack_words(slack)):
             if value == EMPTY:
                 continue
             slack_addr = queue.slack_base + i * WORD
@@ -152,7 +148,7 @@ class QueueScrubber:
             if resident == EMPTY:
                 client.wscatter(  # fmlint: disable=FM001 (crash-ordered, one migration at a time)
                     [(wrapped, WORD), (slack_addr, WORD)],
-                    encode_u64(value) + encode_u64(EMPTY),
+                    pack_words((value, EMPTY)),
                 )
             else:
                 # The wrapped slot was already filled (the migration had
@@ -166,8 +162,7 @@ class QueueScrubber:
         tail_lp = queue._logical(tail)
         array = client.read(queue.array_base, queue.capacity * WORD)
         orphans: list[int] = []
-        for slot in range(queue.capacity):
-            value = decode_u64(array[slot * WORD : (slot + 1) * WORD])
+        for slot, value in enumerate(unpack_words(array)):
             if value == EMPTY:
                 continue
             if self._in_window(slot, head_lp, tail_lp, self.queue.max_clients):
@@ -180,11 +175,7 @@ class QueueScrubber:
             raw = client.rgather(
                 [(queue.array_base + slot * WORD, WORD) for slot in orphans]
             )
-            values = [
-                decode_u64(raw[i * WORD : (i + 1) * WORD])
-                for i in range(len(orphans))
-            ]
-            self._pending_reenqueue.extend(v for v in values if v != EMPTY)
+            self._pending_reenqueue.extend(v for v in unpack_words(raw) if v != EMPTY)
             client.wscatter(
                 [(queue.array_base + slot * WORD, WORD) for slot in orphans],
                 encode_u64(EMPTY) * len(orphans),

@@ -70,11 +70,18 @@ from ..fabric.errors import (
     StaleEpochError,
 )
 from ..fabric.integrity import frame_block, frame_size
-from ..fabric.wire import WORD, decode_u64, encode_u64
+from ..fabric.wire import U64, WORD, Layout, encode_u64, unpack_words
 
 if TYPE_CHECKING:
     from ..alloc.allocator import FarAllocator, PlacementHint
     from ..fabric.client import Client
+
+# The commit record, inside one frame: RECORD, n_locks x LOCK, a count
+# word, that many (CELL + payload bytes), a count word, that many KV_PUT.
+RECORD = Layout("seq n_locks")
+LOCK = Layout("slot expected")
+CELL = Layout("addr length")
+KV_PUT = Layout("tag key_hash region")
 
 
 class TxnAbortError(FabricError):
@@ -750,8 +757,8 @@ class TxnSpace:
         """
         reg = client.read(self.reg_base, self.max_clients * WORD)
         reg_slot = None
-        for index in range(self.max_clients):
-            if decode_u64(reg[index * WORD : (index + 1) * WORD]) == owner_id + 1:
+        for index, marker in enumerate(unpack_words(reg)):
+            if marker == owner_id + 1:
                 reg_slot = index
                 break
         if reg_slot is None:
@@ -759,8 +766,7 @@ class TxnSpace:
 
         table = client.read(self.table, self.n_slots * WORD)
         held: dict[int, int] = {}
-        for slot in range(self.n_slots):
-            word = decode_u64(table[slot * WORD : (slot + 1) * WORD])
+        for slot, word in enumerate(unpack_words(table)):
             if word & 1 and (word >> 32) == owner_id + 1:
                 held[slot] = (word & _VERSION_MASK) - 1
 
@@ -868,21 +874,17 @@ class TxnSpace:
         """``seq | locks | framed-cell payloads | kv triples``, padded to
         ``record_capacity`` (fixed-size frames keep the tombstone and
         the sealed record byte-compatible at the reader)."""
-        parts = [encode_u64(txn.txn_id), encode_u64(len(write_slots))]
+        parts = [RECORD.pack(txn.txn_id, len(write_slots))]
         for slot in write_slots:
-            parts.append(encode_u64(slot))
-            parts.append(encode_u64(txn.snapshots[slot]))
+            parts.append(LOCK.pack(slot, txn.snapshots[slot]))
         parts.append(encode_u64(len(txn.cell_writes)))
         for addr in sorted(txn.cell_writes):
             payload = txn.cell_writes[addr]
-            parts.append(encode_u64(addr))
-            parts.append(encode_u64(len(payload)))
+            parts.append(CELL.pack(addr, len(payload)))
             parts.append(payload)
         parts.append(encode_u64(len(txn.kv_puts)))
         for (tag, key_hash), write in sorted(txn.kv_puts.items()):
-            parts.append(encode_u64(tag))
-            parts.append(encode_u64(key_hash))
-            parts.append(encode_u64(write.region))
+            parts.append(KV_PUT.pack(tag, key_hash, write.region))
         blob = b"".join(parts)
         if len(blob) > self.record_capacity:
             raise TxnAbortError(
@@ -899,33 +901,26 @@ class TxnSpace:
         list[tuple[int, bytes]],
         list[tuple[int, int, int]],
     ]:
-        offset = WORD  # seq (authoritative copy is the frame version)
-        n_locks = decode_u64(payload[offset : offset + WORD])
-        offset += WORD
+        _seq, n_locks = RECORD.unpack_from(payload)  # authoritative seq: the frame version
+        offset = RECORD.size
         locks = []
         for _ in range(n_locks):
-            slot = decode_u64(payload[offset : offset + WORD])
-            expected = decode_u64(payload[offset + WORD : offset + 2 * WORD])
-            locks.append((slot, expected))
-            offset += 2 * WORD
-        n_cells = decode_u64(payload[offset : offset + WORD])
-        offset += WORD
+            locks.append(LOCK.unpack_from(payload, offset))
+            offset += LOCK.size
+        (n_cells,) = U64.unpack_from(payload, offset)
+        offset += U64.size
         cells = []
         for _ in range(n_cells):
-            addr = decode_u64(payload[offset : offset + WORD])
-            length = decode_u64(payload[offset + WORD : offset + 2 * WORD])
-            offset += 2 * WORD
+            addr, length = CELL.unpack_from(payload, offset)
+            offset += CELL.size
             cells.append((addr, payload[offset : offset + length]))
             offset += length
-        n_kv = decode_u64(payload[offset : offset + WORD])
-        offset += WORD
+        (n_kv,) = U64.unpack_from(payload, offset)
+        offset += U64.size
         kv_entries = []
         for _ in range(n_kv):
-            tag = decode_u64(payload[offset : offset + WORD])
-            key_hash = decode_u64(payload[offset + WORD : offset + 2 * WORD])
-            region = decode_u64(payload[offset + 2 * WORD : offset + 3 * WORD])
-            kv_entries.append((tag, key_hash, region))
-            offset += 3 * WORD
+            kv_entries.append(KV_PUT.unpack_from(payload, offset))
+            offset += KV_PUT.size
         return locks, cells, kv_entries
 
     # ------------------------------------------------------------------

@@ -12,9 +12,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Cluster
 from repro.alloc import FarAllocator, on_node, spread
 from repro.fabric import Fabric, make_placement
 from repro.fabric.errors import AllocationError
+from repro.fabric.wire import align_up
 
 NODE_SIZE = 1 << 20
 
@@ -136,3 +138,72 @@ class TestAllocatorProperties:
         big = allocator.alloc(NODE_SIZE // 2)
         live[big] = allocator.size_of(big)
         check_invariants(allocator, live)
+
+
+def oracle_first_fit(allocator: FarAllocator, size: int, alignment: int, node: int):
+    """Lowest aligned base in the lowest free range with every byte of the
+    block on ``node`` — by trying candidates, knowing nothing of spans."""
+    table = allocator.fabric.extents
+    es = table.extent_size
+    for start, length in allocator._free:
+        base = align_up(start, alignment)
+        while base + size <= start + length:
+            foreign = next(
+                (
+                    extent
+                    for extent in range(base // es, (base + size - 1) // es + 1)
+                    if table.node_of(extent * es) != node
+                ),
+                None,
+            )
+            if foreign is None:
+                return base
+            # Every candidate below the end of a foreign extent overlaps it.
+            base = align_up((foreign + 1) * es, alignment)
+    return None
+
+
+class TestHintedFirstFit:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),  # seed
+        st.integers(min_value=2, max_value=4),  # node count
+    )
+    def test_hinted_alloc_on_a_migrated_table_matches_brute_force(self, seed, nodes):
+        rng = random.Random(seed)
+        es = 4096
+        cluster = Cluster(node_count=nodes, node_size=16 * es, extent_size=es)
+        spare = cluster.add_node()
+        table = cluster.fabric.extents
+        mover = cluster.client("mover")
+        for _ in range(rng.randrange(4, 20)):  # scatter extents across nodes
+            extent = rng.randrange(table.extent_count)
+            targets = [
+                node
+                for node in range(nodes + 1)
+                if node != table.node_of(extent * es) and table.free_slot_count(node)
+            ]
+            cluster.migration.migrate_extent(mover, extent, rng.choice(targets))
+        assert table.extents_on_node(spare), "the table must actually be remapped"
+
+        allocator = cluster.allocator
+        live: list[int] = []
+        for _ in range(40):
+            if live and rng.random() < 0.3:
+                allocator.free(live.pop(rng.randrange(len(live))))
+                continue
+            size = rng.choice([8, 24, 1000, es, es + 8, 3 * es])
+            alignment = rng.choice([8, 64, es])
+            node = rng.randrange(nodes + 1)
+            expected = oracle_first_fit(allocator, size, alignment, node)
+            try:
+                address = allocator.alloc(size, on_node(node, alignment))
+            except AllocationError:
+                assert expected is None
+                continue
+            assert address == expected
+            assert {
+                table.node_of(extent * es)
+                for extent in range(address // es, (address + size - 1) // es + 1)
+            } == {node}
+            live.append(address)

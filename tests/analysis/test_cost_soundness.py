@@ -18,7 +18,6 @@ from repro import Cluster
 from repro.analysis.budget import BudgetSanitizer
 from repro.analysis.fmcost import analyze_paths, build_certificate
 from repro.apps.kvstore.kvstore import FarKVStore
-from repro.core.registry import FarRegistry
 from repro.fabric.client import Client
 from repro.fabric.replication import ReplicatedRegion
 

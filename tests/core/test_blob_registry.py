@@ -158,16 +158,6 @@ class TestTypedRegistry:
         adopted.increment(c2)
         assert counter.read(c1) == 42
 
-    def test_vector(self, cluster):
-        registry = cluster.registry()
-        c1, c2 = cluster.client(), cluster.client()
-        vector = cluster.far_vector(8)
-        vector.set(c1, 3, 9)
-        registry.register_vector(c1, "v", vector)
-        adopted = registry.lookup_vector(c2, "v")
-        assert adopted.length == 8
-        assert adopted.get(c2, 3) == 9
-
     def test_queue(self, cluster):
         registry = cluster.registry()
         producer, consumer = cluster.client(), cluster.client()
@@ -176,15 +166,6 @@ class TestTypedRegistry:
         queue.enqueue(producer, 5)
         adopted = registry.lookup_queue(consumer, "jobs")
         assert adopted.dequeue(consumer) == 5
-
-    def test_tree(self, cluster):
-        registry = cluster.registry()
-        writer, reader = cluster.client(), cluster.client()
-        tree = cluster.ht_tree(bucket_count=64)
-        tree.put(writer, 7, 70)
-        registry.register_tree(writer, "index", tree)
-        adopted = registry.lookup_tree(reader, "index", cluster.notifications)
-        assert adopted.get(reader, 7) == 70
 
     def test_kind_mismatch(self, cluster):
         registry = cluster.registry()

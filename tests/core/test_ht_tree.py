@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster
-from repro.core.ht_tree import LEAF_BYTES, hash_u64
+from repro.core.ht_tree import LEAF, hash_u64
 from repro.fabric.wire import U64_MASK
 
 NODE_SIZE = 16 << 20
@@ -218,7 +218,7 @@ class TestCacheFootprint:
         c = cluster.client()
         for k in range(500):
             tree.put(c, k, k)
-        expected = tree.leaf_count() * LEAF_BYTES
+        expected = tree.leaf_count() * LEAF.size
         assert tree.cache_bytes(c) == expected
         assert tree.cache_bytes(c) < 500 * 32  # far below item storage
 

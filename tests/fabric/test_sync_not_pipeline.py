@@ -5,7 +5,8 @@ it must not pay for a ``FarFuture``, a membership scan, or a generic window
 computation that a one-deep window does not need. These tests count
 Python-level function entries (``sys.setprofile`` ``call`` events — C builtins
 are excluded) for one op each and pin them as upper bounds, on a bare client
-and on a default-policy client, and count ``FarFuture`` constructions.
+and on a default-policy client, and count ``FarFuture`` constructions. One
+structure-level pin rides along: a warm ``HTTree.get`` hit, C calls included.
 
 The pins are bounds, not equalities: CPython 3.12 inlines comprehensions, so
 3.10/3.11 set the number.
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+from repro import Cluster
 from repro.fabric import FarFuture
 
 from .test_translate_once import _cluster
@@ -23,21 +25,20 @@ from .test_translate_once import _cluster
 # the memory map is test_translate_once's: ``p`` points at ``t``, ``a``/``b``
 # are plain buffers.
 OPS = {
-    "read_u64": (lambda c, m: c.read_u64(m["a"]), 22, 29),
-    "cas": (lambda c, m: c.cas(m["a"], 0, 0), 30, 37),  # succeeds every time
-    "load0": (lambda c, m: c.load0(m["p"], 24), 36, 43),
+    "read_u64": (lambda c, m: c.read_u64(m["a"]), 21, 28),
+    "cas": (lambda c, m: c.cas(m["a"], 0, 0), 28, 35),  # succeeds every time
+    "load0": (lambda c, m: c.load0(m["p"], 24), 35, 42),
     "rgather": (lambda c, m: c.rgather([(m["a"], 8), (m["b"], 16), (m["t"], 8)]), 45, 52),
 }
 
 
-def _python_calls(call, client, memory):
-    """Python-level function entries made by ``call`` (itself excluded)."""
-    entries = 0
+def _calls(call, client, memory):
+    """(Python-level function entries, C calls) made by ``call`` (itself excluded)."""
+    events = {"call": 0, "c_call": 0}
 
     def profiler(frame, event, arg):
-        nonlocal entries
-        if event == "call":
-            entries += 1
+        if event in events:
+            events[event] += 1
 
     call(client, memory)  # warm: first use creates per-node breakers
     sys.setprofile(profiler)
@@ -45,7 +46,11 @@ def _python_calls(call, client, memory):
         call(client, memory)
     finally:
         sys.setprofile(None)
-    return entries - 1  # the lambda
+    return events["call"] - 1, events["c_call"] - 1  # the lambda; setprofile(None)
+
+
+def _python_calls(call, client, memory):
+    return _calls(call, client, memory)[0]
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
@@ -63,6 +68,19 @@ def test_default_policy_sync_op_call_count(op):
     assert client.retry_policy is not None and client.breaker_policy is not None
     call, _, guarded = OPS[op]
     assert _python_calls(call, client, memory) <= guarded
+
+
+def test_warm_httree_get_hit_call_count():
+    """The structure-level pin: the paper's one-far-access lookup, a warm
+    ``HTTree.get`` hit (tree cache loaded, chain length one) on a bare client,
+    Python entries and in total with the C calls (``len``, ``Struct.unpack``...)."""
+    cluster = Cluster(node_count=1, node_size=8 << 20)
+    client = cluster.client(retry_policy=None, breaker_policy=None)
+    tree = cluster.ht_tree(bucket_count=64)
+    tree.put(client, 7, 70)
+    entries, c_calls = _calls(lambda c, t: t.get(c, 7), client, tree)
+    assert entries <= 51
+    assert entries + c_calls <= 72
 
 
 @pytest.fixture

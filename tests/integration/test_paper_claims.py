@@ -147,7 +147,7 @@ class TestClaimC4CacheScaling:
     """C4: the HT-tree client cache is per-table, not per-item."""
 
     def test_cache_grows_with_tables_not_items(self, cluster):
-        from repro.core.ht_tree import LEAF_BYTES
+        from repro.core.ht_tree import LEAF
 
         tree = cluster.ht_tree(bucket_count=64, max_chain=8)
         client = cluster.client()
@@ -155,7 +155,7 @@ class TestClaimC4CacheScaling:
             tree.put(client, len(tree) * 2654435761 % (1 << 48), 1)
         # The cache is exactly one entry per hash table (leaf) — the
         # paper's "tree of 10M nodes indexes 1T items" scaling argument.
-        assert tree.cache_bytes(client) == tree.leaf_count() * LEAF_BYTES
+        assert tree.cache_bytes(client) == tree.leaf_count() * LEAF.size
         # Each leaf fronts hundreds of items, so the cache footprint is
         # orders of magnitude below the item storage.
         assert tree.cache_bytes(client) * 50 < 2000 * 32

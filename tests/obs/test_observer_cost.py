@@ -24,8 +24,8 @@ from repro.obs import TelemetryRegistry, Tracer
 
 # Python-level entries.
 EMPTY_SPAN = 21
-TRACED_READ = 43
-OBSERVED_READ = 100
+TRACED_READ = 42
+OBSERVED_READ = 99
 # Every call of an empty span, C builtins included.
 EMPTY_SPAN_ALL_CALLS = 50
 

@@ -4,10 +4,9 @@ sanitizer, retry/backoff, stale-epoch aborts, and trace events."""
 
 import pytest
 
-from repro import Cluster, Transaction, TxnAbortError, TxnConflictError, TxnSpace
+from repro import Transaction, TxnAbortError, TxnConflictError, TxnSpace
 from repro.analysis.budget import BudgetSanitizer
 from repro.fabric import MigrationWritePolicy
-from repro.fabric.errors import StaleEpochError
 from repro.fabric.integrity import frame_size
 from repro.fabric.wire import WORD, decode_u64, encode_u64
 from repro.obs import Tracer
