@@ -41,11 +41,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import runpy
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro import Cluster, __version__
+from repro.analysis.budget import BudgetSanitizer
 from repro.fabric.profile import Profiler
 from repro.obs import (
     SLOMonitor,
@@ -135,19 +137,36 @@ def _resolve_target(target: str) -> str:
     )
 
 
-def _trace(target: str, out_dir: str) -> int:
+def _run_example(
+    target: str,
+    *,
+    tracer: Optional[Tracer] = None,
+    sink: Any = None,
+    sanitizer: Optional[BudgetSanitizer] = None,
+) -> str:
+    """Run an example script, unmodified, under the observers given, and
+    return its resolved path. Every client the script creates
+    auto-attaches to ``tracer``; every tracer the script builds itself
+    also feeds ``sink``; ``sanitizer`` is active for the run."""
     path = _resolve_target(target)
-    stem = os.path.splitext(os.path.basename(path))[0]
-    tracer = Tracer()
-    # Every client the script creates auto-attaches to this tracer; the
-    # script itself runs unmodified.
     set_default_tracer(tracer)
+    set_default_sink(sink)
     try:
-        runpy.run_path(path, run_name="__main__")
+        with sanitizer if sanitizer is not None else contextlib.nullcontext():
+            runpy.run_path(path, run_name="__main__")
     finally:
         set_default_tracer(None)
+        set_default_sink(None)
+    return path
+
+
+def _trace(args: argparse.Namespace) -> int:
+    tracer = Tracer()
+    path = _run_example(args.target, tracer=tracer)
+    stem = os.path.splitext(os.path.basename(path))[0]
     tracer.finish()
 
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     jsonl_path = os.path.join(out_dir, f"{stem}.trace.jsonl")
     chrome_path = os.path.join(out_dir, f"{stem}.trace.json")
@@ -195,7 +214,7 @@ class _TopTicker:
 
 def _run_with_telemetry(
     target: str, window_ns: int, ticker_every: int = 0
-) -> tuple[str, Tracer, TelemetryRegistry, SLOMonitor]:
+) -> tuple[str, TelemetryRegistry, SLOMonitor]:
     """Run an example under a tracer + telemetry registry + SLO monitor.
 
     The registry is installed both as a sink on the default tracer (for
@@ -203,24 +222,17 @@ def _run_with_telemetry(
     the script builds itself feed it too). Observation stays free of
     observer effects: counts and clocks are bit-identical either way.
     """
-    path = _resolve_target(target)
     tracer = Tracer()
     registry = TelemetryRegistry(window_ns=window_ns).observe(tracer)
     monitor = SLOMonitor(registry)
     if ticker_every > 0:
         registry.add_listener(_TopTicker(monitor, ticker_every))
-    set_default_tracer(tracer)
-    set_default_sink(registry)
-    try:
-        runpy.run_path(path, run_name="__main__")
-    finally:
-        set_default_tracer(None)
-        set_default_sink(None)
+    path = _run_example(target, tracer=tracer, sink=registry)
     for client in tracer.clients():
         registry.sample_client(client)
     monitor.finish()
     tracer.finish()
-    return path, tracer, registry, monitor
+    return path, registry, monitor
 
 
 def _alert_gate(monitor: SLOMonitor, expect: bool, forbid: bool) -> int:
@@ -238,16 +250,11 @@ def _alert_gate(monitor: SLOMonitor, expect: bool, forbid: bool) -> int:
     return 0
 
 
-def _stats(
-    target: str,
-    out_dir: Optional[str],
-    window_ns: int,
-    expect_alerts: bool,
-    forbid_alerts: bool,
-) -> int:
-    path, _tracer, registry, monitor = _run_with_telemetry(target, window_ns)
+def _stats(args: argparse.Namespace) -> int:
+    path, registry, monitor = _run_with_telemetry(args.target, args.window_ns)
     print(f"\n-- live telemetry of {path} --")
     print(render_top(registry, monitor))
+    out_dir = args.out
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -259,26 +266,25 @@ def _stats(
             f"\nwrote {prom_path} ({samples} samples) and "
             f"{jsonl_path} ({records} records)"
         )
-    return _alert_gate(monitor, expect_alerts, forbid_alerts)
+    return _alert_gate(monitor, args.expect_alerts, args.forbid_alerts)
 
 
-def _top(target: str, window_ns: int, once: bool, refresh: int) -> int:
-    ticker_every = 0 if once else refresh
-    path, _tracer, registry, monitor = _run_with_telemetry(
-        target, window_ns, ticker_every
+def _top(args: argparse.Namespace) -> int:
+    path, registry, monitor = _run_with_telemetry(
+        args.target, args.window_ns, 0 if args.once else args.refresh
     )
     print(f"\n-- final frame ({path}) --")
     print(render_top(registry, monitor))
     return 0
 
 
-def _lint(paths: Sequence[str], list_rules: bool) -> int:
+def _lint(args: argparse.Namespace) -> int:
     from repro.analysis.fmlint import RULES, lint_paths, render_rules
 
-    if list_rules:
+    if args.list_rules:
         print(render_rules())
         return 0
-    findings = lint_paths(list(paths) or ["src", "examples"])
+    findings = lint_paths(list(args.paths) or ["src", "examples"])
     for finding in findings:
         print(finding.format())
     if findings:
@@ -295,19 +301,9 @@ def _lint(paths: Sequence[str], list_rules: bool) -> int:
     return 0
 
 
-def _run_sanitized(target: str, strict: bool):
-    """Run an example under a fresh sanitizer; ``(script path, sanitizer)``."""
-    from repro.analysis.budget import BudgetSanitizer
-
-    path = _resolve_target(target)
-    sanitizer = BudgetSanitizer(strict=strict)
-    with sanitizer:
-        runpy.run_path(path, run_name="__main__")
-    return path, sanitizer
-
-
-def _sanitize(target: str, strict: bool) -> int:
-    path, sanitizer = _run_sanitized(target, strict)
+def _sanitize(args: argparse.Namespace) -> int:
+    sanitizer = BudgetSanitizer(strict=not args.no_strict)
+    path = _run_example(args.target, sanitizer=sanitizer)
     print(f"\n-- far-access budgets over {path} --")
     print(sanitizer.report())
     return 1 if sanitizer.violations else 0
@@ -347,25 +343,18 @@ def _baseline_diffs(cert: dict, baseline_path: str) -> Optional[list[str]]:
     return fmcost.diff_certificates(fmcost.load_certificate(baseline_path), cert)
 
 
-def _cost(
-    paths: Sequence[str],
-    out: Optional[str],
-    check: bool,
-    update_baseline: bool,
-    baseline: Optional[str],
-    as_json: bool,
-    structures: Optional[str] = None,
-) -> int:
+def _cost(args: argparse.Namespace) -> int:
     from repro.analysis import fmcost
 
     wanted = (
-        [name.strip() for name in structures.split(",") if name.strip()]
-        if structures
+        [name.strip() for name in args.structures.split(",") if name.strip()]
+        if args.structures
         else None
     )
-    cert = _cost_certificate(paths, structures=wanted)
-    baseline_path = baseline or _default_baseline_path()
-    if as_json:
+    cert = _cost_certificate(args.paths, structures=wanted)
+    baseline_path = args.baseline or _default_baseline_path()
+    out = args.out
+    if args.json:
         import json
 
         print(json.dumps(cert, indent=2, sort_keys=True))
@@ -381,12 +370,12 @@ def _cost(
         for failure in failures:
             print(f"  - {failure}")
         status = 1
-    if update_baseline:
+    if args.update_baseline:
         os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
         fmcost.write_certificate(cert, baseline_path)
         print(f"updated baseline {baseline_path}")
         return status
-    if check:
+    if args.check:
         diffs = _baseline_diffs(cert, baseline_path)
         if diffs is None:
             print(f"fmcost: missing baseline {baseline_path} "
@@ -409,20 +398,14 @@ def _cost(
     return status
 
 
-def _check(
-    paths: Sequence[str],
-    sanitize_targets: Sequence[str],
-    baseline: Optional[str],
-    report_path: Optional[str],
-    as_json: bool,
-) -> int:
+def _check(args: argparse.Namespace) -> int:
     """One gate: lint + cost certification (+ sanitized examples)."""
     import json
 
     from repro.analysis import fmcost
     from repro.analysis.fmlint import lint_paths
 
-    lint_targets = list(paths) or ["src", "examples"]
+    lint_targets = list(args.paths) or ["src", "examples"]
     findings = lint_paths(lint_targets)
     for finding in findings:
         print(finding.format())
@@ -430,7 +413,7 @@ def _check(
 
     cert = _cost_certificate([])
     cost_failures = fmcost.certificate_failures(cert)
-    baseline_path = baseline or _default_baseline_path()
+    baseline_path = args.baseline or _default_baseline_path()
     cost_diffs = _baseline_diffs(cert, baseline_path)
     if cost_diffs is None:
         cost_diffs = [f"missing baseline {baseline_path}"]
@@ -442,8 +425,9 @@ def _check(
     )
 
     sanitize_results = []
-    for target in sanitize_targets:
-        _path, sanitizer = _run_sanitized(target, strict=False)
+    for target in args.sanitize:
+        sanitizer = BudgetSanitizer(strict=False)
+        _run_example(target, sanitizer=sanitizer)
         violations = list(sanitizer.violations)
         sanitize_results.append(
             {"target": target, "violations": violations}
@@ -483,35 +467,32 @@ def _check(
         },
         "sanitize": sanitize_results,
     }
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as fh:
+    if args.report is not None:
+        with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote combined report to {report_path}")
-    if as_json:
+        print(f"wrote combined report to {args.report}")
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     print(f"check: {'OK' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 
-def _races(path: str) -> int:
+def _races(args: argparse.Namespace) -> int:
     from repro.analysis.races import detect_races_in_file
 
-    report = detect_races_in_file(path)
+    report = detect_races_in_file(args.trace_jsonl)
     print(report.format())
     return 1 if report.errors else 0
 
 
-def _topology(
-    nodes: int,
-    node_size: int,
-    extent_size: Optional[int],
-    as_json: bool,
-    demo: bool,
-    max_extents: int,
-) -> int:
-    cluster = Cluster(node_count=nodes, node_size=node_size, extent_size=extent_size)
-    if demo:
+def _topology(args: argparse.Namespace) -> int:
+    nodes = args.nodes
+    max_extents = 1 << 30 if args.all else 32
+    cluster = Cluster(
+        node_count=nodes, node_size=args.node_size, extent_size=args.extent_size
+    )
+    if args.demo:
         # Make the dump show the machinery: heat, elastic growth, a live
         # migration's remap + epoch bump, and a drained node.
         client = cluster.client("topo-demo")
@@ -523,7 +504,7 @@ def _topology(
         cluster.migration.migrate_extent(client, hot, spare)
         cluster.drain_node(nodes - 1, client)
     dump = cluster.topology()
-    if as_json:
+    if args.json:
         import json
 
         print(json.dumps(dump, indent=2, sort_keys=True))
@@ -569,7 +550,8 @@ def _topology(
     return 0
 
 
-def _validate(path: str) -> int:
+def _validate(args: argparse.Namespace) -> int:
+    path = args.trace_json
     if path.endswith(".jsonl"):
         with open(path, "r", encoding="utf-8") as fh:
             problems = validate_jsonl(fh)
@@ -589,10 +571,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro",
         description="Far Memory Data Structures (HotOS '19) reproduction",
     )
+    parser.set_defaults(run=lambda _args: _demo())
     sub = parser.add_subparsers(dest="command")
     trace_parser = sub.add_parser(
         "trace", help="run an example under the tracer and export the trace"
     )
+    trace_parser.set_defaults(run=_trace)
     trace_parser.add_argument(
         "target", help="example name (e.g. quickstart) or script path"
     )
@@ -602,12 +586,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     validate_parser = sub.add_parser(
         "validate", help="schema-check an exported Chrome trace JSON or event JSONL"
     )
+    validate_parser.set_defaults(run=_validate)
     validate_parser.add_argument(
         "trace_json", help="path to a .trace.json or .trace.jsonl file"
     )
     lint_parser = sub.add_parser(
         "lint", help="far-memory static linter (nonzero exit on findings)"
     )
+    lint_parser.set_defaults(run=_lint)
     lint_parser.add_argument(
         "paths", nargs="*", help="files or directories (default: src examples)"
     )
@@ -618,6 +604,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sanitize",
         help="run an example under the @far_budget sanitizer",
     )
+    sanitize_parser.set_defaults(run=_sanitize)
     sanitize_parser.add_argument(
         "target", help="example name (e.g. quickstart) or script path"
     )
@@ -630,6 +617,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "cost",
         help="static far-access cost certification (fmcost)",
     )
+    cost_parser.set_defaults(run=_cost)
     cost_parser.add_argument(
         "paths",
         nargs="*",
@@ -667,6 +655,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "check",
         help="unified gate: lint + cost certification (+ sanitized examples)",
     )
+    check_parser.set_defaults(run=_check)
     check_parser.add_argument(
         "paths",
         nargs="*",
@@ -694,11 +683,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "races",
         help="happens-before race detection over a .trace.jsonl export",
     )
+    races_parser.set_defaults(run=_races)
     races_parser.add_argument("trace_jsonl", help="path to a .trace.jsonl file")
     topology_parser = sub.add_parser(
         "topology",
         help="dump the extent table (virtual address space topology)",
     )
+    topology_parser.set_defaults(run=_topology)
     topology_parser.add_argument(
         "--nodes", type=int, default=2, help="memory node count (default: 2)"
     )
@@ -728,6 +719,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "stats",
         help="run an example under the live telemetry plane and print stats",
     )
+    stats_parser.set_defaults(run=_stats)
     stats_parser.add_argument(
         "target", help="example name (e.g. quickstart) or script path"
     )
@@ -756,6 +748,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "top",
         help="run an example and render top-style telemetry frames",
     )
+    top_parser.set_defaults(run=_top)
     top_parser.add_argument(
         "target", help="example name (e.g. quickstart) or script path"
     )
@@ -778,54 +771,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command == "trace":
-        return _trace(args.target, args.out)
-    if args.command == "validate":
-        return _validate(args.trace_json)
-    if args.command == "lint":
-        return _lint(args.paths, args.list_rules)
-    if args.command == "sanitize":
-        return _sanitize(args.target, strict=not args.no_strict)
-    if args.command == "cost":
-        return _cost(
-            args.paths,
-            args.out,
-            args.check,
-            args.update_baseline,
-            args.baseline,
-            args.json,
-            args.structures,
-        )
-    if args.command == "check":
-        return _check(
-            args.paths,
-            args.sanitize,
-            args.baseline,
-            args.report,
-            args.json,
-        )
-    if args.command == "races":
-        return _races(args.trace_jsonl)
-    if args.command == "stats":
-        return _stats(
-            args.target,
-            args.out,
-            args.window_ns,
-            args.expect_alerts,
-            args.forbid_alerts,
-        )
-    if args.command == "top":
-        return _top(args.target, args.window_ns, args.once, args.refresh)
-    if args.command == "topology":
-        return _topology(
-            args.nodes,
-            args.node_size,
-            args.extent_size,
-            args.json,
-            args.demo,
-            max_extents=1 << 30 if args.all else 32,
-        )
-    return _demo()
+    return args.run(args)
 
 
 if __name__ == "__main__":

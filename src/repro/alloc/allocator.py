@@ -107,6 +107,17 @@ class FarAllocator:
         """Allocate ``count`` 64-bit words."""
         return self.alloc(count * 8, hint)
 
+    def provision(self, address: int, data: bytes | int) -> None:
+        """Seed freshly allocated memory with ``data`` (bytes, or one
+        word) before any client attaches. No client is charged: this is
+        the one sanctioned unmetered write above ``repro/fabric/``
+        (fmlint's layering table makes FM003 legal in ``repro/alloc/``),
+        for ``create()``-time set-up only."""
+        if isinstance(data, int):
+            self.fabric.write_word(address, data)
+        else:
+            self.fabric.write(address, data)
+
     def _resolve_node(self, hint: PlacementHint) -> int | None:
         hintable = self.fabric.supports_node_hints
         if hint.node is not None or hint.near is not None or hint.spread:
@@ -275,13 +286,6 @@ class FarAllocator:
     def free_bytes(self) -> int:
         """Total bytes currently free."""
         return sum(size for _, size in self._free)
-
-    def fragmentation(self) -> float:
-        """1 - (largest free range / total free); 0 when perfectly compact."""
-        free = self.free_bytes()
-        if free == 0:
-            return 0.0
-        return 1.0 - max(size for _, size in self._free) / free
 
     def __repr__(self) -> str:
         return (

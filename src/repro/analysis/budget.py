@@ -260,15 +260,3 @@ def far_budget(
         return wrapper
 
     return decorate
-
-
-def declared_budgets(cls: type) -> dict[str, Budget]:
-    """All ``@far_budget`` declarations on a class, by method name."""
-    out: dict[str, Budget] = {}
-    for name in dir(cls):
-        if name.startswith("_"):
-            continue
-        budget = getattr(getattr(cls, name), "__far_budget__", None)
-        if budget is not None:
-            out[name] = budget
-    return out

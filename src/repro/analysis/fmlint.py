@@ -25,13 +25,9 @@ FM006     unverified-replicated-read a raw client read addressed via a replica
                                   pointer — replicated data carries checksum
                                   frames; read it via read_verified()/read_block()
 FM007     physical-placement-leak ``fabric.node_of()``/``fabric.locate()`` or a
-                                  hand-built ``Location(...)`` outside the
-                                  translation/repair/migration layers — physical
+                                  hand-built ``Location(...)`` outside the layers
+                                  that move bytes between physical homes —
                                   coordinates go stale on the next migration
-FM008     missing-far-budget      a public method on a registered far structure
-                                  that issues far accesses (directly or through
-                                  a ``self.``-helper) without a ``@far_budget``
-                                  declaration
 FM009     unused-suppression      a ``# fmlint: disable=...`` comment whose code
                                   no longer triggers on the covered line(s)
 FM010     raw-txn-version-atomic  a raw ``cas``/``saai``/``faa`` aimed at a
@@ -52,16 +48,15 @@ file. Suppressions should carry a justification; they are how intentional
 exceptions (one-time unmetered provisioning, debug introspection) stay
 visible instead of silently normalized.
 
+FM003, FM006, FM007 and FM010 are one kind of rule — "this call is only
+legal inside packages X" — and are one table, :data:`LAYERING`, checked
+by one function; which package may make which call is stated there and
+nowhere else (``python -m repro lint --list-rules`` prints it). A public
+far op without a ``@far_budget`` is not a lint rule: fmcost's
+interprocedural ``missing_budget`` verdict decides it.
+
 The public API is :func:`lint_source` / :func:`lint_file` /
-:func:`lint_paths`; ``python -m repro lint`` is the CLI. Files under
-``repro/fabric/`` are exempt from FM003, FM006, and FM007 — they *are*
-the metering layer, the verified-read implementation, and the
-virtual-to-physical translation layer. ``repro/recovery/`` and
-``repro/migration/`` are exempt from FM007 only: repair and live
-migration move bytes between physical homes, so resolving placement is
-their job, not a leak. ``repro/txn/`` (and the fabric) are exempt from
-FM010 — the transaction layer *is* the owner of the version words the
-rule protects.
+:func:`lint_paths`; ``python -m repro lint`` is the CLI.
 """
 
 from __future__ import annotations
@@ -69,8 +64,8 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..fabric.ops import FAR_OPS, WORD_OPS
 
@@ -80,9 +75,8 @@ from ..fabric.ops import FAR_OPS, WORD_OPS
 FAR_SYNC_OPS = frozenset(FAR_OPS) | frozenset(WORD_OPS)
 
 #: Data-plane methods on the raw Fabric (what the table's rows issue).
-#: Calling these anywhere outside ``repro/fabric/`` moves bytes without
-#: charging any client's metrics — the exact accounting leak FM003
-#: exists to catch.
+#: Calling these moves bytes without charging any client's metrics — the
+#: exact accounting leak FM003 exists to catch.
 FABRIC_DATA_OPS = frozenset(row.fabric for row in FAR_OPS.values())
 
 #: random-module attributes that are fine: seeded/self-contained RNG
@@ -96,8 +90,8 @@ _SUPPRESS_RE = re.compile(r"#\s*fmlint:\s*disable=([A-Z0-9, ]+)")
 _SUPPRESS_FILE_RE = re.compile(r"#\s*fmlint:\s*disable-file=([A-Z0-9, ]+)")
 
 #: The far data structures whose public operations carry declared
-#: far-access budgets (fmlint FM008 enforces the declarations; fmcost
-#: certifies them statically).
+#: far-access budgets (fmcost certifies them statically, and reports a
+#: public far op without one as ``missing_budget``).
 REGISTERED_FAR_STRUCTURES = frozenset(
     {
         "HTTree",
@@ -113,8 +107,8 @@ REGISTERED_FAR_STRUCTURES = frozenset(
 
 #: Every client-receiver method that costs far accesses: the sync ops
 #: plus submit() (one posted op), the explicit accounting hook, and the
-#: framed/verified I/O helpers. FM008 looks for these; fmcost prices each
-#: at one far access (and read_verified()'s fallbacks on top).
+#: framed/verified I/O helpers. fmcost prices each at one far access
+#: (and read_verified()'s fallbacks on top).
 FAR_COST_OPS = FAR_SYNC_OPS | frozenset(
     {"submit", "charge_far_access", "write_framed", "read_verified"}
 )
@@ -143,90 +137,6 @@ class Rule:
     summary: str
 
 
-RULES: dict[str, Rule] = {
-    rule.code: rule
-    for rule in (
-        Rule(
-            "FM001",
-            "sync-far-op-in-loop",
-            "synchronous far op discarded inside a for loop; pipeline it "
-            "with submit(..., signaled=False), client.batch(), or a bulk op",
-        ),
-        Rule(
-            "FM002",
-            "leaked-far-future",
-            "submit() future never result()-ed, polled, stored, or "
-            "returned — its completion is unreachable",
-        ),
-        Rule(
-            "FM003",
-            "bypass-client-metering",
-            "raw fabric.* data-plane call skips the metered Client; the "
-            "far access is invisible to metrics, budgets, and traces",
-        ),
-        Rule(
-            "FM004",
-            "swallowed-far-timeout",
-            "except FarTimeoutError with an empty body; a transient fault "
-            "must be retried, recorded, or re-raised",
-        ),
-        Rule(
-            "FM005",
-            "nondeterministic-source",
-            "wall-clock time or unseeded global RNG breaks simulation "
-            "determinism; use the SimClock / a seeded random.Random",
-        ),
-        Rule(
-            "FM006",
-            "unverified-replicated-read",
-            "raw client read addressed through a replica pointer returns "
-            "bytes unchecked; corruption flows silently — use "
-            "read_verified() or the region's read_block()",
-        ),
-        Rule(
-            "FM007",
-            "physical-placement-leak",
-            "resolving or storing a physical location (fabric.node_of / "
-            "fabric.locate / Location(...)) outside the translation layer; "
-            "the answer goes stale on the next migration",
-        ),
-        Rule(
-            "FM008",
-            "missing-far-budget",
-            "public method on a registered far structure issues far "
-            "accesses without a @far_budget declaration; state its "
-            "fast/ceiling cost (or suppress with an 'observe only' note)",
-        ),
-        Rule(
-            "FM009",
-            "unused-suppression",
-            "a # fmlint: disable comment whose code does not trigger on "
-            "the covered line(s); remove it so real exceptions stay "
-            "visible",
-        ),
-        Rule(
-            "FM010",
-            "raw-txn-version-atomic",
-            "raw cas/saai/faa aimed at a txn-managed version word outside "
-            "repro.txn; ad-hoc atomics on those words break optimistic "
-            "validation — go through TxnSpace (read/write/commit)",
-        ),
-    )
-}
-
-#: Atomics FM010 watches on txn version words: the lock CAS, the
-#: indirect add family, and the zero-delta validation FAA.
-_TXN_VERSION_ATOMICS = frozenset({"cas", "saai", "fsaai", "faa"})
-
-#: Translation queries FM007 watches: they return *physical* coordinates,
-#: valid only for the duration of one operation once extents can migrate.
-_PLACEMENT_QUERY_OPS = frozenset({"node_of", "locate"})
-
-#: Client read-family ops FM006 watches: these return far bytes (or a
-#: word decoded from them) without consulting any checksum.
-_UNVERIFIED_READ_OPS = frozenset({"read", "read_u64", "rscatter", "rgather"})
-
-
 def attr_name(node: ast.AST) -> Optional[str]:
     """Terminal attribute/name identifier of an expression, if simple."""
     if isinstance(node, ast.Attribute):
@@ -249,6 +159,177 @@ def is_client_receiver(receiver: ast.AST) -> bool:
     """
     name = attr_name(receiver)
     return name is not None and "client" in name.lower()
+
+
+#: Identifiers that name a txn-managed version word. Exact matches
+#: only: structures with private versioning of their own (e.g.
+#: RefreshableVector._version_address) must not trip the rule.
+_TXN_VERSION_NAMES = frozenset(
+    {"version_addr", "version_word", "txn_slot", "txn_slot_addr"}
+)
+
+
+def _identifiers(arg: ast.AST) -> Iterator[str]:
+    for sub in ast.walk(arg):
+        name = attr_name(sub)
+        if name is not None:
+            yield name.lower()
+
+
+def _mentions_version_word(arg: ast.AST) -> bool:
+    """True when the address expression names a txn version word
+    (``space.version_addr(slot)``, ``version_word + off``...)."""
+    return any(name in _TXN_VERSION_NAMES for name in _identifiers(arg))
+
+
+def _mentions_replica(arg: ast.AST) -> bool:
+    """True when the address expression names a replica (``replica +
+    off``, ``region.replicas[0]``, ``primary_replica``...)."""
+    return any("replica" in name for name in _identifiers(arg))
+
+
+@dataclass(frozen=True)
+class LayerRule(Rule):
+    """A rule of the form "this call is only legal inside packages X".
+
+    ``receiver`` is how the callee is spelt — ``"fabric"`` for
+    ``<anything>.fabric.<call>(...)`` (aliases included), ``"client"``
+    for ``<client>.<call>(address, ...)`` or its ``submit("<call>",
+    address, ...)`` form, ``"bare"`` for a plain ``<call>(...)`` — and
+    ``address``, when given, must hold of the address argument. ``legal``
+    names the packages under ``repro/`` that may make the call: they *are*
+    the layer the rule protects.
+    """
+
+    receiver: str
+    calls: frozenset
+    address: Optional[Callable[[ast.AST], bool]]
+    legal: tuple[str, ...]
+
+
+#: Atomics FM010 watches on txn version words: the lock CAS, the
+#: indirect add family, and the zero-delta validation FAA.
+_TXN_VERSION_ATOMICS = frozenset({"cas", "saai", "fsaai", "faa"})
+
+#: Client read-family ops FM006 watches: these return far bytes (or a
+#: word decoded from them) without consulting any checksum.
+_UNVERIFIED_READ_OPS = frozenset({"read", "read_u64", "rscatter", "rgather"})
+
+_FM007 = LayerRule(
+    "FM007",
+    "physical-placement-leak",
+    "resolves or stores a physical location outside the translation "
+    "layer; the answer is only valid for one operation — live migration "
+    "remaps extents under you (suppress for allocation-time placement)",
+    receiver="fabric",
+    # Translation queries: they return *physical* coordinates.
+    calls=frozenset({"node_of", "locate"}),
+    address=None,
+    # Translation itself, plus repair and migration, which move bytes
+    # *between* physical homes and so must resolve node identities.
+    legal=("fabric", "recovery", "migration"),
+)
+
+#: The layering table: every exception to "everything above the fabric
+#: goes through the metered Client, addresses stay virtual, replicas are
+#: read verified and txn version words belong to the commit protocol".
+LAYERING: tuple[LayerRule, ...] = (
+    LayerRule(
+        "FM003",
+        "bypass-client-metering",
+        "raw fabric data-plane call bypasses the metered Client: no "
+        "metrics, no budget, no trace; issue it through a client "
+        "(FarAllocator.provision for create()-time set-up)",
+        receiver="fabric",
+        calls=FABRIC_DATA_OPS,
+        address=None,
+        # The metering boundary itself, and the allocator's provision():
+        # the one sanctioned unmetered write above it.
+        legal=("fabric", "alloc"),
+    ),
+    LayerRule(
+        "FM006",
+        "unverified-replicated-read",
+        "raw client read addressed through a replica pointer returns "
+        "unchecked bytes; corruption and torn writes flow through "
+        "silently — use read_verified() or the region's read_block()",
+        receiver="client",
+        calls=_UNVERIFIED_READ_OPS,
+        address=_mentions_replica,
+        # replication.py's verified paths are built from raw replica reads.
+        legal=("fabric",),
+    ),
+    _FM007,
+    # Constructing (and implicitly storing) a Location by hand is the
+    # other half of the same leak.
+    replace(_FM007, receiver="bare", calls=frozenset({"Location"})),
+    LayerRule(
+        "FM010",
+        "raw-txn-version-atomic",
+        "raw atomic on a txn-managed version word outside repro.txn; "
+        "ad-hoc atomics on those words break optimistic validation — go "
+        "through TxnSpace (read/write/commit, or recover)",
+        receiver="client",
+        calls=_TXN_VERSION_ATOMICS,
+        address=_mentions_version_word,
+        # The commit protocol owns the words; the primitives implement it.
+        legal=("fabric", "txn"),
+    ),
+)
+
+_ALL_RULES = [
+    Rule(
+        "FM001",
+        "sync-far-op-in-loop",
+        "synchronous far op discarded inside a for loop; pipeline it "
+        "with submit(..., signaled=False), client.batch(), or a bulk op",
+    ),
+    Rule(
+        "FM002",
+        "leaked-far-future",
+        "submit() future never result()-ed, polled, stored, or "
+        "returned — its completion is unreachable",
+    ),
+    Rule(
+        "FM004",
+        "swallowed-far-timeout",
+        "except FarTimeoutError with an empty body; a transient fault "
+        "must be retried, recorded, or re-raised",
+    ),
+    Rule(
+        "FM005",
+        "nondeterministic-source",
+        "wall-clock time or unseeded global RNG breaks simulation "
+        "determinism; use the SimClock / a seeded random.Random",
+    ),
+    Rule(
+        "FM009",
+        "unused-suppression",
+        "a # fmlint: disable comment whose code does not trigger on "
+        "the covered line(s); remove it so real exceptions stay "
+        "visible",
+    ),
+    *LAYERING,
+]
+RULES: dict[str, Rule] = {rule.code: rule for rule in sorted(_ALL_RULES, key=lambda r: r.code)}
+
+
+def _layer_call(node: ast.Call) -> Optional[tuple[str, str, Optional[ast.AST]]]:
+    """``(receiver kind, callee, address argument)`` as :class:`LayerRule`
+    spells them, or None for a call no row can match."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return "bare", func.id, None
+    if not isinstance(func, ast.Attribute):
+        return None
+    if attr_name(func.value) == "fabric":
+        return "fabric", func.attr, None
+    if not is_client_receiver(func.value):
+        return None
+    name, args = func.attr, node.args
+    if name == "submit" and args and isinstance(args[0], ast.Constant):
+        name, args = args[0].value, args[1:]
+    return "client", name, args[0] if args else None
 
 
 class _Checker(ast.NodeVisitor):
@@ -429,10 +510,6 @@ class _Checker(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
-    @staticmethod
-    def _is_fabric_receiver(func: ast.Attribute) -> bool:
-        return attr_name(func.value) == "fabric"
-
     def _loop_exits_after(self, stmt: ast.stmt) -> bool:
         """True when a break/return/raise follows ``stmt`` at its level.
 
@@ -450,127 +527,24 @@ class _Checker(ast.NodeVisitor):
         )
 
     def visit_Call(self, node: ast.Call) -> None:
-        # FM003: <anything>.fabric.<data op>(...) — including through a
-        # local alias (fabric = self.allocator.fabric; fabric.write(...)).
+        # FM003 / FM006 / FM007 / FM010: the layering table, one check.
+        call = _layer_call(node)
+        if call is not None:
+            kind, name, address = call
+            for row in LAYERING:
+                if (
+                    row.receiver == kind
+                    and name in row.calls
+                    and (
+                        row.address is None
+                        or (address is not None and row.address(address))
+                    )
+                ):
+                    spelt = name if kind == "bare" else f"{kind}.{name}"
+                    self._emit(node, row.code, f"{spelt}(): {row.summary}")
         if isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-            if name in FABRIC_DATA_OPS and self._is_fabric_receiver(node.func):
-                self._emit(
-                    node,
-                    "FM003",
-                    f"raw fabric.{name}() bypasses the metered Client: no "
-                    "metrics, no budget, no trace; issue it through a "
-                    "client (or suppress for one-time provisioning)",
-                )
-            # FM007: physical placement resolved outside the translation
-            # layer. Addresses are virtual; a cached (node, offset) answer
-            # is invalidated by the next extent migration.
-            if name in _PLACEMENT_QUERY_OPS and self._is_fabric_receiver(
-                node.func
-            ):
-                self._emit(
-                    node,
-                    "FM007",
-                    f"fabric.{name}() resolves a physical location outside "
-                    "the translation layer; the answer is only valid for "
-                    "one operation — live migration remaps extents under "
-                    "you (suppress for allocation-time placement decisions)",
-                )
-        elif isinstance(node.func, ast.Name) and node.func.id == "Location":
-            # Constructing (and implicitly storing) a Location by hand is
-            # the other half of the same leak.
-            self._emit(
-                node,
-                "FM007",
-                "Location(...) constructed outside the translation layer; "
-                "physical coordinates must not outlive one operation once "
-                "extents can migrate",
-            )
-        if isinstance(node.func, ast.Attribute):
-            # FM006: client.read(replica + off, ...) — the address names a
-            # replica, so the bytes came from replicated (hence framed)
-            # storage, but nothing checked the frame.
-            if (
-                name in _UNVERIFIED_READ_OPS
-                and is_client_receiver(node.func.value)
-                and node.args
-                and self._mentions_replica(node.args[0])
-            ):
-                self._emit(
-                    node,
-                    "FM006",
-                    f"client.{name}() addressed through a replica pointer "
-                    "returns unchecked bytes; corruption and torn writes "
-                    "flow through silently — use read_verified() or the "
-                    "region's read_block()",
-                )
-            # FM010: raw atomics on txn-managed version words. The commit
-            # protocol (repro.txn) owns those words — lock CAS, validate
-            # FAA, recovery rollback — and an out-of-band atomic breaks
-            # its optimistic-validation invariant silently.
-            if (
-                name in _TXN_VERSION_ATOMICS
-                and is_client_receiver(node.func.value)
-                and node.args
-                and self._mentions_version_word(node.args[0])
-            ):
-                self._emit(
-                    node,
-                    "FM010",
-                    f"raw client.{name}() on a txn-managed version word "
-                    "outside repro.txn; the commit protocol owns these "
-                    "words — use TxnSpace.read/write/commit (or recover)",
-                )
-            elif (
-                name == "submit"
-                and is_client_receiver(node.func.value)
-                and len(node.args) >= 2
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value in _TXN_VERSION_ATOMICS
-                and self._mentions_version_word(node.args[1])
-            ):
-                self._emit(
-                    node,
-                    "FM010",
-                    f"submitted {node.args[0].value!r} atomic on a "
-                    "txn-managed version word outside repro.txn; the "
-                    "commit protocol owns these words — use "
-                    "TxnSpace.read/write/commit (or recover)",
-                )
             self._check_nondeterminism_call(node)
         self.generic_visit(node)
-
-    #: Identifiers that name a txn-managed version word. Exact matches
-    #: only: structures with private versioning of their own (e.g.
-    #: RefreshableVector._version_address) must not trip the rule.
-    _TXN_VERSION_NAMES = frozenset(
-        {"version_addr", "version_word", "txn_slot", "txn_slot_addr"}
-    )
-
-    @classmethod
-    def _mentions_version_word(cls, arg: ast.AST) -> bool:
-        """True when the address expression names a txn version word
-        (``space.version_addr(slot)``, ``version_word + off``...)."""
-        for sub in ast.walk(arg):
-            text = None
-            if isinstance(sub, ast.Name):
-                text = sub.id.lower()
-            elif isinstance(sub, ast.Attribute):
-                text = sub.attr.lower()
-            if text in cls._TXN_VERSION_NAMES:
-                return True
-        return False
-
-    @staticmethod
-    def _mentions_replica(arg: ast.AST) -> bool:
-        """True when the address expression names a replica (``replica +
-        off``, ``region.replicas[0]``, ``primary_replica``...)."""
-        for sub in ast.walk(arg):
-            if isinstance(sub, ast.Name) and "replica" in sub.id.lower():
-                return True
-            if isinstance(sub, ast.Attribute) and "replica" in sub.attr.lower():
-                return True
-        return False
 
     # -- FM004 -----------------------------------------------------------
 
@@ -673,89 +647,6 @@ class _Checker(ast.NodeVisitor):
             )
 
 
-# -- FM008: missing far budgets on registered structures -------------------
-
-
-def _issues_far_ops(fn: ast.AST) -> bool:
-    """True when ``fn`` directly issues a metered client far op."""
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in FAR_COST_OPS
-            and is_client_receiver(node.func.value)
-        ):
-            return True
-    return False
-
-
-def _self_helper_calls(fn: ast.AST) -> set[str]:
-    out = set()
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self"
-        ):
-            out.add(node.func.attr)
-    return out
-
-
-def _missing_budget_findings(tree: ast.AST, path: str) -> list[Finding]:
-    """FM008: budget-less public far-ops on registered structures.
-
-    "Issues far ops" is checked one level deep: the method itself, or any
-    ``self.``-helper it calls (where the real access usually lives).
-    """
-    findings = []
-    for node in ast.walk(tree):
-        if (
-            not isinstance(node, ast.ClassDef)
-            or node.name not in REGISTERED_FAR_STRUCTURES
-        ):
-            continue
-        methods = {
-            stmt.name: stmt
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        direct = {name: _issues_far_ops(fn) for name, fn in methods.items()}
-        for name, fn in methods.items():
-            if name.startswith("_"):
-                continue
-            decorators = {decorator_name(d) for d in fn.decorator_list}
-            if "far_budget" in decorators:
-                continue
-            if decorators & {
-                "classmethod",
-                "staticmethod",
-                "property",
-                "cached_property",
-            }:
-                # Constructors and attribute views: provisioning cost,
-                # not a per-operation budget.
-                continue
-            far = direct[name] or any(
-                direct.get(helper, False)
-                for helper in _self_helper_calls(fn)
-            )
-            if far:
-                findings.append(
-                    Finding(
-                        path,
-                        fn.lineno,
-                        fn.col_offset + 1,
-                        "FM008",
-                        f"public {node.name}.{name}() issues far accesses "
-                        "without a @far_budget declaration; state its "
-                        "fast/ceiling cost so the sanitizer and fmcost can "
-                        "hold it (or suppress with an 'observe only' note)",
-                    )
-                )
-    return findings
-
-
 # -- suppressions ----------------------------------------------------------
 
 
@@ -827,10 +718,9 @@ def lint_source(
     tree = ast.parse(source, filename=path)
     checker = _Checker(path)
     checker.check(tree)
-    raw = checker.findings + _missing_budget_findings(tree, path)
     suppressions = _suppressions(source)
     out = []
-    for finding in raw:
+    for finding in checker.findings:
         silenced = False
         for suppression in suppressions:
             if finding.code not in suppression.codes:
@@ -878,27 +768,20 @@ def lint_source(
     return out
 
 
+def _package(path: str) -> Optional[str]:
+    """The ``repro`` package a file belongs to: the path component after
+    the last ``repro`` one (None outside the tree, or for a module
+    directly under it)."""
+    directory = "/" + os.path.dirname(path.replace(os.sep, "/")) + "/"
+    _, found, below = directory.rpartition("/repro/")
+    return below.split("/")[0] or None if found else None
+
+
 def _exempt_codes(path: str) -> set[str]:
-    normalized = path.replace(os.sep, "/")
-    if "repro/fabric/" in normalized:
-        # The fabric layer IS the metering boundary, and replication.py's
-        # verified paths are where replica-addressed raw reads are legal
-        # (read() is the documented unverified fallback; read_block() is
-        # built from them). It is also the translation layer itself, so
-        # FM007's "outside the translation layer" premise does not apply.
-        # FM010's "outside repro.txn" premise likewise cannot apply to
-        # the primitive implementations themselves.
-        return {"FM003", "FM006", "FM007", "FM010"}
-    if "repro/recovery/" in normalized or "repro/migration/" in normalized:
-        # Repair and migration are the two sanctioned physical-placement
-        # consumers: they move bytes *between* physical homes, so they
-        # must resolve node identities by design.
-        return {"FM007"}
-    if "repro/txn/" in normalized:
-        # The transaction layer owns the version words FM010 protects:
-        # its lock CAS / validate FAA / rollback writes are the protocol.
-        return {"FM010"}
-    return set()
+    """The layering codes that do not apply to ``path``: it lies in a
+    package where the row's calls are legal."""
+    package = _package(path)
+    return {row.code for row in LAYERING if package in row.legal}
 
 
 def lint_file(path: str) -> list[Finding]:
@@ -932,9 +815,13 @@ def lint_paths(paths: Iterable[str]) -> list[Finding]:
 
 
 def render_rules() -> str:
-    """The rule table for ``repro lint --list-rules``."""
+    """The rule table for ``repro lint --list-rules``; a layering rule
+    also lists the packages where its calls are legal."""
     width = max(len(rule.name) for rule in RULES.values())
-    return "\n".join(
-        f"{rule.code}  {rule.name:<{width}}  {rule.summary}"
-        for rule in RULES.values()
-    )
+    lines = []
+    for rule in RULES.values():
+        line = f"{rule.code}  {rule.name:<{width}}  {rule.summary}"
+        if isinstance(rule, LayerRule):
+            line += " [legal in " + ", ".join(f"repro/{p}/" for p in rule.legal) + "]"
+        lines.append(line)
+    return "\n".join(lines)

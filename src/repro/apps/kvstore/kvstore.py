@@ -295,19 +295,6 @@ class FarKVStore:
         for fut in pending:
             fut.result()
 
-    @far_budget(None, claim="C4")
-    def txn_update(
-        self, client: Client, space, txn, key: str, fn, *, default=None
-    ) -> bytes:
-        """Transactional read-modify-write: ``fn(current) -> new``
-        (``default`` stands in for a missing key). The read joins the
-        read set, so a concurrent committer aborts this transaction
-        instead of losing the update."""
-        current = self.txn_get(client, space, txn, key)
-        value = bytes(fn(default if current is None else current))
-        self.txn_multiput(client, space, txn, [(key, value)])
-        return value
-
     @far_budget(1, claim="C4")
     def contains(self, client: Client, key: str) -> bool:
         """Membership test (one index lookup)."""

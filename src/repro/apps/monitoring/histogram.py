@@ -45,10 +45,6 @@ class FarHistogram:
         base pointer — the producer's entire per-sample cost)."""
         self.vector.add(client, sample_bin, 1)
 
-    def read_counts(self, client: Client, base: Optional[int] = None) -> np.ndarray:
-        """Read all bin counts (1-2 far accesses)."""
-        return self.vector.read_all(client, base=base)
-
     def read_range(
         self, client: Client, low: int, high: int, base: Optional[int] = None
     ) -> np.ndarray:

@@ -47,7 +47,7 @@ class NaiveMonitor:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         base = allocator.alloc(HEADER.size + capacity * WORD, hint)
-        allocator.fabric.write_word(base, 0)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(base, 0)
         return cls(count_addr=base, log_base=base + HEADER.size, capacity=capacity)
 
 

@@ -49,8 +49,7 @@ class WindowedHistogramRing:
         storages = [first]
         for _ in range(window_count - 1):
             region = allocator.alloc(bins * WORD, hint)
-            # fmlint: disable=FM003 (pre-attach provisioning)
-            allocator.fabric.write(region, b"\x00" * bins * WORD)
+            allocator.provision(region, b"\x00" * bins * WORD)
             storages.append(region)
         return cls(histogram=histogram, storages=storages, _bins=bins)
 
@@ -63,10 +62,6 @@ class WindowedHistogramRing:
     def window_count(self) -> int:
         """Ring depth."""
         return len(self.storages)
-
-    def current_storage(self) -> int:
-        """Far address of the live window's bins (producer-side knowledge)."""
-        return self.storages[self.current]
 
     def advance(self, client: Client) -> int:
         """End the current window: zero the oldest region and atomically

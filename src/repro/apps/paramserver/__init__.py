@@ -1,6 +1,6 @@
 """Parameter-server training over refreshable vectors (paper section 5.4)."""
 
-from .encoding import float_to_word, floats_to_words, word_to_float, words_to_floats
+from .encoding import float_to_word, word_to_float, words_to_floats
 from .paramserver import (
     Coordinator,
     GradientChannel,
@@ -13,7 +13,6 @@ from .paramserver import (
 
 __all__ = [
     "float_to_word",
-    "floats_to_words",
     "word_to_float",
     "words_to_floats",
     "Coordinator",

@@ -9,12 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def floats_to_words(values: np.ndarray) -> np.ndarray:
-    """Reinterpret float64 values as u64 words (bitwise)."""
-    arr = np.ascontiguousarray(values, dtype="<f8")
-    return arr.view("<u8")
-
-
 def words_to_floats(words: np.ndarray) -> np.ndarray:
     """Reinterpret u64 words as float64 values (bitwise)."""
     arr = np.ascontiguousarray(words, dtype="<u8")

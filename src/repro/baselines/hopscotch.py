@@ -85,8 +85,7 @@ class HopscotchHashMap:
         if slot_count <= 0 or neighborhood <= 0 or neighborhood > slot_count:
             raise ValueError("invalid slot_count / neighborhood")
         base = allocator.alloc(slot_count * SLOT.size, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(base, EMPTY_SLOT * slot_count)
+        allocator.provision(base, EMPTY_SLOT * slot_count)
         return cls(allocator, base, slot_count, neighborhood)
 
     def _home(self, key: int) -> int:

@@ -98,8 +98,7 @@ class OneSidedBTree:
         tree = cls(allocator, descriptor, max_keys, cache_levels)
         root = tree._alloc_node()
         tree._write_raw(root, _BNode(is_leaf=True))
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(descriptor, root)
+        allocator.provision(descriptor, root)
         return tree
 
     # ------------------------------------------------------------------
@@ -129,8 +128,7 @@ class OneSidedBTree:
         return _BNode(is_leaf=is_leaf, keys=keys, values=values, children=children)
 
     def _write_raw(self, address: int, node: _BNode) -> None:
-        # fmlint: disable=FM003 (create()-only path)
-        self.allocator.fabric.write(address, self._encode(node))
+        self.allocator.provision(address, self._encode(node))
 
     # ------------------------------------------------------------------
     # Charged node I/O with level caching

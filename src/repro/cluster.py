@@ -225,12 +225,6 @@ class Cluster:
 
         return TxnSpace.create(self.allocator, client, **kwargs)
 
-    def far_stack(self, **kwargs):
-        """A Treiber far stack (extension; see core.stack)."""
-        from .core.stack import FarStack
-
-        return FarStack.create(self.allocator, **kwargs)
-
     def far_rwlock(self, hint: Optional[PlacementHint] = None):
         """A far reader-writer lock (extension)."""
         from .core.rwlock import FarRWLock
@@ -244,14 +238,6 @@ class Cluster:
         return FarSemaphore.create(
             self.allocator, self.notifications, permits, hint=hint
         )
-
-    def blob_store(self, *, index=None, **kwargs):
-        """A variable-size value store over an HT-tree index (extension)."""
-        from .core.blob import FarBlobStore
-
-        if index is None:
-            index = self.ht_tree()
-        return FarBlobStore.create(self.allocator, index, **kwargs)
 
     def registry(self, capacity: int = 64):
         """A far-memory naming registry (extension)."""

@@ -61,8 +61,7 @@ class FarBarrier:
         if participants <= 0:
             raise ValueError("participants must be positive")
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, participants)
+        allocator.provision(address, participants)
         return cls(address=address, participants=participants, manager=manager)
 
     def arrive(self, client: Client, *, subscribe: bool = True) -> ArrivalTicket:

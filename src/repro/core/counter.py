@@ -14,7 +14,7 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..analysis.budget import far_budget
 from ..fabric.client import Client
-from ..fabric.wire import WORD, to_signed
+from ..fabric.wire import WORD
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class FarCounter:
         structure.
         """
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, initial)
+        allocator.provision(address, initial)
         return cls(address=address)
 
     @classmethod
@@ -55,11 +54,6 @@ class FarCounter:
     def read(self, client: Client) -> int:
         """Current value: one far access."""
         return client.read_u64(self.address)
-
-    @far_budget(1, ceiling=1, claim="C2")
-    def read_signed(self, client: Client) -> int:
-        """Current value reinterpreted as signed: one far access."""
-        return to_signed(client.read_u64(self.address))
 
     @far_budget(1, ceiling=1, claim="C2")
     def set(self, client: Client, value: int) -> None:

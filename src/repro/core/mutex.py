@@ -61,8 +61,7 @@ class FarMutex:
     ) -> "FarMutex":
         """Allocate an unlocked mutex."""
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, UNLOCKED)
+        allocator.provision(address, UNLOCKED)
         return cls(address=address, manager=manager)
 
     @staticmethod

@@ -184,12 +184,9 @@ class FarQueue:
             slack_slots=slack,
             use_fsaai=use_fsaai,
         )
-        fabric = allocator.fabric
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write_word(queue.head_addr, queue.array_base)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write_word(queue.tail_addr, queue.array_base)
-        fabric.write(  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(queue.head_addr, queue.array_base)
+        allocator.provision(queue.tail_addr, queue.array_base)
+        allocator.provision(
             queue.array_base, encode_u64(EMPTY) * (capacity + queue.slack_slots)
         )
         return queue
@@ -570,13 +567,6 @@ class FarQueue:
         slots.clear()
         self.stats.clear_flushes += 1
         return cleared
-
-    def subscribe_items(self, manager, client: Client):
-        """Arm ``notify0`` on the tail pointer: every enqueue bumps the
-        tail, so a blocked consumer learns of new work without polling —
-        the section 4.3 pattern applied to work queues. Returns the
-        subscription; the consumer retries :meth:`dequeue` on delivery."""
-        return manager.notify0(client, self.tail_addr, WORD)
 
     def detach_client(self, client_id: int) -> None:
         """Forget a (crashed or departed) client's local state, freeing its

@@ -75,7 +75,6 @@ class _ReaderState:
     subscriptions: list[Subscription] = field(default_factory=list)
     sub_ids: set[int] = field(default_factory=set)
     refreshes: int = 0
-    mode_switches: int = 0
 
 
 class RefreshableVector:
@@ -129,8 +128,7 @@ class RefreshableVector:
             version_words = (length + group_size - 1) // group_size
         total = (version_words + length) * WORD
         base = allocator.alloc(total, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write(base, b"\x00" * total)
+        allocator.provision(base, b"\x00" * total)
         return cls(
             allocator,
             manager,
@@ -248,12 +246,6 @@ class RefreshableVector:
         state = self._reader(client)
         client.touch_local()
         return int(state.data[index])
-
-    @far_budget(2, claim="C2")
-    def get_fresh(self, client: Client, index: int) -> int:
-        """Refresh, then read: the paper's freshness guarantee."""
-        self.refresh(client)
-        return self.get(client, index)
 
     @far_budget(0, ceiling=2)
     def snapshot(self, client: Client) -> np.ndarray:
@@ -385,7 +377,6 @@ class RefreshableVector:
             remaining -= chunk
         state.mode = "notify"
         state.quiet_streak = 0
-        state.mode_switches += 1
 
     def _leave_notify_mode(self, state: _ReaderState) -> None:
         for sub in state.subscriptions:
@@ -394,7 +385,6 @@ class RefreshableVector:
         state.sub_ids.clear()
         state.mode = "poll"
         state.quiet_streak = 0
-        state.mode_switches += 1
 
     @far_budget(0, ceiling=2)
     def reader_mode(self, client: Client) -> str:
@@ -402,11 +392,6 @@ class RefreshableVector:
         per-client reader state exists; first touch seeds it (<= 2 far
         accesses for the initial version snapshot)."""
         return self._reader(client).mode
-
-    @far_budget(0, ceiling=2)
-    def reader_mode_switches(self, client: Client) -> int:
-        """How many times the dynamic policy has shifted for this client."""
-        return self._reader(client).mode_switches
 
     def __repr__(self) -> str:
         granularity = "element" if self.element_versions else f"group({self.group_size})"

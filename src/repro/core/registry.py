@@ -95,9 +95,8 @@ class FarRegistry:
             raise ValueError("capacity must be positive")
         size = HEADER.size + capacity * ENTRY.size
         base = allocator.alloc(size, hint)
-        fabric = allocator.fabric
-        fabric.write(base, b"\x00" * size)  # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write_word(base, capacity)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(base, b"\x00" * size)
+        allocator.provision(base, capacity)
         return cls(base=base, capacity=capacity, allocator=allocator)
 
     @classmethod

@@ -60,7 +60,7 @@ class FarRWLock:
     ) -> "FarRWLock":
         """Allocate an unheld lock."""
         address = allocator.alloc(WORD, hint)
-        allocator.fabric.write_word(address, 0)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(address, 0)
         return cls(address=address, manager=manager)
 
     # ------------------------------------------------------------------
@@ -118,7 +118,3 @@ class FarRWLock:
     def readers(self, client: Client) -> int:
         """Current reader count (one far access)."""
         return client.read_u64(self.address) // READER_UNIT
-
-    def writer_held(self, client: Client) -> bool:
-        """Whether a writer holds the lock (one far access)."""
-        return bool(client.read_u64(self.address) & WRITER_BIT)

@@ -52,8 +52,7 @@ class FarSemaphore:
         if permits <= 0:
             raise ValueError("permits must be positive")
         address = allocator.alloc(WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(address, permits)
+        allocator.provision(address, permits)
         return cls(address=address, manager=manager, permits=permits)
 
     def try_acquire(self, client: Client) -> bool:

@@ -66,7 +66,7 @@ class FarStack:
     ) -> "FarStack":
         """Allocate an empty stack (null top pointer)."""
         top = allocator.alloc(WORD, hint)
-        allocator.fabric.write_word(top, 0)  # fmlint: disable=FM003 (pre-attach provisioning)
+        allocator.provision(top, 0)
         return cls(allocator, top, reclaimer=reclaimer)
 
     def push(self, client: Client, value: int) -> None:

@@ -59,8 +59,7 @@ class FarVector:
             raise ValueError("vector length must be positive")
         descriptor = allocator.alloc(WORD, hint)
         storage = allocator.alloc(length * WORD, hint)
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        allocator.fabric.write_word(descriptor, storage)
+        allocator.provision(descriptor, storage)
         return cls(descriptor=descriptor, length=length)
 
     def _check_index(self, index: int) -> None:
@@ -187,18 +186,6 @@ class FarVector:
             remaining -= chunk
         return subs
 
-    def subscribe_value(
-        self,
-        manager: NotificationManager,
-        client: Client,
-        base: int,
-        index: int,
-        value: int,
-    ) -> Subscription:
-        """``notifye``: fire when element ``index`` becomes ``value``."""
-        self._check_index(index)
-        return manager.notifye(client, base + index * WORD, value)
-
 
 @dataclass
 class CachedFarVector:
@@ -290,12 +277,6 @@ class CachedFarVector:
         self._cache[index] = value
         self._valid[index] = True
         return value
-
-    def hit_fraction(self) -> float:
-        """Fraction of words currently valid in the cache."""
-        if len(self._valid) == 0:
-            return 0.0
-        return float(self._valid.mean())
 
     def close(self) -> None:
         """Drop all subscriptions."""

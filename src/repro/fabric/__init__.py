@@ -45,13 +45,11 @@ from .fabric import Fabric, FabricResult, IndirectionPolicy
 from .faults import FaultInjector, FaultPlan, FaultRule, FaultStats
 from .integrity import (
     FRAME_OVERHEAD,
-    IntegrityStats,
     frame_block,
     frame_size,
     try_unframe,
-    unframe_block,
 )
-from .latency import CostModel, SimClock, Stopwatch
+from .latency import CostModel, SimClock
 from .retry import BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy
 from .memory_node import MemoryNode, NodeStats
 from .metrics import Metrics, aggregate
@@ -109,14 +107,11 @@ __all__ = [
     "FaultRule",
     "FaultStats",
     "FRAME_OVERHEAD",
-    "IntegrityStats",
     "frame_block",
     "frame_size",
     "try_unframe",
-    "unframe_block",
     "CostModel",
     "SimClock",
-    "Stopwatch",
     "BreakerPolicy",
     "BreakerState",
     "CircuitBreaker",

@@ -211,23 +211,6 @@ class Client:
         return self._tracer.span(self, label, **tags)
 
     # ------------------------------------------------------------------
-    # Transactions (repro.txn)
-    # ------------------------------------------------------------------
-
-    def transaction(self, space: Any, **kwargs: Any):
-        """Open a single-attempt optimistic transaction scope on
-        ``space`` (a :class:`repro.txn.TxnSpace`): commit on clean exit,
-        abort on exception. Thin forwarder — the protocol lives in
-        :meth:`TxnSpace.transaction`, which avoids an import cycle."""
-        return space.transaction(self, **kwargs)
-
-    def run_transaction(self, space: Any, fn: Any, **kwargs: Any) -> Any:
-        """Run ``fn(txn)`` on ``space`` with bounded abort/retry and
-        backoff folded into this client's window charge
-        (:meth:`TxnSpace.run`)."""
-        return space.run(self, fn, **kwargs)
-
-    # ------------------------------------------------------------------
     # Time + accounting plumbing
     # ------------------------------------------------------------------
 

@@ -264,12 +264,6 @@ class ExtentTable:
     def heat_of(self, extent: int) -> int:
         return self._heat.get(extent, 0)
 
-    def reset_heat(self, extent: Optional[int] = None) -> None:
-        if extent is None:
-            self._heat.clear()
-        else:
-            self._heat.pop(extent, None)
-
     def heat_by_node(self) -> dict[int, int]:
         totals = {node: 0 for node in range(self.node_count)}
         for extent, heat in self._heat.items():
@@ -310,9 +304,6 @@ class ExtentTable:
                 if not groups:
                     del self._replica_groups[extent]
             extents.discard(extent)
-
-    def replica_groups_of(self, extent: int) -> frozenset:
-        return frozenset(self._replica_groups.get(extent, ()))
 
     def sibling_replica_nodes(self, extent: int) -> set[int]:
         """Nodes holding other replicas of any group ``extent`` belongs
@@ -383,9 +374,6 @@ class ExtentTable:
 
     def epoch_of(self, extent: int) -> int:
         return self._epochs.get(extent, 1)
-
-    def migration_state(self, extent: int) -> Optional[ExtentMigrationState]:
-        return self._migrating.get(extent)
 
     @property
     def migrating_extents(self) -> list[int]:

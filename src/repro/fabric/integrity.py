@@ -33,10 +33,8 @@ exactly one extra far access — the re-read of the next replica.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FarCorruptionError
 from .wire import Layout, crc32_u64, encode_u64
 
 FRAME = Layout("crc version")  # then the payload
@@ -74,28 +72,3 @@ def try_unframe(frame: bytes) -> Optional[tuple[int, bytes]]:
     if crc32_u64(frame[_COVERED:]) != stored:
         return None
     return version, bytes(frame[FRAME.size :])
-
-
-def unframe_block(frame: bytes, *, node: int = -1, address: int = 0) -> tuple[int, bytes]:
-    """Open a frame or raise :class:`FarCorruptionError` (no replica to
-    fall back to). ``node``/``address`` only annotate the error."""
-    decoded = try_unframe(frame)
-    if decoded is None:
-        raise FarCorruptionError(node, address, max(0, len(frame) - FRAME_OVERHEAD))
-    return decoded
-
-
-@dataclass
-class IntegrityStats:
-    """Verification accounting for a framing-layer user (repair, bench)."""
-
-    frames_written: int = 0
-    frames_verified: int = 0
-    verify_misses: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "frames_written": self.frames_written,
-            "frames_verified": self.frames_verified,
-            "verify_misses": self.verify_misses,
-        }

@@ -16,7 +16,7 @@ add it on top of the base round-trip latency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -100,18 +100,3 @@ class SimClock:
     def reset(self) -> None:
         """Reset the clock to time zero."""
         self.now_ns = 0.0
-
-
-@dataclass
-class Stopwatch:
-    """Measures elapsed simulated time on a clock between two points."""
-
-    clock: SimClock
-    start_ns: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        self.start_ns = self.clock.now_ns
-
-    def elapsed_ns(self) -> float:
-        """Simulated nanoseconds since this stopwatch was created."""
-        return self.clock.now_ns - self.start_ns

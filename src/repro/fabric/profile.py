@@ -125,10 +125,6 @@ class Profiler:
         """The accumulated row for ``label`` (empty row if never measured)."""
         return self.rows.get(label, ProfileRow(label=label))
 
-    def total_far_accesses(self) -> int:
-        """Far accesses across every label."""
-        return sum(row.far_accesses for row in self.rows.values())
-
     def reset(self) -> None:
         """Clear the ledger."""
         self.rows.clear()

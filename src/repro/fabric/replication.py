@@ -348,11 +348,6 @@ class ReplicatedRegion:
         assert last_error is not None
         raise last_error
 
-    def block_version(self, index: int) -> int:
-        """Last version stamp this view wrote or observed for ``index``."""
-        self._block_offset(index)  # validates the index + framed-ness
-        return self._versions.get(index, 0)
-
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------

@@ -80,10 +80,6 @@ class ExtentMigration:
         self.extent = extent
         self.state = state
 
-    @property
-    def copied_bytes(self) -> int:
-        return self.state.cursor
-
     def step(self, chunks: Optional[int] = None) -> bool:
         """Copy one round of up to ``chunks`` chunks (defaults to the
         coordinator's ``chunks_per_round``) — a read window over the live

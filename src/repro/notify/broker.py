@@ -35,12 +35,6 @@ class BrokerStats:
     messages_out: int = 0
     topics: int = 0
 
-    def amplification(self) -> float:
-        """Average fan-out per incoming hardware notification."""
-        if self.messages_in == 0:
-            return 0.0
-        return self.messages_out / self.messages_in
-
 
 class Broker:
     """A dedicated software subscriber that re-routes notifications.
@@ -156,7 +150,3 @@ class BrokerNetwork:
     def total_messages_out(self) -> int:
         """All process-bound messages sent by the broker tier."""
         return sum(b.stats.messages_out for b in self.brokers)
-
-    def hardware_subscriber_count(self) -> int:
-        """Brokers holding at least one hardware subscription."""
-        return sum(1 for b in self.brokers if b.stats.topics > 0)

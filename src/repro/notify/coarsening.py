@@ -71,12 +71,6 @@ class CoarseningStats:
             return 0.0
         return self.false_positives / self.notifications_checked
 
-    def subscription_savings(self) -> float:
-        """1 - coarse/fine: how much hardware subscription state was saved."""
-        if self.fine_ranges == 0:
-            return 0.0
-        return 1.0 - self.coarse_subscriptions / self.fine_ranges
-
 
 @dataclass
 class CoarsenedSubscriber:

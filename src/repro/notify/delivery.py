@@ -75,13 +75,6 @@ class DeliveryStats:
     dropped_bucket: int = 0
     loss_warnings: int = 0
 
-    def loss_rate(self) -> float:
-        """Fraction of offered events that never reached a subscriber in
-        any form (coalesced events are *represented*, not lost)."""
-        if self.offered == 0:
-            return 0.0
-        return (self.dropped_random + self.dropped_bucket) / self.offered
-
 
 @dataclass
 class _SubState:
@@ -196,12 +189,6 @@ class DeliveryEngine:
             return
         for state in self._state.values():
             state.tokens = min(capacity, state.tokens + self.policy.bucket_refill)
-
-    def pending_loss(self, sub: Subscription) -> int:
-        """Events lost on ``sub`` that have not yet been covered by a
-        loss warning."""
-        state = self._state.get(sub.sub_id)
-        return state.lost_events if state else 0
 
     def forget(self, sub: Subscription) -> None:
         """Discard per-subscription state (on unsubscribe)."""

@@ -30,7 +30,6 @@ from .dashboard import (
 )
 from .events import EVENT_KINDS, EVENTS
 from .export import (
-    assert_valid_chrome_trace,
     chrome_trace,
     iter_jsonl_records,
     load_chrome_trace,
@@ -78,7 +77,6 @@ __all__ = [
     "TelemetryRegistry",
     "TraceEvent",
     "Tracer",
-    "assert_valid_chrome_trace",
     "chrome_trace",
     "default_objectives",
     "iter_jsonl_records",

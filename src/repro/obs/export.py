@@ -290,16 +290,6 @@ def validate_chrome_trace(document: Any) -> list[str]:
     return errors
 
 
-def assert_valid_chrome_trace(document: Any) -> None:
-    """Raise ``ValueError`` listing every schema violation (none = pass)."""
-    errors = validate_chrome_trace(document)
-    if errors:
-        raise ValueError(
-            "invalid Chrome trace: " + "; ".join(errors[:10])
-            + (f" (+{len(errors) - 10} more)" if len(errors) > 10 else "")
-        )
-
-
 def load_chrome_trace(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

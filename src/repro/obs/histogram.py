@@ -75,10 +75,6 @@ class LatencyHistogram:
         return max(self._samples) if self._samples else 0.0
 
     @property
-    def min_ns(self) -> float:
-        return min(self._samples) if self._samples else 0.0
-
-    @property
     def mean_ns(self) -> float:
         return self.total_ns / len(self._samples) if self._samples else 0.0
 

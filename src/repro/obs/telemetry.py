@@ -85,9 +85,6 @@ class CounterSeries:
         if len(self._windows) > 2 * self._cap:
             _evict(self._windows, self._cap)
 
-    def window_value(self, window: int) -> float:
-        return self._windows.get(window, 0)
-
     def sum_windows(self, start: int, stop: int) -> float:
         """Amount landed in windows ``start <= w < stop``."""
         return sum(v for w, v in self._windows.items() if start <= w < stop)
@@ -224,10 +221,6 @@ class TelemetryRegistry:
         tracer.add_sink(self)
         return self
 
-    def unobserve(self, tracer: "trace_mod.Tracer") -> "TelemetryRegistry":
-        tracer.remove_sink(self)
-        return self
-
     def watch(self, client: "Client") -> "TelemetryRegistry":
         """Observe one client. Reuses the client's tracer if it has one;
         otherwise attaches a private carrier tracer shared by every
@@ -348,14 +341,6 @@ class TelemetryRegistry:
         if windows is None:
             return int(self.counter_total(("extent", extent), "heat"))
         return int(self.counter_recent(("extent", extent), "heat", windows))
-
-    def heat_by_extent(self, windows: Optional[int] = None) -> dict[int, int]:
-        out = {}
-        for extent in self.extent_ids():
-            heat = self.extent_heat(extent, windows)
-            if heat:
-                out[extent] = heat
-        return out
 
     def extent_node(self, extent: int) -> Optional[int]:
         """Where the registry last saw ``extent`` served from (far-access

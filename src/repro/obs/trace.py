@@ -437,10 +437,6 @@ class Tracer:
     def events_by_kind(self, kind: str) -> list[TraceEvent]:
         return [event for event in self.events if event.kind == kind]
 
-    def span_events(self, span: Span) -> list[TraceEvent]:
-        """Events attributed directly to ``span`` (not to its children)."""
-        return [event for event in self.events if event.span_id == span.span_id]
-
     def summary(self, max_rows: int = 12) -> str:
         """A one-screen text summary: per-label span table + event counts."""
         lines = []

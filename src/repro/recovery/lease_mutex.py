@@ -94,9 +94,7 @@ class LeasedFarMutex:
             raise ValueError("ttl_epochs must be >= 1")
         size = LOCK.offset["epoch"] if epoch_addr is not None else LOCK.size
         address = allocator.alloc(size, hint)
-        fabric = allocator.fabric
-        # fmlint: disable=FM003 (pre-attach provisioning)
-        fabric.write(address, b"\x00" * size)
+        allocator.provision(address, b"\x00" * size)
         if epoch_addr is None:
             epoch_addr = address + LOCK.offset["epoch"]
         return cls(address=address, epoch_addr=epoch_addr, ttl_epochs=ttl_epochs)

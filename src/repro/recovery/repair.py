@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..fabric.client import Client
-from ..fabric.errors import AllocationError, NodeUnavailableError
+from ..fabric.errors import AllocationError, FabricError, NodeUnavailableError
 from ..fabric.integrity import frame_block, frame_size, try_unframe
 from ..fabric.replication import ReplicatedRegion
 from ..fabric.wire import WORD
@@ -157,7 +157,10 @@ class RepairCoordinator:
     def run(self, client: Client, dead_node: int) -> RepairReport:
         """Rebuild, onto spares, every registered replica that lived on
         ``dead_node``. Idempotent: regions with no copy there are
-        untouched (and pay nothing)."""
+        untouched (and pay nothing). Resumable by re-calling: a typed
+        fabric error aborts the rebuild in flight with the region's map,
+        its epoch word and the allocator as they were before it, and
+        regions already rebuilt are skipped next time."""
         fabric = self.allocator.fabric
         report = RepairReport(dead_node=dead_node)
         with client.trace("repair.rebuild", dead_node=dead_node):
@@ -209,21 +212,22 @@ class RepairCoordinator:
             )
         spare_node = self._pick_spare(region, dead_node)
         new_base = self.allocator.alloc(region.size, on_node(spare_node))
-        if region.block_payload is not None:
-            self._copy_framed(
-                client, region, survivors, new_base, dead_node, spare_node, report
-            )
-        else:
-            self._copy_raw(
-                client, region, survivors, new_base, dead_node, spare_node, report
-            )
-        # Publish: swap the map entry, then bump the epoch. The faa is the
-        # release point — any writer fenced under the new epoch observes a
-        # fully-copied replica.
+        copy = self._copy_framed if region.block_payload is not None else self._copy_raw
+        try:
+            copy(client, region, survivors, new_base, dead_node, spare_node, report)
+            # Publish: bump the epoch, then swap the map entry. The faa is
+            # the release point — any writer fenced under the new epoch
+            # observes a fully-copied replica — and the last step that can
+            # fail, so nothing local has changed when it does.
+            old = client.faa(region.epoch_addr, 1)
+        except FabricError:
+            # Abort this rebuild; only the spare allocation has to be
+            # undone for run() to start it over cleanly.
+            self.allocator.free(new_base)
+            raise
         region.replicas[dead_index] = new_base
         fabric.extents.clear_replicas(region.region_id, dead_base, region.size)
         fabric.extents.annotate_replicas(region.region_id, new_base, region.size)
-        old = client.faa(region.epoch_addr, 1)
         region.epoch = old + 1
         report.replicas_rebuilt += 1
         report.epochs_bumped += 1

@@ -8,7 +8,6 @@ from repro import Cluster
 from repro.analysis.budget import (
     BudgetSanitizer,
     BudgetViolation,
-    declared_budgets,
     far_budget,
 )
 from repro.apps.kvstore.kvstore import FarKVStore
@@ -159,10 +158,8 @@ class TestSanitizerMechanics:
                 BudgetSanitizer().__enter__()
 
     def test_declarations_are_introspectable(self):
-        tree_budgets = declared_budgets(HTTree)
-        assert tree_budgets["get"].fast == 1
-        assert tree_budgets["put"].fast == 2
-        assert tree_budgets["get"].claim == "C4"
-        queue_budgets = declared_budgets(FarQueue)
-        assert queue_budgets["enqueue"].fast == 1
-        assert queue_budgets["enqueue"].claim == "C5"
+        assert HTTree.get.__far_budget__.fast == 1
+        assert HTTree.put.__far_budget__.fast == 2
+        assert HTTree.get.__far_budget__.claim == "C4"
+        assert FarQueue.enqueue.__far_budget__.fast == 1
+        assert FarQueue.enqueue.__far_budget__.claim == "C5"

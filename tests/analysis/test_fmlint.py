@@ -1,10 +1,22 @@
-"""fmlint rule tests: one bad and one good fixture per code, plus
-suppression handling and the repo-wide cleanliness gate."""
+"""fmlint rule tests: one bad and one good fixture per code, the layering
+table (its rows, its exemptions, its DESIGN.md copy), suppression handling
+and the repo-wide cleanliness gate."""
 
 import textwrap
 from pathlib import Path
 
-from repro.analysis.fmlint import RULES, lint_paths, lint_source, render_rules
+import pytest
+
+from repro.analysis.fmcost import analyze_paths
+from repro.analysis.fmlint import (
+    LAYERING,
+    RULES,
+    _exempt_codes,
+    lint_file,
+    lint_paths,
+    lint_source,
+    render_rules,
+)
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
@@ -419,62 +431,70 @@ class TestFM007:
         )
 
     def test_translation_and_movement_layers_are_exempt(self):
-        from repro.analysis.fmlint import _exempt_codes
-
         assert "FM007" in _exempt_codes("src/repro/fabric/extent.py")
         assert _exempt_codes("src/repro/recovery/repair.py") == {"FM007"}
         assert _exempt_codes("src/repro/migration/coordinator.py") == {"FM007"}
-        assert "FM007" not in _exempt_codes("src/repro/alloc/allocator.py")
+        # Deliberately not: each allocator placement query keeps its own
+        # written reason; only provision()'s raw write is the package's.
+        assert _exempt_codes("src/repro/alloc/allocator.py") == {"FM003"}
 
 
 # ---------------------------------------------------------------------------
-# FM008 — missing-far-budget
+# FM008 — missing-far-budget: retired. fmcost's interprocedural
+# ``missing_budget`` verdict is the same predicate, so each shape the rule
+# judged is asserted through fmcost here, under the test names it had.
 # ---------------------------------------------------------------------------
+
+
+def _verdicts(tmp_path, source: str, lint=()) -> dict:
+    """fmcost's verdict per certified op of a fixture, on which fmlint
+    reports exactly the ``lint`` codes (by default it is silent)."""
+    source = textwrap.dedent(source)
+    assert [f.code for f in lint_source(source)] == list(lint)
+    module = tmp_path / "shape.py"
+    module.write_text(source)
+    return {r["op"]: r["verdict"] for r in analyze_paths([str(module)]).records()}
 
 
 class TestFM008:
-    def test_flags_public_far_op_without_budget(self):
-        findings = _lint(
+    def test_flags_public_far_op_without_budget(self, tmp_path):
+        assert _verdicts(
+            tmp_path,
             """
             class FarCounter:
                 def bump(self, client):
                     return client.faa(self.addr, 1)
+            """,
+        ) == {"bump": "missing_budget"}
+
+    def test_flags_one_level_helper_transitivity(self, tmp_path):
+        assert _verdicts(
+            tmp_path,
             """
-        )
-        assert [f.code for f in findings] == ["FM008"]
-        assert "bump" in findings[0].message
+            class FarQueue:
+                def _push(self, client, value):
+                    client.saai(self.tail, 8, value)
 
-    def test_flags_one_level_helper_transitivity(self):
+                def push(self, client, value):
+                    self._push(client, value)
+            """,
+        ) == {"push": "missing_budget"}
+
+    def test_budgeted_method_is_clean(self, tmp_path):
+        assert _verdicts(
+            tmp_path,
+            """
+            class FarCounter:
+                @far_budget(1, ceiling=1)
+                def bump(self, client):
+                    return client.faa(self.addr, 1)
+            """,
+        ) == {"bump": "ok"}
+
+    def test_private_and_unregistered_and_near_are_clean(self, tmp_path):
         assert (
-            _codes(
-                """
-                class FarQueue:
-                    def _push(self, client, value):
-                        client.saai(self.tail, 8, value)
-
-                    def push(self, client, value):
-                        self._push(client, value)
-                """
-            )
-            == ["FM008"]
-        )
-
-    def test_budgeted_method_is_clean(self):
-        assert (
-            _codes(
-                """
-                class FarCounter:
-                    @far_budget(1, ceiling=1)
-                    def bump(self, client):
-                        return client.faa(self.addr, 1)
-                """
-            )
-            == []
-        )
-
-    def test_private_and_unregistered_and_near_are_clean(self):
-        assert (
-            _codes(
+            _verdicts(
+                tmp_path,
                 """
                 class FarCounter:
                     def _bump(self, client):
@@ -486,37 +506,39 @@ class TestFM008:
                 class Ledger:
                     def bump(self, client):
                         return client.faa(self.addr, 1)
-                """
+                """,
             )
-            == []
+            == {}
         )
 
-    def test_classmethod_constructor_is_clean(self):
+    def test_classmethod_constructor_is_clean(self, tmp_path):
         assert (
-            _codes(
+            _verdicts(
+                tmp_path,
                 """
                 class ReplicatedRegion:
                     @classmethod
                     def create(cls, client, allocator):
                         client.write(allocator.alloc(64), b"0" * 64)
                         return cls()
-                """
+                """,
             )
-            == []
+            == {}
         )
 
-    def test_suppression_escape(self):
-        assert (
-            _codes(
-                """
-                class FarQueue:
-                    # fmlint: disable=FM008 (observe only: debug probe)
-                    def depth_probe(self, client):
-                        return client.read_u64(self.head)
-                """
-            )
-            == []
-        )
+    def test_suppression_escape(self, tmp_path):
+        # The comment escape went with the rule: a leftover one is itself
+        # reported, and the only way past fmcost is a declaration.
+        assert _verdicts(
+            tmp_path,
+            """
+            class FarQueue:
+                # fmlint: disable=FM008 (observe only: debug probe)
+                def depth_probe(self, client):
+                    return client.read_u64(self.head)
+            """,
+            lint=["FM009"],
+        ) == {"depth_probe": "missing_budget"}
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +734,67 @@ class TestFM010:
         )
 
     def test_txn_and_fabric_layers_are_exempt(self):
-        from repro.analysis.fmlint import _exempt_codes
-
         assert _exempt_codes("src/repro/txn/txn.py") == {"FM010"}
         assert "FM010" in _exempt_codes("src/repro/fabric/client.py")
         assert "FM010" not in _exempt_codes("src/repro/core/vector.py")
+
+
+# ---------------------------------------------------------------------------
+# The layering table — FM003 / FM006 / FM007 / FM010 and their exemptions
+# ---------------------------------------------------------------------------
+
+
+class TestLayering:
+    #: One violating call per row, keyed the way the row spells its callee.
+    VIOLATIONS = {
+        ("FM003", "fabric"): "fabric.write_word(addr, 7)",
+        ("FM006", "client"): "client.read(replica + 64, 48)",
+        ("FM007", "fabric"): "fabric.node_of(addr)",
+        ("FM007", "bare"): "Location(node=0, offset=addr)",
+        ("FM010", "client"): "client.cas(space.version_addr(slot), 0, 99)",
+    }
+    PACKAGES = sorted({"core", "apps"}.union(*(row.legal for row in LAYERING)))
+
+    def test_every_row_has_a_violation_fixture(self):
+        assert set(self.VIOLATIONS) == {(row.code, row.receiver) for row in LAYERING}
+
+    @pytest.mark.parametrize(
+        "row", LAYERING, ids=[f"{row.code}-{row.receiver}" for row in LAYERING]
+    )
+    def test_row_is_silent_in_its_legal_packages_only(self, row, tmp_path):
+        call = self.VIOLATIONS[row.code, row.receiver]
+        for package in self.PACKAGES:
+            path = tmp_path / "src" / "repro" / package / "fixture.py"
+            path.parent.mkdir(parents=True)
+            path.write_text(f"def f(fabric, client, space, replica, addr, slot):\n    {call}\n")
+            expected = [] if package in row.legal else [row.code]
+            assert [f.code for f in lint_file(str(path))] == expected, package
+
+    @pytest.mark.parametrize(
+        "path, exempt",
+        [
+            ("src/repro/fabric/client.py", {"FM003", "FM006", "FM007", "FM010"}),
+            ("src/repro/txn/txn.py", {"FM010"}),
+            ("src/repro/cluster.py", set()),
+            # Regression: "repro/fabric/" in path matched these two.
+            ("src/myrepro/fabric/x.py", set()),
+            ("tests/fixtures/notrepro/txn/y.py", set()),
+        ],
+    )
+    def test_package_is_a_path_component_not_a_substring(self, path, exempt):
+        assert _exempt_codes(path) == exempt
+
+    def test_design_table_matches_the_rows(self):
+        """DESIGN.md section 9 "Layering table", row for row."""
+        expected = [
+            f"| {row.code} | {row.receiver} | "
+            f"{', '.join(f'`{call}`' for call in sorted(row.calls))} | "
+            f"{', '.join(f'`repro/{package}/`' for package in row.legal)} |"
+            for row in LAYERING
+        ]
+        design = (REPO / "DESIGN.md").read_text(encoding="utf-8")
+        table = design.split("**Layering table.**", 1)[1].split("\n\n", 2)[1]
+        assert table.splitlines()[2:] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -732,5 +810,6 @@ class TestRepoIsClean:
 
     def test_rule_table_lists_every_code(self):
         table = render_rules()
+        assert list(RULES) == sorted(RULES) and len(RULES) == 9
         for code, rule in RULES.items():
             assert code in table and rule.name in table

@@ -30,7 +30,7 @@ class TestFarHistogram:
         for _ in range(3):
             hist.record(c, 5)
         hist.record(c, 9)
-        counts = hist.read_counts(c)
+        counts = hist.read_range(c, 0, 10)
         assert counts[5] == 3 and counts[9] == 1
 
     def test_record_is_one_far_access(self, cluster):
@@ -46,25 +46,23 @@ class TestWindowRing:
         ring = WindowedHistogramRing.create(cluster.allocator, bins=10, window_count=3)
         c = cluster.client()
         ring.histogram.record(c, 1)
-        old_storage = ring.current_storage()
+        old_storage = ring.storages[ring.current]
         ring.advance(c)
-        assert ring.histogram.read_counts(c)[1] == 0  # fresh window
+        assert ring.histogram.read_range(c, 0, 10)[1] == 0  # fresh window
         assert ring.read_window(c, old_storage)[1] == 1  # history kept
 
     def test_ring_reuses_regions(self, cluster):
         ring = WindowedHistogramRing.create(cluster.allocator, bins=4, window_count=2)
         c = cluster.client()
-        first = ring.current_storage()
+        first = ring.storages[ring.current]
         ring.advance(c)
-        ring.advance(c)
-        assert ring.current_storage() == first
+        assert ring.advance(c) == first
 
     def test_previous_storages(self, cluster):
         ring = WindowedHistogramRing.create(cluster.allocator, bins=4, window_count=4)
         c = cluster.client()
-        w0 = ring.current_storage()
-        ring.advance(c)
-        w1 = ring.current_storage()
+        w0 = ring.storages[ring.current]
+        w1 = ring.advance(c)
         ring.advance(c)
         assert ring.previous_storages(2) == [w1, w0]
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ def cluster():
 class TestBlobStore:
     @pytest.fixture
     def store(self, cluster):
-        return cluster.blob_store()
+        return FarBlobStore.create(cluster.allocator, cluster.ht_tree())
 
     def test_roundtrip(self, cluster, store):
         c = cluster.client()

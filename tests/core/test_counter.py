@@ -41,7 +41,6 @@ class TestFarCounter:
         counter = cluster.far_counter()
         counter.decrement(client)
         assert counter.read(client) == U64_MASK
-        assert counter.read_signed(client) == -1
 
     def test_set(self, cluster, client):
         counter = cluster.far_counter()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro import Cluster
 from repro.core.queue import EMPTY
 from repro.fabric.errors import FabricError, QueueEmpty, QueueFull
+from repro.fabric.wire import WORD
 
 NODE_SIZE = 8 << 20
 
@@ -83,7 +84,8 @@ class TestItemNotifications:
     def test_consumer_notified_on_enqueue(self, cluster):
         q = make_queue(cluster)
         producer, consumer = cluster.client(), cluster.client()
-        q.subscribe_items(cluster.notifications, consumer)
+        # notify0 on the tail pointer: every enqueue bumps it (section 4.3).
+        cluster.notifications.notify0(consumer, q.tail_addr, WORD)
         assert consumer.pending_notifications() == 0
         q.enqueue(producer, 7)
         assert consumer.pending_notifications() >= 1
@@ -95,7 +97,7 @@ class TestItemNotifications:
         consumer = cluster.client()
         with pytest.raises(QueueEmpty):
             q.dequeue(consumer)
-        q.subscribe_items(cluster.notifications, consumer)
+        cluster.notifications.notify0(consumer, q.tail_addr, WORD)
         blocked = consumer.metrics.far_accesses
         for _ in range(50):  # waiting: drain inbox only
             consumer.poll_notifications()
@@ -226,7 +228,6 @@ class TestEmptyDetection:
         # Manually advance the head as if another dequeuer overshot, so
         # c2's undo CAS fails and it must claim.
         helper = cluster.client()
-        from repro.fabric.wire import WORD
 
         with pytest.raises(QueueEmpty):
             q.dequeue(c2)  # c2 overshoots: head -> head + 8

@@ -30,7 +30,8 @@ class TestBasics:
         v = make_vector(cluster)
         writer, reader = cluster.client(), cluster.client()
         v.set(writer, 0, 5)
-        assert v.get_fresh(reader, 0) == 5
+        v.refresh(reader)  # refresh, then read: the freshness guarantee
+        assert v.get(reader, 0) == 5
 
     def test_stale_reads_allowed(self, cluster):
         # The defining property: reads may be stale until refresh.
@@ -162,7 +163,6 @@ class TestDynamicPolicy:
             v.set(writer, i, i)
         v.refresh(reader)
         assert v.reader_mode(reader) == "poll"
-        assert v.reader_mode_switches(reader) == 2
 
     def test_loss_warning_forces_full_poll(self, cluster):
         cluster_lossy = Cluster(

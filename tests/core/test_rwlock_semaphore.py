@@ -50,7 +50,7 @@ class TestRWLock:
         lock.try_acquire_read(reader)  # blocked + backed out
         lock.release_write(writer)
         assert lock.readers(reader) == 0
-        assert not lock.writer_held(reader)
+        assert lock.try_acquire_write(reader)  # state word is back to 0
 
     def test_notifye_wakeup_on_full_release(self, cluster):
         lock = cluster.far_rwlock()

@@ -18,7 +18,7 @@ def cluster():
 
 @pytest.fixture
 def stack(cluster):
-    return cluster.far_stack()
+    return FarStack.create(cluster.allocator)
 
 
 class TestOperations:
@@ -90,7 +90,7 @@ class TestPropertyBased:
     )
     def test_matches_model_list(self, script):
         cluster = Cluster(node_count=1, node_size=NODE_SIZE)
-        stack = cluster.far_stack()
+        stack = FarStack.create(cluster.allocator)
         client = cluster.client()
         model: list[int] = []
         for op, value in script:

@@ -281,7 +281,7 @@ class TestReplicaAnnotations:
         table.annotate_replicas("r1", NODE_SIZE, ES)     # node 1
         extent0 = 0
         assert table.sibling_replica_nodes(extent0) == {1}
-        assert table.replica_groups_of(extent0) == frozenset({"r1"})
+        assert table.dump()["extents"][extent0]["replica_groups"] == ["r1"]
 
     def test_clear_removes_annotation(self):
         table = ExtentTable(make_placement(3, NODE_SIZE))

@@ -6,12 +6,10 @@ from repro import Cluster
 from repro.fabric import (
     FRAME_OVERHEAD,
     FarCorruptionError,
-    IntegrityStats,
     crc32_u64,
     frame_block,
     frame_size,
     try_unframe,
-    unframe_block,
 )
 
 NODE_SIZE = 8 << 20
@@ -51,26 +49,10 @@ class TestFraming:
         assert try_unframe(b"\x00" * FRAME_OVERHEAD) is None
         assert try_unframe(b"") is None
 
-    def test_unframe_block_raises_with_location(self):
-        frame = bytearray(frame_block(b"data" * 4, version=3))
-        frame[-1] ^= 0x80
-        with pytest.raises(FarCorruptionError) as excinfo:
-            unframe_block(bytes(frame), node=1, address=0x400)
-        assert excinfo.value.node == 1
-        assert excinfo.value.address == 0x400
-
     def test_crc32_u64_fits_a_word(self):
         value = crc32_u64(b"some bytes")
         assert 0 <= value < 2**64
         assert crc32_u64(b"some bytes") == value  # pure
-
-    def test_stats_dict(self):
-        stats = IntegrityStats(frames_written=2, frames_verified=5, verify_misses=1)
-        assert stats.as_dict() == {
-            "frames_written": 2,
-            "frames_verified": 5,
-            "verify_misses": 1,
-        }
 
 
 class TestVerifiedClientIO:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fabric.latency import CostModel, SimClock, Stopwatch
+from repro.fabric.latency import CostModel, SimClock
 
 
 class TestCostModel:
@@ -62,12 +62,3 @@ class TestSimClock:
         clock = SimClock(now_ns=99)
         clock.reset()
         assert clock.now_ns == 0.0
-
-
-class TestStopwatch:
-    def test_elapsed(self):
-        clock = SimClock()
-        clock.advance(10)
-        watch = Stopwatch(clock)
-        clock.advance(25)
-        assert watch.elapsed_ns() == 25

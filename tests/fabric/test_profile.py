@@ -25,7 +25,6 @@ class TestProfiler:
             client.read_u64(addr)
         assert profiler.row("writes").far_accesses == 2
         assert profiler.row("reads").far_accesses == 1
-        assert profiler.total_far_accesses() == 3
 
     def test_per_op_averages(self, cluster):
         client = cluster.client()

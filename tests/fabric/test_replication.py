@@ -33,6 +33,12 @@ def framed(cluster):
     )
 
 
+def _stamp(client, region, index):
+    """The version stamp replica 0's frame of block ``index`` carries."""
+    version, _ = client.read_verified(region.replicas[0] + index * frame_size(64), 64)
+    return version
+
+
 class TestPlacement:
     def test_replicas_on_distinct_nodes(self, cluster, region):
         nodes = {cluster.fabric.node_of(replica) for replica in region.replicas}
@@ -166,14 +172,14 @@ class TestFramedBlocks:
         c = cluster.client()
         for index in range(framed.block_count):
             assert framed.read_block(c, index) == b"\x00" * 64
-            assert framed.block_version(index) == 0
+            assert _stamp(c, framed, index) == 0
 
     def test_roundtrip_and_version_bump(self, cluster, framed):
         c = cluster.client()
         framed.write_block(c, 3, b"v" * 64)
         framed.write_block(c, 3, b"w" * 64)
         assert framed.read_block(c, 3) == b"w" * 64
-        assert framed.block_version(3) == 2
+        assert _stamp(c, framed, 3) == 2
 
     def test_write_is_one_far_access(self, cluster, framed):
         c = cluster.client()
@@ -240,7 +246,8 @@ class TestFramedBlocks:
             framed.write_block(c, 0, b"new!" * 16)
         result = framed.read_block(c, 0)
         assert result in (b"old!" * 16, b"new!" * 16)  # never a mix
-        assert framed.block_version(0) == 1  # the failed write left no stamp
+        framed.write_block(c, 0, b"next" * 16)
+        assert _stamp(c, framed, 0) == 2  # the failed write left no stamp
 
 
 class TestEpochFencing:
@@ -304,7 +311,8 @@ class TestEpochFencing:
         view = framed.clone_view()
         assert view.replicas == framed.replicas
         assert view.epoch == framed.epoch
-        assert view.block_version(0) == 1
+        view.write_block(c, 0, b"2" * 64)
+        assert _stamp(c, framed, 0) == 2  # the clone continues the stamp sequence
         view.replicas[0] = 0xDEAD  # mutating the clone...
         assert framed.replicas[0] != 0xDEAD  # ...never touches the original
         view.stats.writes += 1

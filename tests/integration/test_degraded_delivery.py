@@ -80,12 +80,13 @@ class TestCachedVectorUnderLoss:
         cluster.notifications.tick()
         vector.set(writer, 0, 999)  # carries the loss warning
         cached.pump()
-        # The cache knows it cannot trust itself...
-        assert cached.hit_fraction() < 1.0
-        # ...and re-reads through to the truth for every element.
+        # The cache knows it cannot trust itself: it re-reads through to
+        # the truth for every element.
+        snapshot = reader.metrics.snapshot()
         assert cached.get(0) == 999
         for i in range(1, 16):
             assert cached.get(i) == i + 100
+        assert reader.metrics.delta(snapshot).far_accesses == 16
 
     def test_random_loss_never_returns_wrong_marked_valid_data(self):
         cluster = Cluster(

@@ -24,6 +24,8 @@ from repro.baselines import (
     OneSidedBTree,
     OneSidedHashMap,
 )
+from repro.core.blob import FarBlobStore
+from repro.core.stack import FarStack
 from repro.fabric.client import Client
 from repro.fabric.errors import FabricError
 from repro.fabric.replication import ReplicatedRegion
@@ -103,11 +105,11 @@ def build_image() -> str:
     assert stranded.size_estimate(b) == 1
 
     # Stack, blob store, registry (register / lookup / unregister).
-    stack = cluster.far_stack()
+    stack = FarStack.create(cluster.allocator)
     for value in (5, 6, 7):
         stack.push(a, value)
     assert stack.pop(b) == 7 and stack.peek(b) == 6
-    blobs = cluster.blob_store(index=cluster.ht_tree(bucket_count=8))
+    blobs = FarBlobStore.create(cluster.allocator, cluster.ht_tree(bucket_count=8))
     blobs.put(a, 1, b"hello far memory")
     blobs.put(a, 1, b"replaced")
     blobs.multiput(a, [(2, b""), (3, bytes(range(200)))])

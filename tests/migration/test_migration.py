@@ -74,11 +74,10 @@ class TestExtentMigration:
         spare = cluster.add_node()
         handle = cluster.migration.begin(client, 0, spare)
         handle.step()  # copy a prefix
-        done = handle.copied_bytes
-        assert done > 0
+        assert handle.state.cursor > 0
         # Overwrite a word inside the already-copied prefix: must forward.
         client.write(base + 16, b"\xEE" * 8)
-        assert cluster.fabric.extents.migration_state(0).forwards == 1
+        assert handle.state.forwards == 1
         handle.run()
         assert client.read(base + 16, 8) == b"\xEE" * 8
         assert cluster.migration.stats.forwards == 1
@@ -122,7 +121,7 @@ class TestExtentMigration:
         client.write_u64(base, 5)
         spare = cluster.add_node()
         handle = cluster.migration.begin(client, 0, spare)
-        while handle.copied_bytes < ES:  # copy everything, don't commit yet
+        while handle.state.cursor < ES:  # copy everything, don't commit yet
             handle.step()
         assert client.faa(base, 3) == 5  # mirrored into the staged copy
         handle.finish()

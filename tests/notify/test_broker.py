@@ -26,7 +26,6 @@ class TestBroker:
         assert all(e.pending_notifications() == 1 for e in ends)
         assert broker.stats.messages_in == 1
         assert broker.stats.messages_out == 5
-        assert broker.stats.amplification() == 5.0
 
     def test_one_hardware_subscription_per_topic(self, cluster):
         broker = Broker(cluster.notifications)
@@ -78,7 +77,7 @@ class TestBrokerNetwork:
         for i, process in enumerate(processes):
             network.attach(process, base + (i % 16) * WORD, WORD)
         # 32 processes, 16 topics, but at most 4 hardware subscribers.
-        assert network.hardware_subscriber_count() <= 4
+        assert sum(1 for b in network.brokers if b.stats.topics > 0) <= 4
 
     def test_stable_topic_placement(self, cluster):
         network = BrokerNetwork.create(cluster.notifications, broker_count=3)

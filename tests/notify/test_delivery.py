@@ -30,7 +30,7 @@ class TestReliable:
         for i in range(10):
             assert engine.offer(sub, make_notification(i))
         assert len(sink.received) == 10
-        assert engine.stats.loss_rate() == 0.0
+        assert engine.stats.dropped_random == engine.stats.dropped_bucket == 0
 
 
 class TestCoalescing:
@@ -49,7 +49,7 @@ class TestCoalescing:
         sub = make_sub(_Sink())
         for i in range(8):
             engine.offer(sub, make_notification(i))
-        assert engine.stats.loss_rate() == 0.0
+        assert engine.stats.dropped_random == engine.stats.dropped_bucket == 0
 
     def test_independent_per_subscription(self):
         engine = DeliveryEngine(DeliveryPolicy(coalesce_every=2))
@@ -124,7 +124,7 @@ class TestTokenBucket:
         sub = make_sub(sink)
         engine.offer(sub, make_notification(0))
         engine.offer(sub, make_notification(1))  # dropped
-        assert engine.pending_loss(sub) == 1
+        assert engine.stats.dropped_bucket == 1
 
 
 class TestPolicyValidation:

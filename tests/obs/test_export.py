@@ -9,7 +9,6 @@ import pytest
 from repro import Cluster
 from repro.obs import (
     Tracer,
-    assert_valid_chrome_trace,
     chrome_trace,
     iter_jsonl_records,
     load_chrome_trace,
@@ -79,7 +78,6 @@ class TestChromeTrace:
         _, tracer = _traced_run()
         document = chrome_trace(tracer)
         assert validate_chrome_trace(document) == []
-        assert_valid_chrome_trace(document)  # must not raise
         assert document["displayTimeUnit"] == "ns"
 
     def test_lanes_and_phases(self):
@@ -155,8 +153,6 @@ class TestValidation:
         del tampered["traceEvents"][index]
         problems = validate_chrome_trace(tampered)
         assert any("never closed" in p for p in problems)
-        with pytest.raises(ValueError):
-            assert_valid_chrome_trace(tampered)
 
     def test_detects_name_mismatch(self, document):
         tampered = copy.deepcopy(document)

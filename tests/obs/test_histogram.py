@@ -19,7 +19,7 @@ class TestLatencyHistogram:
         hist = LatencyHistogram()
         assert hist.count == 0
         assert hist.p50 == hist.p90 == hist.p99 == 0.0
-        assert hist.max_ns == hist.min_ns == hist.mean_ns == 0.0
+        assert hist.max_ns == hist.mean_ns == 0.0
         assert hist.buckets() == []
         assert hist.render() == "(no samples)"
 

@@ -27,9 +27,8 @@ class TestCounterSeries:
         series.inc(0, 2)
         series.inc(3, 5)
         assert series.total == 8
-        assert series.window_value(0) == 3
-        assert series.window_value(1) == 0
-        assert series.window_value(3) == 5
+        assert series.sum_windows(1, 3) == 0
+        assert series.sum_windows(3, 4) == 5
         assert series.sum_windows(0, 3) == 3
         assert series.sum_windows(0, 4) == 8
         assert series.windows() == [(0, 3), (3, 5)]
@@ -39,8 +38,7 @@ class TestCounterSeries:
         series.inc(5)
         series.inc(2)
         series.inc(5)
-        assert series.window_value(5) == 2
-        assert series.window_value(2) == 1
+        assert series.windows() == [(2, 1), (5, 2)]
 
     def test_ring_eviction_keeps_recent_and_total(self):
         series = CounterSeries(ring_windows=4)
@@ -51,7 +49,7 @@ class TestCounterSeries:
         assert len(series._windows) <= 8
         assert series.sum_windows(96, 100) == 4
         # Evicted windows read as zero, never as stale values.
-        assert series.window_value(0) == 0
+        assert series.sum_windows(0, 1) == 0
 
 
 class TestGaugeSeries:
@@ -141,7 +139,7 @@ class TestRegistryAccounting:
         for _ in range(5):
             client.write_u64(addr, 1)
         assert registry.extent_heat(extent) == 5
-        assert extent in registry.heat_by_extent()
+        assert extent in registry.extent_ids()
         table = cluster.fabric.extents
         assert registry.extent_node(extent) == table.node_of(
             table.extent_base(extent)
@@ -224,7 +222,7 @@ class TestAttachment:
         cluster, client, tracer, registry = _observed_cluster()
         addr = cluster.allocator.alloc_words(1)
         client.write_u64(addr, 1)
-        registry.unobserve(tracer)
+        tracer.remove_sink(registry)
         client.write_u64(addr, 2)
         assert registry.counter_total(FLEET, "far_accesses") == 1
 

@@ -130,7 +130,7 @@ class TestSpanNesting:
         assert future.result() == 7
         assert future.span_id == span.span_id
         assert span.far_accesses == 1
-        access = tracer.span_events(span)[0]
+        access = next(e for e in tracer.events if e.span_id == span.span_id)
         assert access.kind == "far_access"
         assert access.data["op"] == "read_u64"
 

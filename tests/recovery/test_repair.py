@@ -3,9 +3,10 @@
 import pytest
 
 from repro import Cluster
-from repro.fabric import frame_size
+from repro.fabric import FaultPlan, frame_size
 from repro.fabric.errors import (
     AllocationError,
+    FabricError,
     NodeUnavailableError,
     StaleEpochError,
 )
@@ -275,3 +276,66 @@ class TestFencingProtocol:
             assert framed.live_replicas() == 2
         for index, expected in oracle.items():
             assert framed.read_block(c, index) == expected
+
+
+RAW_SIZE, RAW_CHUNK = 1024, 256
+SHAPES = {
+    # shape -> far accesses of one uninterrupted rebuild: a read and a
+    # write per block / chunk, plus the epoch faa.
+    "framed": 2 * BLOCKS + 1,
+    "raw": 2 * (RAW_SIZE // RAW_CHUNK) + 1,
+}
+
+
+class TestResumable:
+    """A typed fabric error out of ``run`` aborts the rebuild in flight
+    and leaves nothing behind: re-calling ``run`` is the resume."""
+
+    @pytest.mark.parametrize(
+        "shape, fault_at",
+        [(shape, index) for shape, accesses in SHAPES.items() for index in range(accesses)],
+    )
+    def test_fault_at_any_access_leaks_nothing_and_rerun_completes(
+        self, cluster, shape, fault_at
+    ):
+        coordinator = RepairCoordinator(
+            cluster.allocator, home_node=3, chunk_blocks=4, chunk_bytes=RAW_CHUNK
+        )
+        setup = cluster.client()
+        if shape == "framed":
+            region = ReplicatedRegion.create_framed(
+                cluster.allocator, block_payload=PAYLOAD, block_count=BLOCKS, copies=2
+            )
+            coordinator.register(setup, region)
+            oracle = fill(region, setup)
+        else:
+            region = ReplicatedRegion.create(cluster.allocator, RAW_SIZE, copies=2)
+            coordinator.register(setup, region)
+            oracle = bytes(range(256)) * (RAW_SIZE // 256)
+            region.write(setup, 0, oracle)
+        dead = cluster.fabric.node_of(region.replicas[0])
+        cluster.fabric.fail_node(dead)
+        c = cluster.client(retry_policy=None, breaker_policy=None)
+        replicas, free = list(region.replicas), cluster.allocator.free_bytes()
+
+        cluster.inject_faults(plan=FaultPlan().timeout_at(fault_at))
+        with pytest.raises(FabricError):
+            coordinator.run(c, dead)
+        cluster.fabric.set_fault_injector(None)
+        assert cluster.allocator.free_bytes() == free
+        assert region.replicas == replicas and region.epoch == 1
+        assert setup.read_u64(region.epoch_addr) == 1
+
+        snap = c.metrics.snapshot()
+        report = coordinator.run(c, dead)
+        assert c.metrics.delta(snap).far_accesses == SHAPES[shape]
+        assert report.replicas_rebuilt == 1 and region.epoch == 2
+        assert cluster.allocator.free_bytes() == free  # dead copy freed, spare taken
+        if shape == "framed":
+            assert report.blocks_copied == BLOCKS
+            for index, expected in oracle.items():
+                assert region.read_block(c, index) == expected
+        else:
+            assert report.bytes_copied == RAW_SIZE
+            assert region.read(c, 0, RAW_SIZE) == oracle
+        assert region.live_replicas() == 2

@@ -77,13 +77,8 @@ class TestFactories:
         queue.enqueue(client, 1)
         vector = cluster.refreshable_vector(8, group_size=4)
         vector.set(client, 0, 1)
-        stack = cluster.far_stack()
-        stack.push(client, 1)
         assert cluster.far_rwlock().try_acquire_read(client)
         assert cluster.far_semaphore(1).try_acquire(client)
-        store = cluster.blob_store()
-        store.put(client, 1, b"x")
-        assert store.get(client, 1) == b"x"
         registry = cluster.registry(capacity=8)
         registry.register(client, "n", 1, b"p")
         reclaimer = cluster.reclaimer()

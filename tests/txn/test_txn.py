@@ -236,7 +236,7 @@ class TestComposition:
         c1 = cluster.client()
         space = cluster.txn_space(c1)
         (a,) = seed_cells(cluster, space, c1, 1)
-        with c1.transaction(space) as txn:
+        with space.transaction(c1) as txn:
             space.write(c1, txn, a, b"C" * PAYLOAD)
         assert txn.state == "committed"
         _, payload = c1.read_verified(a, PAYLOAD)
@@ -247,7 +247,7 @@ class TestComposition:
         space = cluster.txn_space(c1)
         (a,) = seed_cells(cluster, space, c1, 1)
         with pytest.raises(RuntimeError):
-            with c1.transaction(space) as txn:
+            with space.transaction(c1) as txn:
                 space.write(c1, txn, a, b"X" * PAYLOAD)
                 raise RuntimeError("boom")
         assert txn.state == "aborted"
@@ -272,7 +272,7 @@ class TestComposition:
             space.write(c1, txn, a, b"M" * PAYLOAD)
             return "done"
 
-        assert c1.run_transaction(space, body) == "done"
+        assert space.run(c1, body) == "done"
         assert attempts == [1, 2]
         assert c1.metrics.retries == 1
         assert c1.metrics.backoff_ns > 0

@@ -38,22 +38,18 @@ class TestKvTxn:
     def test_update_is_read_modify_write(self, setup):
         _, c1, store, space = setup
         store.put(c1, "n", (7).to_bytes(8, "little"))
-
-        def bump(raw):
-            return (int.from_bytes(raw, "little") + 5).to_bytes(8, "little")
-
         txn = space.begin(c1)
-        new = store.txn_update(c1, space, txn, "n", bump)
+        current = int.from_bytes(store.txn_get(c1, space, txn, "n"), "little")
+        store.txn_multiput(c1, space, txn, [("n", (current + 5).to_bytes(8, "little"))])
         space.commit(c1, txn)
-        assert int.from_bytes(new, "little") == 12
         assert int.from_bytes(store.get(c1, "n"), "little") == 12
 
     def test_update_default_for_missing_key(self, setup):
         _, c1, store, space = setup
         txn = space.begin(c1)
-        store.txn_update(
-            c1, space, txn, "fresh", lambda raw: raw + b"!", default=b"hi"
-        )
+        current = store.txn_get(c1, space, txn, "fresh")
+        assert current is None  # a missing key reads as None; the caller supplies the default
+        store.txn_multiput(c1, space, txn, [("fresh", (current or b"hi") + b"!")])
         space.commit(c1, txn)
         assert store.get(c1, "fresh") == b"hi!"
 
