@@ -17,7 +17,7 @@ numbers are unchanged.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 def _format_ns(value: float) -> str:
@@ -45,24 +45,34 @@ class LatencyHistogram:
         self._sorted = True
         self.total_ns = 0.0
         if values is not None:
-            for value in values:
-                self.record(value)
+            self.record_many(list(values))
 
     # -- recording -------------------------------------------------------
 
     def record(self, value_ns: float) -> None:
         """Add one sample."""
-        if value_ns < 0:
-            raise ValueError("latency samples must be non-negative")
-        if self._samples and value_ns < self._samples[-1]:
-            self._sorted = False
-        self._samples.append(value_ns)
-        self.total_ns += value_ns
+        self.record_many((value_ns,))
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """Add ``values`` in order (``total_ns`` is a float sum, so the
+        samples are added one by one, not pre-summed). Nothing is recorded
+        if any sample is negative."""
+        samples = self._samples
+        total, in_order = self.total_ns, self._sorted
+        last = samples[-1] if samples else 0.0
+        for value in values:
+            if value < 0:
+                raise ValueError("latency samples must be non-negative")
+            if value < last:
+                in_order = False
+            last = value
+            total += value
+        samples.extend(values)
+        self.total_ns, self._sorted = total, in_order
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other``'s samples into this histogram."""
-        for value in other._samples:
-            self.record(value)
+        self.record_many(other._samples)
 
     # -- queries ---------------------------------------------------------
 

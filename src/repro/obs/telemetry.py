@@ -20,10 +20,13 @@ per-callsite changes. A kind whose roll-up is one count needs no code
 here — the registry reads the series name from the ``counter`` column of
 the event table (:mod:`repro.obs.events`); only the kinds with a real
 roll-up (latency rings, byte amounts, progress gauges, other scopes) have
-a handler. Like the tracer itself it never touches a client's
+code. Like the tracer itself it never touches a client's
 metrics or clock: attach/detach changes no structural count and no
 simulated timestamp (asserted by the observer-effect tests and by
 experiment A9).
+
+The producer pays an append and a compare per event; the roll-up is one
+fold per fleet window, or on read (DESIGN.md §13, "Ingest → fold → read").
 
 Windows are simulated time: window ``w`` covers
 ``[w * window_ns, (w + 1) * window_ns)`` on the emitting client's clock.
@@ -34,7 +37,8 @@ boot" are both O(1) questions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from collections import defaultdict
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..fabric.metrics import Metrics
 from . import trace as trace_mod
@@ -68,6 +72,28 @@ def _evict(windows: dict, cap: int) -> None:
         del windows[w]
 
 
+# The ``far_access`` payload keys that are amounts, and the counter each feeds.
+_FAR_AMOUNTS = (
+    ("bytes_read", "nbytes_read"),
+    ("bytes_written", "nbytes_written"),
+    ("forward_hops", "forward_hops"),
+)
+
+
+def _by_scope(rows: list[tuple]) -> list[tuple[Scope, list[dict]]]:
+    """Split ``(client, node, structure, payload)`` rows by the base scopes
+    they fall in — fleet, then each client, node and structure present —
+    each scope's payloads in emission order (float sums are exported)."""
+    if not rows:
+        return []
+    out = [(FLEET, [row[3] for row in rows])]
+    for column, kind in enumerate(("client", "node", "structure")):
+        for value in dict.fromkeys([row[column] for row in rows]):
+            if value is not None:
+                out.append(((kind, value), [row[3] for row in rows if row[column] == value]))
+    return out
+
+
 class CounterSeries:
     """A monotone counter with a per-window ring: exact cumulative total
     plus the amount landed in each recent window."""
@@ -76,14 +102,24 @@ class CounterSeries:
 
     def __init__(self, ring_windows: int = DEFAULT_RING_WINDOWS) -> None:
         self.total: float = 0
-        self._windows: dict[int, float] = {}
+        self._windows: dict[int, float] = defaultdict(int)
         self._cap = ring_windows
 
     def inc(self, window: int, amount: float = 1) -> None:
         self.total += amount
-        self._windows[window] = self._windows.get(window, 0) + amount
+        self._windows[window] += amount
         if len(self._windows) > 2 * self._cap:
             _evict(self._windows, self._cap)
+
+    def inc_many(self, window: int, amounts: Sequence[float]) -> None:
+        """``inc`` for each amount in turn, in one call. Only the first can
+        create the key, hence evict — ``window`` itself if it is older than
+        the ring reaches, and the second then re-creates it. The rest are
+        added one by one: a float sum's order is part of the answer."""
+        self.inc(window, amounts[0])
+        for amount in amounts[1:]:
+            self.total += amount
+            self._windows[window] += amount
 
     def sum_windows(self, start: int, stop: int) -> float:
         """Amount landed in windows ``start <= w < stop``."""
@@ -132,17 +168,23 @@ class HistogramRing:
 
     def __init__(self, ring_windows: int = DEFAULT_RING_WINDOWS) -> None:
         self.total = LatencyHistogram()
-        self._windows: dict[int, LatencyHistogram] = {}
+        self._windows: dict[int, LatencyHistogram] = defaultdict(LatencyHistogram)
         self._cap = ring_windows
 
     def record(self, window: int, value_ns: float) -> None:
-        self.total.record(value_ns)
-        hist = self._windows.get(window)
-        if hist is None:
-            hist = self._windows[window] = LatencyHistogram()
-        hist.record(value_ns)
-        if len(self._windows) > 2 * self._cap:
-            _evict(self._windows, self._cap)
+        self.record_many(window, (value_ns,))
+
+    def record_many(self, window: int, values: Sequence[float]) -> None:
+        """``record`` for each value in turn, in one call (the first may
+        evict ``window`` itself: see :meth:`CounterSeries.inc_many`)."""
+        self.total.record_many(values)
+        if window not in self._windows:
+            self._windows[window].record_many(values[:1])
+            values = values[1:]
+            if len(self._windows) > 2 * self._cap:
+                _evict(self._windows, self._cap)
+        if values:
+            self._windows[window].record_many(values)
 
     def window_hist(self, window: int) -> LatencyHistogram:
         return self._windows.get(window, LatencyHistogram())
@@ -199,9 +241,11 @@ class TelemetryRegistry:
             raise ValueError("window_ns must be positive")
         self.window_ns = int(window_ns)
         self.ring_windows = int(ring_windows)
-        self._counters: dict[tuple[Scope, str], CounterSeries] = {}
-        self._gauges: dict[tuple[Scope, str], GaugeSeries] = {}
-        self._hists: dict[tuple[Scope, str], HistogramRing] = {}
+        # (scope, name) -> series: subscripting creates, ``get`` never does.
+        ring = self.ring_windows
+        self._counters = defaultdict(lambda: CounterSeries(ring))
+        self._gauges = defaultdict(lambda: GaugeSeries(ring))
+        self._hists = defaultdict(lambda: HistogramRing(ring))
         self._extent_node: dict[int, int] = {}
         self._drained: set[int] = set()
         self._extent_size = 0
@@ -210,7 +254,9 @@ class TelemetryRegistry:
         self._last_ts_ns = 0.0
         self._notifying = False
         self._carrier: Optional["trace_mod.Tracer"] = None
-        self.client_names: list[str] = []
+        self._client_names: list[str] = []
+        self._pending: list[tuple] = []  # (client, event, span), not yet folded
+        self._window_end_ns = float("-inf")  # the first event is past it
 
     # ------------------------------------------------------------------
     # Attachment
@@ -241,42 +287,34 @@ class TelemetryRegistry:
             self._listeners.append(listener)
         return self
 
-    def remove_listener(self, listener: Any) -> "TelemetryRegistry":
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-        return self
-
     # ------------------------------------------------------------------
-    # Series access
+    # Series access. Every public read folds what is pending first
+    # (read-your-writes); the roll-up subscripts the tables directly.
     # ------------------------------------------------------------------
 
     def counter(self, scope: Scope, name: str) -> CounterSeries:
-        series = self._counters.get((scope, name))
-        if series is None:
-            series = self._counters[(scope, name)] = CounterSeries(self.ring_windows)
-        return series
+        self._fold()
+        return self._counters[scope, name]
 
     def gauge(self, scope: Scope, name: str) -> GaugeSeries:
-        series = self._gauges.get((scope, name))
-        if series is None:
-            series = self._gauges[(scope, name)] = GaugeSeries(self.ring_windows)
-        return series
+        self._fold()
+        return self._gauges[scope, name]
 
     def histogram(self, scope: Scope, name: str) -> HistogramRing:
-        series = self._hists.get((scope, name))
-        if series is None:
-            series = self._hists[(scope, name)] = HistogramRing(self.ring_windows)
-        return series
+        self._fold()
+        return self._hists[scope, name]
 
     # Read-only variants: never materialize a series just by asking.
 
     def counter_total(self, scope: Scope, name: str) -> float:
+        self._fold()
         series = self._counters.get((scope, name))
         return series.total if series is not None else 0
 
     def counter_recent(self, scope: Scope, name: str, windows: int = 8) -> float:
         """Amount landed in the most recent ``windows`` windows
         (including the still-open one)."""
+        self._fold()
         series = self._counters.get((scope, name))
         if series is None or self._current_window is None:
             return 0
@@ -284,10 +322,12 @@ class TelemetryRegistry:
         return series.sum_windows(cur - windows + 1, cur + 1)
 
     def gauge_value(self, scope: Scope, name: str) -> float:
+        self._fold()
         series = self._gauges.get((scope, name))
         return series.value if series is not None else 0
 
     def histogram_total(self, scope: Scope, name: str) -> LatencyHistogram:
+        self._fold()
         series = self._hists.get((scope, name))
         return series.total if series is not None else LatencyHistogram()
 
@@ -300,8 +340,8 @@ class TelemetryRegistry:
     def histograms(self) -> list[tuple[Scope, str, HistogramRing]]:
         return self._sorted(self._hists)
 
-    @staticmethod
-    def _sorted(table: dict) -> list:
+    def _sorted(self, table: dict) -> list:
+        self._fold()
         return [
             (scope, name, series)
             for (scope, name), series in sorted(
@@ -316,6 +356,7 @@ class TelemetryRegistry:
 
     def scopes(self, kind: str) -> list[Scope]:
         """Every scope of ``kind`` ("node", "extent", ...) with data."""
+        self._fold()
         found = {
             scope
             for table in (self._counters, self._gauges, self._hists)
@@ -345,54 +386,50 @@ class TelemetryRegistry:
     def extent_node(self, extent: int) -> Optional[int]:
         """Where the registry last saw ``extent`` served from (far-access
         node attribution, updated by remap events)."""
+        self._fold()
         return self._extent_node.get(extent)
 
     def drained_nodes(self) -> set[int]:
+        self._fold()
         return set(self._drained)
 
     @property
     def current_window(self) -> int:
+        self._fold()
         return self._current_window if self._current_window is not None else 0
 
     @property
     def last_ts_ns(self) -> float:
+        self._fold()
         return self._last_ts_ns
+
+    @property
+    def client_names(self) -> list[str]:
+        """Every client seen, in first-seen order."""
+        self._fold()
+        return self._client_names
 
     # ------------------------------------------------------------------
     # Ingestion (Tracer sink protocol — bookkeeping only)
     # ------------------------------------------------------------------
 
     def on_trace_event(self, client: "Client", event: Any, span: Any) -> None:
-        data = event.data
-        ts = event.ts_ns
-        window = int(ts // self.window_ns)
-        if not self._extent_size:
-            extents = getattr(client.fabric, "extents", None)
-            self._extent_size = getattr(extents, "extent_size", 0) or 0
-        if event.client not in self.client_names:
-            self.client_names.append(event.client)
-        structure = None
-        if span is not None and not span.is_root:
-            structure = span.label.split(".", 1)[0]
-        handler = self._HANDLERS.get(event.kind)
-        if handler is not None:
-            handler(self, event.client, window, data, structure)
-        else:
-            self._count(event.kind, event.client, window, data, structure)
-        self._advance(client, ts, window)
+        """Ingest one event: an append and a compare. The roll-up waits for
+        :meth:`_fold`, which runs when an event opens a new fleet window or
+        when anything is read — so pending holds at most one window."""
+        self._pending.append((client, event, span))
+        if event.ts_ns >= self._window_end_ns:
+            self._advance(client, event.ts_ns)
 
-    def _advance(self, client: "Client", ts: float, window: int) -> None:
-        if ts > self._last_ts_ns:
-            self._last_ts_ns = ts
-        if self._current_window is None:
-            self._current_window = window
-            return
-        if window <= self._current_window:
-            return
-        self._current_window = window
-        if self._listeners and not self._notifying:
+    def _advance(self, client: "Client", ts: float) -> None:
+        self._fold()
+        previous = self._current_window
+        self._current_window = window = int(ts // self.window_ns)
+        self._window_end_ns = (window + 1) * self.window_ns
+        if previous is not None and self._listeners and not self._notifying:
             # Re-entrancy guard: a listener may emit events of its own
-            # (the SLO monitor's alert events) which land back here.
+            # (the SLO monitor's alert events) which land back here, in
+            # the next batch.
             self._notifying = True
             try:
                 for listener in list(self._listeners):
@@ -400,66 +437,100 @@ class TelemetryRegistry:
             finally:
                 self._notifying = False
 
-    def _base_scopes(
-        self, client_name: str, node: Optional[int], structure: Optional[str]
-    ) -> list[Scope]:
-        scopes: list[Scope] = [FLEET, ("client", client_name)]
-        if node is not None:
-            scopes.append(("node", node))
-        if structure is not None:
-            scopes.append(("structure", structure))
-        return scopes
+    def _fold(self) -> None:
+        """Roll the pending batch up, in event order (DESIGN.md §13).
 
-    def _inc_all(
-        self, scopes: list[Scope], name: str, window: int, amount: float = 1
-    ) -> None:
-        for scope in scopes:
-            self.counter(scope, name).inc(window, amount)
+        Order-sensitive state (gauges, ``_extent_node``, ``_drained``) and
+        the count-only kinds are applied as they are met. The two hot kinds
+        only add to sums and sample lists, so a run of them is collected as
+        rows and rolled up once per scope. A run ends where the window
+        changes: what a ring retains depends on the order its keys arrive."""
+        batch = self._pending
+        if not batch:
+            return
+        self._pending = []
+        if not self._extent_size:
+            extents = getattr(batch[0][0].fabric, "extents", None)
+            self._extent_size = getattr(extents, "extent_size", 0) or 0
+        extent_size = self._extent_size
+        window_ns = self.window_ns
+        names = self._client_names
+        newest = self._last_ts_ns
+        structures: dict[str, str] = {}  # span label -> structure scope
+        run = None  # the window the collected rows share
+        far_rows: list[tuple] = []
+        window_rows: list[tuple] = []
+        for client, event, span in batch:
+            ts = event.ts_ns
+            if ts > newest:
+                newest = ts
+            window = int(ts // window_ns)
+            who = event.client
+            if who not in names:
+                names.append(who)
+            if span is None or span.is_root:
+                structure = None
+            elif span.label in structures:
+                structure = structures[span.label]
+            else:
+                structure = structures[span.label] = span.label.split(".", 1)[0]
+            kind = event.kind
+            data = event.data
+            if kind == "far_access" or kind == "window":
+                if window != run:
+                    self._roll_up(run, far_rows, window_rows)
+                    far_rows, window_rows = [], []
+                    run = window
+                if kind == "window":
+                    window_rows.append((who, None, structure, data))
+                else:
+                    node = data["node"] if "node" in data else None
+                    far_rows.append((who, node, structure, data))
+                    if extent_size and node is not None and "addr" in data:
+                        # Order-sensitive (a later remap overwrites it), so
+                        # not left to the roll-up.
+                        self._extent_node[data["addr"] // extent_size] = node
+            elif kind in self._HANDLERS:
+                self._HANDLERS[kind](self, who, window, ts, data, structure)
+            else:
+                self._count(kind, who, window, data, structure)
+        self._last_ts_ns = newest
+        self._roll_up(run, far_rows, window_rows)
 
-    def _on_far_access(self, who, window, data, structure) -> None:
-        node = data.get("node")
-        scopes = self._base_scopes(who, node, structure)
-        self._inc_all(scopes, "far_accesses", window)
-        charge = data.get("charge_ns", 0.0)
-        for scope in scopes:
-            self.histogram(scope, "far_latency_ns").record(window, charge)
-        nbytes_read = data.get("nbytes_read", 0)
-        if nbytes_read:
-            self._inc_all(scopes, "bytes_read", window, nbytes_read)
-        nbytes_written = data.get("nbytes_written", 0)
-        if nbytes_written:
-            self._inc_all(scopes, "bytes_written", window, nbytes_written)
-        hops = data.get("forward_hops", 0)
-        if hops:
-            self._inc_all(scopes, "forward_hops", window, hops)
+    def _roll_up(self, window: int, far_rows: list[tuple], window_rows: list[tuple]) -> None:
+        """One run of ``far_access`` and ``window`` (doorbell) rows, all in
+        ``window``, rolled up once per scope."""
+        for scope, payloads in _by_scope(far_rows):
+            self._counters[scope, "far_accesses"].inc_many(window, [1] * len(payloads))
+            charges = [data["charge_ns"] for data in payloads]
+            self._hists[scope, "far_latency_ns"].record_many(window, charges)
+            for name, key in _FAR_AMOUNTS:
+                amounts = [data[key] for data in payloads if key in data and data[key]]
+                if amounts:
+                    self._counters[scope, name].inc_many(window, amounts)
+        # Heat lands on the extent the op named *and* (for indirect ops) the
+        # extent of the resolved data word — mirroring the extent table's
+        # translate-time touches, so a registry-driven Rebalancer ranks
+        # extents the same way the fabric does.
+        heat: dict[int, int] = {}
         if self._extent_size:
-            # Heat lands on the extent the op named *and* (for indirect
-            # ops) the extent of the resolved data word — mirroring the
-            # extent table's translate-time touches, so a registry-driven
-            # Rebalancer ranks extents the same way the fabric does.
-            for key in ("addr", "target"):
-                address = data.get(key)
-                if address is None:
-                    continue
-                extent = address // self._extent_size
-                self.counter(("extent", extent), "heat").inc(window)
-                if key == "addr" and node is not None:
-                    self._extent_node[extent] = node
-
-    def _on_window(self, who, window, data, structure) -> None:
-        scopes = self._base_scopes(who, None, structure)
-        self._inc_all(scopes, "windows", window)
-        saved = data.get("saved_ns", 0.0)
-        if saved:
-            self._inc_all(scopes, "overlap_saved_ns", window, saved)
-        for scope in scopes:
-            ring = self.histogram(scope, "window_ns")
-            ring.record(window, data.get("charged_ns", 0.0))
-        for op in data.get("ops", ()):
-            for scope in scopes:
-                self.histogram(scope, "op_latency_ns").record(
-                    window, op.get("charge_ns", 0.0)
-                )
+            for _who, _node, _structure, data in far_rows:
+                for key in ("addr", "target"):
+                    if key in data:
+                        extent = data[key] // self._extent_size
+                        heat[extent] = heat[extent] + 1 if extent in heat else 1
+        for extent, touches in heat.items():
+            self._counters[("extent", extent), "heat"].inc_many(window, [1] * touches)
+        for scope, payloads in _by_scope(window_rows):
+            self._counters[scope, "windows"].inc_many(window, [1] * len(payloads))
+            saved = [data["saved_ns"] for data in payloads if data["saved_ns"]]
+            if saved:
+                self._counters[scope, "overlap_saved_ns"].inc_many(window, saved)
+            charged = [data["charged_ns"] for data in payloads]
+            self._hists[scope, "window_ns"].record_many(window, charged)
+            op_charges = [op["charge_ns"] for data in payloads for op in data["ops"]]
+            if op_charges:
+                self._hists[scope, "op_latency_ns"].record_many(window, op_charges)
 
     def _count(self, kind, who, window, data, structure) -> None:
         """The roll-up of every kind without a handler: one count, named
@@ -467,62 +538,52 @@ class TelemetryRegistry:
         name = EVENTS[kind].counter
         if name is None:
             return
-        scopes = self._base_scopes(who, data.get("node"), structure)
-        self._inc_all(scopes, name, window)
-        if kind == "backoff":
-            self._inc_all(scopes, "backoff_ns", window, data.get("backoff_ns", 0.0))
-        elif kind == "notify" and data.get("loss_warning"):
-            self._inc_all(scopes, "loss_warnings", window)
+        for scope, _ in _by_scope([(who, data.get("node"), structure, data)]):
+            self._counters[scope, name].inc(window)
+            if kind == "backoff":
+                self._counters[scope, "backoff_ns"].inc(window, data.get("backoff_ns", 0.0))
+            elif kind == "notify" and data.get("loss_warning"):
+                self._counters[scope, "loss_warnings"].inc(window)
 
-    def _on_repair_copy(self, who, window, data, structure) -> None:
+    def _on_repair_copy(self, who, window, ts, data, structure) -> None:
         dead = data["dead_node"]
-        scopes = [FLEET, ("node", dead)]
-        self._inc_all(scopes, "repair_copies", window)
-        self._inc_all(scopes, "repair_bytes", window, data.get("nbytes", 0))
+        for scope in (FLEET, ("node", dead)):
+            self._counters[scope, "repair_copies"].inc(window)
+            self._counters[scope, "repair_bytes"].inc(window, data.get("nbytes", 0))
         total = data.get("total") or 1
-        self.gauge(("node", dead), "repair_progress").set(
-            window, self._last_ts_ns, data.get("done", 0) / total
-        )
+        self._gauges[("node", dead), "repair_progress"].set(window, ts, data.get("done", 0) / total)
 
-    def _on_extent_migrate(self, who, window, data, structure) -> None:
+    def _on_extent_migrate(self, who, window, ts, data, structure) -> None:
         extent = data["extent"]
         nbytes = data.get("nbytes", 0)
-        self.counter(FLEET, "migration_bytes").inc(window, nbytes)
-        self.counter(("extent", extent), "migration_bytes").inc(window, nbytes)
-        self.counter(("node", data["src_node"]), "migration_bytes_out").inc(
-            window, nbytes
-        )
-        self.counter(("node", data["dst_node"]), "migration_bytes_in").inc(
-            window, nbytes
-        )
-        total = data.get("total") or 1
-        self.gauge(("extent", extent), "migration_progress").set(
-            window, self._last_ts_ns, data.get("done", 0) / total
-        )
+        self._counters[FLEET, "migration_bytes"].inc(window, nbytes)
+        self._counters[("extent", extent), "migration_bytes"].inc(window, nbytes)
+        self._counters[("node", data["src_node"]), "migration_bytes_out"].inc(window, nbytes)
+        self._counters[("node", data["dst_node"]), "migration_bytes_in"].inc(window, nbytes)
+        progress = data.get("done", 0) / (data.get("total") or 1)
+        self._gauges[("extent", extent), "migration_progress"].set(window, ts, progress)
 
-    def _on_remap(self, who, window, data, structure) -> None:
+    def _on_remap(self, who, window, ts, data, structure) -> None:
         extent = data["extent"]
-        self.counter(FLEET, "remaps").inc(window)
-        self.counter(("extent", extent), "remaps").inc(window)
-        self.gauge(("extent", extent), "epoch").set(
-            window, self._last_ts_ns, data.get("epoch", 0)
-        )
+        self._counters[FLEET, "remaps"].inc(window)
+        self._counters[("extent", extent), "remaps"].inc(window)
+        self._gauges[("extent", extent), "epoch"].set(window, ts, data.get("epoch", 0))
         self._extent_node[extent] = data["dst_node"]
 
-    def _on_drain(self, who, window, data, structure) -> None:
+    def _on_drain(self, who, window, ts, data, structure) -> None:
         node = data["node"]
-        self.counter(FLEET, "drains").inc(window)
-        self.gauge(("node", node), "drained").set(window, self._last_ts_ns, 1)
+        self._counters[FLEET, "drains"].inc(window)
+        self._gauges[("node", node), "drained"].set(window, ts, 1)
         self._drained.add(node)
 
-    def _on_slo_alert(self, who, window, data, structure) -> None:
-        self._inc_all([FLEET, ("client", who)], "slo_alerts", window)
+    def _on_slo_alert(self, who, window, ts, data, structure) -> None:
+        for scope in (FLEET, ("client", who)):
+            self._counters[scope, "slo_alerts"].inc(window)
 
-    # Only the kinds whose roll-up is not one count at the base scopes;
-    # every other kind is rolled up by :meth:`_count`.
+    # The rare kinds whose roll-up is not one count at the base scopes
+    # (``far_access`` and ``window`` are rolled up per run by
+    # :meth:`_roll_up`); every other kind is rolled up by :meth:`_count`.
     _HANDLERS = {
-        "far_access": _on_far_access,
-        "window": _on_window,
         "repair_copy": _on_repair_copy,
         "extent_migrate": _on_extent_migrate,
         "remap": _on_remap,
@@ -537,21 +598,16 @@ class TelemetryRegistry:
     def sample_client(self, client: "Client") -> None:
         """Snapshot every first-class Metrics counter (plus custom
         counters) of ``client`` into per-client gauges. Read-only."""
+        self._fold()
         scope = ("client", client.name)
         ts = client.clock.now_ns
         window = int(ts // self.window_ns)
         for name in CLIENT_COUNTER_FIELDS:
-            self.gauge(scope, f"metrics.{name}").set(
-                window, ts, getattr(client.metrics, name)
-            )
+            self._gauges[scope, f"metrics.{name}"].set(window, ts, getattr(client.metrics, name))
         for key, value in sorted(client.metrics.custom.items()):
-            self.gauge(scope, f"metrics.custom.{key}").set(window, ts, value)
-        if client.name not in self.client_names:
-            self.client_names.append(client.name)
-
-    def sample(self, clients: Iterator["Client"]) -> None:
-        for client in clients:
-            self.sample_client(client)
+            self._gauges[scope, f"metrics.custom.{key}"].set(window, ts, value)
+        if client.name not in self._client_names:
+            self._client_names.append(client.name)
 
     def __repr__(self) -> str:
         return (

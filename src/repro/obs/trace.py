@@ -16,8 +16,10 @@ Design rules — these are what keep tracing free of observer effects:
   ``round_trips``, ``network_traversals``) and every simulated timestamp
   is bit-identical with tracing on or off.
 * The event vocabulary is one table (:mod:`repro.obs.events`) and there is
-  one emission path, :meth:`Tracer.emit`; only the two kinds the tracer
-  itself aggregates keep a method (``on_far_access``, ``on_window``).
+  one emission path, :meth:`Tracer.emit`; only the two hot kinds keep a
+  method that shapes their payload (``on_far_access``, ``on_window``).
+* Emission aggregates nothing. The span / op / node / window histograms
+  are derived from ``spans`` and ``events`` when they are read.
 * Every far access emits exactly one ``far_access`` event, attributed to
   the innermost open span (or the client's implicit root span). Summing
   per-span far-access attributions therefore reproduces the client's
@@ -179,10 +181,12 @@ class Tracer:
     def __init__(self) -> None:
         self.spans: list[Span] = []  # closed spans, in close order
         self.events: list[TraceEvent] = []  # global emission-ordered stream
-        self.span_hist = HistogramSet()  # span duration per label
-        self.op_hist = HistogramSet()  # far-access charge per fabric op
-        self.node_hist = HistogramSet()  # far-access charge per memory node
-        self.window_hist = LatencyHistogram()  # charged ns per window flush
+        # Functions of the two lists above, brought up to date when read.
+        self._span_hist = HistogramSet()  # span duration per label
+        self._op_hist = HistogramSet()  # far-access charge per fabric op
+        self._node_hist = HistogramSet()  # far-access charge per memory node
+        self._window_hist = LatencyHistogram()  # charged ns per window flush
+        self._spans_folded = self._events_folded = 0  # how much of each list
         self._stacks: dict[int, list[Span]] = {}  # client_id -> open spans
         self._clients: dict[int, "Client"] = {}
         # Span boundary log, append-only and LIFO-correct by construction:
@@ -296,8 +300,6 @@ class Tracer:
         span._close(client)
         self._span_log.append(("E", span.end_ns, span))
         self.spans.append(span)
-        if not span.is_root:
-            self.span_hist.record(span.label, span.duration_ns)
 
     @contextmanager
     def span(self, client: "Client", label: str, **tags: Any) -> Iterator[Span]:
@@ -344,8 +346,9 @@ class Tracer:
             sink.on_trace_event(client, event, span)
         return event
 
-    # The two kinds the tracer itself aggregates (span attribution, op /
-    # node / window histograms) — and the only hot ones — keep a method.
+    # The two hot kinds keep a method: it shapes the payload (empty keys
+    # left out, window members as dicts) and attributes the far access to
+    # its span.
 
     def on_far_access(
         self,
@@ -381,10 +384,6 @@ class Tracer:
             data["atomic"] = True
         self._stacks[client.client_id][-1].far_accesses += 1
         self.emit(client, "far_access", **data)
-        self.op_hist.record(op or "external", charge_ns)
-        self.node_hist.record(
-            f"node{node}" if node is not None else "node?", charge_ns
-        )
 
     def on_window(
         self,
@@ -412,11 +411,46 @@ class Tracer:
                 for op, charge, span_id in ops
             ],
         )
-        self.window_hist.record(charged_ns)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    @property
+    def span_hist(self) -> HistogramSet:
+        return self._fold_hists()._span_hist
+
+    @property
+    def op_hist(self) -> HistogramSet:
+        return self._fold_hists()._op_hist
+
+    @property
+    def node_hist(self) -> HistogramSet:
+        return self._fold_hists()._node_hist
+
+    @property
+    def window_hist(self) -> LatencyHistogram:
+        return self._fold_hists()._window_hist
+
+    def _fold_hists(self) -> "Tracer":
+        """The one producer of the four: fold in what was appended to
+        ``spans`` and ``events`` since the last read."""
+        spans, events = self.spans[self._spans_folded :], self.events[self._events_folded :]
+        self._spans_folded, self._events_folded = len(self.spans), len(self.events)
+        for span in spans:
+            if not span.is_root:
+                self._span_hist.record(span.label, span.duration_ns)
+        for event in events:
+            data = event.data
+            if event.kind == "far_access":
+                self._op_hist.record(data["op"], data["charge_ns"])
+                node = data.get("node")
+                self._node_hist.record(
+                    f"node{node}" if node is not None else "node?", data["charge_ns"]
+                )
+            elif event.kind == "window":
+                self._window_hist.record(data["charged_ns"])
+        return self
 
     def all_spans(self) -> list[Span]:
         """Closed spans plus still-open ones (roots included)."""

@@ -499,7 +499,7 @@ class TestSolver:
             ("repro.apps.kvstore.kvstore:FarKVStore.txn_get", "get"),
             ("repro.obs.telemetry:TelemetryRegistry._advance", "on_window_advance"),
             ("repro.obs.telemetry:TelemetryRegistry._count", "get"),
-            ("repro.obs.telemetry:TelemetryRegistry.on_trace_event", "get"),
+            ("repro.obs.telemetry:TelemetryRegistry._roll_up", "record_many"),
             ("repro.txn.txn:TxnAbortError.__init__", "__init__"),
         ]
 

@@ -277,15 +277,43 @@ class TestListeners:
         assert windows == sorted(windows)
         assert all(name == "worker" for _w, name in recorder.advances)
 
-    def test_remove_listener(self):
-        cluster, client, tracer, registry = _observed_cluster()
-        recorder = _Recorder()
-        registry.add_listener(recorder)
-        registry.remove_listener(recorder)
-        addr = cluster.allocator.alloc_words(1)
-        for _ in range(10):
-            client.read_u64(addr)
-        assert recorder.advances == []
+
+class TestEventGaugeTimestamps:
+    """An event-fed gauge is stamped with the emitting client's clock, so
+    last-sample-wins is by *simulated* time, not by emission order."""
+
+    def _two_clients(self):
+        cluster = Cluster(node_count=2, node_size=NODE_SIZE)
+        tracer = Tracer()
+        registry = TelemetryRegistry(window_ns=1_000).observe(tracer)
+        ahead, fresh = cluster.client("ahead"), cluster.client("fresh")
+        tracer.attach(ahead)
+        tracer.attach(fresh)
+        ahead.clock.advance(5_000)
+        return tracer, registry, ahead, fresh
+
+    def test_an_older_remap_does_not_roll_the_epoch_back(self):
+        tracer, registry, ahead, fresh = self._two_clients()
+        tracer.emit(ahead, "remap", extent=3, src_node=0, dst_node=1, epoch=7)
+        tracer.emit(fresh, "remap", extent=3, src_node=1, dst_node=0, epoch=3)
+        gauge = registry.gauge(("extent", 3), "epoch")
+        assert (gauge.value, gauge.ts_ns) == (7, 5_000.0)
+        assert gauge.windows() == [(0, 3), (5, 7)]
+
+    def test_an_older_copy_round_does_not_roll_progress_back(self):
+        tracer, registry, ahead, fresh = self._two_clients()
+        move = {"extent": 3, "src_node": 0, "dst_node": 1, "nbytes": 64}
+        tracer.emit(ahead, "extent_migrate", **move, done=4, total=4)
+        tracer.emit(fresh, "extent_migrate", **move, done=1, total=4)
+        gauge = registry.gauge(("extent", 3), "migration_progress")
+        assert (gauge.value, gauge.ts_ns) == (1.0, 5_000.0)
+
+    def test_drained_is_stamped_with_the_drainers_clock(self):
+        tracer, registry, ahead, fresh = self._two_clients()
+        tracer.emit(ahead, "drain", node=1, extents_moved=2, bytes_copied=128)
+        assert registry.gauge(("node", 1), "drained").ts_ns == 5_000.0
+        tracer.emit(fresh, "drain", node=1, extents_moved=0, bytes_copied=0)
+        assert registry.gauge(("node", 1), "drained").ts_ns == 5_000.0
 
 
 class TestSampling:

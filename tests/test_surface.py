@@ -42,6 +42,7 @@ KEEP = {
     "ExtentTable.globalize": "test vocabulary: 15 uses, turns a node-local offset into an address",
     "Tracer.spans_by_label": "test vocabulary: the span-side twin of events_by_kind (8 uses)",
     "Tracer.remove_sink": "the detach half of add_sink: how a registry stops observing a tracer",
+    "TelemetryRegistry.client_names": "a public attribute since PR 9, a property since reads fold",
     # Capabilities DESIGN names, or that a paper benchmark / example is about.
     "arrive_for_dead": "barrier repair (DESIGN section 3, repro.recovery)",
     "ReplicatedRegion.resync": "post-repair resync (DESIGN section 3, repro.fabric.replication)",
@@ -62,7 +63,6 @@ KEEP = {
     "FarVector.write_all": _FLOOR,
     "is_word_aligned": _FLOOR,
     "NotificationManager.mute": _FLOOR,
-    "TelemetryRegistry.remove_listener": _FLOOR,
     "RpcServer.reset_timeline": _FLOOR,
 }
 
