@@ -157,12 +157,6 @@ class Cluster:
         """Sum of all registered clients' metrics."""
         return aggregate([c.metrics for c in self.clients])
 
-    def reset_metrics(self) -> None:
-        """Zero every client's metrics and clock (between benchmark phases)."""
-        for c in self.clients:
-            c.metrics.reset()
-            c.clock.reset()
-
     # ------------------------------------------------------------------
     # Data structure factories (paper section 5)
     # ------------------------------------------------------------------

@@ -65,7 +65,6 @@ from .wire import (
     crc32_u64,
     decode_u64,
     encode_u64,
-    is_word_aligned,
     to_signed,
     wrap_add,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "crc32_u64",
     "decode_u64",
     "encode_u64",
-    "is_word_aligned",
     "to_signed",
     "wrap_add",
 ]

@@ -248,19 +248,20 @@ class Client:
         m = self.metrics
         m.far_accesses += 1
         m.round_trips += 1
-        m.network_traversals += 2 * max(1, segments) + forward_hops
+        m.network_traversals += 2 * segments + forward_hops  # every result has >= 1 segment
         m.bytes_read += nbytes_read
         m.bytes_written += nbytes_written
         m.indirection_forwards += forward_hops
         if atomic:
             m.atomic_ops += 1
-        # A latency-spike fault slows this op without failing it; the
-        # multiplier is 1.0 whenever no injector is attached or no spike
-        # fired, so the fault-free path charges exactly what it always has.
-        charge = self.fabric.consume_fault_latency() * self.cost_model.far_access_ns(
-            nbytes_read + nbytes_written, forward_hops=forward_hops
-        )
-        self._advance(charge)
+        fabric = self.fabric
+        charge = fabric.cost_model.far_access_ns(nbytes_read + nbytes_written, forward_hops)
+        if fabric.fault_injector is not None:  # a latency spike slows the op (1.0 if none fired)
+            charge *= fabric.consume_fault_latency()
+        if self._op is not None:
+            self._charge += charge  # _advance's common case, without its frame
+        else:
+            self._advance(charge)
         if self._tracer is not None:
             self._tracer.on_far_access(
                 self,
@@ -293,7 +294,7 @@ class Client:
         accesses for near accesses). Near accesses never enter the NIC
         pipeline; they charge the clock directly."""
         self.metrics.near_accesses += count
-        self.clock.advance(self.cost_model.near_access_ns(count))
+        self.clock.advance(self.fabric.cost_model.near_access_ns(count))
 
     # ------------------------------------------------------------------
     # Submission / completion pipeline
@@ -372,38 +373,48 @@ class Client:
             # charge is posted and the doorbell rings before a
             # synchronous caller sees the error.
             self._op = None
-            if future is not None:
-                future.charge_ns, future.span_id = self._charge, span_id
             window = self._window
-            window.append((op, self._charge, span_id, future))
-            if self._batch_depth == 0:
-                if len(window) >= self.qp_depth:
-                    self.metrics.pipeline_stalls += 1
-                    if self._tracer is not None:
-                        self._tracer.emit(self, "stall", qp_depth=self.qp_depth)
-                    self._flush_window(reason="stall")
-                elif future is None:
-                    self._flush_window(reason="reap")
+            if future is None and not window and self._batch_depth == 0 and self.qp_depth > 1:
+                # A synchronous call on an idle pipeline is its own
+                # one-entry window: ring it without parking it first.
+                self._flush_window("reap", (op, self._charge, span_id, None))
+            else:
+                if future is not None:
+                    future.charge_ns, future.span_id = self._charge, span_id
+                window.append((op, self._charge, span_id, future))
+                if self._batch_depth == 0:
+                    if len(window) >= self.qp_depth:
+                        self.metrics.pipeline_stalls += 1
+                        if self._tracer is not None:
+                            self._tracer.emit(self, "stall", qp_depth=self.qp_depth)
+                        self._flush_window(reason="stall")
+                    elif future is None:
+                        self._flush_window(reason="reap")
 
-    def _flush_window(self, reason: str = "drain") -> None:
+    def _flush_window(self, reason: str = "drain", entry: Optional[tuple] = None) -> None:
         """Ring the doorbell: charge the open window and complete its
         futures. The window costs ``max(contributions) + (n - 1) *
         issue_ns`` — overlap hides latency; the metrics counted every
         operation individually at issue time — which for the one-deep
-        window of a synchronous call is that call's own charge.
+        window of a synchronous call is that call's own charge (``entry``:
+        one rung on an idle pipeline without being parked first).
         ``reason`` is observability only (why the doorbell rang:
         stall/batch/fence/reap/drain)."""
-        window = self._window
-        if not window:
-            return
-        self._window = []
-        start_ns = self.clock.now_ns
-        if len(window) == 1:
-            charged = serial = window[0][1]  # window_ns([c]) == sum([c]) == c
+        if entry is not None:
+            window: Sequence[tuple] = (entry,)
+            charged = serial = entry[1]
         else:
-            charges = [entry[1] for entry in window]
-            charged = self.cost_model.window_ns(charges)
-            serial = sum(charges)
+            window = self._window
+            if not window:
+                return
+            self._window = []
+            if len(window) == 1:
+                charged = serial = window[0][1]  # window_ns([c]) == sum([c]) == c
+            else:
+                charges = [charge for _, charge, _, _ in window]
+                charged = self.cost_model.window_ns(charges)
+                serial = sum(charges)
+        start_ns = self.clock.now_ns
         now = self.clock.advance(charged)
         m = self.metrics
         m.pipeline_flushes += 1
@@ -418,7 +429,7 @@ class Client:
                 serial_ns=serial,
                 saved_ns=max(0.0, serial - charged),
                 reason=reason,
-                ops=[entry[:3] for entry in window if entry[0] is not None],
+                ops=[posted[:3] for posted in window if posted[0] is not None],
                 n_charges=len(window),
             )
         for _, _, _, future in window:

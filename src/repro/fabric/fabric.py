@@ -211,23 +211,24 @@ class Fabric(FarPrimitivesMixin):
     # Base one-sided operations (section 2: loads/stores/atomics)
     # ------------------------------------------------------------------
 
-    def read(self, address: int, length: int) -> FabricResult:
-        """One-sided read of a virtual range (split across nodes if needed)."""
-        return self._read(address, self.extents.split(address, length))
-
-    def _read(self, address: int, segments: Segments) -> FabricResult:
-        """Read the range at ``address`` that ``segments`` is the split of."""
+    def read(self, address: int, length: int, segments: Optional[Segments] = None) -> FabricResult:
+        """One-sided read of a virtual range (split across nodes if needed);
+        ``segments``, when given, is the caller's split of exactly this range."""
+        if segments is None:
+            segments = self.extents.split(address, length)
         pieces: list[bytes] = []
         cursor = address
         for location, seg_len in segments:
-            node = self._node_for(location.node, cursor)
+            if location.node in self._failed_nodes:  # _node_for, inlined on both read paths
+                raise NodeUnavailableError(location.node, cursor)
             self.extents.touch(cursor)
-            pieces.append(node.read(location.offset, seg_len))
+            pieces.append(self.nodes[location.node].read(location.offset, seg_len))
             cursor += seg_len
         return FabricResult(value=b"".join(pieces), segments=max(1, len(segments)))
 
-    def write(self, address: int, data: bytes) -> FabricResult:
-        """One-sided write of a global range (split across nodes if striped).
+    def write(self, address: int, data: bytes, segments: Optional[Segments] = None) -> FabricResult:
+        """One-sided write of a global range (split across nodes if striped);
+        ``segments``, when given, is the caller's split of exactly this range.
 
         A pending TORN fault (set by :meth:`fault_check` for this op)
         lands a word-aligned prefix of ``data``, then raises
@@ -236,18 +237,12 @@ class Fabric(FarPrimitivesMixin):
         ``wgather`` funnel through here per buffer, so a torn replicated
         write tears its first target and never reaches the rest.
         """
-        return self._write(address, data)
-
-    def _write(
-        self, address: int, data: bytes, segments: Optional[Segments] = None
-    ) -> FabricResult:
-        """:meth:`write`, reusing the caller's split of exactly this range."""
         if self.fault_injector is not None:
             fraction = self.fault_injector.take_torn_fraction()
             if fraction is not None:
                 prefix = align_down(int(len(data) * fraction), WORD)
                 if prefix > 0:
-                    self._write(address, bytes(data[:prefix]))
+                    self.write(address, bytes(data[:prefix]))
                 raise FarTimeoutError(
                     self.node_of(address), address,
                     reason=f"torn write ({prefix}/{len(data)} bytes applied)",
@@ -272,9 +267,8 @@ class Fabric(FarPrimitivesMixin):
         of a migrating extent to its new home (one forward hop each)."""
         hops = 0
         for data_off, length, dst_node, dst_offset in mirrors:
-            if dst_node in self._failed_nodes:
-                raise NodeUnavailableError(dst_node, dst_offset)
-            self.nodes[dst_node].write(dst_offset, bytes(data[data_off : data_off + length]))
+            node = self._node_for(dst_node, dst_offset)
+            node.write(dst_offset, bytes(data[data_off : data_off + length]))
             hops += 1
         return hops
 
@@ -287,15 +281,15 @@ class Fabric(FarPrimitivesMixin):
         use. Deliberately bypasses fault injection (transient-fault rules
         key on virtual addresses); callers charge it like any far write.
         """
-        if node in self._failed_nodes:
-            raise NodeUnavailableError(node, offset)
-        self.nodes[node].write(offset, bytes(data))
+        self._node_for(node, offset).write(offset, bytes(data))
         return FabricResult(segments=1)
 
     def _read_word_at(self, address: int, location: Location) -> int:
         """Read the aligned word at ``address``, already translated."""
         self.extents.touch(address)
-        return self._node_for(location.node, address).read_word(location.offset)
+        if location.node in self._failed_nodes:
+            raise NodeUnavailableError(location.node, address)
+        return self.nodes[location.node].read_word(location.offset)
 
     def _atomic_at(self, address: int, location: Location, op, *args):
         """Apply the word-sized :class:`MemoryNode` mutation ``op`` at

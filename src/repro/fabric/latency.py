@@ -52,14 +52,16 @@ class CostModel:
     issue_ns: float = 50.0
     timeout_ns: float = 10_000.0
 
-    def payload_ns(self, nbytes: int) -> float:
-        """Wire cost of an ``nbytes`` payload beyond the inline allowance."""
-        extra = max(0, nbytes - self.inline_bytes)
-        return extra * self.byte_ns
-
     def far_access_ns(self, nbytes: int = 0, forward_hops: int = 0) -> float:
-        """Cost of one far access moving ``nbytes`` with ``forward_hops`` forwards."""
-        return self.far_ns + self.payload_ns(nbytes) + forward_hops * self.forward_hop_ns
+        """Cost of one far access moving ``nbytes`` with ``forward_hops`` forwards:
+        ``far_ns`` + wire cost of the bytes beyond ``inline_bytes`` + ``forward_hops
+        * forward_hop_ns``, a zero term skipped (exact: ``x + 0.0 == x``)."""
+        ns = self.far_ns
+        if nbytes > self.inline_bytes:
+            ns += (nbytes - self.inline_bytes) * self.byte_ns
+        if forward_hops:
+            ns += forward_hops * self.forward_hop_ns
+        return ns
 
     def near_access_ns(self, count: int = 1) -> float:
         """Cost of ``count`` client-local accesses."""

@@ -66,7 +66,8 @@ class MemoryNode:
             raise AddressError(offset, length, f"outside node {self.node_id}")
 
     def _check_word(self, offset: int) -> None:
-        self._check(offset, WORD)
+        if offset < 0 or offset + WORD > self.size:  # _check(offset, WORD), one frame
+            raise AddressError(offset, WORD, f"outside node {self.node_id}")
         if offset % WORD != 0:
             raise AlignmentError(f"word operation at unaligned offset 0x{offset:x}")
 

@@ -32,12 +32,12 @@ All pointer words hold **global** far-memory addresses. When a
 dereferenced target lives on a different memory node than the pointer,
 the fabric's :class:`IndirectionPolicy` decides between forwarding (extra
 traversals, same round trip) and erroring (section 7.1). Under the error
-policy the raised
-:class:`~repro.fabric.errors.RemoteIndirectionError` carries a
-:class:`PendingIndirection` describing exactly what the client must do to
-complete the operation — note that for ``faai``/``saai`` the pointer bump
-has *already committed* at the home node by then, matching hardware that
-cannot roll back its local half.
+policy the raised :class:`~repro.fabric.errors.RemoteIndirectionError`
+carries a :class:`PendingIndirection` describing exactly what the client
+must do to complete the operation — built only when the node refuses, so
+a local or forwarded indirection never pays for it. For ``faai``/``saai``
+the pointer bump has *already committed* at the home node by then,
+matching hardware that cannot roll back its local half.
 
 Every indirect primitive translates exactly twice: one ``locate`` of the
 pointer word (its home node *and* its value), one ``split`` of the target
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .errors import AddressError, RemoteIndirectionError
@@ -114,7 +115,7 @@ class FarPrimitivesMixin:
 
     Mixed into :class:`repro.fabric.fabric.Fabric`; relies on its extent
     table, its ``indirection_policy`` and its already-translated data path
-    (``_read`` / ``_write`` / ``_read_word_at`` / ``_atomic_at``).
+    (``read`` / ``write`` / ``_read_word_at`` / ``_atomic_at``).
     """
 
     def _deref(self, ad: int, bump: Optional[int] = None) -> tuple[int, int]:
@@ -128,52 +129,52 @@ class FarPrimitivesMixin:
             return location.node, self._read_word_at(ad, location)
         return location.node, self._atomic_at(ad, location, MemoryNode.fetch_add, bump)
 
-    def _target(self, home: int, pending: PendingIndirection, length: int) -> tuple[Segments, int]:
+    def _target(self, home: int, target: int, length: int, refuse: partial) -> tuple[Segments, int]:
         """Translate an indirect target once: ``(segments, forward hops)``.
 
         The segments drive the data movement; each one off ``home`` is a
         forward hop, or under the ERROR policy the refusal, raised before
-        any data moves with ``pending`` attached for the client to finish.
-        Hops are judged on at least the target word, so a sub-word
-        transfer is re-split to its own length.
+        any data moves with ``refuse()`` — the :class:`PendingIndirection`,
+        built only then — attached for the client to finish. Hops are
+        judged on at least the target word, so a sub-word transfer is
+        re-split to its own length.
         """
-        target = pending.target
-        segments = self.extents.split(target, max(length, WORD))
-        remote = [location.node for location, _ in segments if location.node != home]
-        if remote:
-            if self.indirection_policy is IndirectionPolicy.ERROR:
-                err = RemoteIndirectionError(target, home, remote[0])
-                err.pending = pending  # type: ignore[attr-defined]
-                raise err
-            # Locality telemetry for the rebalancer: each forwarded segment
-            # names ``home`` as a "forward source" of the target's extent.
-            cursor = target
-            for location, seg_len in segments:
-                if location.node != home:
-                    self.extents.note_forward(cursor, home)
-                cursor += seg_len
+        segments = self.extents.split(target, length if length > WORD else WORD)
+        hops = 0
+        cursor = target
+        for location, seg_len in segments:
+            if location.node != home:
+                if self.indirection_policy is IndirectionPolicy.ERROR:
+                    err = RemoteIndirectionError(target, home, location.node)
+                    err.pending = refuse()  # type: ignore[attr-defined]
+                    raise err
+                # Locality telemetry for the rebalancer: each forwarded segment
+                # names ``home`` as a "forward source" of the target's extent.
+                self.extents.note_forward(cursor, home)
+                hops += 1
+            cursor += seg_len
         if length < WORD:
             segments = self.extents.split(target, length)
-        return segments, len(remote)
+        return segments, hops
 
     def _indirect_read(self, home: int, pointer: int, target: int, length: int) -> FabricResult:
-        pending = PendingIndirection("read", target, length=length, pointer=pointer)
-        segments, hops = self._target(home, pending, length)
-        result = self._read(target, segments)
+        refuse = partial(PendingIndirection, "read", target, length=length, pointer=pointer)
+        segments, hops = self._target(home, target, length, refuse)
+        result = self.read(target, length, segments)
         result.pointer, result.forward_hops = pointer, hops
         return result
 
     def _indirect_write(self, home: int, pointer: int, target: int, value: bytes) -> FabricResult:
         value = bytes(value)
-        pending = PendingIndirection("write", target, payload=value, pointer=pointer)
-        segments, hops = self._target(home, pending, len(value))
-        result = self._write(target, value, segments)
+        refuse = partial(PendingIndirection, "write", target, payload=value, pointer=pointer)
+        segments, hops = self._target(home, target, len(value), refuse)
+        result = self.write(target, value, segments)
         result.pointer, result.forward_hops = pointer, hops
         return result
 
     def _indirect_add(self, home: int, pointer: int, target: int, delta: int) -> FabricResult:
-        pending = PendingIndirection("add", target, delta=delta, pointer=pointer)
-        segments, hops = self._target(home, pending, WORD)
+        refuse = partial(PendingIndirection, "add", target, delta=delta, pointer=pointer)
+        segments, hops = self._target(home, target, WORD, refuse)
         old = self._atomic_at(target, segments[0][0], MemoryNode.fetch_add, delta)
         return FabricResult(value=old, pointer=pointer, forward_hops=hops)
 
@@ -244,10 +245,12 @@ class FarPrimitivesMixin:
         """
         home, old = self._deref(ad, bump=delta)
         value = bytes(value)
-        pending = PendingIndirection("swap", old, length=len(value), payload=value, pointer=old)
-        segments, hops = self._target(home, pending, len(value))
-        result = self._read(old, segments)
-        self._write(old, value, segments)
+        refuse = partial(
+            PendingIndirection, "swap", old, length=len(value), payload=value, pointer=old
+        )
+        segments, hops = self._target(home, old, len(value), refuse)
+        result = self.read(old, len(value), segments)
+        self.write(old, value, segments)
         result.pointer, result.forward_hops = old, hops
         return result
 

@@ -96,11 +96,6 @@ def wrap_add(a: int, b: int) -> int:
     return (a + b) & U64_MASK
 
 
-def is_word_aligned(address: int) -> bool:
-    """True if ``address`` is aligned to the fabric word size."""
-    return address % WORD == 0
-
-
 def align_up(value: int, alignment: int) -> int:
     """Round ``value`` up to the next multiple of ``alignment``."""
     if alignment <= 0:

@@ -33,8 +33,10 @@ class TestCostModel:
         assert self.model.near_access_ns(3) == 3 * self.model.near_ns
 
     def test_payload_ns_never_negative(self):
-        assert self.model.payload_ns(0) == 0.0
-        assert self.model.payload_ns(self.model.inline_bytes) == 0.0
+        # The payload term prices only bytes beyond the inline allowance.
+        assert self.model.far_access_ns(0) == self.model.far_ns
+        assert self.model.far_access_ns(self.model.inline_bytes) == self.model.far_ns
+        assert self.model.far_access_ns(self.model.inline_bytes + 1) > self.model.far_ns
 
 
 class TestSimClock:

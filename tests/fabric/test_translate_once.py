@@ -20,7 +20,7 @@ NODE_SIZE = 8 << 20
 PAYLOAD = b"p" * 24
 
 # name -> (call, translations on a bare client); ``p`` holds a pointer to
-# ``t``, ``a``/``b`` are plain buffers.
+# ``t``, ``a``/``b`` are plain buffers (``w``, 256 B, is for a full-packet write).
 OPS = {
     "read": (lambda c, m: c.read(m["a"], 64), 1),
     "write": (lambda c, m: c.write(m["a"], PAYLOAD), 1),
@@ -69,6 +69,7 @@ def _cluster():
     alloc = cluster.allocator
     memory = {"a": alloc.alloc(64), "b": alloc.alloc(64), "t": alloc.alloc(64), "p": None}
     memory["p"] = alloc.alloc_words(1)
+    memory["w"] = alloc.alloc(256)
     cluster.client(retry_policy=None, breaker_policy=None).write_u64(memory["p"], memory["t"])
     return cluster, memory
 

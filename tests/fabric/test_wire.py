@@ -27,7 +27,6 @@ from repro.fabric.wire import (
     align_up,
     decode_u64,
     encode_u64,
-    is_word_aligned,
     pack_words,
     to_signed,
     unpack_words,
@@ -91,11 +90,6 @@ class TestWrapAdd:
 
 
 class TestAlignment:
-    def test_is_word_aligned(self):
-        assert is_word_aligned(0)
-        assert is_word_aligned(WORD)
-        assert not is_word_aligned(WORD - 1)
-
     def test_align_up(self):
         assert align_up(1, 8) == 8
         assert align_up(8, 8) == 8

@@ -20,6 +20,7 @@ The pins are bounds, not equalities: CPython 3.12 inlines comprehensions, so
 """
 
 import cProfile
+import gc
 import pstats
 import sys
 from functools import partial
@@ -29,13 +30,14 @@ from repro.obs import TelemetryRegistry, Tracer
 
 # Python-level entries.
 EMPTY_SPAN = 18
-TRACED_READ = 37
-OBSERVED_READ = 39
+TRACED_READ = 31
+OBSERVED_READ = 33
 # Every call, C builtins included: of an empty span, and per observed
 # ``read_u64`` over AMORTISED_READS reads with the benchmark's 50 us window
-# (58.6 measured on 3.11; 194.1 before the registry folded per window).
+# (47.7 measured on 3.11; 58.6 before a far access was priced in one call,
+# 194.1 before the registry folded per window).
 EMPTY_SPAN_ALL_CALLS = 35
-AMORTISED_OBSERVED_READ = 62
+AMORTISED_OBSERVED_READ = 50
 AMORTISED_READS = 500
 TELEMETRY_WINDOW_NS = 50_000
 
@@ -58,6 +60,7 @@ def _python_calls(call):
             entries += 1
 
     call()  # warm: first use creates per-node breakers and telemetry series
+    gc.collect()  # a collection inside the call would count other objects' finalizers
     sys.setprofile(profiler)
     try:
         call()

@@ -51,14 +51,6 @@ class TestClients:
         b.read_u64(addr)
         assert cluster.total_metrics().far_accesses == 3
 
-    def test_reset_metrics(self):
-        cluster = Cluster(node_count=1, node_size=NODE_SIZE)
-        client = cluster.client()
-        client.write_u64(cluster.allocator.alloc_words(1), 1)
-        cluster.reset_metrics()
-        assert client.metrics.far_accesses == 0
-        assert client.clock.now_ns == 0
-
 
 class TestFactories:
     @pytest.fixture

@@ -58,10 +58,8 @@ KEEP = {
     "FarKVStore.txn_multiput": "the transactional KV write (DESIGN section 15), a certified op",
     # Deliberately deferred.
     "OneSidedBTree.invalidate_cache": _FLOOR,
-    "Cluster.reset_metrics": _FLOOR,
     "FarCounter.compare_and_set": _FLOOR,
     "FarVector.write_all": _FLOOR,
-    "is_word_aligned": _FLOOR,
     "NotificationManager.mute": _FLOOR,
     "RpcServer.reset_timeline": _FLOOR,
 }
