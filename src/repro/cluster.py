@@ -69,7 +69,7 @@ class Cluster:
         """Create and register a new client (compute node).
 
         Keyword arguments (``retry_policy``, ``breaker_policy``,
-        ``auto_complete_indirection``) pass through to :class:`Client`.
+        ``qp_depth``) pass through to :class:`Client`.
         """
         c = Client(self.fabric, name, **kwargs)
         self.clients.append(c)

@@ -118,15 +118,6 @@ class FarVector:
         raw = client.read(base + start * WORD, count * WORD)
         return np.frombuffer(raw, dtype="<u8").copy()
 
-    def write_all(self, client: Client, values, base: Optional[int] = None) -> None:
-        """Overwrite the whole vector (1-2 far accesses)."""
-        arr = np.asarray(values, dtype="<u8")
-        if arr.shape != (self.length,):
-            raise ValueError(f"expected {self.length} values, got {arr.shape}")
-        if base is None:
-            base = self.base(client)
-        client.write(base, arr.tobytes())
-
     # ------------------------------------------------------------------
     # Base switching (circular buffers of vectors, section 6)
     # ------------------------------------------------------------------

@@ -33,15 +33,15 @@ with the synchronous API as a thin veneer:
 * **ERROR-policy completion**: when cross-node indirection is refused
   (section 7.1), the client transparently completes the pending access
   with a second, direct round trip — and the metrics show the cost.
-* **Retry + circuit breaking**: every one-sided op passes through
-  :meth:`Client._issue`, which transparently retries transient fabric
-  faults (:mod:`repro.fabric.faults`) with exponential backoff and
-  deterministic jitter (:mod:`repro.fabric.retry`), charges timeout and
-  backoff time to the *operation's own* window contribution — so a
-  retried future overlaps the rest of its window instead of stalling
-  it — and fails fast per memory node via a circuit breaker once
-  failures persist. Pass ``retry_policy=None`` / ``breaker_policy=None``
-  to disable either layer.
+* **Retry + circuit breaking**: every virtually addressed one-sided op
+  passes through :meth:`Client._issue`, which transparently retries
+  transient fabric faults (:mod:`repro.fabric.faults`) with exponential
+  backoff and deterministic jitter (:mod:`repro.fabric.retry`), charges
+  timeout and backoff time to the *operation's own* window contribution
+  — so a retried future overlaps the rest of its window instead of
+  stalling it — and fails fast per memory node via a circuit breaker
+  once failures persist. Pass ``retry_policy=None`` /
+  ``breaker_policy=None`` to disable either layer.
 
 Clients also own a notification inbox; the notification subsystem
 (:mod:`repro.notify`) delivers into it and :meth:`poll_notifications`
@@ -67,7 +67,7 @@ from .fabric import Fabric, FabricResult
 from .integrity import frame_block, frame_size, try_unframe
 from .latency import SimClock
 from .metrics import Metrics
-from .ops import FAR_OPS
+from .ops import FAR_OPS, FarOp
 from .pipeline import CompletionQueue, FarFuture
 from .primitives import FarIovec, PendingIndirection
 from .retry import BreakerPolicy, CircuitBreaker, RetryPolicy
@@ -111,7 +111,6 @@ class Client:
         fabric: Fabric,
         name: Optional[str] = None,
         *,
-        auto_complete_indirection: bool = True,
         retry_policy: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY,
         breaker_policy: Optional[BreakerPolicy] = DEFAULT_BREAKER_POLICY,
         qp_depth: int = DEFAULT_QP_DEPTH,
@@ -124,7 +123,6 @@ class Client:
         self.name = name or f"client-{self.client_id}"
         self.clock = SimClock()
         self.metrics = Metrics()
-        self.auto_complete_indirection = auto_complete_indirection
         self.retry_policy = retry_policy
         self.breaker_policy = breaker_policy
         self.breakers: dict[int, CircuitBreaker] = {}
@@ -145,14 +143,8 @@ class Client:
         self._charge = 0.0
         # Observability (repro.obs). The tracer is a pure observer: every
         # emission below is bookkeeping only, so metrics and timestamps are
-        # bit-identical with tracing on or off. _trace_node/_trace_addr/
-        # _trace_target carry the memory node, issue address, and resolved
-        # indirection target from _issue to _account_far (tracing only;
-        # the race detector in repro.analysis.races consumes them).
+        # bit-identical with tracing on or off.
         self._tracer = None
-        self._trace_node: Optional[int] = None
-        self._trace_addr: Optional[int] = None
-        self._trace_target: Optional[int] = None
         if _default_tracer_provider is not None:
             tracer = _default_tracer_provider()
             if tracer is not None:
@@ -238,13 +230,18 @@ class Client:
 
     def _account_far(
         self,
-        *,
-        nbytes_read: int = 0,
-        nbytes_written: int = 0,
+        nbytes_read: int,
+        nbytes_written: int,
         forward_hops: int = 0,
         segments: int = 1,
         atomic: bool = False,
+        node: Optional[int] = None,
+        addr: Optional[int] = None,
+        target: Optional[int] = None,
     ) -> None:
+        """Count, price and trace one completed far access. ``atomic``
+        (the event's key), ``node``, ``addr`` and ``target`` (the resolved
+        indirection) are for the tracer only."""
         m = self.metrics
         m.far_accesses += 1
         m.round_trips += 1
@@ -252,8 +249,6 @@ class Client:
         m.bytes_read += nbytes_read
         m.bytes_written += nbytes_written
         m.indirection_forwards += forward_hops
-        if atomic:
-            m.atomic_ops += 1
         fabric = self.fabric
         charge = fabric.cost_model.far_access_ns(nbytes_read + nbytes_written, forward_hops)
         if fabric.fault_injector is not None:  # a latency spike slows the op (1.0 if none fired)
@@ -267,16 +262,15 @@ class Client:
                 self,
                 op=self._op,
                 charge_ns=charge,
-                node=self._trace_node,
-                addr=self._trace_addr,
-                target=self._trace_target,
+                node=node,
+                addr=addr,
+                target=target,
                 nbytes_read=nbytes_read,
                 nbytes_written=nbytes_written,
                 forward_hops=forward_hops,
                 segments=segments,
                 atomic=atomic,
             )
-            self._trace_target = None
 
     def charge_far_access(
         self, *, nbytes_read: int = 0, nbytes_written: int = 0
@@ -284,9 +278,7 @@ class Client:
         """Charge this client for one far access performed on its behalf
         by another subsystem (e.g. installing a notification subscription
         at a memory node)."""
-        self._trace_node = None  # no address: the tracer sees "external"
-        self._trace_addr = None
-        self._account_far(nbytes_read=nbytes_read, nbytes_written=nbytes_written)
+        self._account_far(nbytes_read, nbytes_written)  # no node or address to trace
 
     def touch_local(self, count: int = 1) -> None:
         """Charge ``count`` client-local (near) accesses — data structures
@@ -479,24 +471,37 @@ class Client:
             breaker = self.breakers[node] = CircuitBreaker(node, self.breaker_policy)
         return breaker
 
-    def _issue(self, address: int, op, *args):
-        """Issue one fabric operation with retry, backoff, and breaking.
+    def _issue(
+        self, row: FarOp, address: int, nbytes_read: int, nbytes_written: int, op, *args
+    ) -> Any:
+        """Run one far op of ``row`` — ``op(*args)``, the fabric method its
+        body names — and account for it; returns what the fabric returned.
 
-        Every one-sided op funnels through here. The flow per attempt is:
-        circuit-breaker gate → fault-injection check (operation boundary,
-        so a timeout has no memory-side effects) → the fabric call.
-        Transient failures (:class:`FarTimeoutError`, and
-        :class:`NodeUnavailableError` from fail-stop nodes) charge the
-        timeout-detection interval plus exponential backoff *to the
-        operation's own window contribution* — inside an overlap window
-        the retry ladder overlaps the other outstanding ops (each QP slot
-        waits out its own timeout independently on real NICs), while a
-        synchronous call serialises exactly as before — and are retried
-        up to the policy's attempt/time budgets. Failed attempts are
-        *not* counted as far accesses (those count completed work); they
-        appear in ``metrics.timeouts`` / ``retries`` / ``backoff_ns``
-        instead. When the breaker for the target node is (or trips)
-        open, the op fails fast with :class:`CircuitOpenError`.
+        Every virtually addressed op funnels through here. The flow per
+        attempt is: circuit-breaker gate → fault-injection check (operation
+        boundary, so a timeout has no memory-side effects; the fault kind
+        is ``row.fabric``) → the fabric call. Transient failures
+        (:class:`FarTimeoutError`, and :class:`NodeUnavailableError` from
+        fail-stop nodes) charge the timeout-detection interval plus
+        exponential backoff *to the operation's own window contribution*
+        — inside an overlap window the retry ladder overlaps the other
+        outstanding ops (each QP slot waits out its own timeout
+        independently on real NICs), while a synchronous call serialises
+        exactly as before — and are retried up to the policy's
+        attempt/time budgets. Failed attempts are *not* counted as far
+        accesses (those count completed work); they appear in
+        ``metrics.timeouts`` / ``retries`` / ``backoff_ns`` instead. When
+        the breaker for the target node is (or trips) open, the op fails
+        fast with :class:`CircuitOpenError`.
+
+        A completed op is one far access moving the byte counts its body
+        passed, counted in ``atomic_ops`` when its row is atomic; the
+        result supplies segments and forward hops (a Fig. 1 op's forwarded
+        segments, or a write's ranges mirrored while its extent migrates
+        under FORWARD). An indirection the memory node refuses (ERROR
+        policy, section 7.1) still cost a round trip — the home node read
+        the pointer word, then bounced the request — and the client
+        completes it directly (:meth:`_complete_pending`).
 
         Breaker cooldowns compare against the client's clock as of the
         last doorbell; charges still in the open window are invisible to
@@ -504,92 +509,115 @@ class Client:
         completion timestamps.
         """
         fabric = self.fabric
+        tracer = self._tracer
         policy = self.retry_policy
         unguarded = policy is None and self.breaker_policy is None
-        if unguarded and self._tracer is None and fabric.fault_injector is None:
-            return op(*args)  # nobody needs the home node: the op translates for itself
-        # One translation of the op's address, shared by the tracer, the
-        # breaker and every attempt's fault check.
-        node = fabric.node_of(address)
-        kind = getattr(op, "__name__", None)
-        if self._tracer is not None:
-            self._trace_node = node
-            self._trace_addr = address
-        if unguarded:
-            try:
-                fabric.fault_check(node, address, kind)
-                return op(*args)
-            except FarTimeoutError as err:
-                if self._tracer is not None and err.torn:
-                    self._tracer.emit(
-                        self, "torn_write", op=kind, node=err.node, addr=address, attempt=1
-                    )
-                raise
-        breaker = self._breaker_for(node)
-        if breaker is not None and not breaker.allow(self.clock.now_ns):
-            self.metrics.breaker_rejections += 1
-            if self._tracer is not None:
-                self._tracer.emit(self, "breaker_reject", node=node)
-            raise CircuitOpenError(node, address)
-        attempts = policy.max_attempts if policy is not None else 1
-        token = (self.client_id << 48) ^ address
-        spent = 0.0
-        last: Optional[Exception] = None
-        for attempt in range(1, attempts + 1):
-            if attempt > 1:
-                backoff = policy.backoff_ns(attempt - 1, token)
-                if (
-                    policy.budget_ns is not None
-                    and spent + backoff > policy.budget_ns
-                ):
-                    break
-                spent += backoff
-                self.metrics.retries += 1
-                self.metrics.backoff_ns += int(backoff)
-                self._advance(backoff)
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        self, "backoff", op=self._op, node=node, attempt=attempt, backoff_ns=backoff
-                    )
-            try:
-                fabric.fault_check(node, address, kind)
-                result = op(*args)
-            except FarTimeoutError as err:
-                self.metrics.timeouts += 1
-                if self._tracer is not None:
-                    self._tracer.emit(self, "timeout", op=self._op, node=node, attempt=attempt)
-                    if err.torn:
-                        # A torn write is a timeout with teeth: a prefix
-                        # landed. A later successful retry rewrites the
-                        # full buffer, healing the tear.
-                        self._tracer.emit(
-                            self, "torn_write", op=kind, node=node, addr=address, attempt=attempt
+        kind = row.fabric
+        node = None  # the home node; a bare client never needs it
+        try:
+            if unguarded and tracer is None and fabric.fault_injector is None:
+                result = op(*args)  # the op translates for itself
+            elif unguarded:
+                node = fabric.node_of(address)
+                try:
+                    fabric.fault_check(node, address, kind)
+                    result = op(*args)
+                except FarTimeoutError as err:
+                    if tracer is not None and err.torn:
+                        tracer.emit(
+                            self, "torn_write", op=kind, node=err.node, addr=address, attempt=1
                         )
-                last = err
-            except NodeUnavailableError as err:
-                last = err
+                    raise
             else:
-                if breaker is not None:
-                    breaker.record_success()
-                return result
-            # Failed attempt: any pending latency spike died with it, and
-            # the client only learns of the loss after a full timeout.
-            fabric.consume_fault_latency()
-            detect = self.cost_model.timeout_ns
-            spent += detect
-            self._advance(detect)
-            if breaker is not None:
-                if breaker.record_failure(self.clock.now_ns):
-                    self.metrics.breaker_trips += 1
-                    if self._tracer is not None:
-                        self._tracer.emit(self, "breaker_trip", node=node)
-                if not breaker.allow(self.clock.now_ns):
-                    break  # breaker opened mid-op: stop hammering the node
-            if policy is not None and policy.budget_ns is not None:
-                if spent >= policy.budget_ns:
-                    break
-        assert last is not None
-        raise last
+                # One translation of the op's address, shared by the tracer,
+                # the breaker and every attempt's fault check.
+                node = fabric.node_of(address)
+                breaker = self._breaker_for(node)
+                if breaker is not None and not breaker.allow(self.clock.now_ns):
+                    self.metrics.breaker_rejections += 1
+                    if tracer is not None:
+                        tracer.emit(self, "breaker_reject", node=node)
+                    raise CircuitOpenError(node, address)
+                attempts = policy.max_attempts if policy is not None else 1
+                token = (self.client_id << 48) ^ address
+                spent = 0.0
+                last: Optional[Exception] = None
+                for attempt in range(1, attempts + 1):
+                    if attempt > 1:
+                        backoff = policy.backoff_ns(attempt - 1, token)
+                        if policy.budget_ns is not None and spent + backoff > policy.budget_ns:
+                            raise last
+                        spent += backoff
+                        self.metrics.retries += 1
+                        self.metrics.backoff_ns += int(backoff)
+                        self._advance(backoff)
+                        if tracer is not None:
+                            tracer.emit(
+                                self,
+                                "backoff",
+                                op=self._op,
+                                node=node,
+                                attempt=attempt,
+                                backoff_ns=backoff,
+                            )
+                    try:
+                        fabric.fault_check(node, address, kind)
+                        result = op(*args)
+                    except FarTimeoutError as err:
+                        self.metrics.timeouts += 1
+                        if tracer is not None:
+                            tracer.emit(self, "timeout", op=self._op, node=node, attempt=attempt)
+                        if tracer is not None and err.torn:
+                            # A torn write is a timeout with teeth: a prefix landed. A
+                            # later successful retry rewrites the full buffer, healing it.
+                            tracer.emit(
+                                self,
+                                "torn_write",
+                                op=kind,
+                                node=node,
+                                addr=address,
+                                attempt=attempt,
+                            )
+                        last = err
+                    except NodeUnavailableError as err:
+                        last = err
+                    else:
+                        if breaker is not None:
+                            breaker.record_success()
+                        break
+                    # Failed attempt: any pending latency spike died with it, and
+                    # the client only learns of the loss after a full timeout.
+                    fabric.consume_fault_latency()
+                    detect = self.cost_model.timeout_ns
+                    spent += detect
+                    self._advance(detect)
+                    if breaker is not None:
+                        if breaker.record_failure(self.clock.now_ns):
+                            self.metrics.breaker_trips += 1
+                            if tracer is not None:
+                                tracer.emit(self, "breaker_trip", node=node)
+                        if not breaker.allow(self.clock.now_ns):
+                            raise last  # breaker opened mid-op: stop hammering the node
+                    if policy is not None and policy.budget_ns is not None:
+                        if spent >= policy.budget_ns:
+                            raise last
+                else:
+                    raise last
+        except RemoteIndirectionError as err:
+            self._account_far(WORD, 0, node=node, addr=address)  # the refused round trip
+            result = self._complete_pending(err.pending)
+        else:
+            if type(result) is FabricResult:
+                atomic = False  # the event's ``atomic`` key marks the word atomics only
+                hops, segments, target = result.forward_hops, result.segments, result.pointer
+            else:  # a word op (cas, faa and swap are its atomics): one segment, no hops
+                atomic, hops, segments, target = row.atomic, 0, 1, None
+            self._account_far(
+                nbytes_read, nbytes_written, hops, segments, atomic, node, address, target
+            )
+        if row.atomic:
+            self.metrics.atomic_ops += 1
+        return result
 
     # ------------------------------------------------------------------
     # Base one-sided operations. Every op is defined once, under its
@@ -602,32 +630,22 @@ class Client:
 
     def read(self, address: int, length: int) -> bytes:
         """One-sided read: one far access."""
-        result = self._issue(address, self.fabric.read, address, length)
-        self._account_far(nbytes_read=length, segments=result.segments)
+        result = self._issue(FAR_OPS["read"], address, length, 0, self.fabric.read, address, length)
         return result.value
 
     def write(self, address: int, data: bytes) -> None:
         """One-sided write: one far access."""
-        result = self._issue(address, self.fabric.write, address, bytes(data))
-        # forward_hops is nonzero only while the target extent is mid-
-        # migration under the FORWARD policy: the already-copied prefix is
-        # mirrored to the new home, one §7.1-style hop per mirrored range.
-        self._account_far(
-            nbytes_written=len(data),
-            segments=result.segments,
-            forward_hops=result.forward_hops,
+        self._issue(
+            FAR_OPS["write"], address, 0, len(data), self.fabric.write, address, bytes(data)
         )
 
     def read_u64(self, address: int) -> int:
         """Read one 64-bit word (one far access)."""
-        value = self._issue(address, self.fabric.read_word, address)
-        self._account_far(nbytes_read=WORD)
-        return value
+        return self._issue(FAR_OPS["read_u64"], address, WORD, 0, self.fabric.read_word, address)
 
     def write_u64(self, address: int, value: int) -> None:
         """Write one 64-bit word (one far access)."""
-        self._issue(address, self.fabric.write_word, address, value)
-        self._account_far(nbytes_written=WORD)
+        self._issue(FAR_OPS["write_u64"], address, 0, WORD, self.fabric.write_word, address, value)
 
     def write_phys(self, node: int, offset: int, data: bytes) -> None:
         """Raw physical write to a migration staging slot: one far access.
@@ -637,35 +655,26 @@ class Client:
         write, but addressed ``(node, offset)`` — the NIC-to-NIC DMA leg
         of a live copy.
         """
-        # Physically addressed, so it skips _issue's virtual-address
-        # machinery (fault rules, breakers, and retries key on virtual
-        # addresses; the staging slot has none yet). Node failure still
-        # surfaces as NodeUnavailableError from the fabric.
-        if self._tracer is not None:
-            self._trace_node = node
-            self._trace_addr = None
+        # Physically addressed, so it skips _issue (fault rules, breakers
+        # and retries key on virtual addresses; the staging slot has none
+        # yet). Node failure still surfaces as NodeUnavailableError.
         result = self.fabric.write_phys(node, offset, bytes(data))
-        self._account_far(nbytes_written=len(data), segments=result.segments)
+        self._account_far(0, len(data), 0, result.segments, node=node)
 
     def cas(self, address: int, expected: int, new: int) -> tuple[int, bool]:
         """Atomic compare-and-swap (one far access)."""
-        old, ok = self._issue(
-            address, self.fabric.compare_and_swap, address, expected, new
-        )
-        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
-        return old, ok
+        op = self.fabric.compare_and_swap
+        return self._issue(FAR_OPS["cas"], address, WORD, WORD, op, address, expected, new)
 
     def faa(self, address: int, delta: int) -> int:
         """Atomic fetch-and-add (one far access); returns the old value."""
-        old = self._issue(address, self.fabric.fetch_add, address, delta)
-        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
-        return old
+        return self._issue(
+            FAR_OPS["faa"], address, WORD, WORD, self.fabric.fetch_add, address, delta
+        )
 
     def swap(self, address: int, value: int) -> int:
         """Atomic exchange (one far access); returns the old value."""
-        old = self._issue(address, self.fabric.swap, address, value)
-        self._account_far(nbytes_read=WORD, nbytes_written=WORD, atomic=True)
-        return old
+        return self._issue(FAR_OPS["swap"], address, WORD, WORD, self.fabric.swap, address, value)
 
     # ------------------------------------------------------------------
     # Verified I/O (repro.fabric.integrity): end-to-end checksums over
@@ -739,109 +748,65 @@ class Client:
             return FabricResult(value=data, pointer=pending.pointer)
         raise ValueError(f"unknown pending indirection kind {pending.kind!r}")
 
-    def _indirect(
-        self, op, *args, nbytes_read: int = 0, nbytes_written: int = 0
-    ) -> FabricResult:
-        try:
-            # args[0] is always the pointer address ``ad`` — the home node
-            # of the indirection, which is where a retry-worthy fault lands.
-            result = self._issue(args[0], op, *args)
-        except RemoteIndirectionError as err:
-            # The failed attempt still cost a full round trip (the home
-            # node resolved the pointer, then bounced the request).
-            self._account_far(nbytes_read=WORD)
-            pending = getattr(err, "pending", None)
-            if pending is None or not self.auto_complete_indirection:
-                raise
-            return self._complete_pending(pending)
-        if self._tracer is not None:
-            # The resolved data address: where the indirection actually
-            # landed (race-detector happens-before hinges on this word).
-            self._trace_target = getattr(result, "pointer", None)
-        self._account_far(
-            nbytes_read=nbytes_read,
-            nbytes_written=nbytes_written,
-            forward_hops=result.forward_hops,
-            segments=result.segments,
-        )
-        return result
-
     def load0(self, ad: int, length: int) -> FabricResult:
         """Indirect load: read ``length`` bytes at ``*ad``."""
-        return self._indirect(self.fabric.load0, ad, length, nbytes_read=length)
+        return self._issue(FAR_OPS["load0"], ad, length, 0, self.fabric.load0, ad, length)
 
     def store0(self, ad: int, value: bytes) -> FabricResult:
         """Indirect store: write ``value`` at ``*ad``."""
-        return self._indirect(self.fabric.store0, ad, value, nbytes_written=len(value))
+        return self._issue(FAR_OPS["store0"], ad, 0, len(value), self.fabric.store0, ad, value)
 
     def load1(self, ad: int, index: int, length: int) -> FabricResult:
         """Indexed indirect load: read at ``*(ad + index)``."""
-        return self._indirect(self.fabric.load1, ad, index, length, nbytes_read=length)
+        return self._issue(FAR_OPS["load1"], ad, length, 0, self.fabric.load1, ad, index, length)
 
     def store1(self, ad: int, index: int, value: bytes) -> FabricResult:
         """Indexed indirect store: write at ``*(ad + index)``."""
-        return self._indirect(
-            self.fabric.store1, ad, index, value, nbytes_written=len(value)
+        return self._issue(
+            FAR_OPS["store1"], ad, 0, len(value), self.fabric.store1, ad, index, value
         )
 
     def load2(self, ad: int, index: int, length: int) -> FabricResult:
         """Offset indirect load: read at ``*ad + index``."""
-        return self._indirect(self.fabric.load2, ad, index, length, nbytes_read=length)
+        return self._issue(FAR_OPS["load2"], ad, length, 0, self.fabric.load2, ad, index, length)
 
     def store2(self, ad: int, index: int, value: bytes) -> FabricResult:
         """Offset indirect store: write at ``*ad + index``."""
-        return self._indirect(
-            self.fabric.store2, ad, index, value, nbytes_written=len(value)
+        return self._issue(
+            FAR_OPS["store2"], ad, 0, len(value), self.fabric.store2, ad, index, value
         )
 
     def faai(self, ad: int, delta: int, length: int) -> FabricResult:
         """Fetch-and-add-indirect (queue dequeue fast path, section 5.3)."""
-        result = self._indirect(
-            self.fabric.faai, ad, delta, length, nbytes_read=length + WORD
+        return self._issue(
+            FAR_OPS["faai"], ad, length + WORD, 0, self.fabric.faai, ad, delta, length
         )
-        self.metrics.atomic_ops += 1
-        return result
 
     def saai(self, ad: int, delta: int, value: bytes) -> FabricResult:
         """Store-and-add-indirect (queue enqueue fast path, section 5.3)."""
-        result = self._indirect(
-            self.fabric.saai, ad, delta, value, nbytes_written=len(value) + WORD
+        return self._issue(
+            FAR_OPS["saai"], ad, 0, len(value) + WORD, self.fabric.saai, ad, delta, value
         )
-        self.metrics.atomic_ops += 1
-        return result
 
     def fsaai(self, ad: int, delta: int, value: bytes) -> FabricResult:
         """Fetch-store-and-add-indirect (the DESIGN.md extension): bump
         ``*ad``, atomically swap ``value`` into the old target, and return
         what was there — the fully-safe one-access dequeue."""
-        result = self._indirect(
-            self.fabric.fsaai,
-            ad,
-            delta,
-            value,
-            nbytes_read=len(value),
-            nbytes_written=len(value) + WORD,
+        return self._issue(
+            FAR_OPS["fsaai"], ad, len(value), len(value) + WORD, self.fabric.fsaai, ad, delta, value
         )
-        self.metrics.atomic_ops += 1
-        return result
 
     def add0(self, ad: int, delta: int) -> FabricResult:
         """``**ad += delta`` in one far access."""
-        result = self._indirect(self.fabric.add0, ad, delta, nbytes_written=WORD)
-        self.metrics.atomic_ops += 1
-        return result
+        return self._issue(FAR_OPS["add0"], ad, 0, WORD, self.fabric.add0, ad, delta)
 
     def add1(self, ad: int, delta: int, index: int) -> FabricResult:
         """``**(ad + index) += delta`` in one far access."""
-        result = self._indirect(self.fabric.add1, ad, delta, index, nbytes_written=WORD)
-        self.metrics.atomic_ops += 1
-        return result
+        return self._issue(FAR_OPS["add1"], ad, 0, WORD, self.fabric.add1, ad, delta, index)
 
     def add2(self, ad: int, delta: int, index: int) -> FabricResult:
         """``*(*ad + index) += delta`` in one far access (histogram bump)."""
-        result = self._indirect(self.fabric.add2, ad, delta, index, nbytes_written=WORD)
-        self.metrics.atomic_ops += 1
-        return result
+        return self._issue(FAR_OPS["add2"], ad, 0, WORD, self.fabric.add2, ad, delta, index)
 
     # ------------------------------------------------------------------
     # Scatter / gather
@@ -849,31 +814,27 @@ class Client:
 
     def rscatter(self, ad: int, lengths: Sequence[int]) -> list[bytes]:
         """Read a far range into local buffers: one far access."""
-        result = self._issue(ad, self.fabric.rscatter, ad, lengths)
-        self._account_far(nbytes_read=sum(lengths), segments=result.segments)
-        return result.value
+        return self._issue(
+            FAR_OPS["rscatter"], ad, sum(lengths), 0, self.fabric.rscatter, ad, lengths
+        ).value
 
     def rgather(self, iovec: FarIovec) -> bytes:
         """Read a far iovec into one local buffer: one far access."""
         anchor = iovec[0][0] if iovec else 0
-        result = self._issue(anchor, self.fabric.rgather, iovec)
-        self._account_far(
-            nbytes_read=sum(length for _, length in iovec), segments=result.segments
-        )
-        return result.value
+        nbytes = sum(length for _, length in iovec)
+        return self._issue(FAR_OPS["rgather"], anchor, nbytes, 0, self.fabric.rgather, iovec).value
 
     def wscatter(self, iovec: FarIovec, data: bytes) -> None:
         """Scatter a local buffer across a far iovec: one far access."""
         anchor = iovec[0][0] if iovec else 0
-        result = self._issue(anchor, self.fabric.wscatter, iovec, bytes(data))
-        self._account_far(nbytes_written=len(data), segments=result.segments)
+        self._issue(
+            FAR_OPS["wscatter"], anchor, 0, len(data), self.fabric.wscatter, iovec, bytes(data)
+        )
 
     def wgather(self, ad: int, buffers: Sequence[bytes]) -> None:
         """Gather local buffers into one far range: one far access."""
-        result = self._issue(ad, self.fabric.wgather, ad, buffers)
-        self._account_far(
-            nbytes_written=sum(len(b) for b in buffers), segments=result.segments
-        )
+        nbytes = sum(len(b) for b in buffers)
+        self._issue(FAR_OPS["wgather"], ad, 0, nbytes, self.fabric.wgather, ad, buffers)
 
     # ------------------------------------------------------------------
     # Word-value conveniences for the indirect primitives

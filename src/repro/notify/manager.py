@@ -57,7 +57,6 @@ class NotificationManager:
         self._by_page: dict[int, list[Subscription]] = {}
         self._next_id = 1
         self._seq = 0
-        self._muted = False
         if attach:
             fabric.set_notifier(self)
 
@@ -133,18 +132,13 @@ class NotificationManager:
         """Advance one delivery refill period (section 7.2 spike handling)."""
         self.engine.tick()
 
-    def mute(self, muted: bool = True) -> None:
-        """Temporarily disable matching (used when bulk-loading test data
-        that should not generate notification traffic)."""
-        self._muted = muted
-
     # ------------------------------------------------------------------
     # Fabric Notifier protocol
     # ------------------------------------------------------------------
 
     def on_write(self, address: int, length: int, new_bytes: bytes) -> None:
         """Match one mutation against the page-indexed subscriptions."""
-        if self._muted or not self._by_page:
+        if not self._by_page:
             return
         self.stats.write_events += 1
         first_page = page_of(address)

@@ -1,6 +1,5 @@
 """Unit tests for far vectors and their notification-maintained caches."""
 
-import numpy as np
 import pytest
 
 from repro import Cluster
@@ -69,14 +68,6 @@ class TestFarVector:
         for i in range(32):
             vector.set(client, i, i)
         assert vector.read_range(client, 10, 5).tolist() == [10, 11, 12, 13, 14]
-
-    def test_write_all(self, vector, client):
-        vector.write_all(client, np.arange(32, dtype=np.uint64))
-        assert vector.get(client, 20) == 20
-
-    def test_write_all_shape_check(self, vector, client):
-        with pytest.raises(ValueError):
-            vector.write_all(client, [1, 2, 3])
 
     def test_length_validation(self, cluster):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 
 from repro import Cluster
 from repro.fabric import IndirectionPolicy
-from repro.fabric.errors import RemoteIndirectionError
 from repro.fabric.wire import WORD, encode_u64
 
 NODE_SIZE = 8 << 20
@@ -153,22 +152,6 @@ class TestIndirectAccounting:
         assert delta.far_accesses == 2
         assert delta.round_trips == 2
         assert delta.indirection_errors == 1
-
-    def test_error_policy_can_propagate(self):
-        cluster = Cluster(
-            node_count=2,
-            node_size=NODE_SIZE,
-            indirection_policy=IndirectionPolicy.ERROR,
-        )
-        client = cluster.client()
-        client.auto_complete_indirection = False
-        from repro.alloc import on_node
-
-        pointer = cluster.allocator.alloc_words(1, on_node(0))
-        target = cluster.allocator.alloc_words(1, on_node(1))
-        client.write_u64(pointer, target)
-        with pytest.raises(RemoteIndirectionError):
-            client.load0(pointer, WORD)
 
     def test_error_completion_for_stores_and_adds(self):
         cluster = Cluster(

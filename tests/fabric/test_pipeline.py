@@ -22,6 +22,7 @@ from repro.fabric.errors import AddressError, ClientDeadError
 from repro.fabric.ops import FAR_OPS, WORD_OPS
 from repro.fabric.wire import WORD
 from repro.obs import Tracer
+from repro.obs.events import EVENTS
 
 NODE_SIZE = 8 << 20
 
@@ -391,12 +392,247 @@ def _scenario(policy):
     return cluster, client, memory
 
 
-def _far_accesses(name, policy):
-    if policy is IndirectionPolicy.ERROR and FAR_OPS[name].indirect:
-        # The refused attempt, then the direct completion (fsaai's is a
-        # read plus a write).
-        return 3 if name == "fsaai" else 2
-    return 1
+DELTA_COLUMNS = (
+    "far_accesses",
+    "round_trips",
+    "network_traversals",
+    "bytes_read",
+    "bytes_written",
+    "atomic_ops",
+    "indirection_forwards",
+    "indirection_errors",
+)
+
+# (row, policy) -> what one call costs on _scenario's map (a=8, b=72, p=144
+# and p - WORD on node 0, t=8388608 on node 1): the Metrics delta in
+# DELTA_COLUMNS order (every other counter 0, but one posting and one
+# doorbell), the clock after the op, and each far_access payload in the event
+# table's field order (None: key absent). A row that dereferences no pointer
+# costs the same under either policy ("any"). Recorded before the op bodies
+# shared one issue path; under ERROR an indirect op is the refused attempt
+# (one WORD read at the home node) plus the client's direct completion.
+PINNED = {
+    ("read", "any"): (
+        (1, 1, 2, 64, 0, 0, 0, 0),
+        3000.0,
+        [("read", 1000.0, 0, 8, None, 64, None, None, None, None)],
+    ),
+    ("write", "any"): (
+        (1, 1, 2, 0, 24, 0, 0, 0),
+        3000.0,
+        [("write", 1000.0, 0, 8, None, None, 24, None, None, None)],
+    ),
+    ("read_u64", "any"): (
+        (1, 1, 2, 8, 0, 0, 0, 0),
+        3000.0,
+        [("read_u64", 1000.0, 0, 8, None, 8, None, None, None, None)],
+    ),
+    ("write_u64", "any"): (
+        (1, 1, 2, 0, 8, 0, 0, 0),
+        3000.0,
+        [("write_u64", 1000.0, 0, 8, None, None, 8, None, None, None)],
+    ),
+    ("write_phys", "any"): (
+        (1, 1, 2, 0, 24, 0, 0, 0),
+        3000.0,
+        [("write_phys", 1000.0, 0, None, None, None, 24, None, None, None)],
+    ),
+    ("cas", "any"): (
+        (1, 1, 2, 8, 8, 1, 0, 0),
+        3000.0,
+        [("cas", 1000.0, 0, 8, None, 8, 8, None, None, True)],
+    ),
+    ("faa", "any"): (
+        (1, 1, 2, 8, 8, 1, 0, 0),
+        3000.0,
+        [("faa", 1000.0, 0, 8, None, 8, 8, None, None, True)],
+    ),
+    ("swap", "any"): (
+        (1, 1, 2, 8, 8, 1, 0, 0),
+        3000.0,
+        [("swap", 1000.0, 0, 8, None, 8, 8, None, None, True)],
+    ),
+    ("load0", "FORWARD"): (
+        (1, 1, 3, 24, 0, 0, 1, 0),
+        3300.0,
+        [("load0", 1300.0, 0, 144, 8388608, 24, None, 1, None, None)],
+    ),
+    ("load0", "ERROR"): (
+        (2, 2, 4, 32, 0, 0, 0, 1),
+        4000.0,
+        [
+            ("load0", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("load0", 1000.0, 1, 8388608, None, 24, None, None, None, None),
+        ],
+    ),
+    ("store0", "FORWARD"): (
+        (1, 1, 3, 0, 24, 0, 1, 0),
+        3300.0,
+        [("store0", 1300.0, 0, 144, 8388608, None, 24, 1, None, None)],
+    ),
+    ("store0", "ERROR"): (
+        (2, 2, 4, 8, 24, 0, 0, 1),
+        4000.0,
+        [
+            ("store0", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("store0", 1000.0, 1, 8388608, None, None, 24, None, None, None),
+        ],
+    ),
+    ("load1", "FORWARD"): (
+        (1, 1, 3, 24, 0, 0, 1, 0),
+        3300.0,
+        [("load1", 1300.0, 0, 136, 8388608, 24, None, 1, None, None)],
+    ),
+    ("load1", "ERROR"): (
+        (2, 2, 4, 32, 0, 0, 0, 1),
+        4000.0,
+        [
+            ("load1", 1000.0, 0, 136, None, 8, None, None, None, None),
+            ("load1", 1000.0, 1, 8388608, None, 24, None, None, None, None),
+        ],
+    ),
+    ("store1", "FORWARD"): (
+        (1, 1, 3, 0, 24, 0, 1, 0),
+        3300.0,
+        [("store1", 1300.0, 0, 136, 8388608, None, 24, 1, None, None)],
+    ),
+    ("store1", "ERROR"): (
+        (2, 2, 4, 8, 24, 0, 0, 1),
+        4000.0,
+        [
+            ("store1", 1000.0, 0, 136, None, 8, None, None, None, None),
+            ("store1", 1000.0, 1, 8388608, None, None, 24, None, None, None),
+        ],
+    ),
+    ("load2", "FORWARD"): (
+        (1, 1, 3, 24, 0, 0, 1, 0),
+        3300.0,
+        [("load2", 1300.0, 0, 144, 8388608, 24, None, 1, None, None)],
+    ),
+    ("load2", "ERROR"): (
+        (2, 2, 4, 32, 0, 0, 0, 1),
+        4000.0,
+        [
+            ("load2", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("load2", 1000.0, 1, 8388616, None, 24, None, None, None, None),
+        ],
+    ),
+    ("store2", "FORWARD"): (
+        (1, 1, 3, 0, 24, 0, 1, 0),
+        3300.0,
+        [("store2", 1300.0, 0, 144, 8388608, None, 24, 1, None, None)],
+    ),
+    ("store2", "ERROR"): (
+        (2, 2, 4, 8, 24, 0, 0, 1),
+        4000.0,
+        [
+            ("store2", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("store2", 1000.0, 1, 8388616, None, None, 24, None, None, None),
+        ],
+    ),
+    ("faai", "FORWARD"): (
+        (1, 1, 3, 32, 0, 1, 1, 0),
+        3300.0,
+        [("faai", 1300.0, 0, 144, 8388608, 32, None, 1, None, None)],
+    ),
+    ("faai", "ERROR"): (
+        (2, 2, 4, 32, 0, 1, 0, 1),
+        4000.0,
+        [
+            ("faai", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("faai", 1000.0, 1, 8388608, None, 24, None, None, None, None),
+        ],
+    ),
+    ("saai", "FORWARD"): (
+        (1, 1, 3, 0, 32, 1, 1, 0),
+        3300.0,
+        [("saai", 1300.0, 0, 144, 8388608, None, 32, 1, None, None)],
+    ),
+    ("saai", "ERROR"): (
+        (2, 2, 4, 8, 24, 1, 0, 1),
+        4000.0,
+        [
+            ("saai", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("saai", 1000.0, 1, 8388608, None, None, 24, None, None, None),
+        ],
+    ),
+    ("fsaai", "FORWARD"): (
+        (1, 1, 3, 24, 32, 1, 1, 0),
+        3300.0,
+        [("fsaai", 1300.0, 0, 144, 8388608, 24, 32, 1, None, None)],
+    ),
+    ("fsaai", "ERROR"): (
+        (3, 3, 6, 32, 24, 1, 0, 1),
+        5000.0,
+        [
+            ("fsaai", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("fsaai", 1000.0, 1, 8388608, None, 24, None, None, None, None),
+            ("fsaai", 1000.0, 1, 8388608, None, None, 24, None, None, None),
+        ],
+    ),
+    # Known defect (ROADMAP): a refused add counts 2 atomic_ops for one add —
+    # the nested faa completion counts itself, then the add row counts again.
+    # Pinned as it is; the fix moves a Metrics counter, so it lands on its own.
+    ("add0", "FORWARD"): (
+        (1, 1, 3, 0, 8, 1, 1, 0),
+        3300.0,
+        [("add0", 1300.0, 0, 144, 8388608, None, 8, 1, None, None)],
+    ),
+    ("add0", "ERROR"): (
+        (2, 2, 4, 16, 8, 2, 0, 1),
+        4000.0,
+        [
+            ("add0", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("add0", 1000.0, 1, 8388608, None, 8, 8, None, None, True),
+        ],
+    ),
+    ("add1", "FORWARD"): (
+        (1, 1, 3, 0, 8, 1, 1, 0),
+        3300.0,
+        [("add1", 1300.0, 0, 136, 8388608, None, 8, 1, None, None)],
+    ),
+    ("add1", "ERROR"): (
+        (2, 2, 4, 16, 8, 2, 0, 1),
+        4000.0,
+        [
+            ("add1", 1000.0, 0, 136, None, 8, None, None, None, None),
+            ("add1", 1000.0, 1, 8388608, None, 8, 8, None, None, True),
+        ],
+    ),
+    ("add2", "FORWARD"): (
+        (1, 1, 3, 0, 8, 1, 1, 0),
+        3300.0,
+        [("add2", 1300.0, 0, 144, 8388608, None, 8, 1, None, None)],
+    ),
+    ("add2", "ERROR"): (
+        (2, 2, 4, 16, 8, 2, 0, 1),
+        4000.0,
+        [
+            ("add2", 1000.0, 0, 144, None, 8, None, None, None, None),
+            ("add2", 1000.0, 1, 8388616, None, 8, 8, None, None, True),
+        ],
+    ),
+    ("rscatter", "any"): (
+        (1, 1, 2, 24, 0, 0, 0, 0),
+        3000.0,
+        [("rscatter", 1000.0, 0, 8, None, 24, None, None, None, None)],
+    ),
+    ("rgather", "any"): (
+        (1, 1, 4, 24, 0, 0, 0, 0),
+        3000.0,
+        [("rgather", 1000.0, 0, 8, None, 24, None, None, 2, None)],
+    ),
+    ("wscatter", "any"): (
+        (1, 1, 4, 0, 24, 0, 0, 0),
+        3000.0,
+        [("wscatter", 1000.0, 0, 8, None, None, 24, None, 2, None)],
+    ),
+    ("wgather", "any"): (
+        (1, 1, 2, 0, 24, 0, 0, 0),
+        3000.0,
+        [("wgather", 1000.0, 0, 8, None, None, 24, None, None, None)],
+    ),
+}
 
 
 def _observe(client, before, value):
@@ -406,8 +642,10 @@ def _observe(client, before, value):
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.name)
 @pytest.mark.parametrize("name", list(FAR_OPS))
 def test_sync_submit_and_batched_forms_agree(name, policy):
-    """sync call == submit(name, ...).result() == sync call inside batch():
-    same value, same metrics, same clock once the scope has closed."""
+    """sync call == submit(name, ...).result() == sync call inside batch() ==
+    traced sync call: same value, same metrics, same clock once the scope has
+    closed — and all of it, with the traced call's far_access payloads, what
+    PINNED recorded."""
     _, client, memory = _scenario(policy)
     before, start_ns = client.metrics.snapshot(), client.clock.now_ns
     sync = _observe(client, before, getattr(client, name)(*ARGS[name](memory)))
@@ -425,14 +663,26 @@ def test_sync_submit_and_batched_forms_agree(name, policy):
         assert client.clock.now_ns == start_ns  # returned uncharged
     batched = _observe(client, before, value)
 
-    assert sync == submitted == batched
+    _, client, memory = _scenario(policy)
+    tracer = Tracer().attach(client)
+    before = client.metrics.snapshot()
+    traced = _observe(client, before, getattr(client, name)(*ARGS[name](memory)))
+
+    assert sync == submitted == batched == traced
     _, delta, now_ns = sync
-    assert delta["far_accesses"] == _far_accesses(name, policy)
+    counts, clock, payloads = PINNED[name, policy.name if FAR_OPS[name].indirect else "any"]
+    expected = dict.fromkeys(delta, 0)
+    expected.update(zip(DELTA_COLUMNS, counts))
     # Nested completion ops fold into the enclosing op: still one posting,
     # one doorbell.
-    assert delta["pipeline_ops"] == delta["pipeline_flushes"] == 1
-    assert delta["pipeline_stalls"] == 0
-    assert now_ns > start_ns
+    expected.update(pipeline_ops=1, pipeline_flushes=1, pipeline_charged_ns=int(clock - start_ns))
+    assert delta == expected
+    assert now_ns == clock
+    fields = EVENTS["far_access"].fields
+    assert [event.data for event in tracer.events_by_kind("far_access")] == [
+        {key: value for key, value in zip(fields, payload) if value is not None}
+        for payload in payloads
+    ]
 
 
 class TestOpTable:
@@ -455,6 +705,38 @@ class TestOpTable:
         assert entry.__name__ == name and entry.__doc__ == impl.__doc__
         assert inspect.signature(entry) == inspect.signature(impl)
         assert callable(getattr(Fabric, FAR_OPS[name].fabric))
+
+    def test_each_body_issues_its_rows_fabric_method(self):
+        tree = ast.parse(inspect.getsource(client_module))
+        (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Client"]
+        bodies = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+        for name, row in FAR_OPS.items():
+            named = {
+                node.attr
+                for node in ast.walk(bodies[name])
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fabric"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "self"
+            }
+            assert named == {row.fabric}, name
+
+    @pytest.mark.parametrize("name", list(FAR_OPS))
+    def test_each_row_fault_checks_its_fabric_kind(self, name, monkeypatch):
+        cluster, client, memory = _scenario(IndirectionPolicy.FORWARD)
+        injector = cluster.inject_faults(plan=FaultPlan())
+        kinds = []
+        before_access = injector.before_access
+
+        def recorded(node, address, kind=None):
+            kinds.append(kind)
+            before_access(node, address, kind)
+
+        monkeypatch.setattr(injector, "before_access", recorded)
+        getattr(client, name)(*ARGS[name](memory))
+        # write_phys is physically addressed: no fault rule can name its slot.
+        assert kinds == ([] if name == "write_phys" else [FAR_OPS[name].fabric])
 
     def test_keyword_arguments_still_reach_a_sync_op(self):
         _, client, memory = _scenario(IndirectionPolicy.FORWARD)

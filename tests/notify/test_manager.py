@@ -126,15 +126,6 @@ class TestLifecycle:
         cluster.notifications.unsubscribe(subs[0])
         assert cluster.notifications.hardware_subscriptions == 2
 
-    def test_mute_suppresses_matching(self, cluster, watcher, writer):
-        a = cluster.allocator.alloc_words(1)
-        cluster.notifications.notify0(watcher, a, WORD)
-        cluster.notifications.mute()
-        writer.write_u64(a, 1)
-        cluster.notifications.mute(False)
-        writer.write_u64(a, 2)
-        assert watcher.pending_notifications() == 1
-
     def test_multiple_subscribers_same_range(self, cluster, writer):
         a = cluster.allocator.alloc_words(1)
         watchers = [cluster.client(f"w{i}") for i in range(3)]

@@ -59,8 +59,6 @@ KEEP = {
     # Deliberately deferred.
     "OneSidedBTree.invalidate_cache": _FLOOR,
     "FarCounter.compare_and_set": _FLOOR,
-    "FarVector.write_all": _FLOOR,
-    "NotificationManager.mute": _FLOOR,
     "RpcServer.reset_timeline": _FLOOR,
 }
 
