@@ -106,7 +106,6 @@ class FarKVStore:
             bucket_count=bucket_count,
             max_chain=max_chain,
             cache_mode="version",
-            table_hint_spread=True,
             reclaimer=reclaimer,
         )
         blobs = FarBlobStore.create(cluster.allocator, index, reclaimer=reclaimer)

@@ -183,7 +183,6 @@ class HTTree:
         bucket_count: int,
         max_chain: int,
         cache_mode: str,
-        table_hint_spread: bool,
         reclaimer: "EpochReclaimer | None" = None,
     ) -> None:
         if cache_mode not in ("version", "notify"):
@@ -194,7 +193,6 @@ class HTTree:
         self.bucket_count = bucket_count
         self.max_chain = max_chain
         self.cache_mode = cache_mode
-        self.table_hint_spread = table_hint_spread
         self.reclaimer = reclaimer
         self.stats = HTTreeStats()
         self._caches: dict[int, _TreeCache] = {}
@@ -214,7 +212,6 @@ class HTTree:
         max_chain: int = 4,
         initial_leaves: int = 1,
         cache_mode: str = "version",
-        table_hint_spread: bool = True,
         hint: Optional[PlacementHint] = None,
         reclaimer: "EpochReclaimer | None" = None,
     ) -> "HTTree":
@@ -231,7 +228,6 @@ class HTTree:
             bucket_count=bucket_count,
             max_chain=max_chain,
             cache_mode=cache_mode,
-            table_hint_spread=table_hint_spread,
             reclaimer=reclaimer,
         )
         leaves = []
@@ -243,10 +239,11 @@ class HTTree:
         tree._publish_tree(version=1, leaves=leaves)
         return tree
 
-    def _table_hint(self) -> Optional[PlacementHint]:
+    @staticmethod
+    def _table_hint() -> PlacementHint:
         # Section 7.1: independent hash tables spread across memory nodes
         # for parallelism; each table's buckets+chains stay co-located.
-        return spread() if self.table_hint_spread else None
+        return spread()
 
     def _create_table(self, version: int) -> int:
         # Also reached from _split -> _build_table with a live client, whose

@@ -6,12 +6,11 @@ per-label ledger of far accesses, round trips, bytes, near accesses,
 pipeline behaviour and simulated time — the same breakdown the paper's
 tables reason in, for any application code built on this library.
 
-Since the observability subsystem (:mod:`repro.obs`) landed, the
-profiler is a thin ledger over :class:`~repro.obs.trace.Tracer` spans —
-one span mechanism, two views. ``measure`` opens a tracer span and
-absorbs its inclusive metrics delta into the label's row, so a profiled
-block also shows up (with events, causality, and histograms) in any
-tracer already attached to the client.
+The profiler measures; it never attaches. ``measure`` takes the
+client's own inclusive metrics delta and clock delta over the block and
+runs the block inside ``client.trace(label)``, so a profiled block also
+shows up (with events, causality, and histograms) in a tracer already
+attached to the client, while an untraced client stays untraced.
 
 Example::
 
@@ -25,12 +24,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator
 
 from .client import Client
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.trace import Span, Tracer
+from .metrics import Metrics
 
 
 @dataclass
@@ -71,29 +68,16 @@ class ProfileRow:
 class Profiler:
     """A per-label cost ledger (reusable across clients).
 
-    Rows accumulate from tracer spans. The profiler owns a private
-    :class:`~repro.obs.trace.Tracer` for clients that are not already
-    being traced; a client attached to an external tracer keeps feeding
-    that tracer, and the profiler absorbs the same spans — measuring
+    Rows accumulate from each measured block's metrics and clock deltas —
+    the same numbers a tracer span over the block reports, so measuring
     never conflicts with tracing.
     """
 
     def __init__(self) -> None:
         self.rows: dict[str, ProfileRow] = {}
-        self._tracer: Optional["Tracer"] = None
 
-    @property
-    def tracer(self) -> "Tracer":
-        """The profiler's fallback tracer (created on first use)."""
-        if self._tracer is None:
-            from ..obs.trace import Tracer
-
-            self._tracer = Tracer()
-        return self._tracer
-
-    def _absorb(self, span: "Span") -> None:
-        delta = span.delta
-        row = self.rows.setdefault(span.label, ProfileRow(label=span.label))
+    def _absorb(self, label: str, delta: Metrics, duration_ns: float) -> None:
+        row = self.rows.setdefault(label, ProfileRow(label=label))
         row.count += 1
         row.far_accesses += delta.far_accesses
         row.round_trips += delta.round_trips
@@ -105,21 +89,19 @@ class Profiler:
         row.pipeline_stalls += delta.pipeline_stalls
         row.pipeline_charged_ns += delta.pipeline_charged_ns
         row.overlap_saved_ns += delta.overlap_saved_ns
-        row.time_ns += span.duration_ns
+        row.time_ns += duration_ns
 
     @contextmanager
     def measure(self, client: Client, label: str) -> Iterator[None]:
         """Attribute everything ``client`` does inside the block to
-        ``label``. Nesting attributes costs to *both* labels (span deltas
+        ``label``. Nesting attributes costs to *both* labels (the deltas
         are inclusive)."""
-        tracer = client.tracer if client.tracer is not None else self.tracer
-        span: Optional["Span"] = None
+        before, start_ns = client.metrics.snapshot(), client.clock.now_ns
         try:
-            with tracer.span(client, label) as span:
+            with client.trace(label):
                 yield
         finally:
-            if span is not None:
-                self._absorb(span)
+            self._absorb(label, client.metrics.delta(before), client.clock.now_ns - start_ns)
 
     def row(self, label: str) -> ProfileRow:
         """The accumulated row for ``label`` (empty row if never measured)."""

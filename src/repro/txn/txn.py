@@ -418,7 +418,7 @@ class TxnSpace:
 
     @far_budget(0, claim="C2")
     def commit(self, client: "Client", txn: Transaction) -> None:
-        """Run the three-phase commit (module docstring has the cost
+        """Run the five-phase commit (module docstring has the cost
         formula). Pre-seal failures abort cleanly (locks restored);
         once the record's fence lands the transaction is logically
         committed and any later crash is completed by :meth:`recover`.
@@ -465,16 +465,13 @@ class TxnSpace:
         self._checkpoint("after_seal", client)
 
         runs = self._writeback_phase(client, txn)
-        self._apply_kv(client, txn)
+        if txn.kv_puts:
+            puts = sorted(txn.kv_puts.items())
+            entries = [(tag, key_hash, write.region) for (tag, key_hash), write in puts]
+            stores = {tag: write.store for (tag, _), write in reversed(puts)}  # first put's handle
+            self._apply_kv(client, entries, stores)
         client.fence()  # write-back durable before the locks advance
-        unlocks = [
-            client.submit(
-                "write_u64", self.version_addr(slot), expected + 2, signaled=False
-            )
-            for slot, expected in acquired
-        ]
-        for future in unlocks:
-            future.result()
+        self._set_versions(client, acquired, plus=2)
         client.write_framed(
             self.record_addr(reg_slot), bytes(self.record_capacity), version=0
         )
@@ -506,47 +503,22 @@ class TxnSpace:
         """CAS every write slot from its snapshot version to the locked
         word, pipelined in one window. On any conflict or fabric fault
         the acquired subset is restored and the transaction aborts."""
-        pending = []
-        for slot in write_slots:
-            expected = txn.snapshots[slot]
-            pending.append(
-                (
-                    slot,
-                    expected,
-                    client.submit(
-                        "cas",
-                        self.version_addr(slot),
-                        expected,
-                        self.locked_word(txn.client_id, expected),
-                        signaled=False,
-                    ),
-                )
-            )
+        owner, snapshots = txn.client_id, txn.snapshots
+        calls = [
+            (self.version_addr(slot), snapshots[slot], self.locked_word(owner, snapshots[slot]))
+            for slot in write_slots
+        ]
+        outcomes = self._post(client, "cas", calls)
         acquired: list[tuple[int, int]] = []
-        conflict_slot: Optional[int] = None
-        fault: Optional[FabricError] = None
-        for slot, expected, future in pending:
-            try:
-                _, ok = future.result()
-            except FabricError as err:
-                # Captured, not swallowed: re-raised as TxnAbortError
-                # below, after the acquired locks are restored.
-                fault = err
-                continue
-            if ok:
-                acquired.append((slot, expected))
-            elif conflict_slot is None:
-                conflict_slot = slot
-        if fault is not None or conflict_slot is not None:
-            self._release(client, acquired)
-            if fault is not None:
-                reason = (
-                    "stale_epoch"
-                    if isinstance(fault, StaleEpochError)
-                    else "fabric_fault"
-                )
-                self._abort_for(client, txn, reason, fault)
-            self._conflict(client, txn, "lock_failed", conflict_slot)
+        failed = []
+        for slot, outcome in zip(write_slots, outcomes):
+            # A CAS that swapped saw the snapshot; a fault never equals it.
+            if outcome == (snapshots[slot], True):
+                acquired.append((slot, snapshots[slot]))
+            else:
+                failed.append(slot)
+        if failed:
+            self._fail_phase(client, txn, "lock_failed", acquired, outcomes, failed[0])
         return acquired
 
     def _validate_phase(
@@ -560,28 +532,12 @@ class TxnSpace:
         """Re-read every read-only slot's version word (zero-delta FAAs,
         one window); any drift from the snapshot aborts. Write slots
         need no re-check — their lock CAS validated atomically."""
-        pending = [
-            (
-                slot,
-                client.submit(
-                    "faa", self.version_addr(slot), 0, signaled=False
-                ),
-            )
-            for slot in read_only
-        ]
-        stale_slot: Optional[int] = None
-        fault: Optional[FabricError] = None
-        for slot, future in pending:
-            try:
-                word = future.result()
-            except FabricError as err:
-                # Captured, not swallowed: re-raised as TxnAbortError
-                # below, after the acquired locks are restored.
-                fault = err
-                continue
-            if word != txn.snapshots[slot] and stale_slot is None:
-                stale_slot = slot
-        ok = fault is None and stale_slot is None
+        outcomes = self._post(client, "faa", [(self.version_addr(slot), 0) for slot in read_only])
+        failed = []
+        for slot, outcome in zip(read_only, outcomes):
+            # A fault never equals a snapshot version: it fails its slot too.
+            if outcome != txn.snapshots[slot]:
+                failed.append(slot)
         if client._tracer is not None:
             client._tracer.emit(
                 client,
@@ -589,18 +545,31 @@ class TxnSpace:
                 txn_id=txn.txn_id,
                 read_slots=len(read_only),
                 write_slots=len(write_slots),
-                ok=ok,
+                ok=not failed,
             )
-        if not ok:
-            self._release(client, acquired)
-            if fault is not None:
-                reason = (
-                    "stale_epoch"
-                    if isinstance(fault, StaleEpochError)
-                    else "fabric_fault"
-                )
-                self._abort_for(client, txn, reason, fault)
-            self._conflict(client, txn, "version_changed", stale_slot)
+        if failed:
+            self._fail_phase(client, txn, "version_changed", acquired, outcomes, failed[0])
+
+    def _fail_phase(
+        self,
+        client: "Client",
+        txn: Transaction,
+        conflict: str,
+        acquired: list[tuple[int, int]],
+        outcomes: list[Any],
+        slot: int,
+    ) -> None:
+        """The lock / validate failure tail: restore the acquired locks, then
+        abort — on a captured fault (the last one, raised as the cause) as
+        ``stale_epoch`` or ``fabric_fault``, otherwise as the phase's
+        ``conflict`` at ``slot``, its first failing slot."""
+        self._release(client, acquired)
+        faults = [outcome for outcome in outcomes if isinstance(outcome, FabricError)]
+        if faults:
+            fault = faults[-1]
+            reason = "stale_epoch" if isinstance(fault, StaleEpochError) else "fabric_fault"
+            self._abort_for(client, txn, reason, fault)
+        self._conflict(client, txn, conflict, slot)
 
     def _writeback_phase(self, client: "Client", txn: Transaction) -> int:
         """Scatter the buffered cells as framed blocks, one ``wscatter``
@@ -635,39 +604,58 @@ class TxnSpace:
             runs.append((iovec, bytes(data)))
         return runs
 
-    def _apply_kv(self, client: "Client", txn: Transaction) -> None:
-        """Flip the buffered KV index pointers (the regions were written
-        at buffer time and fenced with the seal; one ``multistore`` per
-        store makes them reachable)."""
-        by_tag: dict[int, tuple[Any, list[tuple[int, int]]]] = {}
-        for (tag, key_hash), write in sorted(txn.kv_puts.items()):
-            _, pairs = by_tag.setdefault(tag, (write.store, []))
-            pairs.append((key_hash, write.region))
+    @staticmethod
+    def _apply_kv(client: "Client", entries: list[tuple[int, int, int]], stores: dict) -> None:
+        """Flip sealed KV index pointers, commit write-back and roll-forward
+        alike: ``entries`` are ``(tag, key_hash, region)`` in record order
+        (each region was written at buffer time and fenced with the seal);
+        one ``multistore`` per tag, ascending, through ``stores[tag]``."""
+        by_tag: dict[int, list[tuple[int, int]]] = {}
+        for tag, key_hash, region in entries:
+            by_tag.setdefault(tag, []).append((key_hash, region))
         for tag in sorted(by_tag):
-            store, pairs = by_tag[tag]
-            store.index.multistore(client, pairs)
+            if tag not in stores:
+                raise ValueError(
+                    f"sealed record references store tag {tag}; "
+                    "pass stores={tag: FarKVStore} to recover it"
+                )
+            stores[tag].index.multistore(client, by_tag[tag])
 
-    def _release(
-        self, client: "Client", acquired: list[tuple[int, int]]
-    ) -> None:
+    def _release(self, client: "Client", acquired: list[tuple[int, int]]) -> None:
         """Best-effort restore of pre-lock versions on the abort path
         (ABA-safe: nothing is written before the seal, so restoring the
         identical even version is correct)."""
         if not acquired:
             return
         try:
-            futures = [
-                client.submit(
-                    "write_u64", self.version_addr(slot), expected, signaled=False
-                )
-                for slot, expected in acquired
-            ]
-            for future in futures:
-                future.result()
+            self._set_versions(client, acquired)
         except FabricError:
             # Advisory: if the fabric is unreachable the locks stay held
             # and recover() rolls them back from the (unsealed) record.
             pass
+
+    def _set_versions(self, client: "Client", pairs: list[tuple[int, int]], plus: int = 0) -> None:
+        """Write ``version + plus`` to each ``(slot, version)`` pair's word in
+        one window: ``plus=2`` unlocks past a commit (commit, roll forward),
+        ``plus=0`` restores the pre-lock version (release, roll back)."""
+        calls = [(self.version_addr(slot), version + plus) for slot, version in pairs]
+        self._post(client, "write_u64", calls, capture=False)
+
+    @staticmethod
+    def _post(client: "Client", op: str, calls: list[tuple], *, capture: bool = True) -> list[Any]:
+        """Submit one phase's unsignaled ``op`` calls (an argument tuple each)
+        in one window, then reap them in order, each into its value or the
+        :class:`FabricError` it failed with — or, with ``capture=False`` (ops
+        that must all land), raise the first fault. A failed submit raises."""
+        outcomes: list[Any] = [client.submit(op, *args, signaled=False) for args in calls]
+        for index, future in enumerate(outcomes):
+            try:
+                outcomes[index] = future.result()
+            except FabricError as err:
+                if not capture:
+                    raise
+                outcomes[index] = err
+        return outcomes
 
     # ------------------------------------------------------------------
     # Composition
@@ -788,76 +776,32 @@ class TxnSpace:
             action="rollback" if sealed is None else "rollforward",
         )
         if sealed is None:
-            futures = [
-                client.submit(
-                    "write_u64", self.version_addr(slot), expected, signaled=False
-                )
-                for slot, expected in sorted(held.items())
-            ]
-            for future in futures:
-                future.result()
+            self._set_versions(client, sorted(held.items()))
             report.slots_released = len(held)
             client.metrics.txn_rollbacks += 1
         else:
             locks, cells, kv_entries = sealed
-            still = {
-                slot: expected
-                for slot, expected in locks
-                if held.get(slot) == expected
-            }
-            targets = [
-                (addr, payload)
-                for addr, payload in cells
-                if self.slot_for_addr(addr) in still
-            ]
+            still = {slot: expected for slot, expected in locks if held.get(slot) == expected}
+            targets = [cell for cell in cells if self.slot_for_addr(cell[0]) in still]
             # Read each cell before rewriting it: the read observes —
             # and therefore orders the rewrite after — any write-back
             # the crashed owner already landed there, so the idempotent
             # rewrite is synchronized, not a blind overwrite.
-            reads = [
-                client.submit(
-                    "read", addr, frame_size(len(payload)), signaled=False
-                )
+            reads = [(addr, frame_size(len(payload))) for addr, payload in targets]
+            self._post(client, "read", reads, capture=False)
+            writes = [
+                (addr, frame_block(payload, still[self.slot_for_addr(addr)] + 2))
                 for addr, payload in targets
             ]
-            for future in reads:
-                future.result()
-            writes = []
-            for addr, payload in targets:
-                frame = frame_block(payload, still[self.slot_for_addr(addr)] + 2)
-                writes.append(
-                    client.submit("write", addr, frame, signaled=False)
-                )
-                report.cells_written += 1
-            for future in writes:
-                future.result()
+            self._post(client, "write", writes, capture=False)
+            report.cells_written = len(targets)
             if kv_entries and len(still) == len(locks):
                 # No unlock had started, so the KV pointers may be
                 # missing; replaying the multistore is idempotent.
-                stores = stores or {}
-                by_tag: dict[int, list[tuple[int, int]]] = {}
-                for tag, key_hash, region in kv_entries:
-                    by_tag.setdefault(tag, []).append((key_hash, region))
-                for tag in sorted(by_tag):
-                    if tag not in stores:
-                        raise ValueError(
-                            f"sealed record references store tag {tag}; "
-                            "pass stores={tag: FarKVStore} to recover it"
-                        )
-                    stores[tag].index.multistore(client, by_tag[tag])
-                    report.kv_replayed += len(by_tag[tag])
+                self._apply_kv(client, kv_entries, stores or {})
+                report.kv_replayed = len(kv_entries)
             client.fence()  # rolled-forward bytes land before the unlocks
-            futures = [
-                client.submit(
-                    "write_u64",
-                    self.version_addr(slot),
-                    expected + 2,
-                    signaled=False,
-                )
-                for slot, expected in sorted(still.items())
-            ]
-            for future in futures:
-                future.result()
+            self._set_versions(client, sorted(still.items()), plus=2)
             report.slots_released = len(still)
             client.metrics.txn_rollforwards += 1
 

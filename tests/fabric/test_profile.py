@@ -3,7 +3,9 @@
 import pytest
 
 from repro import Cluster
+from repro.apps.kvstore import FarKVStore
 from repro.fabric.profile import Profiler
+from repro.obs import Tracer
 
 NODE_SIZE = 8 << 20
 
@@ -84,3 +86,22 @@ class TestProfiler:
         row = Profiler().row("ghost")
         assert row.far_per_op() == 0.0
         assert row.ns_per_op() == 0.0
+
+    def test_measuring_never_attaches_a_tracer(self, cluster):
+        """A profiled store op leaves an untraced client untraced (free to
+        attach a tracer later) and still prices every row; the ledger
+        below was recorded while the profiler attached a private tracer."""
+        client = cluster.client("kv")
+        store = FarKVStore.create(cluster, cluster.registry(), client, "s", bucket_count=64)
+        store.put(client, "a", b"1")
+        assert client.tracer is None
+        store.put(client, "b", b"22")
+        store.get(client, "a")
+        store.delete(client, "b")
+        assert client.tracer is None
+        assert Tracer().attach(client) is client.tracer
+        assert [line.split() for line in store.report().splitlines()[2:]] == [
+            ["put", "2", "8.00", "8300.0", "280", "133", "0", "0.00"],
+            ["delete", "1", "6.00", "6300.0", "368", "16", "0", "0.00"],
+            ["get", "1", "2.00", "2100.0", "288", "0", "0", "0.00"],
+        ]

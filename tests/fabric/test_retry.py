@@ -148,6 +148,30 @@ class TestClientRetries:
         assert c.read_u64(addr) == 0  # next op is fine
         assert c.metrics.retries == 0
 
+    # Known defect (ROADMAP "Known defects"), pinned as it is: a client with
+    # no retry and no breaker policy but an attached injector takes the
+    # unguarded branch of Client._issue, where a dropped op is not counted
+    # in `timeouts`, is charged 0 ns instead of `timeout_ns`, and leaves the
+    # latency spike it drew pending for the client's next access. The second
+    # row is the same drop taken through the retry ladder. The fix moves the
+    # first row's numbers, so it lands alone.
+    @pytest.mark.parametrize(
+        "retry_policy, failed_ns, next_ns, timeouts",
+        [(None, 0.0, 8_000.0, 0), (RetryPolicy(max_attempts=1), 10_000.0, 1_000.0, 1)],
+        ids=["unguarded", "one_attempt_ladder"],
+    )
+    def test_dropped_op_charge_per_path(self, cluster, retry_policy, failed_ns, next_ns, timeouts):
+        addr = cluster.allocator.alloc(64)
+        plan = FaultPlan().spike_between(0, 1, multiplier=8.0).timeout_at(0)
+        cluster.inject_faults(seed=1, plan=plan)
+        c = cluster.client(retry_policy=retry_policy, breaker_policy=None)
+        with pytest.raises(FarTimeoutError):
+            c.read_u64(addr)
+        assert c.clock.now_ns == failed_ns
+        c.read_u64(addr)
+        assert c.clock.now_ns - failed_ns == next_ns
+        assert c.metrics.timeouts == timeouts
+
     def test_time_budget_stops_retries(self, cluster):
         addr = cluster.allocator.alloc(64)
         cluster.inject_faults(seed=1, plan=FaultPlan().random_timeouts(1.0))
