@@ -44,7 +44,7 @@ import argparse
 import contextlib
 import os
 import runpy
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import Cluster, __version__
 from repro.analysis.budget import BudgetSanitizer
@@ -55,7 +55,6 @@ from repro.obs import (
     Tracer,
     load_chrome_trace,
     render_top,
-    set_default_sink,
     set_default_tracer,
     validate_chrome_trace,
     validate_jsonl,
@@ -141,22 +140,18 @@ def _run_example(
     target: str,
     *,
     tracer: Optional[Tracer] = None,
-    sink: Any = None,
     sanitizer: Optional[BudgetSanitizer] = None,
 ) -> str:
     """Run an example script, unmodified, under the observers given, and
     return its resolved path. Every client the script creates
-    auto-attaches to ``tracer``; every tracer the script builds itself
-    also feeds ``sink``; ``sanitizer`` is active for the run."""
+    auto-attaches to ``tracer``; ``sanitizer`` is active for the run."""
     path = _resolve_target(target)
     set_default_tracer(tracer)
-    set_default_sink(sink)
     try:
         with sanitizer if sanitizer is not None else contextlib.nullcontext():
             runpy.run_path(path, run_name="__main__")
     finally:
         set_default_tracer(None)
-        set_default_sink(None)
     return path
 
 
@@ -217,17 +212,16 @@ def _run_with_telemetry(
 ) -> tuple[str, TelemetryRegistry, SLOMonitor]:
     """Run an example under a tracer + telemetry registry + SLO monitor.
 
-    The registry is installed both as a sink on the default tracer (for
-    clients the script creates bare) and as the default sink (so tracers
-    the script builds itself feed it too). Observation stays free of
-    observer effects: counts and clocks are bit-identical either way.
+    The registry is a sink on the default tracer, which every client the
+    script creates auto-attaches to. Observation stays free of observer
+    effects: counts and clocks are bit-identical either way.
     """
     tracer = Tracer()
     registry = TelemetryRegistry(window_ns=window_ns).observe(tracer)
     monitor = SLOMonitor(registry)
     if ticker_every > 0:
         registry.add_listener(_TopTicker(monitor, ticker_every))
-    path = _run_example(target, tracer=tracer, sink=registry)
+    path = _run_example(target, tracer=tracer)
     for client in tracer.clients():
         registry.sample_client(client)
     monitor.finish()

@@ -125,23 +125,24 @@ class FarKVStore:
         return pack_blob(key_bytes) + value
 
     @staticmethod
-    def _unpack(raw: bytes) -> tuple[str, bytes]:
+    def _value_of(key: str, raw: Optional[bytes]) -> Optional[bytes]:
+        """The value in ``raw``, the blob stored at ``key``'s index slot (None
+        when there is none); raises when the blob belongs to another key."""
+        if raw is None:
+            return None
         (key_len,) = BLOB.unpack_from(raw)
         value_at = BLOB.size + key_len
-        return raw[BLOB.size : value_at].decode("utf-8"), raw[value_at:]
+        stored_key = raw[BLOB.size : value_at].decode("utf-8")
+        if stored_key != key:
+            raise KeyCollisionError(f"{key!r} collides with {stored_key!r} in the index")
+        return raw[value_at:]
 
     @far_budget(None, claim="C4")
     def put(self, client: Client, key: str, value: bytes) -> None:
         """Store ``value`` under ``key``."""
         with self.profiler.measure(client, "put"):
             index_key = name_hash(key)
-            existing = self.blobs.get(client, index_key)
-            if existing is not None:
-                stored_key, _ = self._unpack(existing)
-                if stored_key != key:
-                    raise KeyCollisionError(
-                        f"{key!r} collides with {stored_key!r} in the index"
-                    )
+            self._value_of(key, self.blobs.get(client, index_key))
             self.blobs.put(client, index_key, self._pack(key, value))
             self.ops_counter.increment(client)
 
@@ -149,29 +150,15 @@ class FarKVStore:
     def get(self, client: Client, key: str) -> Optional[bytes]:
         """Fetch the value for ``key``, or None."""
         with self.profiler.measure(client, "get"):
-            raw = self.blobs.get(client, name_hash(key))
-            if raw is None:
-                return None
-            stored_key, value = self._unpack(raw)
-            if stored_key != key:
-                raise KeyCollisionError(
-                    f"{key!r} collides with {stored_key!r} in the index"
-                )
-            return value
+            return self._value_of(key, self.blobs.get(client, name_hash(key)))
 
     @far_budget(None, claim="C4")
     def delete(self, client: Client, key: str) -> bool:
         """Remove ``key``; True if it existed."""
         with self.profiler.measure(client, "delete"):
             index_key = name_hash(key)
-            raw = self.blobs.get(client, index_key)
-            if raw is None:
+            if self._value_of(key, self.blobs.get(client, index_key)) is None:
                 return False
-            stored_key, _ = self._unpack(raw)
-            if stored_key != key:
-                raise KeyCollisionError(
-                    f"{key!r} collides with {stored_key!r} in the index"
-                )
             removed = self.blobs.delete(client, index_key)
             if removed:
                 self.ops_counter.increment(client)
@@ -186,18 +173,7 @@ class FarKVStore:
         :meth:`get`; the round trips overlap up to the client's QP depth."""
         with self.profiler.measure(client, "multiget"):
             raws = self.blobs.multiget(client, [name_hash(key) for key in keys])
-            out: "list[Optional[bytes]]" = []
-            for key, raw in zip(keys, raws):
-                if raw is None:
-                    out.append(None)
-                    continue
-                stored_key, value = self._unpack(raw)
-                if stored_key != key:
-                    raise KeyCollisionError(
-                        f"{key!r} collides with {stored_key!r} in the index"
-                    )
-                out.append(value)
-            return out
+            return [self._value_of(key, raw) for key, raw in zip(keys, raws)]
 
     @far_budget(None, claim="C4")
     def multiput(self, client: Client, items: "dict[str, bytes]") -> None:
@@ -209,12 +185,7 @@ class FarKVStore:
             hashes = [name_hash(key) for key, _ in pairs]
             existing = self.blobs.multiget(client, hashes)
             for (key, _), raw in zip(pairs, existing):
-                if raw is not None:
-                    stored_key, _ = self._unpack(raw)
-                    if stored_key != key:
-                        raise KeyCollisionError(
-                            f"{key!r} collides with {stored_key!r} in the index"
-                        )
+                self._value_of(key, raw)
             self.blobs.multiput(
                 client,
                 [

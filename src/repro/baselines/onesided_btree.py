@@ -162,10 +162,6 @@ class OneSidedBTree:
         """Client cache footprint (grows geometrically with cache_levels)."""
         return len(self._cache(client)) * self.node_bytes
 
-    def invalidate_cache(self, client: Client) -> None:
-        """Drop this client's cached levels (e.g. after another writer)."""
-        self._cache(client).clear()
-
     def root(self, client: Client) -> int:
         """Read the root pointer (one far access)."""
         return client.read_u64(self.descriptor)

@@ -140,9 +140,11 @@ class _TreeCache:
     valid: bool = False
     subscription: Optional[Subscription] = None
 
-    def find_leaf(self, key: int) -> _Leaf:
-        index = bisect_left(self.uppers, key)
-        return self.leaves[index]
+    def find_leaf(self, client: Client, key: int) -> _Leaf:
+        """The leaf whose range holds ``key``; the walk of the cached tree
+        is charged to ``client`` as near accesses."""
+        client.touch_local(max(1, len(self.uppers).bit_length()))
+        return self.leaves[bisect_left(self.uppers, key)]
 
     def size_bytes(self) -> int:
         """Client cache footprint — the section 5.2 scaling argument."""
@@ -342,9 +344,7 @@ class HTTree:
             self.stats.lookups += 1
         if _depth > 4:
             raise StaleCacheError("HT-tree cache failed to converge after refreshes")
-        cache = self._cache(client)
-        leaf = cache.find_leaf(key)
-        client.touch_local(max(1, len(cache.uppers).bit_length()))
+        leaf = self._cache(client).find_leaf(client, key)
         raw = client.load0(leaf.bucket_address(key), ITEM.size).value
         item = _Item(*ITEM.unpack(raw))
         if item.version == 0:
@@ -388,62 +388,72 @@ class HTTree:
         for key in keys:
             self._check_key(key)
         self.stats.lookups += len(keys)
-        values: dict[int, Optional[int]] = {}
+        values: "list[Optional[int]]" = [None] * len(keys)
         pending = list(range(len(keys)))
         for _round in range(5):
-            cache = self._cache(client)
-            probes = []
-            for pos in pending:
-                leaf = cache.find_leaf(keys[pos])
-                client.touch_local(max(1, len(cache.uppers).bit_length()))
-                probes.append(
-                    (
-                        pos,
-                        leaf,
-                        client.submit(
-                            "load0",
-                            leaf.bucket_address(keys[pos]),
-                            ITEM.size,
-                            signaled=False,
-                        ),
-                    )
-                )
-            stale: list[int] = []
-            chase: list[tuple[int, _Item]] = []
-            for pos, leaf, future in probes:
-                item = _Item(*ITEM.unpack(future.result().value))
-                if item.version == 0:
+            found, stale = self._probe_round(client, keys, pending)
+            for pos, _leaf, _head, _addr, item, _chain_len in found:
+                if item is None:
                     self.stats.misses += 1
-                    values[pos] = None
-                elif item.version == MOVED or item.version != leaf.version:
-                    stale.append(pos)
                 else:
-                    chase.append((pos, item))
-            while chase:
-                hops = []
-                for pos, item in chase:
-                    if item.key == keys[pos]:
-                        self.stats.hits += 1
-                        values[pos] = item.value
-                    elif item.next == 0:
-                        self.stats.misses += 1
-                        values[pos] = None
-                    else:
-                        self.stats.chain_hops += 1
-                        hops.append(
-                            (
-                                pos,
-                                client.submit(
-                                    "read", item.next, ITEM.size, signaled=False
-                                ),
-                            )
-                        )
-                chase = [(pos, _Item(*ITEM.unpack(f.result()))) for pos, f in hops]
+                    self.stats.hits += 1
+                    values[pos] = item.value
             if not stale:
-                return [values[i] for i in range(len(keys))]
+                return values
             self._stale_refresh(client)
             pending = stale
         raise StaleCacheError("HT-tree cache failed to converge after refreshes")
+
+    def _probe_round(
+        self, client: Client, keys: "list[int]", pending: "list[int]"
+    ) -> tuple[list, list]:
+        """One pipelined round over ``keys[pos]`` for each ``pos`` in
+        ``pending``: the bucket ``load0``s posted in one window, then the
+        chains chased level by level, one window per level.
+
+        Returns ``(found, stale)``. ``found`` has one entry per resolved key,
+        in resolution order — ``(pos, leaf, head, addr, item, chain_len)``:
+        the record at ``addr`` holding the key, or ``item`` None when the
+        ``chain_len`` records from ``head`` lack it. ``stale`` lists the
+        positions whose bucket showed a stale cache.
+        """
+        cache = self._cache(client)
+        probes = []
+        for pos in pending:
+            leaf = cache.find_leaf(client, keys[pos])
+            bucket = leaf.bucket_address(keys[pos])
+            probes.append((pos, leaf, client.submit("load0", bucket, ITEM.size, signaled=False)))
+        stale: list[int] = []
+        walks: list[tuple] = []  # (pos, leaf, head, addr, record at addr or None, chain_len)
+        for pos, leaf, future in probes:
+            result = future.result()
+            item = _Item(*ITEM.unpack(result.value))
+            if item.version == MOVED or item.version not in (0, leaf.version):
+                stale.append(pos)
+            else:
+                probe = item if item.version != 0 else None
+                walks.append((pos, leaf, result.pointer, result.pointer, probe, 0))
+        # An empty bucket resolves at the first level, with the chains that
+        # end there: multistore allocates its new records in this order.
+        found: list[tuple] = []
+        while walks:
+            hops = []
+            for pos, leaf, head, addr, probe, chain_len in walks:
+                if probe is not None:
+                    chain_len += 1
+                    if probe.key != keys[pos]:
+                        if probe.next != 0:
+                            self.stats.chain_hops += 1
+                            hop = client.submit("read", probe.next, ITEM.size, signaled=False)
+                            hops.append((pos, leaf, head, probe.next, hop, chain_len))
+                            continue
+                        probe = None  # the chain ends without the key
+                found.append((pos, leaf, head, addr, probe, chain_len))
+            walks = [
+                (pos, leaf, head, addr, _Item(*ITEM.unpack(hop.result())), chain_len)
+                for pos, leaf, head, addr, hop, chain_len in hops
+            ]
+        return found, stale
 
     # ------------------------------------------------------------------
     # Store
@@ -463,9 +473,7 @@ class HTTree:
         self._check_key(key)
         if _depth > 4:
             raise StaleCacheError("HT-tree cache failed to converge after refreshes")
-        cache = self._cache(client)
-        leaf = cache.find_leaf(key)
-        client.touch_local(max(1, len(cache.uppers).bit_length()))
+        leaf = self._cache(client).find_leaf(client, key)
         bucket_addr = leaf.bucket_address(key)
 
         # Access 1: version check — read the bucket's head item (and the
@@ -496,8 +504,7 @@ class HTTree:
             probe = _Item(*ITEM.unpack(client.read(addr, ITEM.size)))
 
         # New key: write the record, then CAS it in as the new chain head.
-        record = self.allocator.alloc(ITEM.size, PlacementHint(near=leaf.table))
-        new_item = _Item(version=leaf.version, key=key, value=value, next=head_ptr)
+        record, new_item = self._new_record(leaf, key, value, head_ptr)
         client.write(record, new_item.encode())  # access 2
         client.fence()  # the record must be visible before the CAS lands
         while True:
@@ -533,102 +540,36 @@ class HTTree:
         with client.trace("httree.multistore", n=len(pairs)):
             return self._multistore(client, pairs)
 
-    def _multistore(
-        self, client: Client, pairs: "list[tuple[int, int]]"
-    ) -> None:
-        for key, _ in pairs:
+    def _multistore(self, client: Client, pairs: "list[tuple[int, int]]") -> None:
+        keys = [key for key, _ in pairs]
+        for key in keys:
             self._check_key(key)
         pending = list(range(len(pairs)))
         oversize: dict[int, _Leaf] = {}
         for _round in range(5):
-            cache = self._cache(client)
-            probes = []
-            for pos in pending:
-                key = pairs[pos][0]
-                leaf = cache.find_leaf(key)
-                client.touch_local(max(1, len(cache.uppers).bit_length()))
-                probes.append(
-                    (
-                        pos,
-                        leaf,
-                        client.submit(
-                            "load0", leaf.bucket_address(key), ITEM.size,
-                            signaled=False,
-                        ),
-                    )
-                )
-            stale: list[int] = []
-            # Walk state: [pos, leaf, head_ptr, cur_addr, cur_item, chain_len]
-            active: list[list] = []
-            for pos, leaf, future in probes:
-                result = future.result()
-                item = _Item(*ITEM.unpack(result.value))
-                if item.version == MOVED or (item.version not in (0, leaf.version)):
-                    stale.append(pos)
-                    continue
-                probe = item if item.version != 0 else None
-                active.append([pos, leaf, result.pointer, result.pointer, probe, 0])
-            updates: list[tuple[int, int]] = []
-            inserts: list[list] = []
-            while active:
-                hops = []
-                for pos, leaf, head, addr, probe, chain_len in active:
-                    if probe is None:
-                        inserts.append([pos, leaf, head, chain_len])
-                        continue
-                    chain_len += 1
-                    if probe.key == pairs[pos][0]:
-                        updates.append((pos, addr))
-                    elif probe.next == 0:
-                        inserts.append([pos, leaf, head, chain_len])
-                    else:
-                        self.stats.chain_hops += 1
-                        hops.append(
-                            (
-                                pos,
-                                leaf,
-                                head,
-                                probe.next,
-                                client.submit(
-                                    "read", probe.next, ITEM.size, signaled=False
-                                ),
-                                chain_len,
-                            )
-                        )
-                active = [
-                    [pos, leaf, head, addr, _Item(*ITEM.unpack(f.result())), chain_len]
-                    for pos, leaf, head, addr, f, chain_len in hops
-                ]
-            update_futures = [
+            found, stale = self._probe_round(client, keys, pending)
+            updates = [
                 client.submit(
                     "write_u64", addr + ITEM.offset["value"], pairs[pos][1], signaled=False
                 )
-                for pos, addr in updates
+                for pos, _leaf, _head, addr, item, _chain_len in found
+                if item is not None
             ]
-            for future in update_futures:
+            for future in updates:
                 future.result()
             self.stats.updates += len(updates)
             # Inserts: overlapped record writes, one shared fence, then
             # overlapped CASes (with re-link rounds on contention).
-            records: list[list] = []
-            write_futures = []
-            for pos, leaf, head, chain_len in inserts:
-                record = self.allocator.alloc(
-                    ITEM.size, PlacementHint(near=leaf.table)
-                )
-                new_item = _Item(
-                    version=leaf.version,
-                    key=pairs[pos][0],
-                    value=pairs[pos][1],
-                    next=head,
-                )
-                records.append([pos, leaf, record, new_item, chain_len])
-                write_futures.append(
-                    client.submit("write", record, new_item.encode(), signaled=False)
-                )
+            records: list[list] = []  # [pos, leaf, record, new item, chain_len]
+            writes = []
+            for pos, leaf, head, _addr, item, chain_len in found:
+                if item is None:
+                    record, new_item = self._new_record(leaf, keys[pos], pairs[pos][1], head)
+                    records.append([pos, leaf, record, new_item, chain_len])
+                    writes.append(client.submit("write", record, new_item.encode(), signaled=False))
             if records:
                 client.fence()  # records visible before any CAS lands
-            for future in write_futures:
+            for future in writes:
                 future.result()
             # Chain lengths were observed before any of this batch's
             # CASes landed; count this batch's own inserts per bucket so
@@ -641,7 +582,7 @@ class HTTree:
                         entry,
                         client.submit(
                             "cas",
-                            entry[1].bucket_address(pairs[entry[0]][0]),
+                            entry[1].bucket_address(keys[entry[0]]),
                             entry[3].next,
                             entry[2],
                             signaled=False,
@@ -657,7 +598,7 @@ class HTTree:
                         pos, leaf, _, _, chain_len = entry
                         self.stats.inserts += 1
                         self._item_count += 1
-                        bucket = leaf.bucket_address(pairs[pos][0])
+                        bucket = leaf.bucket_address(keys[pos])
                         grown = batch_growth.get(bucket, 0)
                         batch_growth[bucket] = grown + 1
                         if chain_len + grown + 1 > self.max_chain:
@@ -683,6 +624,12 @@ class HTTree:
         for leaf in oversize.values():
             self._split(client, leaf)
 
+    def _new_record(self, leaf: _Leaf, key: int, value: int, head: int) -> tuple[int, _Item]:
+        """A record allocated near ``leaf``'s table for ``key`` as the new
+        head of the chain at ``head``: ``(its address, its item)``."""
+        record = self.allocator.alloc(ITEM.size, PlacementHint(near=leaf.table))
+        return record, _Item(leaf.version, key, value, head)
+
     # ------------------------------------------------------------------
     # Delete
     # ------------------------------------------------------------------
@@ -700,9 +647,7 @@ class HTTree:
         self._check_key(key)
         if _depth > 4:
             raise StaleCacheError("HT-tree cache failed to converge after refreshes")
-        cache = self._cache(client)
-        leaf = cache.find_leaf(key)
-        client.touch_local(max(1, len(cache.uppers).bit_length()))
+        leaf = self._cache(client).find_leaf(client, key)
         bucket_addr = leaf.bucket_address(key)
 
         result = client.load0(bucket_addr, ITEM.size)

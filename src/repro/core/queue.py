@@ -113,7 +113,6 @@ class _ClientState:
     last_tail: Optional[int] = None
     pending_claim: Optional[int] = None
     pending_clears: list[int] = field(default_factory=list)
-    ops_since_head_refresh: int = 0
 
 
 class FarQueue:
@@ -214,12 +213,8 @@ class FarQueue:
         """Array address corresponding to a (possibly slack) address."""
         return self.array_base + (address - self.array_base) % self.span
 
-    def _occupancy_estimate(self, state: _ClientState) -> int:
-        if state.last_tail is None or state.cached_head is None:
-            return self.usable_capacity  # force a refresh on first use
-        distance = (
-            self._logical(state.last_tail) - self._logical(state.cached_head)
-        ) % self.capacity
+    def _occupancy(self, head: int, tail: int) -> int:
+        distance = (self._logical(tail) - self._logical(head)) % self.capacity
         # Dequeuers may overshoot the tail by up to max_clients slots while
         # arming empty-claims; that negative occupancy wraps to a huge
         # modular distance. Real occupancy never exceeds the usable
@@ -228,6 +223,11 @@ class FarQueue:
         if distance >= self.capacity - self.max_clients:
             return 0
         return distance
+
+    def _occupancy_estimate(self, state: _ClientState) -> int:
+        if state.last_tail is None or state.cached_head is None:
+            return self.usable_capacity  # force a refresh on first use
+        return self._occupancy(state.cached_head, state.last_tail)
 
     def _check_pointer(self, address: int) -> None:
         if not self.array_base <= address < self.slack_end:
@@ -277,28 +277,31 @@ class FarQueue:
             self._refresh_head(client, state)
             if self._occupancy_estimate(state) >= self.usable_capacity:
                 self.stats.full_rejections += 1
-                raise QueueFull(
-                    f"queue at usable capacity {self.usable_capacity}"
-                )
+                raise QueueFull(f"queue at usable capacity {self.usable_capacity}")
 
-        result = client.saai(self.tail_addr, WORD, encode_u64(value))
-        old_tail = result.pointer
+        old_tail = self._push(client, state, value)
+        if old_tail >= self.slack_base:
+            self._unwrap_tail(client, state, old_tail, value)
+
+    def _push(self, client: Client, state: _ClientState, value: int) -> int:
+        """The fast-path step: one ``saai`` stores ``value`` at the old tail
+        and bumps it. Returns the old tail."""
+        old_tail = client.saai(self.tail_addr, WORD, encode_u64(value)).pointer
         self._check_pointer(old_tail)
         state.last_tail = old_tail + WORD
         self.stats.enqueues += 1
-
         if old_tail < self.slack_base:
             self.stats.fast_enqueues += 1
-            return
+        return old_tail
 
-        # Slow path: landed in slack. Move the item to its wrapped slot and
-        # clear the slack slot in one scatter, then repair the pointer.
+    def _unwrap_tail(
+        self, client: Client, state: _ClientState, old_tail: int, value: int
+    ) -> None:
+        """Slow path: the push landed in slack. Move the item to its wrapped
+        slot and clear the slack slot in one scatter, then repair the pointer."""
         self.stats.enqueue_wraps += 1
         wrapped = self._wrapped(old_tail)
-        client.wscatter(
-            [(wrapped, WORD), (old_tail, WORD)],
-            pack_words((value, EMPTY)),
-        )
+        client.wscatter([(wrapped, WORD), (old_tail, WORD)], pack_words((value, EMPTY)))
         state.last_tail = wrapped + WORD
         self._repair_pointer(client, self.tail_addr)
 
@@ -322,9 +325,7 @@ class FarQueue:
     def _enqueue_many(self, client: Client, values: "list[int]") -> None:
         for value in values:
             if not 0 <= value < EMPTY:
-                raise ValueError(
-                    "value must be a u64 other than the EMPTY sentinel"
-                )
+                raise ValueError("value must be a u64 other than the EMPTY sentinel")
         state = self._state(client)
         i, n = 0, len(values)
         near_full = self.usable_capacity - self.max_clients
@@ -333,42 +334,28 @@ class FarQueue:
                 self.enqueue(client, values[i])
                 i += 1
                 continue
-            wrap_entry = None
+            landed = None  # (old_tail, value) of a push that landed in slack
             budget = min(client.qp_depth, n - i)
             with client.batch():
                 while budget > 0 and self._occupancy_estimate(state) < near_full:
-                    result = client.saai(
-                        self.tail_addr, WORD, encode_u64(values[i])
-                    )
-                    old_tail = result.pointer
-                    self._check_pointer(old_tail)
-                    state.last_tail = old_tail + WORD
-                    self.stats.enqueues += 1
+                    old_tail = self._push(client, state, values[i])
                     i += 1
                     budget -= 1
-                    if old_tail < self.slack_base:
-                        self.stats.fast_enqueues += 1
-                    else:
-                        wrap_entry = (old_tail, values[i - 1])
+                    if old_tail >= self.slack_base:
+                        landed = (old_tail, values[i - 1])
                         break
-            if wrap_entry is not None:
-                old_tail, value = wrap_entry
-                self.stats.enqueue_wraps += 1
-                wrapped = self._wrapped(old_tail)
-                client.wscatter(
-                    [(wrapped, WORD), (old_tail, WORD)],
-                    pack_words((value, EMPTY)),
-                )
-                state.last_tail = wrapped + WORD
-                self._repair_pointer(client, self.tail_addr)
+            if landed is not None:
+                self._unwrap_tail(client, state, *landed)
+
+    def _pointers(self, client: Client) -> tuple[int, int]:
+        """``(head, tail)``, both read in one gather (one far access)."""
+        return HEADER.unpack(client.rgather([(self.head_addr, WORD), (self.tail_addr, WORD)]))
 
     def _refresh_head(self, client: Client, state: _ClientState) -> None:
-        """Read both pointers in one gather (one far access)."""
-        raw = client.rgather([(self.head_addr, WORD), (self.tail_addr, WORD)])
         # Take the fresh tail too: an old local tail estimate that the head
         # has since overtaken would wrap the modular occupancy estimate
         # into a spurious near-full reading.
-        state.cached_head, state.last_tail = HEADER.unpack(raw)
+        state.cached_head, state.last_tail = self._pointers(client)
         self.stats.head_refreshes += 1
 
     # ------------------------------------------------------------------
@@ -389,39 +376,56 @@ class FarQueue:
 
     def _dequeue(self, client: Client) -> int:
         state = self._state(client)
-
         if state.pending_claim is not None:
             return self._consume_claim(client, state)
+        return self._land(client, state, *self._pop(client))
 
+    def _pop(self, client: Client) -> tuple[int, int]:
+        """The fast-path step: one ``fsaai`` (or ``faai``) bumps the head and
+        loads the slot it pointed at. Returns ``(old head, value)``."""
         if self.use_fsaai:
             # Extension primitive: consume and reset the slot atomically.
             result = client.fsaai(self.head_addr, WORD, encode_u64(EMPTY))
         else:
             result = client.faai(self.head_addr, WORD, WORD)
-        old_head = result.pointer
-        self._check_pointer(old_head)
-        value = decode_u64(result.value)
-        slot = old_head
-        wrapped_path = False
+        self._check_pointer(result.pointer)
+        return result.pointer, decode_u64(result.value)
 
+    def _take(self, client: Client, slot: int) -> int:
+        """Load ``slot``: a ``swap`` that resets it to EMPTY, or a plain read
+        when clears are deferred."""
+        return client.swap(slot, EMPTY) if self.use_fsaai else client.read_u64(slot)
+
+    def _land(self, client: Client, state: _ClientState, old_head: int, value: int) -> int:
+        """Finish a pop that loaded ``value`` at ``old_head``: consume the
+        item, or raise :class:`QueueEmpty` after undoing the head bump or
+        arming a claim on the overshoot slot."""
+        slot = old_head
         if old_head >= self.slack_base:
             # Slack landing: the real slot is the wrapped one; the slack
             # slot's content is never trusted (an in-flight enqueue may be
             # mid-migration; fsaai's swap of the slack slot is harmless —
             # a mid-migration enqueuer rewrites it and then clears it).
             self.stats.dequeue_wraps += 1
-            wrapped_path = True
             slot = self._wrapped(old_head)
             self._repair_pointer(client, self.head_addr)
-            value = (
-                client.swap(slot, EMPTY) if self.use_fsaai else client.read_u64(slot)
-            )
-
-        if value == EMPTY:
-            return self._dequeue_empty(client, state, old_head, slot)
-
-        self._finish_dequeue(client, state, slot, fast=not wrapped_path)
-        return value
+            value = self._take(client, slot)
+        if value != EMPTY:
+            self._finish_dequeue(client, state, slot, fast=slot == old_head)
+            return value
+        if slot == old_head:
+            _, ok = client.cas(self.head_addr, old_head + WORD, old_head)
+            if ok:
+                self.stats.empty_undos += 1
+                self.stats.empty_rejections += 1
+                raise QueueEmpty("queue empty (head bump undone)")
+        # Another dequeuer advanced past us (or we wrapped): our overshoot
+        # slot is uniquely ours — the next enqueues must fill it. Keep a
+        # claim and let the caller retry later.
+        state.pending_claim = slot
+        self.stats.claims_registered += 1
+        self.stats.empty_rejections += 1
+        raise QueueEmpty("queue empty (claim armed on overshoot slot)")
 
     @far_budget(1, claim="C5")
     def try_dequeue(self, client: Client) -> Optional[int]:
@@ -450,60 +454,25 @@ class FarQueue:
     def _dequeue_many(self, client: Client, max_items: int) -> "list[int]":
         state = self._state(client)
         out: "list[int]" = []
-        while len(out) < max_items:
-            if state.pending_claim is not None:
-                try:
+        try:
+            while len(out) < max_items:
+                if state.pending_claim is not None:
                     out.append(self._consume_claim(client, state))
-                except QueueEmpty:
-                    break
-                continue
-            boundary = None  # ("wrap" | "empty", old_head) stops the window
-            budget = min(client.qp_depth, max_items - len(out))
-            with client.batch():
-                while budget > 0:
-                    if self.use_fsaai:
-                        result = client.fsaai(
-                            self.head_addr, WORD, encode_u64(EMPTY)
-                        )
-                    else:
-                        result = client.faai(self.head_addr, WORD, WORD)
-                    old_head = result.pointer
-                    self._check_pointer(old_head)
-                    budget -= 1
-                    if old_head >= self.slack_base:
-                        boundary = ("wrap", old_head)
-                        break
-                    value = decode_u64(result.value)
-                    if value == EMPTY:
-                        boundary = ("empty", old_head)
-                        break
-                    self._finish_dequeue(client, state, old_head, fast=True)
-                    out.append(value)
-            if boundary is None:
-                continue
-            kind, old_head = boundary
-            if kind == "wrap":
-                self.stats.dequeue_wraps += 1
-                slot = self._wrapped(old_head)
-                self._repair_pointer(client, self.head_addr)
-                value = (
-                    client.swap(slot, EMPTY)
-                    if self.use_fsaai
-                    else client.read_u64(slot)
-                )
-                if value == EMPTY:
-                    try:
-                        self._dequeue_empty(client, state, old_head, slot)
-                    except QueueEmpty:
-                        break
-                else:
-                    self._finish_dequeue(client, state, slot, fast=False)
-                    out.append(value)
-            else:
-                try:
-                    self._dequeue_empty(client, state, old_head, old_head)
-                except QueueEmpty:
-                    break
+                    continue
+                boundary = None  # a pop that landed in slack or on EMPTY
+                budget = min(client.qp_depth, max_items - len(out))
+                with client.batch():
+                    while budget > 0:
+                        old_head, value = self._pop(client)
+                        budget -= 1
+                        if old_head >= self.slack_base or value == EMPTY:
+                            boundary = (old_head, value)
+                            break
+                        out.append(self._land(client, state, old_head, value))
+                if boundary is not None:
+                    out.append(self._land(client, state, *boundary))
+        except QueueEmpty:
+            pass  # drained: a landing or a claim raised, as dequeue() would
         return out
 
     def _finish_dequeue(
@@ -518,28 +487,10 @@ class FarQueue:
         if len(state.pending_clears) >= self.clear_batch:
             self.flush_clears(client)
 
-    def _dequeue_empty(
-        self, client: Client, state: _ClientState, old_head: int, slot: int
-    ) -> int:
-        """The slot held the EMPTY sentinel: undo or claim."""
-        if old_head < self.slack_base:
-            _, ok = client.cas(self.head_addr, old_head + WORD, old_head)
-            if ok:
-                self.stats.empty_undos += 1
-                self.stats.empty_rejections += 1
-                raise QueueEmpty("queue empty (head bump undone)")
-        # Another dequeuer advanced past us (or we wrapped): our overshoot
-        # slot is uniquely ours — the next enqueues must fill it. Keep a
-        # claim and let the caller retry later.
-        state.pending_claim = slot
-        self.stats.claims_registered += 1
-        self.stats.empty_rejections += 1
-        raise QueueEmpty("queue empty (claim armed on overshoot slot)")
-
     def _consume_claim(self, client: Client, state: _ClientState) -> int:
         assert state.pending_claim is not None
         slot = state.pending_claim
-        value = client.swap(slot, EMPTY) if self.use_fsaai else client.read_u64(slot)
+        value = self._take(client, slot)
         if value == EMPTY:
             self.stats.empty_rejections += 1
             raise QueueEmpty("queue empty (claimed slot still unfilled)")
@@ -582,12 +533,7 @@ class FarQueue:
         An estimate only: concurrent operations may move either pointer
         immediately after the read.
         """
-        raw = client.rgather([(self.head_addr, WORD), (self.tail_addr, WORD)])
-        head, tail = HEADER.unpack(raw)
-        distance = (self._logical(tail) - self._logical(head)) % self.capacity
-        if distance >= self.capacity - self.max_clients:
-            return 0  # dequeuer overshoot: the queue is empty
-        return distance
+        return self._occupancy(*self._pointers(client))
 
     def __repr__(self) -> str:
         return (

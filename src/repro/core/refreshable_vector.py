@@ -46,7 +46,7 @@ from ..analysis.budget import far_budget
 from ..fabric.address import PAGE_SIZE
 from ..fabric.client import Client
 from ..fabric.errors import AddressError
-from ..fabric.wire import WORD, encode_u64, pack_words, unpack_words
+from ..fabric.wire import WORD, encode_u64, unpack_words
 from ..notify.manager import NotificationManager
 from ..notify.subscription import NotifyKind, Subscription
 
@@ -177,16 +177,7 @@ class RefreshableVector:
         shard the vector or use :meth:`set_multi_writer`.
         """
         with client.trace("rvec.set", index=index):
-            self._check_index(index)
-            slot = index if self.element_versions else self.group_of(index)
-            self._writer_versions[slot] += 1
-            client.wscatter(
-                [
-                    (self._element_address(index), WORD),
-                    (self._version_address(slot), WORD),
-                ],
-                pack_words((value, int(self._writer_versions[slot]))),
-            )
+            return self._set_many(client, {index: value})
 
     @far_budget(2, ceiling=2, claim="C2")
     def set_multi_writer(self, client: Client, index: int, value: int) -> None:

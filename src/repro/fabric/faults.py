@@ -322,12 +322,11 @@ class FaultInjector:
         seed: int = 0,
         *,
         plan: Optional[FaultPlan] = None,
-        enabled: bool = True,
     ) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
         self.rules: list[FaultRule] = list(plan.rules) if plan else []
-        self.enabled = enabled
+        self.enabled = True
         self.stats = FaultStats()
         self.op_index = 0
         self._flaky_until: dict[int, int] = {}  # node -> op index window closes

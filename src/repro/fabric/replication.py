@@ -128,7 +128,7 @@ class ReplicatedRegion:
             allocator.alloc(size, on_node(node)) for node in range(copies)
         ]
         for replica in replicas:
-            allocator.fabric.write(replica, b"\x00" * size)
+            allocator.provision(replica, b"\x00" * size)
         return cls(replicas=replicas, size=size, allocator=allocator)
 
     @classmethod
@@ -158,7 +158,7 @@ class ReplicatedRegion:
         region.block_count = block_count
         image = frame_block(b"\x00" * block_payload, 0) * block_count
         for replica in region.replicas:
-            allocator.fabric.write(replica, image)
+            allocator.provision(replica, image)
         return region
 
     def _check(self, offset: int, length: int) -> None:

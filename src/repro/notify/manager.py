@@ -44,21 +44,14 @@ class ManagerStats:
 class NotificationManager:
     """Registers subscriptions and matches them against fabric writes."""
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        policy: Optional[DeliveryPolicy] = None,
-        *,
-        attach: bool = True,
-    ) -> None:
+    def __init__(self, fabric: Fabric, policy: Optional[DeliveryPolicy] = None) -> None:
         self.fabric = fabric
         self.engine = DeliveryEngine(policy)
         self.stats = ManagerStats()
         self._by_page: dict[int, list[Subscription]] = {}
         self._next_id = 1
         self._seq = 0
-        if attach:
-            fabric.set_notifier(self)
+        fabric.set_notifier(self)
 
     # ------------------------------------------------------------------
     # Subscription management

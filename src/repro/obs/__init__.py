@@ -56,7 +56,6 @@ from .trace import (
     Span,
     TraceEvent,
     Tracer,
-    set_default_sink,
     set_default_tracer,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "render_slos",
     "render_structures",
     "render_top",
-    "set_default_sink",
     "set_default_tracer",
     "telemetry_records",
     "validate_chrome_trace",

@@ -254,7 +254,6 @@ class TelemetryRegistry:
         self._last_ts_ns = 0.0
         self._notifying = False
         self._carrier: Optional["trace_mod.Tracer"] = None
-        self._client_names: list[str] = []
         self._pending: list[tuple] = []  # (client, event, span), not yet folded
         self._window_end_ns = float("-inf")  # the first event is past it
 
@@ -403,12 +402,6 @@ class TelemetryRegistry:
         self._fold()
         return self._last_ts_ns
 
-    @property
-    def client_names(self) -> list[str]:
-        """Every client seen, in first-seen order."""
-        self._fold()
-        return self._client_names
-
     # ------------------------------------------------------------------
     # Ingestion (Tracer sink protocol — bookkeeping only)
     # ------------------------------------------------------------------
@@ -454,7 +447,6 @@ class TelemetryRegistry:
             self._extent_size = getattr(extents, "extent_size", 0) or 0
         extent_size = self._extent_size
         window_ns = self.window_ns
-        names = self._client_names
         newest = self._last_ts_ns
         structures: dict[str, str] = {}  # span label -> structure scope
         run = None  # the window the collected rows share
@@ -466,8 +458,6 @@ class TelemetryRegistry:
                 newest = ts
             window = int(ts // window_ns)
             who = event.client
-            if who not in names:
-                names.append(who)
             if span is None or span.is_root:
                 structure = None
             elif span.label in structures:
@@ -606,8 +596,6 @@ class TelemetryRegistry:
             self._gauges[scope, f"metrics.{name}"].set(window, ts, getattr(client.metrics, name))
         for key, value in sorted(client.metrics.custom.items()):
             self._gauges[scope, f"metrics.custom.{key}"].set(window, ts, value)
-        if client.name not in self._client_names:
-            self._client_names.append(client.name)
 
     def __repr__(self) -> str:
         return (

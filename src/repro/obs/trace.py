@@ -50,12 +50,6 @@ from .histogram import HistogramSet, LatencyHistogram
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fabric.client import Client
 
-# Installed by :func:`set_default_sink`: every Tracer constructed while a
-# default sink is set registers it at construction, so scripts that build
-# their own private tracers are still visible to ``python -m repro stats``.
-_default_sink_provider = None
-
-
 @dataclass
 class TraceEvent:
     """One typed fabric event, attributed to a span."""
@@ -197,10 +191,6 @@ class Tracer:
         # TelemetryRegistry). Sinks see every event from the single
         # emission point, so new emitting call sites never need sink wiring.
         self._sinks: list[Any] = []
-        if _default_sink_provider is not None:
-            sink = _default_sink_provider()
-            if sink is not None:
-                self._sinks.append(sink)
 
     # ------------------------------------------------------------------
     # Attachment
@@ -652,15 +642,3 @@ def set_default_tracer(tracer: Optional[Tracer]) -> None:
         client_module._default_tracer_provider = None
     else:
         client_module._default_tracer_provider = lambda: tracer
-
-
-def set_default_sink(sink: Optional[Any]) -> None:
-    """Install (or clear) a sink that every subsequently-created Tracer
-    registers at construction. This is how ``python -m repro stats``
-    feeds a TelemetryRegistry even when a script builds its own private
-    tracer instead of relying on :func:`set_default_tracer`."""
-    global _default_sink_provider
-    if sink is None:
-        _default_sink_provider = None
-    else:
-        _default_sink_provider = lambda: sink

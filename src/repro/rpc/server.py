@@ -122,10 +122,5 @@ class RpcServer:
 
         return handler(*args)
 
-    def reset_timeline(self) -> None:
-        """Forget queue state (between benchmark phases)."""
-        self._busy_until_ns = 0.0
-        self.stats = RpcServerStats()
-
     def __repr__(self) -> str:
         return f"RpcServer({self.name!r}, service_ns={self.service_ns})"

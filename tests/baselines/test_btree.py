@@ -103,17 +103,6 @@ class TestAccessScaling:
         # And the price: client memory for the cached levels.
         assert cached.cache_bytes(c2) > 0
 
-    def test_cache_invalidate(self, cluster):
-        tree = OneSidedBTree.create(cluster.allocator, max_keys=5, cache_levels=3)
-        c = cluster.client()
-        for k in range(100):
-            tree.put(c, k, k)
-        tree.get(c, 50)
-        assert tree.cache_bytes(c) > 0
-        tree.invalidate_cache(c)
-        assert tree.cache_bytes(c) == 0
-        assert tree.get(c, 50) == 50
-
 
 class TestPropertyBased:
     @settings(max_examples=25, deadline=None)

@@ -167,7 +167,6 @@ class _World:
             ],
             "extent_node": [registry.extent_node(extent) for extent in range(4)],
             "drained_nodes": registry.drained_nodes(),
-            "client_names": registry.client_names,
             "current_window": registry.current_window,
             "last_ts_ns": registry.last_ts_ns,
             "alerts": list(self.monitor.alerts),
@@ -199,7 +198,6 @@ READS = (
     lambda registry: registry.counter_recent(("fleet",), "far_accesses", 2),
     lambda registry: registry.drained_nodes(),
     lambda registry: registry.node_ids(),
-    lambda registry: registry.client_names,
     lambda registry: registry.extent_heat(1),
     lambda registry: registry.gauge_value(("node", 0), "drained"),
     lambda registry: registry.histograms(),

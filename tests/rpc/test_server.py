@@ -74,13 +74,11 @@ class TestCostModel:
         assert server.stats.rpcs == 10
 
     def test_large_replies_pay_wire_time(self, cluster):
-        server = RpcServer()
-        server.register("blob", lambda: None)
         fast, slow = cluster.client(), cluster.client()
-        server.reset_timeline()
-        server.call(fast, "blob", reply_bytes=64)
-        server.reset_timeline()
-        server.call(slow, "blob", reply_bytes=64 * 1024)
+        for client, reply_bytes in ((fast, 64), (slow, 64 * 1024)):
+            server = RpcServer()  # a fresh server: no queueing behind the other call
+            server.register("blob", lambda: None)
+            server.call(client, "blob", reply_bytes=reply_bytes)
         assert slow.clock.now_ns > fast.clock.now_ns
 
     def test_per_call_service_override(self, cluster):
@@ -89,10 +87,3 @@ class TestCostModel:
         client = cluster.client()
         server.call(client, "scan", service_ns=10_000)
         assert server.stats.busy_ns == 10_000
-
-    def test_reset_timeline(self, cluster):
-        server = RpcServer()
-        server.register("noop", lambda: None)
-        server.call(cluster.client(), "noop")
-        server.reset_timeline()
-        assert server.stats.rpcs == 0
