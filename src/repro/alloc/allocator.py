@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ..fabric.errors import AllocationError
 from ..fabric.fabric import Fabric
-from ..fabric.wire import align_up
+from ..fabric.wire import WORD, align_up
 from .locality import PlacementHint
 
 _DEFAULT_HINT = PlacementHint()
@@ -50,24 +50,13 @@ class AllocStats:
 class FarAllocator:
     """First-fit allocator over the global far-memory address space."""
 
-    def __init__(self, fabric: Fabric, *, reserve_low: int = 0) -> None:
-        """Create an allocator owning the whole pool.
-
-        Args:
-            fabric: the far-memory pool to allocate from.
-            reserve_low: bytes at the bottom of the address space to leave
-                unallocated (address 0 is reserved by default so that 0
-                can serve as a null pointer; ``reserve_low`` is rounded up
-                to at least one word).
-        """
+    def __init__(self, fabric: Fabric) -> None:
+        """Create an allocator owning the whole pool but its first word,
+        reserved so that address 0 can serve as a null pointer."""
         self.fabric = fabric
-        low = max(reserve_low, 8)
-        total = fabric.total_size
-        if low >= total:
-            raise AllocationError("reserve_low exceeds the pool size")
         # Sorted list of (start, size) free ranges, non-overlapping,
         # non-adjacent (adjacent ranges are coalesced).
-        self._free: list[tuple[int, int]] = [(low, total - low)]
+        self._free: list[tuple[int, int]] = [(WORD, fabric.total_size - WORD)]
         # address -> (size, allocation-time node). The node is recorded
         # because migration can move the bytes later; per-node accounting
         # tracks where the allocator *placed* them.
@@ -91,7 +80,7 @@ class FarAllocator:
             raise AllocationError(f"allocation size must be positive, got {size}")
         hint = hint or _DEFAULT_HINT
         target_node = self._resolve_node(hint)
-        address = self._carve(size, hint.alignment, target_node, hint.anti_near)
+        address = self._carve(size, hint.alignment, target_node)
         # Allocation-time placement decision; the node is recorded
         # per-block and never re-derived after migration.
         # fmlint: disable=FM007 — allocation-time placement, recorded per-block
@@ -137,35 +126,17 @@ class FarAllocator:
             return node
         return None
 
-    def _carve(
-        self, size: int, alignment: int, node: int | None, anti_near: int | None
-    ) -> int:
-        avoid_node = (
-            # fmlint: disable=FM007 — anti-affinity hint resolution at alloc time
-            self.fabric.node_of(anti_near)
-            if anti_near is not None and self.fabric.supports_node_hints
-            else None
-        )
+    def _carve(self, size: int, alignment: int, node: int | None) -> int:
         for i, (start, free_size) in enumerate(self._free):
             base = align_up(start, alignment)
-            pad = base - start
-            if pad + size > free_size:
+            if base - start + size > free_size:
                 continue
             if node is not None and not self._fits_on_node(base, size, node):
-                base2 = self._first_fit_on_node(start, free_size, size, alignment, node)
-                if base2 is None:
+                base = self._first_fit_on_node(start, free_size, size, alignment, node)
+                if base is None:
                     continue
-                base = base2
-                pad = base - start
-            # fmlint: disable=FM007 (placement check at allocation time)
-            if avoid_node is not None and self.fabric.node_of(base) == avoid_node:
-                base2 = self._first_fit_avoiding(start, free_size, size, alignment, avoid_node)
-                if base2 is None:
-                    continue
-                base = base2
-                pad = base - start
             self._take(i, start, free_size, base, size)
-            if node is not None or avoid_node is not None:
+            if node is not None:
                 self.stats.hint_satisfied += 1
             return base
         where = f" on node {node}" if node is not None else ""
@@ -197,17 +168,6 @@ class FarAllocator:
                 if base + size <= min(end, span_end):
                     return base
             cursor = span_end
-        return None
-
-    def _first_fit_avoiding(
-        self, start: int, free_size: int, size: int, alignment: int, avoid: int
-    ) -> int | None:
-        for node in range(self.fabric.node_count):
-            if node == avoid:
-                continue
-            base = self._first_fit_on_node(start, free_size, size, alignment, node)
-            if base is not None:
-                return base
         return None
 
     def _take(self, index: int, start: int, free_size: int, base: int, size: int) -> None:

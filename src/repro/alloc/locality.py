@@ -28,8 +28,6 @@ class PlacementHint:
         node: place on this exact memory node.
         near: place on the same node as this global address (locality for
             indirection chains, section 7.1).
-        anti_near: avoid the node holding this global address
-            (anti-locality, e.g. separating hot structures).
         spread: round-robin across nodes (maximise parallelism between
             independent requests).
         alignment: required address alignment (defaults to word).
@@ -37,7 +35,6 @@ class PlacementHint:
 
     node: Optional[int] = None
     near: Optional[int] = None
-    anti_near: Optional[int] = None
     spread: bool = False
     alignment: int = WORD
 
@@ -49,7 +46,6 @@ class PlacementHint:
             for name, value in (
                 ("node", self.node),
                 ("near", self.near),
-                ("anti_near", self.anti_near),
                 ("spread", self.spread or None),
             )
             if value is not None

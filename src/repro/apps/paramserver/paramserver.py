@@ -37,6 +37,8 @@ from .encoding import float_to_word, word_to_float, words_to_floats
 
 GRADIENT = Layout("count")  # then ``count`` ENTRY records
 ENTRY = Layout("index value")  # ``value`` is the float's bit pattern
+_MAX_ENTRIES = 64  # the largest sparse gradient one channel message carries
+
 
 @dataclass(frozen=True)
 class SparseExample:
@@ -79,25 +81,23 @@ class GradientChannel:
 
     allocator: FarAllocator
     queue: FarQueue
-    max_entries: int
 
     @classmethod
-    def create(
-        cls, cluster: Cluster, *, max_workers: int, max_entries: int = 64
-    ) -> "GradientChannel":
+    def create(cls, cluster: Cluster, *, max_workers: int) -> "GradientChannel":
         """Build a channel sized for ``max_workers`` concurrent producers
         plus one consumer (the coordinator)."""
         queue = cluster.far_queue(
             capacity=max(max_workers * 8, 4 * (max_workers + 1) + 1),
             max_clients=max_workers + 1,
         )
-        return cls(allocator=cluster.allocator, queue=queue, max_entries=max_entries)
+        return cls(allocator=cluster.allocator, queue=queue)
 
     def send(self, client: Client, gradient: dict[int, float]) -> None:
-        """Ship one sparse gradient: one blob write + one enqueue."""
-        if len(gradient) > self.max_entries:
+        """Ship one sparse gradient (at most 64 entries): one blob write +
+        one enqueue."""
+        if len(gradient) > _MAX_ENTRIES:
             raise ValueError(
-                f"gradient has {len(gradient)} entries, channel max is {self.max_entries}"
+                f"gradient has {len(gradient)} entries, channel max is {_MAX_ENTRIES}"
             )
         blob = GRADIENT.pack(len(gradient)) + b"".join(
             ENTRY.pack(index, float_to_word(value))

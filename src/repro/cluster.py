@@ -1,7 +1,7 @@
 """Cluster: one-stop wiring of the far-memory testbed.
 
 A :class:`Cluster` assembles the pieces a deployment needs — fabric,
-placement, cost model, allocator, notification manager — and provides
+placement, allocator, notification manager — and provides
 factories for clients and for every far-memory data structure in
 :mod:`repro.core`. All examples and benchmarks start here.
 """
@@ -13,11 +13,9 @@ from typing import TYPE_CHECKING, Optional
 from .alloc import FarAllocator, PlacementHint
 from .fabric import (
     Client,
-    CostModel,
     Fabric,
     IndirectionPolicy,
     Metrics,
-    Placement,
     aggregate,
     make_placement,
 )
@@ -37,22 +35,14 @@ class Cluster:
         node_size: int = 64 << 20,
         interleaved: bool = False,
         interleave_granularity: int = 4096,
-        cost_model: Optional[CostModel] = None,
         indirection_policy: IndirectionPolicy = IndirectionPolicy.FORWARD,
         delivery_policy: Optional[DeliveryPolicy] = None,
-        placement: Optional[Placement] = None,
         extent_size: Optional[int] = None,
     ) -> None:
-        if placement is None:
-            placement = make_placement(
-                node_count,
-                node_size,
-                interleaved=interleaved,
-                granularity=interleave_granularity,
-            )
         self.fabric = Fabric(
-            placement,
-            cost_model=cost_model,
+            make_placement(
+                node_count, node_size, interleaved=interleaved, granularity=interleave_granularity
+            ),
             indirection_policy=indirection_policy,
             extent_size=extent_size,
         )
@@ -135,10 +125,11 @@ class Cluster:
     def rebalance(
         self, client: Optional[Client] = None, **kwargs
     ) -> "RebalanceReport":
-        """One heat-driven rebalance pass (see :mod:`repro.migration`).
+        """One heat-driven rebalance pass (see :mod:`repro.migration`):
+        up to ``top_k`` touched extents move off the hottest node.
 
-        Keyword arguments (``top_k``, ``min_heat``, ``registry``) pass
-        through to :class:`~repro.migration.Rebalancer`; with
+        Keyword arguments (``top_k``, ``registry``) pass through to
+        :class:`~repro.migration.Rebalancer`; with
         ``registry=`` the plan is driven by the live telemetry plane's
         per-extent heat instead of the table's private touch counters.
         """

@@ -328,21 +328,17 @@ class HTTree:
     # ------------------------------------------------------------------
 
     @far_budget(1, claim="C4")
-    def get(self, client: Client, key: int, *, _depth: int = 0) -> Optional[int]:
+    def get(self, client: Client, key: int) -> Optional[int]:
         """Look up ``key``: one far access on the fast path (fresh cache,
         chain length <= 1). Returns the value or None."""
-        if _depth == 0:
-            # Stale-cache retries (_depth > 0) re-enter here and stay
-            # inside the original span: one logical lookup, one span.
-            with client.trace("httree.get", key=key):
-                return self._get(client, key, 0)
-        return self._get(client, key, _depth)
-
-    def _get(self, client: Client, key: int, _depth: int) -> Optional[int]:
-        self._check_key(key)
-        if _depth == 0:
+        with client.trace("httree.get", key=key):
+            self._check_key(key)
             self.stats.lookups += 1
-        if _depth > 4:
+            return self._get(client, key, 0)
+
+    def _get(self, client: Client, key: int, depth: int) -> Optional[int]:
+        # A stale-cache retry recurses here, inside the caller's one span.
+        if depth > 4:
             raise StaleCacheError("HT-tree cache failed to converge after refreshes")
         leaf = self._cache(client).find_leaf(client, key)
         raw = client.load0(leaf.bucket_address(key), ITEM.size).value
@@ -352,7 +348,7 @@ class HTTree:
             return None
         if item.version == MOVED or item.version != leaf.version:
             self._stale_refresh(client)
-            return self.get(client, key, _depth=_depth + 1)
+            return self._get(client, key, depth + 1)
         while True:
             if item.key == key:
                 self.stats.hits += 1
@@ -460,18 +456,16 @@ class HTTree:
     # ------------------------------------------------------------------
 
     @far_budget(2, claim="C4")
-    def put(self, client: Client, key: int, value: int, *, _depth: int = 0) -> None:
+    def put(self, client: Client, key: int, value: int) -> None:
         """Insert or update ``key``: two far accesses to update an existing
         head-of-chain item; three to insert a new item (version-check read,
         record write, bucket CAS)."""
-        if _depth == 0:
-            with client.trace("httree.put", key=key):
-                return self._put(client, key, value, 0)
-        return self._put(client, key, value, _depth)
+        with client.trace("httree.put", key=key):
+            return self._put(client, key, value, 0)
 
-    def _put(self, client: Client, key: int, value: int, _depth: int) -> None:
+    def _put(self, client: Client, key: int, value: int, depth: int) -> None:
         self._check_key(key)
-        if _depth > 4:
+        if depth > 4:
             raise StaleCacheError("HT-tree cache failed to converge after refreshes")
         leaf = self._cache(client).find_leaf(client, key)
         bucket_addr = leaf.bucket_address(key)
@@ -484,7 +478,7 @@ class HTTree:
 
         if item.version == MOVED or (item.version not in (0, leaf.version)):
             self._stale_refresh(client)
-            return self.put(client, key, value, _depth=_depth + 1)
+            return self._put(client, key, value, depth + 1)
 
         # Walk the chain looking for an existing key (each hop: one read).
         chain_len = 0
@@ -635,17 +629,15 @@ class HTTree:
     # ------------------------------------------------------------------
 
     @far_budget(2, claim="C4")
-    def delete(self, client: Client, key: int, *, _depth: int = 0) -> bool:
+    def delete(self, client: Client, key: int) -> bool:
         """Remove ``key``; True if it was present. Two far accesses when
         the key is the chain head (read + CAS unlink)."""
-        if _depth == 0:
-            with client.trace("httree.delete", key=key):
-                return self._delete(client, key, 0)
-        return self._delete(client, key, _depth)
+        with client.trace("httree.delete", key=key):
+            return self._delete(client, key, 0)
 
-    def _delete(self, client: Client, key: int, _depth: int) -> bool:
+    def _delete(self, client: Client, key: int, depth: int) -> bool:
         self._check_key(key)
-        if _depth > 4:
+        if depth > 4:
             raise StaleCacheError("HT-tree cache failed to converge after refreshes")
         leaf = self._cache(client).find_leaf(client, key)
         bucket_addr = leaf.bucket_address(key)
@@ -657,13 +649,13 @@ class HTTree:
             return False
         if item.version == MOVED or item.version != leaf.version:
             self._stale_refresh(client)
-            return self.delete(client, key, _depth=_depth + 1)
+            return self._delete(client, key, depth + 1)
 
         if item.key == key:
             _, ok = client.cas(bucket_addr, head_ptr, item.next)
             if not ok:
                 self.stats.cas_retries += 1
-                return self.delete(client, key, _depth=_depth + 1)
+                return self._delete(client, key, depth + 1)
             self._retire(head_ptr)
             self.stats.deletes += 1
             self._item_count -= 1
@@ -689,9 +681,7 @@ class HTTree:
     # ------------------------------------------------------------------
 
     @far_budget(None, claim="C4")
-    def scan(
-        self, client: Client, low: int, high: int, *, _depth: int = 0
-    ) -> list[tuple[int, int]]:
+    def scan(self, client: Client, low: int, high: int) -> list[tuple[int, int]]:
         """All ``(key, value)`` pairs with ``low <= key <= high``, sorted.
 
         The tree's leaves partition the key space by range, so a scan
@@ -700,19 +690,15 @@ class HTTree:
         plus one gather per chain level) and filtered client-side: the
         HT-tree trades scan granularity for its O(1) point lookups.
         """
-        if _depth == 0:
-            with client.trace("httree.scan", low=low, high=high):
-                return self._scan(client, low, high, 0)
-        return self._scan(client, low, high, _depth)
+        with client.trace("httree.scan", low=low, high=high):
+            return self._scan(client, low, high, 0)
 
-    def _scan(
-        self, client: Client, low: int, high: int, _depth: int
-    ) -> list[tuple[int, int]]:
+    def _scan(self, client: Client, low: int, high: int, depth: int) -> list[tuple[int, int]]:
         self._check_key(low)
         self._check_key(high)
         if low > high:
             return []
-        if _depth > 4:
+        if depth > 4:
             raise StaleCacheError("HT-tree cache failed to converge after refreshes")
         cache = self._cache(client)
         results: list[tuple[int, int]] = []
@@ -726,11 +712,11 @@ class HTTree:
             items, _ = self._read_all_items(client, leaf)
             if any(item.version == MOVED for item in items):
                 self._stale_refresh(client)
-                return self.scan(client, low, high, _depth=_depth + 1)
+                return self._scan(client, low, high, depth + 1)
             for item in items:
                 if item.version != leaf.version:
                     self._stale_refresh(client)
-                    return self.scan(client, low, high, _depth=_depth + 1)
+                    return self._scan(client, low, high, depth + 1)
                 if low <= item.key <= high:
                     results.append((item.key, item.value))
             lower_bound = leaf.upper + 1

@@ -203,10 +203,9 @@ class CachedFarVector:
         vector: FarVector,
         client: Client,
         manager: NotificationManager,
-        *,
-        with_data: bool = True,
     ) -> "CachedFarVector":
-        """Populate the cache (2 far accesses) and subscribe for updates."""
+        """Populate the cache (2 far accesses) and subscribe for updates
+        that carry the new words (``notify0d``)."""
         base = vector.base(client)
         cache = vector.read_all(client, base=base)
         cached = cls(
@@ -218,7 +217,7 @@ class CachedFarVector:
             _valid=np.ones(vector.length, dtype=bool),
         )
         cached.subscriptions = vector.subscribe_range(
-            manager, client, base, 0, vector.length, with_data=with_data
+            manager, client, base, 0, vector.length, with_data=True
         )
         return cached
 

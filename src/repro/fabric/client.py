@@ -487,8 +487,8 @@ class Client:
         — inside an overlap window the retry ladder overlaps the other
         outstanding ops (each QP slot waits out its own timeout
         independently on real NICs), while a synchronous call serialises
-        exactly as before — and are retried up to the policy's
-        attempt/time budgets. Failed attempts are *not* counted as far
+        exactly as before — and are retried up to the policy's attempt
+        budget. Failed attempts are *not* counted as far
         accesses (those count completed work); they appear in
         ``metrics.timeouts`` / ``retries`` / ``backoff_ns`` instead. When
         the breaker for the target node is (or trips) open, the op fails
@@ -540,14 +540,10 @@ class Client:
                     raise CircuitOpenError(node, address)
                 attempts = policy.max_attempts if policy is not None else 1
                 token = (self.client_id << 48) ^ address
-                spent = 0.0
                 last: Optional[Exception] = None
                 for attempt in range(1, attempts + 1):
                     if attempt > 1:
                         backoff = policy.backoff_ns(attempt - 1, token)
-                        if policy.budget_ns is not None and spent + backoff > policy.budget_ns:
-                            raise last
-                        spent += backoff
                         self.metrics.retries += 1
                         self.metrics.backoff_ns += int(backoff)
                         self._advance(backoff)
@@ -588,9 +584,7 @@ class Client:
                     # Failed attempt: any pending latency spike died with it, and
                     # the client only learns of the loss after a full timeout.
                     fabric.consume_fault_latency()
-                    detect = self.cost_model.timeout_ns
-                    spent += detect
-                    self._advance(detect)
+                    self._advance(self.cost_model.timeout_ns)
                     if breaker is not None:
                         if breaker.record_failure(self.clock.now_ns):
                             self.metrics.breaker_trips += 1
@@ -598,9 +592,6 @@ class Client:
                                 tracer.emit(self, "breaker_trip", node=node)
                         if not breaker.allow(self.clock.now_ns):
                             raise last  # breaker opened mid-op: stop hammering the node
-                    if policy is not None and policy.budget_ns is not None:
-                        if spent >= policy.budget_ns:
-                            raise last
                 else:
                     raise last
         except RemoteIndirectionError as err:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
-from .address import Location, Placement, RangePlacement
+from .address import Location, Placement
 from .errors import FarTimeoutError, NodeUnavailableError
 from .extent import ExtentTable, Segments
 from .latency import CostModel
@@ -48,19 +48,14 @@ class Fabric(FarPrimitivesMixin):
 
     def __init__(
         self,
-        placement: Optional[Placement] = None,
+        placement: Placement,
         *,
-        node_count: int = 1,
-        node_size: int = 64 << 20,
         extent_size: Optional[int] = None,
-        cost_model: Optional[CostModel] = None,
         indirection_policy: IndirectionPolicy = IndirectionPolicy.FORWARD,
     ) -> None:
-        if placement is None:
-            placement = RangePlacement(node_count=node_count, node_size=node_size)
         self.placement = placement  # initial-layout policy only; see self.extents
         self.extents = ExtentTable(placement, extent_size=extent_size)
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = CostModel()
         self.indirection_policy = indirection_policy
         self.nodes = [
             MemoryNode(node_id, placement.node_size)

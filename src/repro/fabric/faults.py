@@ -147,18 +147,6 @@ class FaultStats:
             + self.torn_writes_injected
         )
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "checks": self.checks,
-            "timeouts_injected": self.timeouts_injected,
-            "spikes_injected": self.spikes_injected,
-            "flaky_windows_opened": self.flaky_windows_opened,
-            "flaky_drops": self.flaky_drops,
-            "corruptions_injected": self.corruptions_injected,
-            "bits_flipped": self.bits_flipped,
-            "torn_writes_injected": self.torn_writes_injected,
-        }
-
 
 class FaultPlan:
     """A scripted, reproducible chaos schedule.
@@ -166,7 +154,7 @@ class FaultPlan:
     Builder methods append :class:`FaultRule` entries; scheduled events
     use probability 1 inside explicit access-index windows, while the
     ``random_*`` methods add background probabilistic noise. Apply with
-    ``FaultInjector(seed=..., plan=plan)`` or :meth:`FaultInjector.apply`.
+    ``FaultInjector(seed=..., plan=plan)`` (or ``Cluster.inject_faults``).
     """
 
     def __init__(self) -> None:
@@ -336,25 +324,6 @@ class FaultInjector:
         # and the fraction of a torn write that lands before the loss.
         self._pending_corruption: Optional[list[tuple[int, int]]] = None
         self._pending_torn: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-
-    def apply(self, plan: FaultPlan) -> "FaultInjector":
-        """Append a plan's rules to this injector."""
-        self.rules.extend(plan.rules)
-        return self
-
-    def reset(self) -> None:
-        """Back to the initial seeded state (same seed → same sequence)."""
-        self.rng = random.Random(self.seed)
-        self.stats = FaultStats()
-        self.op_index = 0
-        self._flaky_until.clear()
-        self._pending_multiplier = 1.0
-        self._pending_corruption = None
-        self._pending_torn = None
 
     # ------------------------------------------------------------------
     # The injection point

@@ -107,10 +107,6 @@ class Profiler:
         """The accumulated row for ``label`` (empty row if never measured)."""
         return self.rows.get(label, ProfileRow(label=label))
 
-    def reset(self) -> None:
-        """Clear the ledger."""
-        self.rows.clear()
-
     def render(self) -> str:
         """A fixed-width text table, sorted by total simulated time."""
         header = (

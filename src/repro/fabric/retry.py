@@ -7,8 +7,8 @@ latency):
 
 * :class:`RetryPolicy` — exponential backoff with **deterministic**
   jitter (the simulator must replay exactly; jitter comes from a hash of
-  the (client, address, attempt) triple, not a global RNG), plus per-op
-  attempt and simulated-time budgets.
+  the (client, address, attempt) triple, not a global RNG), plus a per-op
+  attempt budget.
 * :class:`CircuitBreaker` — one per (client, memory node). After enough
   consecutive failures the breaker opens and the client fails fast with
   :class:`~repro.fabric.errors.CircuitOpenError` instead of burning a
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 def _jitter_fraction(token: int, attempt: int) -> float:
@@ -61,9 +60,6 @@ class RetryPolicy:
         jitter: fraction of the backoff randomised away, in ``[0, 1]``.
             The sleep lands in ``[backoff * (1 - jitter), backoff)``,
             deterministically per (client, address, attempt).
-        budget_ns: optional cap on simulated time spent on failed
-            attempts (timeouts + backoff) for a single op; once exceeded,
-            the op gives up even with attempts remaining.
     """
 
     max_attempts: int = 4
@@ -71,7 +67,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_backoff_ns: float = 64_000.0
     jitter: float = 0.25
-    budget_ns: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -124,9 +119,9 @@ class BreakerPolicy:
 class CircuitBreaker:
     """Failure-rate gate for one (client, memory node) pair."""
 
-    def __init__(self, node: int, policy: Optional[BreakerPolicy] = None) -> None:
+    def __init__(self, node: int, policy: BreakerPolicy) -> None:
         self.node = node
-        self.policy = policy or BreakerPolicy()
+        self.policy = policy
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at_ns = 0.0

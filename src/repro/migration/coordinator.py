@@ -39,6 +39,10 @@ from ..fabric.fabric import Fabric
 from ..fabric.wire import WORD
 from .copy import read_window, write_window
 
+# Chunks one copy round moves: one read window, then one staging write
+# window, of up to this many chunks each (DESIGN §12).
+_CHUNKS_PER_ROUND = 16
+
 
 @dataclass
 class MigrationStats:
@@ -80,9 +84,8 @@ class ExtentMigration:
         self.extent = extent
         self.state = state
 
-    def step(self, chunks: Optional[int] = None) -> bool:
-        """Copy one round of up to ``chunks`` chunks (defaults to the
-        coordinator's ``chunks_per_round``) — a read window over the live
+    def step(self) -> bool:
+        """Copy one round of up to 16 chunks — a read window over the live
         virtual extent, then a staging write window. Returns True once
         the whole extent has been copied."""
         table = self.coordinator.fabric.extents
@@ -90,12 +93,10 @@ class ExtentMigration:
         if self.state.cursor >= es:
             return True
         chunk_bytes = self.coordinator.chunk_bytes
-        if chunks is None:
-            chunks = self.coordinator.chunks_per_round
         base = self.extent * es
         spans: list[tuple[int, int]] = []
         cursor = self.state.cursor
-        while len(spans) < chunks and cursor < es:
+        while len(spans) < _CHUNKS_PER_ROUND and cursor < es:
             length = min(chunk_bytes, es - cursor)
             spans.append((cursor, length))
             cursor += length
@@ -181,17 +182,11 @@ class MigrationCoordinator:
         fabric: Fabric,
         *,
         chunk_bytes: int = 4096,
-        chunks_per_round: int = 16,
-        policy: MigrationWritePolicy = MigrationWritePolicy.FORWARD,
     ) -> None:
         if chunk_bytes < WORD or chunk_bytes % WORD != 0:
             raise ValueError(f"chunk_bytes must be a positive multiple of {WORD}")
-        if chunks_per_round < 1:
-            raise ValueError("chunks_per_round must be at least 1")
         self.fabric = fabric
         self.chunk_bytes = chunk_bytes
-        self.chunks_per_round = chunks_per_round
-        self.policy = policy
         self.stats = MigrationStats()
 
     def predicted_copy_accesses(self, extents: int = 1) -> int:
@@ -243,11 +238,12 @@ class MigrationCoordinator:
         *,
         policy: Optional[MigrationWritePolicy] = None,
     ) -> ExtentMigration:
-        """Stage a migration; returns the stepwise handle."""
+        """Stage a migration (writers follow ``policy``, ``FORWARD`` unless
+        given); returns the stepwise handle."""
         if dst_node is None:
             dst_node = self.pick_target(extent)
         state = self.fabric.extents.begin_migration(
-            extent, dst_node, policy or self.policy
+            extent, dst_node, policy or MigrationWritePolicy.FORWARD
         )
         return ExtentMigration(self, client, extent, state)
 

@@ -64,14 +64,12 @@ class Rebalancer:
         coordinator: MigrationCoordinator,
         *,
         top_k: int = 8,
-        min_heat: int = 1,
         registry=None,
     ) -> None:
         if top_k < 1:
             raise ValueError("top_k must be at least 1")
         self.coordinator = coordinator
         self.top_k = top_k
-        self.min_heat = min_heat
         self.registry = registry
 
     def _heat_of(self, extent: int) -> int:
@@ -128,7 +126,7 @@ class Rebalancer:
             (
                 extent
                 for extent in table.extents_on_node(overloaded)
-                if self._heat_of(extent) >= self.min_heat
+                if self._heat_of(extent) > 0  # an untouched extent never moves
             ),
             key=lambda e: (-self._heat_of(e), e),
         )[: self.top_k]

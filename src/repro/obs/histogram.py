@@ -208,13 +208,6 @@ class HistogramSet:
     def items(self) -> list[tuple[str, LatencyHistogram]]:
         return sorted(self._hists.items())
 
-    def merge(self, other: "HistogramSet") -> None:
-        for label, hist in other._hists.items():
-            target = self._hists.get(label)
-            if target is None:
-                target = self._hists[label] = LatencyHistogram()
-            target.merge(hist)
-
     def __len__(self) -> int:
         return len(self._hists)
 

@@ -7,10 +7,10 @@ above a threshold, e.g. far-op latency over 50 µs). The
 :class:`SLOMonitor` evaluates every objective each time the registry's
 fleet window advances, using the SRE multi-window burn-rate rule: alert
 only when both a short window (fast detection) and a long window (noise
-rejection) burn the budget faster than ``burn_threshold``×. Alerts are
-recorded on the monitor *and* emitted as typed ``slo_alert`` trace
-events, so a trace export shows exactly when the fleet started burning
-relative to the faults that caused it.
+rejection) burn the fleet's budget at 2× or faster. Alerts are recorded
+on the monitor *and* emitted as typed ``slo_alert`` trace events, so a
+trace export shows exactly when the fleet started burning relative to
+the faults that caused it.
 
 All arithmetic is over closed windows of simulated time — evaluation at
 the close of window ``w`` looks at ``[w - n, w)`` — so a given event
@@ -22,15 +22,18 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .telemetry import FLEET, Scope, TelemetryRegistry
+from .telemetry import FLEET, TelemetryRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fabric.client import Client
 
+# An objective alerts when both its windows burn the budget at least this fast.
+_BURN_THRESHOLD = 2.0
+
 
 @dataclass(frozen=True)
 class SLObjective:
-    """One declared objective over registry series.
+    """One declared objective over the registry's fleet series.
 
     Ratio form (``bad_metric`` set): burn = (bad / total) / budget where
     bad and total are counter sums over the evaluation window. Latency
@@ -44,10 +47,8 @@ class SLObjective:
     total_metrics: tuple = ("far_accesses",)
     latency_metric: str = ""
     threshold_ns: float = 0.0
-    scope: Scope = FLEET
     short_windows: int = 1
     long_windows: int = 8
-    burn_threshold: float = 2.0
 
     def __post_init__(self) -> None:
         if bool(self.bad_metric) == bool(self.latency_metric):
@@ -71,15 +72,13 @@ class SLObjective:
             stop = registry.current_window
         start = stop - windows
         if self.latency_metric:
-            ring = registry.histogram(self.scope, self.latency_metric)
+            ring = registry.histogram(FLEET, self.latency_metric)
             total = ring.count_in(start, stop)
             bad = ring.count_over(start, stop, self.threshold_ns)
         else:
-            bad = registry.counter(self.scope, self.bad_metric).sum_windows(
-                start, stop
-            )
+            bad = registry.counter(FLEET, self.bad_metric).sum_windows(start, stop)
             total = sum(
-                registry.counter(self.scope, name).sum_windows(start, stop)
+                registry.counter(FLEET, name).sum_windows(start, stop)
                 for name in self.total_metrics
             )
         if total <= 0:
@@ -197,10 +196,7 @@ class SLOMonitor:
             )
             long = objective.burn_rate(registry, objective.long_windows, stop=stop)
             state.last_short, state.last_long = short, long
-            firing = (
-                short >= objective.burn_threshold
-                and long >= objective.burn_threshold
-            )
+            firing = short >= _BURN_THRESHOLD and long >= _BURN_THRESHOLD
             if firing and not state.firing:
                 alert = SLOAlert(
                     objective=objective.name,

@@ -55,17 +55,6 @@ class LeaseStats:
     takeovers: int = 0
     timeouts: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "attempts": self.attempts,
-            "acquires": self.acquires,
-            "renewals": self.renewals,
-            "releases": self.releases,
-            "contended": self.contended,
-            "takeovers": self.takeovers,
-            "timeouts": self.timeouts,
-        }
-
 
 @dataclass
 class LeasedFarMutex:

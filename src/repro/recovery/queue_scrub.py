@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.queue import EMPTY, HEADER, FarQueue
+from ..core.queue import EMPTY, FarQueue
 from ..fabric.client import Client
 from ..fabric.errors import FarTimeoutError, QueueFull
 from ..fabric.wire import WORD, encode_u64, pack_words, unpack_words
@@ -123,19 +123,13 @@ class QueueScrubber:
                 queue.flush_clears(survivor)
 
         # (1) Pointers stranded in the slack region.
-        raw = client.rgather(
-            [(queue.head_addr, WORD), (queue.tail_addr, WORD)]
-        )
-        head, tail = HEADER.unpack(raw)
+        head, tail = queue._pointers(client)
         for pointer_addr, value in ((queue.head_addr, head), (queue.tail_addr, tail)):
             if value >= queue.slack_base:
                 queue._repair_pointer(client, pointer_addr)
                 report.pointers_repaired += 1
         if report.pointers_repaired:
-            raw = client.rgather(
-                [(queue.head_addr, WORD), (queue.tail_addr, WORD)]
-            )
-            head, tail = HEADER.unpack(raw)
+            head, tail = queue._pointers(client)
 
         # (2) Items abandoned in slack slots mid-migration.
         slack = client.read(queue.slack_base, queue.slack_slots * WORD)

@@ -66,18 +66,6 @@ class RepairReport:
     # (region_id, dead_node, spare_node) per rebuilt replica.
     rebuilt: list[tuple[int, int, int]] = field(default_factory=list)
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "dead_node": self.dead_node,
-            "regions_scanned": self.regions_scanned,
-            "replicas_rebuilt": self.replicas_rebuilt,
-            "blocks_copied": self.blocks_copied,
-            "bytes_copied": self.bytes_copied,
-            "source_verify_misses": self.source_verify_misses,
-            "epochs_bumped": self.epochs_bumped,
-            "rebuilt": list(self.rebuilt),
-        }
-
 
 class RepairCoordinator:
     """Registers replicated regions and rebuilds their lost replicas.

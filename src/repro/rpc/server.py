@@ -66,14 +66,10 @@ class RpcServer:
         *,
         service_ns: float = 700.0,
         one_way_ns: float = 500.0,
-        byte_ns: float = 1.0,
-        inline_bytes: int = 256,
     ) -> None:
         self.name = name
         self.service_ns = service_ns
         self.one_way_ns = one_way_ns
-        self.byte_ns = byte_ns
-        self.inline_bytes = inline_bytes
         self.stats = RpcServerStats()
         self._handlers: dict[str, Handler] = {}
         self._busy_until_ns = 0.0
@@ -102,7 +98,8 @@ class RpcServer:
         if handler is None:
             raise RpcError(f"no handler {op!r} on {self.name}")
         cost = service_ns if service_ns is not None else self.service_ns
-        wire_ns = self.byte_ns * max(0, request_bytes + reply_bytes - self.inline_bytes)
+        model = client.cost_model  # the wire prices RPC payloads as it does far accesses
+        wire_ns = model.byte_ns * max(0, request_bytes + reply_bytes - model.inline_bytes)
 
         arrival_ns = client.clock.now_ns + self.one_way_ns
         start_ns = max(arrival_ns, self._busy_until_ns)

@@ -102,11 +102,6 @@ class TestHints:
         nodes = [fabric.node_of(allocator.alloc(64, spread())) for _ in range(8)]
         assert nodes == [0, 1, 2, 3, 0, 1, 2, 3]
 
-    def test_anti_near(self, allocator, fabric):
-        anchor = allocator.alloc(64, on_node(0))
-        other = allocator.alloc(64, PlacementHint(anti_near=anchor))
-        assert fabric.node_of(other) != 0
-
     def test_node_hint_never_falls_back(self, fabric):
         allocator = FarAllocator(fabric)
         allocator.alloc(NODE_SIZE - 4096, on_node(1))  # nearly fill node 1

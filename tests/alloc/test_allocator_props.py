@@ -47,7 +47,7 @@ def check_invariants(allocator: FarAllocator, live: dict[int, int]) -> None:
     assert allocator.stats.live_blocks == len(live)
     assert allocator.stats.live_bytes == sum(live.values())
     assert allocator.free_bytes() == sum(size for _, size in free)
-    # reserve_low bytes at the bottom are neither free nor live.
+    # The reserved null word at the bottom is neither free nor live.
     total_accounted = allocator.free_bytes() + sum(live.values())
     assert total_accounted <= allocator.fabric.total_size
 

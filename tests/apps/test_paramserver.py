@@ -89,9 +89,9 @@ class TestGradientChannel:
         assert cluster.allocator.stats.live_blocks == live_before
 
     def test_oversized_gradient_rejected(self, cluster):
-        channel = GradientChannel.create(cluster, max_workers=2, max_entries=2)
+        channel = GradientChannel.create(cluster, max_workers=2)
         with pytest.raises(ValueError):
-            channel.send(cluster.client(), {1: 1.0, 2: 2.0, 3: 3.0})
+            channel.send(cluster.client(), {index: 1.0 for index in range(65)})
 
 
 class TestTraining:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro import Cluster
 from repro.core.ht_tree import LEAF, hash_u64
 from repro.fabric.wire import U64_MASK
+from repro.obs import Tracer
 
 NODE_SIZE = 16 << 20
 
@@ -196,6 +197,25 @@ class TestSplits:
         stale_before = tree.stats.stale_refreshes
         assert tree.get(reader, 1) == 11  # stale cache must self-heal
         assert tree.stats.stale_refreshes > stale_before
+
+    def test_stale_retry_is_one_lookup_in_one_span(self, cluster):
+        tree = make_tree(cluster, bucket_count=8, max_chain=3)
+        writer = cluster.client()
+        reader = cluster.client()
+        tree.put(writer, 1, 11)
+        assert tree.get(reader, 1) == 11
+        for k in range(2, 200):
+            tree.put(writer, k, k)
+        stale_before = tree.stats.stale_refreshes
+        lookups_before = tree.stats.lookups
+        tracer = Tracer()
+        tracer.attach(reader)
+        assert tree.get(reader, 1) == 11
+        tracer.finish()
+        # The refresh-and-retry happens inside the one logical lookup.
+        assert tree.stats.stale_refreshes > stale_before
+        assert tree.stats.lookups == lookups_before + 1
+        assert len(tracer.spans_by_label("httree.get")) == 1
 
     def test_notify_mode_invalidates_eagerly(self, cluster):
         tree = make_tree(cluster, bucket_count=8, max_chain=3, cache_mode="notify")

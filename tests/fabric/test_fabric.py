@@ -68,8 +68,8 @@ class TestRouting:
         assert fabric.node_of(0) == 0
         assert fabric.node_of(NODE_SIZE) == 1
 
-    def test_default_construction(self):
-        f = Fabric(node_count=3, node_size=NODE_SIZE)
+    def test_nodes_follow_the_placement(self):
+        f = Fabric(RangePlacement(node_count=3, node_size=NODE_SIZE))
         assert len(f.nodes) == 3
         assert f.total_size == 3 * NODE_SIZE
 

@@ -72,15 +72,13 @@ class TestProfiler:
             watcher.poll_notifications()
         assert profiler.row("wait").notifications == 1
 
-    def test_render_and_reset(self, cluster):
+    def test_render(self, cluster):
         client = cluster.client()
         profiler = Profiler()
         with profiler.measure(client, "noop"):
             pass
         text = profiler.render()
         assert "noop" in text and "far/op" in text
-        profiler.reset()
-        assert profiler.rows == {}
 
     def test_empty_row(self):
         row = Profiler().row("ghost")

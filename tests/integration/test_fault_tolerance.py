@@ -15,6 +15,7 @@ queue enqueue/dequeue, and replicated reads. The contract under chaos:
 
 from __future__ import annotations
 
+import dataclasses
 
 from repro import Cluster
 from repro.fabric import FaultPlan, RetryPolicy
@@ -94,7 +95,7 @@ class TestChaosWorkload:
             "outcomes": outcomes,
             "dequeued": dequeued,
             "faults_injected": injector.stats.faults_injected,
-            "injector": injector.stats.as_dict(),
+            "injector": dataclasses.asdict(injector.stats),
             "retries": c.metrics.retries,
             "timeouts": c.metrics.timeouts,
             "backoff_ns": c.metrics.backoff_ns,

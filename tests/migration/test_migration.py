@@ -225,8 +225,6 @@ class TestCoordinatorConfig:
         cluster = small_cluster()
         with pytest.raises(ValueError):
             MigrationCoordinator(cluster.fabric, chunk_bytes=100)
-        with pytest.raises(ValueError):
-            MigrationCoordinator(cluster.fabric, chunks_per_round=0)
 
     def test_predicted_accesses_scale_with_chunking(self):
         cluster = small_cluster()

@@ -132,15 +132,6 @@ class TestHistogramSet:
         assert hists.labels() == ["a", "b", "c"]
         assert [label for label, _ in hists.items()] == ["a", "b", "c"]
 
-    def test_merge(self):
-        a, b = HistogramSet(), HistogramSet()
-        a.record("read", 100)
-        b.record("read", 1000)
-        b.record("cas", 1000)
-        a.merge(b)
-        assert a.get("read").count == 2
-        assert a.get("cas").count == 1
-
     def test_render_one_row_per_label(self):
         hists = HistogramSet()
         hists.record("read", 1000)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Cluster, IndirectionPolicy
-from repro.fabric import InterleavedPlacement, RangePlacement
+from repro.fabric import CostModel, InterleavedPlacement, RangePlacement
 
 NODE_SIZE = 8 << 20
 
@@ -28,6 +28,14 @@ class TestConstruction:
             indirection_policy=IndirectionPolicy.ERROR,
         )
         assert cluster.fabric.indirection_policy is IndirectionPolicy.ERROR
+
+    def test_latencies_are_the_papers_constants(self):
+        # Section 3.1's latencies are constants, not a constructor option.
+        with pytest.raises(TypeError):
+            Cluster(node_count=1, node_size=NODE_SIZE, cost_model=CostModel())
+        model = Cluster(node_count=1, node_size=NODE_SIZE).client().cost_model
+        assert model.far_ns == 1_000.0
+        assert model.near_ns == 100.0
 
     def test_notifications_attached(self):
         cluster = Cluster(node_count=1, node_size=NODE_SIZE)
