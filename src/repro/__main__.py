@@ -187,19 +187,20 @@ def _trace(args: argparse.Namespace) -> int:
 
 class _TopTicker:
     """Registry listener that prints a ``repro top`` frame every
-    ``every`` fleet-window advances (simulated time, so frame cadence is
+    ``EVERY`` fleet-window advances (simulated time, so frame cadence is
     deterministic)."""
 
-    def __init__(self, monitor: SLOMonitor, every: int) -> None:
+    EVERY = 100
+
+    def __init__(self, monitor: SLOMonitor) -> None:
         self.monitor = monitor
-        self.every = every
         self._last_frame_window: Optional[int] = None
 
     def on_window_advance(self, registry, client, ts_ns) -> None:
         window = registry.current_window
         if (
             self._last_frame_window is not None
-            and window - self._last_frame_window < self.every
+            and window - self._last_frame_window < self.EVERY
         ):
             return
         self._last_frame_window = window
@@ -208,19 +209,20 @@ class _TopTicker:
 
 
 def _run_with_telemetry(
-    target: str, window_ns: int, ticker_every: int = 0
+    target: str, frames: bool = False
 ) -> tuple[str, TelemetryRegistry, SLOMonitor]:
-    """Run an example under a tracer + telemetry registry + SLO monitor.
+    """Run an example under a tracer + telemetry registry (1 ms windows) +
+    SLO monitor, printing periodic ``top`` frames when ``frames`` is set.
 
     The registry is a sink on the default tracer, which every client the
     script creates auto-attaches to. Observation stays free of observer
     effects: counts and clocks are bit-identical either way.
     """
     tracer = Tracer()
-    registry = TelemetryRegistry(window_ns=window_ns).observe(tracer)
+    registry = TelemetryRegistry().observe(tracer)
     monitor = SLOMonitor(registry)
-    if ticker_every > 0:
-        registry.add_listener(_TopTicker(monitor, ticker_every))
+    if frames:
+        registry.add_listener(_TopTicker(monitor))
     path = _run_example(target, tracer=tracer)
     for client in tracer.clients():
         registry.sample_client(client)
@@ -245,7 +247,7 @@ def _alert_gate(monitor: SLOMonitor, expect: bool, forbid: bool) -> int:
 
 
 def _stats(args: argparse.Namespace) -> int:
-    path, registry, monitor = _run_with_telemetry(args.target, args.window_ns)
+    path, registry, monitor = _run_with_telemetry(args.target)
     print(f"\n-- live telemetry of {path} --")
     print(render_top(registry, monitor))
     out_dir = args.out
@@ -264,9 +266,7 @@ def _stats(args: argparse.Namespace) -> int:
 
 
 def _top(args: argparse.Namespace) -> int:
-    path, registry, monitor = _run_with_telemetry(
-        args.target, args.window_ns, 0 if args.once else args.refresh
-    )
+    path, registry, monitor = _run_with_telemetry(args.target, frames=not args.once)
     print(f"\n-- final frame ({path}) --")
     print(render_top(registry, monitor))
     return 0
@@ -407,7 +407,7 @@ def _check(args: argparse.Namespace) -> int:
 
     cert = _cost_certificate([])
     cost_failures = fmcost.certificate_failures(cert)
-    baseline_path = args.baseline or _default_baseline_path()
+    baseline_path = _default_baseline_path()
     cost_diffs = _baseline_diffs(cert, baseline_path)
     if cost_diffs is None:
         cost_diffs = [f"missing baseline {baseline_path}"]
@@ -466,8 +466,6 @@ def _check(args: argparse.Namespace) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote combined report to {args.report}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
     print(f"check: {'OK' if ok else 'FAILED'}")
     return 0 if ok else 1
 
@@ -475,17 +473,18 @@ def _check(args: argparse.Namespace) -> int:
 def _races(args: argparse.Namespace) -> int:
     from repro.analysis.races import detect_races_in_file
 
-    report = detect_races_in_file(args.trace_jsonl)
+    try:
+        report = detect_races_in_file(args.trace_jsonl)
+    except ValueError as err:
+        print(f"{args.trace_jsonl}: unreadable trace ({err})")
+        return 2
     print(report.format())
     return 1 if report.errors else 0
 
 
 def _topology(args: argparse.Namespace) -> int:
     nodes = args.nodes
-    max_extents = 1 << 30 if args.all else 32
-    cluster = Cluster(
-        node_count=nodes, node_size=args.node_size, extent_size=args.extent_size
-    )
+    cluster = Cluster(node_count=nodes, node_size=4 << 20)
     if args.demo:
         # Make the dump show the machinery: heat, elastic growth, a live
         # migration's remap + epoch bump, and a drained node.
@@ -528,7 +527,7 @@ def _topology(args: argparse.Namespace) -> int:
             or row["state"] != "active"
             or row["replica_groups"]
         )
-        if shown >= max_extents and not interesting:
+        if shown >= 32 and not interesting:  # past 32 rows, only the interesting ones
             continue
         flag = "*" if row["remapped"] else " "
         groups = ",".join(row["replica_groups"])
@@ -540,7 +539,7 @@ def _topology(args: argparse.Namespace) -> int:
         shown += 1
     hidden = len(dump["extents"]) - shown
     if hidden > 0:
-        print(f"... {hidden} cold unremapped extent(s) elided (--all to show)")
+        print(f"... {hidden} cold unremapped extent(s) elided (--json prints every row)")
     return 0
 
 
@@ -550,7 +549,10 @@ def _validate(args: argparse.Namespace) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             problems = validate_jsonl(fh)
     else:
-        problems = validate_chrome_trace(load_chrome_trace(path))
+        try:
+            problems = validate_chrome_trace(load_chrome_trace(path))
+        except ValueError:
+            problems = ["not a JSON document"]
     if problems:
         print(f"{path}: INVALID ({len(problems)} problems)")
         for problem in problems[:20]:
@@ -663,15 +665,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="also run EXAMPLE under the budget sanitizer (repeatable)",
     )
     check_parser.add_argument(
-        "--baseline",
-        default=None,
-        help="cost baseline path (default: analysis/cost_baseline.json)",
-    )
-    check_parser.add_argument(
         "--report", default=None, help="write the combined JSON report here"
-    )
-    check_parser.add_argument(
-        "--json", action="store_true", help="print the combined report as JSON"
     )
     races_parser = sub.add_parser(
         "races",
@@ -688,26 +682,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--nodes", type=int, default=2, help="memory node count (default: 2)"
     )
     topology_parser.add_argument(
-        "--node-size",
-        type=int,
-        default=4 << 20,
-        help="bytes per node (default: 4 MiB)",
-    )
-    topology_parser.add_argument(
-        "--extent-size", type=int, default=None, help="extent size override"
-    )
-    topology_parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON dump"
     )
     topology_parser.add_argument(
         "--demo",
         action="store_true",
         help="exercise add_node/migrate/drain first, so the dump shows remaps",
-    )
-    topology_parser.add_argument(
-        "--all",
-        action="store_true",
-        help="show every extent row (default: elide cold unremapped ones)",
     )
     stats_parser = sub.add_parser(
         "stats",
@@ -721,12 +701,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out",
         default=None,
         help="also write <name>.prom + <name>.metrics.jsonl snapshots here",
-    )
-    stats_parser.add_argument(
-        "--window-ns",
-        type=int,
-        default=1_000_000,
-        help="telemetry window in simulated ns (default: 1ms)",
     )
     stats_parser.add_argument(
         "--expect-alerts",
@@ -747,21 +721,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "target", help="example name (e.g. quickstart) or script path"
     )
     top_parser.add_argument(
-        "--window-ns",
-        type=int,
-        default=1_000_000,
-        help="telemetry window in simulated ns (default: 1ms)",
-    )
-    top_parser.add_argument(
         "--once",
         action="store_true",
         help="print only the final frame (no periodic frames)",
-    )
-    top_parser.add_argument(
-        "--refresh",
-        type=int,
-        default=100,
-        help="windows between periodic frames (default: 100)",
     )
 
     args = parser.parse_args(argv)

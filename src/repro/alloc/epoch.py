@@ -19,6 +19,7 @@ reclamation bookkeeping — only the eventual ``allocator.free``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,8 +33,6 @@ class ReclaimStats:
 
     retired: int = 0
     reclaimed: int = 0
-    retired_bytes: int = 0
-    reclaimed_bytes: int = 0
 
     @property
     def pending(self) -> int:
@@ -44,7 +43,6 @@ class ReclaimStats:
 @dataclass
 class _Retired:
     address: int
-    size: int
     epoch: int
 
 
@@ -90,7 +88,7 @@ class EpochReclaimer:
         self._participants[pid] = self._epoch
         if all(done >= self._epoch for done in self._participants.values()):
             self._epoch += 1
-        self._try_reclaim()
+        self._try_reclaim(self._safe_before())
         return self._epoch
 
     # ------------------------------------------------------------------
@@ -99,11 +97,10 @@ class EpochReclaimer:
 
     def retire(self, address: int) -> None:
         """Schedule a live allocation for freeing once safe."""
-        size = self.allocator.size_of(address)  # validates liveness
-        self._retired.append(_Retired(address=address, size=size, epoch=self._epoch))
+        self.allocator.size_of(address)  # validates liveness
+        self._retired.append(_Retired(address=address, epoch=self._epoch))
         self.stats.retired += 1
-        self.stats.retired_bytes += size
-        self._try_reclaim()
+        self._try_reclaim(self._safe_before())
 
     def _safe_before(self) -> int:
         """Blocks retired strictly before this epoch are reclaimable."""
@@ -111,28 +108,20 @@ class EpochReclaimer:
             return self._epoch + 1  # nobody can hold references
         return min(self._participants.values())
 
-    def _try_reclaim(self) -> int:
-        horizon = self._safe_before()
+    def _try_reclaim(self, horizon: float = math.inf) -> int:
+        """Free the retired blocks, oldest first, that died before
+        ``horizon`` (all of them when there is none)."""
         freed = 0
         while self._retired and self._retired[0].epoch < horizon:
-            block = self._retired.popleft()
-            self.allocator.free(block.address)
+            self.allocator.free(self._retired.popleft().address)
             self.stats.reclaimed += 1
-            self.stats.reclaimed_bytes += block.size
             freed += 1
         return freed
 
     def drain(self) -> int:
         """Force-reclaim everything (only when provably quiescent, e.g.
         at shutdown). Returns the number of blocks freed."""
-        freed = 0
-        while self._retired:
-            block = self._retired.popleft()
-            self.allocator.free(block.address)
-            self.stats.reclaimed += 1
-            self.stats.reclaimed_bytes += block.size
-            freed += 1
-        return freed
+        return self._try_reclaim()
 
     def __repr__(self) -> str:
         return (

@@ -88,7 +88,6 @@ class OpRecord:
     calls: int = 0
     fast_hits: int = 0
     max_delta: int = 0
-    total_far: int = 0
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -138,7 +137,6 @@ class BudgetSanitizer:
         if record is None:
             record = self.records[key] = OpRecord(budget=budget)
         record.calls += 1
-        record.total_far += delta_far
         record.max_delta = max(record.max_delta, delta_far)
         if budget.fast is not None and delta_far <= budget.fast:
             record.fast_hits += 1

@@ -345,13 +345,17 @@ def detect_races(records: Iterable[dict]) -> RaceReport:
 
 
 def detect_races_in_file(path: str) -> RaceReport:
-    """Run the detector over a ``.trace.jsonl`` export."""
+    """Run the detector over a ``.trace.jsonl`` export; raises
+    ``ValueError`` naming the first line that is not JSON."""
 
     def _iter() -> Iterable[dict]:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for number, raw in enumerate(fh, start=1):
                 raw = raw.strip()
                 if raw:
-                    yield json.loads(raw)
+                    try:
+                        yield json.loads(raw)
+                    except json.JSONDecodeError:
+                        raise ValueError(f"line {number}: not JSON") from None
 
     return detect_races(_iter())

@@ -86,7 +86,6 @@ class NaiveConsumer:
     client: Client
     levels: tuple[AlarmLevel, ...] = DEFAULT_LEVELS
     cursor: int = 0
-    samples_read: int = 0
     alarms: list[Alarm] = field(default_factory=list)
     _events: dict[str, int] = field(default_factory=dict)
     _raised: set[str] = field(default_factory=set)
@@ -112,7 +111,6 @@ class NaiveConsumer:
         for future in futures:
             sample = future.result()
             self.cursor += 1
-            self.samples_read += 1
             new_alarms.extend(self._inspect(sample))
         return new_alarms
 

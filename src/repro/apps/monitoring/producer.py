@@ -21,20 +21,16 @@ class MetricProducer:
 
     ring: WindowedHistogramRing
     client: Client
-    samples_produced: int = 0
-    windows_closed: int = 0
     _in_window: int = field(default=0, repr=False)
 
     def record(self, sample_bin: int) -> None:
         """Record one sample: one far access."""
         self.ring.histogram.record(self.client, int(sample_bin))
-        self.samples_produced += 1
         self._in_window += 1
 
     def close_window(self) -> None:
         """Rotate to a fresh window (two far accesses; notifies consumers)."""
         self.ring.advance(self.client)
-        self.windows_closed += 1
         self._in_window = 0
 
     def run(self, samples: Iterable[int], *, samples_per_window: int | None = None) -> None:

@@ -28,7 +28,6 @@ class WindowedHistogramRing:
     histogram: FarHistogram
     storages: list[int]
     current: int = 0
-    windows_completed: int = 0
     _bins: int = field(default=0, repr=False)
 
     @classmethod
@@ -74,7 +73,6 @@ class WindowedHistogramRing:
         client.fence()  # the fresh window must be zeroed before it goes live
         self.histogram.vector.swap_base(client, region)
         self.current = next_index
-        self.windows_completed += 1
         return region
 
     def previous_storages(self, count: int) -> list[int]:

@@ -158,7 +158,6 @@ class Coordinator:
     client: Client
     learning_rate: float = 0.05
     _local: np.ndarray = field(default=None)  # type: ignore[assignment]
-    updates_applied: int = 0
 
     def __post_init__(self) -> None:
         if self._local is None:
@@ -173,7 +172,6 @@ class Coordinator:
             updates[index] = float_to_word(float(self._local[index]))
         if updates:
             self.params.set_many(self.client, updates)
-            self.updates_applied += 1
 
     def apply_many(self, gradients: "list[dict[int, float]]") -> None:
         """Apply a batch of gradients in arrival order, publishing the
@@ -183,18 +181,12 @@ class Coordinator:
         :meth:`apply` called per gradient — only each coordinate's
         intermediate values are skipped on the wire."""
         updates: dict[int, int] = {}
-        applied = 0
         for gradient in gradients:
-            touched = False
             for index, g in gradient.items():
                 self._local[index] -= self.learning_rate * g
                 updates[index] = float_to_word(float(self._local[index]))
-                touched = True
-            if touched:
-                applied += 1
         if updates:
             self.params.set_many(self.client, updates)
-            self.updates_applied += applied
 
     def weights(self) -> np.ndarray:
         """The coordinator's authoritative weight view (near memory)."""
@@ -205,7 +197,6 @@ class Coordinator:
 class Worker:
     """One trainer: private shard, cached parameters, bounded staleness."""
 
-    worker_id: int
     params: RefreshableVector
     client: Client
     shard: list[SparseExample]
@@ -245,9 +236,7 @@ class TrainingReport:
     """Outcome of one :func:`run_training` call."""
 
     losses: list[float]
-    rounds: int
     worker_refreshes: int
-    coordinator_updates: int
 
     def converged(self, threshold: float = 0.5) -> bool:
         """True if the final loss dropped below ``threshold`` times the
@@ -283,7 +272,6 @@ def run_training(
     shards = [data[i::workers] for i in range(workers)]
     team = [
         Worker(
-            worker_id=i,
             params=params,
             client=cluster.client(f"worker-{i}"),
             shard=shards[i],
@@ -309,7 +297,5 @@ def run_training(
         losses.append(loss(coordinator.weights()))
     return TrainingReport(
         losses=losses,
-        rounds=rounds,
         worker_refreshes=sum(w.refreshes for w in team),
-        coordinator_updates=coordinator.updates_applied,
     )

@@ -35,7 +35,6 @@ class AddrCacheStats:
 
     lookups: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
     invalidations: int = 0
 
 
@@ -63,7 +62,6 @@ class AddressCachingHashMap:
             # Record moved or deleted under us: drop and re-walk.
             self.stats.invalidations += 1
             del cache[key]
-        self.stats.cache_misses += 1
         found = self.table.find_address(client, key)
         if found is None:
             return None

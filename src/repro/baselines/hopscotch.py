@@ -44,15 +44,9 @@ class HopscotchStats:
     """Event counts (bandwidth shows up in client metrics bytes_read)."""
 
     lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-    inserts: int = 0
     updates: int = 0
-    deletes: int = 0
-    probes: int = 0
     displacements: int = 0
     resizes: int = 0
-    resize_bytes_moved: int = 0
 
 
 class HopscotchHashMap:
@@ -116,9 +110,7 @@ class HopscotchHashMap:
         home = self._home(key)
         for k, v in self._read_neighborhood(client, home):
             if k == key:
-                self.stats.hits += 1
                 return v
-        self.stats.misses += 1
         return None
 
     def put(self, client: Client, key: int, value: int) -> None:
@@ -145,7 +137,6 @@ class HopscotchHashMap:
             self.put(client, key, value)
             return
         client.write(self._slot_address(free), SLOT.pack(key, value))
-        self.stats.inserts += 1
         self._item_count += 1
 
     def _resize(self, client: Client) -> None:
@@ -166,7 +157,6 @@ class HopscotchHashMap:
         client.write(new_base, b"".join(SLOT.pack(k, v) for k, v in image))
         self.base = new_base
         self.stats.resizes += 1
-        self.stats.resize_bytes_moved += old_bytes + new_count * SLOT.size
 
     def _rebuild_image(
         self, live: list[tuple[int, int]], new_count: int
@@ -194,7 +184,6 @@ class HopscotchHashMap:
                 return (home + offset) % self.slot_count
         index = home + self.neighborhood
         for _ in range(self.slot_count):
-            self.stats.probes += 1
             k = decode_u64(client.read(self._slot_address(index), WORD))
             if k == EMPTY_KEY:
                 return index % self.slot_count
@@ -241,7 +230,6 @@ class HopscotchHashMap:
         for offset, (k, _) in enumerate(slots):
             if k == key:
                 client.write(self._slot_address(home + offset), EMPTY_SLOT)
-                self.stats.deletes += 1
                 self._item_count -= 1
                 return True
         return False

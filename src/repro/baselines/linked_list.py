@@ -26,10 +26,6 @@ class LinkedListStats:
     """Traversal accounting."""
 
     lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-    hops: int = 0
-    pushes: int = 0
     cas_retries: int = 0
 
 
@@ -64,7 +60,6 @@ class FarLinkedList:
             self.stats.cas_retries += 1
             old_head = observed
             client.write_u64(record + RECORD.offset["next"], old_head)
-        self.stats.pushes += 1
         self._item_count += 1
 
     def get(self, client: Client, key: int) -> Optional[int]:
@@ -73,11 +68,8 @@ class FarLinkedList:
         addr = client.read_u64(self.head)
         while addr != 0:
             stored_key, value, addr = RECORD.unpack(client.read(addr, RECORD.size))
-            self.stats.hops += 1
             if stored_key == key:
-                self.stats.hits += 1
                 return value
-        self.stats.misses += 1
         return None
 
     def items(self, client: Client) -> Iterator[tuple[int, int]]:

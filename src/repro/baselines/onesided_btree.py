@@ -45,10 +45,8 @@ class BTreeStats:
     """Traversal accounting for the baseline."""
 
     lookups: int = 0
-    inserts: int = 0
     updates: int = 0
     node_reads: int = 0
-    node_writes: int = 0
     splits: int = 0
     cache_hits: int = 0
 
@@ -153,7 +151,6 @@ class OneSidedBTree:
 
     def _write_node(self, client: Client, address: int, node: _BNode) -> None:
         client.write(address, self._encode(node))
-        self.stats.node_writes += 1
         cache = self._cache(client)
         if address in cache:
             cache[address] = node
@@ -256,7 +253,6 @@ class OneSidedBTree:
             node.keys.insert(index, key)
             node.values.insert(index, value)
             self._write_node(client, address, node)
-            self.stats.inserts += 1
             self._item_count += 1
             return
         child_addr = node.children[index]

@@ -37,11 +37,7 @@ class OneSidedHashStats:
     """Event counts for the strawman (far accesses are in client metrics)."""
 
     lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-    inserts: int = 0
     updates: int = 0
-    deletes: int = 0
     chain_hops: int = 0
     cas_retries: int = 0
 
@@ -82,11 +78,9 @@ class OneSidedHashMap:
         while addr != 0:
             k, v, nxt = NODE.unpack(client.read(addr, NODE.size))  # +1 each
             if k == key:
-                self.stats.hits += 1
                 return v
             self.stats.chain_hops += 1
             addr = nxt
-        self.stats.misses += 1
         return None
 
     def find_address(self, client: Client, key: int) -> Optional[int]:
@@ -126,7 +120,6 @@ class OneSidedHashMap:
             self.stats.cas_retries += 1
             next_ptr = old
             client.write_u64(record + NODE.offset["next"], next_ptr)
-        self.stats.inserts += 1
         self._item_count += 1
 
     def delete(self, client: Client, key: int) -> bool:
@@ -144,7 +137,6 @@ class OneSidedHashMap:
                 self.stats.cas_retries += 1
                 return self.delete(client, key)
             self._tombstone(client, head)
-            self.stats.deletes += 1
             self._item_count -= 1
             return True
         prev = head
@@ -155,7 +147,6 @@ class OneSidedHashMap:
             if k == key:
                 client.write_u64(prev + NODE.offset["next"], nxt)
                 self._tombstone(client, addr)
-                self.stats.deletes += 1
                 self._item_count -= 1
                 return True
             prev = addr

@@ -34,10 +34,7 @@ class SkipListStats:
     """Traversal accounting."""
 
     lookups: int = 0
-    hits: int = 0
-    misses: int = 0
     node_reads: int = 0
-    inserts: int = 0
     updates: int = 0
 
 
@@ -95,11 +92,9 @@ class FarSkipList:
                 if k < key:
                     current_nexts = nexts
                 elif k == key:
-                    self.stats.hits += 1
                     return v
                 else:
                     break
-        self.stats.misses += 1
         return None
 
     def put(self, client: Client, key: int, value: int) -> None:
@@ -159,7 +154,6 @@ class FarSkipList:
             )
             # fmlint: disable=FM001 (bottom-up link order is load-bearing)
             client.write_u64(slot, node)
-        self.stats.inserts += 1
         self._item_count += 1
 
     def __len__(self) -> int:

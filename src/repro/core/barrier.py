@@ -14,7 +14,7 @@ value has fired the notifications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..alloc import FarAllocator, PlacementHint
@@ -46,7 +46,6 @@ class FarBarrier:
     participants: int
     manager: NotificationManager
     generation: int = 0
-    _arrived_this_gen: int = field(default=0, repr=False)
 
     @classmethod
     def create(
@@ -78,11 +77,8 @@ class FarBarrier:
                 f"barrier over-arrival: counter was {old} with "
                 f"{self.participants} participants"
             )
-        self._arrived_this_gen += 1
         if old == 1:
-            ticket = ArrivalTicket(is_last=True, generation=self.generation)
-            self._arrived_this_gen = 0
-            return ticket
+            return ArrivalTicket(is_last=True, generation=self.generation)
         sub = (
             self.manager.notifye(client, self.address, 0) if subscribe else None
         )

@@ -8,7 +8,7 @@ indirection: the HT-tree maps a key to the address of a *blob region*
 Costs (warm tree cache):
 
 * ``get`` — tree lookup (1) + blob read (1) = **2 far accesses** for blobs
-  up to ``inline_hint`` bytes; one extra read for larger blobs (the first
+  up to ``INLINE`` (248) bytes; one extra read for larger blobs (the first
   read learns the length).
 * ``put`` — blob write (1) + tree upsert (2-3) + replaced-region lookup.
 * ``delete`` — tree ops + region retirement (via the epoch reclaimer when
@@ -23,10 +23,12 @@ from typing import Optional
 from ..alloc import FarAllocator, PlacementHint
 from ..alloc.epoch import EpochReclaimer
 from ..fabric.client import Client
-from ..fabric.wire import WORD, Layout
+from ..fabric.wire import Layout
 from .ht_tree import HTTree
 
 BLOB = Layout("length")  # then ``length`` payload bytes
+#: Payload bytes the first read of a blob fetches with its length word.
+INLINE = 248
 
 
 def pack_blob(data: bytes) -> bytes:
@@ -37,13 +39,9 @@ def pack_blob(data: bytes) -> bytes:
 
 @dataclass
 class BlobStats:
-    """Operation + byte-flow accounting."""
+    """Overflow-read accounting."""
 
-    puts: int = 0
-    gets: int = 0
-    deletes: int = 0
     overflow_reads: int = 0
-    bytes_stored: int = 0
 
 
 @dataclass
@@ -52,7 +50,6 @@ class FarBlobStore:
 
     index: HTTree
     allocator: FarAllocator
-    inline_hint: int = 248
     reclaimer: Optional[EpochReclaimer] = None
     stats: BlobStats = field(default_factory=BlobStats)
 
@@ -62,18 +59,10 @@ class FarBlobStore:
         allocator: FarAllocator,
         index: HTTree,
         *,
-        inline_hint: int = 248,
         reclaimer: Optional[EpochReclaimer] = None,
     ) -> "FarBlobStore":
         """Build a store over an (empty or shared) HT-tree index."""
-        if inline_hint < WORD:
-            raise ValueError("inline_hint must be at least one word")
-        return cls(
-            index=index,
-            allocator=allocator,
-            inline_hint=inline_hint,
-            reclaimer=reclaimer,
-        )
+        return cls(index=index, allocator=allocator, reclaimer=reclaimer)
 
     def _retire(self, region: int) -> None:
         if self.reclaimer is not None:
@@ -95,24 +84,19 @@ class FarBlobStore:
         self.index.put(client, key, region)
         if old_region is not None:
             self._retire(old_region)
-        self.stats.puts += 1
-        self.stats.bytes_stored += len(data)
 
     def get(self, client: Client, key: int) -> Optional[bytes]:
         """Fetch the blob for ``key``, or None."""
         region = self.index.get(client, key)
         if region is None:
             return None
-        self.stats.gets += 1
-        first = client.read(region, BLOB.size + self.inline_hint)
+        first = client.read(region, BLOB.size + INLINE)
         (length,) = BLOB.unpack_from(first)
-        if length <= self.inline_hint:
+        if length <= INLINE:
             return first[BLOB.size : BLOB.size + length]
         # Large blob: one more read for the tail the hint missed.
         self.stats.overflow_reads += 1
-        rest = client.read(
-            region + BLOB.size + self.inline_hint, length - self.inline_hint
-        )
+        rest = client.read(region + BLOB.size + INLINE, length - INLINE)
         return first[BLOB.size :] + rest
 
     def multiget(
@@ -127,14 +111,11 @@ class FarBlobStore:
         for i, region in enumerate(regions):
             if region is None:
                 continue
-            self.stats.gets += 1
             firsts.append(
                 (
                     i,
                     region,
-                    client.submit(
-                        "read", region, BLOB.size + self.inline_hint, signaled=False
-                    ),
+                    client.submit("read", region, BLOB.size + INLINE, signaled=False),
                 )
             )
         out: "list[Optional[bytes]]" = [None] * len(keys)
@@ -142,7 +123,7 @@ class FarBlobStore:
         for i, region, future in firsts:
             first = future.result()
             (length,) = BLOB.unpack_from(first)
-            if length <= self.inline_hint:
+            if length <= INLINE:
                 out[i] = first[BLOB.size : BLOB.size + length]
             else:
                 self.stats.overflow_reads += 1
@@ -152,8 +133,8 @@ class FarBlobStore:
                         first,
                         client.submit(
                             "read",
-                            region + BLOB.size + self.inline_hint,
-                            length - self.inline_hint,
+                            region + BLOB.size + INLINE,
+                            length - INLINE,
                             signaled=False,
                         ),
                     )
@@ -189,8 +170,6 @@ class FarBlobStore:
         for old_region in old_regions:
             if old_region is not None:
                 self._retire(old_region)
-        self.stats.puts += len(items)
-        self.stats.bytes_stored += sum(len(data) for _, data in items)
 
     def length(self, client: Client, key: int) -> Optional[int]:
         """Size of the stored blob (2 far accesses), or None."""
@@ -206,5 +185,4 @@ class FarBlobStore:
             return False
         self.index.delete(client, key)
         self._retire(region)
-        self.stats.deletes += 1
         return True

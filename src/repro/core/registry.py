@@ -65,12 +65,9 @@ def name_hash(name: str) -> int:
 
 @dataclass
 class RegistryStats:
-    """Probe-depth and lifecycle accounting."""
+    """Lookup accounting."""
 
-    registrations: int = 0
     lookups: int = 0
-    probes: int = 0
-    unregistrations: int = 0
 
 
 @dataclass
@@ -132,7 +129,6 @@ class FarRegistry:
             # until FREE (end of chain) or the name itself.
             claim: Optional[tuple[int, int]] = None  # (entry addr, old value)
             for i in range(self.capacity):
-                self.stats.probes += 1
                 entry = self._entry_addr(h + i)
                 current = client.read_u64(entry)
                 if current == h:
@@ -153,7 +149,6 @@ class FarRegistry:
                 [(entry + ENTRY.offset["kind"], WORD), (entry + ENTRY.offset["blob"], WORD)],
                 pack_words((kind, blob)),
             )
-            self.stats.registrations += 1
             return
 
     def lookup(self, client: Client, name: str) -> Optional[tuple[int, bytes]]:
@@ -164,7 +159,6 @@ class FarRegistry:
         self.stats.lookups += 1
         h = name_hash(name)
         for i in range(self.capacity):
-            self.stats.probes += 1
             entry = self._entry_addr(h + i)
             current, kind, blob = ENTRY.unpack(client.read(entry, ENTRY.size))
             if current == FREE:
@@ -192,7 +186,6 @@ class FarRegistry:
             client.write_u64(entry + ENTRY.offset["kind"], 0)
             client.fence()
             client.write_u64(entry, TOMBSTONE)
-            self.stats.unregistrations += 1
             return True
         return False
 

@@ -33,12 +33,8 @@ READER_UNIT = 2
 
 @dataclass
 class RWLockStats:
-    """Contention accounting."""
+    """Release accounting."""
 
-    read_acquires: int = 0
-    write_acquires: int = 0
-    read_blocked: int = 0
-    write_blocked: int = 0
     releases: int = 0
 
 
@@ -73,9 +69,7 @@ class FarRWLock:
         old = client.faa(self.address, READER_UNIT)
         if old & WRITER_BIT:
             client.faa(self.address, -READER_UNIT)  # back out
-            self.stats.read_blocked += 1
             return False
-        self.stats.read_acquires += 1
         return True
 
     def release_read(self, client: Client) -> None:
@@ -93,10 +87,6 @@ class FarRWLock:
     def try_acquire_write(self, client: Client) -> bool:
         """Writer entry: one CAS from the all-clear state."""
         _, ok = client.cas(self.address, 0, WRITER_BIT)
-        if ok:
-            self.stats.write_acquires += 1
-        else:
-            self.stats.write_blocked += 1
         return ok
 
     def release_write(self, client: Client) -> None:

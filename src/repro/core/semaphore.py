@@ -27,7 +27,6 @@ class SemaphoreStats:
 
     acquires: int = 0
     releases: int = 0
-    blocked: int = 0
 
 
 @dataclass
@@ -60,7 +59,6 @@ class FarSemaphore:
         old = to_signed(client.faa(self.address, -1))
         if old <= 0:
             client.faa(self.address, 1)  # back out
-            self.stats.blocked += 1
             return False
         self.stats.acquires += 1
         return True

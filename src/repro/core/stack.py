@@ -32,10 +32,8 @@ NODE = Layout("value next")
 
 @dataclass
 class StackStats:
-    """Operation counts and contention retries."""
+    """Empty pops and contention retries."""
 
-    pushes: int = 0
-    pops: int = 0
     empty_pops: int = 0
     cas_retries: int = 0
 
@@ -82,7 +80,6 @@ class FarStack:
             self.stats.cas_retries += 1
             observed = old
             client.write_u64(node + NODE.offset["next"], observed)
-        self.stats.pushes += 1
         self._size += 1
 
     def pop(self, client: Client) -> Optional[int]:
@@ -99,7 +96,6 @@ class FarStack:
             if ok:
                 if self.reclaimer is not None:
                     self.reclaimer.retire(node)
-                self.stats.pops += 1
                 self._size -= 1
                 return value
             self.stats.cas_retries += 1

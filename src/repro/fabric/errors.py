@@ -109,7 +109,6 @@ class FarCorruptionError(FabricError):
         super().__init__(detail)
         self.node = node
         self.address = address
-        self.payload_len = payload_len
 
 
 class StaleEpochError(FabricError):

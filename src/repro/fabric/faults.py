@@ -314,7 +314,6 @@ class FaultInjector:
         self.seed = seed
         self.rng = random.Random(seed)
         self.rules: list[FaultRule] = list(plan.rules) if plan else []
-        self.enabled = True
         self.stats = FaultStats()
         self.op_index = 0
         self._flaky_until: dict[int, int] = {}  # node -> op index window closes
@@ -344,8 +343,6 @@ class FaultInjector:
         draw per probabilistic rule per access, plus the fired rule's own
         draws) so fault sequences replay exactly.
         """
-        if not self.enabled:
-            return
         # Pending effects from a previous access that never executed (its
         # request was dropped by another rule) die with that request.
         self._pending_corruption = None
@@ -429,5 +426,5 @@ class FaultInjector:
     def __repr__(self) -> str:
         return (
             f"FaultInjector(seed={self.seed}, rules={len(self.rules)}, "
-            f"enabled={self.enabled}, injected={self.stats.faults_injected})"
+            f"injected={self.stats.faults_injected})"
         )

@@ -73,12 +73,10 @@ class ReplicationStats:
     reads: int = 0
     failovers: int = 0
     timeout_failovers: int = 0
-    framed_writes: int = 0
     verified_reads: int = 0
     verify_misses: int = 0
     fence_checks: int = 0
     fence_rejects: int = 0
-    rejoins: int = 0
 
 
 @dataclass
@@ -209,7 +207,6 @@ class ReplicatedRegion:
         if self.coordinator is not None and self.region_id is not None:
             self.replicas = list(self.coordinator.current_replicas(self.region_id))
         self.epoch = current
-        self.stats.rejoins += 1
         return current
 
     def clone_view(self) -> "ReplicatedRegion":
@@ -309,7 +306,6 @@ class ReplicatedRegion:
         # honest count of *completed* writes by this view.
         self._versions[index] = version
         self.stats.writes += 1
-        self.stats.framed_writes += 1
 
     @far_budget(1)
     def read_block(self, client: Client, index: int) -> bytes:

@@ -16,7 +16,7 @@ reading that location").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..fabric.address import page_of
@@ -33,12 +33,9 @@ DESCRIPTOR = Layout("address length value")
 class ManagerStats:
     """Matching statistics (hardware-side view of notification load)."""
 
-    write_events: int = 0
-    pages_checked: int = 0
     matches: int = 0
     notifye_checks: int = 0
     notifye_hits: int = 0
-    per_kind: dict[str, int] = field(default_factory=dict)
 
 
 class NotificationManager:
@@ -133,14 +130,12 @@ class NotificationManager:
         """Match one mutation against the page-indexed subscriptions."""
         if not self._by_page:
             return
-        self.stats.write_events += 1
         first_page = page_of(address)
         last_page = page_of(address + max(length, 1) - 1)
         for page in range(first_page, last_page + 1):
             subs = self._by_page.get(page)
             if not subs:
                 continue
-            self.stats.pages_checked += 1
             for sub in list(subs):
                 if not sub.overlaps(address, length):
                     continue
@@ -181,7 +176,6 @@ class NotificationManager:
                 user_data=sub.user_data,
             )
         self.stats.matches += 1
-        self.stats.per_kind[sub.kind.value] = self.stats.per_kind.get(sub.kind.value, 0) + 1
         self.engine.offer(sub, notification)
 
     def _current_word(self, watch_address: int, write_address: int, new_bytes: bytes) -> int:

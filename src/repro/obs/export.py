@@ -304,7 +304,11 @@ def validate_jsonl(lines: Iterable[str]) -> list[str]:
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            errors.append(f"line {number}: not JSON")
+            continue
         if record.get("type") == "event":
             problem = check_payload(record.get("kind"), record, ENVELOPE)
             if problem:

@@ -49,7 +49,6 @@ class LeaseStats:
 
     attempts: int = 0
     acquires: int = 0
-    renewals: int = 0
     releases: int = 0
     contended: int = 0
     takeovers: int = 0
@@ -166,7 +165,6 @@ class LeasedFarMutex:
             raise MutexError(f"{client.name} renewed a lease it does not hold")
         epoch = client.read_u64(self.epoch_addr)
         client.write_u64(self.address + LOCK.offset["expiry"], epoch + self.ttl_epochs)
-        self.stats.renewals += 1
 
     def release(self, client: Client) -> None:
         """Release (one CAS); raises if this client no longer owns the

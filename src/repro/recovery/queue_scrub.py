@@ -42,7 +42,6 @@ class ScrubReport:
     migrations_completed: int = 0
     orphans_reenqueued: int = 0
     redelivery_possible: bool = False
-    restarts: int = 0
     unrecovered: list[int] = field(default_factory=list)
 
     @property
@@ -92,20 +91,18 @@ class QueueScrubber:
         client's retry budget mid-pass the scrubber simply restarts the
         whole pass — already-completed repairs are no-ops the second time
         — up to ``max_restarts`` times before letting the error
-        propagate. ``ScrubReport.restarts`` records how many passes were
-        abandoned.
+        propagate.
         """
         # One report accumulates across restarted passes: a repair finished
         # before a pass was abandoned is a no-op when re-run, so it is
         # counted exactly once — by the pass that performed it.
         report = ScrubReport()
         last_error: FarTimeoutError | None = None
-        for restart in range(max_restarts + 1):
+        for _ in range(max_restarts + 1):
             try:
                 self._scrub_pass(client, survivors, report)
             except FarTimeoutError as err:
                 last_error = err
-                report.restarts = restart + 1
                 continue
             return report
         assert last_error is not None

@@ -56,13 +56,11 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a package-init import cycle
 class RepairReport:
     """What one :meth:`RepairCoordinator.run` pass did."""
 
-    dead_node: int = -1
     regions_scanned: int = 0
     replicas_rebuilt: int = 0
     blocks_copied: int = 0
     bytes_copied: int = 0
     source_verify_misses: int = 0
-    epochs_bumped: int = 0
     # (region_id, dead_node, spare_node) per rebuilt replica.
     rebuilt: list[tuple[int, int, int]] = field(default_factory=list)
 
@@ -150,7 +148,7 @@ class RepairCoordinator:
         its epoch word and the allocator as they were before it, and
         regions already rebuilt are skipped next time."""
         fabric = self.allocator.fabric
-        report = RepairReport(dead_node=dead_node)
+        report = RepairReport()
         with client.trace("repair.rebuild", dead_node=dead_node):
             for region in self._regions.values():
                 report.regions_scanned += 1
@@ -218,7 +216,6 @@ class RepairCoordinator:
         fabric.extents.annotate_replicas(region.region_id, new_base, region.size)
         region.epoch = old + 1
         report.replicas_rebuilt += 1
-        report.epochs_bumped += 1
         report.rebuilt.append((region.region_id, dead_node, spare_node))
         # The dead copy's address range goes back to the allocator: its
         # metadata is client-side, and the region no longer references it.

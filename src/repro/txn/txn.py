@@ -115,7 +115,6 @@ class _KvWrite:
 
     store: Any
     key: str
-    key_hash: int
     value: bytes
     region: int
     slot: int
@@ -135,7 +134,6 @@ class Transaction:
     client_id: int
     attempt: int = 1
     state: str = "open"
-    abort_reason: Optional[str] = None
     snapshots: dict[int, int] = field(default_factory=dict)
     cell_writes: dict[int, bytes] = field(default_factory=dict)
     kv_puts: dict[tuple[int, int], _KvWrite] = field(default_factory=dict)
@@ -164,7 +162,6 @@ class Transaction:
         self.kv_puts[(store.txn_tag, key_hash)] = _KvWrite(
             store=store,
             key=key,
-            key_hash=key_hash,
             value=value,
             region=region,
             slot=slot,
@@ -402,7 +399,6 @@ class TxnSpace:
         if not txn.is_open:
             return
         txn.state = "aborted"
-        txn.abort_reason = reason
         for write in txn.kv_puts.values():
             write.store.blobs.allocator.free(write.region)
         client.metrics.txn_aborts += 1

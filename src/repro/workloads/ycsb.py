@@ -35,33 +35,21 @@ from .opmix import Op, OperationMix, OpKind, generate
 
 @dataclass(frozen=True)
 class YcsbWorkload:
-    """One named preset."""
+    """One named preset: A update heavy, B read mostly, C read only, D read
+    latest, E short scans, F read-modify-write."""
 
     name: str
     mix: OperationMix
     zipfian: bool
-    description: str
 
 
 _PRESETS = {
-    "A": YcsbWorkload(
-        "A", OperationMix(read=0.5, update=0.5, insert=0.0), True, "update heavy"
-    ),
-    "B": YcsbWorkload(
-        "B", OperationMix(read=0.95, update=0.05, insert=0.0), True, "read mostly"
-    ),
-    "C": YcsbWorkload(
-        "C", OperationMix(read=1.0, update=0.0, insert=0.0), True, "read only"
-    ),
-    "D": YcsbWorkload(
-        "D", OperationMix(read=0.95, update=0.0, insert=0.05), False, "read latest"
-    ),
-    "E": YcsbWorkload(
-        "E", OperationMix(read=0.95, update=0.0, insert=0.05), True, "short scans"
-    ),
-    "F": YcsbWorkload(
-        "F", OperationMix(read=0.5, update=0.5, insert=0.0), True, "read-modify-write"
-    ),
+    "A": YcsbWorkload("A", OperationMix(read=0.5, update=0.5, insert=0.0), True),
+    "B": YcsbWorkload("B", OperationMix(read=0.95, update=0.05, insert=0.0), True),
+    "C": YcsbWorkload("C", OperationMix(read=1.0, update=0.0, insert=0.0), True),
+    "D": YcsbWorkload("D", OperationMix(read=0.95, update=0.0, insert=0.05), False),
+    "E": YcsbWorkload("E", OperationMix(read=0.95, update=0.0, insert=0.05), True),
+    "F": YcsbWorkload("F", OperationMix(read=0.5, update=0.5, insert=0.0), True),
 }
 
 

@@ -148,13 +148,7 @@ class TestWorkerCoordinator:
     def test_worker_reads_cached_params(self, cluster):
         data, _ = make_sparse_dataset(16, 8, seed=8)
         params = cluster.refreshable_vector(16, group_size=4)
-        worker = Worker(
-            worker_id=0,
-            params=params,
-            client=cluster.client(),
-            shard=data,
-            staleness=2,
-        )
+        worker = Worker(params=params, client=cluster.client(), shard=data, staleness=2)
         rng = np.random.default_rng(0)
         gradient = worker.step(rng)
         assert gradient  # produced something

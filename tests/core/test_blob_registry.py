@@ -77,10 +77,6 @@ class TestBlobStore:
         reclaimer.quiesce(pid)
         assert reclaimer.stats.reclaimed == 2
 
-    def test_inline_hint_validated(self, cluster):
-        with pytest.raises(ValueError):
-            FarBlobStore.create(cluster.allocator, cluster.ht_tree(), inline_hint=4)
-
 
 class TestNameHash:
     def test_stable(self):

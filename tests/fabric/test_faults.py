@@ -74,15 +74,13 @@ class TestInjection:
         addr = cluster.allocator.alloc(64)
         setup = raw_client(cluster)
         setup.write_u64(addr, 7)
-        injector = cluster.inject_faults(
-            seed=1, plan=FaultPlan().random_timeouts(1.0)
-        )
+        cluster.inject_faults(seed=1, plan=FaultPlan().random_timeouts(1.0))
         c = raw_client(cluster)
         with pytest.raises(FarTimeoutError):
             c.write_u64(addr, 99)
         with pytest.raises(FarTimeoutError):
             c.faa(addr, 5)
-        injector.enabled = False
+        cluster.fabric.set_fault_injector(None)
         assert c.read_u64(addr) == 7  # untouched by the dropped ops
 
     def test_node_scoped_timeouts(self, cluster):
@@ -288,7 +286,7 @@ class TestTornWrites:
         with pytest.raises(FarTimeoutError) as excinfo:
             c.write(addr, b"\x22" * 64)
         assert excinfo.value.torn
-        injector.enabled = False
+        cluster.fabric.set_fault_injector(None)
         after = c.read(addr, 64)
         assert after != b"\x11" * 64 or after != b"\x22" * 64
         prefix = len(after) - len(after.lstrip(b"\x22"))
@@ -329,11 +327,11 @@ class TestTornWrites:
         setup = raw_client(cluster)
         setup.write(a, b"\x11" * 32)
         setup.write(b, b"\x11" * 32)
-        injector = cluster.inject_faults(seed=4, plan=FaultPlan().torn_at(0))
+        cluster.inject_faults(seed=4, plan=FaultPlan().torn_at(0))
         c = raw_client(cluster)
         with pytest.raises(FarTimeoutError):
             c.wscatter([(a, 32), (b, 32)], b"\x22" * 64)
-        injector.enabled = False
+        cluster.fabric.set_fault_injector(None)
         assert c.read(b, 32) == b"\x11" * 32  # second buffer never reached
 
 
@@ -394,16 +392,6 @@ class TestFiveKindDeterminism:
 
 
 class TestInjectorPlumbing:
-    def test_disabled_injector_is_silent(self, cluster):
-        injector = cluster.inject_faults(
-            seed=1, plan=FaultPlan().random_timeouts(1.0)
-        )
-        injector.enabled = False
-        c = raw_client(cluster)
-        addr = cluster.allocator.alloc(64)
-        c.write_u64(addr, 1)
-        assert injector.stats.checks == 0
-
     def test_detach(self, cluster):
         cluster.inject_faults(seed=1, plan=FaultPlan().random_timeouts(1.0))
         cluster.fabric.set_fault_injector(None)

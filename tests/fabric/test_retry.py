@@ -235,16 +235,14 @@ class TestClientBreaker:
 
     def test_breaker_recovers_after_cooldown(self, cluster):
         addr = cluster.allocator.alloc(64)
-        injector = cluster.inject_faults(
-            seed=1, plan=FaultPlan().random_timeouts(1.0)
-        )
+        cluster.inject_faults(seed=1, plan=FaultPlan().random_timeouts(1.0))
         c = cluster.client(
             retry_policy=RetryPolicy(max_attempts=2),
             breaker_policy=BreakerPolicy(failure_threshold=2, cooldown_ns=5_000.0),
         )
         with pytest.raises(FarTimeoutError):
             c.read_u64(addr)
-        injector.enabled = False  # fabric heals while breaker is open
+        cluster.fabric.set_fault_injector(None)  # fabric heals while breaker is open
         c.touch_local(100)  # let the cooldown elapse on the sim clock
         assert c.read_u64(addr) == 0  # half-open probe succeeds
         assert c.breakers[0].state is BreakerState.CLOSED

@@ -159,7 +159,7 @@ class TestCorruptionCrashSoak:
             plan.random_corruption(
                 corrupt_p, bits=1, span=16, address_range=(base, base + span)
             )
-        injector = cluster.inject_faults(seed=seed, plan=plan)
+        cluster.inject_faults(seed=seed, plan=plan)
 
         # Oracle: per block, the set of payloads a read may legally return.
         # A *failed* write (torn / dead node) is allowed to have landed on
@@ -197,7 +197,7 @@ class TestCorruptionCrashSoak:
                 check_read(index)
 
         # Quiet window: repair the dead node's replicas, faults off.
-        injector.enabled = False
+        cluster.fabric.set_fault_injector(None)
         if dead_node is not None:
             try:
                 report = coordinator.run(c, dead_node)

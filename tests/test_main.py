@@ -72,6 +72,28 @@ def test_validate_rejects_jsonl_off_the_event_table(tmp_path, capsys):
     assert "INVALID (1 problems)" in out and "line 3: timeout: undeclared key" in out
 
 
+def test_validate_reports_malformed_exports(tmp_path, capsys):
+    jsonl = tmp_path / "torn.trace.jsonl"
+    jsonl.write_text('{"type": "meta"}\n{"type": "ev\n')
+    assert main(["validate", str(jsonl)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID (1 problems)" in out and "line 2: not JSON" in out
+
+    chrome = tmp_path / "torn.trace.json"
+    chrome.write_text('{"traceEvents": [{"ph": "B"')
+    assert main(["validate", str(chrome)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID (1 problems)" in out and "not a JSON document" in out
+
+
+def test_races_reports_a_malformed_export(tmp_path, capsys):
+    jsonl = tmp_path / "torn.trace.jsonl"
+    jsonl.write_text('{"type": "meta"}\nnot json\n')
+    assert main(["races", str(jsonl)]) == 2
+    out = capsys.readouterr().out
+    assert out.strip() == f"{jsonl}: unreadable trace (line 2: not JSON)"
+
+
 def test_trace_unknown_target_is_an_error():
     with pytest.raises(SystemExit, match="cannot find"):
         main(["trace", "no-such-example"])

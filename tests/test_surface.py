@@ -18,8 +18,22 @@ public class's ``__init__`` / ``create`` / ``create_framed`` / ``open`` /
 ``attach``, and every defaulted field of a public ``*Policy`` / ``*Model``
 / ``*Hint`` / ``*Objective`` dataclass, is set by name under USERS — or is
 listed in :data:`KEEP_OPTIONS` with the reason it stays. An option only its
-default sets is a constant. Run this file as a script to print the
-settable-value count.
+default sets is a constant.
+
+A third does it for ``python -m repro`` flags, keyed on (subcommand, flag):
+each is passed by a command in CI's workflow or by a ``main([...])`` call
+under ``tests/``, or sits in :data:`KEEP_FLAGS` with a reason. A flag
+nothing passes is its default value.
+
+A fourth ratchets state. Every annotated field of a ``src/repro``
+dataclass, and every ``self.<name>`` that ``src/repro`` assigns, is read
+somewhere under USERS or ``tests/`` — an attribute load outside that
+attribute's own update — or sits in :data:`KEEP_STATE` naming the generic
+reader (``vars``, ``as_dict``, ``astuple``) that reads it. A counter
+nothing reads is deleted with its updates.
+
+Run this file as a script to print the settable-value, CLI-flag and
+state-field counts.
 """
 
 import ast
@@ -147,10 +161,6 @@ KEEP_OPTIONS = {
     # Options of a kept class.
     "Hotspot(hot_fraction=)": "Hotspot itself is in KEEP; its shape parameters go with it",
     "Hotspot(hot_probability=)": "Hotspot itself is in KEEP; its shape parameters go with it",
-    # Deliberately deferred.
-    "FarBlobStore.create(inline_hint=)": (
-        "set only by its own validation test; the next option to make a constant"
-    ),
 }
 
 
@@ -229,5 +239,205 @@ def test_every_option_is_set_or_kept_for_a_reason():
     assert all(reason.strip() for reason in KEEP_OPTIONS.values())
 
 
+# -- the flag ratchet -------------------------------------------------------
+
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+
+#: ``python -m repro`` flags that neither CI nor a test passes, and why each stays.
+KEEP_FLAGS = {
+    ("cost", "--json"): "ROADMAP's certificate byte-equality check pipes it to sha256sum",
+    ("cost", "--update-baseline"): "it rewrites a committed file, so no test may run it",
+}
+
+
+def cli_flags() -> set[tuple[str, str]]:
+    """``(subcommand, flag)`` of every option ``python -m repro`` declares."""
+    tree = ast.parse((SRC / "__main__.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    parsers = {  # parser variable -> subcommand
+        node.targets[0].id: node.value.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", None) == "add_parser"
+    }
+    return {
+        (parsers[call.func.value.id], arg.value)
+        for call in calls
+        if getattr(call.func, "attr", None) == "add_argument"
+        and getattr(call.func.value, "id", None) in parsers
+        for arg in call.args
+        if arg.value.startswith("--")
+    }
+
+
+def passed_flags() -> set[tuple[str, str]]:
+    """``(subcommand, flag)`` pairs a ``python -m repro`` command in CI's
+    workflow (comments aside; continued by a trailing backslash or a next
+    line that starts with ``--``) or a ``main([...])`` call under
+    ``tests/`` passes."""
+    passed = set()
+    text = CI.read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
+    for number, line in enumerate(lines):
+        match = re.search(r"python -m repro (\w+)(.*)", line)
+        if match is None:
+            continue
+        command, rest = match.groups()
+        while lines[number].rstrip().endswith("\\") or (
+            number + 1 < len(lines) and lines[number + 1].lstrip().startswith("--")
+        ):
+            number += 1
+            rest += " " + lines[number]
+        passed.update((command, flag) for flag in re.findall(r"(?<!\S)--[a-z][a-z-]*", rest))
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "main"
+                and node.args
+                and isinstance(node.args[0], ast.List)
+            ):
+                continue
+            words = [item.value for item in node.args[0].elts if isinstance(item, ast.Constant)]
+            if words:
+                passed.update((words[0], word) for word in words[1:] if word.startswith("--"))
+    return passed
+
+
+def test_every_cli_flag_is_passed_or_kept_for_a_reason():
+    flags = cli_flags()
+    print(f"CLI flags: {len(flags)}")
+    unpassed = flags - passed_flags()
+    unkept = sorted(unpassed - set(KEEP_FLAGS))
+    assert unkept == [], "flags nothing passes (make them constants, or KEEP_FLAGS)"
+    stale = sorted(set(KEEP_FLAGS) - unpassed)
+    assert stale == [], "KEEP_FLAGS entries now passed or gone (strike them)"
+    assert all(reason.strip() for reason in KEEP_FLAGS.values())
+
+
+# -- the state ratchet ------------------------------------------------------
+
+#: Where a read of state counts: USERS and the tests (a field only a test
+#: reads is that test's probe).
+READERS = USERS + ("tests",)
+
+_VARS = "vars(run.tree.stats): the frozen benchmark exports every HT-tree counter"
+_AS_DICT = "getattr over Metrics.counter_names(): as_dict, the ledgers and telemetry gauges"
+
+#: State nothing reads by name, and the generic reader that reads it.
+KEEP_STATE = {
+    "HTTreeStats.hits": _VARS,
+    "HTTreeStats.misses": _VARS,
+    "HTTreeStats.inserts": _VARS,
+    "HTTreeStats.deletes": _VARS,
+    "HTTreeStats.cache_loads": _VARS,
+    "HTTreeStats.split_items_moved": _VARS,
+    "HTTreeStats.scans": _VARS,
+    "Metrics.notification_bytes": _AS_DICT,
+    "Metrics.rpc_bytes": _AS_DICT,
+    "QueueStats.head_refreshes": "astuple(queue.stats): test_bulk_pin.py's PINNED table",
+    "QueueStats.clear_flushes": "astuple(queue.stats): test_bulk_pin.py's PINNED table",
+    "TxnRecoveryReport.owner_id": "astuple(report): test_txn_pin.py's PINNED table",
+}
+
+
+def _assigned(node: ast.AST) -> list[ast.expr]:
+    """What an assignment statement stores to, tuples unpacked."""
+    if isinstance(node, ast.Assign):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        todo = [node.target]
+    else:
+        return []
+    targets = []
+    while todo:
+        target = todo.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            todo.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            todo.append(target.value)
+        else:
+            targets.append(target)
+    return targets
+
+
+def _state(tree: ast.Module):
+    """``(qualified name, name)`` of every annotated field of a dataclass
+    and every ``self.<name>`` a class's own methods assign."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield f"{cls.name}.{node.target.id}", node.target.id
+        todo = [node for node in cls.body if not isinstance(node, ast.ClassDef)]
+        while todo:
+            node = todo.pop()
+            for target in _assigned(node):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and getattr(target.value, "id", None) == "self"
+                    and not target.attr.startswith("__")
+                ):
+                    yield f"{cls.name}.{target.attr}", target.attr
+            todo.extend(
+                child for child in ast.iter_child_nodes(node) if not isinstance(child, ast.ClassDef)
+            )
+
+
+def _reads(tree: ast.Module):
+    """The name of every attribute load outside that attribute's own update.
+
+    An update is a statement whose one target is an attribute (or an item
+    of it); loads of that same attribute expression inside it are the
+    update's own, as in ``s.n += 1`` or ``s.d[k] = s.d.get(k, 0) + 1``."""
+    own = set()
+    for node in ast.walk(tree):
+        targets = _assigned(node)
+        if len(targets) != 1 or isinstance(getattr(node, "targets", [None])[0], ast.Tuple):
+            continue
+        target = targets[0]
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute):
+            text = ast.unparse(target)
+            own.update(
+                id(load)
+                for load in ast.walk(node)
+                if isinstance(load, ast.Attribute) and ast.unparse(load) == text
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if id(node) not in own:
+                yield node.attr
+
+
+def unread_state() -> tuple[int, set[str]]:
+    """The state count, and the state nothing under READERS reads by name.
+    State sharing a name shares its readers, as names do above."""
+    state, read = set(), set()
+    for root in READERS:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(_reads(tree))
+            if SRC in path.parents:
+                state.update(_state(tree))
+    return len(state), {qualified for qualified, name in state if name not in read}
+
+
+def test_every_field_is_read_or_kept_for_a_reason():
+    count, found = unread_state()
+    print(f"state fields: {count}")
+    unkept = sorted(found - set(KEEP_STATE))
+    assert unkept == [], "write-only state (delete it with its updates, or KEEP_STATE)"
+    stale = sorted(set(KEEP_STATE) - found)
+    assert stale == [], "KEEP_STATE entries now read or gone (strike them)"
+    assert all(reason.strip() for reason in KEEP_STATE.values())
+
+
 if __name__ == "__main__":
     print(f"settable values: {unset_options()[0]}")
+    print(f"CLI flags: {len(cli_flags())}")
+    print(f"state fields: {unread_state()[0]}")
