@@ -256,8 +256,8 @@ LAYERING: tuple[LayerRule, ...] = (
         receiver="client",
         calls=_UNVERIFIED_READ_OPS,
         address=_mentions_replica,
-        # replication.py's verified paths are built from raw replica reads.
-        legal=("fabric",),
+        # Legal nowhere: even the fabric reads replicas only verified.
+        legal=(),
     ),
     _FM007,
     # Constructing (and implicitly storing) a Location by hand is the
@@ -821,7 +821,7 @@ def render_rules() -> str:
     lines = []
     for rule in RULES.values():
         line = f"{rule.code}  {rule.name:<{width}}  {rule.summary}"
-        if isinstance(rule, LayerRule):
+        if isinstance(rule, LayerRule) and rule.legal:
             line += " [legal in " + ", ".join(f"repro/{p}/" for p in rule.legal) + "]"
         lines.append(line)
     return "\n".join(lines)

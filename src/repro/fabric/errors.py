@@ -89,8 +89,8 @@ class FarTimeoutError(FabricError):
 class FarCorruptionError(FabricError):
     """A verified read found a frame whose checksum does not match.
 
-    Raised by :meth:`~repro.fabric.client.Client.read_verified` (and the
-    framed :class:`~repro.fabric.replication.ReplicatedRegion` paths) only
+    Raised by :meth:`~repro.fabric.client.Client.read_verified` (and
+    :meth:`~repro.fabric.replication.ReplicatedRegion.read_block`) only
     after every supplied replica failed verification — a single corrupt
     copy is healed transparently by re-reading the next one. Corrupted
     bytes and torn-write prefixes are indistinguishable at read time; both

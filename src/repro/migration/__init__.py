@@ -16,7 +16,7 @@ from .coordinator import (
     MigrationCoordinator,
     MigrationStats,
 )
-from .copy import chunk_spans, copy_serial, read_window, write_window
+from .copy import read_window, write_window
 from .rebalance import Rebalancer, RebalanceMove, RebalanceReport
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "ExtentMigration",
     "MigrationCoordinator",
     "MigrationStats",
-    "chunk_spans",
-    "copy_serial",
     "read_window",
     "write_window",
     "Rebalancer",

@@ -11,18 +11,9 @@ the charge sequences cannot drift apart.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Sequence
 
 from ..fabric.client import Client
-
-
-def chunk_spans(total: int, chunk_bytes: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(offset, length)`` covering ``[0, total)`` in chunks."""
-    offset = 0
-    while offset < total:
-        length = min(chunk_bytes, total - offset)
-        yield offset, length
-        offset += length
 
 
 def read_window(
@@ -51,25 +42,3 @@ def write_window(client: Client, writes: Sequence[tuple]) -> None:
         ]
     for future in futures:
         future.result()
-
-
-def copy_serial(
-    client: Client,
-    src_base: int,
-    dst_base: int,
-    total: int,
-    chunk_bytes: int,
-    on_chunk: Optional[Callable[[int, int], None]] = None,
-) -> None:
-    """Serial (unpipelined) chunked copy: read then write per chunk.
-
-    Used for unframed regions where the caller wants the strictly
-    sequential charge profile (one read + one write round trip per
-    chunk). ``on_chunk(done, length)`` fires after each chunk lands.
-    """
-    for offset, length in chunk_spans(total, chunk_bytes):
-        data = client.read(src_base + offset, length)
-        # fmlint: disable=FM001 — deliberately serial charge profile (A4 baseline)
-        client.write(dst_base + offset, data)
-        if on_chunk is not None:
-            on_chunk(offset + length, length)

@@ -15,7 +15,7 @@ The protocol, per degraded region:
    (redundancy cannot be restored; the caller must know).
 2. **Stream-copy** a surviving replica onto the spare through the
    pipelined submission path (``client.batch()`` + unsignaled submits),
-   chunk by chunk. Framed regions are copied *verified*: each source
+   ``chunk_blocks`` frames per window. The copy is *verified*: each source
    frame is checksum-checked in near memory, and a corrupt source block
    is healed by :meth:`~repro.fabric.client.Client.read_verified` against
    the remaining replicas (+1 far access per verify-miss) — repair never
@@ -45,8 +45,7 @@ from ..fabric.client import Client
 from ..fabric.errors import AllocationError, FabricError, NodeUnavailableError
 from ..fabric.integrity import frame_block, frame_size, try_unframe
 from ..fabric.replication import ReplicatedRegion
-from ..fabric.wire import WORD
-from ..migration.copy import copy_serial, read_window, write_window
+from ..migration.copy import read_window, write_window
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package-init import cycle
     from ..alloc import FarAllocator
@@ -88,16 +87,12 @@ class RepairCoordinator:
         *,
         home_node: Optional[int] = None,
         chunk_blocks: int = 16,
-        chunk_bytes: int = 4096,
     ) -> None:
         if chunk_blocks < 1:
             raise ValueError("chunk_blocks must be at least 1")
-        if chunk_bytes < WORD:
-            raise ValueError(f"chunk_bytes must be at least {WORD}")
         self.allocator = allocator
         self.home_node = home_node
         self.chunk_blocks = chunk_blocks
-        self.chunk_bytes = chunk_bytes
         self._regions: dict[int, ReplicatedRegion] = {}
         self._next_region_id = 0
 
@@ -198,9 +193,8 @@ class RepairCoordinator:
             )
         spare_node = self._pick_spare(region, dead_node)
         new_base = self.allocator.alloc(region.size, on_node(spare_node))
-        copy = self._copy_framed if region.block_payload is not None else self._copy_raw
         try:
-            copy(client, region, survivors, new_base, dead_node, spare_node, report)
+            self._copy(client, region, survivors, new_base, dead_node, spare_node, report)
             # Publish: bump the epoch, then swap the map entry. The faa is
             # the release point — any writer fenced under the new epoch
             # observes a fully-copied replica — and the last step that can
@@ -221,7 +215,7 @@ class RepairCoordinator:
         # metadata is client-side, and the region no longer references it.
         self.allocator.free(dead_base)
 
-    def _copy_framed(
+    def _copy(
         self,
         client: Client,
         region: ReplicatedRegion,
@@ -276,36 +270,3 @@ class RepairCoordinator:
                     done=done,
                     total=total,
                 )
-
-    def _copy_raw(
-        self,
-        client: Client,
-        region: ReplicatedRegion,
-        survivors: list[int],
-        new_base: int,
-        dead_node: int,
-        spare_node: int,
-        report: RepairReport,
-    ) -> None:
-        """Stream an unframed region byte-for-byte (no verification
-        possible — plain regions carry no checksums), chunked through the
-        shared serial copy engine (strictly sequential charge profile)."""
-        source = survivors[0]
-        total = region.size
-
-        def on_chunk(done: int, length: int) -> None:
-            report.bytes_copied += length
-            if client.tracer is not None:
-                client.tracer.emit(
-                    client,
-                    "repair_copy",
-                    region=region.region_id,
-                    dead_node=dead_node,
-                    spare_node=spare_node,
-                    blocks=0,
-                    nbytes=length,
-                    done=done,
-                    total=total,
-                )
-
-        copy_serial(client, source, new_base, total, self.chunk_bytes, on_chunk)

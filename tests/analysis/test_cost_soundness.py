@@ -20,6 +20,7 @@ from repro.analysis.fmcost import analyze_paths, build_certificate
 from repro.apps.kvstore.kvstore import FarKVStore
 from repro.fabric.client import Client
 from repro.fabric.replication import ReplicatedRegion
+from repro.recovery import RepairCoordinator
 
 SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 NODE_SIZE = 8 << 20
@@ -257,8 +258,8 @@ class TestVectorAndReplication:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["write", "read", "write_word", "read_word"]),
-                st.integers(min_value=0, max_value=7),
+                st.sampled_from(["write_block", "read_block", "rejoin"]),
+                st.integers(min_value=0, max_value=3),
             ),
             min_size=1,
             max_size=30,
@@ -268,17 +269,18 @@ class TestVectorAndReplication:
         Client.reset_ids()
         cluster = Cluster(node_count=2, node_size=NODE_SIZE)
         client = cluster.client("sound-rep")
-        region = ReplicatedRegion.create(cluster.allocator, 128, copies=2)
+        region = ReplicatedRegion.create_framed(
+            cluster.allocator, block_payload=8, block_count=4, copies=2
+        )
+        # Registered, so every write pays its fence read and rejoin runs.
+        RepairCoordinator(cluster.allocator).register(client, region)
         with BudgetSanitizer(strict=False) as san:
-            region.write_word(client, 0, 0)  # primer: one bounded op always runs
-            for op, slot in ops:
-                offset = slot * 8
-                if op == "write":
-                    region.write(client, offset, b"x" * 8)
-                elif op == "read":
-                    region.read(client, offset, 8)
-                elif op == "write_word":
-                    region.write_word(client, offset, slot)
+            region.write_block(client, 0, b"x" * 8)  # primer: one bounded op always runs
+            for op, index in ops:
+                if op == "write_block":
+                    region.write_block(client, index, bytes([index]) * 8)
+                elif op == "read_block":
+                    region.read_block(client, index)
                 else:
-                    region.read_word(client, offset)
+                    region.rejoin(client)
         _assert_sound(san)

@@ -551,7 +551,7 @@ class TestRepoCertificate:
         assert multiget["inferred"]["fast"] == "1*n"
 
     def test_replicated_region_ceilings(self, repo_cert):
-        write = _record(repo_cert, "ReplicatedRegion", "write")
+        write = _record(repo_cert, "ReplicatedRegion", "write_block")
         assert write["declared"]["ceiling"] == 2
         assert write["inferred"]["worst"] == "2"
         assert write["verdict"] == "ok"

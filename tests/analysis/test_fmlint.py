@@ -773,7 +773,7 @@ class TestLayering:
     @pytest.mark.parametrize(
         "path, exempt",
         [
-            ("src/repro/fabric/client.py", {"FM003", "FM006", "FM007", "FM010"}),
+            ("src/repro/fabric/client.py", {"FM003", "FM007", "FM010"}),
             ("src/repro/txn/txn.py", {"FM010"}),
             ("src/repro/cluster.py", set()),
             # Regression: "repro/fabric/" in path matched these two.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Cluster
-from repro.fabric import BreakerPolicy, FaultPlan, RetryPolicy, frame_size
+from repro.fabric import BreakerPolicy, FaultPlan, RetryPolicy, frame_size, try_unframe
 from repro.fabric.errors import (
     AddressError,
     FarCorruptionError,
@@ -22,11 +22,6 @@ def cluster():
 
 
 @pytest.fixture
-def region(cluster):
-    return ReplicatedRegion.create(cluster.allocator, 256, copies=2)
-
-
-@pytest.fixture
 def framed(cluster):
     return ReplicatedRegion.create_framed(
         cluster.allocator, block_payload=64, block_count=8, copies=2
@@ -40,120 +35,68 @@ def _stamp(client, region, index):
 
 
 class TestPlacement:
-    def test_replicas_on_distinct_nodes(self, cluster, region):
-        nodes = {cluster.fabric.node_of(replica) for replica in region.replicas}
+    def test_replicas_on_distinct_nodes(self, cluster, framed):
+        nodes = {cluster.fabric.node_of(replica) for replica in framed.replicas}
         assert len(nodes) == 2
 
     def test_too_many_copies_rejected(self, cluster):
         with pytest.raises(ValueError):
-            ReplicatedRegion.create(cluster.allocator, 64, copies=4)
+            ReplicatedRegion.create_framed(
+                cluster.allocator, block_payload=64, block_count=1, copies=4
+            )
 
     def test_single_copy_rejected(self, cluster):
         with pytest.raises(ValueError):
-            ReplicatedRegion.create(cluster.allocator, 64, copies=1)
-
-
-class TestIO:
-    def test_roundtrip(self, cluster, region):
-        c = cluster.client()
-        region.write(c, 0, b"replicated!")
-        assert region.read(c, 0, 11) == b"replicated!"
-
-    def test_write_reaches_every_replica(self, cluster, region):
-        c = cluster.client()
-        region.write(c, 8, b"copy")
-        for replica in region.replicas:
-            assert cluster.fabric.read(replica + 8, 4).value == b"copy"
-
-    def test_write_is_one_far_access(self, cluster, region):
-        c = cluster.client()
-        snapshot = c.metrics.snapshot()
-        region.write_word(c, 0, 42)
-        assert c.metrics.delta(snapshot).far_accesses == 1
-
-    def test_bounds(self, cluster, region):
-        c = cluster.client()
-        with pytest.raises(AddressError):
-            region.read(c, 250, 16)
-        with pytest.raises(AddressError):
-            region.write(c, -1, b"x")
+            ReplicatedRegion.create_framed(
+                cluster.allocator, block_payload=64, block_count=1, copies=1
+            )
 
 
 class TestFailover:
-    def test_read_survives_primary_failure(self, cluster, region):
+    def test_failover_costs_one_extra_access(self, cluster, framed):
         c = cluster.client()
-        region.write_word(c, 0, 7)
-        primary_node = cluster.fabric.node_of(region.replicas[0])
-        cluster.fabric.fail_node(primary_node)
-        assert region.read_word(c, 0) == 7  # served by the secondary
-        assert region.stats.failovers == 1
-        assert region.live_replicas() == 1
-
-    def test_failover_costs_one_extra_access(self, cluster, region):
-        c = cluster.client()
-        region.write_word(c, 0, 7)
-        cluster.fabric.fail_node(cluster.fabric.node_of(region.replicas[0]))
+        framed.write_block(c, 0, b"7" * 64)
+        cluster.fabric.fail_node(cluster.fabric.node_of(framed.replicas[0]))
         snapshot = c.metrics.snapshot()
-        region.read_word(c, 0)
+        framed.read_block(c, 0)
         assert c.metrics.delta(snapshot).far_accesses == 2
 
-    def test_all_replicas_down_raises(self, cluster, region):
-        c = cluster.client()
-        for replica in region.replicas:
-            cluster.fabric.fail_node(cluster.fabric.node_of(replica))
-        with pytest.raises(NodeUnavailableError):
-            region.read_word(c, 0)
-
-    def test_primary_failed_mid_workload(self, cluster, region):
+    def test_primary_failed_mid_workload(self, cluster, framed):
         """The primary dies *between* reads: earlier reads hit it, later
         reads fail over — and the stats ledger separates the two."""
         c = cluster.client()
-        region.write_word(c, 0, 11)
-        assert region.read_word(c, 0) == 11  # primary serving
-        assert region.stats.failovers == 0
-        cluster.fabric.fail_node(cluster.fabric.node_of(region.replicas[0]))
+        framed.write_block(c, 0, b"b" * 64)
+        assert framed.read_block(c, 0) == b"b" * 64  # primary serving
+        assert framed.stats.failovers == 0
+        cluster.fabric.fail_node(cluster.fabric.node_of(framed.replicas[0]))
         for _ in range(3):
-            assert region.read_word(c, 0) == 11  # secondary serving
-        assert region.stats.failovers == 3
-        assert region.stats.reads == 4
+            assert framed.read_block(c, 0) == b"b" * 64  # secondary serving
+        assert framed.stats.failovers == 3
+        assert framed.stats.reads == 4
+        assert framed.live_replicas() == 1
 
-    def test_write_raises_when_any_replica_down(self, cluster, region):
+    def test_write_raises_when_any_replica_down(self, cluster, framed):
         # Breaker off: both failing iterations anchor at replica 0's node,
         # and 8 consecutive failures there would trip it — this test is
         # about fail-stop write semantics, not breaker behaviour.
         c = cluster.client(breaker_policy=None)
-        for index in range(len(region.replicas)):
-            node = cluster.fabric.node_of(region.replicas[index])
+        for index in range(len(framed.replicas)):
+            node = cluster.fabric.node_of(framed.replicas[index])
             cluster.fabric.fail_node(node)
             with pytest.raises(NodeUnavailableError):
-                region.write_word(c, 0, 1)
+                framed.write_block(c, 0, b"1" * 64)
             cluster.fabric.repair_node(node)
-        region.write_word(c, 0, 1)  # all repaired: writes flow again
+        framed.write_block(c, 0, b"1" * 64)  # all repaired: writes flow again
 
-    def test_failover_accounting_all_down(self, cluster, region):
+    def test_failover_accounting_all_down(self, cluster, framed):
         c = cluster.client()
-        for replica in region.replicas:
+        for replica in framed.replicas:
             cluster.fabric.fail_node(cluster.fabric.node_of(replica))
         with pytest.raises(NodeUnavailableError):
-            region.read_word(c, 0)
+            framed.read_block(c, 0)
         # Every replica was tried and charged as a failover.
-        assert region.stats.failovers == len(region.replicas)
-        assert region.stats.timeout_failovers == 0
-
-    def test_resync_after_repair(self, cluster, region):
-        c = cluster.client()
-        region.write_word(c, 0, 1)
-        dead = cluster.fabric.node_of(region.replicas[0])
-        cluster.fabric.fail_node(dead)
-        # A write while a replica is down surfaces the outage; real
-        # deployments buffer or re-provision — here we repair and resync.
-        with pytest.raises(NodeUnavailableError):
-            region.write_word(c, 0, 2)
-        cluster.fabric.repair_node(dead)
-        region.resync(c, repaired_index=0)
-        assert cluster.fabric.read_word(region.replicas[0]) == cluster.fabric.read_word(
-            region.replicas[1]
-        )
+        assert framed.stats.failovers == len(framed.replicas)
+        assert framed.stats.timeout_failovers == 0
 
 
 class TestFramedBlocks:
@@ -181,6 +124,13 @@ class TestFramedBlocks:
         assert framed.read_block(c, 3) == b"w" * 64
         assert _stamp(c, framed, 3) == 2
 
+    def test_write_reaches_every_replica(self, cluster, framed):
+        c = cluster.client()
+        framed.write_block(c, 1, b"copy" * 16)
+        for replica in framed.replicas:
+            frame = cluster.fabric.read(replica + frame_size(64), frame_size(64)).value
+            assert try_unframe(frame) == (1, b"copy" * 16)
+
     def test_write_is_one_far_access(self, cluster, framed):
         c = cluster.client()
         snap = c.metrics.snapshot()
@@ -199,11 +149,6 @@ class TestFramedBlocks:
             framed.read_block(c, 8)
         with pytest.raises(AddressError):
             framed.write_block(c, -1, b"x" * 64)
-
-    def test_block_io_needs_framed_region(self, cluster, region):
-        c = cluster.client()
-        with pytest.raises(ValueError):
-            region.read_block(c, 0)
 
     def test_corrupt_primary_heals_from_secondary(self, cluster, framed):
         c = cluster.client()
@@ -283,14 +228,6 @@ class TestEpochFencing:
         assert framed.stats.fence_rejects == 1
         assert c.metrics.fence_rejects == 1
 
-    def test_plain_write_is_fenced_too(self, cluster, region):
-        c = cluster.client()
-        epoch_addr = self._register(cluster, region, c)
-        region.write_word(c, 0, 1)
-        c.write_u64(epoch_addr, 5)
-        with pytest.raises(StaleEpochError):
-            region.write_word(c, 0, 2)
-
     def test_reads_are_never_fenced(self, cluster, framed):
         c = cluster.client()
         epoch_addr = self._register(cluster, framed, c)
@@ -298,6 +235,10 @@ class TestEpochFencing:
         c.write_u64(epoch_addr, 9)
         # Reads serve stale-epoch holders fine: fencing protects writes.
         assert framed.read_block(c, 0) == b"r" * 64
+
+    def test_rejoin_needs_registration(self, cluster, framed):
+        with pytest.raises(ValueError):
+            framed.rejoin(cluster.client())
 
     def test_unregistered_region_pays_nothing(self, cluster, framed):
         c = cluster.client()
@@ -322,41 +263,41 @@ class TestEpochFencing:
 class TestTimeoutFailover:
     """Degradation under transient faults, not just fail-stop."""
 
-    def test_read_fails_over_on_timeout(self, cluster, region):
+    def test_read_fails_over_on_timeout(self, cluster, framed):
         c = cluster.client(retry_policy=RetryPolicy(max_attempts=2))
-        region.write_word(c, 0, 21)
-        primary_node = cluster.fabric.node_of(region.replicas[0])
+        framed.write_block(c, 0, b"t" * 64)
+        primary_node = cluster.fabric.node_of(framed.replicas[0])
         cluster.inject_faults(
             seed=3, plan=FaultPlan().random_timeouts(1.0, node=primary_node)
         )
-        assert region.read_word(c, 0) == 21  # secondary serves
-        assert region.stats.failovers == 1
-        assert region.stats.timeout_failovers == 1
+        assert framed.read_block(c, 0) == b"t" * 64  # secondary serves
+        assert framed.stats.failovers == 1
+        assert framed.stats.timeout_failovers == 1
         assert c.metrics.timeouts == 2  # both attempts at the primary
 
-    def test_read_fails_over_on_open_breaker(self, cluster, region):
+    def test_read_fails_over_on_open_breaker(self, cluster, framed):
         c = cluster.client(
             retry_policy=RetryPolicy(max_attempts=2),
             breaker_policy=BreakerPolicy(failure_threshold=2, cooldown_ns=1e12),
         )
-        region.write_word(c, 0, 33)
-        primary_node = cluster.fabric.node_of(region.replicas[0])
+        framed.write_block(c, 0, b"o" * 64)
+        primary_node = cluster.fabric.node_of(framed.replicas[0])
         cluster.inject_faults(
             seed=3, plan=FaultPlan().random_timeouts(1.0, node=primary_node)
         )
-        assert region.read_word(c, 0) == 33  # trips the primary's breaker
+        assert framed.read_block(c, 0) == b"o" * 64  # trips the primary's breaker
         assert c.metrics.breaker_trips == 1
         # Subsequent reads fail over instantly via the open breaker: no
         # timeout waits, still correct data.
         timeouts_before = c.metrics.timeouts
-        assert region.read_word(c, 0) == 33
+        assert framed.read_block(c, 0) == b"o" * 64
         assert c.metrics.timeouts == timeouts_before
         assert c.metrics.breaker_rejections >= 1
 
-    def test_all_replicas_flaky_raises_timeout(self, cluster, region):
+    def test_all_replicas_flaky_raises_timeout(self, cluster, framed):
         c = cluster.client(retry_policy=RetryPolicy(max_attempts=2))
-        region.write_word(c, 0, 1)
+        framed.write_block(c, 0, b"f" * 64)
         cluster.inject_faults(seed=3, plan=FaultPlan().random_timeouts(1.0))
         with pytest.raises(FarTimeoutError):
-            region.read_word(c, 0)
-        assert region.stats.timeout_failovers == len(region.replicas)
+            framed.read_block(c, 0)
+        assert framed.stats.timeout_failovers == len(framed.replicas)

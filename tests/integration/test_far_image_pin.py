@@ -33,7 +33,7 @@ from repro.recovery import LeasedFarMutex, QueueScrubber
 
 EXTENT = 64 << 10
 
-IMAGE_SHA256 = "c6998b0f2039ff7603c22b46a98f15f687ad8d1eb21c44881ef6eda3ad826e9e"
+IMAGE_SHA256 = "b0a117972a018ad6da9bca9462f9ebda5c8333c9a9fa61c7e4825b02445b89f5"
 
 
 def _txn_cell(cluster, space, client, used, payload):
@@ -159,15 +159,12 @@ def build_image() -> str:
     assert space.recover(b, v3.client_id, stores={store.txn_tag: store}).action == "rollforward"
     assert store.get(b, "user:3") == b"barbara"
 
-    # Replication: a framed block write and a plain replicated word.
+    # Replication: two writes of one framed block.
     framed = ReplicatedRegion.create_framed(
         cluster.allocator, block_count=4, block_payload=32, copies=2
     )
     framed.write_block(a, 1, b"v" * 32)
     framed.write_block(a, 1, b"w" * 32)
-    plain = ReplicatedRegion.create(cluster.allocator, 64, copies=2)
-    plain.write_word(a, 8, 0xDEADBEEF)
-    assert plain.read_word(b, 8) == 0xDEADBEEF
 
     # Refreshable vector, leased mutex, gradient channel, naive monitor.
     vector = cluster.refreshable_vector(16)

@@ -25,6 +25,7 @@ from repro.recovery import LeasedFarMutex, QueueScrubber
 
 NODE_SIZE = 8 << 20
 CHAOS_PLAN_SEED = 1337
+REPLICATED = b"4242" * 2
 
 
 def chaos_plan() -> FaultPlan:
@@ -50,14 +51,16 @@ class TestChaosWorkload:
         cluster = Cluster(node_count=3, node_size=NODE_SIZE)
         tree = cluster.ht_tree(bucket_count=64, initial_leaves=2)
         queue = cluster.far_queue(capacity=64, max_clients=2)
-        region = ReplicatedRegion.create(cluster.allocator, 64, copies=2)
+        region = ReplicatedRegion.create_framed(
+            cluster.allocator, block_payload=8, block_count=1, copies=2
+        )
 
         # Populate fault-free so chaos only perturbs the read/propagate
         # phase, then arm the injector.
         setup = cluster.client("setup")
         for key in range(64):
             tree.put(setup, key, key * 3)
-        region.write_word(setup, 0, 4242)
+        region.write_block(setup, 0, REPLICATED)
         injector = cluster.inject_faults(seed=seed, plan=chaos_plan())
 
         c = cluster.client("chaos", retry_policy=RetryPolicy(max_attempts=3))
@@ -80,7 +83,7 @@ class TestChaosWorkload:
                         dequeued.append(queue.dequeue(c))
                         outcomes.append("deq")
                 else:
-                    assert region.read_word(c, 0) == 4242
+                    assert region.read_block(c, 0) == REPLICATED
                     outcomes.append("replica")
             except (QueueEmpty, QueueFull):
                 outcomes.append("queue-edge")

@@ -14,7 +14,7 @@ from repro.apps.kvstore import FarKVStore
 from repro.apps.monitoring import AlarmConsumer, MetricProducer, WindowedHistogramRing
 from repro.fabric.errors import QueueEmpty
 from repro.fabric.replication import ReplicatedRegion
-from repro.recovery import LeasedFarMutex, QueueScrubber
+from repro.recovery import LeasedFarMutex, QueueScrubber, RepairCoordinator
 from repro.workloads import MetricStream
 
 NODE_SIZE = 32 << 20
@@ -33,9 +33,14 @@ class TestFullStack:
         registry.register_queue(operator, "jobs", queue)
         ring = WindowedHistogramRing.create(cluster.allocator, bins=100, window_count=3)
         lease = LeasedFarMutex.create(cluster.allocator, ttl_epochs=2)
-        # Config that must survive a node outage lives on two replicas.
-        config = ReplicatedRegion.create(cluster.allocator, 64, copies=2)
-        config.write_word(operator, 0, 0xC0FFEE)
+        # Config that must survive a node outage lives on two replicas,
+        # under a repair coordinator whose epoch words sit on node 3.
+        repair = RepairCoordinator(cluster.allocator, home_node=3)
+        config = ReplicatedRegion.create_framed(
+            cluster.allocator, block_payload=8, block_count=1, copies=2
+        )
+        repair.register(operator, config)
+        config.write_block(operator, 0, b"c0ffee!!")
 
         # --- steady state: producer feeds metrics, workers process jobs
         producer = MetricProducer(ring=ring, client=cluster.client("metrics"))
@@ -86,9 +91,10 @@ class TestFullStack:
 
         config_node = cluster.fabric.node_of(config.replicas[0])
         cluster.fabric.fail_node(config_node)
-        assert config.read_word(survivor, 0) == 0xC0FFEE  # replica failover
+        assert config.read_block(survivor, 0) == b"c0ffee!!"  # replica failover
+        assert repair.run(survivor, config_node).replicas_rebuilt == 1
+        assert config.live_replicas() == 2  # redundancy restored on a spare
         cluster.fabric.repair_node(config_node)
-        config.resync(survivor, repaired_index=0)
 
         # --- the rest of the deployment never noticed
         discovered = registry.lookup_queue(cluster.client("late-joiner"), "jobs")

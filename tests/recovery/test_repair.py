@@ -63,8 +63,6 @@ class TestRegistration:
     def test_config_validation(self, cluster):
         with pytest.raises(ValueError):
             RepairCoordinator(cluster.allocator, chunk_blocks=0)
-        with pytest.raises(ValueError):
-            RepairCoordinator(cluster.allocator, chunk_bytes=4)
 
 
 class TestRepair:
@@ -151,19 +149,6 @@ class TestRepair:
 
             version, payload = try_unframe(frame)
             assert payload == expected  # the rebuilt copy is clean
-
-    def test_unframed_region_copied_raw(self, cluster, coordinator):
-        c = cluster.client()
-        region = ReplicatedRegion.create(cluster.allocator, 1024, copies=2)
-        coordinator.register(c, region)
-        region.write(c, 0, b"raw bytes" * 100)
-        dead = cluster.fabric.node_of(region.replicas[0])
-        cluster.fabric.fail_node(dead)
-        report = coordinator.run(c, dead)
-        assert report.bytes_copied == 1024
-        assert report.blocks_copied == 0
-        assert region.read(c, 0, 900) == b"raw bytes" * 100
-        assert region.live_replicas() == 2
 
     def test_no_spare_raises(self):
         # 3 copies on 3 nodes: when one dies, every surviving node
@@ -278,12 +263,12 @@ class TestFencingProtocol:
             assert framed.read_block(c, index) == expected
 
 
-RAW_SIZE, RAW_CHUNK = 1024, 256
+#: shape -> (block_count, copies). One uninterrupted rebuild costs a read
+#: and a write per block, plus the epoch faa.
 SHAPES = {
-    # shape -> far accesses of one uninterrupted rebuild: a read and a
-    # write per block / chunk, plus the epoch faa.
-    "framed": 2 * BLOCKS + 1,
-    "raw": 2 * (RAW_SIZE // RAW_CHUNK) + 1,
+    "full-chunks": (BLOCKS, 2),  # 12 blocks: three whole windows of 4
+    "ragged-tail": (5, 2),  # a window of 4, then a short window of 1
+    "three-copies": (3, 3),  # the copy source has a fallback replica
 }
 
 
@@ -293,26 +278,23 @@ class TestResumable:
 
     @pytest.mark.parametrize(
         "shape, fault_at",
-        [(shape, index) for shape, accesses in SHAPES.items() for index in range(accesses)],
+        [
+            (shape, index)
+            for shape, (blocks, _) in SHAPES.items()
+            for index in range(2 * blocks + 1)
+        ],
     )
     def test_fault_at_any_access_leaks_nothing_and_rerun_completes(
         self, cluster, shape, fault_at
     ):
-        coordinator = RepairCoordinator(
-            cluster.allocator, home_node=3, chunk_blocks=4, chunk_bytes=RAW_CHUNK
-        )
+        blocks, copies = SHAPES[shape]
+        coordinator = RepairCoordinator(cluster.allocator, home_node=3, chunk_blocks=4)
         setup = cluster.client()
-        if shape == "framed":
-            region = ReplicatedRegion.create_framed(
-                cluster.allocator, block_payload=PAYLOAD, block_count=BLOCKS, copies=2
-            )
-            coordinator.register(setup, region)
-            oracle = fill(region, setup)
-        else:
-            region = ReplicatedRegion.create(cluster.allocator, RAW_SIZE, copies=2)
-            coordinator.register(setup, region)
-            oracle = bytes(range(256)) * (RAW_SIZE // 256)
-            region.write(setup, 0, oracle)
+        region = ReplicatedRegion.create_framed(
+            cluster.allocator, block_payload=PAYLOAD, block_count=blocks, copies=copies
+        )
+        coordinator.register(setup, region)
+        oracle = fill(region, setup)
         dead = cluster.fabric.node_of(region.replicas[0])
         cluster.fabric.fail_node(dead)
         c = cluster.client(retry_policy=None, breaker_policy=None)
@@ -328,14 +310,10 @@ class TestResumable:
 
         snap = c.metrics.snapshot()
         report = coordinator.run(c, dead)
-        assert c.metrics.delta(snap).far_accesses == SHAPES[shape]
+        assert c.metrics.delta(snap).far_accesses == 2 * blocks + 1
         assert report.replicas_rebuilt == 1 and region.epoch == 2
         assert cluster.allocator.free_bytes() == free  # dead copy freed, spare taken
-        if shape == "framed":
-            assert report.blocks_copied == BLOCKS
-            for index, expected in oracle.items():
-                assert region.read_block(c, index) == expected
-        else:
-            assert report.bytes_copied == RAW_SIZE
-            assert region.read(c, 0, RAW_SIZE) == oracle
-        assert region.live_replicas() == 2
+        assert report.blocks_copied == blocks
+        for index, expected in oracle.items():
+            assert region.read_block(c, index) == expected
+        assert region.live_replicas() == copies

@@ -48,7 +48,7 @@ USERS = ("src/repro", "benchmarks", "examples")
 _FAULT_PLAN = "fault-plan vocabulary: every fault test speaks it; ROADMAP item 1's explorer will"
 _FLOOR = (
     "tests-only convenience whose own test is all that calls it; retire the pair "
-    "when a PR has test-removal allowance left (ROADMAP item 4(a), remainder)"
+    "when a PR has test-removal allowance left (ROADMAP item 6, satellite pool)"
 )
 
 #: Public names nothing under USERS mentions, and why each stays.
@@ -66,7 +66,6 @@ KEEP = {
     "Tracer.remove_sink": "the detach half of add_sink: how a registry stops observing a tracer",
     # Capabilities DESIGN names, or that a paper benchmark / example is about.
     "arrive_for_dead": "barrier repair (DESIGN section 3, repro.recovery)",
-    "ReplicatedRegion.resync": "post-repair resync (DESIGN section 3, repro.fabric.replication)",
     "FarRegistry.unregister": "registry tombstones: PR 4's hypothesis-found bug lives there",
     "FarBarrier.wait_done": "section 5.1's notifye wake-up",
     "FarRWLock.subscribe_free": "the lock's only blocking primitive; its manager exists for it",
@@ -152,7 +151,6 @@ KEEP_OPTIONS = {
     "DeliveryPolicy.drop_probability": f"{_TESTED} (lossy delivery: 7 lines)",
     "RpcServer(one_way_ns=)": f"{_TESTED} (the RPC cost model: 4 lines)",
     "MigrationCoordinator(chunk_bytes=)": f"{_TESTED} (validation; chunk accounting)",
-    "RepairCoordinator(chunk_bytes=)": f"{_TESTED} (validation; raw-region chunking)",
     "TelemetryRegistry(ring_windows=)": "the export pin's scenario depends on the value 8",
     # Set, but positionally.
     "CounterSeries(ring_windows=)": _RING,
