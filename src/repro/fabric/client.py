@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .errors import (
     CircuitOpenError,
@@ -99,6 +98,35 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+
+# What Client._issue hands a guarded or observed op's fabric method: the
+# segments of its first range, or else the Location of its word — except to
+# those that translate for themselves: load1 / store1 / add1 dereference
+# ``ad + index``, rscatter / wgather have no caller in the structures, and
+# write_word keeps the (address, value) signature tests hook in place.
+_RANGES = frozenset({"read", "write", "rgather", "wscatter"})
+_IOVECS = frozenset({"rgather", "wscatter"})
+_SELF_TRANSLATING = frozenset({"write_word", "load1", "store1", "add1", "rscatter", "wgather"})
+
+
+class _Batch:
+    """The scope Client.batch returns."""
+
+    __slots__ = ("client",)
+
+    def __init__(self, client: "Client") -> None:
+        self.client = client
+
+    def __enter__(self) -> None:
+        self.client._batch_depth += 1
+
+    def __exit__(self, *exc: Any) -> bool:
+        client = self.client
+        client._batch_depth -= 1
+        if client._batch_depth == 0:
+            client._flush_window(reason="batch")
+        return False
 
 
 class Client:
@@ -347,8 +375,8 @@ class Client:
         if not self.alive:
             raise ClientDeadError(f"{self.name} has crashed")
         self.metrics.pipeline_ops += 1
-        span = self._tracer.current_span(self) if self._tracer is not None else None
-        span_id = span.span_id if span is not None else None
+        # The innermost open span (an attached client always has its root).
+        span_id = None if self._tracer is None else self._tracer._stacks[self.client_id][-1].span_id
         self._op = op
         self._charge = 0.0
         try:
@@ -419,10 +447,9 @@ class Client:
                 start_ns=start_ns,
                 charged_ns=charged,
                 serial_ns=serial,
-                saved_ns=max(0.0, serial - charged),
+                saved_ns=serial - charged if serial > charged else 0.0,
                 reason=reason,
-                ops=[posted[:3] for posted in window if posted[0] is not None],
-                n_charges=len(window),
+                window=window,
             )
         for _, _, _, future in window:
             if future is not None:
@@ -430,23 +457,17 @@ class Client:
                 if future._tracked and not future._reaped:
                     self.cq._deliver(future)
 
-    @contextmanager
-    def batch(self) -> Iterator[None]:
+    def batch(self) -> "_Batch":
         """Overlap the operations issued inside the ``with`` block.
 
         The scope pins the overlap window open past :attr:`qp_depth` —
         one doorbell for the whole block, costing ``max(latencies) +
         (n - 1) * issue_ns`` of simulated time; every operation is still
         counted individually in the metrics (overlap hides latency, not
-        work). Nested batches flatten into the outer window.
+        work). Nested batches flatten into the outer window, which flushes
+        on the outermost exit even when the block raises.
         """
-        self._batch_depth += 1
-        try:
-            yield
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                self._flush_window(reason="batch")
+        return _Batch(self)
 
     def fence(self) -> None:
         """Ordering point: all prior operations complete before later ones.
@@ -503,6 +524,11 @@ class Client:
         the pointer word, then bounced the request — and the client
         completes it directly (:meth:`_complete_pending`).
 
+        The home node is the op's own translation: unless the client is
+        bare (no policy, tracer or injector), the address is translated
+        here, once, and handed to the op (see ``_RANGES``). Nothing is
+        cached across ops, so a remap between two ops is always seen.
+
         Breaker cooldowns compare against the client's clock as of the
         last doorbell; charges still in the open window are invisible to
         it, which is deterministic and matches a NIC consulting its
@@ -514,13 +540,25 @@ class Client:
         unguarded = policy is None and self.breaker_policy is None
         kind = row.fabric
         node = None  # the home node; a bare client never needs it
+        if not (unguarded and tracer is None and fabric.fault_injector is None):
+            # One translation: its node is the guards' and the tracer's.
+            extents = fabric.extents
+            if kind in _RANGES:
+                iovec = kind in _IOVECS and args[0]
+                at = extents.split(address, iovec[0][1] if iovec else nbytes_read + nbytes_written)
+                home = at[0][0] if at else extents.locate(address)
+            else:
+                at = home = extents.locate(address)
+            if kind not in _SELF_TRANSLATING:
+                args += (at,)
+            node = home.node
         try:
-            if unguarded and tracer is None and fabric.fault_injector is None:
+            if node is None:
                 result = op(*args)  # the op translates for itself
             elif unguarded:
-                node = fabric.node_of(address)
                 try:
-                    fabric.fault_check(node, address, kind)
+                    if fabric.fault_injector is not None:
+                        fabric.fault_check(node, address, kind)
                     result = op(*args)
                 except FarTimeoutError as err:
                     if tracer is not None and err.torn:
@@ -529,9 +567,6 @@ class Client:
                         )
                     raise
             else:
-                # One translation of the op's address, shared by the tracer,
-                # the breaker and every attempt's fault check.
-                node = fabric.node_of(address)
                 breaker = self._breaker_for(node)
                 if breaker is not None and not breaker.allow(self.clock.now_ns):
                     self.metrics.breaker_rejections += 1
@@ -557,7 +592,8 @@ class Client:
                                 backoff_ns=backoff,
                             )
                     try:
-                        fabric.fault_check(node, address, kind)
+                        if fabric.fault_injector is not None:
+                            fabric.fault_check(node, address, kind)
                         result = op(*args)
                     except FarTimeoutError as err:
                         self.metrics.timeouts += 1

@@ -9,7 +9,10 @@ exactly the constraint the paper imposes on far memory (section 2).
 
 Every operation translates its range exactly once — one ``locate`` for a
 word, one ``split`` for a range — and the result drives routing, heat
-telemetry and the data movement.
+telemetry and the data movement. An op whose caller already translated
+(``Client._issue``, for the home node its guards need) takes that
+translation — ``segments`` or a word's ``location`` — as its optional last
+argument and translates nothing itself.
 
 Cross-node indirection (section 7.1) is governed by
 :class:`~repro.fabric.primitives.IndirectionPolicy`:
@@ -300,27 +303,30 @@ class Fabric(FarPrimitivesMixin):
             self._apply_mirrors(word, [(0, WORD, m[2], m[3]) for m in mirrors])
         return result
 
-    def read_word(self, address: int) -> int:
+    def read_word(self, address: int, location: Optional[Location] = None) -> int:
         """Read one aligned word (always within a single node)."""
-        return self._read_word_at(address, self.extents.locate(address))
+        return self._read_word_at(address, location or self.extents.locate(address))
 
     def write_word(self, address: int, value: int) -> None:
         """Write one aligned word."""
         self._atomic_at(address, self.extents.locate(address), MemoryNode.write_word, value)
 
-    def compare_and_swap(self, address: int, expected: int, new: int) -> tuple[int, bool]:
+    def compare_and_swap(
+        self, address: int, expected: int, new: int, location: Optional[Location] = None
+    ) -> tuple[int, bool]:
         """Fabric-level atomic CAS on a word (section 2)."""
-        return self._atomic_at(
-            address, self.extents.locate(address), MemoryNode.compare_and_swap, expected, new
-        )
+        location = location or self.extents.locate(address)
+        return self._atomic_at(address, location, MemoryNode.compare_and_swap, expected, new)
 
-    def fetch_add(self, address: int, delta: int) -> int:
+    def fetch_add(self, address: int, delta: int, location: Optional[Location] = None) -> int:
         """Fabric-level atomic fetch-and-add on a word; returns old value."""
-        return self._atomic_at(address, self.extents.locate(address), MemoryNode.fetch_add, delta)
+        location = location or self.extents.locate(address)
+        return self._atomic_at(address, location, MemoryNode.fetch_add, delta)
 
-    def swap(self, address: int, value: int) -> int:
+    def swap(self, address: int, value: int, location: Optional[Location] = None) -> int:
         """Fabric-level atomic exchange on a word; returns old value."""
-        return self._atomic_at(address, self.extents.locate(address), MemoryNode.swap, value)
+        location = location or self.extents.locate(address)
+        return self._atomic_at(address, location, MemoryNode.swap, value)
 
     def __repr__(self) -> str:
         return (

@@ -41,7 +41,10 @@ matching hardware that cannot roll back its local half.
 
 Every indirect primitive translates exactly twice: one ``locate`` of the
 pointer word (its home node *and* its value), one ``split`` of the target
-(forward hops, segment count *and* the data movement).
+(forward hops, segment count *and* the data movement). Each but ``load1``
+/ ``store1`` / ``add1`` takes the caller's ``locate`` of the pointer word as
+an optional last argument, as ``rgather`` / ``wscatter`` take the caller's
+``split`` of their first entry.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
+from .address import Location
 from .errors import AddressError, RemoteIndirectionError
 from .extent import Segments
 from .memory_node import MemoryNode
@@ -118,13 +122,16 @@ class FarPrimitivesMixin:
     (``read`` / ``write`` / ``_read_word_at`` / ``_atomic_at``).
     """
 
-    def _deref(self, ad: int, bump: Optional[int] = None) -> tuple[int, int]:
+    def _deref(
+        self, ad: int, bump: Optional[int] = None, location: Optional[Location] = None
+    ) -> tuple[int, int]:
         """Translate the pointer word at ``ad`` once: ``(home node, value)``.
 
         With ``bump`` the word is atomically fetch-added first — the
         ``*ptr++`` half of ``faai``/``saai`` — and the old value returned.
+        ``location``, when given, is the caller's translation of ``ad``.
         """
-        location = self.extents.locate(ad)
+        location = location or self.extents.locate(ad)
         if bump is None:
             return location.node, self._read_word_at(ad, location)
         return location.node, self._atomic_at(ad, location, MemoryNode.fetch_add, bump)
@@ -182,14 +189,14 @@ class FarPrimitivesMixin:
     # Indirect loads / stores (section 4.1)
     # ------------------------------------------------------------------
 
-    def load0(self, ad: int, length: int) -> FabricResult:
+    def load0(self, ad: int, length: int, location: Optional[Location] = None) -> FabricResult:
         """``tmp = *ad; return *tmp`` — dereference then read ``length`` bytes."""
-        home, pointer = self._deref(ad)
+        home, pointer = self._deref(ad, None, location)
         return self._indirect_read(home, pointer, pointer, length)
 
-    def store0(self, ad: int, value: bytes) -> FabricResult:
+    def store0(self, ad: int, value: bytes, location: Optional[Location] = None) -> FabricResult:
         """``tmp = *ad; *tmp = v`` — dereference then write ``value``."""
-        home, pointer = self._deref(ad)
+        home, pointer = self._deref(ad, None, location)
         return self._indirect_write(home, pointer, pointer, value)
 
     def load1(self, ad: int, index: int, length: int) -> FabricResult:
@@ -200,37 +207,47 @@ class FarPrimitivesMixin:
         """``tmp = *(ad + i); *tmp = v`` — indexed pointer, then write."""
         return self.store0(ad + index, value)
 
-    def load2(self, ad: int, index: int, length: int) -> FabricResult:
+    def load2(
+        self, ad: int, index: int, length: int, location: Optional[Location] = None
+    ) -> FabricResult:
         """``tmp = *ad + i; return *tmp`` — dereference, offset, then read."""
-        home, pointer = self._deref(ad)
+        home, pointer = self._deref(ad, None, location)
         return self._indirect_read(home, pointer, pointer + index, length)
 
-    def store2(self, ad: int, index: int, value: bytes) -> FabricResult:
+    def store2(
+        self, ad: int, index: int, value: bytes, location: Optional[Location] = None
+    ) -> FabricResult:
         """``tmp = *ad + i; *tmp = v`` — dereference, offset, then write."""
-        home, pointer = self._deref(ad)
+        home, pointer = self._deref(ad, None, location)
         return self._indirect_write(home, pointer, pointer + index, value)
 
     # ------------------------------------------------------------------
     # Pointer-bump atomics: the ``*ptr++`` idiom (section 4.1)
     # ------------------------------------------------------------------
 
-    def faai(self, ad: int, delta: int, length: int) -> FabricResult:
+    def faai(
+        self, ad: int, delta: int, length: int, location: Optional[Location] = None
+    ) -> FabricResult:
         """Fetch-and-add-indirect: bump ``*ad`` by ``delta`` atomically,
         return the ``length`` bytes pointed to by the *old* value.
 
         Under the ERROR policy the pointer bump has already committed when
         the error is raised; the pending completion is the data read.
         """
-        home, old = self._deref(ad, bump=delta)
+        home, old = self._deref(ad, delta, location)
         return self._indirect_read(home, old, old, length)
 
-    def saai(self, ad: int, delta: int, value: bytes) -> FabricResult:
+    def saai(
+        self, ad: int, delta: int, value: bytes, location: Optional[Location] = None
+    ) -> FabricResult:
         """Store-and-add-indirect: bump ``*ad`` by ``delta`` atomically,
         store ``value`` at the *old* pointer value."""
-        home, old = self._deref(ad, bump=delta)
+        home, old = self._deref(ad, delta, location)
         return self._indirect_write(home, old, old, value)
 
-    def fsaai(self, ad: int, delta: int, value: bytes) -> FabricResult:
+    def fsaai(
+        self, ad: int, delta: int, value: bytes, location: Optional[Location] = None
+    ) -> FabricResult:
         """Fetch-*store*-and-add-indirect: bump ``*ad`` by ``delta``
         atomically, then atomically exchange the ``len(value)`` bytes at
         the *old* pointer for ``value``, returning what was there.
@@ -243,7 +260,7 @@ class FarPrimitivesMixin:
         and resetting it to the EMPTY sentinel in one atomic step removes
         the deferred-clear hazard entirely.
         """
-        home, old = self._deref(ad, bump=delta)
+        home, old = self._deref(ad, delta, location)
         value = bytes(value)
         refuse = partial(
             PendingIndirection, "swap", old, length=len(value), payload=value, pointer=old
@@ -258,22 +275,24 @@ class FarPrimitivesMixin:
     # Indirect adds (section 4.1: "add v to a value pointed to by a location")
     # ------------------------------------------------------------------
 
-    def add0(self, ad: int, delta: int) -> FabricResult:
+    def add0(self, ad: int, delta: int, location: Optional[Location] = None) -> FabricResult:
         """``**ad += v`` — atomic add at the word ``*ad`` points to."""
-        home, pointer = self._deref(ad)
+        home, pointer = self._deref(ad, None, location)
         return self._indirect_add(home, pointer, pointer, delta)
 
     def add1(self, ad: int, delta: int, index: int) -> FabricResult:
         """``**(ad + i) += v`` — indexed pointer, then atomic add."""
         return self.add0(ad + index, delta)
 
-    def add2(self, ad: int, delta: int, index: int) -> FabricResult:
+    def add2(
+        self, ad: int, delta: int, index: int, location: Optional[Location] = None
+    ) -> FabricResult:
         """``*(*ad + i) += v`` — dereference, offset, then atomic add.
 
         This is the monitoring producer's histogram increment (section 6):
         one far access bumps ``histogram_base[index]``.
         """
-        home, pointer = self._deref(ad)
+        home, pointer = self._deref(ad, None, location)
         return self._indirect_add(home, pointer, pointer + index, delta)
 
     # ------------------------------------------------------------------
@@ -296,21 +315,24 @@ class FarPrimitivesMixin:
         result.value = buffers
         return result
 
-    def rgather(self, iovec: FarIovec) -> FabricResult:
+    def rgather(self, iovec: FarIovec, segments: Optional[Segments] = None) -> FabricResult:
         """Read a far iovec, gathering into one local contiguous buffer.
 
         The client adapter issues the per-buffer reads concurrently
         (section 4.2), so the whole gather is one far access / round trip.
         """
         pieces: list[bytes] = []
-        segments = 0
+        count = 0
         for address, length in iovec:
-            result = self.read(address, length)
+            result = self.read(address, length, segments)
+            segments = None  # the caller's translation covers the first entry only
             pieces.append(result.value)
-            segments += result.segments
-        return FabricResult(value=b"".join(pieces), segments=max(1, segments))
+            count += result.segments
+        return FabricResult(value=b"".join(pieces), segments=max(1, count))
 
-    def wscatter(self, iovec: FarIovec, data: bytes) -> FabricResult:
+    def wscatter(
+        self, iovec: FarIovec, data: bytes, segments: Optional[Segments] = None
+    ) -> FabricResult:
         """Scatter one local buffer across a far iovec (one far access)."""
         total = sum(length for _, length in iovec)
         if total != len(data):
@@ -319,12 +341,12 @@ class FarPrimitivesMixin:
                 len(data),
                 f"iovec wants {total} bytes, local buffer has {len(data)}",
             )
-        cursor = 0
-        segments = 0
+        cursor = count = 0
         for address, length in iovec:
-            segments += self.write(address, data[cursor : cursor + length]).segments
+            count += self.write(address, data[cursor : cursor + length], segments).segments
+            segments = None  # the caller's translation covers the first entry only
             cursor += length
-        return FabricResult(segments=max(1, segments))
+        return FabricResult(segments=max(1, count))
 
     def wgather(self, ad: int, buffers: Sequence[bytes]) -> FabricResult:
         """Gather local buffers into one contiguous far range at ``ad``."""

@@ -17,13 +17,17 @@ Design rules — these are what keep tracing free of observer effects:
   is bit-identical with tracing on or off.
 * The event vocabulary is one table (:mod:`repro.obs.events`) and there is
   one emission path, :meth:`Tracer.emit`; only the two hot kinds keep a
-  method that shapes their payload (``on_far_access``, ``on_window``).
+  method (``on_far_access``, ``on_window``), which builds the event
+  directly — same payload, same sinks, same order.
 * Emission aggregates nothing. The span / op / node / window histograms
-  are derived from ``spans`` and ``events`` when they are read.
+  are derived from ``spans`` and ``events`` when they are read, and a
+  span's ``delta`` from the counters it read as one tuple at each end.
 * Every far access emits exactly one ``far_access`` event, attributed to
   the innermost open span (or the client's implicit root span). Summing
   per-span far-access attributions therefore reproduces the client's
-  total with nothing lost or double-counted.
+  total with nothing lost or double-counted. Its ``node`` is the home node
+  of the one translation ``Client._issue`` makes and hands to the op (all
+  but the few ops listed there), so observing an op adds no address lookup.
 * Spans per client follow stack discipline on that client's monotone
   clock, so the begin/end boundary log exports directly as a valid
   Chrome trace (every ``B`` has an ``E``, timestamps monotone per lane).
@@ -40,15 +44,21 @@ Usage::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
+from ..fabric.metrics import Metrics
 from .events import EVENTS
 from .histogram import HistogramSet, LatencyHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fabric.client import Client
+
+# Every first-class counter of a Metrics, read in one call.
+_COUNTERS = attrgetter(*Metrics.counter_names())
+
 
 @dataclass
 class TraceEvent:
@@ -87,12 +97,14 @@ class Span:
         "far_accesses",
         "event_count",
         "child_count",
-        "delta",
-        "_start_snapshot",
+        "_tracer",
+        "_start",
+        "_end",
     )
 
     def __init__(
         self,
+        tracer: "Tracer",
         span_id: int,
         parent_id: Optional[int],
         client: "Client",
@@ -101,6 +113,7 @@ class Span:
         *,
         is_root: bool = False,
     ) -> None:
+        self._tracer = tracer
         self.span_id = span_id
         self.parent_id = parent_id
         self.client_id = client.client_id
@@ -115,15 +128,33 @@ class Span:
         self.far_accesses = 0
         self.event_count = 0
         self.child_count = 0
-        # Inclusive Metrics delta over the span's lifetime (children count
-        # toward their ancestors too — the Profiler's nesting semantics).
-        self.delta = None
-        self._start_snapshot = client.metrics.snapshot()
+        # The counters as the span opens and as it closes (the tracer reads
+        # the second): one tuple each, the free-form ones copied only when
+        # there are any. ``delta`` is built from the two when it is read.
+        metrics = client.metrics
+        self._start = (_COUNTERS(metrics), dict(metrics.custom) if metrics.custom else None)
+        self._end: Optional[tuple] = None
 
-    def _close(self, client: "Client") -> None:
-        self.end_ns = client.clock.now_ns
-        self.delta = client.metrics.delta(self._start_snapshot)
-        self._start_snapshot = None
+    @property
+    def delta(self) -> Optional[Metrics]:
+        """Inclusive ``Metrics`` delta over the span's lifetime (children
+        count toward their ancestors too — the Profiler's nesting
+        semantics); ``None`` while the span is open."""
+        if self._end is None:
+            return None
+
+        def ledger(counters: tuple, custom: Optional[dict]) -> Metrics:
+            return Metrics(*counters, custom=Counter(custom or ()))
+
+        return ledger(*self._end).delta(ledger(*self._start))
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc: Any) -> bool:
+        """Close the span, whether or not the ``with`` block raised."""
+        self._tracer._close_span(self)
+        return False
 
     @property
     def open(self) -> bool:
@@ -151,8 +182,9 @@ class Span:
         }
         if self.tags:
             out["tags"] = dict(self.tags)
-        if self.delta is not None:
-            out["delta"] = {k: v for k, v in self.delta.as_dict().items() if v}
+        delta = self.delta
+        if delta is not None:
+            out["delta"] = {k: v for k, v in delta.as_dict().items() if v}
         return out
 
     def __repr__(self) -> str:
@@ -208,6 +240,7 @@ class Tracer:
             )
         client._tracer = self
         self._clients[client.client_id] = client
+        self._stacks.setdefault(client.client_id, [])
         self._open_span(client, f"client:{client.name}", {}, is_root=True)
         return self
 
@@ -217,7 +250,7 @@ class Tracer:
             return
         stack = self._stacks.get(client.client_id, [])
         while stack:
-            self._close_span(client, stack[-1])
+            self._close_span(stack[-1])
         client._tracer = None
 
     def finish(self) -> "Tracer":
@@ -262,9 +295,10 @@ class Tracer:
         *,
         is_root: bool = False,
     ) -> Span:
-        stack = self._stacks.setdefault(client.client_id, [])
+        stack = self._stacks[client.client_id]
         parent = stack[-1] if stack else None
         span = Span(
+            self,
             self._next_span_id,
             parent.span_id if parent is not None else None,
             client,
@@ -279,22 +313,24 @@ class Tracer:
         self._span_log.append(("B", span.start_ns, span))
         return span
 
-    def _close_span(self, client: "Client", span: Span) -> None:
-        stack = self._stacks[client.client_id]
+    def _close_span(self, span: Span) -> None:
+        stack = self._stacks[span.client_id]
         # Defensive: close leaked children first so the log stays LIFO.
         while stack and stack[-1] is not span:
-            self._close_span(client, stack[-1])
+            self._close_span(stack[-1])
         if not stack:
             return
-        stack.pop()
-        span._close(client)
+        del stack[-1]
+        client = self._clients[span.client_id]
+        span.end_ns = client.clock.now_ns
+        metrics = client.metrics
+        span._end = (_COUNTERS(metrics), dict(metrics.custom) if metrics.custom else None)
         self._span_log.append(("E", span.end_ns, span))
         self.spans.append(span)
 
-    @contextmanager
-    def span(self, client: "Client", label: str, **tags: Any) -> Iterator[Span]:
+    def span(self, client: "Client", label: str, **tags: Any) -> Span:
         """Open a span attributing everything ``client`` does inside the
-        block to ``label``. Auto-attaches the client on first use."""
+        ``with`` block to ``label``. Auto-attaches the client on first use."""
         if client._tracer is None:
             self.attach(client)
         elif client._tracer is not self:
@@ -302,11 +338,7 @@ class Tracer:
                 f"{client.name} is attached to another tracer; "
                 "open the span through that tracer"
             )
-        span = self._open_span(client, label, tags)
-        try:
-            yield span
-        finally:
-            self._close_span(client, span)
+        return self._open_span(client, label, tags)
 
     def current_span(self, client: "Client") -> Optional[Span]:
         """The innermost open span for ``client`` (its root if no
@@ -336,9 +368,11 @@ class Tracer:
             sink.on_trace_event(client, event, span)
         return event
 
-    # The two hot kinds keep a method: it shapes the payload (empty keys
+    # The two hot kinds keep a method that shapes the payload (empty keys
     # left out, window members as dicts) and attributes the far access to
-    # its span.
+    # its span. Each appends its event and feeds the sinks itself, as
+    # ``emit`` does: the payload is built once, never re-packed as keyword
+    # arguments.
 
     def on_far_access(
         self,
@@ -372,8 +406,13 @@ class Tracer:
             data["segments"] = segments
         if atomic:
             data["atomic"] = True
-        self._stacks[client.client_id][-1].far_accesses += 1
-        self.emit(client, "far_access", **data)
+        span = self._stacks[client.client_id][-1]
+        span.far_accesses += 1
+        span.event_count += 1
+        event = TraceEvent("far_access", client.clock.now_ns, client.name, span.span_id, data)
+        self.events.append(event)
+        for sink in self._sinks:
+            sink.on_trace_event(client, event, span)
 
     def on_window(
         self,
@@ -384,23 +423,29 @@ class Tracer:
         serial_ns: float,
         saved_ns: float,
         reason: str,
-        ops: list[tuple[str, float, Optional[int]]],
-        n_charges: int,
+        window: Sequence[tuple],
     ) -> None:
-        self.emit(
-            client,
-            "window",
-            start_ns=start_ns,
-            charged_ns=charged_ns,
-            serial_ns=serial_ns,
-            saved_ns=saved_ns,
-            reason=reason,
-            n=n_charges,
-            ops=[
+        """``window`` is the flushed ``(op, charge_ns, span_id, future)``
+        entries; a bare charge (``op`` None) counts in ``n`` only."""
+        data = {
+            "start_ns": start_ns,
+            "charged_ns": charged_ns,
+            "serial_ns": serial_ns,
+            "saved_ns": saved_ns,
+            "reason": reason,
+            "n": len(window),
+            "ops": [
                 {"op": op, "charge_ns": charge, "span_id": span_id}
-                for op, charge, span_id in ops
+                for op, charge, span_id, _ in window
+                if op is not None
             ],
-        )
+        }
+        span = self._stacks[client.client_id][-1]
+        span.event_count += 1
+        event = TraceEvent("window", client.clock.now_ns, client.name, span.span_id, data)
+        self.events.append(event)
+        for sink in self._sinks:
+            sink.on_trace_event(client, event, span)
 
     # ------------------------------------------------------------------
     # Queries
@@ -477,9 +522,10 @@ class Tracer:
                 if span.is_root:
                     continue
                 count, far, total = per_label.get(span.label, (0, 0, 0.0))
+                delta = span.delta
                 per_label[span.label] = (
                     count + 1,
-                    far + (span.delta.far_accesses if span.delta else 0),
+                    far + (delta.far_accesses if delta else 0),
                     total + span.duration_ns,
                 )
             ranked = sorted(per_label.items(), key=lambda kv: -kv[1][2])

@@ -4,9 +4,10 @@ Translation is free in the simulated world, so every entry into the extent
 table is pure host overhead. These tests count entries into
 ``ExtentTable.locate`` / ``ExtentTable.split`` (``node_of`` is a ``locate``)
 for one op each and pin them: one per plain op, pointer word + target for an
-indirect op, one per iovec entry, and at most one more when something that
-needs the op's home node (retry/breaker policy, tracer, fault injector) is
-attached.
+indirect op, one per iovec entry — and no more when something that needs the
+op's home node (retry/breaker policy, tracer, fault injector) is attached:
+the client translates once and hands the op that translation (at most one
+more lookup until the guards' home node came from the op's own translation).
 """
 
 import pytest
@@ -43,6 +44,11 @@ OPS = {
 }
 EXACT = set(OPS) - {"fsaai"}  # fsaai is pinned as an upper bound
 INDIRECT = {"load0", "load2", "store0", "store2", "faai", "saai", "add0", "add2"}
+# Ops that translate for themselves on a guarded or observed client, so the
+# guards' home node costs one more lookup. ``write_u64``: its fabric method
+# keeps the (address, value) signature that test_pipeline.py's nested
+# submission test hooks in place.
+SELF_TRANSLATING = {"write_u64"}
 
 
 @pytest.fixture
@@ -124,11 +130,12 @@ def _with_everything(cluster):
 )
 @pytest.mark.parametrize("op", sorted(OPS))
 def test_observers_and_guards_share_one_extra_lookup(lookups, op, attach):
+    """The one lookup they share is the op's own (an extra one before)."""
     cluster, memory = _cluster()
     client = attach(cluster)
     call, pinned = OPS[op]
     seen = _count(lookups, call, client, memory)
-    assert seen["locate"] + seen["split"] <= pinned + 1, seen
+    assert seen["locate"] + seen["split"] <= pinned + (op in SELF_TRANSLATING), seen
 
 
 def test_sub_word_indirect_transfer_is_the_one_re_split(lookups):

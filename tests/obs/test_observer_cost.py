@@ -6,9 +6,9 @@ Attaching a ``Tracer`` (and a ``TelemetryRegistry``) must stay cheap in the
 span and of one traced far op and pin them as upper bounds, in the style of
 ``tests/fabric/test_sync_not_pipeline.py``; the empty span is also pinned on
 its total call count with builtins included (``cProfile``, the way the
-frozen wall-clock benchmark counts), which is the pin a per-counter
-``getattr`` loop in ``Metrics.snapshot`` / ``delta`` would trip (it costs
-about 100 calls per span).
+frozen wall-clock benchmark counts), which is the pin a ``Metrics`` copy per
+span boundary would trip (a ``snapshot`` / ``delta`` pair is 15 calls; an
+empty span made 35 before it read the counters as one tuple).
 
 A single observed read never crosses a telemetry window, so it pays only
 ingestion (an append and a compare per event). What the registry does per
@@ -28,17 +28,20 @@ from functools import partial
 from repro import Cluster
 from repro.obs import TelemetryRegistry, Tracer
 
-# Python-level entries.
-EMPTY_SPAN = 18
-TRACED_READ = 31
-OBSERVED_READ = 33
-# Every call, C builtins included: of an empty span, and per observed
-# ``read_u64`` over AMORTISED_READS reads with the benchmark's 50 us window
-# (46.7 measured on 3.11; 47.7 before the fault kind came from the op-table
-# row instead of a ``getattr``, 58.6 before a far access was priced in one
-# call, 194.1 before the registry folded per window).
-EMPTY_SPAN_ALL_CALLS = 35
-AMORTISED_OBSERVED_READ = 49
+# Python-level entries (18 / 31 / 33 before a span was its own ``with``
+# scope reading the counters as one tuple, a hot event was built once and a
+# traced op took its home node from its own translation).
+EMPTY_SPAN = 7
+TRACED_READ = 23
+OBSERVED_READ = 25
+# Every call, C builtins included: of an empty span (35 before, as above),
+# and per observed ``read_u64`` over AMORTISED_READS reads with the
+# benchmark's 50 us window (36.7 measured on 3.11; 46.7 before the changes
+# above, 47.7 before the fault kind came from the op-table row instead of a
+# ``getattr``, 58.6 before a far access was priced in one call, 194.1 before
+# the registry folded per window).
+EMPTY_SPAN_ALL_CALLS = 11
+AMORTISED_OBSERVED_READ = 37
 AMORTISED_READS = 500
 TELEMETRY_WINDOW_NS = 50_000
 

@@ -136,8 +136,7 @@ class _World:
             tracer.on_window(
                 client, start_ns=client.clock.now_ns, charged_ns=sum(charges),
                 serial_ns=sum(charges) + saved, saved_ns=saved, reason="batch",
-                ops=[("read_u64", charge, None) for charge in charges],
-                n_charges=len(charges),
+                window=[("read_u64", charge, None, None) for charge in charges],
             )  # fmt: skip
         elif action[0] == "emit":
             _, kind, a, b = action

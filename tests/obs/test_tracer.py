@@ -182,6 +182,41 @@ class TestSpanNesting:
         assert all(w.data["n"] == 2 for w in windows)
         assert tracer.window_hist.count == 3
 
+    def test_lazy_delta_equals_the_metrics_ledger(self):
+        # A span reads the counters as a tuple at each end and builds its
+        # delta when asked; Metrics.delta over snapshots taken at the same
+        # boundaries is the ledger it must reproduce, custom counters too.
+        cluster = Cluster(node_count=1, node_size=8 << 20)
+        client = cluster.client("ledger")
+        block = cluster.allocator.alloc(64)
+        metrics = client.metrics
+        metrics.bump("early")  # bumped before the spans and during them
+        tracer = Tracer()
+        with tracer.span(client, "outer") as outer:
+            outer_start = metrics.snapshot()
+            client.write_u64(block, 1)
+            metrics.bump("early")
+            with client.trace("late") as late:
+                late_start = metrics.snapshot()
+                metrics.bump("late")  # first appears mid-span
+                client.read_u64(block)
+            late_ledger = metrics.delta(late_start)
+            assert outer.delta is None  # open
+            with client.trace("reset") as reset:
+                reset_start = metrics.snapshot()
+                metrics.reset()  # keys only the start holds turn negative
+                metrics.bump("late", 3)
+                client.read_u64(block)
+            reset_ledger = metrics.delta(reset_start)
+        outer_ledger = metrics.delta(outer_start)
+        for span, ledger in ((late, late_ledger), (reset, reset_ledger), (outer, outer_ledger)):
+            assert span.delta.as_dict() == ledger.as_dict()
+            assert dict(span.delta.custom) == dict(ledger.custom)
+        assert dict(late.delta.custom) == {"late": 1}
+        assert dict(reset.delta.custom) == {"early": -2, "late": 2}
+        assert reset.delta.far_accesses < 0
+        assert dict(outer.delta.custom) == {"early": -1, "late": 3}
+
 
 class TestFaultEvents:
     def test_retry_ladder_attaches_to_op_spans(self):
