@@ -31,7 +31,6 @@ from .core import (
     FarRegistry,
     FarRWLock,
     FarSemaphore,
-    FarStack,
     FarVector,
     HTTree,
     RefreshableVector,
@@ -79,7 +78,6 @@ __all__ = [
     "FarRegistry",
     "FarRWLock",
     "FarSemaphore",
-    "FarStack",
     "FarVector",
     "HTTree",
     "RefreshableVector",

@@ -16,8 +16,7 @@ from .refreshable_vector import RefreshableVector, RefreshReport
 from .registry import FarRegistry, RegistryError, name_hash
 from .rwlock import FarRWLock, RWLockStats
 from .semaphore import FarSemaphore, SemaphoreStats
-from .stack import FarStack, StackStats
-from .vector import CachedFarVector, FarVector
+from .vector import FarVector
 
 __all__ = [
     "BlobStats",
@@ -29,8 +28,6 @@ __all__ = [
     "RWLockStats",
     "FarSemaphore",
     "SemaphoreStats",
-    "FarStack",
-    "StackStats",
     "ArrivalTicket",
     "BarrierError",
     "FarBarrier",
@@ -46,6 +43,5 @@ __all__ = [
     "QueueStats",
     "RefreshableVector",
     "RefreshReport",
-    "CachedFarVector",
     "FarVector",
 ]

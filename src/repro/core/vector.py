@@ -11,16 +11,13 @@ access per element operation, **without caching the base**. Because the
 base is a level of indirection, it can be atomically switched to a
 different storage region, which is exactly how the section 6 monitoring
 case study rotates histogram windows ("the producer switches the base
-pointer in far memory and the client is notified").
-
-:class:`CachedFarVector` adds the optional notification-maintained client
-cache: reads become near accesses; ``notify0``/``notify0d`` subscriptions
-keep the cache fresh.
+pointer in far memory and the client is notified"). The notification-kept
+client cache is :class:`~repro.core.refreshable_vector.RefreshableVector`'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +27,7 @@ from ..fabric.client import Client
 from ..fabric.errors import AddressError
 from ..fabric.wire import WORD
 from ..notify.manager import NotificationManager
-from ..notify.subscription import Notification, NotifyKind, Subscription
+from ..notify.subscription import NotifyKind, Subscription
 
 
 @dataclass(frozen=True)
@@ -95,17 +92,6 @@ class FarVector:
     def base(self, client: Client) -> int:
         """Read the current storage base pointer (one far access)."""
         return client.read_u64(self.descriptor)
-
-    def read_all(self, client: Client, base: Optional[int] = None) -> np.ndarray:
-        """Read the whole vector.
-
-        With a known ``base`` (cached by the caller) this is one far
-        access; otherwise it is two (base read + bulk read).
-        """
-        if base is None:
-            base = self.base(client)
-        raw = client.read(base, self.length * WORD)
-        return np.frombuffer(raw, dtype="<u8").copy()
 
     def read_range(
         self, client: Client, start: int, count: int, base: Optional[int] = None
@@ -177,99 +163,3 @@ class FarVector:
             remaining -= chunk
         return subs
 
-
-@dataclass
-class CachedFarVector:
-    """A client-side cache over a :class:`FarVector`, kept fresh by
-    notifications (section 5.1's optional cache).
-
-    One client owns one cache. Reads are near accesses; incoming
-    ``notify0d`` notifications update the cached words in place, while
-    plain ``notify0`` notifications (or loss warnings) invalidate the
-    affected words, forcing a far re-read on next access.
-    """
-
-    vector: FarVector
-    client: Client
-    manager: NotificationManager
-    base: int = 0
-    _cache: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype="<u8"))
-    _valid: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-    subscriptions: list[Subscription] = field(default_factory=list)
-
-    @classmethod
-    def attach(
-        cls,
-        vector: FarVector,
-        client: Client,
-        manager: NotificationManager,
-    ) -> "CachedFarVector":
-        """Populate the cache (2 far accesses) and subscribe for updates
-        that carry the new words (``notify0d``)."""
-        base = vector.base(client)
-        cache = vector.read_all(client, base=base)
-        cached = cls(
-            vector=vector,
-            client=client,
-            manager=manager,
-            base=base,
-            _cache=cache,
-            _valid=np.ones(vector.length, dtype=bool),
-        )
-        cached.subscriptions = vector.subscribe_range(
-            manager, client, base, 0, vector.length, with_data=True
-        )
-        return cached
-
-    def _apply(self, notification: Notification) -> None:
-        start = (notification.address - self.base) // WORD
-        count = max(1, notification.length // WORD)
-        if start < 0 or start >= self.vector.length:
-            return
-        end = min(start + count, self.vector.length)
-        if (
-            notification.kind is NotifyKind.NOTIFY0D
-            and notification.data is not None
-            and not notification.is_loss_warning
-            and notification.coalesced_count == 1
-        ):
-            words = np.frombuffer(notification.data, dtype="<u8")
-            self._cache[start : start + len(words)] = words
-            self._valid[start : start + len(words)] = True
-        else:
-            # Coalesced or data-less: we only know *something* changed.
-            self._valid[start:end] = False
-
-    def pump(self) -> int:
-        """Drain pending notifications into the cache; returns how many."""
-        notifications = self.client.poll_notifications()
-        mine = {s.sub_id for s in self.subscriptions}
-        for n in notifications:
-            if n.sub_id in mine:
-                if n.is_loss_warning:
-                    # Unknown updates were dropped: trust nothing.
-                    self._valid[:] = False
-                self._apply(n)
-            else:
-                # Not ours: give it back to the inbox owner.
-                self.client.deliver(n)
-        return len(notifications)
-
-    def get(self, index: int) -> int:
-        """Read through the cache: near access on hit, one far access on
-        an invalidated word."""
-        self.vector._check_index(index)
-        self.pump()
-        if self._valid[index]:
-            self.client.touch_local()
-            return int(self._cache[index])
-        value = self.client.read_u64(self.base + index * WORD)
-        self._cache[index] = value
-        self._valid[index] = True
-        return value
-
-    def close(self) -> None:
-        """Drop all subscriptions."""
-        for sub in self.subscriptions:
-            self.manager.unsubscribe(sub)
-        self.subscriptions.clear()

@@ -153,11 +153,10 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
 
     # Typed events: windows become X slices (window lane + qp lanes for
     # their member ops); everything else becomes a thread-scoped instant.
-    clients_by_name = {c.name: c.client_id for c in tracer._clients.values()}
+    # An event's lane is its span's client: names repeat across clusters.
+    client_of_span = {span.span_id: span.client_id for span in tracer.all_spans()}
     for event in tracer.events:
-        client_id = clients_by_name.get(event.client)
-        if client_id is None:  # pragma: no cover - detached mid-run
-            continue
+        client_id = client_of_span[event.span_id]
         if event.kind == "window":
             tid = name_lane(event.client, client_id, WINDOW_LANE, "windows")
             data = event.data
@@ -218,7 +217,7 @@ def write_chrome_trace(path: str, tracer: Tracer) -> dict[str, Any]:
     """Export and write the Chrome trace JSON; returns the document."""
     document = chrome_trace(tracer)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh)
+        fh.write(json.dumps(document))  # json.dump streams through the pure-Python encoder
     return document
 
 

@@ -2,19 +2,16 @@
 
 Far memory's separate fault domain (paper section 2) means client crashes
 never lose data — but they strand it: held locks, half-migrated queue
-items, un-arrived barrier parties. This package provides the recovery
-protocols a deployment needs on top of the section 5 structures:
-lease-based mutexes with takeover, queue scrubbing, barrier repair.
+items. This package provides the recovery protocols a deployment needs on
+top of the section 5 structures: lease-based mutexes with takeover, queue
+scrubbing, and re-replication after a memory node fails.
 """
 
-from .barrier_repair import BarrierRepairReport, arrive_for_dead
 from .lease_mutex import LeasedFarMutex, LeaseStats
 from .queue_scrub import QueueScrubber, ScrubReport
 from .repair import RepairCoordinator, RepairReport
 
 __all__ = [
-    "BarrierRepairReport",
-    "arrive_for_dead",
     "LeasedFarMutex",
     "LeaseStats",
     "QueueScrubber",

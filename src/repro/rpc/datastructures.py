@@ -99,57 +99,3 @@ class RpcQueue:
         """Current length: one RPC."""
         return self.server.call(client, f"{self.name}.size")
 
-
-class RpcVector:
-    """A fixed-length word vector behind an RPC server."""
-
-    def __init__(self, server: RpcServer, length: int, name: str = "vector") -> None:
-        if length <= 0:
-            raise ValueError("length must be positive")
-        self.server = server
-        self.name = name
-        self.length = length
-        self._data = [0] * length
-        server.register(f"{name}.get", self._get)
-        server.register(f"{name}.set", self._set)
-        server.register(f"{name}.add", self._add)
-        server.register(f"{name}.read_all", self._read_all)
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.length:
-            raise IndexError(index)
-
-    def _get(self, index: int) -> int:
-        self._check(index)
-        return self._data[index]
-
-    def _set(self, index: int, value: int) -> None:
-        self._check(index)
-        self._data[index] = value
-
-    def _add(self, index: int, delta: int) -> int:
-        self._check(index)
-        old = self._data[index]
-        self._data[index] = (old + delta) & ((1 << 64) - 1)
-        return old
-
-    def _read_all(self) -> list[int]:
-        return list(self._data)
-
-    def get(self, client: Client, index: int) -> int:
-        """Read one element: one RPC."""
-        return self.server.call(client, f"{self.name}.get", index)
-
-    def set(self, client: Client, index: int, value: int) -> None:
-        """Write one element: one RPC."""
-        self.server.call(client, f"{self.name}.set", index, value)
-
-    def add(self, client: Client, index: int, delta: int) -> int:
-        """Atomic add (server-side): one RPC; returns the old value."""
-        return self.server.call(client, f"{self.name}.add", index, delta)
-
-    def read_all(self, client: Client) -> list[int]:
-        """Read the whole vector: one RPC with a large reply."""
-        return self.server.call(
-            client, f"{self.name}.read_all", reply_bytes=self.length * 8
-        )

@@ -1,6 +1,6 @@
 """Workload generators: key distributions, operation mixes, metric streams."""
 
-from .keydist import Hotspot, KeyDistribution, Sequential, Uniform, Zipf
+from .keydist import KeyDistribution, Sequential, Uniform, Zipf
 from .metric_stream import MetricStream
 from .ycsb import (
     YcsbWorkload,
@@ -19,7 +19,6 @@ from .opmix import (
 )
 
 __all__ = [
-    "Hotspot",
     "KeyDistribution",
     "Sequential",
     "Uniform",

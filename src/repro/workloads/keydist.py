@@ -90,26 +90,3 @@ class Zipf(KeyDistribution):
         ranks = np.minimum(ranks, self.keyspace) - 1
         return self._rank_to_key(ranks.astype(np.uint64))
 
-
-class Hotspot(KeyDistribution):
-    """A fraction of traffic concentrated on a small hot set."""
-
-    def __init__(
-        self,
-        keyspace: int,
-        seed: int = 0,
-        hot_fraction: float = 0.01,
-        hot_probability: float = 0.9,
-    ) -> None:
-        super().__init__(keyspace, seed)
-        if not 0 < hot_fraction <= 1 or not 0 <= hot_probability <= 1:
-            raise ValueError("invalid hotspot parameters")
-        self.hot_keys = max(1, int(keyspace * hot_fraction))
-        self.hot_probability = hot_probability
-
-    def sample(self, count: int) -> np.ndarray:
-        hot = self.rng.random(count) < self.hot_probability
-        keys = self.rng.integers(self.hot_keys, self.keyspace, size=count, dtype=np.uint64)
-        hot_draw = self.rng.integers(0, self.hot_keys, size=count, dtype=np.uint64)
-        keys[hot] = hot_draw[hot]
-        return keys

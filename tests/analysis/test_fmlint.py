@@ -46,6 +46,16 @@ class TestFM001:
         assert [f.code for f in findings] == ["FM001"]
         assert "write_u64" in findings[0].message
 
+    def test_flags_inside_an_async_def(self):
+        findings = _lint(
+            """
+            async def zero(client, addrs):
+                for addr in addrs:
+                    client.write_u64(addr, 0)
+            """
+        )
+        assert [f.code for f in findings] == ["FM001"]
+
     def test_batch_context_is_clean(self):
         assert (
             _codes(

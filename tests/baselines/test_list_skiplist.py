@@ -1,9 +1,9 @@
-"""Unit tests for the linked-list and skip-list strawmen."""
+"""Unit tests for the skip-list strawman."""
 
 import pytest
 
 from repro import Cluster
-from repro.baselines import FarLinkedList, FarSkipList
+from repro.baselines import FarSkipList
 
 NODE_SIZE = 8 << 20
 
@@ -11,44 +11,6 @@ NODE_SIZE = 8 << 20
 @pytest.fixture
 def cluster():
     return Cluster(node_count=1, node_size=NODE_SIZE)
-
-
-class TestLinkedList:
-    def test_push_get(self, cluster):
-        lst = FarLinkedList.create(cluster.allocator)
-        c = cluster.client()
-        lst.push_front(c, 1, 10)
-        lst.push_front(c, 2, 20)
-        assert lst.get(c, 1) == 10
-        assert lst.get(c, 2) == 20
-        assert lst.get(c, 3) is None
-        assert len(lst) == 2
-
-    def test_items_in_lifo_order(self, cluster):
-        lst = FarLinkedList.create(cluster.allocator)
-        c = cluster.client()
-        for k in range(5):
-            lst.push_front(c, k, k)
-        assert [k for k, _ in lst.items(c)] == [4, 3, 2, 1, 0]
-
-    def test_lookup_cost_is_linear(self, cluster):
-        lst = FarLinkedList.create(cluster.allocator)
-        c = cluster.client()
-        for k in range(50):
-            lst.push_front(c, k, k)
-        snapshot = c.metrics.snapshot()
-        lst.get(c, 0)  # deepest element
-        # Head read + 50 hops: the O(n) strawman of section 1.
-        assert c.metrics.delta(snapshot).far_accesses == 51
-
-    def test_push_is_constant_cost(self, cluster):
-        lst = FarLinkedList.create(cluster.allocator)
-        c = cluster.client()
-        for k in range(20):
-            lst.push_front(c, k, k)
-        snapshot = c.metrics.snapshot()
-        lst.push_front(c, 99, 99)
-        assert c.metrics.delta(snapshot).far_accesses == 3  # read+write+CAS
 
 
 class TestSkipList:

@@ -1,9 +1,9 @@
-"""Unit tests for far vectors and their notification-maintained caches."""
+"""Unit tests for far vectors and their subscriptions."""
 
 import pytest
 
 from repro import Cluster
-from repro.core.vector import CachedFarVector, FarVector
+from repro.core.vector import FarVector
 from repro.fabric.errors import AddressError
 from repro.fabric.wire import WORD
 
@@ -51,18 +51,6 @@ class TestFarVector:
             vector.get(client, 32)
         with pytest.raises(AddressError):
             vector.set(client, -1, 0)
-
-    def test_read_all(self, vector, client):
-        for i in range(32):
-            vector.set(client, i, i * i)
-        values = vector.read_all(client)
-        assert values.tolist() == [i * i for i in range(32)]
-
-    def test_read_all_with_cached_base_is_one_access(self, vector, client):
-        base = vector.base(client)
-        snapshot = client.metrics.snapshot()
-        vector.read_all(client, base=base)
-        assert client.metrics.delta(snapshot).far_accesses == 1
 
     def test_read_range(self, vector, client):
         for i in range(32):
@@ -127,32 +115,3 @@ class TestSubscriptions:
         subs = vector.subscribe_range(cluster.notifications, watcher, base, 0, 2048)
         assert len(subs) >= 4
 
-
-class TestCachedFarVector:
-    def test_reads_hit_cache(self, cluster, vector):
-        writer = cluster.client()
-        vector.set(writer, 3, 9)
-        reader = cluster.client()
-        cached = CachedFarVector.attach(vector, reader, cluster.notifications)
-        snapshot = reader.metrics.snapshot()
-        assert cached.get(3) == 9
-        assert reader.metrics.delta(snapshot).far_accesses == 0
-
-    def test_notification_updates_cache(self, cluster, vector):
-        writer = cluster.client()
-        reader = cluster.client()
-        cached = CachedFarVector.attach(vector, reader, cluster.notifications)
-        vector.set(writer, 7, 123)
-        snapshot = reader.metrics.snapshot()
-        assert cached.get(7) == 123  # updated via notify0d payload
-        assert reader.metrics.delta(snapshot).far_accesses == 0
-
-    def test_close_stops_updates(self, cluster, vector):
-        writer = cluster.client()
-        reader = cluster.client()
-        cached = CachedFarVector.attach(vector, reader, cluster.notifications)
-        cached.close()
-        vector.set(writer, 1, 5)
-        cached.pump()
-        # No subscription: the cache serves the (stale) old value.
-        assert cached.get(1) == 0

@@ -18,14 +18,12 @@ from repro.apps.monitoring import NaiveMonitor, NaiveProducer
 from repro.apps.paramserver import GradientChannel
 from repro.baselines import (
     AddressCachingHashMap,
-    FarLinkedList,
     FarSkipList,
     HopscotchHashMap,
     OneSidedBTree,
     OneSidedHashMap,
 )
 from repro.core.blob import FarBlobStore
-from repro.core.stack import FarStack
 from repro.fabric.client import Client
 from repro.fabric.errors import FabricError
 from repro.fabric.replication import ReplicatedRegion
@@ -33,7 +31,7 @@ from repro.recovery import LeasedFarMutex, QueueScrubber
 
 EXTENT = 64 << 10
 
-IMAGE_SHA256 = "b0a117972a018ad6da9bca9462f9ebda5c8333c9a9fa61c7e4825b02445b89f5"
+IMAGE_SHA256 = "726dd52c0ad2fec39629199fbd93d22efe8286ca9b2ff6483917c3935be28884"
 
 
 def _txn_cell(cluster, space, client, used, payload):
@@ -104,11 +102,7 @@ def build_image() -> str:
     assert QueueScrubber(stranded).scrub(a).migrations_completed == 1
     assert stranded.size_estimate(b) == 1
 
-    # Stack, blob store, registry (register / lookup / unregister).
-    stack = FarStack.create(cluster.allocator)
-    for value in (5, 6, 7):
-        stack.push(a, value)
-    assert stack.pop(b) == 7 and stack.peek(b) == 6
+    # Blob store, registry (register / lookup / unregister).
     blobs = FarBlobStore.create(cluster.allocator, cluster.ht_tree(bucket_count=8))
     blobs.put(a, 1, b"hello far memory")
     blobs.put(a, 1, b"replaced")
@@ -187,14 +181,12 @@ def build_image() -> str:
     hop = HopscotchHashMap.create(cluster.allocator, slot_count=8, neighborhood=3)
     chained = OneSidedHashMap.create(cluster.allocator, bucket_count=4)
     cached = AddressCachingHashMap(OneSidedHashMap.create(cluster.allocator, bucket_count=4))
-    linked = FarLinkedList.create(cluster.allocator)
     skip = FarSkipList.create(cluster.allocator, seed=3)
     btree = OneSidedBTree.create(cluster.allocator, max_keys=3)
     for key in range(1, 13):
         hop.put(a, key * 31, key)
         chained.put(a, key, key * 2)
         cached.put(a, key, key * 3)
-        linked.push_front(a, key, key * 4)
         skip.put(a, key * 5 % 13, key)
         btree.put(a, key * 11 % 17, key)
     hop.delete(a, 31)
@@ -203,9 +195,8 @@ def build_image() -> str:
     chained.put(a, 6, 66)
     cached.put(a, 2, 222)
     assert cached.get(b, 2) == 222 and cached.get(b, 2) == 222
-    assert sorted(linked.items(b))[0] == (1, 4)
     skip.put(a, 5, 555)
-    assert linked.get(b, 3) == 12 and btree.get(b, 11) == 1
+    assert btree.get(b, 11) == 1
 
     digest = hashlib.sha256()
     for node in cluster.fabric.nodes:

@@ -16,6 +16,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.export import LANE_STRIDE
 
 
 def _traced_run():
@@ -125,6 +126,25 @@ class TestChromeTrace:
         ends = [e for e in document["traceEvents"] if e["ph"] == "E"]
         assert [e["name"] for e in ends] == ["client:live"]
         assert ends[0]["ts"] == client.clock.now_ns / 1_000.0
+
+    def test_same_named_clients_keep_their_own_lanes(self):
+        # Examples build one cluster per scenario and reuse client names
+        # in each; an event's lane is its span's client, not its name.
+        tracer = Tracer()
+        clients = []
+        for _ in range(2):
+            cluster = Cluster(node_count=1, node_size=8 << 20)
+            client = cluster.client("producer")
+            tracer.attach(client)
+            counter = cluster.far_counter()
+            for _ in range(3):
+                counter.increment(client)
+            clients.append(client)
+        tracer.finish()
+        document = chrome_trace(tracer)
+        assert validate_chrome_trace(document) == []
+        owners = {e["tid"] // LANE_STRIDE for e in document["traceEvents"] if e["ph"] in "iX"}
+        assert owners == {client.client_id for client in clients}
 
     def test_write_and_load_roundtrip(self, tmp_path):
         _, tracer = _traced_run()

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Cluster
 from repro.fabric.errors import QueueEmpty, QueueFull
-from repro.rpc import RpcMap, RpcQueue, RpcServer, RpcVector
+from repro.rpc import RpcMap, RpcQueue, RpcServer
 
 NODE_SIZE = 8 << 20
 
@@ -82,30 +82,7 @@ class TestRpcQueue:
         assert q.size(c) == 1
 
 
-class TestRpcVector:
-    def test_roundtrip(self, cluster, server):
-        v = RpcVector(server, 8)
-        c = cluster.client()
-        v.set(c, 3, 30)
-        assert v.get(c, 3) == 30
-        assert v.add(c, 3, 5) == 30
-        assert v.get(c, 3) == 35
-
-    def test_read_all(self, cluster, server):
-        v = RpcVector(server, 4)
-        c = cluster.client()
-        v.set(c, 0, 1)
-        assert v.read_all(c) == [1, 0, 0, 0]
-
-    def test_bounds(self, cluster, server):
-        v = RpcVector(server, 4)
-        with pytest.raises(IndexError):
-            v.get(cluster.client(), 4)
-
-    def test_length_validated(self, server):
-        with pytest.raises(ValueError):
-            RpcVector(server, 0)
-
+class TestSharedServer:
     def test_two_structures_one_server_share_cpu(self, cluster, server):
         # The shared-bottleneck property: ops on different structures
         # still serialize on the same memory-side processor.

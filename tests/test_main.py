@@ -228,6 +228,15 @@ def test_top_once_renders_final_frame(capsys):
     assert "httree" in out
 
 
+def test_top_prints_periodic_frames_before_the_final_one(capsys):
+    # fault_burst runs past the ticker's 100 one-millisecond windows, so a
+    # periodic frame comes before the final one.
+    assert main(["top", "fault_burst"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("== repro top @") == 2
+    assert out.index("== repro top @") < out.index("-- final frame")
+
+
 def test_top_unknown_target_is_an_error():
     with pytest.raises(SystemExit, match="cannot find"):
         main(["top", "no-such-example"])

@@ -32,12 +32,23 @@ attribute's own update — or sits in :data:`KEEP_STATE` naming the generic
 reader (``vars``, ``as_dict``, ``astuple``) that reads it. A counter
 nothing reads is deleted with its updates.
 
-Run this file as a script to print the settable-value, CLI-flag and
-state-field counts.
+A fifth ratchets execution. Every function ``src/repro`` defines is entered
+by a recorded run (:func:`recorded_runs`: the examples, the CLI, the
+benchmarks' smoke sizes) — or sits in :data:`KEEP_UNRUN` with a reason. The
+recording re-runs all of them under ``tests/exec_hook``'s hook, so it is not
+a tier-1 test: ``python tests/test_surface.py --unrun`` runs it and fails
+both ways. Tier-1 checks only that each row still names a function.
+
+Run this file as a script to print the settable-value, CLI-flag,
+state-field and kept-unrun counts.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -65,16 +76,9 @@ KEEP = {
     "Tracer.spans_by_label": "test vocabulary: the span-side twin of events_by_kind (8 uses)",
     "Tracer.remove_sink": "the detach half of add_sink: how a registry stops observing a tracer",
     # Capabilities DESIGN names, or that a paper benchmark / example is about.
-    "arrive_for_dead": "barrier repair (DESIGN section 3, repro.recovery)",
     "FarRegistry.unregister": "registry tombstones: PR 4's hypothesis-found bug lives there",
     "FarBarrier.wait_done": "section 5.1's notifye wake-up",
     "FarRWLock.subscribe_free": "the lock's only blocking primitive; its manager exists for it",
-    "FarStack": "core.stack is in DESIGN section 3's inventory; whole modules are out of scope",
-    "FarStack.peek": "the stack's read: where load0 saves the third far access (DESIGN section 3)",
-    "FarLinkedList": "the section 5 strawman baseline",
-    "FarLinkedList.push_front": "the strawman's only insert",
-    "RpcVector": "the RPC-side vector baseline (DESIGN section 3, repro.rpc)",
-    "Hotspot": "the hotspot key distribution (DESIGN section 3, repro.workloads)",
     "FarKVStore.txn_multiput": "the transactional KV write (DESIGN section 15), a certified op",
     # Deliberately deferred.
     "FarCounter.compare_and_set": _FLOOR,
@@ -148,7 +152,7 @@ KEEP_OPTIONS = {
     "FarCounter.create(initial=)": f"{_TESTED} (2 lines)",
     "SLObjective.short_windows": f"{_TESTED} (burn-rate windows: 2 lines)",
     "SLObjective.long_windows": f"{_TESTED} (burn-rate windows: 3 lines)",
-    "DeliveryPolicy.drop_probability": f"{_TESTED} (lossy delivery: 7 lines)",
+    "DeliveryPolicy.drop_probability": f"{_TESTED} (lossy delivery: 6 lines)",
     "RpcServer(one_way_ns=)": f"{_TESTED} (the RPC cost model: 4 lines)",
     "MigrationCoordinator(chunk_bytes=)": f"{_TESTED} (validation; chunk accounting)",
     "TelemetryRegistry(ring_windows=)": "the export pin's scenario depends on the value 8",
@@ -156,9 +160,6 @@ KEEP_OPTIONS = {
     "CounterSeries(ring_windows=)": _RING,
     "GaugeSeries(ring_windows=)": _RING,
     "HistogramRing(ring_windows=)": _RING,
-    # Options of a kept class.
-    "Hotspot(hot_fraction=)": "Hotspot itself is in KEEP; its shape parameters go with it",
-    "Hotspot(hot_probability=)": "Hotspot itself is in KEEP; its shape parameters go with it",
 }
 
 
@@ -435,7 +436,339 @@ def test_every_field_is_read_or_kept_for_a_reason():
     assert all(reason.strip() for reason in KEEP_STATE.values())
 
 
+# -- the execution ratchet --------------------------------------------------
+
+_DUNDER = "dunder: what repr() / str() / len() / in shows at a prompt or in a failure message"
+_INTERFACE = "an interface's declaration: its implementations' methods are what run"
+_PAPER_OP = (
+    "certified paper-path op no run observes: it gains a claim row that calls it, "
+    "or goes with its certificate record (ROADMAP items 6(b), 3(a))"
+)
+_KV_TXN = (
+    "the KV-transaction path (DESIGN section 15): runs once a KV transfer joins A11 or "
+    "bank_transfer, or goes with FarKVStore.txn_multiput (ROADMAP item 6(b))"
+)
+_MAP_DELETE = (
+    "the map delete every map keeps, one-sided and RPC alike; no E10 YCSB mix deletes "
+    "yet (ROADMAP item 6(b))"
+)
+_PROBE = "test vocabulary: the read a test checks state with, which no run inspects"
+_ERROR = "error path: taken only on a failure no run provokes"
+_UNREAD = "nothing reads it; the name ratchet counts a same-named word (next 6(b) slice)"
+
+#: ``src/repro`` functions no recorded run enters, and why each stays.
+KEEP_UNRUN = {
+    # Dunders.
+    "AddressCachingHashMap.__len__": _DUNDER,
+    "Broker.__repr__": _DUNDER,
+    "CircuitBreaker.__repr__": _DUNDER,
+    "Client.__repr__": _DUNDER,
+    "CompletionQueue.__repr__": _DUNDER,
+    "CounterSeries.__repr__": _DUNDER,
+    "EpochReclaimer.__repr__": _DUNDER,
+    "ExtentTable.__repr__": _DUNDER,
+    "Fabric.__repr__": _DUNDER,
+    "FarAllocator.__repr__": _DUNDER,
+    "FarFuture.__repr__": _DUNDER,
+    "FarQueue.__repr__": _DUNDER,
+    "FarSkipList.__len__": _DUNDER,
+    "FaultInjector.__repr__": _DUNDER,
+    "GaugeSeries.__repr__": _DUNDER,
+    "HTTree.__repr__": _DUNDER,
+    "HistogramRing.__repr__": _DUNDER,
+    "HistogramSet.__contains__": _DUNDER,
+    "HistogramSet.__len__": _DUNDER,
+    "HistogramSet.__repr__": _DUNDER,
+    "HopscotchHashMap.__len__": _DUNDER,
+    "LatencyHistogram.__repr__": _DUNDER,
+    "MemoryNode.__repr__": _DUNDER,
+    "Metrics.__str__": _DUNDER,
+    "Notification.__str__": _DUNDER,
+    "OneSidedBTree.__len__": _DUNDER,
+    "OneSidedHashMap.__len__": _DUNDER,
+    "RefreshableVector.__repr__": _DUNDER,
+    "RpcMap.__len__": _DUNDER,
+    "RpcServer.__repr__": _DUNDER,
+    "SLOMonitor.__repr__": _DUNDER,
+    "Span.__repr__": _DUNDER,
+    "TelemetryRegistry.__repr__": _DUNDER,
+    "Tracer.__repr__": _DUNDER,
+    # Interfaces.
+    "KeyDistribution.sample": _INTERFACE,
+    "NotificationSink.deliver": _INTERFACE,
+    "Notifier.on_write": _INTERFACE,
+    # Fault-plan vocabulary.
+    "FaultPlan.timeout_at": _FAULT_PLAN,
+    "FaultPlan.flaky_at": _FAULT_PLAN,
+    "FaultPlan.spike_between": _FAULT_PLAN,
+    "FaultPlan.corrupt_at": _FAULT_PLAN,
+    "FaultPlan.random_torn": _FAULT_PLAN,
+    "FaultPlan.torn_at": _FAULT_PLAN,
+    # Certified paper-path ops, with the private steps only they take.
+    "FarCounter.compare_and_set": _PAPER_OP,
+    "FarCounter.decrement": _PAPER_OP,
+    "FarCounter.set": _PAPER_OP,
+    "FarKVStore.contains": _PAPER_OP,
+    "FarKVStore.delete": _PAPER_OP,
+    "FarKVStore.multiget": _PAPER_OP,
+    "FarKVStore.multiput": _PAPER_OP,
+    "FarQueue.enqueue_many": _PAPER_OP,
+    "FarQueue._enqueue_many": _PAPER_OP,
+    "HTTree.delete": _PAPER_OP,
+    "HTTree._delete": _PAPER_OP,
+    "HTTree.multistore": _PAPER_OP,
+    "HTTree._multistore": _PAPER_OP,
+    "RefreshableVector.set_multi_writer": _PAPER_OP,
+    "TxnSpace.transaction": _PAPER_OP,
+    "FarBlobStore.delete": "FarKVStore.delete's blob step (a certified op above)",
+    "FarBlobStore.multiget": "FarKVStore.multiget / multiput's blob step (certified ops above)",
+    "FarBlobStore.multiput": "FarKVStore.multiput's blob step (a certified op above)",
+    "FarBlobStore.length": "the blob store's size read: KV values are read whole",
+    # The KV-transaction path.
+    "FarKVStore.txn_get": _KV_TXN,
+    "FarKVStore.txn_multiput": _KV_TXN,
+    "FarKVStore.txn_tag": _KV_TXN,
+    "Transaction.buffer_kv": _KV_TXN,
+    "TxnSpace._apply_kv": _KV_TXN,
+    "TxnSpace.slot_for_key": _KV_TXN,
+    # Map deletes.
+    "AddressCachingHashMap.delete": _MAP_DELETE,
+    "HopscotchHashMap.delete": _MAP_DELETE,
+    "OneSidedHashMap.delete": _MAP_DELETE,
+    "OneSidedHashMap._tombstone": _MAP_DELETE,
+    "RpcMap.delete": _MAP_DELETE,
+    "RpcMap._delete": _MAP_DELETE,
+    # Error paths and branches no run takes.
+    "AddressError.__init__": f"{_ERROR} (an out-of-range address)",
+    "TxnSpace._abort_for": f"{_ERROR} (a stale epoch or an injected fault mid-commit)",
+    "ExtentMigration.abort": f"{_ERROR} (a migration abandoned before commit)",
+    "ExtentTable.abort_migration": f"{_ERROR} (a migration abandoned before commit)",
+    "CompletionQueue._discard": "a tracked future reaped by result() before the CQ drains it",
+    "Budget.scaled": "the sanitizer's per-item budget: no sanitized example calls a bulk op",
+    "RefreshableVector._leave_notify_mode": "the policy shift back to version polling",
+    # Admin paths and paper primitives no run takes.
+    "FarRegistry.unregister": "registry tombstones: a probe chain must survive a removed name",
+    "FarRegistry.attach": "adopting a registry by base address, as a second process would",
+    "FarBarrier.wait_done": "section 5.1's notifye wake-up",
+    "FarBarrier.poll": "the polling foil notifications replace (section 5.1)",
+    "FarBarrier.reset": "re-arming a barrier for a second generation",
+    "FarSemaphore.acquire_or_wait": "the semaphore's blocking acquire (notify0 wake-up)",
+    "FarSemaphore.retry": "the semaphore's blocking acquire (notify0 wake-up)",
+    "FarRWLock.subscribe_free": "the lock's only blocking primitive; its manager exists for it",
+    "Client.store0_u64": "Fig. 1's store0 row: no structure stores through a pointer yet",
+    "Fabric.repair_node": "bringing a fail-stopped node back: the runs re-replicate instead",
+    "FarAllocator.grow": "Cluster.add_node(grow=True): the runs add nodes as migration headroom",
+    "EpochReclaimer.drain": "shutdown-time reclaim: no run shuts a reclaimer down",
+    "Broker.detach": "unsubscribing through a broker (section 7.2): no run unsubscribes",
+    "AlarmConsumer.stop": "unsubscribing a monitoring consumer: no run stops one",
+    "Tracer.remove_sink": "the detach half of add_sink: how a registry stops observing a tracer",
+    "TelemetryRegistry.watch": "observing one client: the runs observe a whole tracer",
+    "GradientChannel.receive": "the one-gradient form of receive_many, which the runs call",
+    "Coordinator.apply": "the one-gradient form of apply_many, which the runs call",
+    "FarVector.read_range": "the section 5.1 vector's bulk read: the runs read elements",
+    "FarHistogram.read_range": "the section 6 consumer's optional copy of a bin range",
+    "WindowedHistogramRing.read_window": "bulk-reading one past window (section 6)",
+    "_TopTicker.__init__": "repro top's periodic frames: the recorded run prints one (--once)",
+    "_TopTicker.on_window_advance": "repro top's periodic frames: the recorded run prints one",
+    "_Checker.visit_AsyncFunctionDef": "fmlint on an async def: the tree has none",
+    "_Checker._submit_unsignaled": "fmlint's FM002 on a discarded submit(): the tree has none",
+    "Finding.format": "printing a lint finding: the tree lints clean",
+    "HistogramRing.record": "the one-value form of record_many, which the runs call",
+    "LatencyHistogram.render": "the ASCII histogram a reader prints at a prompt",
+    "Summary.render": "fmcost's debugging text for one inferred cost",
+    # Test vocabulary.
+    "Client.pending_notifications": _PROBE,
+    "CompletionQueue.outstanding": _PROBE,
+    "CompletionQueue.ready": _PROBE,
+    "DeliveryPolicy.reliable": _PROBE,
+    "EpochReclaimer.epoch": _PROBE,
+    "ExtentTable.globalize": _PROBE,
+    "ExtentTable.layout": _PROBE,
+    "FarAllocator.free_bytes": _PROBE,
+    "FarFuture.done": _PROBE,
+    "FarFuture.exception": _PROBE,
+    "FarHistogram.bins": _PROBE,
+    "FarRWLock.readers": _PROBE,
+    "FarSemaphore.available": _PROBE,
+    "FaultStats.faults_injected": _PROBE,
+    "LatencyHistogram.buckets": _PROBE,
+    "LeasedFarMutex.holder": _PROBE,
+    "OneSidedBTree.height": _PROBE,
+    "Profiler.row": _PROBE,
+    "ReclaimStats.pending": _PROBE,
+    "RpcQueue.size": "the RPC queue's length op: E5 and work_queue only enqueue and dequeue",
+    "RpcQueue._size": "the RPC queue's length op: E5 and work_queue only enqueue and dequeue",
+    "SLOMonitor.fired": _PROBE,
+    "ScrubReport.clean": _PROBE,
+    "Span.open": _PROBE,
+    "TelemetryRegistry.gauge": _PROBE,
+    "Tracer.attached": _PROBE,
+    "Tracer.current_span": _PROBE,
+    "Tracer.spans_by_label": _PROBE,
+    # Nothing reads them.
+    "RepairCoordinator.regions": _UNREAD,
+    "WindowedHistogramRing.window_count": _UNREAD,
+}
+
+
+def functions() -> dict[tuple[str, int], str]:
+    """``(path under src/repro, first line)`` -> qualified name of every
+    function ``src/repro`` defines, nested ones included. The first line is
+    the first decorator's, as ``co_firstlineno`` has it, so the key is the
+    one the hook records for the function's code object."""
+    found = {}
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + [child.name]
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[path, first] = ".".join(name)
+                visit(child, name, path)
+            else:
+                visit(child, prefix, path)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [], path.relative_to(SRC).as_posix())
+    return found
+
+
+HOOK = ROOT / "tests" / "exec_hook"
+EXAMPLES = sorted(path.stem for path in (ROOT / "examples").glob("*.py"))
+#: The examples CI's unified gate runs under the budget sanitizer.
+SANITIZED = ("quickstart", "kvstore_service", "work_queue", "parameter_server")
+#: The exports CI runs the race detector over, and the exit each gives:
+#: lost_update's seeded race and quickstart's designed racy reads (CI's
+#: advisory report) are flagged.
+RACE_EXITS = {"bank_transfer": 0, "lost_update": 1, "node_repair": 0, "quickstart": 1}
+
+
+def recorded_runs(out: str) -> list[tuple[list[str], dict[str, str], int]]:
+    """What "runs" means: the fixed set of commands, each with the extra
+    environment it needs and the exit code it must give, whose union of
+    entered functions the execution ratchet checks — every example under
+    ``trace`` and ``stats``, every other ``python -m repro`` subcommand in
+    the form CI runs it (``sanitize`` and ``lint --list-rules``, which CI
+    does not run, once each), every benchmark's smoke size and the
+    wall-clock smoke. They write under ``out``; the ``validate`` and
+    ``races`` runs read the traces the ``trace`` runs exported there."""
+    repro = [sys.executable, "-m", "repro"]
+    benches = sorted(str(path) for path in (ROOT / "benchmarks").glob("bench_*.py"))
+    wallclock = [sys.executable, "benchmarks/wallclock/run.py", "--smoke", "--out", f"{out}/w.json"]
+    return [
+        *(
+            ([*repro, command, example, "--out", out], {}, 0)
+            for command in ("trace", "stats")
+            for example in EXAMPLES
+        ),
+        *(
+            ([*repro, "validate", f"{out}/quickstart.{suffix}"], {}, 0)
+            for suffix in ("trace.json", "trace.jsonl")
+        ),
+        *(
+            ([*repro, "races", f"{out}/{name}.trace.jsonl"], {}, code)
+            for name, code in RACE_EXITS.items()
+        ),
+        (repro, {}, 0),
+        ([*repro, "check", *(f"--sanitize={name}" for name in SANITIZED)], {}, 0),
+        ([*repro, "sanitize", "quickstart"], {}, 0),
+        ([*repro, "cost", "--out", f"{out}/cost.json"], {}, 0),
+        ([*repro, "lint"], {}, 0),
+        ([*repro, "lint", "--list-rules"], {}, 0),
+        ([*repro, "topology", "--demo", "--json"], {}, 0),
+        ([*repro, "top", "quickstart", "--once"], {}, 0),
+        (
+            [sys.executable, "-m", "pytest", *benches, "--benchmark-disable", "-q"],
+            {"FM_BENCH_SMOKE": "1"},
+            0,
+        ),
+        (wallclock, {}, 0),
+    ]
+
+
+def record(
+    runs: list[tuple[list[str], dict[str, str], int]], scratch: str
+) -> set[tuple[str, int]]:
+    """``(path under src/repro, first line)`` of every code object ``runs``
+    enter, each run a subprocess under ``tests/exec_hook``'s hook. A run
+    that exits with another code than its own fails the recording, with
+    its output."""
+    entered = Path(scratch, "entered")
+    entered.mkdir()
+    pythonpath = os.pathsep.join([str(HOOK), str(ROOT / "src")])
+    base = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED="0", REPRO_ENTERED=str(entered))
+    for argv, extra, code in runs:
+        done = subprocess.run(
+            argv,
+            cwd=ROOT,
+            env={**base, **extra},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            check=False,
+        )
+        if done.returncode != code:
+            print(done.stdout)
+            raise SystemExit(f"recorded run exited {done.returncode}: {' '.join(argv)}")
+    keys = set()
+    for part in entered.iterdir():
+        for line in part.read_text(encoding="utf-8").splitlines():
+            path, first = line.rsplit(":", 1)
+            keys.add((path, int(first)))
+    return keys
+
+
+def test_the_hook_keys_what_a_process_enters_as_functions_does(tmp_path):
+    """A property is keyed on its decorator's line, and a ``cProfile``
+    pass (the wall-clock counting pass) does not switch the hook off."""
+    script = (
+        "import cProfile; from repro.workloads import MetricStream; "
+        "profile = cProfile.Profile(); profile.enable(); profile.disable(); "
+        "MetricStream().samples(4)"
+    )
+    keys = record([([sys.executable, "-c", script], {}, 0)], str(tmp_path))
+    defined = functions()
+    names = {defined[key] for key in keys if key in defined}
+    assert {"MetricStream.samples", "MetricStream.tail_start"} <= names
+    assert "Zipf.sample" not in names
+
+
+def unrun() -> tuple[int, set[str]]:
+    """The function count, and the names of the functions no recorded run
+    enters. Functions sharing a qualified name share it, as names do above."""
+    defined = functions()
+    with tempfile.TemporaryDirectory() as scratch:
+        seen = record(recorded_runs(scratch), scratch)
+    return len(defined), {name for key, name in defined.items() if key not in seen}
+
+
+def test_every_keep_unrun_row_names_a_function_and_a_reason():
+    """The cheap half of the execution ratchet, run in tier-1: a row whose
+    function is gone is struck. The other half re-runs the examples and the
+    benchmark smoke, so it is its own CI step: ``python tests/test_surface.py
+    --unrun``."""
+    gone = sorted(set(KEEP_UNRUN) - set(functions().values()))
+    assert gone == [], "KEEP_UNRUN rows whose function no longer exists (strike them)"
+    assert all(reason.strip() for reason in KEEP_UNRUN.values())
+
+
+def check_unrun() -> int:
+    count, found = unrun()
+    print(f"functions: {count}, unrun: {len(found)}")
+    unkept = sorted(found - set(KEEP_UNRUN))
+    stale = sorted(set(KEEP_UNRUN) - found)
+    for name in unkept:
+        print(f"unrun, not in KEEP_UNRUN (delete it, or add a row): {name}")
+    for name in stale:
+        print(f"KEEP_UNRUN row now entered or gone (strike it): {name}")
+    return 1 if unkept or stale else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--unrun"]:
+        raise SystemExit(check_unrun())
     print(f"settable values: {unset_options()[0]}")
     print(f"CLI flags: {len(cli_flags())}")
     print(f"state fields: {unread_state()[0]}")
+    print(f"unrun functions kept: {len(KEEP_UNRUN)}")

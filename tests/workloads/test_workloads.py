@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads import (
-    Hotspot,
     MetricStream,
     OperationMix,
     OpKind,
@@ -40,12 +39,6 @@ class TestKeyDistributions:
     def test_zipf_validates_exponent(self):
         with pytest.raises(ValueError):
             Zipf(100, s=1.0)
-
-    def test_hotspot_concentration(self):
-        dist = Hotspot(10_000, seed=3, hot_fraction=0.01, hot_probability=0.9)
-        keys = dist.sample(5_000)
-        hot = (keys < dist.hot_keys).mean()
-        assert 0.85 < hot < 0.95
 
     def test_sample_unique(self):
         keys = Uniform(1000, seed=4).sample_unique(500)
