@@ -3,14 +3,14 @@
 
 Composes most of the library: a coordinator provisions the store and
 publishes it in the far-memory registry; independent clients discover it
-by name and run YCSB mixes against it; the built-in profiler prints the
-per-operation far-access ledger — the paper's cost discipline applied to
-a complete service.
+by name and run YCSB mixes against it; a tracer on one tenant prints the
+per-operation far-access ledger (each store op opens its own span) — the
+paper's cost discipline applied to a complete service.
 
 Run:  python examples/kvstore_service.py
 """
 
-from repro import Cluster
+from repro import Cluster, Tracer
 from repro.apps.kvstore import FarKVStore
 from repro.workloads import OpKind, ycsb_names, ycsb_operations
 
@@ -64,11 +64,13 @@ def main() -> None:
           f"{store.total_operations(coordinator)}")
     print(f"replaced-value regions reclaimed: {reclaimer.stats.reclaimed}")
     tenant_c = cluster.client("report-tenant")
+    # Under `python -m repro trace` every client already feeds that tracer.
+    tracer = tenant_c.tracer or Tracer().attach(tenant_c)
     handle = FarKVStore.open(cluster, registry, tenant_c, "catalog")
     handle.put(tenant_c, "final", b"check")
     assert handle.get(tenant_c, "final") == b"check"
     print("\nper-operation cost ledger (report tenant):")
-    print(handle.report())
+    print(tracer.summary())
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from .fabric import (
     IndirectionPolicy,
     InterleavedPlacement,
     Metrics,
-    Profiler,
     RangePlacement,
     ReplicatedRegion,
     RetryPolicy,
@@ -67,7 +66,6 @@ __all__ = [
     "IndirectionPolicy",
     "InterleavedPlacement",
     "Metrics",
-    "Profiler",
     "RangePlacement",
     "ReplicatedRegion",
     "FarBarrier",

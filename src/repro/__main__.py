@@ -48,7 +48,6 @@ from typing import Optional, Sequence
 
 from repro import Cluster, __version__
 from repro.analysis.budget import BudgetSanitizer
-from repro.fabric.profile import Profiler
 from repro.obs import (
     SLOMonitor,
     TelemetryRegistry,
@@ -73,37 +72,35 @@ def _demo() -> int:
     client = cluster.client("you")
     tracer = Tracer()
     tracer.attach(client)
-    profiler = Profiler()
 
     tree = cluster.ht_tree(bucket_count=1024)
-    with profiler.measure(client, "ht-tree put x100"):
+    with client.trace("ht-tree put x100"):
         for key in range(100):
             tree.put(client, key, key * key)
     tree.get(client, 0)
-    with profiler.measure(client, "ht-tree get x100 (warm)"):
+    with client.trace("ht-tree get x100 (warm)"):
         for key in range(100):
             assert tree.get(client, key) == key * key
 
     queue = cluster.far_queue(capacity=64, max_clients=4)
-    with profiler.measure(client, "queue enq+deq x100"):
+    with client.trace("queue enq+deq x100"):
         for i in range(100):
             queue.enqueue(client, i + 1)
             queue.dequeue(client)
 
     counter = cluster.far_counter()
-    with profiler.measure(client, "counter add x100"):
+    with client.trace("counter add x100"):
         for _ in range(100):
             counter.increment(client)
 
-    print(profiler.render())
     print(
-        f"\ntotal: {client.metrics.far_accesses} far accesses, "
+        f"total: {client.metrics.far_accesses} far accesses, "
         f"{client.metrics.near_accesses} near accesses, "
         f"{client.clock.now_ns / 1e6:.2f} simulated ms"
     )
 
     tracer.finish()
-    print("\n-- trace summary (spans nest: profiler labels > structure ops) --")
+    print("\n-- trace summary (spans nest: demo phases > structure ops) --")
     print(tracer.summary(max_rows=8))
     print("\n-- far-access latency by fabric op --")
     print(tracer.op_hist.render())

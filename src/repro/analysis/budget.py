@@ -26,17 +26,25 @@ Semantics
     (splits, cold caches, retry ladders).
 ``per_item``
     For bulk ops (``multiget``, ``enqueue_many``): budgets are per item
-    and scale by ``len()`` of the op's second argument.
+    and scale by ``len()`` of the op's first argument after the client,
+    whether it is passed by position or by keyword.
 ``claim``
     The paper claim this budget reifies (``"C2"``/``"C4"``/``"C5"``),
     threaded into reports and DESIGN.md's budget table.
+``span``
+    The op's trace span, ``"label param ..."``. The decorator is the one
+    place a certified op is measured: on a traced client it opens the
+    span the op's record is read from (``httree.get`` tagged with its
+    ``key``, ``queue.enqueue_many`` with its item count ``n``), so no op
+    body opens one by hand. Ops that declare none open none.
 
 Only the *outermost* budgeted op per client records: ``KVStore.get``
 composes ``HTTree.get``, and charging both would double-count the same
-far accesses.
+far accesses. Spans nest instead: ``get`` > ``httree.get``.
 
-With no sanitizer active the decorator is a constant-time passthrough —
-budgets cost nothing in normal runs and benchmarks.
+On an untraced client with no sanitizer active the decorator is a
+passthrough after two ``is None`` tests — budgets and spans cost nothing
+in untraced runs and benchmarks.
 
 Every declaration here is also checked *statically*:
 :mod:`repro.analysis.fmcost` infers each operation's worst-case
@@ -204,13 +212,18 @@ def far_budget(
     ceiling: Optional[int] = None,
     per_item: bool = False,
     claim: Optional[str] = None,
+    span: Optional[str] = None,
 ) -> Callable:
     """Declare the far-access budget of a data-structure operation.
 
     The wrapped method must take the acting :class:`Client` as its first
-    argument after ``self`` (the repo-wide convention). The declaration
-    is introspectable as ``method.__far_budget__`` even when no
-    sanitizer is active.
+    argument after ``self``, named ``client`` (the repo-wide convention).
+    ``span`` is the op's trace span, ``"label param ..."``: on a client
+    with a tracer attached the call runs inside a span ``label`` tagged
+    with each named parameter, where ``n`` is ``len()`` of the op's first
+    argument after the client (its items, the argument ``per_item``
+    scales by). The declaration is introspectable as
+    ``method.__far_budget__`` even when no sanitizer is active.
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -221,37 +234,56 @@ def far_budget(
             per_item=per_item,
             claim=claim,
         )
+        code = fn.__code__
+        params = code.co_varnames[2 : code.co_argcount]  # after self, client
+        label, *names = span.split() if span else (None,)
+        # (tag, position after the client, parameter name); ``n`` reads
+        # the item count, so its name is None.
+        tags_of = tuple(
+            (tag, 0, None) if tag == "n" else (tag, params.index(tag), tag) for tag in names
+        )
+        counted = per_item or "n" in names
+        items = params[0] if counted else None
 
         @functools.wraps(fn)
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+        def wrapper(self: Any, client: Any, *args: Any, **kwargs: Any) -> Any:
+            tracer = client._tracer if label else None
+            if tracer is None and _ACTIVE is None:
+                return fn(self, client, *args, **kwargs)
             sanitizer = _ACTIVE
-            if sanitizer is None:
-                return fn(self, *args, **kwargs)
-            client = args[0] if args else None
-            metrics = getattr(client, "metrics", None)
-            if metrics is None:
-                return fn(self, *args, **kwargs)
-            if not sanitizer._enter(client):
-                # A nested budgeted op: the outermost frame owns the
-                # delta; just run it.
+            count = None
+            if counted:
+                # One lookup serves the ``n`` tag and the budget's scale.
                 try:
-                    return fn(self, *args, **kwargs)
-                finally:
-                    sanitizer._exit(client)
-            before = metrics.far_accesses
-            try:
-                result = fn(self, *args, **kwargs)
-            finally:
-                sanitizer._exit(client)
-            delta = metrics.far_accesses - before
-            effective = budget
-            if budget.per_item and len(args) > 1:
-                try:
-                    effective = budget.scaled(len(args[1]))
+                    count = len(kwargs[items] if items in kwargs else args[0])
                 except TypeError:
                     pass
-            key = f"{type(self).__name__}.{fn.__name__}"
-            sanitizer.record(key, effective, delta)
+            opened = None
+            if tracer is not None:
+                tags = {}
+                for tag, position, name in tags_of:
+                    if name is None:
+                        tags[tag] = count
+                    else:
+                        tags[tag] = kwargs[name] if name in kwargs else args[position]
+                opened = tracer._open_span(client, label, tags)
+            # Only the outermost budgeted op per client records: a nested
+            # one's far accesses are the outer frame's delta.
+            outermost = sanitizer is not None and sanitizer._enter(client)
+            before = client.metrics.far_accesses
+            try:
+                result = fn(self, client, *args, **kwargs)
+            finally:
+                if sanitizer is not None:
+                    sanitizer._exit(client)
+                if opened is not None:
+                    tracer._close_span(opened)
+            if outermost:
+                sanitizer.record(
+                    f"{type(self).__name__}.{fn.__name__}",
+                    budget if count is None else budget.scaled(count),
+                    client.metrics.far_accesses - before,
+                )
             return result
 
         wrapper.__far_budget__ = budget

@@ -12,7 +12,9 @@ data structures"):
 * per-store **statistics counters** live in far memory too (every client
   sees the same numbers);
 * an optional **epoch reclaimer** recycles replaced values;
-* a built-in **profiler** reports the per-operation far-access ledger.
+* each operation's ``@far_budget`` opens its trace span (``put``,
+  ``get``, ...), so a tracer's summary is the per-operation far-access
+  ledger.
 
 String keys are hashed to u64 for the index; the blob stores the full
 key alongside the value, so hash collisions are detected (and surfaced
@@ -23,7 +25,7 @@ length-prefixed region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ...alloc.epoch import EpochReclaimer
@@ -35,7 +37,6 @@ from ...core.ht_tree import HTTree
 from ...core.registry import FarRegistry, RegistryError, name_hash
 from ...fabric.client import Client
 from ...fabric.errors import FabricError
-from ...fabric.profile import Profiler
 from ...fabric.wire import Layout
 
 KIND_KVSTORE = 100
@@ -54,7 +55,6 @@ class FarKVStore:
     index: HTTree
     blobs: FarBlobStore
     ops_counter: FarCounter
-    profiler: Profiler = field(default_factory=Profiler)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -137,64 +137,59 @@ class FarKVStore:
             raise KeyCollisionError(f"{key!r} collides with {stored_key!r} in the index")
         return raw[value_at:]
 
-    @far_budget(None, claim="C4")
+    @far_budget(None, claim="C4", span="put")
     def put(self, client: Client, key: str, value: bytes) -> None:
         """Store ``value`` under ``key``."""
-        with self.profiler.measure(client, "put"):
-            index_key = name_hash(key)
-            self._value_of(key, self.blobs.get(client, index_key))
-            self.blobs.put(client, index_key, self._pack(key, value))
-            self.ops_counter.increment(client)
+        index_key = name_hash(key)
+        self._value_of(key, self.blobs.get(client, index_key))
+        self.blobs.put(client, index_key, self._pack(key, value))
+        self.ops_counter.increment(client)
 
-    @far_budget(2, claim="C4")
+    @far_budget(2, claim="C4", span="get")
     def get(self, client: Client, key: str) -> Optional[bytes]:
         """Fetch the value for ``key``, or None."""
-        with self.profiler.measure(client, "get"):
-            return self._value_of(key, self.blobs.get(client, name_hash(key)))
+        return self._value_of(key, self.blobs.get(client, name_hash(key)))
 
-    @far_budget(None, claim="C4")
+    @far_budget(None, claim="C4", span="delete")
     def delete(self, client: Client, key: str) -> bool:
         """Remove ``key``; True if it existed."""
-        with self.profiler.measure(client, "delete"):
-            index_key = name_hash(key)
-            if self._value_of(key, self.blobs.get(client, index_key)) is None:
-                return False
-            removed = self.blobs.delete(client, index_key)
-            if removed:
-                self.ops_counter.increment(client)
-            return removed
+        index_key = name_hash(key)
+        if self._value_of(key, self.blobs.get(client, index_key)) is None:
+            return False
+        removed = self.blobs.delete(client, index_key)
+        if removed:
+            self.ops_counter.increment(client)
+        return removed
 
-    @far_budget(2, per_item=True, claim="C4")
+    @far_budget(2, per_item=True, claim="C4", span="multiget")
     def multiget(
         self, client: Client, keys: "list[str]"
     ) -> "list[Optional[bytes]]":
         """Fetch many keys with lookups and blob reads pipelined
         (:meth:`FarBlobStore.multiget`): per-key far accesses match
         :meth:`get`; the round trips overlap up to the client's QP depth."""
-        with self.profiler.measure(client, "multiget"):
-            raws = self.blobs.multiget(client, [name_hash(key) for key in keys])
-            return [self._value_of(key, raw) for key, raw in zip(keys, raws)]
+        raws = self.blobs.multiget(client, [name_hash(key) for key in keys])
+        return [self._value_of(key, raw) for key, raw in zip(keys, raws)]
 
-    @far_budget(None, claim="C4")
+    @far_budget(None, claim="C4", span="multiput")
     def multiput(self, client: Client, items: "dict[str, bytes]") -> None:
         """Store many pairs: collision checks, blob writes (one shared
         fence), and index upserts each run as one pipelined stage; the
         operations counter takes one atomic add for the whole batch."""
-        with self.profiler.measure(client, "multiput"):
-            pairs = list(items.items())
-            hashes = [name_hash(key) for key, _ in pairs]
-            existing = self.blobs.multiget(client, hashes)
-            for (key, _), raw in zip(pairs, existing):
-                self._value_of(key, raw)
-            self.blobs.multiput(
-                client,
-                [
-                    (index_key, self._pack(key, value))
-                    for index_key, (key, value) in zip(hashes, pairs)
-                ],
-            )
-            if pairs:
-                self.ops_counter.add(client, len(pairs))
+        pairs = list(items.items())
+        hashes = [name_hash(key) for key, _ in pairs]
+        existing = self.blobs.multiget(client, hashes)
+        for (key, _), raw in zip(pairs, existing):
+            self._value_of(key, raw)
+        self.blobs.multiput(
+            client,
+            [
+                (index_key, self._pack(key, value))
+                for index_key, (key, value) in zip(hashes, pairs)
+            ],
+        )
+        if pairs:
+            self.ops_counter.add(client, len(pairs))
 
     # ------------------------------------------------------------------
     # Transactional operations (repro.txn; DESIGN.md §15)
@@ -203,8 +198,8 @@ class FarKVStore:
     # transaction's read set (keyed by slot_for_key(txn_tag, hash)),
     # writes buffer a blob region immediately (unreachable until the
     # index pointer flips at commit write-back) and defer the index
-    # upsert to TxnSpace.commit. They bypass the ops_counter/profiler,
-    # which price the non-transactional API; replaced regions are not
+    # upsert to TxnSpace.commit. They bypass the ops_counter, which
+    # counts the non-transactional API; replaced regions are not
     # retired (the old pointer stays valid until the commit lands).
     # ------------------------------------------------------------------
 
@@ -274,7 +269,3 @@ class FarKVStore:
     def total_operations(self, client: Client) -> int:
         """Mutations applied store-wide, by any client (one far access)."""
         return self.ops_counter.read(client)
-
-    def report(self) -> str:
-        """The profiler's per-operation cost table."""
-        return self.profiler.render()

@@ -57,11 +57,6 @@ class WindowedHistogramRing:
         """Histogram resolution."""
         return self._bins
 
-    @property
-    def window_count(self) -> int:
-        """Ring depth."""
-        return len(self.storages)
-
     def advance(self, client: Client) -> int:
         """End the current window: zero the oldest region and atomically
         swing the base pointer to it (two far accesses for the producer,

@@ -327,14 +327,13 @@ class HTTree:
     # Lookup
     # ------------------------------------------------------------------
 
-    @far_budget(1, claim="C4")
+    @far_budget(1, claim="C4", span="httree.get key")
     def get(self, client: Client, key: int) -> Optional[int]:
         """Look up ``key``: one far access on the fast path (fresh cache,
         chain length <= 1). Returns the value or None."""
-        with client.trace("httree.get", key=key):
-            self._check_key(key)
-            self.stats.lookups += 1
-            return self._get(client, key, 0)
+        self._check_key(key)
+        self.stats.lookups += 1
+        return self._get(client, key, 0)
 
     def _get(self, client: Client, key: int, depth: int) -> Optional[int]:
         # A stale-cache retry recurses here, inside the caller's one span.
@@ -359,7 +358,7 @@ class HTTree:
             self.stats.chain_hops += 1
             item = _Item(*ITEM.unpack(client.read(item.next, ITEM.size)))
 
-    @far_budget(1, per_item=True, claim="C4")
+    @far_budget(1, per_item=True, claim="C4", span="httree.multiget n")
     def multiget(
         self, client: Client, keys: "list[int]"
     ) -> "list[Optional[int]]":
@@ -375,12 +374,6 @@ class HTTree:
         keys trigger one cache refresh per round, then retry together.
         Returns values aligned with ``keys`` (None for misses).
         """
-        with client.trace("httree.multiget", n=len(keys)):
-            return self._multiget(client, keys)
-
-    def _multiget(
-        self, client: Client, keys: "list[int]"
-    ) -> "list[Optional[int]]":
         for key in keys:
             self._check_key(key)
         self.stats.lookups += len(keys)
@@ -455,13 +448,12 @@ class HTTree:
     # Store
     # ------------------------------------------------------------------
 
-    @far_budget(2, claim="C4")
+    @far_budget(2, claim="C4", span="httree.put key")
     def put(self, client: Client, key: int, value: int) -> None:
         """Insert or update ``key``: two far accesses to update an existing
         head-of-chain item; three to insert a new item (version-check read,
         record write, bucket CAS)."""
-        with client.trace("httree.put", key=key):
-            return self._put(client, key, value, 0)
+        return self._put(client, key, value, 0)
 
     def _put(self, client: Client, key: int, value: int, depth: int) -> None:
         self._check_key(key)
@@ -515,7 +507,7 @@ class HTTree:
         if chain_len + 1 > self.max_chain:
             self._split(client, leaf)
 
-    @far_budget(2, per_item=True, claim="C4")
+    @far_budget(2, per_item=True, claim="C4", span="httree.multistore n")
     def multistore(
         self, client: Client, pairs: "list[tuple[int, int]]"
     ) -> None:
@@ -531,10 +523,6 @@ class HTTree:
         concurrent clients would. Splits are deferred to the end and run
         sequentially.
         """
-        with client.trace("httree.multistore", n=len(pairs)):
-            return self._multistore(client, pairs)
-
-    def _multistore(self, client: Client, pairs: "list[tuple[int, int]]") -> None:
         keys = [key for key, _ in pairs]
         for key in keys:
             self._check_key(key)
@@ -628,12 +616,11 @@ class HTTree:
     # Delete
     # ------------------------------------------------------------------
 
-    @far_budget(2, claim="C4")
+    @far_budget(2, claim="C4", span="httree.delete key")
     def delete(self, client: Client, key: int) -> bool:
         """Remove ``key``; True if it was present. Two far accesses when
         the key is the chain head (read + CAS unlink)."""
-        with client.trace("httree.delete", key=key):
-            return self._delete(client, key, 0)
+        return self._delete(client, key, 0)
 
     def _delete(self, client: Client, key: int, depth: int) -> bool:
         self._check_key(key)
@@ -680,7 +667,7 @@ class HTTree:
     # Range scan
     # ------------------------------------------------------------------
 
-    @far_budget(None, claim="C4")
+    @far_budget(None, claim="C4", span="httree.scan low high")
     def scan(self, client: Client, low: int, high: int) -> list[tuple[int, int]]:
         """All ``(key, value)`` pairs with ``low <= key <= high``, sorted.
 
@@ -690,8 +677,7 @@ class HTTree:
         plus one gather per chain level) and filtered client-side: the
         HT-tree trades scan granularity for its O(1) point lookups.
         """
-        with client.trace("httree.scan", low=low, high=high):
-            return self._scan(client, low, high, 0)
+        return self._scan(client, low, high, 0)
 
     def _scan(self, client: Client, low: int, high: int, depth: int) -> list[tuple[int, int]]:
         self._check_key(low)

@@ -255,7 +255,7 @@ class FarQueue:
     # Enqueue
     # ------------------------------------------------------------------
 
-    @far_budget(1, claim="C5")
+    @far_budget(1, claim="C5", span="queue.enqueue")
     def enqueue(self, client: Client, value: int) -> None:
         """Add ``value``: one ``saai`` on the fast path.
 
@@ -263,10 +263,6 @@ class FarQueue:
         (detected before the fast-path store, via the amortised head
         refresh — never on the fast path itself).
         """
-        with client.trace("queue.enqueue"):
-            return self._enqueue(client, value)
-
-    def _enqueue(self, client: Client, value: int) -> None:
         if not 0 <= value < EMPTY:
             raise ValueError("value must be a u64 other than the EMPTY sentinel")
         state = self._state(client)
@@ -305,7 +301,7 @@ class FarQueue:
         state.last_tail = wrapped + WORD
         self._repair_pointer(client, self.tail_addr)
 
-    @far_budget(1, per_item=True, claim="C5")
+    @far_budget(1, per_item=True, claim="C5", span="queue.enqueue_many n")
     def enqueue_many(self, client: Client, values: "list[int]") -> None:
         """Enqueue ``values`` with fast-path ``saai`` submissions
         overlapped, up to the client's QP depth per doorbell window.
@@ -319,10 +315,6 @@ class FarQueue:
         guard, so :class:`QueueFull` fires after the same prefix the
         serial loop would have enqueued).
         """
-        with client.trace("queue.enqueue_many", n=len(values)):
-            return self._enqueue_many(client, values)
-
-    def _enqueue_many(self, client: Client, values: "list[int]") -> None:
         for value in values:
             if not 0 <= value < EMPTY:
                 raise ValueError("value must be a u64 other than the EMPTY sentinel")
@@ -362,7 +354,7 @@ class FarQueue:
     # Dequeue
     # ------------------------------------------------------------------
 
-    @far_budget(1, claim="C5")
+    @far_budget(1, claim="C5", span="queue.dequeue")
     def dequeue(self, client: Client) -> int:
         """Remove and return the oldest item: one ``faai`` on the fast path.
 
@@ -371,10 +363,6 @@ class FarQueue:
         the claimed item is returned by a later call once a producer
         fills the slot.
         """
-        with client.trace("queue.dequeue"):
-            return self._dequeue(client)
-
-    def _dequeue(self, client: Client) -> int:
         state = self._state(client)
         if state.pending_claim is not None:
             return self._consume_claim(client, state)
@@ -435,7 +423,7 @@ class FarQueue:
         except QueueEmpty:
             return None
 
-    @far_budget(None, claim="C5")
+    @far_budget(None, claim="C5", span="queue.dequeue_many max_items")
     def dequeue_many(self, client: Client, max_items: int) -> "list[int]":
         """Dequeue up to ``max_items`` items with fast-path submissions
         overlapped, up to the client's QP depth per doorbell window.
@@ -448,10 +436,6 @@ class FarQueue:
         :meth:`dequeue`, nothing is raised, but a claim may be left armed
         on this client just the same.
         """
-        with client.trace("queue.dequeue_many", max_items=max_items):
-            return self._dequeue_many(client, max_items)
-
-    def _dequeue_many(self, client: Client, max_items: int) -> "list[int]":
         state = self._state(client)
         out: "list[int]" = []
         try:

@@ -167,7 +167,7 @@ class RefreshableVector:
     # Writer side
     # ------------------------------------------------------------------
 
-    @far_budget(1, ceiling=1, claim="C2")
+    @far_budget(1, ceiling=1, claim="C2", span="rvec.set index")
     def set(self, client: Client, index: int, value: int) -> None:
         """Write one element and bump its (group or element) version in a
         single ``wscatter``: one far access for the writer.
@@ -176,8 +176,7 @@ class RefreshableVector:
         case is single-writer per shard); multi-writer deployments should
         shard the vector or use :meth:`set_multi_writer`.
         """
-        with client.trace("rvec.set", index=index):
-            return self._set_many(client, {index: value})
+        return self._set_many(client, {index: value})
 
     @far_budget(2, ceiling=2, claim="C2")
     def set_multi_writer(self, client: Client, index: int, value: int) -> None:
@@ -188,12 +187,11 @@ class RefreshableVector:
         client.write_u64(self._element_address(index), value)
         client.faa(self._version_address(slot), 1)
 
-    @far_budget(1, ceiling=1, claim="C2")
+    @far_budget(1, ceiling=1, claim="C2", span="rvec.set_many n")
     def set_many(self, client: Client, updates: dict[int, int]) -> None:
         """Write a batch of elements and their version bumps in one
         ``wscatter`` (one far access for any batch size)."""
-        with client.trace("rvec.set_many", n=len(updates)):
-            return self._set_many(client, updates)
+        return self._set_many(client, updates)
 
     def _set_many(self, client: Client, updates: dict[int, int]) -> None:
         iovec: list[tuple[int, int]] = []
@@ -248,15 +246,14 @@ class RefreshableVector:
 
     # -- refresh ---------------------------------------------------------
 
-    @far_budget(2, claim="C2")
+    @far_budget(2, claim="C2", span="rvec.refresh")
     def refresh(self, client: Client) -> RefreshReport:
         """Bring the cache up to date; at most two far accesses."""
-        with client.trace("rvec.refresh"):
-            state = self._reader(client)
-            state.refreshes += 1
-            if state.mode == "poll":
-                return self._refresh_poll(client, state)
-            return self._refresh_notify(client, state)
+        state = self._reader(client)
+        state.refreshes += 1
+        if state.mode == "poll":
+            return self._refresh_poll(client, state)
+        return self._refresh_notify(client, state)
 
     def _refresh_poll(self, client: Client, state: _ReaderState) -> RefreshReport:
         report = RefreshReport(mode="poll", groups_checked=self.version_words)

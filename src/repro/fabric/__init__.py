@@ -55,7 +55,6 @@ from .memory_node import MemoryNode, NodeStats
 from .metrics import Metrics, aggregate
 from .pipeline import CompletionQueue, FarFuture
 from .primitives import FarIovec, PendingIndirection
-from .profile import ProfileRow, Profiler
 from .replication import ReplicatedRegion, ReplicationStats
 from .wire import (
     U64_MASK,
@@ -123,8 +122,6 @@ __all__ = [
     "FarFuture",
     "FarIovec",
     "PendingIndirection",
-    "ProfileRow",
-    "Profiler",
     "ReplicatedRegion",
     "ReplicationStats",
     "U64_MASK",

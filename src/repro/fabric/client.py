@@ -86,7 +86,7 @@ _default_tracer_provider = None
 
 class _NullSpan:
     """The no-op span returned by Client.trace when no tracer is attached
-    — so data structures can open spans unconditionally at zero cost."""
+    — so a caller can label a phase unconditionally at zero cost."""
 
     __slots__ = ()
 
@@ -223,8 +223,10 @@ class Client:
         """Open a tracing span attributing this client's work to ``label``.
 
         With no tracer attached this returns a shared no-op context
-        manager, so data structures call it unconditionally and untraced
-        runs stay bit-identical (no allocation, no metric, no clock).
+        manager, so callers label phases unconditionally and untraced runs
+        stay bit-identical (no allocation, no metric, no clock). A
+        certified op's own span is opened by its ``@far_budget``
+        declaration, not through here.
         """
         if self._tracer is None:
             return _NULL_SPAN

@@ -1,13 +1,13 @@
 """Causal tracing over the exact metrics and the simulated clock.
 
 The :class:`~repro.fabric.metrics.Metrics` counters say *how much* a
-client spent; the :class:`~repro.fabric.profile.Profiler` ledger says on
-*which label*. This module adds the remaining dimensions the paper's cost
-arguments (sections 3.1, 4, 7) need per logical operation: **when**
-(simulated start/end timestamps), **why it was slow** (retry ladders,
-breaker events, window stalls as typed events), and **causality** (data
-structure op → individual far accesses → pipeline window membership →
-notification deliveries, as a parent/child span tree).
+client spent. This module adds the dimensions the paper's cost arguments
+(sections 3.1, 4, 7) need per logical operation: **on what** (a labelled
+span's inclusive delta), **when** (simulated start/end timestamps), **why
+it was slow** (retry ladders, breaker events, window stalls as typed
+events), and **causality** (data structure op → individual far accesses →
+pipeline window membership → notification deliveries, as a parent/child
+span tree).
 
 Design rules — these are what keep tracing free of observer effects:
 
@@ -31,15 +31,18 @@ Design rules — these are what keep tracing free of observer effects:
 * Spans per client follow stack discipline on that client's monotone
   clock, so the begin/end boundary log exports directly as a valid
   Chrome trace (every ``B`` has an ``E``, timestamps monotone per lane).
+* A certified op's span is opened by its ``@far_budget`` declaration
+  (:mod:`repro.analysis.budget`), never by the op's body; application
+  code labels its own phases with :meth:`Client.trace`.
 
 Usage::
 
     tracer = Tracer()
     tracer.attach(client)                 # or let the first span attach
-    with client.trace("httree.get", key=k):
-        tree.get(client, k)
+    with client.trace("warm lookups"):
+        tree.get(client, k)               # opens its own httree.get span
     tracer.finish()
-    print(tracer.span_hist.render())
+    print(tracer.summary())
 """
 
 from __future__ import annotations
@@ -138,8 +141,8 @@ class Span:
     @property
     def delta(self) -> Optional[Metrics]:
         """Inclusive ``Metrics`` delta over the span's lifetime (children
-        count toward their ancestors too — the Profiler's nesting
-        semantics); ``None`` while the span is open."""
+        count toward their ancestors too); ``None`` while the span is
+        open."""
         if self._end is None:
             return None
 

@@ -128,9 +128,6 @@ class RepairCoordinator:
         """The authoritative replica map (what ``rejoin`` adopts)."""
         return tuple(self._regions[region_id].replicas)
 
-    def regions(self) -> list[ReplicatedRegion]:
-        return list(self._regions.values())
-
     # ------------------------------------------------------------------
     # Repair
     # ------------------------------------------------------------------

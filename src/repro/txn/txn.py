@@ -53,8 +53,8 @@ dirty runs::
 ``bench_a11_txn.py`` asserts this formula against the live metrics and
 the fmcost certificate. The first commit by a client additionally pays
 the registration CAS probe(s); KV write-back adds the index upsert
-cost (and bypasses the store's ``ops_counter``/profiler, which price
-the non-transactional API).
+cost (and bypasses the store's ``ops_counter``, which counts the
+non-transactional API).
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ from repro.analysis.budget import (
 from repro.apps.kvstore.kvstore import FarKVStore
 from repro.core.ht_tree import HTTree, hash_u64
 from repro.core.queue import FarQueue
-from repro.core.registry import FarRegistry
+from repro.core.registry import FarRegistry, name_hash
+from repro.obs import Tracer
 
 NODE_SIZE = 8 << 20
 
@@ -135,16 +136,42 @@ class TestSanitizerMechanics:
         assert "FarKVStore.get" in san.records
         assert "HTTree.get" not in san.records
 
-    def test_per_item_budget_scales_with_batch_size(self, cluster):
+    @pytest.mark.parametrize(
+        "by_keyword", [(), ("keys",), ("client", "keys")], ids=["positional", "keys", "all"]
+    )
+    def test_per_item_budget_scales_with_batch_size(self, cluster, by_keyword):
+        # However the arguments are passed, one lookup of the items
+        # scales the budget and tags the op's span.
         client = cluster.client("bulk")
         tree = cluster.ht_tree(bucket_count=1024)
         for key in range(8):
             tree.put(client, key, key)
         tree.get(client, 0)
+        arguments = {"client": client, "keys": list(range(8))}
+        args = [value for name, value in arguments.items() if name not in by_keyword]
+        kwargs = {name: arguments[name] for name in by_keyword}
+        tracer = Tracer().attach(client)
         with BudgetSanitizer() as san:
-            tree.multiget(client, list(range(8)))
+            tree.multiget(*args, **kwargs)
         record = san.records["HTTree.multiget"]
+        assert record.budget.fast == 8
         assert record.fast_hits == 1, "budget scaled to 8 items must hold"
+        assert tracer.spans_by_label("httree.multiget")[0].tags == {"n": 8}
+
+    def test_traced_and_sanitized_op_nests_spans_and_records(self, cluster):
+        client = cluster.client("both")
+        registry = FarRegistry.create(cluster.allocator, capacity=16)
+        store = FarKVStore.create(cluster, registry, client, "kv", bucket_count=256)
+        store.put(client, "k", b"v")
+        tracer = Tracer().attach(client)
+        with BudgetSanitizer(strict=True) as san:
+            assert store.get(client, "k") == b"v"
+        (outer,) = tracer.spans_by_label("get")
+        (inner,) = tracer.spans_by_label("httree.get")
+        assert inner.parent_id == outer.span_id
+        assert inner.tags == {"key": name_hash("k")}
+        record = san.records["FarKVStore.get"]
+        assert record.calls == 1 and record.max_delta == outer.delta.far_accesses == 2
 
     def test_inactive_sanitizer_is_a_passthrough(self, cluster):
         client = cluster.client("off")
@@ -163,3 +190,84 @@ class TestSanitizerMechanics:
         assert HTTree.get.__far_budget__.claim == "C4"
         assert FarQueue.enqueue.__far_budget__.fast == 1
         assert FarQueue.enqueue.__far_budget__.claim == "C5"
+
+
+def _ht_tree_spans(cluster, client):
+    tree = cluster.ht_tree(bucket_count=64)
+    tree.put(client, 1, 10)
+    tree.get(client, key=1)
+    tree.multiget(client, [1, 2])
+    tree.multistore(client, pairs=[(2, 20), (3, 30)])
+    tree.delete(client, 3)
+    tree.scan(client, 0, high=9)
+    return [
+        ("httree.put", {"key": 1}),
+        ("httree.get", {"key": 1}),
+        ("httree.multiget", {"n": 2}),
+        ("httree.multistore", {"n": 2}),
+        ("httree.delete", {"key": 3}),
+        ("httree.scan", {"low": 0, "high": 9}),
+    ]
+
+
+def _queue_spans(cluster, client):
+    queue = cluster.far_queue(capacity=16, max_clients=2)
+    queue.enqueue(client, 1)
+    queue.enqueue_many(client, [2, 3])
+    queue.dequeue(client)
+    queue.dequeue_many(client, max_items=2)
+    queue.try_dequeue(client)  # certified, declares no span (its dequeue does)
+    return [
+        ("queue.enqueue", {}),
+        ("queue.enqueue_many", {"n": 2}),
+        ("queue.dequeue", {}),
+        ("queue.dequeue_many", {"max_items": 2}),
+        ("queue.dequeue", {}),
+    ]
+
+
+def _vector_spans(cluster, client):
+    vector = cluster.refreshable_vector(8)
+    vector.set(client, 0, 5)
+    vector.set_many(client, {1: 6, 2: 7})
+    vector.refresh(client)
+    vector.get(client, 1)  # certified, declares no span
+    return [("rvec.set", {"index": 0}), ("rvec.set_many", {"n": 2}), ("rvec.refresh", {})]
+
+
+def _kv_spans(cluster, client):
+    store = FarKVStore.create(cluster, cluster.registry(), client, "kv", bucket_count=64)
+    store.put(client, "a", b"1")
+    store.get(client, "a")
+    store.multiput(client, {"b": b"2"})
+    store.multiget(client, ["a", "b"])
+    store.delete(client, "b")
+    store.contains(client, "a")  # certified, declares no span (its lookup does)
+    return [
+        ("put", {}),
+        ("get", {}),
+        ("multiput", {}),
+        ("multiget", {}),
+        ("delete", {}),
+        ("httree.get", {"key": name_hash("a")}),
+    ]
+
+
+class TestSpanDeclarations:
+    @pytest.mark.parametrize("scenario", [_ht_tree_spans, _queue_spans, _vector_spans, _kv_spans])
+    def test_each_declared_span_opens_once_with_its_tags(self, cluster, scenario):
+        client = cluster.client("spans")
+        tracer = Tracer().attach(client)
+        expected = scenario(cluster, client)
+        root = tracer.current_span(client)
+        assert root.is_root  # every op span closed
+        opened = [(s.label, s.tags) for s in tracer.spans if s.parent_id == root.span_id]
+        assert opened == expected
+
+    def test_a_span_naming_no_parameter_fails_at_declaration(self):
+        with pytest.raises(ValueError):
+
+            class Typo:
+                @far_budget(1, span="typo.get keys")
+                def get(self, client, key):
+                    return key

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro import Cluster
 from repro.apps.kvstore import FarKVStore
 from repro.core.registry import RegistryError
+from repro.obs import Tracer
 
 NODE_SIZE = 32 << 20
 
@@ -109,17 +110,23 @@ class TestReclamation:
         assert reclaimer.stats.reclaimed >= 9
 
 
-class TestProfile:
+class TestSpans:
     def test_get_cost_ledger(self, cluster, registry):
         store = make_store(cluster, registry)
+        untraced = cluster.client()
+        store.put(untraced, "k", b"v")
+        assert untraced.tracer is None  # an op never attaches a tracer
         c = cluster.client()
-        store.put(c, "k", b"v")
+        tracer = Tracer().attach(c)
         store.get(c, "k")  # warm
         store.get(c, "k")
-        row = store.profiler.row("get")
-        # Warm small get = index lookup (1) + blob read (1).
-        assert row.far_per_op() <= 2.5
-        assert "get" in store.report()
+        warm = tracer.spans_by_label("get")[-1]
+        # Warm small get = index lookup (1) + blob read (1), and the
+        # index lookup's own span nests inside it.
+        assert warm.delta.far_accesses == 2
+        (lookup,) = [s for s in tracer.spans_by_label("httree.get") if s.parent_id == warm.span_id]
+        assert lookup.delta.far_accesses == 1
+        assert "get" in tracer.summary()
 
 
 class TestPropertyBased:

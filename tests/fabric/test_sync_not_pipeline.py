@@ -83,8 +83,9 @@ def test_warm_httree_get_hit_call_count():
     tree = cluster.ht_tree(bucket_count=64)
     tree.put(client, 7, 70)
     entries, c_calls = _calls(lambda c, t: t.get(c, 7), client, tree)
-    assert entries <= 40
-    assert entries + c_calls <= 54
+    # 40 / 54 while the op opened its (null) span by hand.
+    assert entries <= 37
+    assert entries + c_calls <= 51
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@
 Attaching a ``Tracer`` (and a ``TelemetryRegistry``) must stay cheap in the
 *real* world too. These tests count Python-level function entries
 (``sys.setprofile`` ``call`` events — C builtins are excluded) of an empty
-span and of one traced far op and pin them as upper bounds, in the style of
+span, of one traced far op and of a warm ``HTTree.get`` with and without a
+tracer, and pin them as upper bounds, in the style of
 ``tests/fabric/test_sync_not_pipeline.py``; the empty span is also pinned on
 its total call count with builtins included (``cProfile``, the way the
 frozen wall-clock benchmark counts), which is the pin a ``Metrics`` copy per
@@ -25,6 +26,8 @@ import pstats
 import sys
 from functools import partial
 
+import pytest
+
 from repro import Cluster
 from repro.obs import TelemetryRegistry, Tracer
 
@@ -34,6 +37,11 @@ from repro.obs import TelemetryRegistry, Tracer
 EMPTY_SPAN = 7
 TRACED_READ = 23
 OBSERVED_READ = 25
+# A warm HTTree.get hit on the default client: its @far_budget opens its
+# span only under a tracer (43 / 52 while the op opened it by hand, paying
+# a null span untraced and ``Client.trace`` plus the span's ``with`` traced).
+UNTRACED_GET = 40
+TRACED_GET = 48
 # Every call, C builtins included: of an empty span (35 before, as above),
 # and per observed ``read_u64`` over AMORTISED_READS reads with the
 # benchmark's 50 us window (36.7 measured on 3.11; 46.7 before the changes
@@ -108,6 +116,17 @@ def test_observed_read_python_entries():
     client, tracer, addr = _traced_client()
     TelemetryRegistry().observe(tracer)
     assert _python_calls(lambda: client.read_u64(addr)) <= OBSERVED_READ
+
+
+@pytest.mark.parametrize("traced, bound", [(False, UNTRACED_GET), (True, TRACED_GET)])
+def test_warm_httree_get_python_entries(traced, bound):
+    cluster = Cluster(node_count=1, node_size=8 << 20)
+    client = cluster.client("worker")
+    tree = cluster.ht_tree(bucket_count=64)
+    tree.put(client, 7, 70)
+    if traced:
+        Tracer().attach(client)
+    assert _python_calls(lambda: tree.get(client, 7)) <= bound
 
 
 def test_observed_reads_amortised_total_calls():

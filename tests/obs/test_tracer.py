@@ -14,8 +14,8 @@ The invariants under test are the ones DESIGN.md section 8 promises:
 import pytest
 
 from repro import Cluster
-from repro.fabric import FaultPlan, Profiler, RetryPolicy
-from repro.fabric.errors import FabricError
+from repro.fabric import FaultPlan, RetryPolicy
+from repro.fabric.errors import FabricError, QueueEmpty
 from repro.notify.delivery import DeliveryEngine, DeliveryPolicy
 from repro.notify.subscription import Notification, NotifyKind, Subscription
 from repro.obs import Tracer
@@ -313,7 +313,7 @@ class TestAttachment:
         assert sum(h.count for _, h in tracer.node_hist.items()) == total
 
 
-class TestNotifyAndProfiler:
+class TestNotifyAndSpans:
     def test_notification_outcomes_become_events(self):
         cluster = Cluster(node_count=1, node_size=8 << 20)
         client = cluster.client("subscriber")
@@ -321,8 +321,9 @@ class TestNotifyAndProfiler:
         tracer.attach(client)
         engine = DeliveryEngine(DeliveryPolicy(coalesce_every=2))
         sub = Subscription(1, client, NotifyKind.NOTIFY0, 0, 8)
-        for seq in range(4):
-            engine.offer(sub, Notification(1, NotifyKind.NOTIFY0, 0, 8, seq=seq))
+        with client.trace("deliver") as span:
+            for seq in range(4):
+                engine.offer(sub, Notification(1, NotifyKind.NOTIFY0, 0, 8, seq=seq))
         tracer.finish()
 
         notes = tracer.events_by_kind("notify")
@@ -336,30 +337,47 @@ class TestNotifyAndProfiler:
         # Delivered events carry the coalesced-count the paper's NOTIFY
         # semantics argue about.
         assert [e.data.get("coalesced") for e in notes] == [None, 2, None, 2]
+        # Deliveries land in the span's delta too.
+        assert span.delta.notifications_received == 2
 
-    def test_profiler_composes_with_attached_tracer(self):
+    def test_certified_ops_open_their_spans_inside_a_phase(self):
         cluster = Cluster(node_count=1, node_size=8 << 20)
         client = cluster.client("worker")
         tracer = Tracer()
         tracer.attach(client)
-        profiler = Profiler()
         tree = cluster.ht_tree(bucket_count=64)
-        with profiler.measure(client, "load"):
+        queue = cluster.far_queue(capacity=8, max_clients=2)
+        with client.trace("load") as load:
             for key in range(8):
                 tree.put(client, key, key)
+        tree.get(client, 3)  # warm
+        with client.trace("lookup") as lookup:
+            tree.get(client, 3)
+        with pytest.raises(QueueEmpty):
+            queue.dequeue(client)
         tracer.finish()
 
-        # One span mechanism, two views: the profiler's ledger and the
-        # tracer's span tree see the same measured block.
-        row = profiler.row("load")
-        span = tracer.spans_by_label("load")[0]
-        assert row.count == 1
-        assert row.far_accesses == span.delta.far_accesses > 0
-        assert row.time_ns == span.duration_ns
-        # The structure's own spans nest inside the profiled label.
+        # Each op's @far_budget opens its span, tagged, inside the phase
+        # the caller labels; the phase's delta is inclusive.
         puts = tracer.spans_by_label("httree.put")
-        assert len(puts) == 8
-        assert all(p.parent_id == span.span_id for p in puts)
+        assert [p.tags for p in puts] == [{"key": key} for key in range(8)]
+        assert all(p.parent_id == load.span_id for p in puts)
+        assert load.delta.far_accesses == sum(p.delta.far_accesses for p in puts)
+        assert all(p.delta.far_accesses >= 2 for p in puts)  # C4: a store is 2+
+        get = tracer.spans_by_label("httree.get")[-1]
+        assert get.parent_id == lookup.span_id
+        assert get.delta.far_accesses == lookup.delta.far_accesses == 1  # C4
+        assert get.duration_ns == lookup.duration_ns > 0
+        # An op that raises still closes its span with what it spent.
+        (dequeue,) = tracer.spans_by_label("queue.dequeue")
+        assert not dequeue.open and dequeue.delta.far_accesses > 0
+        # The summary's count and far columns are the per-label ledger.
+        rows = {
+            line.split()[0]: line.split()[1:3] for line in tracer.summary().splitlines()[2:9]
+        }
+        assert rows["httree.put"] == ["8", str(load.delta.far_accesses)]
+        assert rows["httree.get"] == ["2", "2"]
+        assert rows["queue.dequeue"] == ["1", str(dequeue.delta.far_accesses)]
 
 
 class TestIntegrityAndRepairEvents:

@@ -7,13 +7,13 @@ import pytest
 from repro.__main__ import main
 
 
-def test_demo_prints_profile_and_trace_summary(capsys):
+def test_demo_prints_trace_summary(capsys):
     assert main([]) == 0
     out = capsys.readouterr().out
     assert "far accesses" in out
     assert "trace summary" in out
     assert "far-access latency by fabric op" in out
-    # The demo's label table and the histogram table both rendered.
+    # The demo's phase labels and the histogram table both rendered.
     assert "ht-tree put x100" in out
     assert "p50 ns" in out
 

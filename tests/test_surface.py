@@ -454,7 +454,6 @@ _MAP_DELETE = (
 )
 _PROBE = "test vocabulary: the read a test checks state with, which no run inspects"
 _ERROR = "error path: taken only on a failure no run provokes"
-_UNREAD = "nothing reads it; the name ratchet counts a same-named word (next 6(b) slice)"
 
 #: ``src/repro`` functions no recorded run enters, and why each stays.
 KEEP_UNRUN = {
@@ -513,11 +512,9 @@ KEEP_UNRUN = {
     "FarKVStore.multiget": _PAPER_OP,
     "FarKVStore.multiput": _PAPER_OP,
     "FarQueue.enqueue_many": _PAPER_OP,
-    "FarQueue._enqueue_many": _PAPER_OP,
     "HTTree.delete": _PAPER_OP,
     "HTTree._delete": _PAPER_OP,
     "HTTree.multistore": _PAPER_OP,
-    "HTTree._multistore": _PAPER_OP,
     "RefreshableVector.set_multi_writer": _PAPER_OP,
     "TxnSpace.transaction": _PAPER_OP,
     "FarBlobStore.delete": "FarKVStore.delete's blob step (a certified op above)",
@@ -544,7 +541,6 @@ KEEP_UNRUN = {
     "ExtentMigration.abort": f"{_ERROR} (a migration abandoned before commit)",
     "ExtentTable.abort_migration": f"{_ERROR} (a migration abandoned before commit)",
     "CompletionQueue._discard": "a tracked future reaped by result() before the CQ drains it",
-    "Budget.scaled": "the sanitizer's per-item budget: no sanitized example calls a bulk op",
     "RefreshableVector._leave_notify_mode": "the policy shift back to version polling",
     # Admin paths and paper primitives no run takes.
     "FarRegistry.unregister": "registry tombstones: a probe chain must survive a removed name",
@@ -594,7 +590,6 @@ KEEP_UNRUN = {
     "LatencyHistogram.buckets": _PROBE,
     "LeasedFarMutex.holder": _PROBE,
     "OneSidedBTree.height": _PROBE,
-    "Profiler.row": _PROBE,
     "ReclaimStats.pending": _PROBE,
     "RpcQueue.size": "the RPC queue's length op: E5 and work_queue only enqueue and dequeue",
     "RpcQueue._size": "the RPC queue's length op: E5 and work_queue only enqueue and dequeue",
@@ -605,9 +600,6 @@ KEEP_UNRUN = {
     "Tracer.attached": _PROBE,
     "Tracer.current_span": _PROBE,
     "Tracer.spans_by_label": _PROBE,
-    # Nothing reads them.
-    "RepairCoordinator.regions": _UNREAD,
-    "WindowedHistogramRing.window_count": _UNREAD,
 }
 
 
