@@ -1093,6 +1093,8 @@ class _FnEval:
     def _resolve_callee(self, func: ast.Attribute):
         """FuncInfo, list of candidate FuncInfos, _CLIENT, or None."""
         receiver = func.value
+        if func.attr == "__wrapped__" and isinstance(receiver, ast.Attribute):
+            return self._resolve_callee(receiver)  # a decorated op's own body
         tset = self._type_of_expr(receiver)
         if tset is _CLIENT or is_client_receiver(receiver):
             return _CLIENT

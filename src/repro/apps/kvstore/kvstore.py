@@ -227,6 +227,7 @@ class FarKVStore:
             # The FAA lands after the lookup reads so it releases them
             # into the version word; a mismatch with an earlier snapshot
             # of the slot aborts inside track_slot.
+            space._require_open(txn)
             space.track_slot(
                 client, txn, space.slot_for_key(self.txn_tag, key_hash)
             )

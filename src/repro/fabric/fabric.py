@@ -43,7 +43,9 @@ class Notifier(Protocol):
     """Interface the notification subsystem presents to the fabric."""
 
     def on_write(self, address: int, length: int, new_bytes: bytes) -> None:
-        """Called after every mutation of far memory, with global addresses."""
+        """Called after a mutation of far memory, with global addresses. Memory-side
+        matching runs only while a subscription exists: it is section 4.3's
+        page-table lookup, and at a node whose table is empty it matches nothing."""
 
 
 class Fabric(FarPrimitivesMixin):
@@ -65,10 +67,9 @@ class Fabric(FarPrimitivesMixin):
             for node_id in range(placement.node_count)
         ]
         self._notifier: Optional[Notifier] = None
+        self._write_hook = None  # what arm_write_hooks installed on every node
         self._failed_nodes: set[int] = set()
         self.fault_injector = None  # the attached faults.FaultInjector, if any
-        for node in self.nodes:
-            node.set_write_hook(self._on_node_write)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -102,17 +103,24 @@ class Fabric(FarPrimitivesMixin):
         """
         node_id, _ = self.extents.add_node(node_size, grow_virtual=grow_virtual)
         node = MemoryNode(node_id, self.extents.node_size_of(node_id))
-        node.set_write_hook(self._on_node_write)
+        node.set_write_hook(self._write_hook)
         self.nodes.append(node)
         return node_id
 
     def set_notifier(self, notifier: Optional[Notifier]) -> None:
-        """Attach the notification subsystem (section 4.3)."""
+        """Attach the notification subsystem (section 4.3) and arm the write
+        hooks, so ``notifier`` sees every write; ``None`` detaches it."""
         self._notifier = notifier
+        self.arm_write_hooks(notifier is not None)
+
+    def arm_write_hooks(self, armed: bool) -> None:
+        """Install (or remove) the write hook on every memory node, and on every
+        node :meth:`add_node` creates while armed; armed only with a notifier."""
+        self._write_hook = self._on_node_write if armed and self._notifier is not None else None
+        for node in self.nodes:
+            node.set_write_hook(self._write_hook)
 
     def _on_node_write(self, node_id: int, offset: int, length: int, data: bytes) -> None:
-        if self._notifier is None:
-            return
         address = self.extents.try_globalize(node_id, offset)
         if address is None:
             return  # migration staging slot: not yet a virtual address
@@ -257,7 +265,7 @@ class Fabric(FarPrimitivesMixin):
             self.extents.touch(address + cursor)
             node.write(location.offset, data[cursor : cursor + seg_len])
             cursor += seg_len
-        hops = self._apply_mirrors(data, mirrors)
+        hops = self._apply_mirrors(data, mirrors) if mirrors else 0
         return FabricResult(segments=max(1, len(segments)), forward_hops=hops)
 
     def _apply_mirrors(self, data: bytes, mirrors) -> int:
@@ -294,7 +302,9 @@ class Fabric(FarPrimitivesMixin):
         ``address``, already translated, under migration policing."""
         mirrors = self.extents.write_intercept(address, WORD)
         self.extents.touch(address)
-        node = self._node_for(location.node, address)
+        if location.node in self._failed_nodes:  # _node_for, inlined as on the read paths
+            raise NodeUnavailableError(location.node, address)
+        node = self.nodes[location.node]
         result = op(node, location.offset, *args)
         if mirrors:
             # Mirror the post-op value of the word (re-read from the

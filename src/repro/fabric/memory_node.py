@@ -12,8 +12,10 @@ Atomics are executed atomically at the node ("atomicity at the fabric
 level, bypassing the processor caches"); in the simulator this is trivially
 true because each node applies operations sequentially.
 
-Every mutation invokes the node's write hook, which the fabric wires to
-the notification subsystem (section 4.3).
+A mutation invokes the node's write hook when one is installed. The
+fabric installs it only while the notification subsystem holds a
+subscription: memory-side matching is the page-table lookup of section
+4.3, and a node whose table is empty has nothing to match.
 """
 
 from __future__ import annotations
@@ -72,10 +74,7 @@ class MemoryNode:
             raise AlignmentError(f"word operation at unaligned offset 0x{offset:x}")
 
     def _fire(self, offset: int, length: int) -> None:
-        if self._write_hook is not None and length > 0:
-            self._write_hook(
-                self.node_id, offset, length, bytes(self._data[offset : offset + length])
-            )
+        self._write_hook(self.node_id, offset, length, bytes(self._data[offset : offset + length]))
 
     # ------------------------------------------------------------------
     # Plain one-sided operations
@@ -94,7 +93,8 @@ class MemoryNode:
         self._data[offset : offset + len(data)] = data
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
-        self._fire(offset, len(data))
+        if self._write_hook is not None and data:
+            self._fire(offset, len(data))
 
     def read_word(self, offset: int) -> int:
         """Read one aligned 64-bit word."""
@@ -109,7 +109,8 @@ class MemoryNode:
         U64.pack_into(self._data, offset, value & U64_MASK)
         self.stats.writes += 1
         self.stats.bytes_written += WORD
-        self._fire(offset, WORD)
+        if self._write_hook is not None:
+            self._fire(offset, WORD)
 
     def corrupt_bit(self, offset: int, bit: int) -> None:
         """Flip one stored bit *silently* (fault injection only).
@@ -129,20 +130,15 @@ class MemoryNode:
     # Fabric-level atomics (section 2: CAS as in RDMA / Gen-Z)
     # ------------------------------------------------------------------
 
-    def _peek_word(self, offset: int) -> int:
-        return U64.unpack_from(self._data, offset)[0]
-
-    def _poke_word(self, offset: int, value: int) -> None:
-        U64.pack_into(self._data, offset, value & U64_MASK)
-
     def compare_and_swap(self, offset: int, expected: int, new: int) -> tuple[int, bool]:
         """Atomic CAS; returns ``(old_value, swapped)``."""
         self._check_word(offset)
         self.stats.atomics += 1
-        old = self._peek_word(offset)
+        old = U64.unpack_from(self._data, offset)[0]
         if old == expected:
-            self._poke_word(offset, new)
-            self._fire(offset, WORD)
+            U64.pack_into(self._data, offset, new & U64_MASK)
+            if self._write_hook is not None:
+                self._fire(offset, WORD)
             return old, True
         return old, False
 
@@ -150,18 +146,20 @@ class MemoryNode:
         """Atomic fetch-and-add with 64-bit wraparound; returns old value."""
         self._check_word(offset)
         self.stats.atomics += 1
-        old = self._peek_word(offset)
-        self._poke_word(offset, wrap_add(old, delta))
-        self._fire(offset, WORD)
+        old = U64.unpack_from(self._data, offset)[0]
+        U64.pack_into(self._data, offset, wrap_add(old, delta))
+        if self._write_hook is not None:
+            self._fire(offset, WORD)
         return old
 
     def swap(self, offset: int, value: int) -> int:
         """Atomic exchange; returns old value."""
         self._check_word(offset)
         self.stats.atomics += 1
-        old = self._peek_word(offset)
-        self._poke_word(offset, value)
-        self._fire(offset, WORD)
+        old = U64.unpack_from(self._data, offset)[0]
+        U64.pack_into(self._data, offset, value & U64_MASK)
+        if self._write_hook is not None:
+            self._fire(offset, WORD)
         return old
 
     def __repr__(self) -> str:

@@ -3,7 +3,8 @@
 The manager is the simulator's stand-in for the hardware described in
 section 4.3: memory nodes "record [subscriptions] in page table entries"
 and, on every mutation, check whether a registered range was touched. It
-implements the fabric's ``Notifier`` protocol, so it sees every write and
+implements the fabric's ``Notifier`` protocol and arms the nodes' write
+hooks while it holds a subscription, so it then sees every write and
 atomic in the system, and pushes matching notifications through a
 :class:`~repro.notify.delivery.DeliveryEngine` to the subscribers.
 
@@ -49,6 +50,7 @@ class NotificationManager:
         self._next_id = 1
         self._seq = 0
         fabric.set_notifier(self)
+        fabric.arm_write_hooks(False)  # armed by the first subscription
 
     # ------------------------------------------------------------------
     # Subscription management
@@ -83,6 +85,8 @@ class NotificationManager:
             user_data=user_data,
         )
         self._next_id += 1
+        if not self._by_page:
+            self.fabric.arm_write_hooks(True)
         self._by_page.setdefault(page_of(address), []).append(sub)
         charge = getattr(subscriber, "charge_far_access", None)
         if charge is not None:
@@ -116,6 +120,8 @@ class NotificationManager:
             subs.remove(sub)
             if not subs:
                 del self._by_page[page]
+                if not self._by_page:
+                    self.fabric.arm_write_hooks(False)
         self.engine.forget(sub)
 
     def tick(self) -> None:
@@ -128,8 +134,6 @@ class NotificationManager:
 
     def on_write(self, address: int, length: int, new_bytes: bytes) -> None:
         """Match one mutation against the page-indexed subscriptions."""
-        if not self._by_page:
-            return
         first_page = page_of(address)
         last_page = page_of(address + max(length, 1) - 1)
         for page in range(first_page, last_page + 1):

@@ -70,7 +70,7 @@ from ..fabric.errors import (
     StaleEpochError,
 )
 from ..fabric.integrity import frame_block, frame_size
-from ..fabric.wire import U64, WORD, Layout, encode_u64, unpack_words
+from ..fabric.wire import U64, WORD, Layout, pack_words, unpack_words
 
 if TYPE_CHECKING:
     from ..alloc.allocator import FarAllocator, PlacementHint
@@ -137,10 +137,6 @@ class Transaction:
     snapshots: dict[int, int] = field(default_factory=dict)
     cell_writes: dict[int, bytes] = field(default_factory=dict)
     kv_puts: dict[tuple[int, int], _KvWrite] = field(default_factory=dict)
-
-    @property
-    def is_open(self) -> bool:
-        return self.state == "open"
 
     @property
     def read_only(self) -> bool:
@@ -302,11 +298,6 @@ class TxnSpace:
         """Version-word slot guarding one KV key of one store."""
         return _mix64(store_tag ^ _mix64(key_hash)) % self.n_slots
 
-    @staticmethod
-    def locked_word(owner_id: int, version: int) -> int:
-        """The odd lock encoding: owner in the high half, version+1 low."""
-        return ((owner_id + 1) << 32) | ((version + 1) & _VERSION_MASK)
-
     # ------------------------------------------------------------------
     # Transaction body
     # ------------------------------------------------------------------
@@ -336,8 +327,9 @@ class TxnSpace:
         free if already tracked). The zero-delta FAA is atomic on the
         version word, which *releases* everything this client read so
         far into the word — a later writer's lock CAS acquires it, so
-        committed writes are ordered after the reads they invalidate."""
-        self._require_open(txn)
+        committed writes are ordered after the reads they invalidate.
+        The caller has checked that ``txn`` is open; :meth:`read` and
+        :meth:`write` run this body unwrapped, as ``track_slot.__wrapped__``."""
         prior = txn.snapshots.get(slot)
         if prior is not None:
             return prior
@@ -377,7 +369,7 @@ class TxnSpace:
             if word != txn.snapshots[slot]:
                 self._conflict(client, txn, "version_changed", slot)
         else:
-            self.track_slot(client, txn, slot)
+            self.track_slot.__wrapped__(self, client, txn, slot)
         return payload
 
     @far_budget(0, ceiling=1)
@@ -388,7 +380,7 @@ class TxnSpace:
         reads only). The slot is tracked so commit knows the version its
         lock CAS must expect."""
         self._require_open(txn)
-        self.track_slot(client, txn, self.slot_for_addr(address))
+        self.track_slot.__wrapped__(self, client, txn, self.slot_for_addr(address))
         txn.cell_writes[address] = bytes(payload)
 
     def abort(
@@ -396,7 +388,7 @@ class TxnSpace:
     ) -> None:
         """Abort: drop buffered writes, free any buffered KV regions
         (they were never reachable), count + trace. No far access."""
-        if not txn.is_open:
+        if txn.state != "open":
             return
         txn.state = "aborted"
         for write in txn.kv_puts.values():
@@ -499,9 +491,10 @@ class TxnSpace:
         """CAS every write slot from its snapshot version to the locked
         word, pipelined in one window. On any conflict or fabric fault
         the acquired subset is restored and the transaction aborts."""
-        owner, snapshots = txn.client_id, txn.snapshots
+        # The odd lock word: owner + 1 in the high half, version + 1 low.
+        owner, snapshots, table = (txn.client_id + 1) << 32, txn.snapshots, self.table
         calls = [
-            (self.version_addr(slot), snapshots[slot], self.locked_word(owner, snapshots[slot]))
+            (table + slot * WORD, snapshots[slot], owner | ((snapshots[slot] + 1) & _VERSION_MASK))
             for slot in write_slots
         ]
         outcomes = self._post(client, "cas", calls)
@@ -528,7 +521,8 @@ class TxnSpace:
         """Re-read every read-only slot's version word (zero-delta FAAs,
         one window); any drift from the snapshot aborts. Write slots
         need no re-check — their lock CAS validated atomically."""
-        outcomes = self._post(client, "faa", [(self.version_addr(slot), 0) for slot in read_only])
+        calls = [(self.table + slot * WORD, 0) for slot in read_only]
+        outcomes = self._post(client, "faa", calls)
         failed = []
         for slot, outcome in zip(read_only, outcomes):
             # A fault never equals a snapshot version: it fails its slot too.
@@ -634,7 +628,7 @@ class TxnSpace:
         """Write ``version + plus`` to each ``(slot, version)`` pair's word in
         one window: ``plus=2`` unlocks past a commit (commit, roll forward),
         ``plus=0`` restores the pre-lock version (release, roll back)."""
-        calls = [(self.version_addr(slot), version + plus) for slot, version in pairs]
+        calls = [(self.table + slot * WORD, version + plus) for slot, version in pairs]
         self._post(client, "write_u64", calls, capture=False)
 
     @staticmethod
@@ -814,17 +808,18 @@ class TxnSpace:
         """``seq | locks | framed-cell payloads | kv triples``, padded to
         ``record_capacity`` (fixed-size frames keep the tombstone and
         the sealed record byte-compatible at the reader)."""
-        parts = [RECORD.pack(txn.txn_id, len(write_slots))]
+        snapshots = txn.snapshots
+        head = [txn.txn_id, len(write_slots)]  # RECORD, then LOCK per slot
         for slot in write_slots:
-            parts.append(LOCK.pack(slot, txn.snapshots[slot]))
-        parts.append(encode_u64(len(txn.cell_writes)))
-        for addr in sorted(txn.cell_writes):
-            payload = txn.cell_writes[addr]
-            parts.append(CELL.pack(addr, len(payload)))
-            parts.append(payload)
-        parts.append(encode_u64(len(txn.kv_puts)))
+            head += (slot, snapshots[slot])
+        head.append(len(txn.cell_writes))
+        parts = [pack_words(head)]
+        for addr, payload in sorted(txn.cell_writes.items()):
+            parts += (CELL.pack(addr, len(payload)), payload)
+        tail = [len(txn.kv_puts)]  # then KV_PUT per pair
         for (tag, key_hash), write in sorted(txn.kv_puts.items()):
-            parts.append(KV_PUT.pack(tag, key_hash, write.region))
+            tail += (tag, key_hash, write.region)
+        parts.append(pack_words(tail))
         blob = b"".join(parts)
         if len(blob) > self.record_capacity:
             raise TxnAbortError(
@@ -873,7 +868,7 @@ class TxnSpace:
 
     @staticmethod
     def _require_open(txn: Transaction) -> None:
-        if not txn.is_open:
+        if txn.state != "open":
             raise TxnAbortError(
                 f"transaction already {txn.state}", retryable=False
             )

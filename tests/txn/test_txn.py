@@ -18,6 +18,11 @@ def _word(client, space, slot):
     return decode_u64(client.read(space.version_addr(slot), WORD))
 
 
+def _locked(owner_id, version):
+    """A held lock word: owner + 1 in the high half, version + 1 low."""
+    return ((owner_id + 1) << 32) | (version + 1)
+
+
 class TestProtocol:
     def test_commit_is_atomic_and_versioned(self, cluster):
         c1 = cluster.client("writer")
@@ -119,7 +124,7 @@ class TestProtocol:
         (a,) = seed_cells(cluster, space, c1, 1)
         slot = space.slot_for_addr(a)
         # Hand-hold the lock the way a mid-commit owner would.
-        c1.write_u64(space.version_addr(slot), space.locked_word(c1.client_id, 0))
+        c1.write_u64(space.version_addr(slot), _locked(c1.client_id, 0))
         txn = space.begin(c2)
         with pytest.raises(TxnConflictError) as err:
             space.read(c2, txn, a, PAYLOAD)
@@ -283,7 +288,7 @@ class TestComposition:
         space = cluster.txn_space(c1)
         (a,) = seed_cells(cluster, space, c1, 1)
         slot = space.slot_for_addr(a)
-        c1.write_u64(space.version_addr(slot), space.locked_word(9, 0))
+        c1.write_u64(space.version_addr(slot), _locked(9, 0))
         with pytest.raises(TxnConflictError):
             space.run(
                 c1, lambda txn: space.read(c1, txn, a, PAYLOAD), max_attempts=3
