@@ -125,17 +125,15 @@ def main() -> None:
     )
 
     # -- phase 4: crash mid-commit, recover, no torn balances ------------
+    # A victim's transfer posts 4 reads, then its commit registers (one CAS
+    # per slot probed: 5 for the first victim, 6 for the second), locks the
+    # one slot guarding both accounts and seals. So 11 posts land before
+    # the first victim dies past its seal, and the second holding its lock.
     surgeon = cluster.client("surgeon")
     for phase, direction in (("after_seal", "rollforward"), ("after_lock", "rollback")):
         victim = cluster.client(f"victim-{phase}")
-
-        def crash(at, client, stop=phase):
-            if at == stop:
-                space.crash_hook = None
-                client.crash()
-
         before = audit(bank, space, cells)
-        space.crash_hook = crash
+        victim.crash_after(11)
         try:
             transfer(space, victim, cells, 2, 3, 7)
             raise AssertionError("victim should have crashed mid-commit")

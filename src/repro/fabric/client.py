@@ -155,6 +155,7 @@ class Client:
         self.breaker_policy = breaker_policy
         self.breakers: dict[int, CircuitBreaker] = {}
         self.alive = True
+        self._crash_at: Optional[int] = None  # see crash_after
         self.qp_depth = qp_depth
         self.cq = CompletionQueue(self)
         self._inbox: deque = deque()
@@ -209,6 +210,13 @@ class Client:
                 future._error = error
                 future.completed_at_ns = self.clock.now_ns
         self.cq._clear()
+
+    def crash_after(self, posts: int) -> None:
+        """Crash inside whatever runs next: ``posts`` more posts land, then
+        the next one fail-stops this client (:meth:`crash`) and raises
+        :class:`ClientDeadError` instead of landing. Posts execute eagerly,
+        so this is also "crash before that post issues"."""
+        self._crash_at = self.metrics.pipeline_ops + posts
 
     # ------------------------------------------------------------------
     # Observability (repro.obs)
@@ -374,6 +382,8 @@ class Client:
             except Exception as err:
                 future._error = err
             return None
+        if self.metrics.pipeline_ops == self._crash_at:
+            self.crash()
         if not self.alive:
             raise ClientDeadError(f"{self.name} has crashed")
         self.metrics.pipeline_ops += 1

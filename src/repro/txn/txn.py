@@ -218,10 +218,6 @@ class TxnSpace:
         # client_id -> registration slot (a local cache of a far claim).
         self._reg_slots: dict[int, int] = {}
         self._next_seq = 0
-        # Crash-injection seam for the recovery tests: called with
-        # (phase, client) at "before_lock" / "after_lock" /
-        # "after_seal" / "mid_writeback". No-op in production.
-        self.crash_hook: Optional[Callable[[str, "Client"], None]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -432,10 +428,8 @@ class TxnSpace:
                 raise
 
         acquired: list[tuple[int, int]] = []
-        self._checkpoint("before_lock", client)
         if write_slots:
             acquired = self._lock_phase(client, txn, write_slots)
-        self._checkpoint("after_lock", client)
         self._validate_phase(client, txn, read_only, write_slots, acquired)
         if not write_slots:
             self._finish_commit(client, txn, runs=0)
@@ -450,7 +444,6 @@ class TxnSpace:
             # FENCE raises before any byte moves: the seal never landed.
             self._release(client, acquired)
             self._abort_for(client, txn, "stale_epoch", err)
-        self._checkpoint("after_seal", client)
 
         runs = self._writeback_phase(client, txn)
         if txn.kv_puts:
@@ -566,13 +559,7 @@ class TxnSpace:
         per *contiguous ascending run* (exact address coverage, so the
         race detector's write smear matches what was written)."""
         runs = self._runs(txn)
-        futures = []
-        for index, (iovec, data) in enumerate(runs):
-            if index:
-                self._checkpoint("mid_writeback", client)
-            futures.append(client.submit("wscatter", iovec, data, signaled=False))
-        for future in futures:
-            future.result()
+        self._post(client, "wscatter", runs, capture=False)
         return len(runs)
 
     def _runs(self, txn: Transaction) -> list[tuple[list[tuple[int, int]], bytes]]:
@@ -861,10 +848,6 @@ class TxnSpace:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _checkpoint(self, phase: str, client: "Client") -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(phase, client)
 
     @staticmethod
     def _require_open(txn: Transaction) -> None:

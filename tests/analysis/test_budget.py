@@ -4,7 +4,6 @@ always-on assertions under an active BudgetSanitizer."""
 
 import pytest
 
-from repro import Cluster
 from repro.analysis.budget import (
     BudgetSanitizer,
     BudgetViolation,
@@ -15,8 +14,6 @@ from repro.core.ht_tree import HTTree, hash_u64
 from repro.core.queue import FarQueue
 from repro.core.registry import FarRegistry, name_hash
 from repro.obs import Tracer
-
-NODE_SIZE = 8 << 20
 
 
 def _collision_free_keys(count: int, bucket_count: int) -> list[int]:
@@ -35,11 +32,6 @@ def _collision_free_keys(count: int, bucket_count: int) -> list[int]:
             keys.append(key)
         key += 1
     return keys
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 class TestC4HTTreeBudgets:

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro import Cluster
 from repro.baselines import AddressCachingHashMap, OneSidedHashMap
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 @pytest.fixture

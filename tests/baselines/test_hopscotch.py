@@ -11,11 +11,6 @@ NODE_SIZE = 8 << 20
 
 
 @pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
-
-
-@pytest.fixture
 def table(cluster):
     return HopscotchHashMap.create(cluster.allocator, slot_count=256, neighborhood=8)
 

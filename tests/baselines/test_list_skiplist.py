@@ -1,16 +1,7 @@
 """Unit tests for the skip-list strawman."""
 
-import pytest
 
-from repro import Cluster
 from repro.baselines import FarSkipList
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 class TestSkipList:

@@ -2,16 +2,8 @@
 
 import pytest
 
-from repro import Cluster
 from repro.core.counter import FarCounter
 from repro.fabric.wire import U64_MASK
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 @pytest.fixture

@@ -12,11 +12,6 @@ from repro.fabric.wire import WORD
 NODE_SIZE = 8 << 20
 
 
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
-
-
 def make_queue(cluster, capacity=64, max_clients=4, **kwargs):
     return cluster.far_queue(capacity=capacity, max_clients=max_clients, **kwargs)
 

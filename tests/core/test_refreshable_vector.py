@@ -9,11 +9,6 @@ from repro.notify import DeliveryPolicy
 NODE_SIZE = 8 << 20
 
 
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
-
-
 def make_vector(cluster, length=256, group_size=32, **kwargs):
     return cluster.refreshable_vector(length, group_size=group_size, **kwargs)
 

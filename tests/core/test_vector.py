@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro import Cluster
 from repro.core.vector import FarVector
 from repro.fabric.errors import AddressError
 from repro.fabric.wire import WORD
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 @pytest.fixture

@@ -45,17 +45,12 @@ def _txn_cell(cluster, space, client, used, payload):
             return base
 
 
-def _crash_commit(space, victim, phase, buffer_writes):
-    """Commit what ``buffer_writes(txn)`` buffers, the owner dying at ``phase``."""
-
-    def hook(at, client):
-        if at == phase:
-            space.crash_hook = None
-            client.crash()
-
-    space.crash_hook = hook
+def _crash_commit(space, victim, posts, buffer_writes):
+    """Commit what ``buffer_writes(txn)`` buffers, the owner dying once
+    ``posts`` of the commit's posts have landed."""
     txn = space.begin(victim)
     buffer_writes(txn)
+    victim.crash_after(posts)
     with pytest.raises(FabricError):
         space.commit(victim, txn)
 
@@ -142,14 +137,16 @@ def build_image() -> str:
         space.write(victim, txn, cells[2], b"C" * 8)
         space.write(victim, txn, cells[3], b"D" * 8)
 
-    _crash_commit(space, victim, "after_seal", two_cells)
+    # Each victim registers with one CAS per slot probed (the n-th
+    # registrant probes n), then dies after its locks (and seal).
+    _crash_commit(space, victim, 5, two_cells)  # 2 probes, 2 locks, the seal
     assert space.recover(b, victim.client_id).action == "rollforward"
     v2 = cluster.client("victim2")
-    _crash_commit(space, v2, "after_lock", lambda txn: space.write(v2, txn, cells[0], b"E" * 8))
+    _crash_commit(space, v2, 4, lambda txn: space.write(v2, txn, cells[0], b"E" * 8))
     assert space.recover(b, v2.client_id).action == "rollback"
     v3 = cluster.client("victim3")
     put = [("user:3", b"barbara")]
-    _crash_commit(space, v3, "after_seal", lambda txn: store.txn_multiput(v3, space, txn, put))
+    _crash_commit(space, v3, 6, lambda txn: store.txn_multiput(v3, space, txn, put))
     assert space.recover(b, v3.client_id, stores={store.txn_tag: store}).action == "rollforward"
     assert store.get(b, "user:3") == b"barbara"
 

@@ -2,9 +2,9 @@
 against a full value oracle.
 
 Every round runs one transfer between random accounts; a randomized
-subset of rounds crashes the committing client at a random commit phase
-and recovers with a fresh client. The oracle applies a transfer iff the
-commit returned *or* recovery rolled it forward — afterwards every
+subset of rounds crashes the committing client at a random post of its
+commit and recovers with a fresh client. The oracle applies a transfer
+iff the commit returned *or* recovery rolled it forward — afterwards every
 balance must equal the oracle's and the total must be conserved, which
 is exactly the all-or-nothing guarantee the commit record provides."""
 
@@ -18,14 +18,18 @@ from repro.fabric.wire import WORD, decode_u64, encode_u64
 NODE_SIZE = 8 << 20
 ACCOUNTS = 8
 OPENING = 64
-PHASES = ["before_lock", "after_lock", "after_seal", "mid_writeback"]
+ROUNDS = 40
+#: The most posts one transfer's commit makes (2 lock CAS, the seal, 2
+#: write-back scatters, 2 unlocks, the tombstone); a crash drawn at or
+#: past a commit's own post count lets the whole commit land.
+COMMIT_POSTS = 8
 
 
 class TestTxnSoak:
     @settings(max_examples=20, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),  # seed
-        st.integers(min_value=10, max_value=40),  # rounds
+        st.integers(min_value=10, max_value=ROUNDS),  # rounds
     )
     def test_oracle_equivalence_through_crashes(self, seed, rounds):
         import random
@@ -35,7 +39,8 @@ class TestTxnSoak:
             node_count=2, node_size=NODE_SIZE, extent_size=64 << 10
         )
         setup = cluster.client("setup")
-        space = cluster.txn_space(setup)
+        # Every round's client registers: size the array for all of them.
+        space = cluster.txn_space(setup, max_clients=ROUNDS)
         # Spread accounts over several extents so transfers mix
         # single-slot and multi-slot (multi-run) commits.
         cells = []
@@ -52,17 +57,8 @@ class TestTxnSoak:
             src, dst = rng.sample(range(ACCOUNTS), 2)
             amount = rng.randint(1, 16)
             client = cluster.client(f"w{round_no}")
-            crash_phase = (
-                rng.choice(PHASES) if rng.random() < 0.4 else None
-            )
-            if crash_phase is not None:
-
-                def hook(at, acting, stop=crash_phase):
-                    if at == stop:
-                        space.crash_hook = None
-                        acting.crash()
-
-                space.crash_hook = hook
+            space.register(client)  # so the commit's posts are its own
+            crash_at = rng.randint(0, COMMIT_POSTS) if rng.random() < 0.4 else None
 
             txn = space.begin(client)
             committed = False
@@ -72,11 +68,12 @@ class TestTxnSoak:
                 moved = min(amount, src_bal)
                 space.write(client, txn, cells[src], encode_u64(src_bal - moved))
                 space.write(client, txn, cells[dst], encode_u64(dst_bal + moved))
+                if crash_at is not None:
+                    client.crash_after(crash_at)
                 space.commit(client, txn)
                 committed = True
             except FabricError:
                 crashes += 1
-                space.crash_hook = None
                 surgeon = cluster.client(f"surgeon{round_no}")
                 report = space.recover(surgeon, client.client_id)
                 if report.action == "rollforward":

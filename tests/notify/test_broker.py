@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro import Cluster
 from repro.fabric.wire import WORD
 from repro.notify.broker import Broker, BrokerNetwork
 from repro.notify.subscription import NotifyKind
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 class TestBroker:

@@ -2,16 +2,8 @@
 
 import pytest
 
-from repro import Cluster
 from repro.fabric.wire import WORD, decode_u64
 from repro.notify.subscription import NotifyKind
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 @pytest.fixture

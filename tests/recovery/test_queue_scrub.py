@@ -2,17 +2,9 @@
 
 import pytest
 
-from repro import Cluster
 from repro.fabric.errors import QueueEmpty
 from repro.fabric.wire import WORD, encode_u64
 from repro.recovery import QueueScrubber
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 def drain_all(queue, client):
@@ -109,6 +101,30 @@ class TestCrashRepairs:
         assert report.orphans_reenqueued == 1
         assert report.redelivery_possible
         assert drain_all(queue, other) == [42]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: a dead client's filled claim is overwritten "
+        "once the tail laps it, before a later scrub can rescue it",
+    )
+    def test_orphaned_claim_item_survives_a_late_scrub(self, cluster):
+        # As above, but the scrub runs one lap late: nothing consumes the
+        # item behind the head, and the tail's next pass stores over it.
+        queue = cluster.far_queue(capacity=5, max_clients=2)
+        producer, victim = cluster.client(), cluster.client()
+        for i in range(queue.capacity):  # advance both pointers to slack
+            queue.enqueue(producer, i + 1)
+            queue.dequeue(producer)
+        with pytest.raises(QueueEmpty):
+            queue.dequeue(victim)  # wrap + empty: claim armed on slot 0
+        victim.crash()
+        queue.enqueue(producer, 42)  # fills the dead claim
+        for i in range(queue.capacity):  # the last push wraps onto slot 0
+            queue.enqueue(producer, 100 + i)
+            queue.dequeue(producer)
+        QueueScrubber(queue).recover_crashed_client(victim.client_id, producer)
+        assert 42 in drain_all(queue, producer)
 
     def test_detach_frees_client_slot(self, cluster):
         queue = cluster.far_queue(capacity=32, max_clients=2)

@@ -2,16 +2,8 @@
 
 import pytest
 
-from repro import Cluster
 from repro.fabric.errors import RpcError
 from repro.rpc import RpcServer
-
-NODE_SIZE = 8 << 20
-
-
-@pytest.fixture
-def cluster():
-    return Cluster(node_count=1, node_size=NODE_SIZE)
 
 
 class TestDispatch:

@@ -98,15 +98,9 @@ class TestKvCrashRecovery:
     def _crash_after_seal(self, setup):
         cluster, victim, store, space = setup
         store.put(victim, "bal", b"100")
-
-        def hook(at, client):
-            if at == "after_seal":
-                space.crash_hook = None
-                client.crash()
-
-        space.crash_hook = hook
         txn = space.begin(victim)
         store.txn_multiput(victim, space, txn, [("bal", b"42"), ("new", b"n")])
+        victim.crash_after(4)  # register, 2 locks and the seal land
         with pytest.raises(FabricError):
             space.commit(victim, txn)
         return cluster, victim, store, space

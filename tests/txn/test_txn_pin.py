@@ -24,7 +24,11 @@ from repro.txn import TxnRecoveryReport
 from .conftest import PAYLOAD, seed_cells, txn_cluster
 
 KINDS = ("window", "txn_validate", "txn_abort", "txn_commit")
-PHASES = ("before_lock", "after_lock", "after_seal", "mid_writeback")
+#: A crash phase -> how many of the commit's posts land before the owner
+#: dies. The warm W=2, R=1 commit posts 2 lock CAS, 1 validate FAA, the
+#: seal, then 2 write-back scatters; the KV commit 3 lock CAS, then the seal.
+PHASES = {"before_lock": 0, "after_lock": 2, "after_seal": 4, "mid_writeback": 5}
+KV_PHASES = {"after_lock": 3, "after_seal": 4}
 #: Far accesses of the warm W=2, R=1 cell commit: 2 lock CAS, 1 validate
 #: FAA, the seal, 2 write-back scatters, 2 unlocks and the tombstone.
 COMMIT_ACCESSES = 9
@@ -119,15 +123,6 @@ def _kv_puts(space, client, stores):
     return txn
 
 
-def _crash_at(space, phase):
-    def hook(at, client):
-        if at == phase:
-            space.crash_hook = None
-            client.crash()
-
-    space.crash_hook = hook
-
-
 def commit_w2_r1(probe):
     _, owner, space, addrs = _space(probe)
     txn = _w2_r1(space, owner, addrs)
@@ -182,11 +177,11 @@ def _timeout_at(index):
     return scenario
 
 
-def _crash(phase):
+def _crash(posts):
     def scenario(probe):
         cluster, owner, space, addrs = _space(probe)
         txn = _w2_r1(space, owner, addrs)
-        _crash_at(space, phase)
+        owner.crash_after(posts)
         probe.act("commit", owner, lambda: space.commit(owner, txn))
         surgeon = probe.client(cluster, "surgeon")
         probe.act("recover", surgeon, lambda: space.recover(surgeon, owner.client_id))
@@ -194,12 +189,12 @@ def _crash(phase):
     return scenario
 
 
-def _kv_crash(phase):
+def _kv_crash(posts):
     def scenario(probe):
         cluster, owner, space, _ = _space(probe, cells=0)
         stores = _stores(cluster, owner)
         txn = _kv_puts(space, owner, stores)
-        _crash_at(space, phase)
+        owner.crash_after(posts)
         probe.act("commit", owner, lambda: space.commit(owner, txn))
         surgeon = probe.client(cluster, "surgeon")
         low, _ = sorted(stores, key=lambda store: store.txn_tag)
@@ -227,8 +222,8 @@ SCENARIOS = {
     "lock_conflict": lock_conflict,
     "validate_conflict": validate_conflict,
     **{f"timeout_at_{k}": _timeout_at(k) for k in range(COMMIT_ACCESSES)},
-    **{f"crash_{phase}": _crash(phase) for phase in PHASES},
-    **{f"kv_crash_{phase}": _kv_crash(phase) for phase in ("after_lock", "after_seal")},
+    **{f"crash_{phase}": _crash(posts) for phase, posts in PHASES.items()},
+    **{f"kv_crash_{phase}": _kv_crash(posts) for phase, posts in KV_PHASES.items()},
 }
 
 
