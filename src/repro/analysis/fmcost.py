@@ -22,7 +22,8 @@ It is an interprocedural abstract interpreter over the AST of
 Leaves are the metered :class:`~repro.fabric.client.Client` operations
 (every synchronous far op, ``submit()``, ``charge_far_access()``,
 ``write_framed()``, ``read_verified()`` — each is exactly one far
-access, mirroring ``Client._account_far``).  Raw ``fabric.*`` calls are
+access, mirroring ``Client._account_far`` — and ``phase()``, one per
+item of its calls list).  Raw ``fabric.*`` calls are
 deliberately **free**: they bypass client metering, which is fmlint
 FM003's job to flag, not fmcost's to price.  Per-function summaries are
 solved on demand, callee first, from the operations the certificate
@@ -1129,6 +1130,12 @@ class _FnEval:
     def _intrinsic_cost(self, call: ast.Call, name: str) -> tuple:
         if name not in FAR_COST_OPS:
             return (0, 0), ZERO
+        if name == "phase":  # one post per item of its calls: submit in a comprehension
+            calls = call.args[1] if len(call.args) > 1 else next(
+                (kw.value for kw in call.keywords if kw.arg == "calls"), None
+            )
+            fast = (0, 1) if self._is_mandatory(calls) else (0, 0)
+            return fast, Cost(per_item=1) if self._is_bulk(calls) else TOP
         fallback = None
         if name == "read_verified":
             fallback = next(

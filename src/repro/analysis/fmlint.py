@@ -108,9 +108,10 @@ REGISTERED_FAR_STRUCTURES = frozenset(
 #: Every client-receiver method that costs far accesses: the sync ops
 #: plus submit() (one posted op), the explicit accounting hook, and the
 #: framed/verified I/O helpers. fmcost prices each at one far access
-#: (and read_verified()'s fallbacks on top).
+#: (and read_verified()'s fallbacks on top) — and phase(), which returns
+#: outcomes, not futures (nothing for FM002), at one per call it posts.
 FAR_COST_OPS = FAR_SYNC_OPS | frozenset(
-    {"submit", "charge_far_access", "write_framed", "read_verified"}
+    {"submit", "phase", "charge_far_access", "write_framed", "read_verified"}
 )
 
 

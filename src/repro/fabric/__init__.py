@@ -61,7 +61,6 @@ from .wire import (
     WORD,
     align_down,
     align_up,
-    crc32_u64,
     decode_u64,
     encode_u64,
     to_signed,
@@ -128,7 +127,6 @@ __all__ = [
     "WORD",
     "align_down",
     "align_up",
-    "crc32_u64",
     "decode_u64",
     "encode_u64",
     "to_signed",

@@ -14,6 +14,7 @@ with the synchronous API as a thin veneer:
   submissions stay outstanding in the current *overlap window*; hitting
   the bound rings the doorbell (the window flushes, costing ``max(op
   latencies) + (n - 1) * issue_ns`` — overlap hides latency, not work).
+  :meth:`phase` posts N calls of one op the same way, with no future.
 * **Completion** (:attr:`cq`): a completion queue with ``poll()`` /
   ``wait_all()``; ``FarFuture.result()`` completes through it.
 * **Synchronous calls**: every classic method (:meth:`read`,
@@ -57,6 +58,7 @@ from typing import Any, Callable, Optional, Sequence
 from .errors import (
     CircuitOpenError,
     ClientDeadError,
+    FabricError,
     FarCorruptionError,
     FarTimeoutError,
     NodeUnavailableError,
@@ -349,7 +351,9 @@ class Client:
 
         Errors (timeout after retries, open breaker, address faults)
         are captured in the future and raised at ``result()`` time, as a
-        completion-queue error entry would be.
+        completion-queue error entry would be. A caller that posts N
+        calls of one op and reaps them all at once wants :meth:`phase`,
+        which charges the same window with no future per call.
         """
         impl = _DISPATCH.get(op)
         if impl is None:
@@ -358,23 +362,54 @@ class Client:
         self._post(op, future, impl, *args)
         return future
 
+    def phase(self, op: str, calls: Sequence[tuple], *, capture: bool = False) -> list[Any]:
+        """Post ``op(*args)`` for each ``args`` in ``calls`` as one window and
+        return the outcomes in order — what unsignaled submissions reaped
+        one by one would return, with no future built. Each call is parked
+        like :meth:`submit`'s (``qp_depth`` stalls, batch deferral); one
+        ``reap`` doorbell rings at the end if they are still parked. With
+        ``capture`` a :class:`FabricError` stays in its call's place; any
+        other failure, the first, is raised once the window is charged."""
+        impl = _DISPATCH.get(op)
+        if impl is None:
+            raise ValueError(f"unknown far operation {op!r}")
+        outcomes: list[Any] = [None] * len(calls)
+        failed = None
+        for index, args in enumerate(calls):
+            try:
+                outcomes[index] = self._post(op, False, impl, *args)
+            except Exception as err:
+                if not self.alive:
+                    raise  # this post crashed the client: nothing after it issues
+                outcomes[index] = err
+                if failed is None and not (capture and isinstance(err, FabricError)):
+                    failed = err
+        if calls and self._window and self._op is None and self._batch_depth == 0:
+            self._flush_window(reason="reap")
+        if failed is not None:
+            raise failed
+        return outcomes
+
     def _post(
-        self, op: str, future: Optional[FarFuture], impl: Callable, *args: Any, **kwargs: Any
+        self, op: str, future: FarFuture | bool | None, impl: Callable, *args: Any, **kwargs: Any
     ) -> Any:
         """Execute one operation eagerly and park its latency in the open
         window as one ``(op, charge_ns, span_id, future)`` entry.
 
-        A synchronous call (``future`` is None) returns the value or
-        raises, and rings the doorbell itself unless a batch scope holds
-        the window; a submission captures value or error in ``future``
-        and leaves the window open until :attr:`qp_depth` fills it. This
+        ``future`` says who posts: None for a synchronous call, which
+        returns the value or raises and rings the doorbell itself unless
+        a batch scope holds the window; a :class:`FarFuture` for a
+        submission, which captures value or error and leaves the window
+        open until :attr:`qp_depth` fills it; False for one call of a
+        :meth:`phase`, which returns or raises like a synchronous call but
+        parks like an unsignaled submission, with None in its entry. This
         is the one place an op is posted, so liveness is checked here.
         """
         if self._op is not None:
             # Nested issue (e.g. ERROR-policy completion re-entering
             # read/write): fold into the enclosing operation — its charge
             # and accounting belong to the outer entry.
-            if future is None:
+            if not future:
                 return impl(self, *args, **kwargs)
             future.completed_at_ns = self.clock.now_ns
             try:
@@ -393,11 +428,11 @@ class Client:
         self._charge = 0.0
         try:
             value = impl(self, *args, **kwargs)
-            if future is not None:
+            if future:
                 future._value = value
             return value
         except Exception as err:
-            if future is None:
+            if not future:
                 raise
             future._error = err
         finally:
@@ -411,9 +446,9 @@ class Client:
                 # one-entry window: ring it without parking it first.
                 self._flush_window("reap", (op, self._charge, span_id, None))
             else:
-                if future is not None:
+                if future:
                     future.charge_ns, future.span_id = self._charge, span_id
-                window.append((op, self._charge, span_id, future))
+                window.append((op, self._charge, span_id, future or None))
                 if self._batch_depth == 0:
                     if len(window) >= self.qp_depth:
                         self.metrics.pipeline_stalls += 1

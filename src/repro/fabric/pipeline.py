@@ -31,9 +31,11 @@ simulated time when it flushes — the doorbell-batching model the old
   ``result()`` does is *complete* the future — flush the window it sits
   in, so its latency is charged — unless an enclosing ``Client.batch``
   scope is deferring the charge to scope exit.
-* A synchronous call is one window entry, not a future: it posts its
-  charge and rings the doorbell itself (``Client._post``). Only
-  ``submit`` builds a :class:`FarFuture`.
+* An op is posted in one of three forms, all through ``Client._post``:
+  a synchronous call is one window entry that rings the doorbell
+  itself; ``submit`` builds a :class:`FarFuture`; ``phase`` posts N
+  calls of one op as unsignaled entries, rings once at the end and
+  returns their outcomes, with no future.
 * ``Metrics.far_accesses`` is identical whether call sites use the
   synchronous methods, explicit ``submit``, or any ``qp_depth``: overlap
   hides latency, never work. Every structural-cost claim stays

@@ -10,7 +10,6 @@ memory are unsigned 64-bit; signed arithmetic (e.g. a negative delta to
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import Sequence
 
 WORD = 8
@@ -109,14 +108,3 @@ def align_down(value: int, alignment: int) -> int:
         raise ValueError("alignment must be positive")
     return value - (value % alignment)
 
-
-def crc32_u64(data: bytes) -> int:
-    """CRC-32 of ``data``, widened to a fabric word.
-
-    The checksum word stored by the integrity framing layer
-    (:mod:`repro.fabric.integrity`). CRC-32's Hamming distance is 4 for
-    frames under ~11 KiB, so every 1–3 bit corruption is detected, and a
-    torn prefix (which truncates or zeroes the tail) changes the covered
-    bytes wholesale.
-    """
-    return zlib.crc32(data) & U64_MASK

@@ -105,8 +105,9 @@ class ExtentMigration:
         )
         write_window(
             self.client,
+            "write_phys",
             [
-                ("write_phys", self.state.dst_node, self.state.dst_slot * es + off, data)
+                (self.state.dst_node, self.state.dst_slot * es + off, data)
                 for (off, _), data in zip(spans, datas)
             ],
         )

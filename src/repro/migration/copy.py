@@ -2,8 +2,8 @@
 
 Replica rebuild (:mod:`repro.recovery.repair`) and live extent migration
 (:mod:`repro.migration.coordinator`) move bytes the same way: a batch
-window of unsignaled reads, then a batch window of unsignaled writes —
-PR 2's pipelined submission path, so a round of N chunks costs
+window of reads, then a batch window of writes — each one
+:meth:`~repro.fabric.client.Client.phase` — so a round of N chunks costs
 ``max(latencies) + (N-1) * issue_ns`` per direction while every chunk is
 still counted individually. Both callers route through these helpers so
 the charge sequences cannot drift apart.
@@ -25,20 +25,12 @@ def read_window(
     far access; the window overlaps their latency (one doorbell).
     """
     with client.batch():
-        futures = [
-            client.submit("read", address, length, signaled=False)
-            for address, length in reads
-        ]
-    return [future.result() for future in futures]
+        return client.phase("read", reads)
 
 
-def write_window(client: Client, writes: Sequence[tuple]) -> None:
-    """One overlap window of writes. ``writes`` is ``[(op, *args), ...]``
-    — ``("write", address, data)`` for virtual writes (repair) or
-    ``("write_phys", node, offset, data)`` for migration staging."""
+def write_window(client: Client, op: str, writes: Sequence[tuple]) -> None:
+    """One overlap window of writes, each ``op(*args)`` for ``args`` in
+    ``writes``: ``"write"`` ``(address, data)`` for virtual writes (repair)
+    or ``"write_phys"`` ``(node, offset, data)`` for migration staging."""
     with client.batch():
-        futures = [
-            client.submit(entry[0], *entry[1:], signaled=False) for entry in writes
-        ]
-    for future in futures:
-        future.result()
+        client.phase(op, writes)

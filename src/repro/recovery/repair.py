@@ -248,8 +248,7 @@ class RepairCoordinator:
                 )
                 out.append(frame_block(payload, version))
             write_window(
-                client,
-                [("write", new_base + off, frame) for off, frame in zip(offsets, out)],
+                client, "write", [(new_base + off, frame) for off, frame in zip(offsets, out)]
             )
             done += count
             nbytes = sum(len(frame) for frame in out)

@@ -490,7 +490,7 @@ class TxnSpace:
             (table + slot * WORD, snapshots[slot], owner | ((snapshots[slot] + 1) & _VERSION_MASK))
             for slot in write_slots
         ]
-        outcomes = self._post(client, "cas", calls)
+        outcomes = client.phase("cas", calls, capture=True)
         acquired: list[tuple[int, int]] = []
         failed = []
         for slot, outcome in zip(write_slots, outcomes):
@@ -515,7 +515,7 @@ class TxnSpace:
         one window); any drift from the snapshot aborts. Write slots
         need no re-check — their lock CAS validated atomically."""
         calls = [(self.table + slot * WORD, 0) for slot in read_only]
-        outcomes = self._post(client, "faa", calls)
+        outcomes = client.phase("faa", calls, capture=True)
         failed = []
         for slot, outcome in zip(read_only, outcomes):
             # A fault never equals a snapshot version: it fails its slot too.
@@ -559,7 +559,7 @@ class TxnSpace:
         per *contiguous ascending run* (exact address coverage, so the
         race detector's write smear matches what was written)."""
         runs = self._runs(txn)
-        self._post(client, "wscatter", runs, capture=False)
+        client.phase("wscatter", runs)
         return len(runs)
 
     def _runs(self, txn: Transaction) -> list[tuple[list[tuple[int, int]], bytes]]:
@@ -616,23 +616,7 @@ class TxnSpace:
         one window: ``plus=2`` unlocks past a commit (commit, roll forward),
         ``plus=0`` restores the pre-lock version (release, roll back)."""
         calls = [(self.table + slot * WORD, version + plus) for slot, version in pairs]
-        self._post(client, "write_u64", calls, capture=False)
-
-    @staticmethod
-    def _post(client: "Client", op: str, calls: list[tuple], *, capture: bool = True) -> list[Any]:
-        """Submit one phase's unsignaled ``op`` calls (an argument tuple each)
-        in one window, then reap them in order, each into its value or the
-        :class:`FabricError` it failed with — or, with ``capture=False`` (ops
-        that must all land), raise the first fault. A failed submit raises."""
-        outcomes: list[Any] = [client.submit(op, *args, signaled=False) for args in calls]
-        for index, future in enumerate(outcomes):
-            try:
-                outcomes[index] = future.result()
-            except FabricError as err:
-                if not capture:
-                    raise
-                outcomes[index] = err
-        return outcomes
+        client.phase("write_u64", calls)
 
     # ------------------------------------------------------------------
     # Composition
@@ -765,12 +749,12 @@ class TxnSpace:
             # the crashed owner already landed there, so the idempotent
             # rewrite is synchronized, not a blind overwrite.
             reads = [(addr, frame_size(len(payload))) for addr, payload in targets]
-            self._post(client, "read", reads, capture=False)
+            client.phase("read", reads)
             writes = [
                 (addr, frame_block(payload, still[self.slot_for_addr(addr)] + 2))
                 for addr, payload in targets
             ]
-            self._post(client, "write", writes, capture=False)
+            client.phase("write", writes)
             report.cells_written = len(targets)
             if kv_entries and len(still) == len(locks):
                 # No unlock had started, so the KV pointers may be

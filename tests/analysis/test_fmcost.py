@@ -182,6 +182,23 @@ class TestInference:
         assert records["write_all"]["inferred"]["fast"] == "1*n"
         assert records["write_all"]["inferred"]["worst"] == "1*n"
 
+    def test_one_phase_over_the_items_gives_per_item(self, tmp_path):
+        # Priced like submit() in a comprehension over its calls list.
+        records = _analyze(
+            tmp_path,
+            """
+            class Toy:
+                @far_budget(1, per_item=True)
+                def write_all(self, client: Client, values: list) -> None:
+                    calls = [(self.base + 8 * index, value) for index, value in enumerate(values)]
+                    client.phase("write_u64", calls)
+            """,
+            [TOY],
+        )
+        assert records["write_all"]["verdict"] == "ok"
+        assert records["write_all"]["inferred"]["fast"] == "1*n"
+        assert records["write_all"]["inferred"]["worst"] == "1*n"
+
     def test_accumulator_loops_are_not_double_charged(self, tmp_path):
         # A second pass over a *derived* accumulator must not inflate
         # the mandatory fast-path cost beyond one pass over n.

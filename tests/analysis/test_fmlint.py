@@ -149,6 +149,20 @@ class TestFM002:
             == []
         )
 
+    def test_a_discarded_phase_leaks_no_future(self):
+        """``phase`` returns outcomes, not futures, and is a window of its
+        own: neither discarding it nor issuing it in a loop is flagged."""
+        assert (
+            _codes(
+                """
+                def release(client, rounds):
+                    for writes in rounds:
+                        client.phase("write_u64", writes)
+                """
+            )
+            == []
+        )
+
     def test_discarded_signaled_submit_with_cq_drain_is_clean(self):
         assert (
             _codes(

@@ -1,16 +1,22 @@
 """Unit tests for the checksum framing layer and verified client I/O."""
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Cluster
 from repro.fabric import (
     FRAME_OVERHEAD,
+    U64_MASK,
     FarCorruptionError,
-    crc32_u64,
+    encode_u64,
     frame_block,
     frame_size,
     try_unframe,
 )
+from repro.fabric.integrity import FRAME
 
 NODE_SIZE = 8 << 20
 
@@ -49,10 +55,41 @@ class TestFraming:
         assert try_unframe(b"\x00" * FRAME_OVERHEAD) is None
         assert try_unframe(b"") is None
 
-    def test_crc32_u64_fits_a_word(self):
-        value = crc32_u64(b"some bytes")
-        assert 0 <= value < 2**64
-        assert crc32_u64(b"some bytes") == value  # pure
+    def test_crc_word_is_crc32_of_the_covered_bytes(self):
+        """The crc word is CRC-32 of ``version word + payload``, widened to a
+        fabric word: its high half is always zero."""
+        frame = frame_block(b"some bytes", version=3)
+        crc = FRAME.unpack_from(frame)[0]
+        assert crc == zlib.crc32(frame[8:]) < 2**32
+
+
+def _reference_frame(payload: bytes, version: int) -> bytes:
+    """The four-step construction ``frame_block`` replaced: zero crc word and
+    the (wrapped) version, then the payload, then the crc patched in."""
+    frame = bytearray(FRAME.pack(0, version))
+    frame += payload
+    frame[:8] = encode_u64(zlib.crc32(memoryview(frame)[8:]) & U64_MASK)
+    return bytes(frame)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    payload=st.binary(min_size=1, max_size=300),
+    version=st.sampled_from((0, 2**64 - 1, 2**64 + 5)),
+    data=st.data(),
+)
+def test_one_pass_frame_matches_the_four_step_frame(payload, version, data):
+    frame = frame_block(payload, version)
+    assert frame == _reference_frame(payload, version)
+    assert try_unframe(frame) == (version & U64_MASK, payload)
+    bit = data.draw(st.integers(0, 8 * len(frame) - 1), label="flipped bit")
+    flipped = bytearray(frame)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    assert try_unframe(bytes(flipped)) is None
+    # Any proper prefix: a torn frame, or one too short to hold a payload.
+    cut = data.draw(st.integers(0, len(frame) - 1), label="cut")
+    assert try_unframe(frame[:cut]) is None
+    assert try_unframe(frame[:FRAME_OVERHEAD]) is None
 
 
 class TestVerifiedClientIO:
