@@ -22,7 +22,8 @@ from repro.fabric.errors import AddressError, ClientDeadError
 from repro.fabric.ops import FAR_OPS, WORD_OPS
 from repro.fabric.wire import WORD
 from repro.obs import Tracer
-from repro.obs.events import EVENTS
+
+from ..pins import counters, load, verify
 
 NODE_SIZE = 8 << 20
 
@@ -370,11 +371,12 @@ ARGS = {
 POLICIES = [IndirectionPolicy.FORWARD, IndirectionPolicy.ERROR]
 
 
-def _scenario(policy):
-    """A fresh two-node cluster, a client, and a memory map: plain buffers
-    ``a``/``b`` and a pointer cell ``p`` on node 0 (``p - WORD`` is valid
-    too, for the indexed forms) pointing at ``t`` on node 1 — so under the
-    ERROR policy every indirect op is refused and completed by the client."""
+def _scenario(policy, probe=None):
+    """A fresh two-node cluster, a client (made by ``probe`` if given), and a
+    memory map: plain buffers ``a``/``b`` and a pointer cell ``p`` on node 0
+    (``p - WORD`` is valid too, for the indexed forms) pointing at ``t`` on
+    node 1 — so under the ERROR policy every indirect op is refused and
+    completed by the client."""
     Client.reset_ids()
     cluster = Cluster(node_count=2, node_size=NODE_SIZE, indirection_policy=policy)
     alloc = cluster.allocator
@@ -386,303 +388,102 @@ def _scenario(policy):
     }
     location = cluster.fabric.locate(memory["b"])
     memory["phys"] = (location.node, location.offset)
-    client = cluster.client()
+    client = cluster.client() if probe is None else probe.client(cluster)
     client.write_u64(memory["a"], 5)
     client.write_u64(memory["p"], memory["t"])
     return cluster, client, memory
 
 
-DELTA_COLUMNS = (
-    "far_accesses",
-    "round_trips",
-    "network_traversals",
-    "bytes_read",
-    "bytes_written",
-    "atomic_ops",
-    "indirection_forwards",
-    "indirection_errors",
-)
+def _submitted(client, name, args):
+    start_ns = client.clock.now_ns
+    future = client.submit(name, *args)
+    assert not future.done() and client.clock.now_ns == start_ns
+    return future.result()
 
-# (row, policy) -> what one call costs on _scenario's map (a=8, b=72, p=144
-# and p - WORD on node 0, t=8388608 on node 1): the Metrics delta in
-# DELTA_COLUMNS order (every other counter 0, but one posting and one
-# doorbell), the clock after the op, and each far_access payload in the event
-# table's field order (None: key absent). A row that dereferences no pointer
-# costs the same under either policy ("any"). Recorded before the op bodies
-# shared one issue path; under ERROR an indirect op is the refused attempt
-# (one WORD read at the home node) plus the client's direct completion.
-PINNED = {
-    ("read", "any"): (
-        (1, 1, 2, 64, 0, 0, 0, 0),
-        3000.0,
-        [("read", 1000.0, 0, 8, None, 64, None, None, None, None)],
-    ),
-    ("write", "any"): (
-        (1, 1, 2, 0, 24, 0, 0, 0),
-        3000.0,
-        [("write", 1000.0, 0, 8, None, None, 24, None, None, None)],
-    ),
-    ("read_u64", "any"): (
-        (1, 1, 2, 8, 0, 0, 0, 0),
-        3000.0,
-        [("read_u64", 1000.0, 0, 8, None, 8, None, None, None, None)],
-    ),
-    ("write_u64", "any"): (
-        (1, 1, 2, 0, 8, 0, 0, 0),
-        3000.0,
-        [("write_u64", 1000.0, 0, 8, None, None, 8, None, None, None)],
-    ),
-    ("write_phys", "any"): (
-        (1, 1, 2, 0, 24, 0, 0, 0),
-        3000.0,
-        [("write_phys", 1000.0, 0, None, None, None, 24, None, None, None)],
-    ),
-    ("cas", "any"): (
-        (1, 1, 2, 8, 8, 1, 0, 0),
-        3000.0,
-        [("cas", 1000.0, 0, 8, None, 8, 8, None, None, True)],
-    ),
-    ("faa", "any"): (
-        (1, 1, 2, 8, 8, 1, 0, 0),
-        3000.0,
-        [("faa", 1000.0, 0, 8, None, 8, 8, None, None, True)],
-    ),
-    ("swap", "any"): (
-        (1, 1, 2, 8, 8, 1, 0, 0),
-        3000.0,
-        [("swap", 1000.0, 0, 8, None, 8, 8, None, None, True)],
-    ),
-    ("load0", "FORWARD"): (
-        (1, 1, 3, 24, 0, 0, 1, 0),
-        3300.0,
-        [("load0", 1300.0, 0, 144, 8388608, 24, None, 1, None, None)],
-    ),
-    ("load0", "ERROR"): (
-        (2, 2, 4, 32, 0, 0, 0, 1),
-        4000.0,
-        [
-            ("load0", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("load0", 1000.0, 1, 8388608, None, 24, None, None, None, None),
-        ],
-    ),
-    ("store0", "FORWARD"): (
-        (1, 1, 3, 0, 24, 0, 1, 0),
-        3300.0,
-        [("store0", 1300.0, 0, 144, 8388608, None, 24, 1, None, None)],
-    ),
-    ("store0", "ERROR"): (
-        (2, 2, 4, 8, 24, 0, 0, 1),
-        4000.0,
-        [
-            ("store0", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("store0", 1000.0, 1, 8388608, None, None, 24, None, None, None),
-        ],
-    ),
-    ("load1", "FORWARD"): (
-        (1, 1, 3, 24, 0, 0, 1, 0),
-        3300.0,
-        [("load1", 1300.0, 0, 136, 8388608, 24, None, 1, None, None)],
-    ),
-    ("load1", "ERROR"): (
-        (2, 2, 4, 32, 0, 0, 0, 1),
-        4000.0,
-        [
-            ("load1", 1000.0, 0, 136, None, 8, None, None, None, None),
-            ("load1", 1000.0, 1, 8388608, None, 24, None, None, None, None),
-        ],
-    ),
-    ("store1", "FORWARD"): (
-        (1, 1, 3, 0, 24, 0, 1, 0),
-        3300.0,
-        [("store1", 1300.0, 0, 136, 8388608, None, 24, 1, None, None)],
-    ),
-    ("store1", "ERROR"): (
-        (2, 2, 4, 8, 24, 0, 0, 1),
-        4000.0,
-        [
-            ("store1", 1000.0, 0, 136, None, 8, None, None, None, None),
-            ("store1", 1000.0, 1, 8388608, None, None, 24, None, None, None),
-        ],
-    ),
-    ("load2", "FORWARD"): (
-        (1, 1, 3, 24, 0, 0, 1, 0),
-        3300.0,
-        [("load2", 1300.0, 0, 144, 8388608, 24, None, 1, None, None)],
-    ),
-    ("load2", "ERROR"): (
-        (2, 2, 4, 32, 0, 0, 0, 1),
-        4000.0,
-        [
-            ("load2", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("load2", 1000.0, 1, 8388616, None, 24, None, None, None, None),
-        ],
-    ),
-    ("store2", "FORWARD"): (
-        (1, 1, 3, 0, 24, 0, 1, 0),
-        3300.0,
-        [("store2", 1300.0, 0, 144, 8388608, None, 24, 1, None, None)],
-    ),
-    ("store2", "ERROR"): (
-        (2, 2, 4, 8, 24, 0, 0, 1),
-        4000.0,
-        [
-            ("store2", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("store2", 1000.0, 1, 8388616, None, None, 24, None, None, None),
-        ],
-    ),
-    ("faai", "FORWARD"): (
-        (1, 1, 3, 32, 0, 1, 1, 0),
-        3300.0,
-        [("faai", 1300.0, 0, 144, 8388608, 32, None, 1, None, None)],
-    ),
-    ("faai", "ERROR"): (
-        (2, 2, 4, 32, 0, 1, 0, 1),
-        4000.0,
-        [
-            ("faai", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("faai", 1000.0, 1, 8388608, None, 24, None, None, None, None),
-        ],
-    ),
-    ("saai", "FORWARD"): (
-        (1, 1, 3, 0, 32, 1, 1, 0),
-        3300.0,
-        [("saai", 1300.0, 0, 144, 8388608, None, 32, 1, None, None)],
-    ),
-    ("saai", "ERROR"): (
-        (2, 2, 4, 8, 24, 1, 0, 1),
-        4000.0,
-        [
-            ("saai", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("saai", 1000.0, 1, 8388608, None, None, 24, None, None, None),
-        ],
-    ),
-    ("fsaai", "FORWARD"): (
-        (1, 1, 3, 24, 32, 1, 1, 0),
-        3300.0,
-        [("fsaai", 1300.0, 0, 144, 8388608, 24, 32, 1, None, None)],
-    ),
-    ("fsaai", "ERROR"): (
-        (3, 3, 6, 32, 24, 1, 0, 1),
-        5000.0,
-        [
-            ("fsaai", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("fsaai", 1000.0, 1, 8388608, None, 24, None, None, None, None),
-            ("fsaai", 1000.0, 1, 8388608, None, None, 24, None, None, None),
-        ],
-    ),
-    # Known defect (ROADMAP): a refused add counts 2 atomic_ops for one add —
-    # the nested faa completion counts itself, then the add row counts again.
-    # Pinned as it is; the fix moves a Metrics counter, so it lands on its own.
-    ("add0", "FORWARD"): (
-        (1, 1, 3, 0, 8, 1, 1, 0),
-        3300.0,
-        [("add0", 1300.0, 0, 144, 8388608, None, 8, 1, None, None)],
-    ),
-    ("add0", "ERROR"): (
-        (2, 2, 4, 16, 8, 2, 0, 1),
-        4000.0,
-        [
-            ("add0", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("add0", 1000.0, 1, 8388608, None, 8, 8, None, None, True),
-        ],
-    ),
-    ("add1", "FORWARD"): (
-        (1, 1, 3, 0, 8, 1, 1, 0),
-        3300.0,
-        [("add1", 1300.0, 0, 136, 8388608, None, 8, 1, None, None)],
-    ),
-    ("add1", "ERROR"): (
-        (2, 2, 4, 16, 8, 2, 0, 1),
-        4000.0,
-        [
-            ("add1", 1000.0, 0, 136, None, 8, None, None, None, None),
-            ("add1", 1000.0, 1, 8388608, None, 8, 8, None, None, True),
-        ],
-    ),
-    ("add2", "FORWARD"): (
-        (1, 1, 3, 0, 8, 1, 1, 0),
-        3300.0,
-        [("add2", 1300.0, 0, 144, 8388608, None, 8, 1, None, None)],
-    ),
-    ("add2", "ERROR"): (
-        (2, 2, 4, 16, 8, 2, 0, 1),
-        4000.0,
-        [
-            ("add2", 1000.0, 0, 144, None, 8, None, None, None, None),
-            ("add2", 1000.0, 1, 8388616, None, 8, 8, None, None, True),
-        ],
-    ),
-    ("rscatter", "any"): (
-        (1, 1, 2, 24, 0, 0, 0, 0),
-        3000.0,
-        [("rscatter", 1000.0, 0, 8, None, 24, None, None, None, None)],
-    ),
-    ("rgather", "any"): (
-        (1, 1, 4, 24, 0, 0, 0, 0),
-        3000.0,
-        [("rgather", 1000.0, 0, 8, None, 24, None, None, 2, None)],
-    ),
-    ("wscatter", "any"): (
-        (1, 1, 4, 0, 24, 0, 0, 0),
-        3000.0,
-        [("wscatter", 1000.0, 0, 8, None, None, 24, None, 2, None)],
-    ),
-    ("wgather", "any"): (
-        (1, 1, 2, 0, 24, 0, 0, 0),
-        3000.0,
-        [("wgather", 1000.0, 0, 8, None, None, 24, None, None, None)],
-    ),
+
+def _batched(client, name, args):
+    start_ns = client.clock.now_ns
+    with client.batch():
+        value = getattr(client, name)(*args)
+        assert client.clock.now_ns == start_ns  # returned uncharged
+    return value
+
+
+#: The three ways to issue one op; each must cost what the table pins.
+FORMS = {
+    "sync": lambda client, name, args: getattr(client, name)(*args),
+    "submit": _submitted,
+    "batch": _batched,
 }
+KINDS = ("far_access",)
 
 
-def _observe(client, before, value):
-    return value, client.metrics.delta(before).as_dict(), client.clock.now_ns
+def _policy_label(name, policy):
+    """A row that dereferences no pointer costs the same under either
+    policy: its one pinned call is labelled "any"."""
+    return policy.name if FAR_OPS[name].indirect else "any"
+
+
+def _call(name, policy, form="sync"):
+    """One call of row ``name`` on _scenario's map, issued in ``form``."""
+
+    def scenario(probe):
+        _, client, memory = _scenario(policy, probe)
+        args = ARGS[name](memory)
+        probe.act(_policy_label(name, policy), client, lambda: FORMS[form](client, name, args))
+
+    return scenario
+
+
+def _row(name):
+    def scenario(probe):
+        for policy in POLICIES if FAR_OPS[name].indirect else POLICIES[:1]:
+            _call(name, policy)(probe)
+
+    return scenario
+
+
+#: Row -> policy (or "any") -> what one call costs on _scenario's map,
+#: recorded before the op bodies shared one issue path. Under ERROR an
+#: indirect op is the refused attempt (one WORD read at the home node) plus
+#: the client's direct completion.
+SCENARIOS = {name: _row(name) for name in FAR_OPS}
+
+#: Known defect (ROADMAP): under ERROR a refused add is completed by a nested
+#: faa that counts its own atomic, then the add row counts it again — two
+#: atomic_ops for one add. Pinned as it is; the fix moves a Metrics counter,
+#: so it lands on its own and flips test_a_refused_add_counts_two_atomics.
+DOUBLE_COUNTED_ATOMIC = (("add0", "ERROR"), ("add1", "ERROR"), ("add2", "ERROR"))
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda policy: policy.name)
 @pytest.mark.parametrize("name", list(FAR_OPS))
 def test_sync_submit_and_batched_forms_agree(name, policy):
-    """sync call == submit(name, ...).result() == sync call inside batch() ==
-    traced sync call: same value, same metrics, same clock once the scope has
-    closed — and all of it, with the traced call's far_access payloads, what
-    PINNED recorded."""
-    _, client, memory = _scenario(policy)
-    before, start_ns = client.metrics.snapshot(), client.clock.now_ns
-    sync = _observe(client, before, getattr(client, name)(*ARGS[name](memory)))
+    """sync call == submit(name, ...).result() == sync call inside batch(),
+    each untraced and traced: same value, same metrics, same clock once the
+    scope has closed, same far_access events — what op_table.json recorded."""
+    label = _policy_label(name, policy)
+    pinned = {label: load("op_table")[name][label]}
+    for form in FORMS:
+        verify(_call(name, policy, form), KINDS, pinned)
 
-    _, client, memory = _scenario(policy)
-    before = client.metrics.snapshot()
-    future = client.submit(name, *ARGS[name](memory))
-    assert not future.done() and client.clock.now_ns == start_ns
-    submitted = _observe(client, before, future.result())
 
-    _, client, memory = _scenario(policy)
-    before = client.metrics.snapshot()
-    with client.batch():
-        value = getattr(client, name)(*ARGS[name](memory))
-        assert client.clock.now_ns == start_ns  # returned uncharged
-    batched = _observe(client, before, value)
+def test_pins_cover_every_row():
+    assert list(load("op_table")) == list(SCENARIOS)
 
-    _, client, memory = _scenario(policy)
-    tracer = Tracer().attach(client)
-    before = client.metrics.snapshot()
-    traced = _observe(client, before, getattr(client, name)(*ARGS[name](memory)))
 
-    assert sync == submitted == batched == traced
-    _, delta, now_ns = sync
-    counts, clock, payloads = PINNED[name, policy.name if FAR_OPS[name].indirect else "any"]
-    expected = dict.fromkeys(delta, 0)
-    expected.update(zip(DELTA_COLUMNS, counts))
-    # Nested completion ops fold into the enclosing op: still one posting,
-    # one doorbell.
-    expected.update(pipeline_ops=1, pipeline_flushes=1, pipeline_charged_ns=int(clock - start_ns))
-    assert delta == expected
-    assert now_ns == clock
-    fields = EVENTS["far_access"].fields
-    assert [event.data for event in tracer.events_by_kind("far_access")] == [
-        {key: value for key, value in zip(fields, payload) if value is not None}
-        for payload in payloads
-    ]
+def test_each_call_is_one_posting_and_one_doorbell():
+    """Nested completion ops fold into the enclosing op."""
+    for calls in load("op_table").values():
+        for record in calls.values():
+            assert counters(record)["pipeline_ops"] == counters(record)["pipeline_flushes"] == 1
+
+
+def test_a_refused_add_counts_two_atomics():
+    pins = load("op_table")
+    for row, policy in DOUBLE_COUNTED_ATOMIC:
+        assert counters(pins[row][policy])["atomic_ops"] == 2
+        assert counters(pins[row]["FORWARD"])["atomic_ops"] == 1
 
 
 class TestOpTable:

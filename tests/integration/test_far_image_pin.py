@@ -3,12 +3,12 @@
 The client interprets raw far bytes (paper section 2), so each record
 format is part of its structure's protocol. One scripted scenario drives
 every structure that declares a :class:`repro.fabric.wire.Layout`, then
-hashes every memory node's backing store. A change to the constant below
-means a far record format (or an allocation order) moved: that is a
-protocol change and must be said so, never a side effect of a refactor.
+hashes every memory node's backing store; it runs untraced and traced
+(``tests.pins``), and both must leave the same bytes. A change to the hash
+in ``tests/pins/far_image.json`` means a far record format (or an
+allocation order) moved: that is a protocol change and must be said so,
+never a side effect of a refactor.
 """
-
-import hashlib
 
 import pytest
 
@@ -24,14 +24,14 @@ from repro.baselines import (
     OneSidedHashMap,
 )
 from repro.core.blob import FarBlobStore
-from repro.fabric.client import Client
 from repro.fabric.errors import FabricError
 from repro.fabric.replication import ReplicatedRegion
 from repro.recovery import LeasedFarMutex, QueueScrubber
 
-EXTENT = 64 << 10
+from ..pins import image_sha256, load, verify
 
-IMAGE_SHA256 = "726dd52c0ad2fec39629199fbd93d22efe8286ca9b2ff6483917c3935be28884"
+EXTENT = 64 << 10
+KINDS = ()
 
 
 def _txn_cell(cluster, space, client, used, payload):
@@ -55,10 +55,11 @@ def _crash_commit(space, victim, posts, buffer_writes):
         space.commit(victim, txn)
 
 
-def build_image() -> str:
-    Client.reset_ids()  # client ids are stored in lock words and markers
+def build_image(probe):
+    # Client ids are stored in lock words and markers: the probe's run
+    # starts from fresh ones.
     cluster = Cluster(node_count=2, node_size=4 << 20, extent_size=EXTENT)
-    a, b = cluster.client("a"), cluster.client("b")
+    a, b = probe.client(cluster, "a"), probe.client(cluster, "b")
 
     # HT-tree: inserts that force splits, an in-place update, a chained
     # delete, a pipelined multistore.
@@ -131,7 +132,7 @@ def build_image() -> str:
     space.write(a, txn, cells[0], b"A" * 8)
     space.write(a, txn, cells[1], b"B" * 8)
     space.commit(a, txn)
-    victim = cluster.client("victim")
+    victim = probe.client(cluster, "victim")
 
     def two_cells(txn):
         space.write(victim, txn, cells[2], b"C" * 8)
@@ -141,10 +142,10 @@ def build_image() -> str:
     # registrant probes n), then dies after its locks (and seal).
     _crash_commit(space, victim, 5, two_cells)  # 2 probes, 2 locks, the seal
     assert space.recover(b, victim.client_id).action == "rollforward"
-    v2 = cluster.client("victim2")
+    v2 = probe.client(cluster, "victim2")
     _crash_commit(space, v2, 4, lambda txn: space.write(v2, txn, cells[0], b"E" * 8))
     assert space.recover(b, v2.client_id).action == "rollback"
-    v3 = cluster.client("victim3")
+    v3 = probe.client(cluster, "victim3")
     put = [("user:3", b"barbara")]
     _crash_commit(space, v3, 6, lambda txn: store.txn_multiput(v3, space, txn, put))
     assert space.recover(b, v3.client_id, stores={store.txn_tag: store}).action == "rollforward"
@@ -195,12 +196,11 @@ def build_image() -> str:
     skip.put(a, 5, 555)
     assert btree.get(b, 11) == 1
 
-    digest = hashlib.sha256()
-    for node in cluster.fabric.nodes:
-        digest.update(node._data)
-    return digest.hexdigest()
+    probe.act("image", a, lambda: image_sha256(cluster))
+
+
+SCENARIOS = {"image": build_image}
 
 
 def test_far_memory_image_is_pinned():
-    assert build_image() == IMAGE_SHA256
-    assert build_image() == IMAGE_SHA256, "scenario must be deterministic"
+    verify(build_image, KINDS, load("far_image")["image"])

@@ -3,20 +3,21 @@
 Two clients on independent clocks (one of them pipelined), a seeded fault
 burst that fires SLO alerts, a drain and a replica repair run under a
 ``Tracer`` + ``TelemetryRegistry`` + ``SLOMonitor``; the Prometheus text,
-the telemetry JSONL, the Chrome trace and the trace JSONL are hashed. The
-constants were computed on the commit *before* the registry started
-folding events in batches, so they prove that when a roll-up runs is not
-visible in what is exported — including where each ``slo_alert`` lands in
+the telemetry JSONL, the Chrome trace and the trace JSONL are hashed, one
+step each of ``tests/pins/export.json`` (run twice by ``tests.pins``: the
+bytes must repeat). The hashes were computed on the commit *before* the
+registry started folding events in batches, so they prove that when a
+roll-up runs is not visible in what is exported — including where each ``slo_alert`` lands in
 the stream and every float sum (``_sum``, ``mean_ns``; the spike
 multiplier makes the charges non-integral on purpose).
 
-A change to a constant is a deliberate export change and must name the
+A change to a hash is a deliberate export change and must name the
 fields that moved. Re-stated once, by the gauge-timestamp fix that followed
-the fold: ``TELEMETRY_JSONL_SHA256`` was ``ad8c56f9…85cb6e`` on the parent;
+the fold: the ``telemetry_jsonl`` hash was ``ad8c56f9…85cb6e`` on the parent;
 the 27 records that moved are the event-fed gauges (13 ``epoch``, 13
 ``migration_progress``, 1 ``repair_progress``), each in its ``ts_ns`` field
 only — now the emitting client's clock, not the fleet's newest timestamp.
-The other three constants are the parent's.
+The other three hashes are the parent's.
 """
 
 import hashlib
@@ -39,12 +40,10 @@ from repro.obs import (
 )
 from repro.recovery import RepairCoordinator
 
-PROMETHEUS_SHA256 = "5b5230fc693b4fd1805cc8e5573121762068715c8bacaa88b92d1bb3e05d7c92"
-TELEMETRY_JSONL_SHA256 = "4bde9e40dba68b2868447fa65368dec1c9c3a3eeade61be83caf2528d2bc0c85"
-CHROME_TRACE_SHA256 = "11ffe76619eba2c59fc312cea6b2e2d2e91377069c0b98523553f236c76959e1"
-TRACE_JSONL_SHA256 = "3935d6f369f9c2671391c7cac965eb8ddfe426598f2a55f80bf320d80d769ee6"
+from ..pins import load, verify
 
 ITEMS = 96
+KINDS = ()
 
 
 def _scenario():
@@ -97,7 +96,7 @@ def _scenario():
     monitor.finish()
     registry.sample_client(app)
     registry.sample_client(batch)
-    return tracer, registry, monitor
+    return tracer, registry, monitor, app
 
 
 def _sha(text):
@@ -117,8 +116,17 @@ def _artefacts(tracer, registry):
     }
 
 
+def export(probe):
+    tracer, registry, _monitor, app = _scenario()
+    for name, digest in _artefacts(tracer, registry).items():
+        probe.act(name, app, lambda: digest)
+
+
+SCENARIOS = {"export": export}
+
+
 def test_the_scenario_exercises_what_it_pins():
-    tracer, registry, monitor = _scenario()
+    tracer, registry, monitor, _app = _scenario()
     kinds = {event.kind for event in tracer.events}
     assert {"far_access", "window", "timeout", "backoff", "slo_alert"} <= kinds
     assert {"extent_migrate", "remap", "drain", "repair_copy"} <= kinds
@@ -127,10 +135,4 @@ def test_the_scenario_exercises_what_it_pins():
 
 
 def test_export_bytes_are_the_parents():
-    tracer, registry, _monitor = _scenario()
-    assert _artefacts(tracer, registry) == {
-        "prometheus": PROMETHEUS_SHA256,
-        "telemetry_jsonl": TELEMETRY_JSONL_SHA256,
-        "chrome_trace": CHROME_TRACE_SHA256,
-        "trace_jsonl": TRACE_JSONL_SHA256,
-    }
+    verify(export, KINDS, load("export")["export"])

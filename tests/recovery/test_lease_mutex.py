@@ -39,6 +39,11 @@ class TestHealthyPath:
         with pytest.raises(MutexError):
             mutex.renew(c2)
 
+    def test_tick_returns_the_epoch_it_wrote(self, cluster, mutex):
+        c = cluster.client()
+        ticks = [(mutex.tick(c), c.read_u64(mutex.epoch_addr)) for _ in range(3)]
+        assert ticks == [(1, 1), (2, 2), (3, 3)]
+
     def test_acquire_cost(self, cluster, mutex):
         c = cluster.client()
         snapshot = c.metrics.snapshot()

@@ -8,7 +8,6 @@ class that gains a ``__repr__`` gains a case (the last test fails until it
 does).
 """
 
-import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +21,7 @@ from repro.obs import HistogramSet, LatencyHistogram, SLOMonitor, TelemetryRegis
 from repro.obs.telemetry import GaugeSeries
 from repro.rpc import RpcServer
 
+from .pins import image_sha256
 from .test_surface import functions
 
 
@@ -89,9 +89,8 @@ OBJECTS = {
 
 
 def _state(w):
-    memory = hashlib.sha256(b"".join(bytes(node._data) for node in w.cluster.fabric.nodes))
     return (
-        memory.hexdigest(),
+        image_sha256(w.cluster),
         w.client.clock.now_ns,
         w.client.metrics.as_dict(),
         len(w.tracer.events),

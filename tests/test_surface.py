@@ -335,9 +335,9 @@ KEEP_STATE = {
     "HTTreeStats.scans": _VARS,
     "Metrics.notification_bytes": _AS_DICT,
     "Metrics.rpc_bytes": _AS_DICT,
-    "QueueStats.head_refreshes": "astuple(queue.stats): test_bulk_pin.py's PINNED table",
-    "QueueStats.clear_flushes": "astuple(queue.stats): test_bulk_pin.py's PINNED table",
-    "TxnRecoveryReport.owner_id": "astuple(report): test_txn_pin.py's PINNED table",
+    "QueueStats.head_refreshes": "astuple(queue.stats): tests/pins/structure_steps.json",
+    "QueueStats.clear_flushes": "astuple(queue.stats): tests/pins/structure_steps.json",
+    "TxnRecoveryReport.owner_id": "astuple(report): tests/pins/commit.json",
 }
 
 
