@@ -145,8 +145,7 @@ def test_a11_txn(benchmark):
 
     # -- commit cost matches the declaration and the certificate --------
     cert = build_certificate(analyze_paths([str(SRC)]))
-    by_key = {f"{r['structure']}.{r['op']}": r for r in cert["records"]}
-    commit_cert = by_key["TxnSpace.commit"]
+    commit_cert = cert["TxnSpace"]["commit"]
     declared_fast = TxnSpace.commit.__far_budget__.fast
     assert commit_cert["declared"]["fast"] == declared_fast == 0
 

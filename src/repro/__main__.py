@@ -15,14 +15,16 @@
 * ``python -m repro sanitize <example>`` — run an example with the
   budget sanitizer active and print the per-op far-access budget table;
   nonzero on any declared-ceiling violation.
-* ``python -m repro cost [--out cost.json] [--check]`` — static
-  far-access cost certification (:mod:`repro.analysis.fmcost`): infer
-  fast/worst bounds for every registered structure op, verify the
-  ``@far_budget`` declarations, emit the certificate, and (``--check``)
-  diff it against the committed ``analysis/cost_baseline.json``.
+* ``python -m repro cost [--out PATH]`` — static far-access cost
+  certification (:mod:`repro.analysis.fmcost`): infer fast/worst bounds
+  for every registered structure op, verify the ``@far_budget``
+  declarations, print the certificate and (``--out``) write it as a
+  recording; ``--out analysis/cost_baseline.json`` regenerates the
+  committed baseline.
 * ``python -m repro check [--sanitize EXAMPLE ...]`` — the unified gate:
-  lint + cost certification (+ sanitized example runs) with one exit
-  code and a combined JSON report (``--report``).
+  lint + cost certification against the committed baseline (+ sanitized
+  example runs) with one exit code and a combined JSON report
+  (``--report``).
 * ``python -m repro races <trace.jsonl>`` — happens-before race
   detection over an exported JSONL trace; nonzero on plain-access races.
 * ``python -m repro topology`` — dump a cluster's extent table (extent →
@@ -325,17 +327,20 @@ def _cost_certificate(
     return fmcost.build_certificate(model)
 
 
-def _baseline_diffs(cert: dict, baseline_path: str) -> Optional[list[str]]:
-    """How ``cert`` diverges from the committed baseline; None without one."""
-    from repro.analysis import fmcost
+def _baseline_moves(cert: dict, baseline_path: str) -> list[str]:
+    """The operations ``cert`` moved from the committed baseline, or the
+    one reason the baseline cannot be read."""
+    from repro.analysis import recorded
 
-    if not os.path.isfile(baseline_path):
-        return None
-    return fmcost.diff_certificates(fmcost.load_certificate(baseline_path), cert)
+    try:
+        baseline = recorded.load(baseline_path)
+    except (OSError, ValueError) as err:
+        return [f"unreadable baseline {baseline_path}: {err}"]
+    return [f"{key} moved" for key in recorded.moved(baseline, cert)]
 
 
 def _cost(args: argparse.Namespace) -> int:
-    from repro.analysis import fmcost
+    from repro.analysis import fmcost, recorded
 
     wanted = (
         [name.strip() for name in args.structures.split(",") if name.strip()]
@@ -343,50 +348,18 @@ def _cost(args: argparse.Namespace) -> int:
         else None
     )
     cert = _cost_certificate(args.paths, structures=wanted)
-    baseline_path = args.baseline or _default_baseline_path()
-    out = args.out
-    if args.json:
-        import json
-
-        print(json.dumps(cert, indent=2, sort_keys=True))
-    else:
-        print(fmcost.render_certificate(cert))
-    if out is not None:
-        fmcost.write_certificate(cert, out)
-        print(f"wrote certificate to {out}")
-    status = 0
+    print(fmcost.render_certificate(cert))
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(recorded.dumps(cert))
+        print(f"wrote certificate to {args.out}")
     failures = fmcost.certificate_failures(cert)
     if failures:
         print(f"fmcost: {len(failures)} failing operation(s):")
         for failure in failures:
             print(f"  - {failure}")
-        status = 1
-    if args.update_baseline:
-        os.makedirs(os.path.dirname(baseline_path) or ".", exist_ok=True)
-        fmcost.write_certificate(cert, baseline_path)
-        print(f"updated baseline {baseline_path}")
-        return status
-    if args.check:
-        diffs = _baseline_diffs(cert, baseline_path)
-        if diffs is None:
-            print(f"fmcost: missing baseline {baseline_path} "
-                  "(run: python -m repro cost --update-baseline)")
-            return 1
-        if diffs:
-            print(
-                f"fmcost: certificate diverges from {baseline_path} "
-                f"({len(diffs)} change(s)):"
-            )
-            for diff in diffs:
-                print(f"  - {diff}")
-            print(
-                "cost changed? regenerate deliberately with: "
-                "python -m repro cost --update-baseline"
-            )
-            status = 1
-        else:
-            print(f"fmcost: certificate matches baseline {baseline_path}")
-    return status
+        return 1
+    return 0
 
 
 def _check(args: argparse.Namespace) -> int:
@@ -405,15 +378,18 @@ def _check(args: argparse.Namespace) -> int:
     cert = _cost_certificate([])
     cost_failures = fmcost.certificate_failures(cert)
     baseline_path = _default_baseline_path()
-    cost_diffs = _baseline_diffs(cert, baseline_path)
-    if cost_diffs is None:
-        cost_diffs = [f"missing baseline {baseline_path}"]
+    cost_diffs = _baseline_moves(cert, baseline_path)
     for problem in cost_failures + cost_diffs:
         print(f"cost: {problem}")
     print(
         f"cost: {len(cost_failures)} failing verdict(s), "
         f"{len(cost_diffs)} baseline change(s)"
     )
+    if cost_diffs:
+        print(
+            "cost changed? regenerate deliberately with: "
+            f"python -m repro cost --out {baseline_path}"
+        )
 
     sanitize_results = []
     for target in args.sanitize:
@@ -454,7 +430,7 @@ def _check(args: argparse.Namespace) -> int:
             "baseline": baseline_path,
             "failures": cost_failures,
             "baseline_diffs": cost_diffs,
-            "summary": cert.get("summary", {}),
+            "summary": fmcost.certificate_summary(cert),
         },
         "sanitize": sanitize_results,
     }
@@ -617,26 +593,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="source roots to analyze (default: src/repro)",
     )
     cost_parser.add_argument(
-        "--out", default=None, help="write the JSON certificate here"
-    )
-    cost_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="diff the certificate against the committed baseline "
-        "(nonzero on any cost change or failing verdict)",
-    )
-    cost_parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate the committed baseline from this run",
-    )
-    cost_parser.add_argument(
-        "--baseline",
+        "--out",
         default=None,
-        help="baseline path (default: analysis/cost_baseline.json)",
-    )
-    cost_parser.add_argument(
-        "--json", action="store_true", help="print the certificate as JSON"
+        help="write the certificate here, one operation per line "
+        "(analysis/cost_baseline.json regenerates the committed baseline)",
     )
     cost_parser.add_argument(
         "--structures",

@@ -9,11 +9,15 @@ machine-checked invariants:
   runtime sanitizer asserting per-op far-access budgets
   (``python -m repro sanitize``).
 * :mod:`repro.analysis.fmcost` — a static abstract interpreter that
-  certifies worst-case far-access bounds for every declared budget and
-  diffs the certificate against a committed baseline
-  (``python -m repro cost``; unified gate: ``python -m repro check``).
+  certifies worst-case far-access bounds for every declared budget
+  (``python -m repro cost``; ``--out analysis/cost_baseline.json``
+  regenerates the committed baseline, and the unified gate
+  ``python -m repro check`` names every operation that moved from it).
 * :mod:`repro.analysis.races` — an offline happens-before race detector
   over exported ``repro-trace-v1`` traces (``python -m repro races``).
+
+The cost certificate is written, read and compared in one recorded-run
+format, :mod:`repro.analysis.recorded` — the format of the test pins too.
 """
 
 from repro.analysis.fmcost import (
@@ -21,10 +25,7 @@ from repro.analysis.fmcost import (
     analyze_paths,
     build_certificate,
     certificate_failures,
-    diff_certificates,
-    load_certificate,
     render_certificate,
-    write_certificate,
 )
 from repro.analysis.fmlint import (
     Finding,
@@ -41,11 +42,8 @@ __all__ = [
     "analyze_paths",
     "build_certificate",
     "certificate_failures",
-    "diff_certificates",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_certificate",
     "render_certificate",
-    "write_certificate",
 ]

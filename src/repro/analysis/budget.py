@@ -49,7 +49,8 @@ in untraced runs and benchmarks.
 Every declaration here is also checked *statically*:
 :mod:`repro.analysis.fmcost` infers each operation's worst-case
 far-access bound from the AST and certifies it against the decorator
-(``python -m repro cost --check``; DESIGN.md §14). The sanitizer and
+(``python -m repro check``, against the baseline ``python -m repro cost
+--out analysis/cost_baseline.json`` writes; DESIGN.md §14). The sanitizer and
 the certifier meter the same quantity — the acting client's exact
 ``Metrics`` delta — so the static bound is a theorem the runtime checks
 can only confirm.

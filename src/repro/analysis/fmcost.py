@@ -67,12 +67,14 @@ Escape hatches, used sparingly and justified in place:
 
 The checker verifies every ``@far_budget`` declaration against the
 inferred bounds, flags budget-less public far-ops on the registered
-structures, and emits a machine-readable **cost certificate** (one JSON
-record per operation: declared budget, inferred expression, verdict).
-``python -m repro cost --check`` re-derives the certificate and diffs it
-against the committed baseline ``analysis/cost_baseline.json`` — a PR
-that changes the far-access complexity of any operation must regenerate
-the baseline, so cost regressions become visible diffs.
+structures, and emits a machine-readable **cost certificate**: a
+:mod:`~repro.analysis.recorded` recording ``{structure: {op: record}}``, a
+record per operation holding its declared budget, inferred expression and
+verdict. ``python -m repro cost --out analysis/cost_baseline.json`` writes
+it as the committed baseline, one operation per line, and ``python -m
+repro check`` re-derives it and names every operation that moved from the
+baseline — a PR that changes the far-access complexity of any operation
+must regenerate the baseline, so cost regressions become visible diffs.
 
 Soundness caveats (see DESIGN.md §14): costs attach to *client* ops, so
 metering bypasses (FM003) are invisible here; dynamic dispatch through
@@ -86,7 +88,6 @@ checks the static bound against sanitizer-observed deltas end to end.
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -101,9 +102,7 @@ from .fmlint import (
     python_files,
 )
 
-CERT_FORMAT = "fmcost-cert-v1"
-
-#: Verdicts that fail ``repro cost --check``.
+#: Verdicts that fail ``repro cost`` and ``repro check``.
 FAILING_VERDICTS = frozenset({"regression", "over_ceiling", "missing_budget"})
 
 _COST_DIRECTIVE_RE = re.compile(r"#\s*fmcost:\s*cost=(\d+)")
@@ -614,10 +613,6 @@ class CostModel:
 
     # -- verdicts --------------------------------------------------------
 
-    def records(self) -> list[dict]:
-        records = (self._record_for(fn) for fn in self._certified_ops())
-        return [record for record in records if record is not None]
-
     def _record_for(self, fn: FuncInfo) -> Optional[dict]:
         summary = self.summary_for(fn, self._default_ctx(fn))
         declared = fn.budget
@@ -636,10 +631,7 @@ class CostModel:
         else:
             verdict, detail = self._verdict(declared, summary)
         record = {
-            "structure": fn.cls,
-            "op": fn.name,
             "module": fn.module,
-            "line": fn.node.lineno,
             "declared": (
                 None
                 if declared is None
@@ -1390,130 +1382,61 @@ def analyze_paths(
 
 
 def build_certificate(model: CostModel) -> dict:
-    records = model.records()
+    """The certificate: structure -> op -> record, in certified order."""
+    cert: dict[str, dict] = {}
+    for fn in model._certified_ops():
+        record = model._record_for(fn)
+        if record is not None:
+            cert.setdefault(fn.cls, {})[fn.name] = record
+    return cert
+
+
+def certificate_summary(cert: dict) -> dict:
+    """How many operations ``cert`` certifies, how many fail, and the
+    count of each verdict."""
+    verdicts = [record["verdict"] for ops in cert.values() for record in ops.values()]
     return {
-        "format": CERT_FORMAT,
-        "structures": sorted(model.structures),
-        "records": records,
-        "summary": {
-            "operations": len(records),
-            "failing": sum(
-                1 for r in records if r["verdict"] in FAILING_VERDICTS
-            ),
-            "verdicts": _verdict_tally(records),
-        },
+        "operations": len(verdicts),
+        "failing": sum(verdict in FAILING_VERDICTS for verdict in verdicts),
+        "verdicts": {verdict: verdicts.count(verdict) for verdict in sorted(set(verdicts))},
     }
-
-
-def _verdict_tally(records: list) -> dict:
-    tally: dict[str, int] = {}
-    for record in records:
-        tally[record["verdict"]] = tally.get(record["verdict"], 0) + 1
-    return dict(sorted(tally.items()))
 
 
 def certificate_failures(cert: dict) -> list[str]:
     return [
-        f"{r['structure']}.{r['op']}: {r['verdict']} — {r['detail']}"
-        for r in cert.get("records", ())
-        if r["verdict"] in FAILING_VERDICTS
+        f"{structure}.{op}: {record['verdict']} — {record['detail']}"
+        for structure, ops in cert.items()
+        for op, record in ops.items()
+        if record["verdict"] in FAILING_VERDICTS
     ]
-
-
-def _record_key(record: dict) -> str:
-    return f"{record['structure']}.{record['op']}"
-
-
-def _comparable(record: dict) -> dict:
-    # Line numbers move on every edit; the certificate diff is about
-    # declared budgets, inferred bounds, and verdicts.
-    return {
-        key: value
-        for key, value in record.items()
-        if key not in ("line", "detail")
-    }
-
-
-def diff_certificates(baseline: dict, current: dict) -> list[str]:
-    """Human-readable differences, empty when cost-equivalent."""
-    old = {_record_key(r): r for r in baseline.get("records", ())}
-    new = {_record_key(r): r for r in current.get("records", ())}
-    out = []
-    for key in sorted(set(old) | set(new)):
-        if key not in old:
-            record = new[key]
-            out.append(
-                f"added: {key} ({record['verdict']}, "
-                f"fast={record['inferred']['fast']}, "
-                f"worst={record['inferred']['worst']})"
-            )
-        elif key not in new:
-            out.append(f"removed: {key}")
-        elif _comparable(old[key]) != _comparable(new[key]):
-            before, after = old[key], new[key]
-            changes = []
-            if before["declared"] != after["declared"]:
-                changes.append(
-                    f"declared {before['declared']} -> {after['declared']}"
-                )
-            if before["inferred"] != after["inferred"]:
-                changes.append(
-                    f"inferred fast {before['inferred']['fast']} -> "
-                    f"{after['inferred']['fast']}, "
-                    f"worst {before['inferred']['worst']} -> "
-                    f"{after['inferred']['worst']}"
-                )
-            if before["verdict"] != after["verdict"]:
-                changes.append(
-                    f"verdict {before['verdict']} -> {after['verdict']}"
-                )
-            out.append(f"changed: {key} ({'; '.join(changes) or 'metadata'})")
-    return out
-
-
-def load_certificate(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
-    if cert.get("format") != CERT_FORMAT:
-        raise ValueError(
-            f"{path}: not a {CERT_FORMAT} certificate "
-            f"(format={cert.get('format')!r})"
-        )
-    return cert
-
-
-def write_certificate(cert: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def render_certificate(cert: dict) -> str:
     """The ``repro cost`` table: one row per certified operation."""
-    records = cert.get("records", ())
-    if not records:
+    if not cert:
         return "(no registered far structures found)"
     rows = []
-    for record in records:
-        declared = record["declared"]
-        if declared is None:
-            budget = "-"
-        else:
-            budget = (
-                f"fast={declared['fast']}"
-                + (f" ceil={declared['ceiling']}" if declared["ceiling"] is not None else "")
-                + (" per-item" if declared["per_item"] else "")
+    for structure, ops in cert.items():
+        for op, record in ops.items():
+            declared = record["declared"]
+            if declared is None:
+                budget = "-"
+            else:
+                budget = (
+                    f"fast={declared['fast']}"
+                    + (f" ceil={declared['ceiling']}" if declared["ceiling"] is not None else "")
+                    + (" per-item" if declared["per_item"] else "")
+                )
+            rows.append(
+                (
+                    f"{structure}.{op}",
+                    budget,
+                    record["inferred"]["fast"],
+                    record["inferred"]["worst"],
+                    record["verdict"],
+                    declared["claim"] if declared and declared.get("claim") else "-",
+                )
             )
-        rows.append(
-            (
-                f"{record['structure']}.{record['op']}",
-                budget,
-                record["inferred"]["fast"],
-                record["inferred"]["worst"],
-                record["verdict"],
-                declared["claim"] if declared and declared.get("claim") else "-",
-            )
-        )
     headers = ("operation", "declared", "fast", "worst", "verdict", "claim")
     widths = [
         max(len(headers[i]), max(len(row[i]) for row in rows))
@@ -1525,13 +1448,9 @@ def render_certificate(cert: dict) -> str:
     ]
     for row in rows:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
-    summary = cert.get("summary", {})
+    summary = certificate_summary(cert)
     lines.append(
-        f"{summary.get('operations', len(records))} operation(s), "
-        f"{summary.get('failing', 0)} failing — "
-        + ", ".join(
-            f"{count} {verdict}"
-            for verdict, count in summary.get("verdicts", {}).items()
-        )
+        f"{summary['operations']} operation(s), {summary['failing']} failing — "
+        + ", ".join(f"{count} {verdict}" for verdict, count in summary["verdicts"].items())
     )
     return "\n".join(lines)

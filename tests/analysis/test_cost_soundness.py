@@ -26,8 +26,9 @@ SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 NODE_SIZE = 8 << 20
 
 _CERT_BY_KEY = {
-    f"{record['structure']}.{record['op']}": record
-    for record in build_certificate(analyze_paths([str(SRC)]))["records"]
+    f"{structure}.{op}": record
+    for structure, ops in build_certificate(analyze_paths([str(SRC)])).items()
+    for op, record in ops.items()
 }
 
 _WORKLOAD_SETTINGS = settings(

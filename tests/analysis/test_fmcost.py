@@ -1,12 +1,14 @@
 """fmcost tests: the cost lattice, the statement walk, interprocedural
 summaries, the demand-driven solver (how much it evaluates, and that
 neither root order nor demand time moves a summary), the repo-wide
-certificate (paper claims C2/C4/C5 certified statically), baseline
-diffing, and the must-fail cases — the planted over-budget fixture, a
+certificate (paper claims C2/C4/C5 certified statically), the
+certificate as a recording compared by ``recorded.moved``, and the
+must-fail cases — the planted over-budget fixture, a
 far access in a statement kind the walk once skipped, and an
 artificially degraded hot path."""
 
 import ast
+import copy
 import re
 import shutil
 import sys
@@ -24,8 +26,8 @@ from repro.analysis.fmcost import (
     analyze_paths,
     build_certificate,
     certificate_failures,
-    diff_certificates,
 )
+from repro.analysis.recorded import dumps, load, moved
 
 REPO = Path(__file__).resolve().parent.parent.parent
 SRC = REPO / "src" / "repro"
@@ -42,18 +44,11 @@ def repo_cert(repo_model):
     return build_certificate(repo_model)
 
 
-def _record(cert, structure, op):
-    for record in cert["records"]:
-        if record["structure"] == structure and record["op"] == op:
-            return record
-    raise AssertionError(f"no record for {structure}.{op}")
-
-
 def _analyze(tmp_path, source, structures):
     mod = tmp_path / "toy.py"
     mod.write_text(textwrap.dedent(source))
     model = analyze_paths([str(mod)], structures=structures)
-    return {record["op"]: record for record in model.records()}
+    return {op: record for ops in build_certificate(model).values() for op, record in ops.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +488,7 @@ class TestSolver:
             )
         )
         model = analyze_paths([str(mod)], structures=[TOY])
-        assert [record["verdict"] for record in model.records()] == ["ok"]
+        assert [record["verdict"] for record in build_certificate(model)[TOY].values()] == ["ok"]
         assert evaluations == [("toy:Toy.peek", frozenset())]
         chase = model.summary_for(model.index.functions["toy:chase"], frozenset())
         assert chase.fast == (1, 0) and chase.worst.unbounded
@@ -531,8 +526,8 @@ class TestRepoCertificate:
         assert certificate_failures(repo_cert) == []
 
     def test_c4_httree_prices(self, repo_cert):
-        get = _record(repo_cert, "HTTree", "get")
-        put = _record(repo_cert, "HTTree", "put")
+        get = repo_cert["HTTree"]["get"]
+        put = repo_cert["HTTree"]["put"]
         assert get["declared"]["fast"] == 1
         assert get["inferred"]["fast"] == "1"
         assert get["verdict"] == "ok"
@@ -542,14 +537,14 @@ class TestRepoCertificate:
 
     def test_c5_queue_fast_path(self, repo_cert):
         for op in ("enqueue", "dequeue", "try_dequeue"):
-            record = _record(repo_cert, "FarQueue", op)
+            record = repo_cert["FarQueue"][op]
             assert record["declared"]["fast"] == 1
             assert record["verdict"] in ("ok", "slack")
-        assert _record(repo_cert, "FarQueue", "enqueue")["inferred"]["fast"] == "1"
+        assert repo_cert["FarQueue"]["enqueue"]["inferred"]["fast"] == "1"
 
     def test_c2_single_access_primitives(self, repo_cert):
         for op in ("increment", "decrement", "read", "set"):
-            record = _record(repo_cert, "FarCounter", op)
+            record = repo_cert["FarCounter"][op]
             assert record["inferred"] == {
                 "fast": "1",
                 "fast_const": 1,
@@ -560,22 +555,21 @@ class TestRepoCertificate:
                 "worst_per_item": 0,
                 "worst_unbounded": False,
             }
-        assert _record(repo_cert, "FarMutex", "release")["verdict"] == "ok"
+        assert repo_cert["FarMutex"]["release"]["verdict"] == "ok"
 
     def test_bulk_ops_are_per_item(self, repo_cert):
-        multiget = _record(repo_cert, "HTTree", "multiget")
+        multiget = repo_cert["HTTree"]["multiget"]
         assert multiget["declared"]["per_item"] is True
         assert multiget["inferred"]["fast"] == "1*n"
 
     def test_replicated_region_ceilings(self, repo_cert):
-        write = _record(repo_cert, "ReplicatedRegion", "write_block")
+        write = repo_cert["ReplicatedRegion"]["write_block"]
         assert write["declared"]["ceiling"] == 2
         assert write["inferred"]["worst"] == "2"
         assert write["verdict"] == "ok"
 
     def test_every_registered_structure_is_covered(self, repo_cert):
-        present = {record["structure"] for record in repo_cert["records"]}
-        assert present == {
+        assert set(repo_cert) == {
             "HTTree",
             "FarQueue",
             "RefreshableVector",
@@ -587,46 +581,42 @@ class TestRepoCertificate:
         }
 
     def test_matches_committed_baseline(self, repo_cert):
-        from repro.analysis.fmcost import load_certificate
-
-        baseline = load_certificate(str(REPO / "analysis" / "cost_baseline.json"))
-        assert diff_certificates(baseline, repo_cert) == []
+        assert moved(load(REPO / "analysis" / "cost_baseline.json"), repo_cert) == []
 
 
 # ---------------------------------------------------------------------------
-# Certificate diffing
+# The certificate as a recording
 # ---------------------------------------------------------------------------
 
 
 class TestDiff:
     def test_identical_certificates_do_not_diff(self, repo_cert):
-        assert diff_certificates(repo_cert, repo_cert) == []
+        assert moved(repo_cert, copy.deepcopy(repo_cert)) == []
 
     def test_changed_inference_diffs(self, repo_cert):
-        import copy
-
         mutated = copy.deepcopy(repo_cert)
-        record = _record(mutated, "HTTree", "get")
-        record["inferred"]["fast"] = "3"
-        diff = diff_certificates(repo_cert, mutated)
-        assert len(diff) == 1 and "HTTree.get" in diff[0]
+        mutated["HTTree"]["get"]["inferred"]["fast"] = "3"
+        assert moved(repo_cert, mutated) == ["HTTree.get"]
 
     def test_removed_operation_diffs(self, repo_cert):
-        import copy
-
         mutated = copy.deepcopy(repo_cert)
-        mutated["records"] = [
-            r for r in mutated["records"] if r["op"] != "get" or r["structure"] != "HTTree"
-        ]
-        diff = diff_certificates(repo_cert, mutated)
-        assert any("HTTree.get" in line for line in diff)
+        del mutated["HTTree"]["get"]
+        assert moved(repo_cert, mutated) == ["HTTree.get"]
 
-    def test_line_moves_do_not_diff(self, repo_cert):
-        import copy
-
+    def test_added_operation_diffs(self, repo_cert):
         mutated = copy.deepcopy(repo_cert)
-        _record(mutated, "HTTree", "get")["line"] += 40
-        assert diff_certificates(repo_cert, mutated) == []
+        mutated["Toy"] = {"peek": mutated["HTTree"]["get"]}
+        assert moved(repo_cert, mutated) == ["Toy.peek"]
+
+    def test_the_recording_holds_no_line(self, repo_cert):
+        # Line numbers move on every edit; a recorded operation is its
+        # declared budget, inferred bounds and verdict.
+        fields = {key for ops in repo_cert.values() for record in ops.values() for key in record}
+        assert fields == {"module", "declared", "inferred", "verdict", "detail"}
+
+    def test_one_operation_per_line(self, repo_cert):
+        text = dumps(repo_cert)
+        assert len(text.splitlines()) == sum(map(len, repo_cert.values())) + 2 * len(repo_cert) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -637,18 +627,19 @@ class TestDiff:
 class TestMustFail:
     def test_overbudget_fixture_is_rejected(self):
         model = analyze_paths([str(FIXTURE)], structures=["OverBudgetRegister"])
-        records = {record["op"]: record for record in model.records()}
+        cert = build_certificate(model)
+        records = cert["OverBudgetRegister"]
         assert records["double_read"]["verdict"] == "regression"
         assert records["drain"]["verdict"] == "over_ceiling"
         assert records["unpriced_touch"]["verdict"] == "missing_budget"
-        failures = certificate_failures(build_certificate(model))
+        failures = certificate_failures(cert)
         assert len(failures) == 3
 
     def test_far_access_in_a_match_arm_is_rejected(self):
         # Certified ``fast 0, worst 0, ok`` while ``match`` was a statement
         # kind the walk did not know and therefore priced at nothing.
         model = analyze_paths([str(FIXTURE)], structures=["MatchRegister"])
-        (record,) = model.records()
+        (record,) = build_certificate(model)["MatchRegister"].values()
         assert record["verdict"] == "regression"
         assert record["inferred"]["fast"] == "1"
         assert record["inferred"]["worst"] == "1"
@@ -670,7 +661,7 @@ class TestMustFail:
         cert = build_certificate(
             analyze_paths([str(degraded)], structures=["HTTree"])
         )
-        record = _record(cert, "HTTree", "get")
+        record = cert["HTTree"]["get"]
         assert record["verdict"] == "regression"
         assert record["inferred"]["fast"] == "2"
         assert any("HTTree.get" in f for f in certificate_failures(cert))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.fmcost import analyze_paths
+from repro.analysis.fmcost import analyze_paths, build_certificate
 from repro.analysis.fmlint import (
     LAYERING,
     RULES,
@@ -477,7 +477,8 @@ def _verdicts(tmp_path, source: str, lint=()) -> dict:
     assert [f.code for f in lint_source(source)] == list(lint)
     module = tmp_path / "shape.py"
     module.write_text(source)
-    return {r["op"]: r["verdict"] for r in analyze_paths([str(module)]).records()}
+    cert = build_certificate(analyze_paths([str(module)]))
+    return {op: r["verdict"] for ops in cert.values() for op, r in ops.items()}
 
 
 class TestFM008:

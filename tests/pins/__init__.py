@@ -15,8 +15,11 @@ pin that names event kinds, the count and a sha256 prefix of the acting
 client's events of those kinds (``events``). A key whose value is ``None``
 is left out.
 
-The files are ``{scenario: {step: record}}``, one step per line, so the diff
-of a regenerated pin names the steps that moved. They are written only by
+The files are recordings in :mod:`repro.analysis.recorded`'s format,
+``{scenario: {step: record}}`` one step per line, so the diff of a
+regenerated pin names the steps that moved; that module's ``dumps``,
+``load`` and ``moved`` write, read and compare them, as they do fmcost's
+``analysis/cost_baseline.json``. They are written only by
 ``PYTHONPATH=src python -m tests.pins``, which reruns every pin's scenarios
 on the current tree; regenerate only for a deliberate change and list the
 moved steps where the change is described.
@@ -28,6 +31,7 @@ import json
 from dataclasses import astuple, is_dataclass
 from pathlib import Path
 
+from repro.analysis import recorded
 from repro.fabric.client import Client
 from repro.obs import Tracer
 
@@ -149,6 +153,11 @@ def run(scenario, kinds, traced):
     return probe
 
 
+def _moved_steps(recorded_steps, observed_steps):
+    """The labels of the steps that moved between two runs of one scenario."""
+    return [key[1:] for key in recorded.moved({"": recorded_steps}, {"": observed_steps})]
+
+
 def observe(scenario, kinds):
     """Run ``scenario`` untraced and traced, assert the two agree but for
     the traced run's ``events``, and return the traced run's probe."""
@@ -158,8 +167,8 @@ def observe(scenario, kinds):
         label: {key: value for key, value in record.items() if key != "events"}
         for label, record in traced.steps.items()
     }
-    moved = [label for label in {**bare, **untraced} if bare.get(label) != untraced.get(label)]
-    assert not moved, f"tracing moved steps {moved}"
+    steps = _moved_steps(bare, untraced)
+    assert not steps, f"tracing moved steps {steps}"
     return traced
 
 
@@ -168,32 +177,18 @@ def verify(scenario, kinds, pinned):
     ``pinned`` (step -> record); a failure names each step that moved, with
     its current event lines."""
     probe = observe(scenario, kinds)
-    moved = [
-        label for label in {**pinned, **probe.steps} if pinned.get(label) != probe.steps.get(label)
-    ]
     report = []
-    for label in moved:
+    for label in _moved_steps(pinned, probe.steps):
         report += [
             f"step {label!r} moved",
             f"  pinned:   {json.dumps(pinned.get(label))}",
             f"  observed: {json.dumps(probe.steps.get(label))}",
             *(f"    {line}" for line in probe.lines.get(label, [])),
         ]
-    assert not moved, "\n".join(report)
+    assert not report, "\n".join(report)
 
 
 @functools.cache
 def load(name):
     """Pin ``name`` as committed: scenario -> step -> record."""
-    return json.loads((HERE / f"{name}.json").read_text())
-
-
-def dumps(pin):
-    """The text of a pin file: one scenario per block, one step per line."""
-    blocks = []
-    for scenario, steps in pin.items():
-        lines = ",\n".join(
-            f"    {json.dumps(step)}: {json.dumps(record)}" for step, record in steps.items()
-        )
-        blocks.append(f"  {json.dumps(scenario)}: {{\n{lines}\n  }}")
-    return "{\n" + ",\n".join(blocks) + "\n}\n"
+    return recorded.load(HERE / f"{name}.json")

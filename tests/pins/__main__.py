@@ -5,7 +5,9 @@ Run from the repository root: ``PYTHONPATH=src python -m tests.pins``.
 
 import importlib
 
-from . import HERE, PINS, dumps, observe
+from repro.analysis.recorded import dumps
+
+from . import HERE, PINS, observe
 
 
 def main():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import repro.__main__ as repro_main
 from repro.__main__ import main
+from repro.analysis import recorded
 
 
 def test_demo_prints_trace_summary(capsys):
@@ -258,36 +260,57 @@ def test_cost_subcommand_certifies_the_repo(capsys):
     assert "HTTree.get" in out and "0 failing" in out
 
 
-def test_cost_check_matches_committed_baseline(capsys):
-    assert main(["cost", "--check"]) == 0
-    assert "matches baseline" in capsys.readouterr().out
+def test_check_matches_committed_baseline(tmp_path, capsys):
+    clean = tmp_path / "clean.py"
+    clean.write_text("")
+    assert main(["check", str(clean)]) == 0
+    assert "0 baseline change(s)" in capsys.readouterr().out
 
 
 def test_cost_out_writes_certificate(tmp_path, capsys):
     cert_path = tmp_path / "cost.json"
     assert main(["cost", "--out", str(cert_path)]) == 0
     capsys.readouterr()
-    cert = json.loads(cert_path.read_text())
-    assert cert["format"] == "fmcost-cert-v1"
-    assert any(
-        r["structure"] == "FarQueue" and r["op"] == "enqueue"
-        for r in cert["records"]
-    )
+    cert = recorded.load(cert_path)
+    assert cert_path.read_text() == recorded.dumps(cert)
+    assert cert["FarQueue"]["enqueue"]["verdict"] == "ok"
 
 
-def test_cost_check_fails_against_a_tampered_baseline(tmp_path, capsys):
+def _baseline_at(monkeypatch, path):
+    monkeypatch.setattr(repro_main, "_default_baseline_path", lambda: str(path))
+
+
+def test_check_fails_against_a_tampered_baseline(tmp_path, monkeypatch, capsys):
     cert_path = tmp_path / "cost.json"
     assert main(["cost", "--out", str(cert_path)]) == 0
     capsys.readouterr()
-    cert = json.loads(cert_path.read_text())
-    for record in cert["records"]:
-        if record["structure"] == "HTTree" and record["op"] == "get":
-            record["inferred"]["fast"] = "9"
-    tampered = tmp_path / "baseline.json"
-    tampered.write_text(json.dumps(cert))
-    assert main(["cost", "--check", "--baseline", str(tampered)]) == 1
+    cert = recorded.load(cert_path)
+    cert["HTTree"]["get"]["inferred"]["fast"] = "9"
+    cert_path.write_text(recorded.dumps(cert))
+    _baseline_at(monkeypatch, cert_path)
+    clean = tmp_path / "clean.py"
+    clean.write_text("")
+    assert main(["check", str(clean)]) == 1
     out = capsys.readouterr().out
-    assert "HTTree.get" in out and "--update-baseline" in out
+    assert "cost: HTTree.get moved" in out and "cost --out" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{not json", '{"HTTree": ["get"]}'],
+    ids=["missing", "not-json", "not-a-recording"],
+)
+def test_check_fails_on_an_unreadable_baseline(tmp_path, monkeypatch, capsys, text):
+    baseline = tmp_path / "baseline.json"
+    if text is not None:
+        baseline.write_text(text)
+    _baseline_at(monkeypatch, baseline)
+    clean = tmp_path / "clean.py"
+    clean.write_text("")
+    assert main(["check", str(clean)]) == 1
+    out = capsys.readouterr().out
+    failing = [line for line in out.splitlines() if line.startswith("cost: unreadable baseline")]
+    assert len(failing) == 1 and "check: FAILED" in out
 
 
 def test_cost_fails_on_overbudget_fixture(capsys):
@@ -313,6 +336,9 @@ def test_check_subcommand_combines_gates(tmp_path, capsys):
     assert report["lint"]["findings"] == []
     assert report["cost"]["failures"] == []
     assert report["cost"]["baseline_diffs"] == []
+    summary = report["cost"]["summary"]
+    assert summary["operations"] == sum(summary["verdicts"].values()) > 0
+    assert summary["failing"] == 0
 
 
 def test_check_subcommand_fails_on_lint_findings(tmp_path, capsys):

@@ -243,10 +243,7 @@ def test_every_option_is_set_or_kept_for_a_reason():
 CI = ROOT / ".github" / "workflows" / "ci.yml"
 
 #: ``python -m repro`` flags that neither CI nor a test passes, and why each stays.
-KEEP_FLAGS = {
-    ("cost", "--json"): "ROADMAP's certificate byte-equality check pipes it to sha256sum",
-    ("cost", "--update-baseline"): "it rewrites a committed file, so no test may run it",
-}
+KEEP_FLAGS: dict[tuple[str, str], str] = {}
 
 
 def cli_flags() -> set[tuple[str, str]]:
