@@ -131,7 +131,7 @@ class Cluster:
         Keyword arguments (``top_k``, ``registry``) pass through to
         :class:`~repro.migration.Rebalancer`; with
         ``registry=`` the plan is driven by the live telemetry plane's
-        per-extent heat instead of the table's private touch counters.
+        per-extent heat instead of the table's private heat counts.
         """
         from .migration import Rebalancer
 

@@ -137,13 +137,14 @@ class _TreeCache:
     region: int = 0
     uppers: list[int] = field(default_factory=list)
     leaves: list[_Leaf] = field(default_factory=list)
+    depth: int = 1  # near accesses of one walk, set with ``uppers``
     valid: bool = False
     subscription: Optional[Subscription] = None
 
     def find_leaf(self, client: Client, key: int) -> _Leaf:
         """The leaf whose range holds ``key``; the walk of the cached tree
         is charged to ``client`` as near accesses."""
-        client.touch_local(max(1, len(self.uppers).bit_length()))
+        client.touch_local(self.depth)
         return self.leaves[bisect_left(self.uppers, key)]
 
     def size_bytes(self) -> int:
@@ -307,6 +308,7 @@ class HTTree:
         cache.region = region
         cache.leaves = leaves
         cache.uppers = [leaf.upper for leaf in leaves]
+        cache.depth = max(1, len(leaves).bit_length())
         cache.valid = True
         self.stats.cache_loads += 1
 

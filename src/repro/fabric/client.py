@@ -497,6 +497,7 @@ class Client:
                 saved_ns=serial - charged if serial > charged else 0.0,
                 reason=reason,
                 window=window,
+                entry=entry,
             )
         for _, _, _, future in window:
             if future is not None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
@@ -114,7 +115,7 @@ class ExtentTable:
         # Live-migration state and telemetry.
         self._migrating: dict[int, ExtentMigrationState] = {}
         self._epochs: dict[int, int] = {}  # only extents a migration has moved
-        self._heat: dict[int, int] = {}
+        self._heat: defaultdict[int, int] = defaultdict(int)  # the fabric bumps it in place
         self._forward_sources: dict[int, dict[int, int]] = {}
         self._replica_groups: dict[int, set] = {}  # extent -> group ids
         self._group_extents: dict[object, set[int]] = {}  # group id -> extents
@@ -255,11 +256,6 @@ class ExtentTable:
     # ------------------------------------------------------------------
     # Heat and forward-source telemetry (drives the rebalancer)
     # ------------------------------------------------------------------
-
-    def touch(self, address: int) -> None:
-        """Count one far access against the extent holding ``address``."""
-        extent = address // self._es
-        self._heat[extent] = self._heat.get(extent, 0) + 1
 
     def heat_of(self, extent: int) -> int:
         return self._heat.get(extent, 0)

@@ -222,15 +222,16 @@ class Fabric(FarPrimitivesMixin):
         ``segments``, when given, is the caller's split of exactly this range."""
         if segments is None:
             segments = self.extents.split(address, length)
+        heat, es = self.extents._heat, self.extents._es
         pieces: list[bytes] = []
         cursor = address
         for location, seg_len in segments:
             if location.node in self._failed_nodes:  # _node_for, inlined on both read paths
                 raise NodeUnavailableError(location.node, cursor)
-            self.extents.touch(cursor)
+            heat[cursor // es] += 1
             pieces.append(self.nodes[location.node].read(location.offset, seg_len))
             cursor += seg_len
-        return FabricResult(value=b"".join(pieces), segments=max(1, len(segments)))
+        return FabricResult(value=b"".join(pieces), segments=len(segments) or 1)
 
     def write(self, address: int, data: bytes, segments: Optional[Segments] = None) -> FabricResult:
         """One-sided write of a global range (split across nodes if striped);
@@ -243,30 +244,32 @@ class Fabric(FarPrimitivesMixin):
         ``wgather`` funnel through here per buffer, so a torn replicated
         write tears its first target and never reaches the rest.
         """
+        length = len(data)
         if self.fault_injector is not None:
             fraction = self.fault_injector.take_torn_fraction()
             if fraction is not None:
-                prefix = align_down(int(len(data) * fraction), WORD)
+                prefix = align_down(int(length * fraction), WORD)
                 if prefix > 0:
                     self.write(address, bytes(data[:prefix]))
                 raise FarTimeoutError(
                     self.node_of(address), address,
-                    reason=f"torn write ({prefix}/{len(data)} bytes applied)",
+                    reason=f"torn write ({prefix}/{length} bytes applied)",
                     torn=True,
                 )
         # Police in-flight migrations first: a FENCE raises before any
         # byte moves, so a fenced write is all-or-nothing.
-        mirrors = self.extents.write_intercept(address, len(data))
+        mirrors = self.extents.write_intercept(address, length) if self.extents._migrating else ()
         if segments is None:
-            segments = self.extents.split(address, len(data))
+            segments = self.extents.split(address, length)
+        heat, es = self.extents._heat, self.extents._es
         cursor = 0
         for location, seg_len in segments:
             node = self._node_for(location.node, address + cursor)
-            self.extents.touch(address + cursor)
+            heat[(address + cursor) // es] += 1
             node.write(location.offset, data[cursor : cursor + seg_len])
             cursor += seg_len
         hops = self._apply_mirrors(data, mirrors) if mirrors else 0
-        return FabricResult(segments=max(1, len(segments)), forward_hops=hops)
+        return FabricResult(segments=len(segments) or 1, forward_hops=hops)
 
     def _apply_mirrors(self, data: bytes, mirrors) -> int:
         """FORWARD-policy dual writes: mirror the already-copied portion
@@ -292,7 +295,7 @@ class Fabric(FarPrimitivesMixin):
 
     def _read_word_at(self, address: int, location: Location) -> int:
         """Read the aligned word at ``address``, already translated."""
-        self.extents.touch(address)
+        self.extents._heat[address // self.extents._es] += 1
         if location.node in self._failed_nodes:
             raise NodeUnavailableError(location.node, address)
         return self.nodes[location.node].read_word(location.offset)
@@ -300,8 +303,8 @@ class Fabric(FarPrimitivesMixin):
     def _atomic_at(self, address: int, location: Location, op, *args):
         """Apply the word-sized :class:`MemoryNode` mutation ``op`` at
         ``address``, already translated, under migration policing."""
-        mirrors = self.extents.write_intercept(address, WORD)
-        self.extents.touch(address)
+        mirrors = self.extents.write_intercept(address, WORD) if self.extents._migrating else ()
+        self.extents._heat[address // self.extents._es] += 1
         if location.node in self._failed_nodes:  # _node_for, inlined as on the read paths
             raise NodeUnavailableError(location.node, address)
         node = self.nodes[location.node]

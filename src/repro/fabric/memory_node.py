@@ -61,14 +61,8 @@ class MemoryNode:
         """Install the mutation callback (at most one; the fabric owns it)."""
         self._write_hook = hook
 
-    def _check(self, offset: int, length: int) -> None:
-        if length < 0:
-            raise AddressError(offset, length, "negative length")
-        if offset < 0 or offset + length > self.size:
-            raise AddressError(offset, length, f"outside node {self.node_id}")
-
     def _check_word(self, offset: int) -> None:
-        if offset < 0 or offset + WORD > self.size:  # _check(offset, WORD), one frame
+        if offset < 0 or offset + WORD > self.size:
             raise AddressError(offset, WORD, f"outside node {self.node_id}")
         if offset % WORD != 0:
             raise AlignmentError(f"word operation at unaligned offset 0x{offset:x}")
@@ -82,19 +76,23 @@ class MemoryNode:
 
     def read(self, offset: int, length: int) -> bytes:
         """One-sided read of ``length`` bytes at ``offset``."""
-        self._check(offset, length)
+        if length < 0 or offset < 0 or offset + length > self.size:
+            reason = "negative length" if length < 0 else f"outside node {self.node_id}"
+            raise AddressError(offset, length, reason)
         self.stats.reads += 1
         self.stats.bytes_read += length
         return bytes(self._data[offset : offset + length])
 
     def write(self, offset: int, data: bytes) -> None:
         """One-sided write of ``data`` at ``offset``."""
-        self._check(offset, len(data))
-        self._data[offset : offset + len(data)] = data
+        length = len(data)
+        if offset < 0 or offset + length > self.size:
+            raise AddressError(offset, length, f"outside node {self.node_id}")
+        self._data[offset : offset + length] = data
         self.stats.writes += 1
-        self.stats.bytes_written += len(data)
-        if self._write_hook is not None and data:
-            self._fire(offset, len(data))
+        self.stats.bytes_written += length
+        if self._write_hook is not None and length:
+            self._fire(offset, length)
 
     def read_word(self, offset: int) -> int:
         """Read one aligned 64-bit word."""
@@ -121,7 +119,8 @@ class MemoryNode:
         observable only through the bytes themselves — exactly what the
         checksum framing layer exists to catch.
         """
-        self._check(offset, 1)
+        if not 0 <= offset < self.size:
+            raise AddressError(offset, 1, f"outside node {self.node_id}")
         if not 0 <= bit < 8:
             raise ValueError(f"bit index must be in [0, 8), got {bit}")
         self._data[offset] ^= 1 << bit

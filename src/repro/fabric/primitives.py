@@ -328,7 +328,7 @@ class FarPrimitivesMixin:
             segments = None  # the caller's translation covers the first entry only
             pieces.append(result.value)
             count += result.segments
-        return FabricResult(value=b"".join(pieces), segments=max(1, count))
+        return FabricResult(value=b"".join(pieces), segments=count or 1)
 
     def wscatter(
         self, iovec: FarIovec, data: bytes, segments: Optional[Segments] = None
@@ -346,7 +346,7 @@ class FarPrimitivesMixin:
             count += self.write(address, data[cursor : cursor + length], segments).segments
             segments = None  # the caller's translation covers the first entry only
             cursor += length
-        return FabricResult(segments=max(1, count))
+        return FabricResult(segments=count or 1)
 
     def wgather(self, ad: int, buffers: Sequence[bytes]) -> FabricResult:
         """Gather local buffers into one contiguous far range at ``ad``."""

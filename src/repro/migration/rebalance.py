@@ -1,7 +1,7 @@
 """Heat-driven elastic rebalancing over the extent table.
 
-The fabric counts every far access against the extent it touched
-(:meth:`~repro.fabric.extent.ExtentTable.touch`) and, under the FORWARD
+The fabric counts every far access against each extent it touched
+(:meth:`~repro.fabric.extent.ExtentTable.heat_of`) and, under the FORWARD
 indirection policy, records *which node* forwarded each cross-node
 dereference (:meth:`~repro.fabric.extent.ExtentTable.note_forward`).
 The rebalancer turns that telemetry into moves:
@@ -19,13 +19,13 @@ All tie-breaks are deterministic (heat descending, then extent id; load
 ascending, then node id), so a rebalance is replayable.
 
 Heat can come from two places. By default the rebalancer reads the
-extent table's private translate-time touch counters. Pass a
+extent table's private per-segment heat counts. Pass a
 :class:`~repro.obs.telemetry.TelemetryRegistry` and it reads the
 externally visible per-extent heat series instead — the same numbers
-``repro top`` renders — so every move is explainable from the public
-telemetry plane alone. Placement (which node holds which extent, free
-slots, forward sources) always comes from the table: that is fabric
-state, not observation.
+``repro top`` renders, equal to the table's for single-extent accesses —
+so every move is explainable from the public telemetry plane alone.
+Placement (which node holds which extent, free slots, forward sources)
+always comes from the table: that is fabric state, not observation.
 """
 
 from __future__ import annotations

@@ -254,8 +254,8 @@ class TelemetryRegistry:
         self._last_ts_ns = 0.0
         self._notifying = False
         self._carrier: Optional["trace_mod.Tracer"] = None
-        self._pending: list[tuple] = []  # (client, event, span), not yet folded
-        self._window_end_ns = float("-inf")  # the first event is past it
+        self.pending: list[tuple] = []  # (client, event, span), not yet folded
+        self.window_end_ns = float("-inf")  # the first event is past it
 
     # ------------------------------------------------------------------
     # Attachment
@@ -406,19 +406,14 @@ class TelemetryRegistry:
     # Ingestion (Tracer sink protocol — bookkeeping only)
     # ------------------------------------------------------------------
 
-    def on_trace_event(self, client: "Client", event: Any, span: Any) -> None:
-        """Ingest one event: an append and a compare. The roll-up waits for
-        :meth:`_fold`, which runs when an event opens a new fleet window or
-        when anything is read — so pending holds at most one window."""
-        self._pending.append((client, event, span))
-        if event.ts_ns >= self._window_end_ns:
-            self._advance(client, event.ts_ns)
-
-    def _advance(self, client: "Client", ts: float) -> None:
+    def open_window(self, client: "Client", ts: float) -> None:
+        """Open the fleet window holding ``ts``, which the event the tracer
+        just appended to ``pending`` reached. The roll-up waits for
+        :meth:`_fold`, which runs here or when anything is read."""
         self._fold()
         previous = self._current_window
         self._current_window = window = int(ts // self.window_ns)
-        self._window_end_ns = (window + 1) * self.window_ns
+        self.window_end_ns = (window + 1) * self.window_ns
         if previous is not None and self._listeners and not self._notifying:
             # Re-entrancy guard: a listener may emit events of its own
             # (the SLO monitor's alert events) which land back here, in
@@ -438,10 +433,10 @@ class TelemetryRegistry:
         only add to sums and sample lists, so a run of them is collected as
         rows and rolled up once per scope. A run ends where the window
         changes: what a ring retains depends on the order its keys arrive."""
-        batch = self._pending
+        batch = self.pending
         if not batch:
             return
-        self._pending = []
+        self.pending = []
         if not self._extent_size:
             extents = getattr(batch[0][0].fabric, "extents", None)
             self._extent_size = getattr(extents, "extent_size", 0) or 0
@@ -499,9 +494,8 @@ class TelemetryRegistry:
                 if amounts:
                     self._counters[scope, name].inc_many(window, amounts)
         # Heat lands on the extent the op named *and* (for indirect ops) the
-        # extent of the resolved data word — mirroring the extent table's
-        # translate-time touches, so a registry-driven Rebalancer ranks
-        # extents the same way the fabric does.
+        # target's. The extent table counts every extent the fabric touches,
+        # so the two agree for single-extent accesses only.
         heat: dict[int, int] = {}
         if self._extent_size:
             for _who, _node, _structure, data in far_rows:

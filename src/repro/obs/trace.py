@@ -18,7 +18,8 @@ Design rules — these are what keep tracing free of observer effects:
 * The event vocabulary is one table (:mod:`repro.obs.events`) and there is
   one emission path, :meth:`Tracer.emit`; only the two hot kinds keep a
   method (``on_far_access``, ``on_window``), which builds the event
-  directly — same payload, same sinks, same order.
+  directly — same payload, same sinks, same order. A sink is fed as data:
+  an event is appended to its ``pending``, a call only at a window boundary.
 * Emission aggregates nothing. The span / op / node / window histograms
   are derived from ``spans`` and ``events`` when they are read, and a
   span's ``delta`` from the counters it read as one tuple at each end.
@@ -222,9 +223,8 @@ class Tracer:
         # this is what the Chrome exporter walks to emit B/E pairs.
         self._span_log: list[tuple[str, float, Span]] = []
         self._next_span_id = 1
-        # Live consumers of the typed event stream (e.g. a
-        # TelemetryRegistry). Sinks see every event from the single
-        # emission point, so new emitting call sites never need sink wiring.
+        # Live consumers of the typed event stream (e.g. a TelemetryRegistry),
+        # fed at every emission point: a new call site needs no sink wiring.
         self._sinks: list[Any] = []
 
     # ------------------------------------------------------------------
@@ -275,8 +275,10 @@ class Tracer:
 
     def add_sink(self, sink: Any) -> "Tracer":
         """Register a live event consumer (idempotent). A sink exposes
-        ``on_trace_event(client, event, span)`` and, like the tracer
-        itself, must never touch the client's metrics or clock."""
+        ``pending``, the list each ``(client, event, span)`` is appended to,
+        and ``window_end_ns``, which an event reaching calls
+        ``open_window(client, ts_ns)``. Like the tracer itself, a sink must
+        never touch the client's metrics or clock."""
         if sink not in self._sinks:
             self._sinks.append(sink)
         return self
@@ -368,7 +370,9 @@ class Tracer:
         span.event_count += 1
         self.events.append(event)
         for sink in self._sinks:
-            sink.on_trace_event(client, event, span)
+            sink.pending.append((client, event, span))
+            if event.ts_ns >= sink.window_end_ns:
+                sink.open_window(client, event.ts_ns)
         return event
 
     # The two hot kinds keep a method that shapes the payload (empty keys
@@ -415,7 +419,9 @@ class Tracer:
         event = TraceEvent("far_access", client.clock.now_ns, client.name, span.span_id, data)
         self.events.append(event)
         for sink in self._sinks:
-            sink.on_trace_event(client, event, span)
+            sink.pending.append((client, event, span))
+            if event.ts_ns >= sink.window_end_ns:
+                sink.open_window(client, event.ts_ns)
 
     def on_window(
         self,
@@ -427,28 +433,36 @@ class Tracer:
         saved_ns: float,
         reason: str,
         window: Sequence[tuple],
+        entry: Optional[tuple] = None,
     ) -> None:
         """``window`` is the flushed ``(op, charge_ns, span_id, future)``
-        entries; a bare charge (``op`` None) counts in ``n`` only."""
+        entries, or ``entry`` alone; a bare charge (``op`` None) counts in ``n`` only."""
+        if entry is None:
+            ops = [
+                {"op": op, "charge_ns": charge, "span_id": span_id}
+                for op, charge, span_id, _ in window
+                if op is not None
+            ]
+        else:
+            op, charge, span_id, _ = entry
+            ops = [] if op is None else [{"op": op, "charge_ns": charge, "span_id": span_id}]
         data = {
             "start_ns": start_ns,
             "charged_ns": charged_ns,
             "serial_ns": serial_ns,
             "saved_ns": saved_ns,
             "reason": reason,
-            "n": len(window),
-            "ops": [
-                {"op": op, "charge_ns": charge, "span_id": span_id}
-                for op, charge, span_id, _ in window
-                if op is not None
-            ],
+            "n": len(window) if entry is None else 1,
+            "ops": ops,
         }
         span = self._stacks[client.client_id][-1]
         span.event_count += 1
         event = TraceEvent("window", client.clock.now_ns, client.name, span.span_id, data)
         self.events.append(event)
         for sink in self._sinks:
-            sink.on_trace_event(client, event, span)
+            sink.pending.append((client, event, span))
+            if event.ts_ns >= sink.window_end_ns:
+                sink.open_window(client, event.ts_ns)
 
     # ------------------------------------------------------------------
     # Queries

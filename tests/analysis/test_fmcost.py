@@ -509,9 +509,9 @@ class TestSolver:
             ("repro.alloc.allocator:FarAllocator.alloc", "get"),
             ("repro.apps.kvstore.kvstore:FarKVStore.txn_get", "abort"),
             ("repro.apps.kvstore.kvstore:FarKVStore.txn_get", "get"),
-            ("repro.obs.telemetry:TelemetryRegistry._advance", "on_window_advance"),
             ("repro.obs.telemetry:TelemetryRegistry._count", "get"),
             ("repro.obs.telemetry:TelemetryRegistry._roll_up", "record_many"),
+            ("repro.obs.telemetry:TelemetryRegistry.open_window", "on_window_advance"),
             ("repro.txn.txn:TxnAbortError.__init__", "__init__"),
         ]
 

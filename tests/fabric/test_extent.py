@@ -2,13 +2,22 @@
 
 import pytest
 
+from repro import Cluster
 from repro.fabric import (
     DEFAULT_EXTENT_SIZE,
     Fabric,
+    FaultPlan,
+    IndirectionPolicy,
     MigrationWritePolicy,
     make_placement,
 )
-from repro.fabric.errors import AllocationError, StaleEpochError
+from repro.fabric.errors import (
+    AllocationError,
+    FarTimeoutError,
+    NodeUnavailableError,
+    RemoteIndirectionError,
+    StaleEpochError,
+)
 from repro.fabric.extent import ExtentTable
 
 from . import layout_oracle as oracle
@@ -227,9 +236,12 @@ class TestMigrationStateMachine:
         assert table.try_globalize(state.src_node, state.src_slot * table.extent_size) is None
 
     def test_commit_resets_heat_and_forward_telemetry(self):
-        table = self._table()
-        table.touch(0)
+        cluster = Cluster(node_count=2, node_size=NODE_SIZE)
+        cluster.add_node()  # node 2: headroom
+        cluster.client().read(0, 8)
+        table = cluster.fabric.extents
         table.note_forward(0, 1)
+        assert table.heat_of(0) == 1
         table.begin_migration(0, 2)
         table.advance_migration(0, table.extent_size)
         table.commit_migration(0)
@@ -351,3 +363,105 @@ class TestFabricIntegration:
         # Fence-before-byte: the old value is intact on the source.
         fabric.extents.abort_migration(0)
         assert fabric.read(64, 8).value == b"\x11" * 8
+
+
+# -- Where heat is counted -------------------------------------------------
+#
+# Heat is counted where the fabric touches a node, not where it translates:
+# per segment in ``read`` after the failed-node check and per segment in
+# ``write``; for a word, before the failed-node check in ``_read_word_at``
+# and after the migration policing in ``_atomic_at``. Extents are 4 KiB and
+# interleaved over two nodes (extent e on node e % 2, node 2 a spare).
+
+HES = 4096
+
+
+def _heat_cluster(**kwargs):
+    cluster = Cluster(node_count=2, node_size=1 << 16, interleaved=True, **kwargs)
+    cluster.add_node()
+    client = cluster.client(retry_policy=None, breaker_policy=None)
+    return cluster, client
+
+
+def _read_three_extents(cluster, client):
+    client.read(HES - 8, HES + 16)
+
+
+def _write_two_extents(cluster, client):
+    client.write(2 * HES - 8, b"\x01" * 16)
+
+
+def _word_ops(cluster, client):
+    client.read_u64(8)
+    client.cas(HES, 0, 5)
+    client.faa(3 * HES, 1)
+
+
+def _indirect_across_extents(cluster, client):
+    client.write_u64(0, 3 * HES)  # the pointer (extent 0) names extent 3
+    client.load0(0, 8)
+    client.faai(0, 8, 8)
+
+
+def _forward_mirrored_write(cluster, client):
+    table = cluster.fabric.extents
+    table.begin_migration(0, 2, MigrationWritePolicy.FORWARD)
+    table.advance_migration(0, 2048)
+    client.write(1024, b"\x02" * 2048)
+    assert table.forwards_total == 1
+
+
+def _fenced_write(cluster, client):
+    cluster.fabric.extents.begin_migration(0, 2, MigrationWritePolicy.FENCE)
+    with pytest.raises(StaleEpochError):
+        client.write(HES - 64, b"\x03" * 128)
+
+
+def _read_into_failed_node(cluster, client):
+    cluster.fabric.fail_node(1)
+    with pytest.raises(NodeUnavailableError):
+        client.read(HES - 8, HES + 16)  # extent 0 is read, extent 1 is down
+
+
+def _words_on_failed_node(cluster, client):
+    cluster.fabric.fail_node(1)
+    for op, args in (("read_u64", ()), ("faa", (1,)), ("cas", (0, 1))):
+        with pytest.raises(NodeUnavailableError):
+            getattr(client, op)(HES, *args)
+
+
+def _torn_write(cluster, client):
+    cluster.inject_faults(seed=1, plan=FaultPlan().torn_at(0))
+    with pytest.raises(FarTimeoutError, match="1096/8192"):
+        client.write(HES - 32, b"\x04" * 2 * HES)  # the prefix ends in extent 1
+
+
+def _refused_indirection(cluster, client):
+    client.write_u64(0, 3 * HES)
+    with pytest.raises(RemoteIndirectionError):
+        cluster.fabric.load0(0, 8)
+
+
+HEAT_POINTS = [
+    (_read_three_extents, {}, {0: 1, 1: 1, 2: 1}),
+    (_write_two_extents, {}, {1: 1, 2: 1}),
+    (_word_ops, {}, {0: 1, 1: 1, 3: 1}),
+    (_indirect_across_extents, {}, {0: 3, 3: 2}),
+    (_forward_mirrored_write, {}, {0: 1}),
+    (_fenced_write, {}, {}),
+    (_read_into_failed_node, {}, {0: 1}),
+    (_words_on_failed_node, {}, {1: 3}),
+    (_torn_write, {}, {0: 1, 1: 1}),
+    (_refused_indirection, {"indirection_policy": IndirectionPolicy.ERROR}, {0: 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, kwargs, heat", HEAT_POINTS, ids=[row[0].__name__[1:] for row in HEAT_POINTS]
+)
+def test_heat_is_counted_where_the_fabric_touches_a_node(scenario, kwargs, heat):
+    cluster, client = _heat_cluster(**kwargs)
+    scenario(cluster, client)
+    table = cluster.fabric.extents
+    seen = {extent: table.heat_of(extent) for extent in range(table.extent_count)}
+    assert {extent: count for extent, count in seen.items() if count} == heat

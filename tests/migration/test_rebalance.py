@@ -45,12 +45,12 @@ class TestPlan:
     def test_forward_source_node_preferred_over_spill(self):
         cluster, spare = cluster_with_headroom(nodes=3)
         table = cluster.fabric.extents
+        client = cluster.client()
         # Extent 0 (node 0) is hot, and node 2 keeps forwarding into it.
         for _ in range(32):
-            table.touch(0)
+            client.read(0, 8)
             table.note_forward(0, 2)
         # Node 2 must have headroom for the preference to bind directly.
-        client = cluster.client()
         cluster.migration.migrate_extent(client, table.extents_on_node(2)[0], spare)
         overloaded, moves = Rebalancer(cluster.migration, top_k=1).plan()
         assert overloaded == 0
@@ -61,10 +61,11 @@ class TestPlan:
     def test_full_prefer_node_evicts_coldest_first(self):
         cluster, spare = cluster_with_headroom(nodes=2)
         table = cluster.fabric.extents
+        client = cluster.client()
         for _ in range(32):
-            table.touch(0)
+            client.read(0, 8)
             table.note_forward(0, 1)  # node 1 forwards, but node 1 is full
-        table.touch(5)  # extent 5 on node 1 is warm; 4,6,7 are cold
+        client.read(5 * ES, 8)  # extent 5 on node 1 is warm; 4,6,7 are cold
         overloaded, moves = Rebalancer(cluster.migration, top_k=1).plan()
         assert [m.reason for m in moves] == ["evict", "heat"]
         evict, heat = moves
@@ -106,7 +107,7 @@ class TestRun:
 
 class TestRegistryHeat:
     """Registry mode: extent heat comes from the live telemetry plane
-    instead of the extent table's translate-time counters."""
+    instead of the extent table's own counts."""
 
     def _observed_client(self, cluster, name="observer"):
         from repro.obs import TelemetryRegistry, Tracer
@@ -123,8 +124,9 @@ class TestRegistryHeat:
             client.read(ES + 16, 8)
         # Make the two planes disagree: traffic no tracer saw heats
         # extent 2 past extent 1 in the table, never in the registry.
+        unobserved = cluster.client("unobserved")
         for _ in range(200):
-            cluster.fabric.extents.touch(2 * ES)
+            unobserved.read(2 * ES, 8)
         bare = Rebalancer(cluster.migration, top_k=1)
         assert [m.extent for m in bare.plan()[1]] == [2]  # table mode
         observed = Rebalancer(cluster.migration, top_k=1, registry=registry)
@@ -167,7 +169,8 @@ class TestRegistryHeat:
         client, registry = self._observed_client(cluster)
         for _ in range(32):
             client.read(ES + 16, 8)
-        for _ in range(200):  # unobserved: the table alone ranks extent 2 first
-            cluster.fabric.extents.touch(2 * ES)
+        unobserved = cluster.client("unobserved")
+        for _ in range(200):  # the table alone ranks extent 2 first
+            unobserved.read(2 * ES, 8)
         report = cluster.rebalance(client, top_k=1, registry=registry)
         assert [(m.extent, m.dst) for m in report.moves] == [(1, spare)]

@@ -146,6 +146,35 @@ class TestRegistryAccounting:
         )
         assert registry.extent_node(10**6) is None
 
+    @pytest.mark.parametrize(
+        "access, table_heat, registry_heat",
+        [
+            # One extent: the two planes count alike.
+            (lambda c, es: c.read(es + 16, 64), {1: 1}, {1: 1}),
+            # 8 KiB over extents 0-2: the table counts every segment, the
+            # registry only the extent the op named (its first).
+            (lambda c, es: c.read(es // 2, 2 * es), {0: 1, 1: 1, 2: 1}, {0: 1}),
+            # An indirect op: the pointer's extent and the target's, in both.
+            (lambda c, es: c.load0(0, 8), {0: 1, 3: 1}, {0: 1, 3: 1}),
+        ],
+        ids=["one_extent", "three_extents", "indirect"],
+    )
+    def test_registry_heat_credits_an_ops_first_and_target_extents(
+        self, access, table_heat, registry_heat
+    ):
+        cluster = Cluster(node_count=2, node_size=1 << 16, interleaved=True)
+        es = cluster.fabric.extents.extent_size
+        assert es == 4096
+        cluster.client("setup").write_u64(0, 3 * es)  # extent 0 points into extent 3
+        table = cluster.fabric.extents
+        before = {e: table.heat_of(e) for e in range(table.extent_count)}
+        client = cluster.client("observed")
+        registry = TelemetryRegistry().watch(client)
+        access(client, es)
+        seen = {e: table.heat_of(e) - before[e] for e in range(table.extent_count)}
+        assert {e: n for e, n in seen.items() if n} == table_heat
+        assert {e: registry.extent_heat(e) for e in registry.extent_ids()} == registry_heat
+
     def test_timeouts_and_retries_counted(self):
         from repro.fabric import FaultPlan, RetryPolicy
 

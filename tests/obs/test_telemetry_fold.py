@@ -270,3 +270,103 @@ def test_record_many_is_record_in_turn(runs):
     assert one_by_one.windows() == batched.windows()
     for window in batched.windows():
         assert _hist(one_by_one.window_hist(window)) == _hist(batched.window_hist(window))
+
+
+# -- The sink protocol, end to end -------------------------------------------
+#
+# One registry fed by two tracers through ``watch()``: client "own" brings its
+# own tracer, client "carried" rides the registry's carrier. Their real far
+# accesses interleave, bursts of timeouts fire the SLO monitor from inside a
+# window advance, and a second listener logs every call it gets. The values
+# below were recorded before sinks were fed as data; the digest covers every
+# series (totals, per-window values, histogram samples).
+
+
+class _Calls:
+    def __init__(self):
+        self.calls = []
+
+    def on_window_advance(self, registry, client, ts_ns):
+        self.calls.append((client.name, ts_ns))
+
+
+def _two_tracer_run():
+    Client.reset_ids()
+    cluster = Cluster(node_count=2, node_size=1 << 16, interleaved=True)
+    es = cluster.fabric.extents.extent_size
+    own, carried = cluster.client("own"), cluster.client("carried")
+    tracer = Tracer()
+    tracer.attach(own)
+    registry = TelemetryRegistry(window_ns=2_000, ring_windows=4).watch(own).watch(carried)
+    objective = SLObjective(
+        name="timeouts", budget=0.05, bad_metric="timeouts",
+        total_metrics=("far_accesses", "timeouts"), long_windows=2,
+    )  # fmt: skip
+    monitor = SLOMonitor(registry, (objective,))
+    listener = _Calls()
+    registry.add_listener(listener)
+    carried.clock.advance(1_500)
+    for step in range(40):
+        client = (own, carried)[step % 2]
+        extent = step % 5
+        if step % 4 == 0:
+            client.write(extent * es + 8 * step, bytes([step]) * 24)
+        elif step % 4 == 1:
+            client.read(extent * es + es - 8, 16)  # two extents
+        else:
+            client.faa(extent * es, step)
+        client.clock.advance(400 * (step % 5))
+        if step % 11 == 4:
+            for _ in range(3):
+                client._tracer.emit(client, "timeout", **_payload("timeout", step, 1))
+    return cluster, registry, tracer, monitor, listener
+
+
+def _series_digest(registry):
+    import hashlib
+
+    seen = (
+        [(s, n, x.total, x.windows()) for s, n, x in registry.counters()],
+        [(s, n, x.value, x.ts_ns, x.windows()) for s, n, x in registry.gauges()],
+        [
+            (s, n, _hist(r.total), [(w, _hist(r.window_hist(w))) for w in r.windows()])
+            for s, n, r in registry.histograms()
+        ],
+        registry.current_window,
+        registry.last_ts_ns,
+    )
+    return hashlib.sha256(repr(seen).encode()).hexdigest()[:16]
+
+
+def test_two_tracers_feed_one_registry_in_emission_order():
+    cluster, registry, tracer, monitor, listener = _two_tracer_run()
+    assert _series_digest(registry) == "0aa8c3b77a18f03a"
+    assert {e: registry.extent_heat(e) for e in registry.extent_ids()} == dict.fromkeys(range(5), 8)
+    assert listener.calls == [
+        ("carried", 2500.0), ("own", 5400.0), ("carried", 6100.0), ("carried", 8900.0),
+        ("own", 10000.0), ("carried", 12900.0), ("carried", 14100.0), ("carried", 16100.0),
+        ("own", 18000.0), ("carried", 20500.0), ("carried", 23100.0), ("carried", 24100.0),
+        ("carried", 26900.0), ("own", 28000.0), ("carried", 30900.0), ("carried", 32100.0),
+        ("carried", 34100.0),
+    ]  # fmt: skip
+    # Each alert fired inside an advance, was emitted right after the event
+    # that advanced the window, joined the next batch and was folded once.
+    assert [(alert.client, alert.ts_ns) for alert in monitor.alerts] == [
+        ("carried", 6100.0), ("carried", 16100.0), ("carried", 26900.0)
+    ]
+    positions = [i for i, e in enumerate(registry._carrier.events) if e.kind == "slo_alert"]
+    assert positions == [6, 22, 35] and tracer.events_by_kind("slo_alert") == []
+    assert registry.counter_total(("fleet",), "slo_alerts") == 3
+
+
+def test_remove_sink_detaches_the_registry_from_both_tracers():
+    cluster, registry, tracer, monitor, listener = _two_tracer_run()
+    own, carried = cluster.clients
+    before = _series_digest(registry)
+    tracer.remove_sink(registry)
+    registry._carrier.remove_sink(registry)
+    for client in (own, carried):
+        client.read(0, 8)
+        client.clock.advance(10_000)
+        client.read(8, 8)
+    assert _series_digest(registry) == before
