@@ -208,13 +208,10 @@ class LayerRule(Rule):
     legal: tuple[str, ...]
 
 
-#: Atomics FM010 watches on txn version words: the lock CAS, the
-#: indirect add family, and the zero-delta validation FAA.
-_TXN_VERSION_ATOMICS = frozenset({"cas", "saai", "fsaai", "faa"})
-
-#: Client read-family ops FM006 watches: these return far bytes (or a
-#: word decoded from them) without consulting any checksum.
-_UNVERIFIED_READ_OPS = frozenset({"read", "read_u64", "rscatter", "rgather"})
+#: FM010's policy: the atomics that write the word at their own address (the
+#: lock CAS, the validation FAA, ``*aai``'s bump). No row flag says so:
+#: ``add0``–``add2`` are atomic too but modify the pointee.
+_TXN_VERSION_ATOMICS = frozenset({"cas", "faa", "swap", "faai", "saai", "fsaai"})
 
 _FM007 = LayerRule(
     "FM007",
@@ -255,7 +252,10 @@ LAYERING: tuple[LayerRule, ...] = (
         "unchecked bytes; corruption and torn writes flow through "
         "silently — use read_verified() or the region's read_block()",
         receiver="client",
-        calls=_UNVERIFIED_READ_OPS,
+        # The plain reads: far bytes (or a word) back with no checksum consulted.
+        calls=frozenset(
+            r.name for r in FAR_OPS.values() if r.reads and not (r.atomic or r.indirect)
+        ),
         address=_mentions_replica,
         # Legal nowhere: even the fabric reads replicas only verified.
         legal=(),

@@ -102,16 +102,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-# What Client._issue hands a guarded or observed op's fabric method: the
-# segments of its first range, or else the Location of its word — except to
-# those that translate for themselves: load1 / store1 / add1 dereference
-# ``ad + index``, rscatter / wgather have no caller in the structures, and
-# write_word keeps the (address, value) signature tests hook in place.
-_RANGES = frozenset({"read", "write", "rgather", "wscatter"})
-_IOVECS = frozenset({"rgather", "wscatter"})
-_SELF_TRANSLATING = frozenset({"write_word", "load1", "store1", "add1", "rscatter", "wgather"})
-
-
 class _Batch:
     """The scope Client.batch returns."""
 
@@ -548,8 +538,8 @@ class Client:
 
         Every virtually addressed op funnels through here. The flow per
         attempt is: circuit-breaker gate → fault-injection check (operation
-        boundary, so a timeout has no memory-side effects; the fault kind
-        is ``row.fabric``) → the fabric call. Transient failures
+        boundary, so a timeout has no memory-side effects; a TORN rule
+        applies only when ``row.tears``) → the fabric call. Transient failures
         (:class:`FarTimeoutError`, and :class:`NodeUnavailableError` from
         fail-stop nodes) charge the timeout-detection interval plus
         exponential backoff *to the operation's own window contribution*
@@ -574,8 +564,8 @@ class Client:
 
         The home node is the op's own translation: unless the client is
         bare (no policy, tracer or injector), the address is translated
-        here, once, and handed to the op (see ``_RANGES``). Nothing is
-        cached across ops, so a remap between two ops is always seen.
+        here, once, as ``row.shape`` says, and handed to the op. Nothing
+        is cached across ops, so a remap between two ops is always seen.
 
         Breaker cooldowns compare against the client's clock as of the
         last doorbell; charges still in the open window are invisible to
@@ -586,18 +576,19 @@ class Client:
         tracer = self._tracer
         policy = self.retry_policy
         unguarded = policy is None and self.breaker_policy is None
-        kind = row.fabric
+        kind = row.fabric  # the torn_write event's op
         node = None  # the home node; a bare client never needs it
         if not (unguarded and tracer is None and fabric.fault_injector is None):
             # One translation: its node is the guards' and the tracer's.
             extents = fabric.extents
-            if kind in _RANGES:
-                iovec = kind in _IOVECS and args[0]
+            shape = row.shape
+            if shape == "word" or shape == "indexed":
+                at = home = extents.locate(address)
+            else:  # a range, or an iovec's first entry
+                iovec = shape == "iovec" and args[0]
                 at = extents.split(address, iovec[0][1] if iovec else nbytes_read + nbytes_written)
                 home = at[0][0] if at else extents.locate(address)
-            else:
-                at = home = extents.locate(address)
-            if kind not in _SELF_TRANSLATING:
+            if shape != "indexed":
                 args += (at,)
             node = home.node
         try:
@@ -606,7 +597,7 @@ class Client:
             elif unguarded:
                 try:
                     if fabric.fault_injector is not None:
-                        fabric.fault_check(node, address, kind)
+                        fabric.fault_check(node, address, row.tears)
                     result = op(*args)
                 except FarTimeoutError as err:
                     if tracer is not None and err.torn:
@@ -641,7 +632,7 @@ class Client:
                             )
                     try:
                         if fabric.fault_injector is not None:
-                            fabric.fault_check(node, address, kind)
+                            fabric.fault_check(node, address, row.tears)
                         result = op(*args)
                     except FarTimeoutError as err:
                         self.metrics.timeouts += 1

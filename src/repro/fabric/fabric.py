@@ -154,7 +154,7 @@ class Fabric(FarPrimitivesMixin):
         """Attach (or detach, with ``None``) a transient-fault injector."""
         self.fault_injector = injector
 
-    def fault_check(self, node: int, address: int, kind: Optional[str] = None) -> None:
+    def fault_check(self, node: int, address: int, tears: bool = False) -> None:
         """Consult the fault injector at one operation boundary.
 
         Clients call this once per one-sided op (``node`` is the node
@@ -166,8 +166,8 @@ class Fabric(FarPrimitivesMixin):
         when a fault fires; latency spikes instead accumulate a pending
         multiplier read back via :meth:`consume_fault_latency`.
 
-        ``kind`` names the fabric method about to run (``"write"``,
-        ``"read"``, ...) so TORN rules match only multi-word writes. A
+        ``tears`` says the op about to run can tear (its row's ``tears``
+        flag: the multi-word writes), so TORN rules match only those. A
         CORRUPT rule that fires rots stored bytes near ``address`` here,
         silently, before the op body runs — so the op observes (or
         overwrites) the corruption exactly as real hardware would.
@@ -175,7 +175,7 @@ class Fabric(FarPrimitivesMixin):
         injector = self.fault_injector
         if injector is None:
             return
-        injector.before_access(node, address, kind)
+        injector.before_access(node, address, tears)
         flips = injector.take_corruption()
         if flips:
             total = self.extents.virtual_size
@@ -320,9 +320,10 @@ class Fabric(FarPrimitivesMixin):
         """Read one aligned word (always within a single node)."""
         return self._read_word_at(address, location or self.extents.locate(address))
 
-    def write_word(self, address: int, value: int) -> None:
+    def write_word(self, address: int, value: int, location: Optional[Location] = None) -> None:
         """Write one aligned word."""
-        self._atomic_at(address, self.extents.locate(address), MemoryNode.write_word, value)
+        location = location or self.extents.locate(address)
+        self._atomic_at(address, location, MemoryNode.write_word, value)
 
     def compare_and_swap(
         self, address: int, expected: int, new: int, location: Optional[Location] = None

@@ -11,7 +11,7 @@ the mess, reproducibly:
   client sees :class:`~repro.fabric.errors.FarTimeoutError`. Injection
   happens at the *operation boundary*, before the memory node executes
   anything, so a timed-out op has no side effects and retrying it is
-  always safe (even for ``faai``/``saai``/CAS).
+  always safe (even for the non-idempotent atomics).
 * **Latency spikes** — the operation completes, but its simulated-time
   charge is multiplied (congestion, retransmission at a lower layer).
 * **Flaky windows** — a node drops *every* operation for the next N
@@ -24,9 +24,9 @@ the mess, reproducibly:
 * **Torn writes** — a multi-word write applies only a word-aligned
   prefix before the fabric loses the request; the client sees a timeout
   (with ``torn=True``), but unlike a plain request drop the far bytes
-  are now neither old nor new. Fires only for the multi-word write ops
-  (``write``/``wscatter``/``wgather``): single-word stores and atomics
-  are fabric-atomic and cannot tear.
+  are now neither old nor new. Fires only for the ops whose op-table
+  row sets ``tears`` (the multi-word writes): single-word stores and
+  atomics are fabric-atomic and cannot tear.
 
 All randomness comes from one seeded :class:`random.Random`, consumed in
 a fixed per-access order, so a (seed, workload) pair replays the exact
@@ -56,11 +56,6 @@ CORRUPT = "corrupt"
 TORN = "torn"
 
 _KINDS = (TIMEOUT, LATENCY, FLAKY, CORRUPT, TORN)
-
-#: Operation kinds a TORN rule can tear: multi-word writes only. Word
-#: stores and atomics execute atomically at the node and cannot apply a
-#: partial prefix; reads have nothing to tear.
-TORN_KINDS = frozenset({"write", "wscatter", "wgather"})
 
 
 @dataclass(frozen=True)
@@ -328,20 +323,17 @@ class FaultInjector:
     # The injection point
     # ------------------------------------------------------------------
 
-    def before_access(
-        self, node: int, address: int, kind: Optional[str] = None
-    ) -> None:
+    def before_access(self, node: int, address: int, tears: bool = False) -> None:
         """Called by the fabric at each operation boundary.
 
         May raise :class:`FarTimeoutError`; never mutates far memory
         directly — corruption and tearing are recorded as *pending* state
         the fabric consumes via :meth:`take_corruption` /
-        :meth:`take_torn_fraction` while executing the op. ``kind`` names
-        the fabric method being issued (``"write"``, ``"read"``,
-        ``"fetch_add"``, ...); TORN rules only match kinds in
-        :data:`TORN_KINDS`. The RNG is consumed in a fixed order (one
-        draw per probabilistic rule per access, plus the fired rule's own
-        draws) so fault sequences replay exactly.
+        :meth:`take_torn_fraction` while executing the op. ``tears`` is the
+        op's row flag (a multi-word write); TORN rules match only such ops.
+        The RNG is consumed in a fixed order (one draw per probabilistic
+        rule per access, plus the fired rule's own draws) so fault
+        sequences replay exactly.
         """
         # Pending effects from a previous access that never executed (its
         # request was dropped by another rule) die with that request.
@@ -361,8 +353,8 @@ class FaultInjector:
 
         drop: Optional[str] = None
         for rule in self.rules:
-            if rule.kind == TORN and kind not in TORN_KINDS:
-                continue  # nothing to tear: no draw, kind is workload-fixed
+            if rule.kind == TORN and not tears:
+                continue  # nothing to tear: no draw, the op is workload-fixed
             if not rule.matches(op, node, address):
                 continue
             hit = rule.probability >= 1.0 or self.rng.random() < rule.probability

@@ -299,13 +299,15 @@ class FarPrimitivesMixin:
     # Scatter / gather (section 4.2)
     # ------------------------------------------------------------------
 
-    def rscatter(self, ad: int, lengths: Sequence[int]) -> FabricResult:
+    def rscatter(
+        self, ad: int, lengths: Sequence[int], segments: Optional[Segments] = None
+    ) -> FabricResult:
         """Read the far range at ``ad``, scattering into local buffers of
         the given ``lengths``. One far access regardless of buffer count."""
         total = sum(lengths)
         if any(n < 0 for n in lengths):
             raise AddressError(ad, total, "negative buffer length")
-        result = self.read(ad, total)
+        result = self.read(ad, total, segments)
         data = result.value
         buffers: list[bytes] = []
         cursor = 0
@@ -348,7 +350,9 @@ class FarPrimitivesMixin:
             cursor += length
         return FabricResult(segments=count or 1)
 
-    def wgather(self, ad: int, buffers: Sequence[bytes]) -> FabricResult:
+    def wgather(
+        self, ad: int, buffers: Sequence[bytes], segments: Optional[Segments] = None
+    ) -> FabricResult:
         """Gather local buffers into one contiguous far range at ``ad``."""
-        result = self.write(ad, b"".join(bytes(b) for b in buffers))
+        result = self.write(ad, b"".join(bytes(b) for b in buffers), segments)
         return FabricResult(segments=result.segments)

@@ -704,14 +704,24 @@ class TestFM010:
         assert [f.code for f in findings] == ["FM010"]
         assert "TxnSpace" in findings[0].message
 
-    def test_flags_saai_and_faa_variants(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "cas(version_word, 0, 1)",
+            "faa(version_word, 2)",
+            "swap(version_word, 9)",
+            "faai(version_word, 8, 8)",
+            "saai(version_word, 8, b'x')",
+            "fsaai(version_word, 8, b'x')",
+        ],
+    )
+    def test_flags_every_atomic_that_writes_its_own_word(self, call):
         assert _codes(
-            """
+            f"""
             def bump(client, version_word):
-                client.faa(version_word, 2)
-                client.saai(version_word, 8, 1)
+                client.{call}
             """
-        ) == ["FM010", "FM010"]
+        ) == ["FM010"]
 
     def test_flags_submitted_atomic(self):
         assert _codes(

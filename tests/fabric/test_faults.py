@@ -14,7 +14,13 @@ from repro.fabric import (
     FaultInjector,
     FaultPlan,
     FaultRule,
+    IndirectionPolicy,
+    NodeUnavailableError,
 )
+from repro.fabric.ops import FAR_OPS
+from repro.fabric.wire import WORD
+
+from .test_pipeline import ARGS, _scenario
 
 NODE_SIZE = 8 << 20
 
@@ -296,19 +302,23 @@ class TestTornWrites:
         assert prefix % 8 == 0
         assert injector.stats.torn_writes_injected == 1
 
-    def test_torn_rules_skip_non_write_kinds(self, cluster):
-        """A TORN rule never matches reads/atomics — and crucially draws
-        no RNG for them, so the schedule is workload-kind independent."""
-        addr = cluster.allocator.alloc(64)
-        injector = cluster.inject_faults(
-            seed=2, plan=FaultPlan().random_torn(1.0)
-        )
-        c = raw_client(cluster)
-        assert c.read_u64(addr) == 0
-        c.faa(addr, 1)
-        assert injector.stats.torn_writes_injected == 0
-        with pytest.raises(FarTimeoutError):
-            c.write(addr, b"\x01" * 16)
+    @pytest.mark.parametrize("name", list(FAR_OPS))
+    def test_torn_rules_match_exactly_the_rows_that_tear(self, name):
+        """A TORN rule tears a row only when its ``tears`` flag is set — and
+        crucially draws no RNG for any other, so the schedule is
+        workload-kind independent."""
+        cluster, _, memory = _scenario(IndirectionPolicy.FORWARD)
+        injector = cluster.inject_faults(seed=2, plan=FaultPlan().random_torn(1.0))
+        state = injector.rng.getstate()
+        call = getattr(raw_client(cluster), name)
+        if FAR_OPS[name].tears:
+            with pytest.raises(FarTimeoutError) as excinfo:
+                call(*ARGS[name](memory))
+            assert excinfo.value.torn
+        else:
+            call(*ARGS[name](memory))
+            assert injector.rng.getstate() == state
+            assert injector.stats.torn_writes_injected == 0
 
     def test_retry_heals_the_tear(self, cluster):
         """The client's normal retry ladder repairs a torn write: the
@@ -410,3 +420,34 @@ class TestInjectorPlumbing:
         assert injector.stats.checks == 2
         assert injector.stats.spikes_injected == 2
         assert injector.stats.faults_injected == 2
+
+
+class TestIndexedOpsHomeNode:
+    """Known defect: ``load1`` / ``store1`` / ``add1`` read their pointer at
+    ``ad + index``, but ``Client._issue`` takes the guards' home node from
+    ``ad``. Put ``ad`` on node 0's last word and the pointer on node 1."""
+
+    AD = NODE_SIZE - WORD  # node 0's last word; ``AD + WORD`` is node 1's first
+
+    def _cluster(self):
+        cluster = Cluster(node_count=2, node_size=NODE_SIZE)
+        fabric = cluster.fabric
+        assert (fabric.node_of(self.AD), fabric.node_of(self.AD + WORD)) == (0, 1)
+        raw_client(cluster).write_u64(self.AD + WORD, self.AD + 2 * WORD)
+        return cluster
+
+    @pytest.mark.xfail(strict=True, reason="known defect: guarded on ad's node, not ad + index's")
+    def test_a_rule_on_the_pointers_node_drops_the_op(self):
+        cluster = self._cluster()
+        cluster.inject_faults(seed=1, plan=FaultPlan().timeout_at(0, node=1, count=100))
+        with pytest.raises(FarTimeoutError):
+            raw_client(cluster).load1(self.AD, WORD, WORD)
+
+    @pytest.mark.xfail(strict=True, reason="known defect: guarded on ad's node, not ad + index's")
+    def test_a_failed_pointer_node_is_charged_to_its_own_breaker(self):
+        cluster = self._cluster()
+        cluster.fabric.fail_node(1)
+        client = cluster.client(retry_policy=None)
+        with pytest.raises(NodeUnavailableError):
+            client.load1(self.AD, WORD, WORD)
+        assert set(client.breakers) == {1}

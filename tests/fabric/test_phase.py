@@ -185,9 +185,9 @@ def test_a_phase_inside_an_op_folds_into_it(monkeypatch):
         seen = []
         write_word = client.fabric.write_word
 
-        def hooked(address, value):
+        def hooked(*args):
             seen.append(_shown(post(client, "read", calls + [(1 << 60, 8)], capture=True)))
-            return write_word(address, value)
+            return write_word(*args)
 
         monkeypatch.setattr(client.fabric, "write_word", hooked)
         parked = client.submit("read_u64", base)  # the phase must not ring it

@@ -16,7 +16,7 @@ import repro
 from repro import Cluster
 from repro.alloc import on_node
 from repro.analysis import fmlint
-from repro.fabric import Client, Fabric, FaultPlan, IndirectionPolicy, faults
+from repro.fabric import Client, Fabric, FaultPlan, IndirectionPolicy
 from repro.fabric import client as client_module
 from repro.fabric.errors import AddressError, ClientDeadError
 from repro.fabric.ops import FAR_OPS, WORD_OPS
@@ -524,20 +524,21 @@ class TestOpTable:
             assert named == {row.fabric}, name
 
     @pytest.mark.parametrize("name", list(FAR_OPS))
-    def test_each_row_fault_checks_its_fabric_kind(self, name, monkeypatch):
+    def test_each_virtual_row_fault_checks_once_with_its_tears_flag(self, name, monkeypatch):
         cluster, client, memory = _scenario(IndirectionPolicy.FORWARD)
         injector = cluster.inject_faults(plan=FaultPlan())
-        kinds = []
+        seen = []
         before_access = injector.before_access
 
-        def recorded(node, address, kind=None):
-            kinds.append(kind)
-            before_access(node, address, kind)
+        def recorded(node, address, tears=False):
+            seen.append(tears)
+            before_access(node, address, tears)
 
         monkeypatch.setattr(injector, "before_access", recorded)
         getattr(client, name)(*ARGS[name](memory))
-        # write_phys is physically addressed: no fault rule can name its slot.
-        assert kinds == ([] if name == "write_phys" else [FAR_OPS[name].fabric])
+        # A physical row has no virtual address: no fault rule can name its slot.
+        row = FAR_OPS[name]
+        assert seen == ([] if row.shape == "physical" else [row.tears])
 
     def test_keyword_arguments_still_reach_a_sync_op(self):
         _, client, memory = _scenario(IndirectionPolicy.FORWARD)
@@ -547,12 +548,29 @@ class TestOpTable:
         assert set(WORD_OPS.values()) <= set(FAR_OPS)
         assert all(inspect.isfunction(vars(Client)[name]) for name in WORD_OPS)
 
-    def test_rule_policy_sets_are_subsets_of_the_table(self):
-        atomic = {op.name for op in FAR_OPS.values() if op.atomic}
-        reads = {op.name for op in FAR_OPS.values() if op.reads}
-        assert fmlint._TXN_VERSION_ATOMICS <= atomic
-        assert fmlint._UNVERIFIED_READ_OPS <= reads
-        assert faults.TORN_KINDS <= {op.fabric for op in FAR_OPS.values() if op.writes}
+    @pytest.mark.parametrize("name", list(FAR_OPS))
+    def test_row_shape_matches_its_fabric_methods_signature(self, name):
+        """A guarded client hands a ``word`` op its ``location`` and a
+        ``range`` / ``iovec`` op its ``segments``; the others take neither."""
+        row = FAR_OPS[name]
+        expected = {
+            "word": {"location"},
+            "range": {"segments"},
+            "iovec": {"segments"},
+            "indexed": set(),
+            "physical": set(),
+        }[row.shape]
+        params = inspect.signature(getattr(Fabric, row.fabric)).parameters
+        assert {"segments", "location"} & set(params) == expected, row
+
+    @pytest.mark.parametrize("name", [name for name, row in FAR_OPS.items() if row.tears])
+    def test_only_plain_multi_word_writes_tear(self, name):
+        row = FAR_OPS[name]
+        assert row.writes and not (row.atomic or row.indirect), row
+        assert row.shape in ("range", "iovec"), row
+
+    def test_fm010_watches_only_atomic_rows(self):
+        assert fmlint._TXN_VERSION_ATOMICS <= {op.name for op in FAR_OPS.values() if op.atomic}
 
     @pytest.mark.parametrize("module", ["repro.analysis.fmlint", "repro.fabric"])
     def test_either_side_imports_first_in_a_fresh_interpreter(self, module):
@@ -634,10 +652,10 @@ class TestSyncCallsAreWindowEntries:
         nested = []
         write_word = client.fabric.write_word
 
-        def hooked(address, value):
+        def hooked(*args):
             nested.append(client.submit("read_u64", a + WORD))
             nested.append(client.submit("read_u64", 1 << 60))
-            return write_word(address, value)
+            return write_word(*args)
 
         monkeypatch.setattr(client.fabric, "write_word", hooked)
         client.write_u64(a, 1)

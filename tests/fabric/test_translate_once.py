@@ -6,14 +6,16 @@ table is pure host overhead. These tests count entries into
 for one op each and pin them: one per plain op, pointer word + target for an
 indirect op, one per iovec entry — and no more when something that needs the
 op's home node (retry/breaker policy, tracer, fault injector) is attached:
-the client translates once and hands the op that translation (at most one
-more lookup until the guards' home node came from the op's own translation).
+the client translates once and hands the op that translation. Only an
+``indexed`` row (its pointer is at ``ad + index``) translates for itself and
+pays one more lookup for the guards' home node.
 """
 
 import pytest
 
 from repro import Cluster
 from repro.fabric.extent import ExtentTable
+from repro.fabric.ops import FAR_OPS
 from repro.fabric.wire import WORD
 from repro.obs import Tracer
 
@@ -39,16 +41,16 @@ OPS = {
     "add0": (lambda c, m: c.add0(m["p"], 1), 2),
     "add2": (lambda c, m: c.add2(m["p"], 1, 8), 2),
     "fsaai": (lambda c, m: c.fsaai(m["p"], 0, PAYLOAD), 3),
+    "load1": (lambda c, m: c.load1(m["p"] - WORD, WORD, 24), 2),
+    "store1": (lambda c, m: c.store1(m["p"] - WORD, WORD, PAYLOAD), 2),
+    "add1": (lambda c, m: c.add1(m["p"] - WORD, 1, WORD), 2),
+    "rscatter": (lambda c, m: c.rscatter(m["a"], [8, 16]), 1),
     "rgather": (lambda c, m: c.rgather([(m["a"], 8), (m["b"], 16), (m["t"], 8)]), 3),
     "wscatter": (lambda c, m: c.wscatter([(m["a"], 8), (m["b"], 16)], PAYLOAD), 2),
+    "wgather": (lambda c, m: c.wgather(m["a"], [b"x" * 8, b"y" * 16]), 1),
 }
 EXACT = set(OPS) - {"fsaai"}  # fsaai is pinned as an upper bound
-INDIRECT = {"load0", "load2", "store0", "store2", "faai", "saai", "add0", "add2"}
-# Ops that translate for themselves on a guarded or observed client, so the
-# guards' home node costs one more lookup. ``write_u64``: its fabric method
-# keeps the (address, value) signature that test_pipeline.py's nested
-# submission test hooks in place.
-SELF_TRANSLATING = {"write_u64"}
+INDIRECT = {name for name in EXACT if FAR_OPS[name].indirect}
 
 
 @pytest.fixture
@@ -129,13 +131,18 @@ def _with_everything(cluster):
     "attach", [_with_policies, _with_tracer, _with_injector, _with_everything]
 )
 @pytest.mark.parametrize("op", sorted(OPS))
-def test_observers_and_guards_share_one_extra_lookup(lookups, op, attach):
-    """The one lookup they share is the op's own (an extra one before)."""
+def test_observers_and_guards_share_the_ops_own_lookup(lookups, op, attach):
+    """The lookup they share is the op's own, except for an indexed row,
+    which translates for itself (its pointer is at ``ad + index``)."""
     cluster, memory = _cluster()
     client = attach(cluster)
     call, pinned = OPS[op]
     seen = _count(lookups, call, client, memory)
-    assert seen["locate"] + seen["split"] <= pinned + (op in SELF_TRANSLATING), seen
+    extra = FAR_OPS[op].shape == "indexed"
+    if op in EXACT:
+        assert seen["locate"] + seen["split"] == pinned + extra, seen
+    else:
+        assert seen["locate"] + seen["split"] <= pinned + extra, seen
 
 
 def test_sub_word_indirect_transfer_is_the_one_re_split(lookups):
