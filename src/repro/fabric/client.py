@@ -42,7 +42,10 @@ with the synchronous API as a thin veneer:
   — so a retried future overlaps the rest of its window instead of
   stalling it — and fails fast per memory node via a circuit breaker
   once failures persist. Pass ``retry_policy=None`` /
-  ``breaker_policy=None`` to disable either layer.
+  ``breaker_policy=None`` to disable either layer; with both ``None``, an
+  attached tracer or fault injector still runs the same ladder with one
+  attempt and no breaker, so a failed attempt costs the same on every
+  client.
 
 Clients also own a notification inbox; the notification subsystem
 (:mod:`repro.notify`) delivers into it and :meth:`poll_notifications`
@@ -152,9 +155,8 @@ class Client:
         self.cq = CompletionQueue(self)
         self._inbox: deque = deque()
         # The open overlap window: one (op, charge_ns, span_id, future)
-        # entry per posting awaiting the doorbell. ``future`` is None for
-        # a synchronous call; ``op`` is None for a bare latency charge
-        # made inside a batch scope.
+        # entry per operation awaiting the doorbell. ``future`` is None
+        # for a synchronous call or a phase's call.
         self._window: list[tuple] = []
         self._batch_depth = 0
         # The operation currently executing and the latency charged to it
@@ -247,14 +249,11 @@ class Client:
         Inside an executing operation the charge folds into that
         operation's window contribution (this is what lets a retried op's
         timeout + backoff ladder overlap its window peers — see the
-        retry/batch accounting note in :meth:`_issue`). A bare charge
-        inside a batch scope becomes its own window entry; otherwise the
-        clock advances immediately.
+        retry/batch accounting note in :meth:`_issue`). Outside one, the
+        clock advances at once: the window holds only operations.
         """
         if self._op is not None:
             self._charge += ns
-        elif self._batch_depth > 0:
-            self._window.append((None, ns, None, None))
         else:
             self.clock.advance(ns)
 
@@ -522,9 +521,7 @@ class Client:
     # Retry / circuit-breaker machinery
     # ------------------------------------------------------------------
 
-    def _breaker_for(self, node: int) -> Optional[CircuitBreaker]:
-        if self.breaker_policy is None:
-            return None
+    def _breaker_for(self, node: int) -> CircuitBreaker:
         breaker = self.breakers.get(node)
         if breaker is None:
             breaker = self.breakers[node] = CircuitBreaker(node, self.breaker_policy)
@@ -536,7 +533,13 @@ class Client:
         """Run one far op of ``row`` — ``op(*args)``, the fabric method its
         body names — and account for it; returns what the fabric returned.
 
-        Every virtually addressed op funnels through here. The flow per
+        Every virtually addressed op funnels through here and takes one of
+        two paths. A bare client (no retry or breaker policy, no tracer, no
+        injector) calls ``op(*args)`` and nothing else, charging
+        ``timeout_ns`` before it re-raises a failed node's
+        :class:`NodeUnavailableError`. Every other client runs the guard
+        ladder below, with one attempt when it has no retry policy and no
+        breaker when it has no breaker policy. The flow per
         attempt is: circuit-breaker gate → fault-injection check (operation
         boundary, so a timeout has no memory-side effects; a TORN rule
         applies only when ``row.tears``) → the fabric call. Transient failures
@@ -563,9 +566,9 @@ class Client:
         completes it directly (:meth:`_complete_pending`).
 
         The home node is the op's own translation: unless the client is
-        bare (no policy, tracer or injector), the address is translated
-        here, once, as ``row.shape`` says, and handed to the op. Nothing
-        is cached across ops, so a remap between two ops is always seen.
+        bare, the address is translated here, once, as ``row.shape`` says,
+        and handed to the op. Nothing is cached across ops, so a remap
+        between two ops is always seen.
 
         Breaker cooldowns compare against the client's clock as of the
         last doorbell; charges still in the open window are invisible to
@@ -575,10 +578,13 @@ class Client:
         fabric = self.fabric
         tracer = self._tracer
         policy = self.retry_policy
-        unguarded = policy is None and self.breaker_policy is None
-        kind = row.fabric  # the torn_write event's op
         node = None  # the home node; a bare client never needs it
-        if not (unguarded and tracer is None and fabric.fault_injector is None):
+        if not (
+            policy is None
+            and self.breaker_policy is None
+            and tracer is None
+            and fabric.fault_injector is None
+        ):
             # One translation: its node is the guards' and the tracer's.
             extents = fabric.extents
             shape = row.shape
@@ -593,31 +599,23 @@ class Client:
             node = home.node
         try:
             if node is None:
-                result = op(*args)  # the op translates for itself
-            elif unguarded:
                 try:
-                    if fabric.fault_injector is not None:
-                        fabric.fault_check(node, address, row.tears)
-                    result = op(*args)
-                except FarTimeoutError as err:
-                    if tracer is not None and err.torn:
-                        tracer.emit(
-                            self, "torn_write", op=kind, node=err.node, addr=address, attempt=1
-                        )
+                    result = op(*args)  # the op translates for itself
+                except NodeUnavailableError:
+                    self._advance(self.cost_model.timeout_ns)  # the one-attempt ladder's charge
                     raise
             else:
-                breaker = self._breaker_for(node)
+                breaker = None if self.breaker_policy is None else self._breaker_for(node)
                 if breaker is not None and not breaker.allow(self.clock.now_ns):
                     self.metrics.breaker_rejections += 1
                     if tracer is not None:
                         tracer.emit(self, "breaker_reject", node=node)
                     raise CircuitOpenError(node, address)
                 attempts = policy.max_attempts if policy is not None else 1
-                token = (self.client_id << 48) ^ address
                 last: Optional[Exception] = None
                 for attempt in range(1, attempts + 1):
                     if attempt > 1:
-                        backoff = policy.backoff_ns(attempt - 1, token)
+                        backoff = policy.backoff_ns(attempt - 1, (self.client_id << 48) ^ address)
                         self.metrics.retries += 1
                         self.metrics.backoff_ns += int(backoff)
                         self._advance(backoff)
@@ -644,7 +642,7 @@ class Client:
                             tracer.emit(
                                 self,
                                 "torn_write",
-                                op=kind,
+                                op=row.fabric,
                                 node=node,
                                 addr=address,
                                 attempt=attempt,

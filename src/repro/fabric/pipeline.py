@@ -166,9 +166,8 @@ class CompletionQueue:
     # -- caller API ------------------------------------------------------
 
     def outstanding(self) -> int:
-        """Submissions issued but not yet completed (current window size;
-        bare latency charges parked by a batch scope are not operations)."""
-        return sum(1 for entry in self._client._window if entry[0] is not None)
+        """Submissions issued but not yet completed (current window size)."""
+        return len(self._client._window)
 
     def ready(self) -> int:
         """Completions waiting to be reaped."""

@@ -56,8 +56,8 @@ EVENTS: dict[str, EventKind] = {
     ),
     "window": _kind(
         "One doorbell: the open submission window was charged. ``ops`` "
-        "lists its member operations as ``{op, charge_ns, span_id}``; "
-        "``n`` also counts bare charges; ``reason`` says why the doorbell "
+        "lists its member operations as ``{op, charge_ns, span_id}`` and "
+        "``n`` counts them; ``reason`` says why the doorbell "
         "rang (stall / batch / fence / reap / drain).",
         "start_ns charged_ns serial_ns saved_ns reason n ops",
     ),

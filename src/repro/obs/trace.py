@@ -436,16 +436,15 @@ class Tracer:
         entry: Optional[tuple] = None,
     ) -> None:
         """``window`` is the flushed ``(op, charge_ns, span_id, future)``
-        entries, or ``entry`` alone; a bare charge (``op`` None) counts in ``n`` only."""
+        entries, or ``entry`` alone."""
         if entry is None:
             ops = [
                 {"op": op, "charge_ns": charge, "span_id": span_id}
                 for op, charge, span_id, _ in window
-                if op is not None
             ]
         else:
             op, charge, span_id, _ = entry
-            ops = [] if op is None else [{"op": op, "charge_ns": charge, "span_id": span_id}]
+            ops = [{"op": op, "charge_ns": charge, "span_id": span_id}]
         data = {
             "start_ns": start_ns,
             "charged_ns": charged_ns,

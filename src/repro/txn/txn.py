@@ -70,6 +70,7 @@ from ..fabric.errors import (
     StaleEpochError,
 )
 from ..fabric.integrity import frame_block, frame_size
+from ..fabric.retry import RetryPolicy
 from ..fabric.wire import U64, WORD, Layout, pack_words, unpack_words
 
 if TYPE_CHECKING:
@@ -82,6 +83,10 @@ RECORD = Layout("seq n_locks")
 LOCK = Layout("slot expected")
 CELL = Layout("addr length")
 KV_PUT = Layout("tag key_hash region")
+
+# How run() backs off between aborted attempts: the fabric retry ladder's
+# formula, seeded by the client id instead of an address.
+_RUN_RETRY = RetryPolicy(max_attempts=8, max_backoff_ns=200_000, jitter=0.5)
 
 
 class TxnAbortError(FabricError):
@@ -638,21 +643,14 @@ class TxnSpace:
         self.commit(client, txn)
 
     @far_budget(None, claim="C2")
-    def run(
-        self,
-        client: "Client",
-        fn: Callable[[Transaction], Any],
-        *,
-        max_attempts: int = 8,
-        base_backoff_ns: int = 2_000,
-        max_backoff_ns: int = 200_000,
-    ) -> Any:
+    def run(self, client: "Client", fn: Callable[[Transaction], Any]) -> Any:
         """Run ``fn(txn)`` with bounded abort/retry. Conflicts back off
-        exponentially with deterministic jitter; the backoff is charged
-        through the client's clock the same way the fabric retry ladder
-        charges its own, so it folds into the op's window charge."""
+        exponentially with deterministic jitter, by the fabric retry
+        ladder's formula (``_RUN_RETRY``); the backoff is charged through
+        the client's clock the same way the ladder charges its own."""
+        attempts = _RUN_RETRY.max_attempts
         last: Optional[TxnAbortError] = None
-        for attempt in range(1, max_attempts + 1):
+        for attempt in range(1, attempts + 1):
             txn = self.begin(client, attempt=attempt)
             try:
                 result = fn(txn)
@@ -663,14 +661,8 @@ class TxnSpace:
                 if not err.retryable:
                     raise
                 last = err
-                if attempt < max_attempts:
-                    backoff = min(
-                        base_backoff_ns * (1 << (attempt - 1)), max_backoff_ns
-                    )
-                    jitter = (
-                        (client.client_id * 1_000_003 + attempt * 7_919) % 997
-                    ) / 997.0
-                    delay = backoff * (0.5 + 0.5 * jitter)
+                if attempt < attempts:
+                    delay = _RUN_RETRY.backoff_ns(attempt, client.client_id)
                     client.metrics.retries += 1
                     client.metrics.backoff_ns += int(delay)
                     client._advance(delay)

@@ -4,11 +4,15 @@
 call and consults the fault injector only when one is attached; a
 synchronous call on an idle pipeline rings its one-entry window without
 parking it in the open window first. Both are shortcuts the simulated world
-must not see. The property: a drawn sequence of ``FAR_OPS`` rows —
-synchronous, submitted, and inside ``batch()`` — on a cluster with an
-injector whose plan never fires returns the same values, reaches the same
-clock, counts the same metrics and traces the same JSONL bytes as on an
-identical cluster with no injector at all.
+must not see. Nor may an observer: a client with a tracer or an injector
+runs ``Client._issue``'s guard ladder where a bare client runs the fabric
+call alone, so the two must charge a failure alike. The property: a drawn
+sequence of ``FAR_OPS`` rows — synchronous, submitted, and inside
+``batch()`` — with or without a fail-stopped node, on guarded and
+unguarded clients, returns the same values and errors, reaches the same
+clock and counts the same metrics traced or untraced, with an injector
+whose plan never fires or with none; and traces the same JSONL bytes with
+the silent injector as without it.
 
 Under the ERROR indirection policy the ``PendingIndirection`` a refusal
 carries is built only when the memory node refuses; one test per indirect
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 from repro import Cluster, IndirectionPolicy
 from repro.alloc import on_node
 from repro.fabric import Client, FaultPlan
-from repro.fabric.errors import RemoteIndirectionError
+from repro.fabric.errors import FabricError, RemoteIndirectionError
 from repro.fabric.ops import FAR_OPS
 from repro.fabric.wire import WORD
 from repro.obs import Tracer
@@ -94,10 +98,21 @@ def test_every_row_has_args():
     assert set(ARGS) == set(FAR_OPS)
 
 
-def _run(steps, *, qp_depth, guarded, traced, injected):
-    """Run ``steps`` on a fresh cluster; everything the simulated world shows."""
+def _outcome(call, *args):
+    """What one step shows: its value, or its error's type and message."""
+    try:
+        return call(*args)
+    except FabricError as err:
+        return type(err).__name__, str(err)
+
+
+def _run(steps, *, qp_depth, guarded, failed, traced, injected):
+    """Run ``steps`` on a fresh cluster (node 1, which holds ``far``,
+    fail-stopped if ``failed``); everything the simulated world shows."""
     Client.reset_ids()  # client ids name trace lanes and seed retry jitter
     cluster, memory = _cluster()
+    if failed:
+        cluster.fabric.fail_node(1)
     if injected:
         cluster.inject_faults(plan=FaultPlan())
     policies = {} if guarded else {"retry_policy": None, "breaker_policy": None}
@@ -117,11 +132,11 @@ def _run(steps, *, qp_depth, guarded, traced, injected):
             if mode == "submit":
                 futures.append(client.submit(name, *args))
             else:
-                values.append(getattr(client, name)(*args))
+                values.append(_outcome(getattr(client, name), *args))
         if batch is not None:
             batch.close()
     client.cq.wait_all()
-    values.extend(future.result() for future in futures)
+    values.extend(_outcome(future.result) for future in futures)
     jsonl = io.StringIO()
     if tracer is not None:
         write_jsonl(jsonl, tracer)
@@ -145,13 +160,22 @@ STEPS = st.lists(
     steps=STEPS,
     qp_depth=st.sampled_from((1, 2, 16)),
     guarded=st.booleans(),
-    traced=st.booleans(),
+    failed=st.booleans(),
 )
-def test_a_silent_injector_charges_what_no_injector_charges(steps, qp_depth, guarded, traced):
-    config = {"qp_depth": qp_depth, "guarded": guarded, "traced": traced}
-    bare = _run(steps, injected=False, **config)
-    assert _run(steps, injected=True, **config) == bare
-    assert bare[1] > 0  # the sequence charged something
+def test_no_observer_or_silent_injector_moves_the_simulated_world(
+    steps, qp_depth, guarded, failed
+):
+    config = {"qp_depth": qp_depth, "guarded": guarded, "failed": failed}
+    runs = {
+        (traced, injected): _run(steps, traced=traced, injected=injected, **config)
+        for traced in (False, True)
+        for injected in (False, True)
+    }
+    bare = runs[False, False]
+    for (traced, injected), run in runs.items():
+        assert run[:3] == bare[:3], f"traced={traced} injected={injected}"
+    assert runs[True, True] == runs[True, False]  # the trace bytes too
+    assert failed or bare[1] > 0  # the sequence charged something
 
 
 DATA = b"v" * 24

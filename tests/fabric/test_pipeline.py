@@ -630,19 +630,21 @@ class TestSyncCallsAreWindowEntries:
         assert {f.completed_at_ns for f in futures} == {client.clock.now_ns}
         assert client.cq.ready() == 2  # the submissions were signaled; the sync op is not
 
-    def test_window_event_lists_sync_ops_and_counts_bare_charges(self, cluster, client):
+    def test_window_event_lists_its_ops_and_a_bare_charge_lands_at_once(self, cluster, client):
         tracer = Tracer()
         tracer.attach(client)
         a = cluster.allocator.alloc_words(2)
         with client.batch():
             client.read_u64(a)
-            client._advance(40.0)  # a bare charge: an entry, not an operation
+            client._advance(40.0)  # outside any op: the clock, not the window
+            assert client.clock.now_ns == 40.0
             assert client.cq.outstanding() == 1
             client.submit("write_u64", a + WORD, 1, signaled=False)
         (window,) = tracer.events_by_kind("window")
-        assert window.data["n"] == 3
+        assert window.data["n"] == 2
         assert [op["op"] for op in window.data["ops"]] == ["read_u64", "write_u64"]
-        assert window.data["serial_ns"] == 2 * client.cost_model.far_ns + 40.0
+        assert window.data["serial_ns"] == 2 * client.cost_model.far_ns
+        assert window.data["start_ns"] == 40.0
 
     def test_nested_submission_folds_into_the_enclosing_op(self, cluster, client, monkeypatch):
         """A submission made while an op executes (here from a fabric hook)
@@ -667,12 +669,12 @@ class TestSyncCallsAreWindowEntries:
         assert client.metrics.far_accesses == 2
         assert client.clock.now_ns == pytest.approx(2 * client.cost_model.far_ns)
 
-    def test_crash_drops_bare_charges_with_the_window(self, cluster):
+    def test_crash_drops_only_operations_with_the_window(self, cluster):
         c = cluster.client()
         a = cluster.allocator.alloc_words(1)
         with c.batch():
-            c._advance(40.0)
+            c._advance(40.0)  # already on the clock: nothing of it is parked
             future = c.submit("read_u64", a)
             c.crash()
         assert isinstance(future.exception(), ClientDeadError)
-        assert c.clock.now_ns == 0 and c.metrics.pipeline_flushes == 0
+        assert c.clock.now_ns == 40.0 and c.metrics.pipeline_flushes == 0

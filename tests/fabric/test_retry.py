@@ -13,6 +13,7 @@ from repro.fabric import (
     NodeUnavailableError,
     RetryPolicy,
 )
+from repro.obs import Tracer
 
 NODE_SIZE = 8 << 20
 
@@ -148,29 +149,28 @@ class TestClientRetries:
         assert c.read_u64(addr) == 0  # next op is fine
         assert c.metrics.retries == 0
 
-    # Known defect (ROADMAP "Known defects"), pinned as it is: a client with
-    # no retry and no breaker policy but an attached injector takes the
-    # unguarded branch of Client._issue, where a dropped op is not counted
-    # in `timeouts`, is charged 0 ns instead of `timeout_ns`, and leaves the
-    # latency spike it drew pending for the client's next access. The second
-    # row is the same drop taken through the retry ladder. The fix moves the
-    # first row's numbers, so it lands alone.
+    # A dropped op costs the same on both paths: an unguarded client with an
+    # injector runs the retry ladder with one attempt, so the drop is charged
+    # `timeout_ns`, counted in `timeouts` and takes its latency spike with it.
     @pytest.mark.parametrize(
-        "retry_policy, failed_ns, next_ns, timeouts",
-        [(None, 0.0, 8_000.0, 0), (RetryPolicy(max_attempts=1), 10_000.0, 1_000.0, 1)],
+        "retry_policy",
+        [None, RetryPolicy(max_attempts=1)],
         ids=["unguarded", "one_attempt_ladder"],
     )
-    def test_dropped_op_charge_per_path(self, cluster, retry_policy, failed_ns, next_ns, timeouts):
+    def test_dropped_op_charge_per_path(self, cluster, retry_policy):
         addr = cluster.allocator.alloc(64)
         plan = FaultPlan().spike_between(0, 1, multiplier=8.0).timeout_at(0)
         cluster.inject_faults(seed=1, plan=plan)
         c = cluster.client(retry_policy=retry_policy, breaker_policy=None)
+        tracer = Tracer().attach(c)
         with pytest.raises(FarTimeoutError):
             c.read_u64(addr)
-        assert c.clock.now_ns == failed_ns
+        assert c.clock.now_ns == 10_000.0
         c.read_u64(addr)
-        assert c.clock.now_ns - failed_ns == next_ns
-        assert c.metrics.timeouts == timeouts
+        assert c.clock.now_ns - 10_000.0 == 1_000.0
+        assert c.metrics.timeouts == 1
+        (timeout,) = tracer.events_by_kind("timeout")
+        assert (timeout.data["op"], timeout.data["attempt"]) == ("read_u64", 1)
 
     def test_retries_node_unavailable_then_raises(self, cluster):
         addr = cluster.allocator.alloc(64)
@@ -179,6 +179,20 @@ class TestClientRetries:
         with pytest.raises(NodeUnavailableError):
             c.read_u64(addr)
         assert c.metrics.far_accesses == 0
+
+    @pytest.mark.parametrize("observer", ["bare", "traced", "injected"])
+    def test_unguarded_read_of_a_failed_node_costs_one_timeout(self, cluster, observer):
+        addr = cluster.allocator.alloc(64)
+        cluster.fabric.fail_node(0)
+        if observer == "injected":
+            cluster.inject_faults(seed=1, plan=FaultPlan())
+        c = cluster.client(retry_policy=None, breaker_policy=None)
+        if observer == "traced":
+            Tracer().attach(c)
+        with pytest.raises(NodeUnavailableError):
+            c.read_u64(addr)
+        assert c.clock.now_ns == c.cost_model.timeout_ns
+        assert c.metrics.far_accesses == 0 and c.metrics.timeouts == 0
 
     def test_fence_and_batch_unaffected(self, cluster):
         addr = cluster.allocator.alloc(64)

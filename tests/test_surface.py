@@ -145,8 +145,6 @@ KEEP_OPTIONS = {
     "BreakerPolicy.failure_threshold": f"{_TESTED} (10 lines: trips, half-open probes)",
     "BreakerPolicy.cooldown_ns": f"{_TESTED} (9 lines: trips, half-open probes)",
     "RetryPolicy.base_backoff_ns": f"{_TESTED} (the backoff shape: 3 lines)",
-    "RetryPolicy.max_backoff_ns": f"{_TESTED} (the backoff shape: 2 lines)",
-    "RetryPolicy.jitter": f"{_TESTED} (the backoff shape: 4 lines)",
     "HTTree.create(initial_leaves=)": f"{_TESTED} (multi-table trees: 4 lines)",
     "TxnSpace.create(record_capacity=)": f"{_TESTED} (record-area overflow: 2 lines)",
     "FarCounter.create(initial=)": f"{_TESTED} (2 lines)",

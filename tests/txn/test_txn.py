@@ -10,6 +10,7 @@ from repro.fabric import MigrationWritePolicy
 from repro.fabric.integrity import frame_size
 from repro.fabric.wire import WORD, decode_u64, encode_u64
 from repro.obs import Tracer
+from repro.txn.txn import _RUN_RETRY
 
 from .conftest import EXTENT, PAYLOAD, seed_cells, txn_cluster
 
@@ -290,10 +291,10 @@ class TestComposition:
         slot = space.slot_for_addr(a)
         c1.write_u64(space.version_addr(slot), _locked(9, 0))
         with pytest.raises(TxnConflictError):
-            space.run(
-                c1, lambda txn: space.read(c1, txn, a, PAYLOAD), max_attempts=3
-            )
-        assert c1.metrics.txn_aborts == 3
+            space.run(c1, lambda txn: space.read(c1, txn, a, PAYLOAD))
+        attempts = _RUN_RETRY.max_attempts
+        assert c1.metrics.txn_aborts == attempts
+        assert c1.metrics.retries == attempts - 1
 
     def test_run_does_not_retry_final_aborts(self, cluster):
         c1 = cluster.client()
