@@ -22,7 +22,7 @@ It is an interprocedural abstract interpreter over the AST of
 Leaves are the metered :class:`~repro.fabric.client.Client` operations
 (every synchronous far op, ``submit()``, ``charge_far_access()``,
 ``write_framed()``, ``read_verified()`` — each is exactly one far
-access, mirroring ``Client._account_far`` — and ``phase()``, one per
+access, mirroring ``Client._issue``'s accounting — and ``phase()``, one per
 item of its calls list).  Raw ``fabric.*`` calls are
 deliberately **free**: they bypass client metering, which is fmlint
 FM003's job to flag, not fmcost's to price.  Per-function summaries are

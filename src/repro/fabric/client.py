@@ -22,8 +22,9 @@ with the synchronous API as a thin veneer:
   posts one window entry and rings the doorbell itself — a one-deep
   window, charging exactly what the pre-pipeline client charged, with no
   future built (a :class:`~repro.fabric.pipeline.FarFuture` is what
-  :meth:`submit` returns). Each op is defined once, under its public
-  name; the table in :mod:`repro.fabric.ops` registers it.
+  :meth:`submit` returns). No op has a hand-written body: each method is
+  built from its row in :mod:`repro.fabric.ops`, and :meth:`_issue` runs
+  the op from that row, its arguments handed on as one tuple.
 * **Batch windows** (:meth:`batch`): a scope that holds the window open
   regardless of depth, so every operation inside overlaps — the
   doorbell-batching façade, reimplemented on the pipeline.
@@ -54,8 +55,9 @@ drains it.
 
 from __future__ import annotations
 
-import functools
+import inspect
 from collections import deque
+from operator import itemgetter
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import (
@@ -73,7 +75,7 @@ from .latency import SimClock
 from .metrics import Metrics
 from .ops import FAR_OPS, FarOp
 from .pipeline import CompletionQueue, FarFuture
-from .primitives import FarIovec, PendingIndirection
+from .primitives import PendingIndirection
 from .retry import BreakerPolicy, CircuitBreaker, RetryPolicy
 from .wire import WORD, decode_u64, encode_u64
 
@@ -103,6 +105,9 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+#: What one item of a list-valued sized operand adds to an op's bytes.
+_ITEM_SIZE = {"lengths": int, "buffers": len, "iovec": itemgetter(1)}
 
 
 class _Batch:
@@ -270,7 +275,8 @@ class Client:
     ) -> None:
         """Count, price and trace one completed far access. ``atomic``
         (the event's key), ``node``, ``addr`` and ``target`` (the resolved
-        indirection) are for the tracer only."""
+        indirection) are for the tracer only. A completed op does the same
+        inline, at the end of :meth:`_issue`: the two must stay alike."""
         m = self.metrics
         m.far_accesses += 1
         m.round_trips += 1
@@ -344,11 +350,12 @@ class Client:
         calls of one op and reaps them all at once wants :meth:`phase`,
         which charges the same window with no future per call.
         """
-        impl = _DISPATCH.get(op)
-        if impl is None:
-            raise ValueError(f"unknown far operation {op!r}")
+        try:
+            row = FAR_OPS[op]
+        except KeyError:
+            raise ValueError(f"unknown far operation {op!r}") from None
         future = FarFuture(self, op, signaled)
-        self._post(op, future, impl, *args)
+        self._post(row, future, args)
         return future
 
     def phase(self, op: str, calls: Sequence[tuple], *, capture: bool = False) -> list[Any]:
@@ -359,14 +366,15 @@ class Client:
         ``reap`` doorbell rings at the end if they are still parked. With
         ``capture`` a :class:`FabricError` stays in its call's place; any
         other failure, the first, is raised once the window is charged."""
-        impl = _DISPATCH.get(op)
-        if impl is None:
-            raise ValueError(f"unknown far operation {op!r}")
+        try:
+            row = FAR_OPS[op]
+        except KeyError:
+            raise ValueError(f"unknown far operation {op!r}") from None
         outcomes: list[Any] = [None] * len(calls)
         failed = None
         for index, args in enumerate(calls):
             try:
-                outcomes[index] = self._post(op, False, impl, *args)
+                outcomes[index] = self._post(row, False, args)
             except Exception as err:
                 if not self.alive:
                     raise  # this post crashed the client: nothing after it issues
@@ -379,11 +387,10 @@ class Client:
             raise failed
         return outcomes
 
-    def _post(
-        self, op: str, future: FarFuture | bool | None, impl: Callable, *args: Any, **kwargs: Any
-    ) -> Any:
-        """Execute one operation eagerly and park its latency in the open
-        window as one ``(op, charge_ns, span_id, future)`` entry.
+    def _post(self, row: FarOp, future: FarFuture | bool | None, args: tuple) -> Any:
+        """Execute one operation of ``row`` on ``args`` eagerly and park its
+        latency in the open window as one ``(op, charge_ns, span_id,
+        future)`` entry.
 
         ``future`` says who posts: None for a synchronous call, which
         returns the value or raises and rings the doorbell itself unless
@@ -399,10 +406,10 @@ class Client:
             # read/write): fold into the enclosing operation — its charge
             # and accounting belong to the outer entry.
             if not future:
-                return impl(self, *args, **kwargs)
+                return self._issue(row, args)
             future.completed_at_ns = self.clock.now_ns
             try:
-                future._value = impl(self, *args, **kwargs)
+                future._value = self._issue(row, args)
             except Exception as err:
                 future._error = err
             return None
@@ -413,10 +420,10 @@ class Client:
         self.metrics.pipeline_ops += 1
         # The innermost open span (an attached client always has its root).
         span_id = None if self._tracer is None else self._tracer._stacks[self.client_id][-1].span_id
-        self._op = op
+        self._op = op = row.name
         self._charge = 0.0
         try:
-            value = impl(self, *args, **kwargs)
+            value = self._issue(row, args)
             if future:
                 future._value = value
             return value
@@ -527,15 +534,16 @@ class Client:
             breaker = self.breakers[node] = CircuitBreaker(node, self.breaker_policy)
         return breaker
 
-    def _issue(
-        self, row: FarOp, address: int, nbytes_read: int, nbytes_written: int, op, *args
-    ) -> Any:
-        """Run one far op of ``row`` — ``op(*args)``, the fabric method its
-        body names — and account for it; returns what the fabric returned.
+    def _issue(self, row: FarOp, args: tuple) -> Any:
+        """Run one far op of ``row`` on ``args`` and account for it; returns
+        what the fabric returned, as the row projects it (see
+        :class:`~repro.fabric.ops.FarOp`).
 
-        Every virtually addressed op funnels through here and takes one of
-        two paths. A bare client (no retry or breaker policy, no tracer, no
-        injector) calls ``op(*args)`` and nothing else, charging
+        The op is the row's ``Fabric`` method, looked up by name on every
+        call, so a patched method is the one that runs. Every op funnels
+        through here and, but for the one physically addressed row, takes
+        one of two paths. A bare client (no retry or breaker policy, no
+        tracer, no injector) calls the method and nothing else, charging
         ``timeout_ns`` before it re-raises a failed node's
         :class:`NodeUnavailableError`. Every other client runs the guard
         ladder below, with one attempt when it has no retry policy and no
@@ -556,14 +564,16 @@ class Client:
         the breaker for the target node is (or trips) open, the op fails
         fast with :class:`CircuitOpenError`.
 
-        A completed op is one far access moving the byte counts its body
-        passed, counted in ``atomic_ops`` when its row is atomic; the
-        result supplies segments and forward hops (a Fig. 1 op's forwarded
+        A completed op is one far access moving the bytes its row states,
+        counted in ``atomic_ops`` when its row is atomic; the result
+        supplies segments and forward hops (a Fig. 1 op's forwarded
         segments, or a write's ranges mirrored while its extent migrates
         under FORWARD). An indirection the memory node refuses (ERROR
         policy, section 7.1) still cost a round trip — the home node read
         the pointer word, then bounced the request — and the client
-        completes it directly (:meth:`_complete_pending`).
+        completes it directly (:meth:`_complete_pending`). ``write_phys``'s
+        staging slot ``(node, offset)`` has no virtual address for a guard
+        to key on, so it is issued and accounted unguarded.
 
         The home node is the op's own translation: unless the client is
         bare, the address is translated here, once, as ``row.shape`` says,
@@ -578,21 +588,42 @@ class Client:
         fabric = self.fabric
         tracer = self._tracer
         policy = self.retry_policy
-        node = None  # the home node; a bare client never needs it
+        shape = row.shape
+        op = getattr(fabric, row.fabric)
+        kind = row.read_size or row.write_size  # the sized operand is the last argument
+        if not kind:
+            size = 0
+        elif kind == "buffer":
+            size = len(args[-1])
+        elif kind == "length":
+            size = args[-1]
+        else:  # a list of lengths, of buffers or of (address, length) entries
+            size = sum(map(_ITEM_SIZE[kind], args[-1]))
+        nbytes_read = row.read_base + size if row.read_size else row.read_base
+        nbytes_written = row.write_base + size if row.write_size else row.write_base
+        if shape == "physical":
+            result = op(*args)
+            self._account_far(nbytes_read, nbytes_written, 0, result.segments, node=args[0])
+            return None
+        node = address = None  # the home node and address; a bare client needs neither
         if not (
             policy is None
             and self.breaker_policy is None
             and tracer is None
             and fabric.fault_injector is None
         ):
+            if not args[_ARITY[row.name] - 1 :]:  # else the translation takes a missing one's place
+                raise TypeError(f"{row.name}() takes {_ARITY[row.name]} arguments, got {args!r}")
             # One translation: its node is the guards' and the tracer's.
             extents = fabric.extents
-            shape = row.shape
+            address = args[0]
             if shape == "word" or shape == "indexed":
                 at = home = extents.locate(address)
             else:  # a range, or an iovec's first entry
-                iovec = shape == "iovec" and args[0]
-                at = extents.split(address, iovec[0][1] if iovec else nbytes_read + nbytes_written)
+                length = nbytes_read + nbytes_written
+                if shape == "iovec":
+                    address, length = address[0] if address else (0, length)
+                at = extents.split(address, length)
                 home = at[0][0] if at else extents.locate(address)
             if shape != "indexed":
                 args += (at,)
@@ -674,71 +705,44 @@ class Client:
             if type(result) is FabricResult:
                 atomic = False  # the event's ``atomic`` key marks the word atomics only
                 hops, segments, target = result.forward_hops, result.segments, result.pointer
+                if shape == "range" or shape == "iovec":  # a transfer's bytes, or nothing
+                    result = result.value if row.reads else None
             else:  # a word op (cas, faa and swap are its atomics): one segment, no hops
                 atomic, hops, segments, target = row.atomic, 0, 1, None
-            self._account_far(
-                nbytes_read, nbytes_written, hops, segments, atomic, node, address, target
-            )
+            # One completed far access: _account_far's body, without its frame
+            # (an op always runs inside _post, so its charge folds into the op).
+            m = self.metrics
+            m.far_accesses += 1
+            m.round_trips += 1
+            m.network_traversals += 2 * segments + hops
+            m.bytes_read += nbytes_read
+            m.bytes_written += nbytes_written
+            m.indirection_forwards += hops
+            charge = fabric.cost_model.far_access_ns(nbytes_read + nbytes_written, hops)
+            if fabric.fault_injector is not None:  # a latency spike slows the op
+                charge *= fabric.consume_fault_latency()
+            self._charge += charge
+            if tracer is not None:
+                tracer.on_far_access(
+                    self,
+                    op=self._op,
+                    charge_ns=charge,
+                    node=node,
+                    addr=address,
+                    target=target,
+                    nbytes_read=nbytes_read,
+                    nbytes_written=nbytes_written,
+                    forward_hops=hops,
+                    segments=segments,
+                    atomic=atomic,
+                )
         if row.atomic:
             self.metrics.atomic_ops += 1
         return result
 
-    # ------------------------------------------------------------------
-    # Base one-sided operations. Every op is defined once, under its
-    # public name: the body below is what ``submit`` dispatches to, and
-    # the registration loop after the class (driven by the table in
-    # repro.fabric.ops) rebinds the name to its synchronous entry. A body
-    # always runs inside ``_post``, so the latency it charges lands in
-    # its own window entry.
-    # ------------------------------------------------------------------
-
-    def read(self, address: int, length: int) -> bytes:
-        """One-sided read: one far access."""
-        result = self._issue(FAR_OPS["read"], address, length, 0, self.fabric.read, address, length)
-        return result.value
-
-    def write(self, address: int, data: bytes) -> None:
-        """One-sided write: one far access."""
-        self._issue(
-            FAR_OPS["write"], address, 0, len(data), self.fabric.write, address, bytes(data)
-        )
-
-    def read_u64(self, address: int) -> int:
-        """Read one 64-bit word (one far access)."""
-        return self._issue(FAR_OPS["read_u64"], address, WORD, 0, self.fabric.read_word, address)
-
-    def write_u64(self, address: int, value: int) -> None:
-        """Write one 64-bit word (one far access)."""
-        self._issue(FAR_OPS["write_u64"], address, 0, WORD, self.fabric.write_word, address, value)
-
-    def write_phys(self, node: int, offset: int, data: bytes) -> None:
-        """Raw physical write to a migration staging slot: one far access.
-
-        Migration-engine only (the destination slot has no virtual
-        address until its remap commits). Charged and traced like any far
-        write, but addressed ``(node, offset)`` — the NIC-to-NIC DMA leg
-        of a live copy.
-        """
-        # Physically addressed, so it skips _issue (fault rules, breakers
-        # and retries key on virtual addresses; the staging slot has none
-        # yet). Node failure still surfaces as NodeUnavailableError.
-        result = self.fabric.write_phys(node, offset, bytes(data))
-        self._account_far(0, len(data), 0, result.segments, node=node)
-
-    def cas(self, address: int, expected: int, new: int) -> tuple[int, bool]:
-        """Atomic compare-and-swap (one far access)."""
-        op = self.fabric.compare_and_swap
-        return self._issue(FAR_OPS["cas"], address, WORD, WORD, op, address, expected, new)
-
-    def faa(self, address: int, delta: int) -> int:
-        """Atomic fetch-and-add (one far access); returns the old value."""
-        return self._issue(
-            FAR_OPS["faa"], address, WORD, WORD, self.fabric.fetch_add, address, delta
-        )
-
-    def swap(self, address: int, value: int) -> int:
-        """Atomic exchange (one far access); returns the old value."""
-        return self._issue(FAR_OPS["swap"], address, WORD, WORD, self.fabric.swap, address, value)
+    # The far ops have no bodies here: the registration loop after the
+    # class builds each synchronous method from its row in
+    # repro.fabric.ops, and ``_issue`` runs the op from that row.
 
     # ------------------------------------------------------------------
     # Verified I/O (repro.fabric.integrity): end-to-end checksums over
@@ -787,7 +791,7 @@ class Client:
         raise last
 
     # ------------------------------------------------------------------
-    # Fig. 1 primitives, with ERROR-policy completion
+    # ERROR-policy completion of the Fig. 1 primitives
     # ------------------------------------------------------------------
 
     def _complete_pending(self, pending: PendingIndirection) -> FabricResult:
@@ -811,94 +815,6 @@ class Client:
             self.write(pending.target, pending.payload)
             return FabricResult(value=data, pointer=pending.pointer)
         raise ValueError(f"unknown pending indirection kind {pending.kind!r}")
-
-    def load0(self, ad: int, length: int) -> FabricResult:
-        """Indirect load: read ``length`` bytes at ``*ad``."""
-        return self._issue(FAR_OPS["load0"], ad, length, 0, self.fabric.load0, ad, length)
-
-    def store0(self, ad: int, value: bytes) -> FabricResult:
-        """Indirect store: write ``value`` at ``*ad``."""
-        return self._issue(FAR_OPS["store0"], ad, 0, len(value), self.fabric.store0, ad, value)
-
-    def load1(self, ad: int, index: int, length: int) -> FabricResult:
-        """Indexed indirect load: read at ``*(ad + index)``."""
-        return self._issue(FAR_OPS["load1"], ad, length, 0, self.fabric.load1, ad, index, length)
-
-    def store1(self, ad: int, index: int, value: bytes) -> FabricResult:
-        """Indexed indirect store: write at ``*(ad + index)``."""
-        return self._issue(
-            FAR_OPS["store1"], ad, 0, len(value), self.fabric.store1, ad, index, value
-        )
-
-    def load2(self, ad: int, index: int, length: int) -> FabricResult:
-        """Offset indirect load: read at ``*ad + index``."""
-        return self._issue(FAR_OPS["load2"], ad, length, 0, self.fabric.load2, ad, index, length)
-
-    def store2(self, ad: int, index: int, value: bytes) -> FabricResult:
-        """Offset indirect store: write at ``*ad + index``."""
-        return self._issue(
-            FAR_OPS["store2"], ad, 0, len(value), self.fabric.store2, ad, index, value
-        )
-
-    def faai(self, ad: int, delta: int, length: int) -> FabricResult:
-        """Fetch-and-add-indirect (queue dequeue fast path, section 5.3)."""
-        return self._issue(
-            FAR_OPS["faai"], ad, length + WORD, 0, self.fabric.faai, ad, delta, length
-        )
-
-    def saai(self, ad: int, delta: int, value: bytes) -> FabricResult:
-        """Store-and-add-indirect (queue enqueue fast path, section 5.3)."""
-        return self._issue(
-            FAR_OPS["saai"], ad, 0, len(value) + WORD, self.fabric.saai, ad, delta, value
-        )
-
-    def fsaai(self, ad: int, delta: int, value: bytes) -> FabricResult:
-        """Fetch-store-and-add-indirect (the DESIGN.md extension): bump
-        ``*ad``, atomically swap ``value`` into the old target, and return
-        what was there — the fully-safe one-access dequeue."""
-        return self._issue(
-            FAR_OPS["fsaai"], ad, len(value), len(value) + WORD, self.fabric.fsaai, ad, delta, value
-        )
-
-    def add0(self, ad: int, delta: int) -> FabricResult:
-        """``**ad += delta`` in one far access."""
-        return self._issue(FAR_OPS["add0"], ad, 0, WORD, self.fabric.add0, ad, delta)
-
-    def add1(self, ad: int, delta: int, index: int) -> FabricResult:
-        """``**(ad + index) += delta`` in one far access."""
-        return self._issue(FAR_OPS["add1"], ad, 0, WORD, self.fabric.add1, ad, delta, index)
-
-    def add2(self, ad: int, delta: int, index: int) -> FabricResult:
-        """``*(*ad + index) += delta`` in one far access (histogram bump)."""
-        return self._issue(FAR_OPS["add2"], ad, 0, WORD, self.fabric.add2, ad, delta, index)
-
-    # ------------------------------------------------------------------
-    # Scatter / gather
-    # ------------------------------------------------------------------
-
-    def rscatter(self, ad: int, lengths: Sequence[int]) -> list[bytes]:
-        """Read a far range into local buffers: one far access."""
-        return self._issue(
-            FAR_OPS["rscatter"], ad, sum(lengths), 0, self.fabric.rscatter, ad, lengths
-        ).value
-
-    def rgather(self, iovec: FarIovec) -> bytes:
-        """Read a far iovec into one local buffer: one far access."""
-        anchor = iovec[0][0] if iovec else 0
-        nbytes = sum(length for _, length in iovec)
-        return self._issue(FAR_OPS["rgather"], anchor, nbytes, 0, self.fabric.rgather, iovec).value
-
-    def wscatter(self, iovec: FarIovec, data: bytes) -> None:
-        """Scatter a local buffer across a far iovec: one far access."""
-        anchor = iovec[0][0] if iovec else 0
-        self._issue(
-            FAR_OPS["wscatter"], anchor, 0, len(data), self.fabric.wscatter, iovec, bytes(data)
-        )
-
-    def wgather(self, ad: int, buffers: Sequence[bytes]) -> None:
-        """Gather local buffers into one far range: one far access."""
-        nbytes = sum(len(b) for b in buffers)
-        self._issue(FAR_OPS["wgather"], ad, 0, nbytes, self.fabric.wgather, ad, buffers)
 
     # ------------------------------------------------------------------
     # Word-value conveniences for the indirect primitives
@@ -952,20 +868,31 @@ class Client:
         return f"Client({self.name!r}, t={self.clock.now_ns:.0f}ns)"
 
 
-def _sync_entry(op: str, impl: Callable) -> Callable:
-    """The synchronous form of one far op: post it as one window entry and
-    ring the doorbell (``Client._post`` with no future)."""
+def _sync_entry(row: FarOp) -> Callable:
+    """The synchronous method of one far op: post it as one window entry and
+    ring the doorbell (``Client._post`` with no future). Its parameters are
+    its ``Fabric`` method's less the translation a guarded client hands on;
+    keywords are bound to them only when a caller passes some."""
+    params = inspect.signature(getattr(Fabric, row.fabric)).parameters.values()
+    signature = inspect.Signature([p for p in params if p.name not in ("segments", "location")])
 
-    @functools.wraps(impl)
     def entry(self: Client, *args: Any, **kwargs: Any) -> Any:
-        return self._post(op, None, impl, *args, **kwargs)
+        if kwargs:
+            args = signature.bind(self, *args, **kwargs).args[1:]
+        return self._post(row, None, args)
 
+    _ARITY[row.name] = len(signature.parameters) - 1  # self
+    entry.__name__, entry.__qualname__ = row.name, f"Client.{row.name}"
+    entry.__signature__ = signature
+    entry.__doc__ = (
+        f"One far access issuing ``Fabric.{row.fabric}``; its row in"
+        " :data:`repro.fabric.ops.FAR_OPS` states the bytes it moves and what it returns."
+    )
     return entry
 
 
-#: ``submit()``'s dispatch: op name -> the definition in the class body.
-#: The table drives registration, so a row without a definition is a
-#: ``KeyError`` at import and there is no second list to keep in sync.
-_DISPATCH: dict[str, Callable] = {name: vars(Client)[name] for name in FAR_OPS}
-for _name, _impl in _DISPATCH.items():
-    setattr(Client, _name, _sync_entry(_name, _impl))
+#: Each op's argument count, checked before a guarded client appends its
+#: translation (a bare client's fabric call checks it for itself).
+_ARITY: dict[str, int] = {}
+for _row in FAR_OPS.values():
+    setattr(Client, _row.name, _sync_entry(_row))

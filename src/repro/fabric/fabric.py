@@ -290,7 +290,7 @@ class Fabric(FarPrimitivesMixin):
         use. Deliberately bypasses fault injection (transient-fault rules
         key on virtual addresses); callers charge it like any far write.
         """
-        self._node_for(node, offset).write(offset, bytes(data))
+        self._node_for(node, offset).write(offset, data)
         return FabricResult(segments=1)
 
     def _read_word_at(self, address: int, location: Location) -> int:

@@ -112,14 +112,22 @@ class CounterSeries:
             _evict(self._windows, self._cap)
 
     def inc_many(self, window: int, amounts: Sequence[float]) -> None:
-        """``inc`` for each amount in turn, in one call. Only the first can
-        create the key, hence evict — ``window`` itself if it is older than
-        the ring reaches, and the second then re-creates it. The rest are
-        added one by one: a float sum's order is part of the answer."""
-        self.inc(window, amounts[0])
-        for amount in amounts[1:]:
-            self.total += amount
-            self._windows[window] += amount
+        """``inc`` for each amount in turn, in one call, added one by one: a
+        float sum's order is part of the answer. Only the first can create
+        the key, hence evict — ``window`` itself if it is older than the ring
+        reaches, and the second then re-creates it."""
+        windows = self._windows
+        total = self.total
+        if window not in windows:
+            total += amounts[0]
+            windows[window] += amounts[0]
+            amounts = amounts[1:]
+            if len(windows) > 2 * self._cap:
+                _evict(windows, self._cap)
+        for amount in amounts:
+            total += amount
+            windows[window] += amount
+        self.total = total
 
     def sum_windows(self, start: int, stop: int) -> float:
         """Amount landed in windows ``start <= w < stop``."""

@@ -1,6 +1,6 @@
 """One far access, one charge: what the charge path may skip, and what not.
 
-``Client._account_far`` prices an access in one ``CostModel.far_access_ns``
+``Client._issue`` prices a completed access in one ``CostModel.far_access_ns``
 call and consults the fault injector only when one is attached; a
 synchronous call on an idle pipeline rings its one-entry window without
 parking it in the open window first. Both are shortcuts the simulated world
@@ -13,6 +13,10 @@ unguarded clients, returns the same values and errors, reaches the same
 clock and counts the same metrics traced or untraced, with an injector
 whose plan never fires or with none; and traces the same JSONL bytes with
 the silent injector as without it.
+
+Every charge is also held to an independent transcription of section 3.1's
+price and of the window rule, on a traced unguarded and a traced guarded
+client, every row with forward hops and payloads past the inline packet.
 
 Under the ERROR indirection policy the ``PendingIndirection`` a refusal
 carries is built only when the memory node refuses; one test per indirect
@@ -176,6 +180,68 @@ def test_no_observer_or_silent_injector_moves_the_simulated_world(
         assert run[:3] == bare[:3], f"traced={traced} injected={injected}"
     assert runs[True, True] == runs[True, False]  # the trace bytes too
     assert failed or bare[1] > 0  # the sequence charged something
+
+
+def _calls(memory):
+    """Every row with each pointer (the far one forwards under FORWARD) and
+    each size (300 B is past the inline packet)."""
+    return [
+        (name, ARGS[name](memory, k, s))
+        for name in FAR_OPS
+        for k in (0, 1)
+        for s in range(len(LENGTHS))
+    ]
+
+
+def _clock_after_every_row(client, memory):
+    """Each call synchronously, then all of them submitted in one window."""
+    for name, args in _calls(memory):
+        getattr(client, name)(*args)
+    with client.batch():
+        for name, args in _calls(memory):
+            client.submit(name, *args, signaled=False)
+    return client.clock.now_ns
+
+
+def _far_access_ns(nbytes, hops):
+    """Section 3.1's price of one far access, transcribed from the cost model
+    rather than imported: 1 000 ns per round trip, 1 ns per byte past a 256 B
+    inline packet, 300 ns per forward hop."""
+    return 1_000.0 + max(0, nbytes - 256) * 1.0 + hops * 300.0
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
+def test_every_charge_is_the_cost_formula_and_every_window_its_members(guarded):
+    """Every row's ``far_access.charge_ns`` is the formula over the event's
+    own bytes and hops, and every ``window`` event charges ``max + (n - 1) *
+    50 ns`` (the issue slot) of its members, with their sum as ``serial_ns``
+    and the difference as ``saved_ns``; the windows are the whole clock, on a
+    traced client and on a bare one alike."""
+    Client.reset_ids()
+    cluster, memory = _cluster()
+    policies = {} if guarded else {"retry_policy": None, "breaker_policy": None}
+    client = cluster.client(**policies)
+    tracer = Tracer().attach(client)
+    now = _clock_after_every_row(client, memory)
+    accesses = [event.data for event in tracer.events_by_kind("far_access")]
+    assert len(accesses) == 2 * len(_calls(memory))
+    assert any("forward_hops" in data for data in accesses)
+    for data in accesses:
+        nbytes = data.get("nbytes_read", 0) + data.get("nbytes_written", 0)
+        assert data["charge_ns"] == _far_access_ns(nbytes, data.get("forward_hops", 0)), data
+    windows = [event.data for event in tracer.events_by_kind("window")]
+    assert max(data["n"] for data in windows) == len(_calls(memory))
+    for data in windows:
+        charges = [op["charge_ns"] for op in data["ops"]]
+        assert data["n"] == len(charges)
+        assert data["charged_ns"] == max(charges) + (len(charges) - 1) * 50.0
+        assert data["serial_ns"] == sum(charges)
+        assert data["saved_ns"] == data["serial_ns"] - data["charged_ns"]
+    assert now == sum(data["charged_ns"] for data in windows)
+    Client.reset_ids()
+    cluster, memory = _cluster()
+    bare = cluster.client(retry_policy=None, breaker_policy=None)
+    assert _clock_after_every_row(bare, memory) == now
 
 
 DATA = b"v" * 24

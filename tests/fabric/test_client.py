@@ -68,6 +68,22 @@ class TestAccounting:
         client.wscatter([(a, 2)], b"zz")
         assert client.metrics.far_accesses == 4
 
+    @pytest.mark.parametrize("op", ["write", "wscatter", "write_phys"])
+    def test_a_write_keeps_no_reference_to_the_callers_buffer(self, cluster, client, op):
+        """The client hands a caller's buffer down uncopied: the memory node
+        copies what lands, so mutating the buffer afterwards changes nothing."""
+        a = cluster.allocator.alloc(32)
+        data = bytearray(b"x" * 32)
+        location = cluster.fabric.locate(a)
+        args = {
+            "write": (a, data),
+            "wscatter": ([(a, 8), (a + 8, 24)], data),
+            "write_phys": (location.node, location.offset, data),
+        }[op]
+        getattr(client, op)(*args)
+        data[:] = b"y" * 32
+        assert client.read(a, 32) == b"x" * 32
+
     def test_charge_far_access(self, client):
         client.charge_far_access(nbytes_written=24)
         assert client.metrics.far_accesses == 1

@@ -488,40 +488,62 @@ def test_a_refused_add_counts_two_atomics():
 
 class TestOpTable:
     def test_table_drives_dispatch(self):
-        assert set(client_module._DISPATCH) == set(FAR_OPS) == set(ARGS)
+        assert set(FAR_OPS) == set(ARGS)
+        assert all(getattr(Client, name).__qualname__ == f"Client.{name}" for name in FAR_OPS)
 
     def test_each_op_is_defined_once_under_its_public_name(self):
+        """Its row is an op's one definition: the class body defines no far
+        op (the registration loop builds each from its row) and no twin."""
         tree = ast.parse(inspect.getsource(client_module))
         (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Client"]
         defs = [n.name for n in ast.walk(cls) if isinstance(n, ast.FunctionDef)]
-        for name in FAR_OPS:
-            assert defs.count(name) == 1, name
+        assert not set(defs) & set(FAR_OPS)
         assert not [name for name in defs if name.startswith("_op_")]
 
     @pytest.mark.parametrize("name", list(FAR_OPS))
     def test_sync_entry_is_a_plain_documented_function(self, name):
+        """Each row has a plain, documented method under its name whose
+        parameters are its ``Fabric`` method's, less the translation a
+        guarded client hands on — as many as the row's test arguments."""
         entry = vars(Client)[name]
-        impl = client_module._DISPATCH[name]
-        assert inspect.isfunction(entry) and entry is not impl
-        assert entry.__name__ == name and entry.__doc__ == impl.__doc__
-        assert inspect.signature(entry) == inspect.signature(impl)
-        assert callable(getattr(Fabric, FAR_OPS[name].fabric))
+        row = FAR_OPS[name]
+        assert inspect.isfunction(entry) and entry.__name__ == name and entry.__doc__
+        fabric_params = inspect.signature(getattr(Fabric, row.fabric)).parameters
+        params = list(inspect.signature(entry).parameters)
+        assert params == [p for p in fabric_params if p not in ("segments", "location")]
+        _, _, memory = _scenario(IndirectionPolicy.FORWARD)
+        assert len(params) == 1 + len(ARGS[name](memory))  # self
 
-    def test_each_body_issues_its_rows_fabric_method(self):
-        tree = ast.parse(inspect.getsource(client_module))
-        (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Client"]
-        bodies = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+    def test_each_entry_issues_its_rows_fabric_method(self, monkeypatch):
+        """An op runs its row's ``Fabric`` method, looked up on the instance
+        at call time (so a patched method is the one that runs), once, with
+        the caller's arguments first."""
         for name, row in FAR_OPS.items():
-            named = {
-                node.attr
-                for node in ast.walk(bodies[name])
-                if isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "fabric"
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id == "self"
-            }
-            assert named == {row.fabric}, name
+            _, client, memory = _scenario(IndirectionPolicy.FORWARD)
+            args = ARGS[name](memory)
+            seen = []
+            method = getattr(client.fabric, row.fabric)
+
+            def recorded(*given, method=method, seen=seen):
+                seen.append(given)
+                return method(*given)
+
+            monkeypatch.setattr(client.fabric, row.fabric, recorded)
+            getattr(client, name)(*args)
+            assert [given[: len(args)] for given in seen] == [args], name
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["bare", "guarded"])
+    def test_a_call_short_of_an_argument_is_a_type_error(self, guarded):
+        """The translation a guarded client appends never takes the place
+        of an argument the caller left out."""
+        for name in FAR_OPS:
+            cluster, client, memory = _scenario(IndirectionPolicy.FORWARD)
+            if not guarded:
+                client = cluster.client(retry_policy=None, breaker_policy=None)
+            args = ARGS[name](memory)
+            if len(args) > 1:
+                with pytest.raises(TypeError):
+                    getattr(client, name)(*args[:-1])
 
     @pytest.mark.parametrize("name", list(FAR_OPS))
     def test_each_virtual_row_fault_checks_once_with_its_tears_flag(self, name, monkeypatch):
@@ -562,6 +584,17 @@ class TestOpTable:
         }[row.shape]
         params = inspect.signature(getattr(Fabric, row.fabric)).parameters
         assert {"segments", "location"} & set(params) == expected, row
+
+    def test_each_row_states_its_bytes_by_a_known_rule(self):
+        """A direction moves a constant of 0 or a word, plus the one sized
+        operand's size; a read's bytes come back only on a reading row."""
+        kinds = {"length", "buffer", "lengths", "buffers", "iovec"}
+        for row in FAR_OPS.values():
+            assert {row.read_base, row.write_base} <= {0, WORD}, row
+            assert len({row.read_size, row.write_size} - {""}) <= 1, row
+            assert {row.read_size, row.write_size} <= kinds | {""}, row
+            assert row.reads or not (row.read_base or row.read_size), row
+            assert row.writes or not (row.write_base or row.write_size), row
 
     @pytest.mark.parametrize("name", [name for name, row in FAR_OPS.items() if row.tears])
     def test_only_plain_multi_word_writes_tear(self, name):

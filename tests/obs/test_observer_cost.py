@@ -31,29 +31,33 @@ import pytest
 from repro import Cluster
 from repro.obs import TelemetryRegistry, Tracer
 
-# Python-level entries (23 / 25 for the reads before heat and bounds were
-# counted inline and a sink was fed without a call per event; 18 / 31 / 33
+# Python-level entries (21 / 21 for the reads before far ops ran from their
+# rows, with no body or accounting frame of their own; 23 / 25 before heat
+# and bounds were counted inline and a sink was fed without a call per
+# event; 18 / 31 / 33
 # before a span was its own ``with`` scope reading the counters as one
 # tuple, a hot event was built once and a traced op took its home node from
 # its own translation).
 EMPTY_SPAN = 7
-TRACED_READ = 21
-OBSERVED_READ = 21
+TRACED_READ = 19
+OBSERVED_READ = 19
 # A warm HTTree.get hit on the default client: its @far_budget opens its
 # span only under a tracer (43 / 52 while the op opened it by hand, paying
 # a null span untraced and ``Client.trace`` plus the span's ``with`` traced;
-# 40 / 48 before heat, bounds and tree depth stopped costing a call each).
-UNTRACED_GET = 37
-TRACED_GET = 44
+# 40 / 48 before heat, bounds and tree depth stopped costing a call each;
+# 37 / 44 before far ops ran from their rows).
+UNTRACED_GET = 35
+TRACED_GET = 42
 # Every call, C builtins included: of an empty span (35 before, as above),
 # and per observed ``read_u64`` over AMORTISED_READS reads with the
-# benchmark's 50 us window (30.7 measured on 3.11; 36.7 before heat and
+# benchmark's 50 us window (29.4 measured on 3.11; 30.7 before far ops ran
+# from their rows, 36.7 before heat and
 # bounds were counted inline and a sink was fed without a call per event,
 # 46.7 before the span changes above, 47.7 before the fault kind came from
 # the op-table row instead of a ``getattr``, 58.6 before a far access was
 # priced in one call, 194.1 before the registry folded per window).
 EMPTY_SPAN_ALL_CALLS = 11
-AMORTISED_OBSERVED_READ = 31
+AMORTISED_OBSERVED_READ = 30
 AMORTISED_READS = 500
 TELEMETRY_WINDOW_NS = 50_000
 
