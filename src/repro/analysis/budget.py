@@ -62,6 +62,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from ..obs.trace import Span
+
 
 class BudgetViolation(AssertionError):
     """A call exceeded its declared far-access ceiling."""
@@ -267,7 +269,7 @@ def far_budget(
                         tags[tag] = count
                     else:
                         tags[tag] = kwargs[name] if name in kwargs else args[position]
-                opened = tracer._open_span(client, label, tags)
+                opened = Span(tracer, client, label, tags)
             # Only the outermost budgeted op per client records: a nested
             # one's far accesses are the outer frame's delta.
             outermost = sanitizer is not None and sanitizer._enter(client)

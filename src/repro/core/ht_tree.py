@@ -90,6 +90,8 @@ TABLE = Layout("version split_lock")  # then buckets[bucket_count], one word eac
 ITEM = Layout("version key value next")
 MOVED = U64_MASK
 """Tombstone version: this table's contents moved in a split."""
+_BAD_KEY = "keys must be unsigned 64-bit integers"
+_NO_CONVERGENCE = "HT-tree cache failed to converge after refreshes"
 
 
 def hash_u64(key: int) -> int:
@@ -109,11 +111,6 @@ class _Leaf:
     version: int
     buckets: int
 
-    def bucket_address(self, key: int) -> int:
-        """Far address of the bucket word for ``key``."""
-        index = hash_u64(key) % self.buckets
-        return self.table + TABLE.size + index * WORD
-
 
 @dataclass
 class _Item:
@@ -123,9 +120,6 @@ class _Item:
     key: int
     value: int
     next: int
-
-    def encode(self) -> bytes:
-        return ITEM.pack(self.version, self.key, self.value, self.next)
 
 
 @dataclass
@@ -141,11 +135,13 @@ class _TreeCache:
     valid: bool = False
     subscription: Optional[Subscription] = None
 
-    def find_leaf(self, client: Client, key: int) -> _Leaf:
-        """The leaf whose range holds ``key``; the walk of the cached tree
-        is charged to ``client`` as near accesses."""
+    def locate(self, client: Client, key: int) -> tuple[_Leaf, int]:
+        """The leaf whose range holds ``key`` and the far address of the
+        leaf's bucket word for ``key``; the walk of the cached tree is
+        charged to ``client`` as near accesses."""
         client.touch_local(self.depth)
-        return self.leaves[bisect_left(self.uppers, key)]
+        leaf = self.leaves[bisect_left(self.uppers, key)]
+        return leaf, leaf.table + TABLE.size + hash_u64(key) % leaf.buckets * WORD
 
     def size_bytes(self) -> int:
         """Client cache footprint — the section 5.2 scaling argument."""
@@ -199,6 +195,9 @@ class HTTree:
         self.reclaimer = reclaimer
         self.stats = HTTreeStats()
         self._caches: dict[int, _TreeCache] = {}
+        # ``version`` mode's valid caches, which a point op takes without a
+        # ``_cache`` frame (a ``notify`` op must pump its invalidations).
+        self._warm: dict[int, _TreeCache] = {}
         self._item_count = 0
 
     # ------------------------------------------------------------------
@@ -310,12 +309,15 @@ class HTTree:
         cache.uppers = [leaf.upper for leaf in leaves]
         cache.depth = max(1, len(leaves).bit_length())
         cache.valid = True
+        if self.cache_mode == "version":
+            self._warm[client.client_id] = cache
         self.stats.cache_loads += 1
 
     def _stale_refresh(self, client: Client) -> None:
         self.stats.stale_refreshes += 1
         cache = self._caches[client.client_id]
         cache.valid = False
+        self._warm.pop(client.client_id, None)
         self._load_cache(client, cache)
 
     @far_budget(0, ceiling=2, claim="C4")
@@ -333,32 +335,35 @@ class HTTree:
     def get(self, client: Client, key: int) -> Optional[int]:
         """Look up ``key``: one far access on the fast path (fresh cache,
         chain length <= 1). Returns the value or None."""
-        self._check_key(key)
+        if not 0 <= key <= U64_MASK:
+            raise ValueError(_BAD_KEY)
         self.stats.lookups += 1
-        return self._get(client, key, 0)
+        return self._get(client, key)
 
-    def _get(self, client: Client, key: int, depth: int) -> Optional[int]:
-        # A stale-cache retry recurses here, inside the caller's one span.
-        if depth > 4:
-            raise StaleCacheError("HT-tree cache failed to converge after refreshes")
-        leaf = self._cache(client).find_leaf(client, key)
-        raw = client.load0(leaf.bucket_address(key), ITEM.size).value
-        item = _Item(*ITEM.unpack(raw))
-        if item.version == 0:
-            self.stats.misses += 1
-            return None
-        if item.version == MOVED or item.version != leaf.version:
-            self._stale_refresh(client)
-            return self._get(client, key, depth + 1)
-        while True:
-            if item.key == key:
-                self.stats.hits += 1
-                return item.value
-            if item.next == 0:
+    def _get(self, client: Client, key: int) -> Optional[int]:
+        # A stale cache is refreshed and the lookup retried inside the one span.
+        for _attempt in range(5):
+            cache = self._warm.get(client.client_id) or self._cache(client)
+            leaf, bucket = cache.locate(client, key)
+            version, item_key, value, next_item = ITEM.unpack(
+                client.load0(bucket, ITEM.size).value
+            )
+            if version == 0:
                 self.stats.misses += 1
                 return None
-            self.stats.chain_hops += 1
-            item = _Item(*ITEM.unpack(client.read(item.next, ITEM.size)))
+            if version == MOVED or version != leaf.version:
+                self._stale_refresh(client)
+                continue
+            while True:
+                if item_key == key:
+                    self.stats.hits += 1
+                    return value
+                if next_item == 0:
+                    self.stats.misses += 1
+                    return None
+                self.stats.chain_hops += 1
+                _, item_key, value, next_item = ITEM.unpack(client.read(next_item, ITEM.size))
+        raise StaleCacheError(_NO_CONVERGENCE)
 
     @far_budget(1, per_item=True, claim="C4", span="httree.multiget n")
     def multiget(
@@ -383,7 +388,7 @@ class HTTree:
         pending = list(range(len(keys)))
         for _round in range(5):
             found, stale = self._probe_round(client, keys, pending)
-            for pos, _leaf, _head, _addr, item, _chain_len in found:
+            for pos, _leaf, _bucket, _head, _addr, item, _chain_len in found:
                 if item is None:
                     self.stats.misses += 1
                 else:
@@ -393,7 +398,7 @@ class HTTree:
                 return values
             self._stale_refresh(client)
             pending = stale
-        raise StaleCacheError("HT-tree cache failed to converge after refreshes")
+        raise StaleCacheError(_NO_CONVERGENCE)
 
     def _probe_round(
         self, client: Client, keys: "list[int]", pending: "list[int]"
@@ -403,46 +408,47 @@ class HTTree:
         chains chased level by level, one window per level.
 
         Returns ``(found, stale)``. ``found`` has one entry per resolved key,
-        in resolution order — ``(pos, leaf, head, addr, item, chain_len)``:
-        the record at ``addr`` holding the key, or ``item`` None when the
-        ``chain_len`` records from ``head`` lack it. ``stale`` lists the
-        positions whose bucket showed a stale cache.
+        in resolution order — ``(pos, leaf, bucket, head, addr, item,
+        chain_len)``: the record at ``addr`` holding the key, or ``item``
+        None when the ``chain_len`` records from ``head``, the word at far
+        address ``bucket``, lack it. ``stale`` lists the positions whose
+        bucket showed a stale cache.
         """
         cache = self._cache(client)
         probes = []
         for pos in pending:
-            leaf = cache.find_leaf(client, keys[pos])
-            bucket = leaf.bucket_address(keys[pos])
-            probes.append((pos, leaf, client.submit("load0", bucket, ITEM.size, signaled=False)))
+            leaf, bucket = cache.locate(client, keys[pos])
+            load = client.submit("load0", bucket, ITEM.size, signaled=False)
+            probes.append((pos, leaf, bucket, load))
         stale: list[int] = []
-        walks: list[tuple] = []  # (pos, leaf, head, addr, record at addr or None, chain_len)
-        for pos, leaf, future in probes:
+        walks: list[tuple] = []  # (pos, leaf, bucket, head, addr, its record or None, chain_len)
+        for pos, leaf, bucket, future in probes:
             result = future.result()
             item = _Item(*ITEM.unpack(result.value))
             if item.version == MOVED or item.version not in (0, leaf.version):
                 stale.append(pos)
             else:
                 probe = item if item.version != 0 else None
-                walks.append((pos, leaf, result.pointer, result.pointer, probe, 0))
+                walks.append((pos, leaf, bucket, result.pointer, result.pointer, probe, 0))
         # An empty bucket resolves at the first level, with the chains that
         # end there: multistore allocates its new records in this order.
         found: list[tuple] = []
         while walks:
             hops = []
-            for pos, leaf, head, addr, probe, chain_len in walks:
+            for pos, leaf, bucket, head, addr, probe, chain_len in walks:
                 if probe is not None:
                     chain_len += 1
                     if probe.key != keys[pos]:
                         if probe.next != 0:
                             self.stats.chain_hops += 1
                             hop = client.submit("read", probe.next, ITEM.size, signaled=False)
-                            hops.append((pos, leaf, head, probe.next, hop, chain_len))
+                            hops.append((pos, leaf, bucket, head, probe.next, hop, chain_len))
                             continue
                         probe = None  # the chain ends without the key
-                found.append((pos, leaf, head, addr, probe, chain_len))
+                found.append((pos, leaf, bucket, head, addr, probe, chain_len))
             walks = [
-                (pos, leaf, head, addr, _Item(*ITEM.unpack(hop.result())), chain_len)
-                for pos, leaf, head, addr, hop, chain_len in hops
+                (pos, leaf, bucket, head, addr, _Item(*ITEM.unpack(hop.result())), chain_len)
+                for pos, leaf, bucket, head, addr, hop, chain_len in hops
             ]
         return found, stale
 
@@ -455,54 +461,53 @@ class HTTree:
         """Insert or update ``key``: two far accesses to update an existing
         head-of-chain item; three to insert a new item (version-check read,
         record write, bucket CAS)."""
-        return self._put(client, key, value, 0)
+        if not 0 <= key <= U64_MASK:
+            raise ValueError(_BAD_KEY)
+        return self._put(client, key, value)
 
-    def _put(self, client: Client, key: int, value: int, depth: int) -> None:
-        self._check_key(key)
-        if depth > 4:
-            raise StaleCacheError("HT-tree cache failed to converge after refreshes")
-        leaf = self._cache(client).find_leaf(client, key)
-        bucket_addr = leaf.bucket_address(key)
-
-        # Access 1: version check — read the bucket's head item (and the
-        # bucket pointer itself, carried in the load0 response).
-        result = client.load0(bucket_addr, ITEM.size)
-        head_ptr = result.pointer
-        item = _Item(*ITEM.unpack(result.value))
-
-        if item.version == MOVED or (item.version not in (0, leaf.version)):
-            self._stale_refresh(client)
-            return self._put(client, key, value, depth + 1)
+    def _put(self, client: Client, key: int, value: int) -> None:
+        for _attempt in range(5):
+            cache = self._warm.get(client.client_id) or self._cache(client)
+            leaf, bucket = cache.locate(client, key)
+            # Access 1: version check — read the bucket's head item (and the
+            # bucket pointer itself, carried in the load0 response).
+            result = client.load0(bucket, ITEM.size)
+            version, item_key, _, next_item = ITEM.unpack(result.value)
+            if version == MOVED or version not in (0, leaf.version):
+                self._stale_refresh(client)
+                continue
+            break
+        else:
+            raise StaleCacheError(_NO_CONVERGENCE)
 
         # Walk the chain looking for an existing key (each hop: one read).
         chain_len = 0
-        addr = head_ptr
-        probe = item if item.version != 0 else None
-        while probe is not None:
-            chain_len += 1
-            if probe.key == key:
-                # Access 2: in-place value update.
-                client.write_u64(addr + ITEM.offset["value"], value)
-                self.stats.updates += 1
-                return
-            if probe.next == 0:
-                break
-            self.stats.chain_hops += 1
-            addr = probe.next
-            probe = _Item(*ITEM.unpack(client.read(addr, ITEM.size)))
+        addr = head = result.pointer
+        if version != 0:
+            while True:
+                chain_len += 1
+                if item_key == key:
+                    # Access 2: in-place value update.
+                    client.write_u64(addr + ITEM.offset["value"], value)
+                    self.stats.updates += 1
+                    return
+                if next_item == 0:
+                    break
+                self.stats.chain_hops += 1
+                addr = next_item
+                _, item_key, _, next_item = ITEM.unpack(client.read(addr, ITEM.size))
 
         # New key: write the record, then CAS it in as the new chain head.
-        record, new_item = self._new_record(leaf, key, value, head_ptr)
-        client.write(record, new_item.encode())  # access 2
+        record = self._new_record(leaf)
+        client.write(record, ITEM.pack(leaf.version, key, value, head))  # access 2
         client.fence()  # the record must be visible before the CAS lands
         while True:
-            old, ok = client.cas(bucket_addr, new_item.next, record)  # access 3
+            head, ok = client.cas(bucket, head, record)  # access 3
             if ok:
                 break
             # A concurrent insert won: re-link behind the new head.
             self.stats.cas_retries += 1
-            new_item.next = old
-            client.write_u64(record + ITEM.offset["next"], new_item.next)
+            client.write_u64(record + ITEM.offset["next"], head)
         self.stats.inserts += 1
         self._item_count += 1
 
@@ -536,7 +541,7 @@ class HTTree:
                 client.submit(
                     "write_u64", addr + ITEM.offset["value"], pairs[pos][1], signaled=False
                 )
-                for pos, _leaf, _head, addr, item, _chain_len in found
+                for pos, _leaf, _bucket, _head, addr, item, _chain_len in found
                 if item is not None
             ]
             for future in updates:
@@ -544,13 +549,14 @@ class HTTree:
             self.stats.updates += len(updates)
             # Inserts: overlapped record writes, one shared fence, then
             # overlapped CASes (with re-link rounds on contention).
-            records: list[list] = []  # [pos, leaf, record, new item, chain_len]
+            records: list[list] = []  # [leaf, bucket, record, its next, chain_len]
             writes = []
-            for pos, leaf, head, _addr, item, chain_len in found:
+            for pos, leaf, bucket, head, _addr, item, chain_len in found:
                 if item is None:
-                    record, new_item = self._new_record(leaf, keys[pos], pairs[pos][1], head)
-                    records.append([pos, leaf, record, new_item, chain_len])
-                    writes.append(client.submit("write", record, new_item.encode(), signaled=False))
+                    record = self._new_record(leaf)
+                    records.append([leaf, bucket, record, head, chain_len])
+                    encoded = ITEM.pack(leaf.version, keys[pos], pairs[pos][1], head)
+                    writes.append(client.submit("write", record, encoded, signaled=False))
             if records:
                 client.fence()  # records visible before any CAS lands
             for future in writes:
@@ -562,16 +568,7 @@ class HTTree:
             batch_growth: dict[int, int] = {}
             while records:
                 cas_futures = [
-                    (
-                        entry,
-                        client.submit(
-                            "cas",
-                            entry[1].bucket_address(keys[entry[0]]),
-                            entry[3].next,
-                            entry[2],
-                            signaled=False,
-                        ),
-                    )
+                    (entry, client.submit("cas", entry[1], entry[3], entry[2], signaled=False))
                     for entry in records
                 ]
                 relinks = []
@@ -579,17 +576,16 @@ class HTTree:
                 for entry, future in cas_futures:
                     old, ok = future.result()
                     if ok:
-                        pos, leaf, _, _, chain_len = entry
+                        leaf, bucket, _, _, chain_len = entry
                         self.stats.inserts += 1
                         self._item_count += 1
-                        bucket = leaf.bucket_address(keys[pos])
                         grown = batch_growth.get(bucket, 0)
                         batch_growth[bucket] = grown + 1
                         if chain_len + grown + 1 > self.max_chain:
                             oversize[leaf.table] = leaf
                         continue
                     self.stats.cas_retries += 1
-                    entry[3].next = old
+                    entry[3] = old
                     relinks.append(
                         client.submit(
                             "write_u64", entry[2] + ITEM.offset["next"], old, signaled=False
@@ -604,15 +600,14 @@ class HTTree:
             self._stale_refresh(client)
             pending = stale
         else:
-            raise StaleCacheError("HT-tree cache failed to converge after refreshes")
+            raise StaleCacheError(_NO_CONVERGENCE)
         for leaf in oversize.values():
             self._split(client, leaf)
 
-    def _new_record(self, leaf: _Leaf, key: int, value: int, head: int) -> tuple[int, _Item]:
-        """A record allocated near ``leaf``'s table for ``key`` as the new
-        head of the chain at ``head``: ``(its address, its item)``."""
-        record = self.allocator.alloc(ITEM.size, PlacementHint(near=leaf.table))
-        return record, _Item(leaf.version, key, value, head)
+    def _new_record(self, leaf: _Leaf) -> int:
+        """The far address of a new item record, allocated near ``leaf``'s
+        table."""
+        return self.allocator.alloc(ITEM.size, PlacementHint(near=leaf.table))
 
     # ------------------------------------------------------------------
     # Delete
@@ -622,48 +617,44 @@ class HTTree:
     def delete(self, client: Client, key: int) -> bool:
         """Remove ``key``; True if it was present. Two far accesses when
         the key is the chain head (read + CAS unlink)."""
-        return self._delete(client, key, 0)
-
-    def _delete(self, client: Client, key: int, depth: int) -> bool:
         self._check_key(key)
-        if depth > 4:
-            raise StaleCacheError("HT-tree cache failed to converge after refreshes")
-        leaf = self._cache(client).find_leaf(client, key)
-        bucket_addr = leaf.bucket_address(key)
+        return self._delete(client, key)
 
-        result = client.load0(bucket_addr, ITEM.size)
-        head_ptr = result.pointer
-        item = _Item(*ITEM.unpack(result.value))
-        if item.version == 0:
-            return False
-        if item.version == MOVED or item.version != leaf.version:
-            self._stale_refresh(client)
-            return self._delete(client, key, depth + 1)
-
-        if item.key == key:
-            _, ok = client.cas(bucket_addr, head_ptr, item.next)
-            if not ok:
-                self.stats.cas_retries += 1
-                return self._delete(client, key, depth + 1)
-            self._retire(head_ptr)
-            self.stats.deletes += 1
-            self._item_count -= 1
-            return True
-
-        prev_addr = head_ptr
-        addr = item.next
-        while addr != 0:
-            self.stats.chain_hops += 1
-            probe = _Item(*ITEM.unpack(client.read(addr, ITEM.size)))
-            if probe.key == key:
-                client.write_u64(prev_addr + ITEM.offset["next"], probe.next)
-                self._retire(addr)
+    def _delete(self, client: Client, key: int) -> bool:
+        for _attempt in range(5):
+            cache = self._warm.get(client.client_id) or self._cache(client)
+            leaf, bucket = cache.locate(client, key)
+            result = client.load0(bucket, ITEM.size)
+            head = result.pointer
+            version, item_key, _, addr = ITEM.unpack(result.value)
+            if version == 0:
+                return False
+            if version == MOVED or version != leaf.version:
+                self._stale_refresh(client)
+                continue
+            if item_key == key:
+                _, ok = client.cas(bucket, head, addr)
+                if not ok:
+                    # A lost unlink takes one of the five attempts too.
+                    self.stats.cas_retries += 1
+                    continue
+                self._retire(head)
                 self.stats.deletes += 1
                 self._item_count -= 1
                 return True
-            prev_addr = addr
-            addr = probe.next
-        return False
+            prev = head
+            while addr != 0:
+                self.stats.chain_hops += 1
+                _, item_key, _, next_item = ITEM.unpack(client.read(addr, ITEM.size))
+                if item_key == key:
+                    client.write_u64(prev + ITEM.offset["next"], next_item)
+                    self._retire(addr)
+                    self.stats.deletes += 1
+                    self._item_count -= 1
+                    return True
+                prev, addr = addr, next_item
+            return False
+        raise StaleCacheError(_NO_CONVERGENCE)
 
     # ------------------------------------------------------------------
     # Range scan
@@ -679,38 +670,30 @@ class HTTree:
         plus one gather per chain level) and filtered client-side: the
         HT-tree trades scan granularity for its O(1) point lookups.
         """
-        return self._scan(client, low, high, 0)
-
-    def _scan(self, client: Client, low: int, high: int, depth: int) -> list[tuple[int, int]]:
         self._check_key(low)
         self._check_key(high)
         if low > high:
             return []
-        if depth > 4:
-            raise StaleCacheError("HT-tree cache failed to converge after refreshes")
-        cache = self._cache(client)
-        results: list[tuple[int, int]] = []
-        lower_bound = 0
-        for leaf in cache.leaves:
-            if leaf.upper < low:
-                lower_bound = leaf.upper + 1
-                continue
-            if lower_bound > high:
-                break
-            items, _ = self._read_all_items(client, leaf)
-            if any(item.version == MOVED for item in items):
-                self._stale_refresh(client)
-                return self._scan(client, low, high, depth + 1)
-            for item in items:
-                if item.version != leaf.version:
-                    self._stale_refresh(client)
-                    return self._scan(client, low, high, depth + 1)
-                if low <= item.key <= high:
-                    results.append((item.key, item.value))
-            lower_bound = leaf.upper + 1
-        results.sort()
-        self.stats.scans += 1
-        return results
+        for _attempt in range(5):
+            cache = self._cache(client)
+            # The leaves whose key ranges meet [low, high].
+            first = bisect_left(cache.uppers, low)
+            last = bisect_left(cache.uppers, high)
+            results: list[tuple[int, int]] = []
+            for leaf in cache.leaves[first : last + 1]:
+                items, _ = self._read_all_items(client, leaf)
+                # A MOVED tombstone, or a record of another table version.
+                if any(item.version != leaf.version for item in items):
+                    break
+                results.extend(
+                    (item.key, item.value) for item in items if low <= item.key <= high
+                )
+            else:
+                results.sort()
+                self.stats.scans += 1
+                return results
+            self._stale_refresh(client)
+        raise StaleCacheError(_NO_CONVERGENCE)
 
     # ------------------------------------------------------------------
     # Split (section 5.2: "it is split and added to the tree, without
@@ -781,7 +764,7 @@ class HTTree:
         # Tombstone the old table: every bucket points at a MOVED record,
         # so stale caches detect the split in their single bucket access.
         tombstone = self.allocator.alloc(ITEM.size)
-        client.write(tombstone, _Item(MOVED, 0, 0, 0).encode())
+        client.write(tombstone, ITEM.pack(MOVED, 0, 0, 0))
         client.write(leaf.table + TABLE.size, pack_words([tombstone] * self.bucket_count))
         client.write_u64(leaf.table, MOVED)
 
@@ -840,9 +823,8 @@ class HTTree:
         blobs: list[bytes] = []
         for addr, item in zip(records, items):
             index = hash_u64(item.key) % self.bucket_count
-            linked = _Item(version, item.key, item.value, buckets[index])
+            blobs.append(ITEM.pack(version, item.key, item.value, buckets[index]))
             buckets[index] = addr
-            blobs.append(linked.encode())
         client.wscatter([(addr, ITEM.size) for addr in records], b"".join(blobs))
         client.write(table + TABLE.size, pack_words(buckets))
         return table
@@ -861,7 +843,7 @@ class HTTree:
     @staticmethod
     def _check_key(key: int) -> None:
         if not 0 <= key <= U64_MASK:
-            raise ValueError("keys must be unsigned 64-bit integers")
+            raise ValueError(_BAD_KEY)
 
     def __len__(self) -> int:
         return self._item_count

@@ -321,7 +321,7 @@ class Client:
         accesses for near accesses). Near accesses never enter the NIC
         pipeline; they charge the clock directly."""
         self.metrics.near_accesses += count
-        self.clock.advance(self.fabric.cost_model.near_access_ns(count))
+        self.clock.advance(count * self.fabric.cost_model.near_ns)
 
     # ------------------------------------------------------------------
     # Submission / completion pipeline
@@ -635,6 +635,12 @@ class Client:
                 except NodeUnavailableError:
                     self._advance(self.cost_model.timeout_ns)  # the one-attempt ladder's charge
                     raise
+                except (AttributeError, TypeError):
+                    if len(args) > _ARITY[row.name]:  # an extra one took the translation's place
+                        raise TypeError(
+                            f"{row.name}() takes {_ARITY[row.name]} arguments, got {args!r}"
+                        ) from None
+                    raise
             else:
                 breaker = None if self.breaker_policy is None else self._breaker_for(node)
                 if breaker is not None and not breaker.allow(self.clock.now_ns):
@@ -891,8 +897,8 @@ def _sync_entry(row: FarOp) -> Callable:
     return entry
 
 
-#: Each op's argument count, checked before a guarded client appends its
-#: translation (a bare client's fabric call checks it for itself).
+#: Each op's argument count: a guarded client checks it before it appends
+#: its translation, a bare one once its fabric call has failed.
 _ARITY: dict[str, int] = {}
 for _row in FAR_OPS.values():
     setattr(Client, _row.name, _sync_entry(_row))

@@ -277,7 +277,7 @@ class Fabric(FarPrimitivesMixin):
         hops = 0
         for data_off, length, dst_node, dst_offset in mirrors:
             node = self._node_for(dst_node, dst_offset)
-            node.write(dst_offset, bytes(data[data_off : data_off + length]))
+            node.write(dst_offset, data[data_off : data_off + length])
             hops += 1
         return hops
 

@@ -62,10 +62,6 @@ class CostModel:
             ns += forward_hops * self.forward_hop_ns
         return ns
 
-    def near_access_ns(self, count: int = 1) -> float:
-        """Cost of ``count`` client-local accesses."""
-        return count * self.near_ns
-
     def window_ns(self, charges: "Sequence[float]") -> float:
         """Cost of flushing one overlap window of per-op latency charges:
         the slowest operation hides all the others, and each additional

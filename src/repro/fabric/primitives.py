@@ -52,6 +52,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .address import Location
@@ -336,7 +337,7 @@ class FarPrimitivesMixin:
         self, iovec: FarIovec, data: bytes, segments: Optional[Segments] = None
     ) -> FabricResult:
         """Scatter one local buffer across a far iovec (one far access)."""
-        total = sum(length for _, length in iovec)
+        total = sum(map(itemgetter(1), iovec))
         if total != len(data):
             raise AddressError(
                 iovec[0][0] if iovec else 0,
@@ -354,5 +355,5 @@ class FarPrimitivesMixin:
         self, ad: int, buffers: Sequence[bytes], segments: Optional[Segments] = None
     ) -> FabricResult:
         """Gather local buffers into one contiguous far range at ``ad``."""
-        result = self.write(ad, b"".join(bytes(b) for b in buffers), segments)
+        result = self.write(ad, b"".join(buffers), segments)
         return FabricResult(segments=result.segments)

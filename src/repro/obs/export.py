@@ -86,9 +86,14 @@ def _lane(client_id: int, offset: int) -> int:
 
 
 def _span_boundaries(tracer: Tracer) -> list[tuple[str, float, Span]]:
-    """The tracer's boundary log, plus synthesized ``E`` entries for spans
-    still open at export time (top of stack first, so pairing stays LIFO)."""
-    boundaries = list(tracer._span_log)
+    """Every span's ``B`` and, once it closed, ``E`` boundary in the order
+    the tracer passed them (LIFO-correct by construction), plus synthesized
+    ``E`` entries for spans still open at export time (top of stack first,
+    so pairing stays LIFO)."""
+    passed = [(span.opened_at, "B", span.start_ns, span) for span in tracer.all_spans()]
+    passed += [(span.closed_at, "E", span.end_ns, span) for span in tracer.spans]
+    passed.sort()  # positions are unique: no two entries compare further
+    boundaries = [entry[1:] for entry in passed]
     for client_id, stack in tracer._stacks.items():
         client = tracer._clients.get(client_id)
         now = client.clock.now_ns if client is not None else 0.0
@@ -127,7 +132,7 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
             )
         return tid
 
-    # Spans: B/E pairs straight off the (LIFO-correct) boundary log.
+    # Spans: B/E pairs in the (LIFO-correct) order the tracer passed them.
     for phase, ts, span in _span_boundaries(tracer):
         tid = name_lane(span.client_name, span.client_id, SPAN_LANE, "spans")
         entry: dict[str, Any] = {

@@ -83,14 +83,19 @@ _FAR_AMOUNTS = (
 def _by_scope(rows: list[tuple]) -> list[tuple[Scope, list[dict]]]:
     """Split ``(client, node, structure, payload)`` rows by the base scopes
     they fall in — fleet, then each client, node and structure present —
-    each scope's payloads in emission order (float sums are exported)."""
+    each scope's payloads in emission order (float sums are exported). A
+    scope every row falls in gets the fleet's own list, so a roll-up can
+    tell it by identity and reuse what it computed for the fleet."""
     if not rows:
         return []
-    out = [(FLEET, [row[3] for row in rows])]
+    fleet = [row[3] for row in rows]
+    out = [(FLEET, fleet)]
     for column, kind in enumerate(("client", "node", "structure")):
-        for value in dict.fromkeys([row[column] for row in rows]):
+        values = dict.fromkeys([row[column] for row in rows])
+        for value in values:
             if value is not None:
-                out.append(((kind, value), [row[3] for row in rows if row[column] == value]))
+                own = [row[3] for row in rows if row[column] == value] if len(values) > 1 else fleet
+                out.append(((kind, value), own))
     return out
 
 
@@ -493,14 +498,22 @@ class TelemetryRegistry:
     def _roll_up(self, window: int, far_rows: list[tuple], window_rows: list[tuple]) -> None:
         """One run of ``far_access`` and ``window`` (doorbell) rows, all in
         ``window``, rolled up once per scope."""
+        # A scope handed the fleet's list reuses the fleet's columns.
+        rolled = None
         for scope, payloads in _by_scope(far_rows):
-            self._counters[scope, "far_accesses"].inc_many(window, [1] * len(payloads))
-            charges = [data["charge_ns"] for data in payloads]
+            if payloads is not rolled:
+                rolled = payloads
+                ones = [1] * len(payloads)
+                charges = [data["charge_ns"] for data in payloads]
+                amounts = [
+                    (name, [data[key] for data in payloads if key in data and data[key]])
+                    for name, key in _FAR_AMOUNTS
+                ]
+            self._counters[scope, "far_accesses"].inc_many(window, ones)
             self._hists[scope, "far_latency_ns"].record_many(window, charges)
-            for name, key in _FAR_AMOUNTS:
-                amounts = [data[key] for data in payloads if key in data and data[key]]
-                if amounts:
-                    self._counters[scope, name].inc_many(window, amounts)
+            for name, column in amounts:
+                if column:
+                    self._counters[scope, name].inc_many(window, column)
         # Heat lands on the extent the op named *and* (for indirect ops) the
         # target's. The extent table counts every extent the fabric touches,
         # so the two agree for single-extent accesses only.
@@ -514,13 +527,16 @@ class TelemetryRegistry:
         for extent, touches in heat.items():
             self._counters[("extent", extent), "heat"].inc_many(window, [1] * touches)
         for scope, payloads in _by_scope(window_rows):
-            self._counters[scope, "windows"].inc_many(window, [1] * len(payloads))
-            saved = [data["saved_ns"] for data in payloads if data["saved_ns"]]
+            if payloads is not rolled:
+                rolled = payloads
+                ones = [1] * len(payloads)
+                saved = [data["saved_ns"] for data in payloads if data["saved_ns"]]
+                charged = [data["charged_ns"] for data in payloads]
+                op_charges = [op["charge_ns"] for data in payloads for op in data["ops"]]
+            self._counters[scope, "windows"].inc_many(window, ones)
             if saved:
                 self._counters[scope, "overlap_saved_ns"].inc_many(window, saved)
-            charged = [data["charged_ns"] for data in payloads]
             self._hists[scope, "window_ns"].record_many(window, charged)
-            op_charges = [op["charge_ns"] for data in payloads for op in data["ops"]]
             if op_charges:
                 self._hists[scope, "op_latency_ns"].record_many(window, op_charges)
 

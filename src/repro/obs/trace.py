@@ -30,8 +30,9 @@ Design rules — these are what keep tracing free of observer effects:
   of the one translation ``Client._issue`` makes and hands to the op (all
   but the few ops listed there), so observing an op adds no address lookup.
 * Spans per client follow stack discipline on that client's monotone
-  clock, so the begin/end boundary log exports directly as a valid
-  Chrome trace (every ``B`` has an ``E``, timestamps monotone per lane).
+  clock, so their begin/end boundaries, replayed in the order the tracer
+  passed them, export directly as a valid Chrome trace (every ``B`` has an
+  ``E``, timestamps monotone per lane).
 * A certified op's span is opened by its ``@far_budget`` declaration
   (:mod:`repro.analysis.budget`), never by the op's body; application
   code labels its own phases with :meth:`Client.trace`.
@@ -86,7 +87,10 @@ class TraceEvent:
 
 
 class Span:
-    """One logical operation: a metrics delta with timestamps and lineage."""
+    """One logical operation: a metrics delta with timestamps and lineage.
+
+    Building one opens it: it takes the tracer's next span id, becomes a
+    child of ``client``'s innermost open span and the top of its stack."""
 
     __slots__ = (
         "span_id",
@@ -101,6 +105,8 @@ class Span:
         "far_accesses",
         "event_count",
         "child_count",
+        "opened_at",
+        "closed_at",
         "_tracer",
         "_start",
         "_end",
@@ -109,17 +115,18 @@ class Span:
     def __init__(
         self,
         tracer: "Tracer",
-        span_id: int,
-        parent_id: Optional[int],
         client: "Client",
         label: str,
         tags: dict[str, Any],
         *,
         is_root: bool = False,
     ) -> None:
+        stack = tracer._stacks[client.client_id]
+        parent = stack[-1] if stack else None
         self._tracer = tracer
-        self.span_id = span_id
-        self.parent_id = parent_id
+        self.span_id = tracer._next_span_id
+        tracer._next_span_id += 1
+        self.parent_id = None if parent is None else parent.span_id
         self.client_id = client.client_id
         self.client_name = client.name
         self.label = label
@@ -138,6 +145,14 @@ class Span:
         metrics = client.metrics
         self._start = (_COUNTERS(metrics), dict(metrics.custom) if metrics.custom else None)
         self._end: Optional[tuple] = None
+        # Where the span's begin and end fall among every span boundary the
+        # tracer passes: the Chrome exporter replays them in this order.
+        self.opened_at = tracer._boundaries
+        self.closed_at: Optional[int] = None
+        tracer._boundaries += 1
+        if parent is not None:
+            parent.child_count += 1
+        stack.append(self)
 
     @property
     def delta(self) -> Optional[Metrics]:
@@ -219,10 +234,8 @@ class Tracer:
         self._spans_folded = self._events_folded = 0  # how much of each list
         self._stacks: dict[int, list[Span]] = {}  # client_id -> open spans
         self._clients: dict[int, "Client"] = {}
-        # Span boundary log, append-only and LIFO-correct by construction:
-        # this is what the Chrome exporter walks to emit B/E pairs.
-        self._span_log: list[tuple[str, float, Span]] = []
         self._next_span_id = 1
+        self._boundaries = 0  # span opens and closes so far (Span.opened_at)
         # Live consumers of the typed event stream (e.g. a TelemetryRegistry),
         # fed at every emission point: a new call site needs no sink wiring.
         self._sinks: list[Any] = []
@@ -244,7 +257,7 @@ class Tracer:
         client._tracer = self
         self._clients[client.client_id] = client
         self._stacks.setdefault(client.client_id, [])
-        self._open_span(client, f"client:{client.name}", {}, is_root=True)
+        Span(self, client, f"client:{client.name}", {}, is_root=True)
         return self
 
     def detach(self, client: "Client") -> None:
@@ -292,35 +305,9 @@ class Tracer:
     # Spans
     # ------------------------------------------------------------------
 
-    def _open_span(
-        self,
-        client: "Client",
-        label: str,
-        tags: dict[str, Any],
-        *,
-        is_root: bool = False,
-    ) -> Span:
-        stack = self._stacks[client.client_id]
-        parent = stack[-1] if stack else None
-        span = Span(
-            self,
-            self._next_span_id,
-            parent.span_id if parent is not None else None,
-            client,
-            label,
-            tags,
-            is_root=is_root,
-        )
-        self._next_span_id += 1
-        if parent is not None:
-            parent.child_count += 1
-        stack.append(span)
-        self._span_log.append(("B", span.start_ns, span))
-        return span
-
     def _close_span(self, span: Span) -> None:
         stack = self._stacks[span.client_id]
-        # Defensive: close leaked children first so the log stays LIFO.
+        # Defensive: close leaked children first so boundaries stay LIFO.
         while stack and stack[-1] is not span:
             self._close_span(stack[-1])
         if not stack:
@@ -330,7 +317,8 @@ class Tracer:
         span.end_ns = client.clock.now_ns
         metrics = client.metrics
         span._end = (_COUNTERS(metrics), dict(metrics.custom) if metrics.custom else None)
-        self._span_log.append(("E", span.end_ns, span))
+        span.closed_at = self._boundaries
+        self._boundaries += 1
         self.spans.append(span)
 
     def span(self, client: "Client", label: str, **tags: Any) -> Span:
@@ -343,7 +331,7 @@ class Tracer:
                 f"{client.name} is attached to another tracer; "
                 "open the span through that tracer"
             )
-        return self._open_span(client, label, tags)
+        return Span(self, client, label, tags)
 
     def current_span(self, client: "Client") -> Optional[Span]:
         """The innermost open span for ``client`` (its root if no

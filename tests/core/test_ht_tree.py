@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import Cluster
 from repro.core.ht_tree import LEAF, hash_u64
+from repro.fabric.errors import StaleCacheError
 from repro.fabric.wire import U64_MASK
 from repro.obs import Tracer
 
@@ -216,6 +217,41 @@ class TestSplits:
         assert tree.stats.stale_refreshes > stale_before
         assert tree.stats.lookups == lookups_before + 1
         assert len(tracer.spans_by_label("httree.get")) == 1
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda tree, c: tree.get(c, 1),
+            lambda tree, c: tree.put(c, 1, 12),
+            lambda tree, c: tree.delete(c, 1),
+        ],
+        ids=["get", "put", "delete"],
+    )
+    def test_a_cache_that_stays_stale_fails_after_five_refreshes(self, cluster, monkeypatch, op):
+        tree = make_tree(cluster, bucket_count=8, max_chain=3)
+        writer = cluster.client()
+        reader = cluster.client()
+        tree.put(writer, 1, 11)
+        assert tree.get(reader, 1) == 11  # reader caches the one-leaf tree
+        cache = tree._caches[reader.client_id]
+        old = (cache.version, cache.region, cache.uppers, cache.leaves, cache.depth)
+        for k in range(2, 200):
+            tree.put(writer, k, k)
+        assert tree.stats.splits >= 1  # the old leaf's table is tombstoned
+        load = tree._load_cache
+
+        def reload_the_old_leaves(client, cache):
+            load(client, cache)
+            if client is reader:
+                cache.version, cache.region, cache.uppers, cache.leaves, cache.depth = old
+
+        monkeypatch.setattr(tree, "_load_cache", reload_the_old_leaves)
+        refreshes = tree.stats.stale_refreshes
+        with pytest.raises(StaleCacheError, match="failed to converge"):
+            op(tree, reader)
+        assert tree.stats.stale_refreshes == refreshes + 5
+        monkeypatch.undo()
+        assert tree.get(reader, 1) == 11  # a true reload heals the cache
 
     def test_notify_mode_invalidates_eagerly(self, cluster):
         tree = make_tree(cluster, bucket_count=8, max_chain=3, cache_mode="notify")

@@ -68,21 +68,44 @@ class TestAccounting:
         client.wscatter([(a, 2)], b"zz")
         assert client.metrics.far_accesses == 4
 
-    @pytest.mark.parametrize("op", ["write", "wscatter", "write_phys"])
+    @pytest.mark.parametrize("op", ["write", "wscatter", "write_phys", "wgather"])
     def test_a_write_keeps_no_reference_to_the_callers_buffer(self, cluster, client, op):
         """The client hands a caller's buffer down uncopied: the memory node
         copies what lands, so mutating the buffer afterwards changes nothing."""
         a = cluster.allocator.alloc(32)
         data = bytearray(b"x" * 32)
+        head, tail = bytearray(b"x" * 8), bytearray(b"x" * 24)
         location = cluster.fabric.locate(a)
         args = {
             "write": (a, data),
             "wscatter": ([(a, 8), (a + 8, 24)], data),
             "write_phys": (location.node, location.offset, data),
+            "wgather": (a, [head, tail]),
         }[op]
         getattr(client, op)(*args)
-        data[:] = b"y" * 32
+        for buffer in (data, head, tail):
+            buffer[:] = b"y" * len(buffer)
         assert client.read(a, 32) == b"x" * 32
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["bare", "guarded"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, a: c.read_u64(a, 5),
+            lambda c, a: c.cas(a, 0, 1, 2),
+            lambda c, a: c.read(a, 8, 9),
+        ],
+        ids=["read_u64", "cas", "read"],
+    )
+    def test_an_extra_argument_is_a_type_error(self, cluster, guarded, call):
+        """An argument past an op's own takes the slot of the translation a
+        guarded client appends: it is refused as a call error on any client."""
+        client = cluster.client() if guarded else cluster.client(
+            retry_policy=None, breaker_policy=None
+        )
+        a = cluster.allocator.alloc(16)
+        with pytest.raises(TypeError):
+            call(client, a)
 
     def test_charge_far_access(self, client):
         client.charge_far_access(nbytes_written=24)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Cluster
 from repro.fabric.latency import CostModel, SimClock
 
 
@@ -30,7 +31,14 @@ class TestCostModel:
         assert forwarded < 2 * direct
 
     def test_near_access_scales_linearly(self):
-        assert self.model.near_access_ns(3) == 3 * self.model.near_ns
+        # A cache walk is priced where it is charged: ``touch_local``.
+        client = Cluster(node_count=1, node_size=1 << 20).client()
+        client.touch_local(3)
+        assert client.metrics.near_accesses == 3
+        assert client.clock.now_ns == 3 * client.cost_model.near_ns
+        client.touch_local(2)
+        assert client.metrics.near_accesses == 5
+        assert client.clock.now_ns == 5 * client.cost_model.near_ns
 
     def test_payload_ns_never_negative(self):
         # The payload term prices only bytes beyond the inline allowance.

@@ -74,7 +74,7 @@ class TestSubmit:
         # One overlapped window (max latency + 7 doorbell slots), plus
         # the near-memory cost of reaping 8 completions from the CQ.
         assert client.clock.now_ns == pytest.approx(
-            model.far_ns + 7 * model.issue_ns + model.near_access_ns(8)
+            model.far_ns + 7 * model.issue_ns + 8 * model.near_ns
         )
         assert client.metrics.far_accesses == 8  # overlap never hides work
 

@@ -6,7 +6,8 @@ computation that a one-deep window does not need. These tests count
 Python-level function entries (``sys.setprofile`` ``call`` events — C builtins
 are excluded) for one op each and pin them as upper bounds, on a bare client
 and on a default-policy client, and count ``FarFuture`` constructions. One
-structure-level pin rides along: a warm ``HTTree.get`` hit, C calls included.
+structure-level pin rides along: a warm ``HTTree.get`` hit and a warm
+``HTTree.put`` update, C calls included.
 
 The pins are bounds, not equalities: CPython 3.12 inlines comprehensions, so
 3.10/3.11 set the number.
@@ -89,11 +90,26 @@ def test_warm_httree_get_hit_call_count():
     tree = cluster.ht_tree(bucket_count=64)
     tree.put(client, 7, 70)
     entries, c_calls = _calls(lambda c, t: t.get(c, 7), client, tree)
-    # 34 / 42 before far ops ran from their rows; 37 / 51 before heat, bounds
-    # and tree depth stopped costing a call each; 40 / 54 while the op opened
-    # its (null) span by hand.
-    assert entries <= 32
-    assert entries + c_calls <= 41
+    # 32 / 41 before the op ran as one body (a stale cache retried by a loop,
+    # not a recursion; the warm cache taken without a ``_cache`` frame; walk
+    # and bucket hash one call; the item decoded into locals; the walk priced
+    # without a cost-model call); 34 / 42 before far ops ran from their rows;
+    # 37 / 51 before heat, bounds and tree depth stopped costing a call each;
+    # 40 / 54 while the op opened its (null) span by hand.
+    assert entries <= 27
+    assert entries + c_calls <= 36
+
+
+def test_warm_httree_put_update_call_count():
+    """Its write-side twin: a warm in-place ``HTTree.put`` update, the
+    paper's two-far-access store (44 / 55 before the op ran as one body)."""
+    cluster = Cluster(node_count=1, node_size=8 << 20)
+    client = cluster.client(retry_policy=None, breaker_policy=None)
+    tree = cluster.ht_tree(bucket_count=64)
+    tree.put(client, 7, 70)
+    entries, c_calls = _calls(lambda c, t: t.put(c, 7, 71), client, tree)
+    assert entries <= 39
+    assert entries + c_calls <= 50
 
 
 @pytest.mark.parametrize("method", ["_post", "_issue"])
