@@ -12,7 +12,8 @@ code      name                    what it flags
 ========  ======================  ==============================================
 FM001     sync-far-op-in-loop     a synchronous far op discarded inside a
                                   ``for`` loop — independent iterations that
-                                  should overlap via ``submit()``/``batch()``
+                                  should overlap via ``phase()``/``submit()``/
+                                  ``batch()``
 FM002     leaked-far-future       a ``submit()`` future that is never polled,
                                   ``result()``-ed, stored, or returned
 FM003     bypass-client-metering  a raw ``fabric.*`` data-plane call that
@@ -283,7 +284,8 @@ _ALL_RULES = [
         "FM001",
         "sync-far-op-in-loop",
         "synchronous far op discarded inside a for loop; pipeline it "
-        "with submit(..., signaled=False), client.batch(), or a bulk op",
+        "with client.phase(op, calls), submit(..., signaled=False), "
+        "client.batch(), or a bulk op",
     ),
     Rule(
         "FM002",
@@ -506,8 +508,8 @@ class _Checker(ast.NodeVisitor):
                     "FM001",
                     f"synchronous {name}() discarded inside a for loop "
                     "serialises one round trip per iteration; use "
-                    "submit(..., signaled=False), client.batch(), or the "
-                    "structure's bulk operation",
+                    "client.phase(op, calls), submit(..., signaled=False), "
+                    "client.batch(), or the structure's bulk operation",
                 )
         self.generic_visit(node)
 

@@ -196,18 +196,14 @@ class AlarmConsumer:
         windows (one far access per window) — the paper's multi-window
         correlation use."""
         tail_low = min(level.low_bin for level in self.levels)
-        # One read per window, all independent: pipeline them (overlap
+        # One read per window, all independent: one phase (overlap
         # bounded by the client's QP depth; same per-window access count).
-        futures = [
-            self.client.submit(
-                "read",
-                storage + tail_low * WORD,
-                (self.ring.bins - tail_low) * WORD,
-                signaled=False,
-            )
+        tail_bytes = (self.ring.bins - tail_low) * WORD
+        reads = [
+            (storage + tail_low * WORD, tail_bytes)
             for storage in self.ring.previous_storages(lookback)
         ]
-        return [sum(unpack_words(future.result())) for future in futures]
+        return [sum(unpack_words(data)) for data in self.client.phase("read", reads)]
 
     def stop(self) -> None:
         """Drop every subscription."""

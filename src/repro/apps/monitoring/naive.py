@@ -21,7 +21,7 @@ from typing import Optional
 
 from ...alloc import FarAllocator, PlacementHint
 from ...fabric.client import Client
-from ...fabric.errors import AddressError
+from ...fabric.errors import AddressError, FabricError
 from ...fabric.wire import WORD, Layout, pack_words
 from .consumer import DEFAULT_LEVELS, Alarm, AlarmLevel
 
@@ -95,21 +95,23 @@ class NaiveConsumer:
         per sample — the ``k * N`` term of the naive formula).
 
         The sample reads are independent once the count is known, so they
-        are submitted as a pipeline (overlap bounded by the client's QP
+        are posted as one phase (overlap bounded by the client's QP
         depth): the naive design's access *count* is unchanged — the
         formula is about transfers, and overlap cannot hide the k * N
-        work — it just stops paying serial latency on top.
+        work — it just stops paying serial latency on top. A failed read
+        is raised when the inspection reaches it, so ``cursor`` stops at
+        that sample and the next poll reads it again.
         """
         available = self.client.read_u64(self.monitor.count_addr)
-        futures = [
-            self.client.submit(
-                "read_u64", self.monitor.log_base + i * WORD, signaled=False
-            )
-            for i in range(self.cursor, available)
-        ]
+        samples = self.client.phase(
+            "read_u64",
+            [(self.monitor.log_base + i * WORD,) for i in range(self.cursor, available)],
+            capture=True,
+        )
         new_alarms: list[Alarm] = []
-        for future in futures:
-            sample = future.result()
+        for sample in samples:
+            if isinstance(sample, FabricError):
+                raise sample
             self.cursor += 1
             new_alarms.extend(self._inspect(sample))
         return new_alarms

@@ -163,22 +163,12 @@ class Coordinator:
         if self._local is None:
             self._local = np.zeros(self.params.length, dtype=np.float64)
 
-    def apply(self, gradient: dict[int, float]) -> None:
-        """SGD step on the touched coordinates: one far access
-        (:meth:`RefreshableVector.set_many` batches data + versions)."""
-        updates: dict[int, int] = {}
-        for index, g in gradient.items():
-            self._local[index] -= self.learning_rate * g
-            updates[index] = float_to_word(float(self._local[index]))
-        if updates:
-            self.params.set_many(self.client, updates)
-
     def apply_many(self, gradients: "list[dict[int, float]]") -> None:
-        """Apply a batch of gradients in arrival order, publishing the
-        final coordinates with one :meth:`RefreshableVector.set_many` (one
-        far access for the whole batch). SGD steps accumulate in
-        ``_local`` first, so the published weights are identical to
-        :meth:`apply` called per gradient — only each coordinate's
+        """SGD steps for a batch of gradients in arrival order, publishing
+        the final coordinates with one :meth:`RefreshableVector.set_many`
+        (one far access for the whole batch, however many gradients). The
+        steps accumulate in ``_local`` first, so the published weights equal
+        those of one call per gradient — only each coordinate's
         intermediate values are skipped on the wire."""
         updates: dict[int, int] = {}
         for gradient in gradients:

@@ -373,13 +373,14 @@ class HTTree:
 
         Every key costs exactly what a sequential :meth:`get` costs — one
         bucket ``load0`` on the fast path, plus one read per collision-chain
-        hop — but the accesses are posted as unsignaled submissions, so up
-        to the client's QP depth of them overlap in one doorbell window
+        hop — but the bucket loads are posted as unsignaled submissions, so
+        up to the client's QP depth of them overlap in one doorbell window
         (claim C4's one-far-access-per-lookup count is preserved
         bit-for-bit; only wall-clock changes). Chains are chased
-        level-by-level so each hop round overlaps across keys too. Stale
-        keys trigger one cache refresh per round, then retry together.
-        Returns values aligned with ``keys`` (None for misses).
+        level-by-level, each hop round one :meth:`Client.phase`, so it
+        overlaps across keys too. Stale keys trigger one cache refresh per
+        round, then retry together. Returns values aligned with ``keys``
+        (None for misses).
         """
         for key in keys:
             self._check_key(key)
@@ -405,7 +406,7 @@ class HTTree:
     ) -> tuple[list, list]:
         """One pipelined round over ``keys[pos]`` for each ``pos`` in
         ``pending``: the bucket ``load0``s posted in one window, then the
-        chains chased level by level, one window per level.
+        chains chased level by level, one phase per level.
 
         Returns ``(found, stale)``. ``found`` has one entry per resolved key,
         in resolution order — ``(pos, leaf, bucket, head, addr, item,
@@ -440,15 +441,15 @@ class HTTree:
                     chain_len += 1
                     if probe.key != keys[pos]:
                         if probe.next != 0:
-                            self.stats.chain_hops += 1
-                            hop = client.submit("read", probe.next, ITEM.size, signaled=False)
-                            hops.append((pos, leaf, bucket, head, probe.next, hop, chain_len))
+                            hops.append((pos, leaf, bucket, head, probe.next, chain_len))
                             continue
                         probe = None  # the chain ends without the key
                 found.append((pos, leaf, bucket, head, addr, probe, chain_len))
+            self.stats.chain_hops += len(hops)
+            records = client.phase("read", [(addr, ITEM.size) for *_, addr, _ in hops])
             walks = [
-                (pos, leaf, bucket, head, addr, _Item(*ITEM.unpack(hop.result())), chain_len)
-                for pos, leaf, bucket, head, addr, hop, chain_len in hops
+                (pos, leaf, bucket, head, addr, _Item(*ITEM.unpack(record)), chain_len)
+                for (pos, leaf, bucket, head, addr, chain_len), record in zip(hops, records)
             ]
         return found, stale
 
@@ -538,14 +539,11 @@ class HTTree:
         for _round in range(5):
             found, stale = self._probe_round(client, keys, pending)
             updates = [
-                client.submit(
-                    "write_u64", addr + ITEM.offset["value"], pairs[pos][1], signaled=False
-                )
+                (addr + ITEM.offset["value"], pairs[pos][1])
                 for pos, _leaf, _bucket, _head, addr, item, _chain_len in found
                 if item is not None
             ]
-            for future in updates:
-                future.result()
+            client.phase("write_u64", updates)
             self.stats.updates += len(updates)
             # Inserts: overlapped record writes, one shared fence, then
             # overlapped CASes (with re-link rounds on contention).

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import Cluster
+from repro.fabric import FaultPlan
+from repro.fabric.errors import FarTimeoutError
 from repro.apps.monitoring import (
     AlarmConsumer,
     AlarmLevel,
@@ -170,6 +172,33 @@ class TestAlarms:
         consumer.stop()
         producer.record(99)
         assert consumer.poll() == []
+
+
+class TestNaivePoll:
+    def test_a_failed_sample_read_stops_the_cursor_there(self, cluster):
+        """A sample read that fails mid-poll is raised; the samples before
+        it are inspected, and the next poll resumes at it, inspecting no
+        sample twice."""
+        monitor = NaiveMonitor.create(cluster.allocator, capacity=8)
+        NaiveProducer(monitor=monitor, client=cluster.client()).run([91, 92, 93, 94, 95])
+        consumer = NaiveConsumer(
+            monitor=monitor,
+            client=cluster.client(retry_policy=None, breaker_policy=None),
+            levels=(AlarmLevel("first", 90, 100), AlarmLevel("third", 90, 100, min_events=3)),
+        )
+        # Access 0 reads the count; access 1 + i reads sample i.
+        injector = cluster.inject_faults(plan=FaultPlan().timeout_at(1 + 2))
+        with pytest.raises(FarTimeoutError):
+            consumer.poll()
+        assert injector.stats.timeouts_injected == 1
+        assert consumer.cursor == 2
+        assert [(a.level, a.events) for a in consumer.alarms] == [("first", 1)]
+        before = consumer.client.metrics.far_accesses
+        assert [(a.level, a.events) for a in consumer.poll()] == [("third", 3)]
+        assert consumer.cursor == 5
+        # The count, then samples 2, 3 and 4 once each.
+        assert consumer.client.metrics.far_accesses - before == 1 + 3
+        assert [a.level for a in consumer.alarms] == ["first", "third"]
 
 
 class TestTrafficFormula:

@@ -139,7 +139,7 @@ class TestWorkerCoordinator:
         coordinator = Coordinator(
             params=params, client=cluster.client(), learning_rate=0.1
         )
-        coordinator.apply({2: 1.0})
+        coordinator.apply_many([{2: 1.0}])
         assert coordinator.weights()[2] == pytest.approx(-0.1)
         reader = cluster.client()
         params.refresh(reader)

@@ -61,6 +61,17 @@ class TestFailover:
         framed.read_block(c, 0)
         assert c.metrics.delta(snapshot).far_accesses == 2
 
+    @pytest.mark.xfail(strict=True, reason="known defect: a failed replica read is charged again")
+    def test_a_failed_replica_read_is_not_a_far_access(self, cluster, framed):
+        """The dead primary's attempt costs its timeout and no far access;
+        the secondary's read is the one far access. ``read_block`` charges
+        the failed attempt a second time, as a phantom access."""
+        framed.write_block(cluster.client(), 0, b"7" * 64)
+        cluster.fabric.fail_node(cluster.fabric.node_of(framed.replicas[0]))
+        reader = cluster.client(retry_policy=None, breaker_policy=None)
+        assert framed.read_block(reader, 0) == b"7" * 64
+        assert (reader.metrics.far_accesses, reader.clock.now_ns) == (1, 11_000.0)
+
     def test_primary_failed_mid_workload(self, cluster, framed):
         """The primary dies *between* reads: earlier reads hit it, later
         reads fail over — and the stats ledger separates the two."""

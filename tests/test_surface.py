@@ -44,6 +44,7 @@ state-field and kept-unrun counts.
 """
 
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -555,7 +556,6 @@ KEEP_UNRUN = {
     "Tracer.remove_sink": "the detach half of add_sink: how a registry stops observing a tracer",
     "TelemetryRegistry.watch": "observing one client: the runs observe a whole tracer",
     "GradientChannel.receive": "the one-gradient form of receive_many, which the runs call",
-    "Coordinator.apply": "the one-gradient form of apply_many, which the runs call",
     "FarVector.read_range": "the section 5.1 vector's bulk read: the runs read elements",
     "FarHistogram.read_range": "the section 6 consumer's optional copy of a bin range",
     "WindowedHistogramRing.read_window": "bulk-reading one past window (section 6)",
@@ -721,13 +721,61 @@ def test_the_hook_keys_what_a_process_enters_as_functions_does(tmp_path):
     assert "Zipf.sample" not in names
 
 
+def tree_digest(root: Path) -> str:
+    """One hash of every ``*.py`` file under ``root``, each path with its
+    bytes. The hook keys a function on its first line, so a recording is
+    comparable to :func:`functions` only if the tree read the same before
+    and after it."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def unrun() -> tuple[int, set[str]]:
     """The function count, and the names of the functions no recorded run
-    enters. Functions sharing a qualified name share it, as names do above."""
+    enters. Functions sharing a qualified name share it, as names do above.
+    An edit to ``src/repro`` while the runs record ends it with no verdict:
+    a process started after the edit keys the new line numbers."""
+    before = tree_digest(SRC)
     defined = functions()
     with tempfile.TemporaryDirectory() as scratch:
         seen = record(recorded_runs(scratch), scratch)
+    if tree_digest(SRC) != before:
+        raise SystemExit("src/repro changed during the recording; rerun")
     return len(defined), {name for key, name in defined.items() if key not in seen}
+
+
+def test_unrun_gives_no_verdict_on_a_tree_edited_mid_recording(tmp_path, monkeypatch):
+    """Only ``*.py`` files count: an edit, an added file or a rename between
+    the two digests ends ``unrun`` before it names any function."""
+    import pytest
+
+    module = sys.modules[__name__]
+    tree = tmp_path / "repro"
+    (tree / "core").mkdir(parents=True)
+    (tree / "core" / "a.py").write_text("def f():\n    pass\n", encoding="utf-8")
+    monkeypatch.setattr(module, "SRC", tree)
+    monkeypatch.setattr(module, "recorded_runs", lambda out: [])
+
+    def recording_that(edit):
+        def record(runs, scratch):
+            edit()
+            return set()
+
+        return record
+
+    monkeypatch.setattr(module, "record", recording_that(lambda: (tree / "a.txt").touch()))
+    assert unrun() == (1, {"f"})
+    for edit in (
+        lambda: (tree / "core" / "a.py").write_text("\ndef f():\n    pass\n"),
+        lambda: (tree / "b.py").touch(),
+        lambda: (tree / "b.py").rename(tree / "core" / "b.py"),
+    ):
+        monkeypatch.setattr(module, "record", recording_that(edit))
+        with pytest.raises(SystemExit, match="src/repro changed during the recording; rerun"):
+            unrun()
 
 
 def test_every_keep_unrun_row_names_a_function_and_a_reason():
