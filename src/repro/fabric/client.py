@@ -272,11 +272,14 @@ class Client:
         node: Optional[int] = None,
         addr: Optional[int] = None,
         target: Optional[int] = None,
+        spike: float = 1.0,
     ) -> None:
         """Count, price and trace one completed far access. ``atomic``
         (the event's key), ``node``, ``addr`` and ``target`` (the resolved
-        indirection) are for the tracer only. A completed op does the same
-        inline, at the end of :meth:`_issue`: the two must stay alike."""
+        indirection) are for the tracer only; ``spike`` is the latency
+        multiplier the access's fault check returned. A completed op does
+        the same inline, at the end of :meth:`_issue`: the two must stay
+        alike."""
         m = self.metrics
         m.far_accesses += 1
         m.round_trips += 1
@@ -285,9 +288,7 @@ class Client:
         m.bytes_written += nbytes_written
         m.indirection_forwards += forward_hops
         fabric = self.fabric
-        charge = fabric.cost_model.far_access_ns(nbytes_read + nbytes_written, forward_hops)
-        if fabric.fault_injector is not None:  # a latency spike slows the op (1.0 if none fired)
-            charge *= fabric.consume_fault_latency()
+        charge = fabric.cost_model.far_access_ns(nbytes_read + nbytes_written, forward_hops) * spike
         if self._op is not None:
             self._charge += charge  # _advance's common case, without its frame
         else:
@@ -528,12 +529,6 @@ class Client:
     # Retry / circuit-breaker machinery
     # ------------------------------------------------------------------
 
-    def _breaker_for(self, node: int) -> CircuitBreaker:
-        breaker = self.breakers.get(node)
-        if breaker is None:
-            breaker = self.breakers[node] = CircuitBreaker(node, self.breaker_policy)
-        return breaker
-
     def _issue(self, row: FarOp, args: tuple) -> Any:
         """Run one far op of ``row`` on ``args`` and account for it; returns
         what the fabric returned, as the row projects it (see
@@ -606,6 +601,7 @@ class Client:
             self._account_far(nbytes_read, nbytes_written, 0, result.segments, node=args[0])
             return None
         node = address = None  # the home node and address; a bare client needs neither
+        spike = 1.0  # the latency multiplier the last fault check returned
         if not (
             policy is None
             and self.breaker_policy is None
@@ -642,12 +638,18 @@ class Client:
                         ) from None
                     raise
             else:
-                breaker = None if self.breaker_policy is None else self._breaker_for(node)
-                if breaker is not None and not breaker.allow(self.clock.now_ns):
-                    self.metrics.breaker_rejections += 1
-                    if tracer is not None:
-                        tracer.emit(self, "breaker_reject", node=node)
-                    raise CircuitOpenError(node, address)
+                # A breaker with no failure streak is CLOSED (CircuitBreaker's
+                # invariant): it admits the op and has no streak to clear.
+                breaker = None
+                if self.breaker_policy is not None:
+                    breaker = self.breakers.get(node)
+                    if breaker is None:
+                        breaker = self.breakers[node] = CircuitBreaker(node, self.breaker_policy)
+                    elif breaker.consecutive_failures and not breaker.allow(self.clock.now_ns):
+                        self.metrics.breaker_rejections += 1
+                        if tracer is not None:
+                            tracer.emit(self, "breaker_reject", node=node)
+                        raise CircuitOpenError(node, address)
                 attempts = policy.max_attempts if policy is not None else 1
                 last: Optional[Exception] = None
                 for attempt in range(1, attempts + 1):
@@ -667,7 +669,7 @@ class Client:
                             )
                     try:
                         if fabric.fault_injector is not None:
-                            fabric.fault_check(node, address, row.tears)
+                            spike = fabric.fault_check(node, address, row.tears)
                         result = op(*args)
                     except FarTimeoutError as err:
                         self.metrics.timeouts += 1
@@ -688,12 +690,11 @@ class Client:
                     except NodeUnavailableError as err:
                         last = err
                     else:
-                        if breaker is not None:
+                        if breaker is not None and breaker.consecutive_failures:
                             breaker.record_success()
                         break
-                    # Failed attempt: any pending latency spike died with it, and
-                    # the client only learns of the loss after a full timeout.
-                    fabric.consume_fault_latency()
+                    # Failed attempt: its latency spike died with it, and the
+                    # client only learns of the loss after a full timeout.
                     self._advance(self.cost_model.timeout_ns)
                     if breaker is not None:
                         if breaker.record_failure(self.clock.now_ns):
@@ -705,7 +706,8 @@ class Client:
                 else:
                     raise last
         except RemoteIndirectionError as err:
-            self._account_far(WORD, 0, node=node, addr=address)  # the refused round trip
+            # The refused round trip, slowed by its own fault check's spike.
+            self._account_far(WORD, 0, node=node, addr=address, spike=spike)
             result = self._complete_pending(err.pending)
         else:
             if type(result) is FabricResult:
@@ -724,9 +726,7 @@ class Client:
             m.bytes_read += nbytes_read
             m.bytes_written += nbytes_written
             m.indirection_forwards += hops
-            charge = fabric.cost_model.far_access_ns(nbytes_read + nbytes_written, hops)
-            if fabric.fault_injector is not None:  # a latency spike slows the op
-                charge *= fabric.consume_fault_latency()
+            charge = fabric.cost_model.far_access_ns(nbytes_read + nbytes_written, hops) * spike
             self._charge += charge
             if tracer is not None:
                 tracer.on_far_access(

@@ -154,8 +154,9 @@ class Fabric(FarPrimitivesMixin):
         """Attach (or detach, with ``None``) a transient-fault injector."""
         self.fault_injector = injector
 
-    def fault_check(self, node: int, address: int, tears: bool = False) -> None:
-        """Consult the fault injector at one operation boundary.
+    def fault_check(self, node: int, address: int, tears: bool = False) -> float:
+        """Consult the fault injector at one operation boundary; returns
+        the access's latency multiplier (1.0 when no spike fired).
 
         Clients call this once per one-sided op (``node`` is the node
         ``address`` currently lives on), *before* the fabric executes
@@ -163,8 +164,9 @@ class Fabric(FarPrimitivesMixin):
         effects and the op is always safe to retry (request-drop
         semantics — crucial for the non-idempotent ``faai``/``saai``/CAS
         family). Raises :class:`~repro.fabric.errors.FarTimeoutError`
-        when a fault fires; latency spikes instead accumulate a pending
-        multiplier read back via :meth:`consume_fault_latency`.
+        when a fault fires. A latency spike is the return value, not
+        pending state: the client multiplies this access's charge by it,
+        and a failed attempt drops it.
 
         ``tears`` says the op about to run can tear (its row's ``tears``
         flag: the multi-word writes), so TORN rules match only those. A
@@ -174,25 +176,18 @@ class Fabric(FarPrimitivesMixin):
         """
         injector = self.fault_injector
         if injector is None:
-            return
-        injector.before_access(node, address, tears)
-        flips = injector.take_corruption()
-        if flips:
+            return 1.0
+        multiplier = injector.before_access(node, address, tears)
+        if injector._pending_corruption is not None:
             total = self.extents.virtual_size
-            for byte_off, bit in flips:
+            for byte_off, bit in injector.take_corruption():
                 target = address + byte_off
                 if target >= total:
                     continue  # rot past the end of the pool lands nowhere
                 location = self.extents.locate(target)
                 # Applied even on a failed node: data decays while down.
                 self.nodes[location.node].corrupt_bit(location.offset, bit)
-
-    def consume_fault_latency(self) -> float:
-        """Latency multiplier for the op just completed (1.0 when no
-        injector is attached or no spike fired)."""
-        if self.fault_injector is None:
-            return 1.0
-        return self.fault_injector.consume_latency_multiplier()
+        return multiplier
 
     def _node_for(self, node: int, address: int) -> MemoryNode:
         if node in self._failed_nodes:
@@ -245,17 +240,17 @@ class Fabric(FarPrimitivesMixin):
         write tears its first target and never reaches the rest.
         """
         length = len(data)
-        if self.fault_injector is not None:
-            fraction = self.fault_injector.take_torn_fraction()
-            if fraction is not None:
-                prefix = align_down(int(length * fraction), WORD)
-                if prefix > 0:
-                    self.write(address, bytes(data[:prefix]))
-                raise FarTimeoutError(
-                    self.node_of(address), address,
-                    reason=f"torn write ({prefix}/{length} bytes applied)",
-                    torn=True,
-                )
+        injector = self.fault_injector
+        if injector is not None and injector._pending_torn is not None:
+            fraction = injector.take_torn_fraction()
+            prefix = align_down(int(length * fraction), WORD)
+            if prefix > 0:
+                self.write(address, bytes(data[:prefix]))
+            raise FarTimeoutError(
+                self.node_of(address), address,
+                reason=f"torn write ({prefix}/{length} bytes applied)",
+                torn=True,
+            )
         # Police in-flight migrations first: a FENCE raises before any
         # byte moves, so a fenced write is all-or-nothing.
         mirrors = self.extents.write_intercept(address, length) if self.extents._migrating else ()

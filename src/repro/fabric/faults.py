@@ -14,6 +14,9 @@ the mess, reproducibly:
   always safe (even for the non-idempotent atomics).
 * **Latency spikes** — the operation completes, but its simulated-time
   charge is multiplied (congestion, retransmission at a lower layer).
+  The multiplier is the fault check's return value, not pending state:
+  it slows the access that drew it and no other, and an attempt that
+  fails drops it.
 * **Flaky windows** — a node drops *every* operation for the next N
   accesses, then self-heals: the middle ground between a lost packet and
   a fail-stop crash (link flap, switch reboot, NIC reset).
@@ -102,20 +105,6 @@ class FaultRule:
             raise ValueError("corruption must flip at least 1 bit")
         if self.span < 1:
             raise ValueError("corruption span must be >= 1 byte")
-
-    def matches(self, op_index: int, node: int, address: int) -> bool:
-        """Does this rule apply to the given access?"""
-        if op_index < self.start_op:
-            return False
-        if self.end_op is not None and op_index >= self.end_op:
-            return False
-        if self.node is not None and node != self.node:
-            return False
-        if self.address_range is not None:
-            lo, hi = self.address_range
-            if not lo <= address < hi:
-                return False
-        return True
 
 
 @dataclass
@@ -296,8 +285,9 @@ class FaultInjector:
 
     The fabric consults :meth:`before_access` once per client-issued
     operation, *before* any memory-side state changes — see
-    ``Fabric.fault_check``. Latency spikes do not raise; they accumulate
-    a pending multiplier the client consumes when charging its clock.
+    ``Fabric.fault_check``. Latency spikes do not raise: the check
+    returns the access's multiplier, which the client applies to that
+    access's charge alone.
     """
 
     def __init__(
@@ -312,7 +302,6 @@ class FaultInjector:
         self.stats = FaultStats()
         self.op_index = 0
         self._flaky_until: dict[int, int] = {}  # node -> op index window closes
-        self._pending_multiplier = 1.0
         # Consumed by the fabric between the fault check and the op body:
         # (byte offset, bit index) flips relative to the accessed address,
         # and the fraction of a torn write that lands before the loss.
@@ -323,17 +312,21 @@ class FaultInjector:
     # The injection point
     # ------------------------------------------------------------------
 
-    def before_access(self, node: int, address: int, tears: bool = False) -> None:
-        """Called by the fabric at each operation boundary.
+    def before_access(self, node: int, address: int, tears: bool = False) -> float:
+        """Called by the fabric at each operation boundary; returns this
+        access's latency multiplier (1.0 unless a LATENCY rule fired).
 
-        May raise :class:`FarTimeoutError`; never mutates far memory
-        directly — corruption and tearing are recorded as *pending* state
-        the fabric consumes via :meth:`take_corruption` /
+        May raise :class:`FarTimeoutError`, and then the access has no
+        multiplier: a dropped request's spike dies with it. Never mutates
+        far memory directly — corruption and tearing are recorded as
+        *pending* state the fabric consumes via :meth:`take_corruption` /
         :meth:`take_torn_fraction` while executing the op. ``tears`` is the
         op's row flag (a multi-word write); TORN rules match only such ops.
-        The RNG is consumed in a fixed order (one draw per probabilistic
-        rule per access, plus the fired rule's own draws) so fault
-        sequences replay exactly.
+        A rule applies to the accesses in its ``[start_op, end_op)`` window
+        routed to its ``node`` with an address in its ``address_range``
+        (each None = any). The RNG is consumed in a fixed order (one draw
+        per applying probabilistic rule per access, in rule order, plus the
+        fired rule's own draws) so fault sequences replay exactly.
         """
         # Pending effects from a previous access that never executed (its
         # request was dropped by another rule) die with that request.
@@ -344,26 +337,30 @@ class FaultInjector:
         self.stats.checks += 1
 
         # An open flaky window drops everything to the node until it heals.
-        until = self._flaky_until.get(node)
-        if until is not None:
-            if op < until:
+        flaky = self._flaky_until
+        if flaky and node in flaky:
+            if op < flaky[node]:
                 self.stats.flaky_drops += 1
                 raise FarTimeoutError(node, address, reason="flaky window")
-            del self._flaky_until[node]  # self-healed
+            del flaky[node]  # self-healed
 
+        multiplier = 1.0
         drop: Optional[str] = None
         for rule in self.rules:
             if rule.kind == TORN and not tears:
                 continue  # nothing to tear: no draw, the op is workload-fixed
-            if not rule.matches(op, node, address):
+            if op < rule.start_op or (rule.end_op is not None and op >= rule.end_op):
                 continue
-            hit = rule.probability >= 1.0 or self.rng.random() < rule.probability
-            if not hit:
+            if rule.node is not None and node != rule.node:
+                continue
+            addresses = rule.address_range
+            if addresses is not None and not addresses[0] <= address < addresses[1]:
+                continue
+            if rule.probability < 1.0 and self.rng.random() >= rule.probability:
                 continue
             if rule.kind == LATENCY:
-                self._pending_multiplier = max(
-                    self._pending_multiplier, rule.multiplier
-                )
+                if rule.multiplier > multiplier:
+                    multiplier = rule.multiplier
                 self.stats.spikes_injected += 1
             elif rule.kind == FLAKY:
                 if node not in self._flaky_until:
@@ -392,12 +389,7 @@ class FaultInjector:
             else:
                 self.stats.timeouts_injected += 1
             raise FarTimeoutError(node, address, reason=drop)
-
-    def consume_latency_multiplier(self) -> float:
-        """Pending latency multiplier for the just-completed operation
-        (resets to 1 after reading)."""
-        mult, self._pending_multiplier = self._pending_multiplier, 1.0
-        return mult
+        return multiplier
 
     def take_corruption(self) -> Optional[list[tuple[int, int]]]:
         """Pending ``(byte_offset, bit_index)`` flips for the access that

@@ -117,7 +117,15 @@ class BreakerPolicy:
 
 
 class CircuitBreaker:
-    """Failure-rate gate for one (client, memory node) pair."""
+    """Failure-rate gate for one (client, memory node) pair.
+
+    Invariant: a breaker with no failure streak (``consecutive_failures ==
+    0``) is ``CLOSED``. Only :meth:`record_failure` leaves ``CLOSED``, after
+    counting the failure, and only :meth:`record_success` clears the
+    streak, closing the breaker as it does. So a client skips :meth:`allow`
+    and :meth:`record_success` while the streak is zero: the one would
+    return True and the other change nothing.
+    """
 
     def __init__(self, node: int, policy: BreakerPolicy) -> None:
         self.node = node

@@ -200,6 +200,22 @@ class TestNaivePoll:
         assert consumer.client.metrics.far_accesses - before == 1 + 3
         assert [a.level for a in consumer.alarms] == ["first", "third"]
 
+    @pytest.mark.xfail(strict=True, reason="known defect: the samples after a failed one reread")
+    def test_two_polls_read_each_sample_once(self, cluster):
+        """With sample 2 of 5 timed out, the two polls need 7 far accesses:
+        two count reads, samples 0, 1, 3 and 4 once, and sample 2 once it
+        reads. The second poll re-reads samples 3 and 4 (9)."""
+        monitor = NaiveMonitor.create(cluster.allocator, capacity=8)
+        NaiveProducer(monitor=monitor, client=cluster.client()).run([1, 2, 3, 4, 5])
+        client = cluster.client(retry_policy=None, breaker_policy=None)
+        consumer = NaiveConsumer(monitor=monitor, client=client)
+        cluster.inject_faults(plan=FaultPlan().timeout_at(1 + 2))
+        with pytest.raises(FarTimeoutError):
+            consumer.poll()
+        consumer.poll()
+        assert consumer.cursor == 5
+        assert client.metrics.far_accesses == 7
+
 
 class TestTrafficFormula:
     """The headline claim: (k+1)N naive vs N + m with histograms."""

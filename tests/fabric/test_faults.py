@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import Cluster
 from repro.fabric import (
+    AddressError,
     FarCorruptionError,
     FarTimeoutError,
     FaultInjector,
@@ -52,11 +54,61 @@ class TestFaultRule:
         rule = FaultRule(
             "timeout", 1.0, node=1, address_range=(100, 200), start_op=5, end_op=10
         )
-        assert rule.matches(5, 1, 150)
-        assert not rule.matches(4, 1, 150)  # before window
-        assert not rule.matches(10, 1, 150)  # window is half-open
-        assert not rule.matches(5, 0, 150)  # wrong node
-        assert not rule.matches(5, 1, 200)  # address range is half-open
+
+        def fires(op_index, node, address):
+            injector = FaultInjector()
+            injector.rules, injector.op_index = [rule], op_index
+            try:
+                injector.before_access(node, address)
+            except FarTimeoutError:
+                return True
+            return False
+
+        assert fires(5, 1, 150)
+        assert not fires(4, 1, 150)  # before window
+        assert not fires(10, 1, 150)  # window is half-open
+        assert not fires(5, 0, 150)  # wrong node
+        assert not fires(5, 1, 200)  # address range is half-open
+
+
+class TestDecisionStream:
+    """The injector's per-access decisions, pinned: one plan with all five
+    kinds, node filters, an address range, ``start_op`` / ``end_op``
+    windows, certain and probabilistic rules, and accesses that can tear
+    and that cannot, driven for 2 000 accesses over 3 nodes. Each access
+    records ``(raised message, multiplier, flips, torn fraction)``; a
+    raised access has no multiplier. The literal was recorded when a spike
+    was pending state read back after each access, so it also holds that
+    returning the multiplier moved no decision and no RNG draw."""
+
+    RULES = (
+        FaultRule("timeout", 0.03),
+        FaultRule("timeout", 1.0, node=1, start_op=100, end_op=104),
+        FaultRule("latency", 0.05, node=2, multiplier=4.0),
+        FaultRule("latency", 1.0, multiplier=8.0, start_op=500, end_op=530),
+        FaultRule("flaky", 0.004, duration=5),
+        FaultRule("flaky", 1.0, node=0, duration=10, start_op=900, end_op=901),
+        FaultRule("corrupt", 0.02, bits=2, span=32, address_range=(0, 4096)),
+        FaultRule("corrupt", 1.0, node=1, start_op=1200, end_op=1210),
+        FaultRule("torn", 0.1, address_range=(1024, 8192)),
+        FaultRule("torn", 1.0, node=2, start_op=1500, end_op=1520),
+        FaultRule("timeout", 0.5, node=0, address_range=(8192, 12288), start_op=1700, end_op=1900),
+    )
+
+    def test_decision_stream_is_pinned(self):
+        injector = FaultInjector(seed=7)
+        injector.rules = list(self.RULES)
+        crc = 0
+        for i in range(2000):
+            node, address, tears = i % 3, (i * 104729) % 16384 & ~7, i % 4 == 0
+            try:
+                reason, multiplier = None, injector.before_access(node, address, tears)
+            except FarTimeoutError as err:
+                reason, multiplier = str(err), None
+            record = (reason, multiplier, injector.take_corruption(), injector.take_torn_fraction())
+            crc = zlib.crc32(repr(record).encode(), crc)
+        assert dataclasses.astuple(injector.stats) == (2000, 75, 79, 14, 29, 15, 27, 21)
+        assert crc == 0xE56139B1
 
 
 class TestInjection:
@@ -160,6 +212,23 @@ class TestInjection:
         c.read_u64(addr)  # spiked
         t2 = c.clock.now_ns - t1
         assert t2 == pytest.approx(4.0 * t1)
+
+    def test_a_spike_slows_only_the_access_that_drew_it(self, cluster):
+        """A spiked access that fails after its fault check (here a
+        pointer past the pool: ``AddressError``) takes its spike with it;
+        the next access is charged its plain latency."""
+        pointer, good = cluster.allocator.alloc(8), cluster.allocator.alloc(8)
+        c = raw_client(cluster)
+        c.write_u64(pointer, cluster.fabric.extents.virtual_size + 4096)
+        injector = cluster.inject_faults(
+            seed=1, plan=FaultPlan().spike_between(0, 1, multiplier=8.0)
+        )
+        with pytest.raises(AddressError):
+            c.load0(pointer, 8)  # access 0: spiked, then fails
+        assert injector.stats.spikes_injected == 1
+        before = c.clock.now_ns
+        c.read_u64(good)  # access 1: no spike
+        assert c.clock.now_ns - before == cluster.fabric.cost_model.far_ns
 
 
 class TestDeterminism:

@@ -554,7 +554,7 @@ class TestOpTable:
 
         def recorded(node, address, tears=False):
             seen.append(tears)
-            before_access(node, address, tears)
+            return before_access(node, address, tears)
 
         monkeypatch.setattr(injector, "before_access", recorded)
         getattr(client, name)(*ARGS[name](memory))

@@ -1,6 +1,8 @@
 """Unit tests for the client retry/backoff layer and circuit breakers."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import Cluster
 from repro.fabric import (
@@ -95,6 +97,34 @@ class TestCircuitBreaker:
         b.record_failure(0)
         b.record_success()
         assert not b.record_failure(0)  # streak restarted
+
+    @given(
+        threshold=st.integers(1, 4),
+        cooldown=st.sampled_from([0.0, 50.0, 100.0]),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["allow", "failure", "success"]), st.integers(0, 400)),
+            max_size=40,
+        ),
+    )
+    def test_no_failure_streak_means_closed(self, threshold, cooldown, steps):
+        """The invariant a client's guard ladder relies on to skip
+        ``allow`` and ``record_success`` on a breaker with no streak: after
+        any sequence of calls, a zero streak is the ``CLOSED`` state, where
+        ``allow`` admits and ``record_success`` changes nothing."""
+        b = CircuitBreaker(0, BreakerPolicy(failure_threshold=threshold, cooldown_ns=cooldown))
+        for step, now_ns in [("start", 0), *steps]:
+            if step == "allow":
+                b.allow(now_ns)
+            elif step == "failure":
+                b.record_failure(now_ns)
+            elif step == "success":
+                b.record_success()
+            if b.consecutive_failures == 0:
+                assert b.state is BreakerState.CLOSED
+                before = (b.state, b.opened_at_ns, b.trips, b.rejections)
+                assert b.allow(now_ns)
+                b.record_success()
+                assert (b.state, b.opened_at_ns, b.trips, b.rejections) == before
 
 
 class TestClientRetries:

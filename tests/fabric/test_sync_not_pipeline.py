@@ -4,10 +4,10 @@ A synchronous far call posts one window entry and rings the doorbell itself;
 it must not pay for a ``FarFuture``, a membership scan, or a generic window
 computation that a one-deep window does not need. These tests count
 Python-level function entries (``sys.setprofile`` ``call`` events — C builtins
-are excluded) for one op each and pin them as upper bounds, on a bare client
-and on a default-policy client, and count ``FarFuture`` constructions. One
-structure-level pin rides along: a warm ``HTTree.get`` hit and a warm
-``HTTree.put`` update, C calls included.
+are excluded) for one op each and pin them as upper bounds, on a bare client,
+on a default-policy client and on one with a silent fault injector, and count
+``FarFuture`` constructions. One structure-level pin rides along: a warm
+``HTTree.get`` hit and a warm ``HTTree.put`` update, C calls included.
 
 The pins are bounds, not equalities: CPython 3.12 inlines comprehensions, so
 3.10/3.11 set the number.
@@ -20,25 +20,30 @@ import sys
 import pytest
 
 from repro import Cluster
-from repro.fabric import Client, FarFuture
+from repro.fabric import Client, FarFuture, FaultPlan
 
 from .test_translate_once import _cluster
 
-# name -> (call, entries on a bare client, entries with retry + breaker policy);
-# the memory map is test_translate_once's: ``p`` points at ``t``, ``a``/``b``
+# name -> (call, entries on a bare client); a default-policy client (retry +
+# breaker, no failure streak) pays the same, and one with a silent injector
+# two more: the fault check and the injector's rule scan.
+# The memory map is test_translate_once's: ``p`` points at ``t``, ``a``/``b``
 # are plain buffers, ``w`` a 256 B one (the write path: one full inline packet).
 # Each op paid one more entry per heat count, per migration check with none
 # in flight and per node bounds check before those went inline (load0 25 / 32,
 # faai 34 / 41, rgather 35 / 42), and two more for its hand-written body and
 # its accounting call before it ran from its row (rgather four: its byte count
-# summed the iovec through a generator).
+# summed the iovec through a generator). A default-policy client paid three
+# more than a bare one (read_u64 15, load0 23), and a silent injector five
+# more than that (six on a write), before a closed breaker and the spike's
+# pending state stopped costing a call.
 OPS = {
-    "read_u64": (lambda c, m: c.read_u64(m["a"]), 12, 15),
-    "cas": (lambda c, m: c.cas(m["a"], 0, 0), 12, 15),  # succeeds every time
-    "load0": (lambda c, m: c.load0(m["p"], 24), 20, 23),
-    "rgather": (lambda c, m: c.rgather([(m["a"], 8), (m["b"], 16), (m["t"], 8)]), 23, 26),
-    "write": (lambda c, m: c.write(m["w"], b"w" * 256), 12, 15),
-    "faai": (lambda c, m: c.faai(m["p"], 0, 24), 21, 24),  # the pointer-bump path; *p stays put
+    "read_u64": (lambda c, m: c.read_u64(m["a"]), 12),
+    "cas": (lambda c, m: c.cas(m["a"], 0, 0), 12),  # succeeds every time
+    "load0": (lambda c, m: c.load0(m["p"], 24), 20),
+    "rgather": (lambda c, m: c.rgather([(m["a"], 8), (m["b"], 16), (m["t"], 8)]), 23),
+    "write": (lambda c, m: c.write(m["w"], b"w" * 256), 12),
+    "faai": (lambda c, m: c.faai(m["p"], 0, 24), 21),  # the pointer-bump path; *p stays put
 }
 
 
@@ -68,7 +73,7 @@ def _python_calls(call, client, memory):
 def test_bare_client_sync_op_call_count(op):
     cluster, memory = _cluster()
     client = cluster.client(retry_policy=None, breaker_policy=None)
-    call, bare, _ = OPS[op]
+    call, bare = OPS[op]
     assert _python_calls(call, client, memory) <= bare
 
 
@@ -77,8 +82,17 @@ def test_default_policy_sync_op_call_count(op):
     cluster, memory = _cluster()
     client = cluster.client()
     assert client.retry_policy is not None and client.breaker_policy is not None
-    call, _, guarded = OPS[op]
-    assert _python_calls(call, client, memory) <= guarded
+    call, bare = OPS[op]
+    assert _python_calls(call, client, memory) <= bare
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_silent_injector_sync_op_call_count(op):
+    cluster, memory = _cluster()
+    client = cluster.client()
+    cluster.inject_faults(plan=FaultPlan())
+    call, bare = OPS[op]
+    assert _python_calls(call, client, memory) <= bare + 2
 
 
 def test_warm_httree_get_hit_call_count():
