@@ -18,12 +18,15 @@ mirroring the paper's discussion of interleaving:
 Both are the same formula: stripe ``s`` of ``granularity`` bytes starts on
 node ``s % node_count`` at local stripe ``s // node_count``; a range layout
 is the stripe that spans a whole node.
+
+What a translation answers is a :class:`Location`: the tuple ``(node,
+offset)``, built once per lookup on the far-access path.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .wire import WORD
 
@@ -31,12 +34,18 @@ PAGE_SIZE = 4096
 """Page size used for notification bookkeeping (section 4.3)."""
 
 
-@dataclass(frozen=True)
-class Location:
-    """A node-local location: which memory node, and the offset within it."""
+class Location(tuple):
+    """A node-local location: the tuple ``(node, offset)``.
 
-    node: int
-    offset: int
+    Built as ``Location((node, offset))``, a bare type call with no Python
+    frame, because the fabric builds one per translation. It unpacks like
+    the pair it is; ``node`` and ``offset`` name its two fields.
+    """
+
+    __slots__ = ()
+
+    node = property(itemgetter(0), doc="Memory node id.")
+    offset = property(itemgetter(1), doc="Byte offset within the node.")
 
 
 class Placement:

@@ -623,7 +623,7 @@ class Client:
                 home = at[0][0] if at else extents.locate(address)
             if shape != "indexed":
                 args += (at,)
-            node = home.node
+            node = home[0]
         try:
             if node is None:
                 try:

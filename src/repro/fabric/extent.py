@@ -53,7 +53,7 @@ STAGING = -2
 
 Segments = list[tuple[Location, int]]
 """What :meth:`ExtentTable.split` returns: ``[(location, length), ...]`` in
-address order."""
+address order; each location unpacks as ``(node, offset)``."""
 
 
 class MigrationWritePolicy(enum.Enum):
@@ -174,10 +174,12 @@ class ExtentTable:
             raise AddressError(address, 1, "outside the far memory pool")
         es = self._es
         extent = address // es
-        return Location(self._node[extent], self._slot[extent] * es + address % es)
+        return Location((self._node[extent], self._slot[extent] * es + address % es))
 
     def node_of(self, address: int) -> int:
-        return self.locate(address).node
+        if not 0 <= address < self._virtual_size:
+            raise AddressError(address, 1, "outside the far memory pool")
+        return self._node[address // self._es]
 
     def try_globalize(self, node: int, offset: int) -> Optional[int]:
         """Virtual address of physical ``(node, offset)``, or ``None``.
@@ -219,7 +221,7 @@ class ExtentTable:
         while cursor < end:
             extent = cursor // es
             node, slot = nodes[extent], slots[extent]
-            location = Location(node, slot * es + cursor % es)
+            location = Location((node, slot * es + cursor % es))
             stop = (extent + 1) * es
             while stop < end and nodes[extent + 1] == node and slots[extent + 1] == slot + 1:
                 extent += 1

@@ -184,9 +184,9 @@ class Fabric(FarPrimitivesMixin):
                 target = address + byte_off
                 if target >= total:
                     continue  # rot past the end of the pool lands nowhere
-                location = self.extents.locate(target)
+                node, offset = self.extents.locate(target)
                 # Applied even on a failed node: data decays while down.
-                self.nodes[location.node].corrupt_bit(location.offset, bit)
+                self.nodes[node].corrupt_bit(offset, bit)
         return multiplier
 
     def _node_for(self, node: int, address: int) -> MemoryNode:
@@ -206,7 +206,7 @@ class Fabric(FarPrimitivesMixin):
 
     def node_of(self, address: int) -> int:
         """Memory node id *currently* holding ``address`` (see :meth:`locate`)."""
-        return self.extents.locate(address).node
+        return self.extents.node_of(address)
 
     # ------------------------------------------------------------------
     # Base one-sided operations (section 2: loads/stores/atomics)
@@ -220,11 +220,11 @@ class Fabric(FarPrimitivesMixin):
         heat, es = self.extents._heat, self.extents._es
         pieces: list[bytes] = []
         cursor = address
-        for location, seg_len in segments:
-            if location.node in self._failed_nodes:  # _node_for, inlined on both read paths
-                raise NodeUnavailableError(location.node, cursor)
+        for (node, offset), seg_len in segments:
+            if node in self._failed_nodes:  # _node_for, inlined on every data path
+                raise NodeUnavailableError(node, cursor)
             heat[cursor // es] += 1
-            pieces.append(self.nodes[location.node].read(location.offset, seg_len))
+            pieces.append(self.nodes[node].read(offset, seg_len))
             cursor += seg_len
         return FabricResult(value=b"".join(pieces), segments=len(segments) or 1)
 
@@ -258,10 +258,11 @@ class Fabric(FarPrimitivesMixin):
             segments = self.extents.split(address, length)
         heat, es = self.extents._heat, self.extents._es
         cursor = 0
-        for location, seg_len in segments:
-            node = self._node_for(location.node, address + cursor)
+        for (node, offset), seg_len in segments:
+            if node in self._failed_nodes:
+                raise NodeUnavailableError(node, address + cursor)
             heat[(address + cursor) // es] += 1
-            node.write(location.offset, data[cursor : cursor + seg_len])
+            self.nodes[node].write(offset, data[cursor : cursor + seg_len])
             cursor += seg_len
         hops = self._apply_mirrors(data, mirrors) if mirrors else 0
         return FabricResult(segments=len(segments) or 1, forward_hops=hops)
@@ -291,23 +292,25 @@ class Fabric(FarPrimitivesMixin):
     def _read_word_at(self, address: int, location: Location) -> int:
         """Read the aligned word at ``address``, already translated."""
         self.extents._heat[address // self.extents._es] += 1
-        if location.node in self._failed_nodes:
-            raise NodeUnavailableError(location.node, address)
-        return self.nodes[location.node].read_word(location.offset)
+        node, offset = location
+        if node in self._failed_nodes:
+            raise NodeUnavailableError(node, address)
+        return self.nodes[node].read_word(offset)
 
     def _atomic_at(self, address: int, location: Location, op, *args):
         """Apply the word-sized :class:`MemoryNode` mutation ``op`` at
         ``address``, already translated, under migration policing."""
         mirrors = self.extents.write_intercept(address, WORD) if self.extents._migrating else ()
         self.extents._heat[address // self.extents._es] += 1
-        if location.node in self._failed_nodes:  # _node_for, inlined as on the read paths
-            raise NodeUnavailableError(location.node, address)
-        node = self.nodes[location.node]
-        result = op(node, location.offset, *args)
+        node_id, offset = location
+        if node_id in self._failed_nodes:
+            raise NodeUnavailableError(node_id, address)
+        node = self.nodes[node_id]
+        result = op(node, offset, *args)
         if mirrors:
             # Mirror the post-op value of the word (re-read from the
             # source, it is the linearised result).
-            word = node.read(location.offset, WORD)
+            word = node.read(offset, WORD)
             self._apply_mirrors(word, [(0, WORD, m[2], m[3]) for m in mirrors])
         return result
 

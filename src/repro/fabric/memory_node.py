@@ -16,15 +16,21 @@ A mutation invokes the node's write hook when one is installed. The
 fabric installs it only while the notification subsystem holds a
 subscription: memory-side matching is the page-table lookup of section
 4.3, and a node whose table is empty has nothing to match.
+
+A node's bytes are demand-zero, as a real pool's DRAM is to software: an
+anonymous mapping reads as zeros and takes host memory only for the pages
+written, so a cluster costs nothing to build and its resident set grows
+with the data stored, not with the capacity declared.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import AddressError, AlignmentError
-from .wire import U64, U64_MASK, WORD, wrap_add
+from .wire import U64, U64_MASK, WORD
 
 WriteHook = Callable[[int, int, int, bytes], None]
 """Callback ``(node_id, offset, length, new_bytes)`` fired after a mutation."""
@@ -54,21 +60,23 @@ class MemoryNode:
         self.node_id = node_id
         self.size = size
         self.stats = NodeStats()
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size)  # demand-zero (module docstring)
         self._write_hook: Optional[WriteHook] = None
 
     def set_write_hook(self, hook: Optional[WriteHook]) -> None:
         """Install the mutation callback (at most one; the fabric owns it)."""
         self._write_hook = hook
 
-    def _check_word(self, offset: int) -> None:
+    def _bad_word(self, offset: int) -> None:
+        """Raise the error a word op at a bad ``offset`` meets; each word op
+        tests the offset inline and calls this only when the test fails."""
         if offset < 0 or offset + WORD > self.size:
             raise AddressError(offset, WORD, f"outside node {self.node_id}")
         if offset % WORD != 0:
             raise AlignmentError(f"word operation at unaligned offset 0x{offset:x}")
 
     def _fire(self, offset: int, length: int) -> None:
-        self._write_hook(self.node_id, offset, length, bytes(self._data[offset : offset + length]))
+        self._write_hook(self.node_id, offset, length, self._data[offset : offset + length])
 
     # ------------------------------------------------------------------
     # Plain one-sided operations
@@ -81,7 +89,7 @@ class MemoryNode:
             raise AddressError(offset, length, reason)
         self.stats.reads += 1
         self.stats.bytes_read += length
-        return bytes(self._data[offset : offset + length])
+        return self._data[offset : offset + length]
 
     def write(self, offset: int, data: bytes) -> None:
         """One-sided write of ``data`` at ``offset``."""
@@ -96,14 +104,16 @@ class MemoryNode:
 
     def read_word(self, offset: int) -> int:
         """Read one aligned 64-bit word."""
-        self._check_word(offset)
+        if offset % WORD or not 0 <= offset <= self.size - WORD:
+            self._bad_word(offset)
         self.stats.reads += 1
         self.stats.bytes_read += WORD
         return U64.unpack_from(self._data, offset)[0]
 
     def write_word(self, offset: int, value: int) -> None:
         """Write one aligned 64-bit word."""
-        self._check_word(offset)
+        if offset % WORD or not 0 <= offset <= self.size - WORD:
+            self._bad_word(offset)
         U64.pack_into(self._data, offset, value & U64_MASK)
         self.stats.writes += 1
         self.stats.bytes_written += WORD
@@ -131,7 +141,8 @@ class MemoryNode:
 
     def compare_and_swap(self, offset: int, expected: int, new: int) -> tuple[int, bool]:
         """Atomic CAS; returns ``(old_value, swapped)``."""
-        self._check_word(offset)
+        if offset % WORD or not 0 <= offset <= self.size - WORD:
+            self._bad_word(offset)
         self.stats.atomics += 1
         old = U64.unpack_from(self._data, offset)[0]
         if old == expected:
@@ -143,17 +154,19 @@ class MemoryNode:
 
     def fetch_add(self, offset: int, delta: int) -> int:
         """Atomic fetch-and-add with 64-bit wraparound; returns old value."""
-        self._check_word(offset)
+        if offset % WORD or not 0 <= offset <= self.size - WORD:
+            self._bad_word(offset)
         self.stats.atomics += 1
         old = U64.unpack_from(self._data, offset)[0]
-        U64.pack_into(self._data, offset, wrap_add(old, delta))
+        U64.pack_into(self._data, offset, (old + delta) & U64_MASK)
         if self._write_hook is not None:
             self._fire(offset, WORD)
         return old
 
     def swap(self, offset: int, value: int) -> int:
         """Atomic exchange; returns old value."""
-        self._check_word(offset)
+        if offset % WORD or not 0 <= offset <= self.size - WORD:
+            self._bad_word(offset)
         self.stats.atomics += 1
         old = U64.unpack_from(self._data, offset)[0]
         U64.pack_into(self._data, offset, value & U64_MASK)

@@ -134,8 +134,8 @@ class FarPrimitivesMixin:
         """
         location = location or self.extents.locate(ad)
         if bump is None:
-            return location.node, self._read_word_at(ad, location)
-        return location.node, self._atomic_at(ad, location, MemoryNode.fetch_add, bump)
+            return location[0], self._read_word_at(ad, location)
+        return location[0], self._atomic_at(ad, location, MemoryNode.fetch_add, bump)
 
     def _target(self, home: int, target: int, length: int, refuse: partial) -> tuple[Segments, int]:
         """Translate an indirect target once: ``(segments, forward hops)``.
@@ -150,10 +150,10 @@ class FarPrimitivesMixin:
         segments = self.extents.split(target, length if length > WORD else WORD)
         hops = 0
         cursor = target
-        for location, seg_len in segments:
-            if location.node != home:
+        for (node, _), seg_len in segments:
+            if node != home:
                 if self.indirection_policy is IndirectionPolicy.ERROR:
-                    err = RemoteIndirectionError(target, home, location.node)
+                    err = RemoteIndirectionError(target, home, node)
                     err.pending = refuse()  # type: ignore[attr-defined]
                     raise err
                 # Locality telemetry for the rebalancer: each forwarded segment

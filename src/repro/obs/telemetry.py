@@ -443,9 +443,10 @@ class TelemetryRegistry:
 
         Order-sensitive state (gauges, ``_extent_node``, ``_drained``) and
         the count-only kinds are applied as they are met. The two hot kinds
-        only add to sums and sample lists, so a run of them is collected as
-        rows and rolled up once per scope. A run ends where the window
-        changes: what a ring retains depends on the order its keys arrive."""
+        only add to sums and sample lists, so a run of them is rolled up
+        once per scope, from its stretch of the batch. A run ends where the
+        window changes: what a ring retains depends on the order its keys
+        arrive."""
         batch = self.pending
         if not batch:
             return
@@ -457,10 +458,9 @@ class TelemetryRegistry:
         window_ns = self.window_ns
         newest = self._last_ts_ns
         structures: dict[str, str] = {}  # span label -> structure scope
-        run = None  # the window the collected rows share
-        far_rows: list[tuple] = []
-        window_rows: list[tuple] = []
-        for client, event, span in batch:
+        run = None  # the window of the current run of hot events
+        start = 0  # where in the batch that run began
+        for i, (_, event, span) in enumerate(batch):
             ts = event.ts_ns
             if ts > newest:
                 newest = ts
@@ -476,28 +476,41 @@ class TelemetryRegistry:
             data = event.data
             if kind == "far_access" or kind == "window":
                 if window != run:
-                    self._roll_up(run, far_rows, window_rows)
-                    far_rows, window_rows = [], []
-                    run = window
-                if kind == "window":
-                    window_rows.append((who, None, structure, data))
-                else:
-                    node = data["node"] if "node" in data else None
-                    far_rows.append((who, node, structure, data))
-                    if extent_size and node is not None and "addr" in data:
-                        # Order-sensitive (a later remap overwrites it), so
-                        # not left to the roll-up.
-                        self._extent_node[data["addr"] // extent_size] = node
+                    if run is not None:
+                        self._roll_up(run, batch[start:i], structures)
+                    run, start = window, i
+                node = data["node"] if "node" in data else None
+                if extent_size and node is not None and "addr" in data:
+                    # Order-sensitive (a later remap overwrites it), so
+                    # not left to the roll-up.
+                    self._extent_node[data["addr"] // extent_size] = node
             elif kind in self._HANDLERS:
                 self._HANDLERS[kind](self, who, window, ts, data, structure)
             else:
                 self._count(kind, who, window, data, structure)
         self._last_ts_ns = newest
-        self._roll_up(run, far_rows, window_rows)
+        if run is not None:
+            self._roll_up(run, batch[start:], structures)
 
-    def _roll_up(self, window: int, far_rows: list[tuple], window_rows: list[tuple]) -> None:
-        """One run of ``far_access`` and ``window`` (doorbell) rows, all in
-        ``window``, rolled up once per scope."""
+    def _roll_up(self, window: int, events: list[tuple], structures: dict[str, str]) -> None:
+        """One run of ``far_access`` and ``window`` (doorbell) events, all in
+        ``window``, rolled up once per scope. ``events`` is the run's stretch
+        of the batch, other kinds included (:meth:`_fold` applied them);
+        ``structures`` holds the structure scope of each span label in it."""
+        far_rows, window_rows = [
+            [
+                (
+                    event.client,
+                    data["node"] if "node" in data else None,
+                    None if span is None or span.is_root else structures[span.label],
+                    data,
+                )
+                for _, event, span in events
+                if event.kind == kind
+                for data in (event.data,)
+            ]
+            for kind in ("far_access", "window")
+        ]
         # A scope handed the fleet's list reuses the fleet's columns.
         rolled = None
         for scope, payloads in _by_scope(far_rows):

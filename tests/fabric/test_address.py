@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.fabric.address import (
     PAGE_SIZE,
     InterleavedPlacement,
+    Location,
     RangePlacement,
     page_of,
     same_page,
@@ -21,6 +22,35 @@ from repro.fabric.extent import ExtentTable
 from . import layout_oracle as oracle
 
 NODE_SIZE = 1 << 20
+
+
+class TestLocation:
+    """A location is the tuple ``(node, offset)`` with its two fields named."""
+
+    def test_is_a_node_offset_tuple(self):
+        location = Location((2, 96))
+        node, offset = location
+        assert (node, offset) == (location.node, location.offset) == (2, 96)
+        assert location == (2, 96) and isinstance(location, tuple)
+        assert hash(location) == hash((2, 96))
+        assert {location: "seen"}[(2, 96)] == "seen"
+        with pytest.raises(AttributeError):
+            location.node = 3  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            location.extra = 1  # type: ignore[attr-defined]
+
+    def test_locate_and_split_return_locations(self):
+        table = ExtentTable(RangePlacement(node_count=2, node_size=NODE_SIZE))
+        location = table.locate(NODE_SIZE + 40)
+        assert type(location) is Location and location == (1, 40)
+        segments = table.split(NODE_SIZE - 8, 16)
+        assert [(type(at), at, length) for at, length in segments] == [
+            (Location, (0, NODE_SIZE - 8), 8),
+            (Location, (1, 0), 8),
+        ]
+        assert table.node_of(NODE_SIZE + 40) == 1
+        with pytest.raises(AddressError):
+            table.node_of(2 * NODE_SIZE)
 
 
 class TestRangePlacement:

@@ -1,10 +1,12 @@
 """Unit + property tests for a single memory node."""
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.fabric.errors import AddressError, AlignmentError
+from repro.fabric.errors import AddressError, AlignmentError, FabricError
 from repro.fabric.memory_node import MemoryNode
 from repro.fabric.wire import U64_MASK
 
@@ -146,3 +148,72 @@ class TestStats:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             MemoryNode(0, 0)
+
+
+# Each word op's guard at the offsets around both ends of a node, read off
+# the node before its check went inline: the error type and message, or
+# ``None`` where the op succeeds. ``size - 4`` is both out of range and
+# unaligned, and the range check wins.
+GUARD_SIZE = 4096
+WORD_OPS = {
+    "read_word": lambda node, offset: node.read_word(offset),
+    "write_word": lambda node, offset: node.write_word(offset, 5),
+    "compare_and_swap": lambda node, offset: node.compare_and_swap(offset, 0, 1),
+    "fetch_add": lambda node, offset: node.fetch_add(offset, 1),
+    "swap": lambda node, offset: node.swap(offset, 2),
+}
+GUARD = {
+    -8: (AddressError, "address=0x-8 length=8: outside node 3"),
+    -3: (AddressError, "address=0x-3 length=8: outside node 3"),
+    0: None,
+    GUARD_SIZE - 8: None,
+    GUARD_SIZE - 4: (AddressError, "address=0xffc length=8: outside node 3"),
+    GUARD_SIZE: (AddressError, "address=0x1000 length=8: outside node 3"),
+    3: (AlignmentError, "word operation at unaligned offset 0x3"),
+}
+
+
+@pytest.mark.parametrize("offset", sorted(GUARD))
+@pytest.mark.parametrize("op", sorted(WORD_OPS))
+def test_word_op_guard(op, offset):
+    node = MemoryNode(node_id=3, size=GUARD_SIZE)
+    if GUARD[offset] is None:
+        WORD_OPS[op](node, offset)
+        assert node.stats.total_ops() == 1
+        return
+    error, message = GUARD[offset]
+    with pytest.raises(FabricError) as raised:
+        WORD_OPS[op](node, offset)
+    assert (type(raised.value), str(raised.value)) == (error, message)
+    assert node.stats.total_ops() == 0  # refused before it counted
+
+
+def _resident_bytes() -> int:
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        pytest.skip("no /proc/self/statm on this platform")
+
+
+class TestDemandZero:
+    """A node's bytes take host memory only once written."""
+
+    def test_a_large_node_costs_no_resident_memory(self):
+        before = _resident_bytes()
+        node = MemoryNode(node_id=0, size=256 << 20)
+        assert _resident_bytes() - before < 16 << 20
+        last = node.size - 8
+        assert node.read_word(0) == 0 and node.read_word(last) == 0
+        assert node.read(node.size // 2, 8192) == bytes(8192)
+        node.corrupt_bit(node.size // 3, 5)  # a page nothing has touched
+        assert node.read(node.size // 3, 1) == bytes([1 << 5])
+        assert _resident_bytes() - before < 16 << 20
+
+    def test_storage_is_exactly_the_node_size(self):
+        node = MemoryNode(node_id=0, size=5000)  # not a page multiple
+        assert len(bytes(node._data)) == 5000
+        node.write(4992, b"tail-end")
+        assert bytes(node._data)[-8:] == b"tail-end"
+        with pytest.raises(AddressError):
+            node.write(4993, b"tail-end")

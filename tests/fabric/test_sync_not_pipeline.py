@@ -36,14 +36,18 @@ from .test_translate_once import _cluster
 # summed the iovec through a generator). A default-policy client paid three
 # more than a bare one (read_u64 15, load0 23), and a silent injector five
 # more than that (six on a write), before a closed breaker and the spike's
-# pending state stopped costing a call.
+# pending state stopped costing a call. Each translation built a ``Location``
+# dataclass (an ``__init__`` entry per location), each word op called its
+# bounds check, ``fetch_add`` its ``wrap_add`` and a fabric write its
+# ``_node_for``, before a location was a tuple and those checks went inline
+# (read_u64 / cas / write 12, load0 20, rgather 23, faai 21).
 OPS = {
-    "read_u64": (lambda c, m: c.read_u64(m["a"]), 12),
-    "cas": (lambda c, m: c.cas(m["a"], 0, 0), 12),  # succeeds every time
-    "load0": (lambda c, m: c.load0(m["p"], 24), 20),
-    "rgather": (lambda c, m: c.rgather([(m["a"], 8), (m["b"], 16), (m["t"], 8)]), 23),
-    "write": (lambda c, m: c.write(m["w"], b"w" * 256), 12),
-    "faai": (lambda c, m: c.faai(m["p"], 0, 24), 21),  # the pointer-bump path; *p stays put
+    "read_u64": (lambda c, m: c.read_u64(m["a"]), 10),
+    "cas": (lambda c, m: c.cas(m["a"], 0, 0), 10),  # succeeds every time
+    "load0": (lambda c, m: c.load0(m["p"], 24), 17),
+    "rgather": (lambda c, m: c.rgather([(m["a"], 8), (m["b"], 16), (m["t"], 8)]), 20),
+    "write": (lambda c, m: c.write(m["w"], b"w" * 256), 10),
+    "faai": (lambda c, m: c.faai(m["p"], 0, 24), 17),  # the pointer-bump path; *p stays put
 }
 
 
@@ -104,26 +108,30 @@ def test_warm_httree_get_hit_call_count():
     tree = cluster.ht_tree(bucket_count=64)
     tree.put(client, 7, 70)
     entries, c_calls = _calls(lambda c, t: t.get(c, 7), client, tree)
+    # 27 / 36 before a translation stopped building a ``Location`` dataclass
+    # and a word op stopped calling its bounds check;
     # 32 / 41 before the op ran as one body (a stale cache retried by a loop,
     # not a recursion; the warm cache taken without a ``_cache`` frame; walk
     # and bucket hash one call; the item decoded into locals; the walk priced
     # without a cost-model call); 34 / 42 before far ops ran from their rows;
     # 37 / 51 before heat, bounds and tree depth stopped costing a call each;
     # 40 / 54 while the op opened its (null) span by hand.
-    assert entries <= 27
-    assert entries + c_calls <= 36
+    assert entries <= 24
+    assert entries + c_calls <= 33
 
 
 def test_warm_httree_put_update_call_count():
     """Its write-side twin: a warm in-place ``HTTree.put`` update, the
-    paper's two-far-access store (44 / 55 before the op ran as one body)."""
+    paper's two-far-access store (39 / 50 before a translation stopped
+    building a ``Location`` dataclass and a word op stopped calling its
+    bounds check, 44 / 55 before the op ran as one body)."""
     cluster = Cluster(node_count=1, node_size=8 << 20)
     client = cluster.client(retry_policy=None, breaker_policy=None)
     tree = cluster.ht_tree(bucket_count=64)
     tree.put(client, 7, 70)
     entries, c_calls = _calls(lambda c, t: t.put(c, 7, 71), client, tree)
-    assert entries <= 39
-    assert entries + c_calls <= 50
+    assert entries <= 34
+    assert entries + c_calls <= 45
 
 
 @pytest.mark.parametrize("method", ["_post", "_issue"])

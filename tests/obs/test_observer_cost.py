@@ -31,7 +31,9 @@ from repro import Cluster
 from repro.obs import TelemetryRegistry, Tracer
 
 # Python-level entries (7 for the empty span before it opened itself, with no
-# tracer frame and no boundary log; 21 / 21 for the reads before far ops ran
+# tracer frame and no boundary log; 16 / 16 for the reads, under a bound of
+# 19 / 19, before a translation stopped building a ``Location`` dataclass and
+# a word op stopped calling its bounds check; 21 / 21 before far ops ran
 # from their rows, with no body or accounting frame of their own; 23 / 25
 # before heat and bounds were counted inline and a sink was fed without a
 # call per event; 18 / 31 / 33
@@ -39,21 +41,26 @@ from repro.obs import TelemetryRegistry, Tracer
 # tuple, a hot event was built once and a traced op took its home node from
 # its own translation).
 EMPTY_SPAN = 6
-TRACED_READ = 19
-OBSERVED_READ = 19
+TRACED_READ = 14
+OBSERVED_READ = 14
 # A warm HTTree.get hit on the default client: its @far_budget opens its
-# span only under a tracer (35 / 42 before the op ran as one body and its
+# span only under a tracer (27 / 33, under a bound of 30 / 36, before a
+# location was a tuple and a word op checked its offset inline; 35 / 42
+# before the op ran as one body and its
 # span opened itself; 43 / 52 while the op opened it by hand, paying
 # a null span untraced and ``Client.trace`` plus the span's ``with`` traced;
 # 40 / 48 before heat, bounds and tree depth stopped costing a call each;
 # 37 / 44 before far ops ran from their rows).
-UNTRACED_GET = 30
-TRACED_GET = 36
+UNTRACED_GET = 24
+TRACED_GET = 30
 # Every call, C builtins included: of an empty span (11 before it opened
 # itself, with no tracer frame and no boundary log; 35 before, as above),
 # and per observed ``read_u64`` over AMORTISED_READS reads with the
-# benchmark's 50 us window: 31.04 counted exactly on 3.11, the bound 2 % over
-# it, the margin the old bound had over its reading. That reading (29.4, bound
+# benchmark's 50 us window: 24.11 counted exactly on 3.11 and pinned so.
+# 28.07 before a location was a tuple, a word op checked its offset inline
+# and the registry's fold rolled a run up from its stretch of the batch
+# instead of appending a row per event (bound 31.7, set 2 % over an
+# earlier reading of 31.04). The reading before that (29.4, bound
 # 30) came from ``pstats``, which merged the dataclass ``__init__``s of
 # Location and TraceEvent into one entry and kept either one's count; the
 # exact count was 31.38 then. Earlier readings are ``pstats`` ones: 30.7
@@ -63,7 +70,7 @@ TRACED_GET = 36
 # the op-table row instead of a ``getattr``, 58.6 before a far access was
 # priced in one call, 194.1 before the registry folded per window).
 EMPTY_SPAN_ALL_CALLS = 8
-AMORTISED_OBSERVED_READ = 31.7
+AMORTISED_OBSERVED_READ = 24.11
 AMORTISED_READS = 500
 TELEMETRY_WINDOW_NS = 50_000
 
@@ -111,9 +118,14 @@ def _total_calls(call):
     object: ``pstats`` keys on ``(file, line, name)`` and merges the
     dataclass-generated ``<string>:2 __init__``s."""
     profile = cProfile.Profile()
-    profile.enable()
-    call()
-    profile.disable()
+    gc.collect()
+    gc.disable()  # a collection would count other objects' finalizers and gc callbacks
+    try:
+        profile.enable()
+        call()
+        profile.disable()
+    finally:
+        gc.enable()
     return sum(entry.callcount for entry in profile.getstats()) - 2
 
 

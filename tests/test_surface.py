@@ -533,6 +533,8 @@ KEEP_UNRUN = {
     "RpcMap._delete": _MAP_DELETE,
     # Error paths and branches no run takes.
     "AddressError.__init__": f"{_ERROR} (an out-of-range address)",
+    "MemoryNode._bad_word": f"{_ERROR} (a word op at an unaligned or out-of-range offset)",
+    "FaultInjector.take_torn_fraction": f"{_ERROR} (a torn write: no run's fault plan tears)",
     "TxnSpace._abort_for": f"{_ERROR} (a stale epoch or an injected fault mid-commit)",
     "ExtentMigration.abort": f"{_ERROR} (a migration abandoned before commit)",
     "ExtentTable.abort_migration": f"{_ERROR} (a migration abandoned before commit)",
