@@ -86,14 +86,12 @@ def _run_at_depth(depth):
     # Attribution closes: spans account for every far access, exactly.
     assert tracer.attributed_far_accesses() == delta.far_accesses
     # The registry saw the same world: fleet counter equals the exact
-    # metrics delta, and the windowed ring rolls up to the unwindowed
-    # window histogram with nothing lost.
+    # metrics delta, and the windowed ring rolls up to every window
+    # event's charge with nothing lost.
     assert registry.counter_total(FLEET, "far_accesses") == delta.far_accesses
-    ring = registry.histogram(FLEET, "window_ns")
-    rollup = ring.rollup()
-    assert rollup.count == tracer.window_hist.count
-    assert rollup.samples() == tracer.window_hist.samples()
-    window_hist = tracer.window_hist
+    window_hist = registry.histogram(FLEET, "window_ns").rollup()
+    charged = [e.data["charged_ns"] for e in tracer.events_by_kind("window")]
+    assert window_hist.samples() == tuple(sorted(charged))
     return {
         "depth": depth,
         "elapsed_ns": c.clock.now_ns - started_ns,

@@ -49,7 +49,7 @@ from .fabric import (
     ReplicatedRegion,
     RetryPolicy,
 )
-from .obs import HistogramSet, LatencyHistogram, Tracer
+from .obs import LatencyHistogram, Tracer
 from .txn import Transaction, TxnAbortError, TxnConflictError, TxnSpace
 
 __version__ = "0.1.0"
@@ -79,7 +79,6 @@ __all__ = [
     "FarVector",
     "HTTree",
     "RefreshableVector",
-    "HistogramSet",
     "LatencyHistogram",
     "Tracer",
     "Transaction",

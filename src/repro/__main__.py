@@ -2,11 +2,12 @@
 
 * ``python -m repro`` — a one-minute guided demo: a tiny end-to-end
   scenario with exact far-access accounting, profiled and traced, ending
-  in a one-screen trace/histogram summary.
+  in the trace summary and the telemetry registry's fleet and node tables.
 * ``python -m repro trace <example> [--out DIR]`` — run an example
   script (``examples/<name>.py`` or any path) under a tracer and export
   the JSONL event stream plus a Chrome trace-event JSON (open it in
-  ``chrome://tracing`` or https://ui.perfetto.dev).
+  ``chrome://tracing`` or https://ui.perfetto.dev); print the span
+  summary and the fleet and node tables of a registry observing the run.
 * ``python -m repro validate <trace.json|trace.jsonl>`` — check an
   exported Chrome trace against the minimal schema (B/E balance, monotone
   timestamps), or a JSONL event stream against the event table.
@@ -55,6 +56,8 @@ from repro.obs import (
     TelemetryRegistry,
     Tracer,
     load_chrome_trace,
+    render_fleet,
+    render_nodes,
     render_top,
     set_default_tracer,
     validate_chrome_trace,
@@ -74,6 +77,7 @@ def _demo() -> int:
     client = cluster.client("you")
     tracer = Tracer()
     tracer.attach(client)
+    registry = TelemetryRegistry().observe(tracer)
 
     tree = cluster.ht_tree(bucket_count=1024)
     with client.trace("ht-tree put x100"):
@@ -104,8 +108,7 @@ def _demo() -> int:
     tracer.finish()
     print("\n-- trace summary (spans nest: demo phases > structure ops) --")
     print(tracer.summary(max_rows=8))
-    print("\n-- far-access latency by fabric op --")
-    print(tracer.op_hist.render())
+    print(f"\n{render_fleet(registry)}\n\n{render_nodes(registry)}")
 
     print(
         "\nnext:\n"
@@ -156,6 +159,8 @@ def _run_example(
 
 def _trace(args: argparse.Namespace) -> int:
     tracer = Tracer()
+    # The run's roll-up. No SLO monitor: its alerts would enter the trace.
+    registry = TelemetryRegistry().observe(tracer)
     path = _run_example(args.target, tracer=tracer)
     stem = os.path.splitext(os.path.basename(path))[0]
     tracer.finish()
@@ -170,6 +175,7 @@ def _trace(args: argparse.Namespace) -> int:
 
     print(f"\n-- trace of {path} --")
     print(tracer.summary())
+    print(f"\n{render_fleet(registry)}\n\n{render_nodes(registry)}")
     print(
         f"\nwrote {jsonl_path} ({records} records) and {chrome_path} "
         f"({len(document['traceEvents'])} events; open in chrome://tracing "
@@ -448,7 +454,7 @@ def _races(args: argparse.Namespace) -> int:
 
     try:
         report = detect_races_in_file(args.trace_jsonl)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"{args.trace_jsonl}: unreadable trace ({err})")
         return 2
     print(report.format())
@@ -518,14 +524,17 @@ def _topology(args: argparse.Namespace) -> int:
 
 def _validate(args: argparse.Namespace) -> int:
     path = args.trace_json
-    if path.endswith(".jsonl"):
-        with open(path, "r", encoding="utf-8") as fh:
-            problems = validate_jsonl(fh)
-    else:
-        try:
+    try:
+        if path.endswith(".jsonl"):
+            with open(path, "r", encoding="utf-8") as fh:
+                problems = validate_jsonl(fh)
+        else:
             problems = validate_chrome_trace(load_chrome_trace(path))
-        except ValueError:
-            problems = ["not a JSON document"]
+    except OSError as err:
+        print(f"{path}: unreadable trace ({err})")
+        return 1
+    except ValueError:
+        problems = ["not a JSON document"]
     if problems:
         print(f"{path}: INVALID ({len(problems)} problems)")
         for problem in problems[:20]:
@@ -533,6 +542,13 @@ def _validate(args: argparse.Namespace) -> int:
         return 1
     print(f"{path}: OK")
     return 0
+
+
+def _node_count(text: str) -> int:
+    """``topology --nodes``: a whole number of memory nodes, at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -636,7 +652,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     topology_parser.set_defaults(run=_topology)
     topology_parser.add_argument(
-        "--nodes", type=int, default=2, help="memory node count (default: 2)"
+        "--nodes", type=_node_count, default="2", help="memory node count (default: 2)"
     )
     topology_parser.add_argument(
         "--json", action="store_true", help="machine-readable JSON dump"

@@ -134,7 +134,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.opened_at_ns = 0.0
         self.trips = 0
-        self.rejections = 0
 
     def allow(self, now_ns: float) -> bool:
         """May an operation to this node proceed at simulated time ``now_ns``?"""
@@ -144,7 +143,6 @@ class CircuitBreaker:
             if now_ns - self.opened_at_ns >= self.policy.cooldown_ns:
                 self.state = BreakerState.HALF_OPEN
                 return True
-            self.rejections += 1
             return False
         return True  # HALF_OPEN admits the probe
 

@@ -2,10 +2,12 @@
 histograms over the simulated clock, a live telemetry plane (windowed
 time-series + SLO burn-rate alerting + text dashboards), and exporters.
 
-The tracer and the telemetry registry are strictly observers — attaching
-either changes no metric counter and no simulated timestamp (see
-:mod:`repro.obs.trace` and :mod:`repro.obs.telemetry` for the
-invariants). Typical use::
+The tracer keeps the record (spans and typed events); the telemetry
+registry, a sink on its event stream, is the one roll-up of that record
+(per node, extent, structure, client and fleet). Both are strictly
+observers — attaching either changes no metric counter and no simulated
+timestamp (see :mod:`repro.obs.trace` and :mod:`repro.obs.telemetry` for
+the invariants). Typical use::
 
     from repro.obs import Tracer, TelemetryRegistry, SLOMonitor
 
@@ -42,7 +44,7 @@ from .export import (
     write_prometheus,
     write_telemetry_jsonl,
 )
-from .histogram import HistogramSet, LatencyHistogram
+from .histogram import LatencyHistogram
 from .slo import SLOAlert, SLObjective, SLOMonitor, default_objectives
 from .telemetry import (
     CLIENT_COUNTER_FIELDS,
@@ -67,7 +69,6 @@ __all__ = [
     "CounterSeries",
     "GaugeSeries",
     "HistogramRing",
-    "HistogramSet",
     "LatencyHistogram",
     "SLOAlert",
     "SLObjective",

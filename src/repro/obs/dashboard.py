@@ -72,6 +72,10 @@ def render_fleet(registry: TelemetryRegistry) -> str:
             f"remaps, {_format_count(migration)} bytes copied, "
             f"{_format_count(registry.counter_total(FLEET, 'drains'))} drains"
         )
+    commits = registry.counter_total(FLEET, "txn_commits")
+    aborts = registry.counter_total(FLEET, "txn_aborts")
+    if commits or aborts:
+        lines.append(f"txn: commits={_format_count(commits)} aborts={_format_count(aborts)}")
     lines.append(f"sim time: {_format_ns(registry.last_ts_ns)}")
     return "\n".join(lines)
 

@@ -114,7 +114,8 @@ EVENTS: dict[str, EventKind] = {
     "repair_copy": _kind(
         "One chunk of a replica rebuild streamed dead→spare. ``done`` / "
         "``total`` make repair progress reconstructable from the event "
-        "stream alone (the ``python -m repro trace`` summary renders it).",
+        "stream alone (a telemetry registry keeps it as the dead node's "
+        "``repair_progress`` gauge).",
         "region dead_node spare_node blocks nbytes done total",
     ),
     "fence_reject": _kind(

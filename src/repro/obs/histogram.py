@@ -184,49 +184,3 @@ class LatencyHistogram:
             f"LatencyHistogram(n={self.count}, p50={self.p50:.0f}ns, "
             f"p99={self.p99:.0f}ns, max={self.max_ns:.0f}ns)"
         )
-
-
-class HistogramSet:
-    """A keyed family of latency histograms (per op-label, per node, ...)."""
-
-    def __init__(self) -> None:
-        self._hists: dict[str, LatencyHistogram] = {}
-
-    def record(self, label: str, value_ns: float) -> None:
-        hist = self._hists.get(label)
-        if hist is None:
-            hist = self._hists[label] = LatencyHistogram()
-        hist.record(value_ns)
-
-    def get(self, label: str) -> LatencyHistogram:
-        """The histogram for ``label`` (empty if never recorded)."""
-        return self._hists.get(label, LatencyHistogram())
-
-    def labels(self) -> list[str]:
-        return sorted(self._hists)
-
-    def items(self) -> list[tuple[str, LatencyHistogram]]:
-        return sorted(self._hists.items())
-
-    def __len__(self) -> int:
-        return len(self._hists)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._hists
-
-    def render(self) -> str:
-        """A fixed-width percentile table, one row per label."""
-        header = (
-            f"{'label':<28} {'count':>7} {'p50 ns':>10} {'p90 ns':>10} "
-            f"{'p99 ns':>10} {'max ns':>10}"
-        )
-        lines = [header, "-" * len(header)]
-        for label, hist in self.items():
-            lines.append(
-                f"{label:<28} {hist.count:>7} {hist.p50:>10.0f} {hist.p90:>10.0f} "
-                f"{hist.p99:>10.0f} {hist.max_ns:>10.0f}"
-            )
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"HistogramSet(labels={self.labels()})"

@@ -20,9 +20,11 @@ Design rules — these are what keep tracing free of observer effects:
   method (``on_far_access``, ``on_window``), which builds the event
   directly — same payload, same sinks, same order. A sink is fed as data:
   an event is appended to its ``pending``, a call only at a window boundary.
-* Emission aggregates nothing. The span / op / node / window histograms
-  are derived from ``spans`` and ``events`` when they are read, and a
-  span's ``delta`` from the counters it read as one tuple at each end.
+* The tracer keeps the record (``spans`` and ``events``) and aggregates
+  nothing: the roll-ups by node, structure and fleet are a
+  :class:`~repro.obs.telemetry.TelemetryRegistry`'s, fed as a sink, and a
+  span's ``delta`` is built from the counters it read as one tuple at
+  each end.
 * Every far access emits exactly one ``far_access`` event, attributed to
   the innermost open span (or the client's implicit root span). Summing
   per-span far-access attributions therefore reproduces the client's
@@ -56,7 +58,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..fabric.metrics import Metrics
 from .events import EVENTS
-from .histogram import HistogramSet, LatencyHistogram
+from .histogram import LatencyHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..fabric.client import Client
@@ -215,7 +217,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans, typed events, and latency histograms from clients.
+    """Collects spans and typed events from clients.
 
     One tracer may observe many clients; each attached client gets an
     implicit root span so that work outside any explicit ``client.trace``
@@ -226,12 +228,6 @@ class Tracer:
     def __init__(self) -> None:
         self.spans: list[Span] = []  # closed spans, in close order
         self.events: list[TraceEvent] = []  # global emission-ordered stream
-        # Functions of the two lists above, brought up to date when read.
-        self._span_hist = HistogramSet()  # span duration per label
-        self._op_hist = HistogramSet()  # far-access charge per fabric op
-        self._node_hist = HistogramSet()  # far-access charge per memory node
-        self._window_hist = LatencyHistogram()  # charged ns per window flush
-        self._spans_folded = self._events_folded = 0  # how much of each list
         self._stacks: dict[int, list[Span]] = {}  # client_id -> open spans
         self._clients: dict[int, "Client"] = {}
         self._next_span_id = 1
@@ -455,42 +451,6 @@ class Tracer:
     # Queries
     # ------------------------------------------------------------------
 
-    @property
-    def span_hist(self) -> HistogramSet:
-        return self._fold_hists()._span_hist
-
-    @property
-    def op_hist(self) -> HistogramSet:
-        return self._fold_hists()._op_hist
-
-    @property
-    def node_hist(self) -> HistogramSet:
-        return self._fold_hists()._node_hist
-
-    @property
-    def window_hist(self) -> LatencyHistogram:
-        return self._fold_hists()._window_hist
-
-    def _fold_hists(self) -> "Tracer":
-        """The one producer of the four: fold in what was appended to
-        ``spans`` and ``events`` since the last read."""
-        spans, events = self.spans[self._spans_folded :], self.events[self._events_folded :]
-        self._spans_folded, self._events_folded = len(self.spans), len(self.events)
-        for span in spans:
-            if not span.is_root:
-                self._span_hist.record(span.label, span.duration_ns)
-        for event in events:
-            data = event.data
-            if event.kind == "far_access":
-                self._op_hist.record(data["op"], data["charge_ns"])
-                node = data.get("node")
-                self._node_hist.record(
-                    f"node{node}" if node is not None else "node?", data["charge_ns"]
-                )
-            elif event.kind == "window":
-                self._window_hist.record(data["charged_ns"])
-        return self
-
     def all_spans(self) -> list[Span]:
         """Closed spans plus still-open ones (roots included)."""
         out = list(self.spans)
@@ -511,169 +471,41 @@ class Tracer:
         return [event for event in self.events if event.kind == kind]
 
     def summary(self, max_rows: int = 12) -> str:
-        """A one-screen text summary: per-label span table + event counts."""
+        """A one-screen text summary: per-label span table + event counts.
+        The per-node, per-structure and fleet roll-ups of the same stream
+        are a :class:`~repro.obs.telemetry.TelemetryRegistry`'s."""
         lines = []
-        labels = self.span_hist.labels()
-        if labels:
+        # Per label: far accesses and span durations, in close order.
+        far: dict[str, int] = {}
+        durations: dict[str, LatencyHistogram] = {}
+        for span in self.spans:
+            if not span.is_root:
+                far[span.label] = far.get(span.label, 0) + span.delta.far_accesses
+                durations.setdefault(span.label, LatencyHistogram()).record(span.duration_ns)
+        if durations:
             header = (
                 f"{'span label':<26} {'count':>6} {'far':>7} {'p50 ns':>10} "
                 f"{'p99 ns':>10} {'total us':>10}"
             )
             lines.append(header)
             lines.append("-" * len(header))
-            per_label: dict[str, tuple[int, int, float]] = {}
-            for span in self.spans:
-                if span.is_root:
-                    continue
-                count, far, total = per_label.get(span.label, (0, 0, 0.0))
-                delta = span.delta
-                per_label[span.label] = (
-                    count + 1,
-                    far + (delta.far_accesses if delta else 0),
-                    total + span.duration_ns,
-                )
-            ranked = sorted(per_label.items(), key=lambda kv: -kv[1][2])
-            for label, (count, far, total) in ranked[:max_rows]:
-                hist = self.span_hist.get(label)
+            ranked = sorted(durations.items(), key=lambda kv: -kv[1].total_ns)
+            for label, hist in ranked[:max_rows]:
                 lines.append(
-                    f"{label:<26} {count:>6} {far:>7} {hist.p50:>10.0f} "
-                    f"{hist.p99:>10.0f} {total / 1_000:>10.1f}"
+                    f"{label:<26} {hist.count:>6} {far[label]:>7} {hist.p50:>10.0f} "
+                    f"{hist.p99:>10.0f} {hist.total_ns / 1_000:>10.1f}"
                 )
             if len(ranked) > max_rows:
                 lines.append(f"... and {len(ranked) - max_rows} more labels")
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
+        counts = Counter(event.kind for event in self.events)
         if counts:
             lines.append(
                 "events: "
                 + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
             )
-        lines.extend(self._health_lines(counts))
         if not lines:
             return "(empty trace)"
         return "\n".join(lines)
-
-    def _health_lines(self, counts: dict[str, int]) -> list[str]:
-        """Fault-tolerance digest: per-node breaker state, integrity
-        counters, and repair progress — the ``python -m repro trace``
-        lines an operator reads after a faulty run."""
-        lines: list[str] = []
-        lines.extend(self._node_lines())
-        for client in self._clients.values():
-            for node in sorted(getattr(client, "breakers", {})):
-                breaker = client.breakers[node]
-                state = breaker.state.value
-                if state == "closed" and not (breaker.trips or breaker.rejections):
-                    continue  # a breaker that never did anything is noise
-                lines.append(
-                    f"breaker: {client.name} node{node} state={state} "
-                    f"trips={breaker.trips} rejections={breaker.rejections}"
-                )
-        detected = counts.get("corruption_detected", 0)  # fleet-wide rollup
-        torn = counts.get("torn_write", 0)
-        fenced = counts.get("fence_reject", 0)
-        if detected or torn or fenced:
-            lines.append(
-                f"integrity: corruption_detected={detected} "
-                f"torn_writes={torn} fence_rejects={fenced}"
-            )
-        # Repair progress, one line per rebuilt replica (region, dead→spare).
-        progress: dict[tuple, tuple[int, int, int]] = {}
-        for event in self.events:
-            if event.kind != "repair_copy":
-                continue
-            d = event.data
-            key = (d["region"], d["dead_node"], d["spare_node"])
-            done, total, nbytes = progress.get(key, (0, d["total"], 0))
-            progress[key] = (max(done, d["done"]), d["total"], nbytes + d["nbytes"])
-        for (region, dead, spare), (done, total, nbytes) in sorted(
-            progress.items(), key=lambda kv: (str(kv[0][0]), kv[0][1], kv[0][2])
-        ):
-            lines.append(
-                f"repair: region {region} node{dead}->node{spare} "
-                f"{done}/{total} blocks ({nbytes} bytes)"
-            )
-        # Transaction digest: commit/abort balance across the fleet.
-        txn_commits = counts.get("txn_commit", 0)
-        txn_aborts = counts.get("txn_abort", 0)
-        if txn_commits or txn_aborts:
-            lines.append(f"txn: commits={txn_commits} aborts={txn_aborts}")
-        # Migration digest: committed remaps + copy volume, then one line
-        # per drained node.
-        remaps = counts.get("remap", 0)
-        if remaps or counts.get("extent_migrate", 0):
-            copied = sum(
-                e.data["nbytes"] for e in self.events if e.kind == "extent_migrate"
-            )
-            lines.append(
-                f"migration: extents_remapped={remaps} bytes_copied={copied}"
-            )
-        for event in self.events:
-            if event.kind != "drain":
-                continue
-            d = event.data
-            lines.append(
-                f"drain: node{d['node']} moved={d['extents_moved']} extents "
-                f"({d['bytes_copied']} bytes)"
-            )
-        return lines
-
-    def _node_lines(self) -> list[str]:
-        """Per-node breakdown: share of traffic, tail charge, fault and
-        integrity counts, and dead/drained markers — so a hot or dead
-        node is identifiable from the summary alone."""
-        per_node: dict[int, dict[str, int]] = {}
-
-        def row(node: int) -> dict[str, int]:
-            return per_node.setdefault(
-                node, {"timeouts": 0, "corrupt": 0, "torn": 0, "rejects": 0}
-            )
-
-        dead: set[int] = set()
-        drained: set[int] = set()
-        for event in self.events:
-            d = event.data
-            if event.kind == "timeout":
-                row(d["node"])["timeouts"] += 1
-            elif event.kind == "corruption_detected":
-                row(d["node"])["corrupt"] += 1
-            elif event.kind == "torn_write":
-                row(d["node"])["torn"] += 1
-            elif event.kind == "breaker_reject":
-                row(d["node"])["rejects"] += 1
-            elif event.kind == "repair_copy":
-                dead.add(d["dead_node"])
-            elif event.kind == "drain":
-                drained.add(d["node"])
-        hists = {
-            int(label[4:]): self.node_hist.get(label)
-            for label in self.node_hist.labels()
-            if label.startswith("node") and label[4:].isdigit()
-        }
-        nodes = sorted(set(per_node) | set(hists) | dead | drained)
-        if not nodes:
-            return []
-        total_far = sum(h.count for h in hists.values()) or 1
-        lines = []
-        for node in nodes:
-            hist = hists.get(node)
-            far = hist.count if hist is not None else 0
-            counts = per_node.get(
-                node, {"timeouts": 0, "corrupt": 0, "torn": 0, "rejects": 0}
-            )
-            state = ""
-            if node in dead:
-                state = " DEAD(repaired)"
-            elif node in drained:
-                state = " drained"
-            p99 = f"p99={hist.p99:.0f}ns" if hist is not None else "p99=-"
-            lines.append(
-                f"node{node}: far={far} ({100.0 * far / total_far:.1f}%) {p99} "
-                f"timeouts={counts['timeouts']} rejects={counts['rejects']} "
-                f"corrupt={counts['corrupt']} torn={counts['torn']}{state}"
-            )
-        return lines
 
     def __repr__(self) -> str:
         return (

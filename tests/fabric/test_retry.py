@@ -71,7 +71,6 @@ class TestCircuitBreaker:
         assert b.record_failure(0)  # third consecutive failure trips
         assert b.state is BreakerState.OPEN
         assert not b.allow(50)
-        assert b.rejections == 1
 
     def test_half_open_probe_closes_on_success(self):
         b = CircuitBreaker(0, BreakerPolicy(failure_threshold=1, cooldown_ns=100))
@@ -121,10 +120,10 @@ class TestCircuitBreaker:
                 b.record_success()
             if b.consecutive_failures == 0:
                 assert b.state is BreakerState.CLOSED
-                before = (b.state, b.opened_at_ns, b.trips, b.rejections)
+                before = (b.state, b.opened_at_ns, b.trips)
                 assert b.allow(now_ns)
                 b.record_success()
-                assert (b.state, b.opened_at_ns, b.trips, b.rejections) == before
+                assert (b.state, b.opened_at_ns, b.trips) == before
 
 
 class TestClientRetries:

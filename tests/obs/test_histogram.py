@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import HistogramSet, LatencyHistogram
+from repro.obs import LatencyHistogram
 
 
 def _reference_percentile(samples, fraction):
@@ -112,30 +112,3 @@ class TestLatencyHistogram:
         assert merged.total_ns == union.total_ns
         for fraction in (0.5, 0.9, 0.99):
             assert merged.percentile(fraction) == union.percentile(fraction)
-
-
-class TestHistogramSet:
-    def test_record_and_get(self):
-        hists = HistogramSet()
-        hists.record("read", 1000)
-        hists.record("read", 1050)
-        hists.record("write", 1000)
-        assert len(hists) == 2
-        assert "read" in hists and "missing" not in hists
-        assert hists.get("read").count == 2
-        assert hists.get("missing").count == 0  # empty, never raises
-
-    def test_labels_sorted(self):
-        hists = HistogramSet()
-        for label in ("b", "a", "c"):
-            hists.record(label, 1)
-        assert hists.labels() == ["a", "b", "c"]
-        assert [label for label, _ in hists.items()] == ["a", "b", "c"]
-
-    def test_render_one_row_per_label(self):
-        hists = HistogramSet()
-        hists.record("read", 1000)
-        hists.record("write", 2000)
-        text = hists.render()
-        assert "read" in text and "write" in text
-        assert "p50 ns" in text and "p99 ns" in text

@@ -1,6 +1,7 @@
 """Observer-effect guarantees of the telemetry plane on the real A6/A8
 benchmark scenarios: attaching the registry changes zero far-access
-counts and zero simulated clock ticks."""
+counts and zero simulated clock ticks — and, on an example run the way
+``python -m repro trace`` runs it, not one record of the trace."""
 
 from __future__ import annotations
 
@@ -17,7 +18,15 @@ sys.path.insert(
 import bench_a6_pipeline as a6  # noqa: E402
 import bench_a8_migration as a8  # noqa: E402
 
+import repro.__main__ as repro_main  # noqa: E402
 from repro.fabric.client import Client  # noqa: E402
+from repro.obs import (  # noqa: E402
+    FLEET,
+    TelemetryRegistry,
+    Tracer,
+    chrome_trace,
+    iter_jsonl_records,
+)
 
 
 class TestA6PipelineScenario:
@@ -56,3 +65,20 @@ class TestA8MigrationScenario:
         assert bare["telemetry_converged"] is None
         assert observed["telemetry_converged"] is True
         assert observed["telemetry_drained"] is True
+
+
+class TestTraceExport:
+    def test_a_registry_leaves_the_fault_burst_trace_as_it_was(self):
+        """The faulty example traced bare and traced with a registry
+        attached, as ``repro trace`` attaches one: the JSONL records and
+        the Chrome trace are equal, timeouts and retries included."""
+        exports = []
+        for observed in (False, True):
+            Client.reset_ids()
+            tracer = Tracer()
+            registry = TelemetryRegistry().observe(tracer) if observed else None
+            repro_main._run_example("fault_burst", tracer=tracer)
+            tracer.finish()
+            exports.append((iter_jsonl_records(tracer), chrome_trace(tracer)))
+        assert registry.counter_total(FLEET, "timeouts") > 0
+        assert exports[0] == exports[1]

@@ -174,11 +174,6 @@ class _World:
                 for index, event in enumerate(tracer.events)
                 if event.kind == "slo_alert"
             ],
-            "tracer_hists": [
-                [(label, _hist(hist)) for label, hist in family.items()]
-                for family in (tracer.span_hist, tracer.op_hist, tracer.node_hist)
-            ]
-            + [_hist(tracer.window_hist)],
         }
 
 

@@ -1,6 +1,9 @@
 """Tracer semantics: zero observer effect, exact attribution, causality.
 
-The invariants under test are the ones DESIGN.md section 8 promises:
+The invariants under test are the ones DESIGN.md section 8 promises
+(the roll-ups of the record — per node, per structure, fleet-wide — are a
+``TelemetryRegistry``'s, so the fault and node tests read them through one
+observing the same run):
 
 * tracing never changes behaviour — every metrics counter and every
   simulated timestamp is bit-identical with tracing on or off;
@@ -18,7 +21,7 @@ from repro.fabric import FaultPlan, RetryPolicy
 from repro.fabric.errors import FabricError, QueueEmpty
 from repro.notify.delivery import DeliveryEngine, DeliveryPolicy
 from repro.notify.subscription import Notification, NotifyKind, Subscription
-from repro.obs import Tracer
+from repro.obs import FLEET, TelemetryRegistry, Tracer, render_fleet, render_nodes
 
 
 def _workload(traced):
@@ -160,7 +163,7 @@ class TestSpanNesting:
         assert root.parent_id is None
         assert root.far_accesses == client.metrics.far_accesses == 3
         # Root spans are accounting scaffolding, not measured labels.
-        assert "client:loose" not in tracer.span_hist
+        assert "client:loose" not in tracer.summary()
 
     def test_stall_flushes_at_qp_bound(self):
         cluster = Cluster(node_count=1, node_size=8 << 20)
@@ -180,7 +183,6 @@ class TestSpanNesting:
         windows = tracer.events_by_kind("window")
         assert [w.data["reason"] for w in windows] == ["stall"] * 3
         assert all(w.data["n"] == 2 for w in windows)
-        assert tracer.window_hist.count == 3
 
     def test_lazy_delta_equals_the_metrics_ledger(self):
         # A span reads the counters as a tuple at each end and builds its
@@ -294,23 +296,23 @@ class TestAttachment:
         cluster = Cluster(node_count=2, node_size=8 << 20)
         client = cluster.client("worker")
         tracer = Tracer()
+        registry = TelemetryRegistry().observe(tracer)
         tree = cluster.ht_tree(bucket_count=64)
-        with tracer.span(client, "put-phase"):
+        with tracer.span(client, "put-phase") as phase:
             for key in range(16):
                 tree.put(client, key, key)
         tracer.finish()
-        assert "put-phase" in tracer.span_hist
-        assert tracer.span_hist.get("put-phase").count == 1
-        # Per-op and per-node charge histograms cover every far access.
+        rows = {line.split()[0]: line.split()[1:3] for line in tracer.summary().splitlines()}
+        assert rows["put-phase"] == ["1", str(phase.delta.far_accesses)]
+        # The fleet's, the nodes' and the structures' charge histograms
+        # each cover every far access.
         total = client.metrics.far_accesses
-        assert (
-            sum(h.count for _, h in tracer.op_hist.items()) == total
-        )
-        node_labels = tracer.node_hist.labels()
-        assert node_labels and all(
-            label.startswith("node") for label in node_labels
-        )
-        assert sum(h.count for _, h in tracer.node_hist.items()) == total
+        assert registry.histogram_total(FLEET, "far_latency_ns").count == total
+        for kind in ("node", "structure"):
+            scopes = registry.scopes(kind)
+            assert scopes
+            counts = [registry.histogram_total(scope, "far_latency_ns").count for scope in scopes]
+            assert sum(counts) == total
 
 
 class TestNotifyAndSpans:
@@ -387,10 +389,11 @@ class TestIntegrityAndRepairEvents:
 
         cluster = Cluster(node_count=4, node_size=8 << 20)
         client = cluster.client("app")
-        tracer = None
+        tracer = registry = None
         if traced:
             tracer = Tracer()
             tracer.attach(client)
+            registry = TelemetryRegistry().observe(tracer)
         region = ReplicatedRegion.create_framed(
             cluster.allocator, block_payload=32, block_count=6, copies=2
         )
@@ -412,16 +415,16 @@ class TestIntegrityAndRepairEvents:
             stale.write_block(client, 1, b"s" * 32)
         except FabricError:
             pass
-        return client.metrics, client.clock, tracer
+        return client.metrics, client.clock, tracer, registry
 
     def test_zero_observer_effect_on_integrity_paths(self):
-        bare_metrics, bare_clock, _ = self._integrity_workload(traced=False)
-        traced_metrics, traced_clock, _ = self._integrity_workload(traced=True)
+        bare_metrics, bare_clock, _, _ = self._integrity_workload(traced=False)
+        traced_metrics, traced_clock, _, _ = self._integrity_workload(traced=True)
         assert traced_metrics.as_dict() == bare_metrics.as_dict()
         assert traced_clock.now_ns == bare_clock.now_ns
 
     def test_events_and_summary_lines(self):
-        _, _, tracer = self._integrity_workload(traced=True)
+        _, _, tracer, registry = self._integrity_workload(traced=True)
         tracer.finish()
 
         rot = tracer.events_by_kind("corruption_detected")
@@ -438,11 +441,14 @@ class TestIntegrityAndRepairEvents:
         assert fences[0].data["held"] == 1
         assert fences[0].data["current"] == 2
 
-        summary = tracer.summary()
-        assert "integrity: corruption_detected=1" in summary
-        assert "fence_rejects=1" in summary
-        assert "repair: region 0" in summary
-        assert "6/6 blocks" in summary
+        (events,) = [line for line in tracer.summary().splitlines() if line.startswith("events: ")]
+        for count in ("corruption_detected=1", "fence_reject=1", "repair_copy=2"):
+            assert count in events.split(": ")[1].split(", ")
+        dead = copies[0].data["dead_node"]
+        fleet = render_fleet(registry)
+        assert "verify_misses=1" in fleet and "fence_rejects=1" in fleet
+        assert _node_row(registry, dead)[-1] == "repaired (was dead)"
+        assert registry.gauge_value(("node", dead), "repair_progress") == 1.0
 
     def test_torn_write_event_carries_attempts(self):
         cluster = Cluster(node_count=1, node_size=8 << 20)
@@ -450,6 +456,7 @@ class TestIntegrityAndRepairEvents:
         client = cluster.client("w", breaker_policy=None)  # retries on
         tracer = Tracer()
         tracer.attach(client)
+        registry = TelemetryRegistry().observe(tracer)
         addr = cluster.allocator.alloc(64)
         client.write(addr, b"\x55" * 64)  # torn once, healed by retry
         tracer.finish()
@@ -457,7 +464,9 @@ class TestIntegrityAndRepairEvents:
         assert len(torn) == 1
         assert torn[0].data["op"] == "write"
         assert torn[0].data["attempt"] == 1
-        assert "torn_writes=1" in tracer.summary()
+        assert "torn_write=1" in tracer.summary()
+        assert "torn_writes=1" in render_fleet(registry)
+        assert _node_row(registry, 0)[8] == "1"  # the torn column
 
     def test_breaker_state_line(self):
         from repro.fabric import BreakerPolicy
@@ -473,6 +482,7 @@ class TestIntegrityAndRepairEvents:
         )
         tracer = Tracer()
         tracer.attach(client)
+        registry = TelemetryRegistry().observe(tracer)
         addr = cluster.allocator.alloc(64)
         for _ in range(3):
             try:
@@ -480,15 +490,16 @@ class TestIntegrityAndRepairEvents:
             except FabricError:
                 pass
         tracer.finish()
-        summary = tracer.summary()
-        assert "breaker: b node0 state=open" in summary
-        assert "trips=1" in summary
+        rejects = client.metrics.breaker_rejections
+        assert rejects == len(tracer.events_by_kind("breaker_reject")) > 0
+        assert f"breaker_trips=1 breaker_rejects={rejects}" in render_fleet(registry)
+        assert _node_row(registry, 0)[6] == str(rejects)
 
 
 class TestNodeSummaryLines:
     def test_per_node_breakdown_in_summary(self):
-        """`repro trace` summaries carry a per-node line: traffic share,
-        tail charge, and fault counts, keyed by memory node."""
+        """`repro trace` prints a registry's node table: one row per
+        memory node with its far accesses, tail charge and fault counts."""
         cluster = Cluster(node_count=2, node_size=8 << 20)
         cluster.inject_faults(
             seed=5, plan=FaultPlan().random_timeouts(0.3, node=1)
@@ -498,6 +509,7 @@ class TestNodeSummaryLines:
         )
         tracer = Tracer()
         tracer.attach(client)
+        registry = TelemetryRegistry().observe(tracer)
         # Spread traffic over both nodes so both rows materialize.
         near = cluster.allocator.alloc_words(1)
         from repro.alloc import on_node
@@ -507,23 +519,14 @@ class TestNodeSummaryLines:
             client.read_u64(near)
             client.read_u64(far)
         tracer.finish()
-        summary = tracer.summary()
-        assert "node0: far=" in summary
-        assert "node1: far=" in summary
-        node1 = next(
-            line for line in summary.splitlines()
-            if line.startswith("node1:")
-        )
+        node0, node1 = _node_row(registry, 0), _node_row(registry, 1)
         # The faulted node's row owns the timeouts; the clean one has none.
-        assert f"timeouts={client.metrics.timeouts}" in node1
-        node0 = next(
-            line for line in summary.splitlines()
-            if line.startswith("node0:")
-        )
-        assert "timeouts=0" in node0
-        assert "p99=" in node0
-        # Traffic shares are percentages that cover all far accesses.
-        assert "(" in node0 and "%)" in node0
+        assert client.metrics.timeouts > 0
+        assert node1[5] == str(client.metrics.timeouts)
+        assert node0[5] == "0"
+        assert node0[3] != "-"  # a p99 charge
+        # The rows' far accesses cover all far accesses.
+        assert int(node0[1]) + int(node1[1]) == client.metrics.far_accesses
 
     def test_drained_and_dead_markers(self):
         cluster = Cluster(node_count=2, node_size=1 << 20)
@@ -531,13 +534,19 @@ class TestNodeSummaryLines:
         client = cluster.client("driver")
         tracer = Tracer()
         tracer.attach(client)
+        registry = TelemetryRegistry().observe(tracer)
         base = cluster.allocator.alloc(4096)
         client.write_u64(base, 7)
         cluster.drain_node(0, client)
         tracer.finish()
-        summary = tracer.summary()
-        node0 = next(
-            line for line in summary.splitlines()
-            if line.startswith("node0:")
-        )
-        assert "drained" in node0
+        assert _node_row(registry, 0)[-1] == "drained"
+
+
+def _node_row(registry, node):
+    """``node``'s row of the registry's node table, split into columns:
+    node, far, recent, p99, bytes, timeouts, rejects, miss, torn,
+    migr in/out, state."""
+    line = next(
+        line for line in render_nodes(registry).splitlines() if line.split()[0] == f"node{node}"
+    )
+    return line.split(maxsplit=10)

@@ -14,16 +14,19 @@ def test_demo_prints_trace_summary(capsys):
     out = capsys.readouterr().out
     assert "far accesses" in out
     assert "trace summary" in out
-    assert "far-access latency by fabric op" in out
-    # The demo's phase labels and the histogram table both rendered.
+    # The demo's phase labels and the registry's tables all rendered.
     assert "ht-tree put x100" in out
     assert "p50 ns" in out
+    assert "-- fleet --" in out and "far-op latency:" in out
+    assert "-- nodes --" in out and "node0 " in out
 
 
 def test_trace_subcommand_exports_and_validates(tmp_path, capsys):
     assert main(["trace", "quickstart", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "passed schema validation" in out
+    assert "-- fleet --" in out and "-- nodes --" in out
+    assert "-- SLOs --" not in out  # no monitor: its alerts would enter the trace
 
     jsonl_path = tmp_path / "quickstart.trace.jsonl"
     chrome_path = tmp_path / "quickstart.trace.json"
@@ -87,6 +90,11 @@ def test_validate_reports_malformed_exports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "INVALID (1 problems)" in out and "not a JSON document" in out
 
+    for missing in (tmp_path / "missing.trace.jsonl", tmp_path / "missing.trace.json"):
+        assert main(["validate", str(missing)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{missing}: unreadable trace (") and "No such file" in out
+
 
 def test_races_reports_a_malformed_export(tmp_path, capsys):
     jsonl = tmp_path / "torn.trace.jsonl"
@@ -94,6 +102,11 @@ def test_races_reports_a_malformed_export(tmp_path, capsys):
     assert main(["races", str(jsonl)]) == 2
     out = capsys.readouterr().out
     assert out.strip() == f"{jsonl}: unreadable trace (line 2: not JSON)"
+
+    missing = tmp_path / "missing.trace.jsonl"
+    assert main(["races", str(missing)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"{missing}: unreadable trace (") and "No such file" in out
 
 
 def test_trace_unknown_target_is_an_error():
@@ -163,6 +176,15 @@ def test_topology_subcommand_renders_table(capsys):
     assert "virtual address space" in out
     assert "extents of 262144 bytes" in out
     assert "free_slots" in out  # per-node table header
+
+
+@pytest.mark.parametrize("nodes", ["0", "-1"])
+def test_topology_rejects_a_node_count_below_one(nodes, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["topology", "--nodes", nodes])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --nodes: must be a whole number of at least 1, got '{nodes}'" in err
 
 
 def test_topology_demo_shows_drain_and_remaps(capsys):

@@ -17,7 +17,7 @@ from repro.alloc import EpochReclaimer
 from repro.fabric import BreakerPolicy
 from repro.fabric.retry import CircuitBreaker
 from repro.notify import Broker
-from repro.obs import HistogramSet, LatencyHistogram, SLOMonitor, TelemetryRegistry, Tracer
+from repro.obs import LatencyHistogram, SLOMonitor, TelemetryRegistry, Tracer
 from repro.obs.telemetry import GaugeSeries
 from repro.rpc import RpcServer
 
@@ -50,12 +50,6 @@ def _latency_histogram():
     return histogram
 
 
-def _histogram_set():
-    histograms = HistogramSet()
-    histograms.record("get", 1_500)
-    return histograms
-
-
 #: Class name -> the object of that class to render, built in a fresh world.
 OBJECTS = {
     "Broker": lambda w: Broker(w.cluster.notifications),
@@ -74,7 +68,6 @@ OBJECTS = {
     "GaugeSeries": lambda w: GaugeSeries(),
     "HTTree": lambda w: w.tree,
     "HistogramRing": lambda w: w.registry.histograms()[0][2],
-    "HistogramSet": lambda w: _histogram_set(),
     "LatencyHistogram": lambda w: _latency_histogram(),
     "MemoryNode": lambda w: w.cluster.fabric.nodes[0],
     "Metrics": lambda w: w.client.metrics,

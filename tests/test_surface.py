@@ -471,9 +471,6 @@ KEEP_UNRUN = {
     "GaugeSeries.__repr__": _DUNDER,
     "HTTree.__repr__": _DUNDER,
     "HistogramRing.__repr__": _DUNDER,
-    "HistogramSet.__contains__": _DUNDER,
-    "HistogramSet.__len__": _DUNDER,
-    "HistogramSet.__repr__": _DUNDER,
     "HopscotchHashMap.__len__": _DUNDER,
     "LatencyHistogram.__repr__": _DUNDER,
     "MemoryNode.__repr__": _DUNDER,

@@ -9,7 +9,7 @@ from repro.analysis.budget import BudgetSanitizer
 from repro.fabric import MigrationWritePolicy
 from repro.fabric.integrity import frame_size
 from repro.fabric.wire import WORD, decode_u64, encode_u64
-from repro.obs import Tracer
+from repro.obs import TelemetryRegistry, Tracer, render_fleet
 from repro.txn.txn import _RUN_RETRY
 
 from .conftest import EXTENT, PAYLOAD, seed_cells, txn_cluster
@@ -361,6 +361,20 @@ class TestTraceEvents:
         assert commit[0].data["cells"] == 1 and commit[0].data["runs"] == 1
         abort = tracer.events_by_kind("txn_abort")
         assert abort[0].data["reason"] == "user"
+
+    def test_fleet_table_carries_the_commit_abort_balance(self, cluster):
+        c1 = cluster.client()
+        tracer = Tracer()
+        tracer.attach(c1)
+        registry = TelemetryRegistry().observe(tracer)
+        space = cluster.txn_space(c1)
+        (a,) = seed_cells(cluster, space, c1, 1)
+        for _ in range(2):
+            txn = space.begin(c1)
+            space.write(c1, txn, a, b"T" * PAYLOAD)
+            space.commit(c1, txn)
+        space.abort(c1, space.begin(c1), reason="user")
+        assert "txn: commits=2 aborts=1" in render_fleet(registry).splitlines()
 
     def test_tracing_has_zero_observer_effect(self):
         def workload(traced):
